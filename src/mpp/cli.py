@@ -9,6 +9,7 @@ safely).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -85,6 +86,7 @@ def _pmap(fn, items):
 def _emit(payload: dict, summary: str) -> int:
     json.dump(jsonio.jsonable(payload), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed pipe shows up here, inside main
     print(summary, file=sys.stderr)
     return 0
 
@@ -371,6 +373,7 @@ def cmd_hibi_li(args) -> int:
     return _emit(payload, f"hibi-li dominated: {report['dominated']}")
 
 
+@functools.cache  # built once per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mpp",
                                  description="marked poset polyhedra toolkit")
@@ -433,15 +436,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        return _run(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `mpp ... | head`): send the
+        # rest of the output, and the exit-time flush, to devnull and stop
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args) -> int:
+    try:
         return args.fn(args)
     except (InputError, jsonio.SchemaError, PosetError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "input"}), file=sys.stdout)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(exc, "input", EXIT_INPUT)
     except (GeometryError, AssertionError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "computation"}), file=sys.stdout)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return _fail(exc, "computation", EXIT_COMPUTE)
+
+
+def _fail(exc, kind: str, code: int) -> int:
+    print(json.dumps({"error": str(exc), "kind": kind}), file=sys.stdout, flush=True)
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

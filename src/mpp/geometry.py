@@ -2,20 +2,25 @@
 
 H-representations hold equations and inequalities with Fraction coefficients
 and an origin tag per constraint.  Vertex enumeration is the classical double
-description method on the homogenization cone; a brute-force constraint-subset
-oracle is kept alongside for cross-checking.  Face lattices are computed from
-vertex-facet incidences and are restricted to bounded polyhedra.
+description method on the homogenization cone, integer inside and Fraction at
+the API boundary: rows are scaled to integers, rays stay primitive int tuples
+with bitmask zero sets, and only the returned VRep holds Fractions.  A
+brute-force constraint-subset oracle is kept alongside for cross-checking.
+Face lattices are computed from vertex-facet incidences and are restricted to
+bounded polyhedra.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .linalg import ZERO, ONE, dot, primitive, sign_canonical
+from .linalg import ZERO, ONE, dot, primitive
 from .lp import LPStatus, lp_solve
 
 
@@ -146,109 +151,111 @@ class VRep:
     vertices: tuple[tuple[Fraction, ...], ...]
     rays: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def bounded(self) -> bool:
-        return not self.rays
-
-    def vertex_set(self) -> frozenset[tuple[Fraction, ...]]:
-        return frozenset(self.vertices)
-
-    def ray_set(self) -> frozenset[tuple[Fraction, ...]]:
-        return frozenset(self.rays)
-
 
 # -- double description ------------------------------------------------------
+# Integer kernel: zero sets are bitmasks over the inequality insertion order.
 
-def _dd_process_equality(row, lines, rays):
-    vals = [dot(row, l) for l in lines]
+def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return v if g <= 1 else tuple(x // g for x in v)
+
+
+def _int_row(row) -> tuple[int, ...]:
+    """Scale a rational row by a positive factor to a primitive integer row."""
+    m = math.lcm(*(x.denominator for x in row))
+    return _primitive(tuple(x.numerator * (m // x.denominator) for x in row))
+
+
+def _idot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _eliminate(row, lines):
+    """(l0, v0, others): a line with l0 . row = v0 != 0 (None if there is
+    none) and the other lines made orthogonal to row as v0 * l - v * l0."""
+    vals = [_idot(row, l) for l in lines]
     j0 = next((j for j, v in enumerate(vals) if v != 0), None)
-    if j0 is not None:
-        l0, v0 = lines[j0], vals[j0]
-        new_lines = [tuple(x - (v / v0) * y for x, y in zip(l, l0))
-                     for j, (l, v) in enumerate(zip(lines, vals)) if j != j0]
+    if j0 is None:
+        return None, 0, lines
+    l0, v0 = lines[j0], vals[j0]
+    others = [l if v == 0 else _primitive(tuple(v0 * x - v * y for x, y in zip(l, l0)))
+              for j, (l, v) in enumerate(zip(lines, vals)) if j != j0]
+    return l0, v0, others
+
+
+def _dd_process_inequality(idx, row, lines, rays, span_dim):
+    """Add row . x <= 0 (bit idx) to the cone generated by lines and rays.
+
+    rays is a list of (primitive int ray, zero-set bitmask); span_dim is the
+    dimension of the linear space left by the equations.
+    """
+    bit = 1 << idx
+    l0, v0, lines = _eliminate(row, lines)
+    if l0 is not None:
+        # a0 * r - sgn * s * l0 is a positive multiple of r plus a line and
+        # lies on the hyperplane; -sgn * l0 is the new ray strictly inside
+        sgn, a0 = (1, v0) if v0 > 0 else (-1, -v0)
         new_rays = []
         for r, z in rays:
-            s = dot(row, r)
-            vec = tuple(x - (s / v0) * y for x, y in zip(r, l0)) if s != 0 else r
-            new_rays.append((primitive(vec), z))
-        return [sign_canonical(l) for l in new_lines if not linalg.is_zero(l)], new_rays
-    plus, zero, minus = [], [], []
+            s = _idot(row, r)
+            if s != 0:
+                r = _primitive(tuple(a0 * x - sgn * s * y for x, y in zip(r, l0)))
+            new_rays.append((r, z | bit))
+        new_rays.append((tuple(-sgn * x for x in l0), bit - 1))
+        return lines, new_rays
+    plus, minus, new_rays = [], [], []
     for r, z in rays:
-        s = dot(row, r)
-        (plus if s > 0 else minus if s < 0 else zero).append((r, z, s))
-    new_rays = [(r, z) for r, z, _ in zero]
-    for rp, zp, sp in plus:
-        for rm, zm, sm in minus:
-            if _adjacent(zp, zm, rays, rp, rm):
-                w = primitive(tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm)))
-                new_rays.append((w, zp & zm))
-    return lines, _dedupe_rays(new_rays)
+        s = _idot(row, r)
+        if s > 0:
+            plus.append((r, z, s))
+        elif s < 0:
+            minus.append((r, z, s))
+            new_rays.append((r, z))
+        else:
+            new_rays.append((r, z | bit))
+    if plus and minus:
+        zs = [z for _, z in rays]
+        # adjacent rays share at least span_dim - len(lines) - 2 tight rows
+        need = span_dim - len(lines) - 2
+        for rp, zp, sp in plus:
+            for rm, zm, sm in minus:
+                zc = zp & zm
+                if zc.bit_count() >= need and _adjacent(zc, zs):
+                    # each adjacent pair spans its own 2-face: no ray repeats
+                    w = _primitive(tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm)))
+                    new_rays.append((w, zc | bit))
+    return lines, new_rays
 
 
-def _dd_process_inequality(idx, row, lines, rays):
-    vals = [dot(row, l) for l in lines]
-    j0 = next((j for j, v in enumerate(vals) if v != 0), None)
-    if j0 is not None:
-        l0, v0 = lines[j0], vals[j0]
-        new_lines = [tuple(x - (v / v0) * y for x, y in zip(l, l0))
-                     for j, (l, v) in enumerate(zip(lines, vals)) if j != j0]
-        r0 = l0 if v0 < 0 else tuple(-x for x in l0)
-        new_rays = []
-        for r, z in rays:
-            s = dot(row, r)
-            if s == 0:
-                new_rays.append((r, z | {idx}))
-            else:
-                vec = primitive(tuple(x - (s / v0) * y for x, y in zip(r, l0)))
-                new_rays.append((vec, z | {idx}))
-        new_rays.append((primitive(r0), frozenset(range(idx))))
-        return [sign_canonical(l) for l in new_lines if not linalg.is_zero(l)], new_rays
-    plus, zero, minus = [], [], []
-    for r, z in rays:
-        s = dot(row, r)
-        (plus if s > 0 else minus if s < 0 else zero).append((r, z, s))
-    new_rays = [(r, z | {idx}) for r, z, _ in zero]
-    new_rays += [(r, z) for r, z, _ in minus]
-    for rp, zp, sp in plus:
-        for rm, zm, sm in minus:
-            if _adjacent(zp, zm, rays, rp, rm):
-                w = primitive(tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm)))
-                new_rays.append((w, (zp & zm) | {idx}))
-    return lines, _dedupe_rays(new_rays)
-
-
-def _adjacent(zp, zm, rays, rp, rm) -> bool:
-    zc = zp & zm
-    for r, z in rays:
-        if r == rp or r == rm:
-            continue
-        if zc <= z:
-            return False
+def _adjacent(zc: int, zs: list[int]) -> bool:
+    """Two rays with common zero set zc are adjacent iff no third ray (by list
+    index, not by value) contains zc: zc & z == zc for just two entries."""
+    n = 0
+    for z in zs:
+        if z & zc == zc:
+            n += 1
+            if n > 2:
+                return False
     return True
 
 
-def _dedupe_rays(rays):
-    seen = {}
-    for r, z in rays:
-        if r in seen:
-            seen[r] = (r, seen[r][1] | z)
-        else:
-            seen[r] = (r, z)
-    return list(seen.values())
-
-
 def _dd_generators(h: HRep):
-    """Run DD on the homogenization cone; returns (lines, rays) in (x0, x)."""
+    """Run DD on the homogenization cone; returns (lines, rays) in (x0, x).
+
+    Rows are (-rhs, coeffs) scaled to integers, so the cone is row . x <= 0.
+    x0 >= 0 is inserted first, then the inequalities in lexicographic order of
+    their integer rows.
+    """
     d = h.dim_ambient
-    lines = [tuple(ONE if j == i else ZERO for j in range(d + 1)) for i in range(d + 1)]
-    rays: list[tuple[tuple[Fraction, ...], frozenset[int]]] = []
-    for c in h.equations:
-        row = (-c.rhs,) + c.coeffs
-        lines, rays = _dd_process_equality(row, lines, rays)
-    ineq_rows = [(-ONE,) + tuple([ZERO] * d)]  # x0 >= 0
-    ineq_rows += [(-c.rhs,) + c.coeffs for c in h.inequalities]
-    for idx, row in enumerate(ineq_rows):
-        lines, rays = _dd_process_inequality(idx, row, lines, rays)
+    lines = [tuple(1 if j == i else 0 for j in range(d + 1)) for i in range(d + 1)]
+    for c in h.equations:  # before any ray exists, equations only cut lines
+        lines = _eliminate(_int_row((-c.rhs,) + c.coeffs), lines)[2]
+    span_dim = len(lines)
+    rows = [(-1,) + (0,) * d]  # x0 >= 0
+    rows += sorted({_int_row((-c.rhs,) + c.coeffs) for c in h.inequalities})
+    rays: list[tuple[tuple[int, ...], int]] = []
+    for idx, row in enumerate(rows):
+        lines, rays = _dd_process_inequality(idx, row, lines, rays, span_dim)
     return lines, rays
 
 
@@ -263,15 +270,11 @@ def vertices(h: HRep) -> VRep:
     lines, rays = _dd_generators(h)
     if lines:
         raise UnsupportedLineality("polyhedron contains a line")
-    verts = set()
-    recession = set()
-    for r, _ in rays:
-        if r[0] > 0:
-            verts.add(tuple(x / r[0] for x in r[1:]))
-        else:
-            recession.add(primitive(r[1:]))
+    verts = {tuple(Fraction(x, r[0]) for x in r[1:]) for r, _ in rays if r[0] > 0}
     if not verts:
         raise EmptyPolyhedron("no feasible point")
+    # a ray with r[0] == 0 is primitive, so its tail r[1:] is primitive too
+    recession = {tuple(Fraction(x) for x in r[1:]) for r, _ in rays if r[0] == 0}
     return VRep(h.coords, tuple(sorted(verts)), tuple(sorted(recession)))
 
 
@@ -381,9 +384,6 @@ class FaceLattice:
 
     def facets(self) -> tuple[Face, ...]:
         return tuple(f for f in self.faces if f.dim == self.dim - 1)
-
-    def leq(self, a: Face, b: Face) -> bool:
-        return a.vertex_ids <= b.vertex_ids
 
     def minimal_face_containing(self, h: HRep, point) -> Face:
         """The unique face with the point in its relative interior."""

@@ -14,41 +14,30 @@ from fractions import Fraction
 
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
                        UnsupportedUnbounded, vertices)
+from .linalg import affine_rank
 
 BOX_GATE = 10 ** 7
 
 
-def _bounding_box(h: HRep):
-    v = vertices(h)
-    if v.rays:
-        raise UnsupportedUnbounded("lattice-point scan needs a bounded polyhedron")
-    lows, highs = [], []
-    for i in range(len(h.coords)):
-        vals = [p[i] for p in v.vertices]
-        lows.append(math.ceil(min(vals)))
-        highs.append(math.floor(max(vals)))
-    return v, lows, highs
-
-
-def lattice_points(h: HRep) -> list[tuple[int, ...]]:
-    """All integer points of a bounded polyhedron, sorted lexicographically."""
-    try:
-        v, lows, highs = _bounding_box(h)
-    except EmptyPolyhedron:
-        return []
-    size = 1
-    for lo, hi in zip(lows, highs):
-        size *= max(0, hi - lo + 1)
+def _box(verts, k=1):
+    """Integer bounding box of k * conv(verts), gated at BOX_GATE candidates."""
+    lows = [math.ceil(k * min(col)) for col in zip(*verts)]
+    highs = [math.floor(k * max(col)) for col in zip(*verts)]
+    size = math.prod(max(0, hi - lo + 1) for lo, hi in zip(lows, highs))
     if size > BOX_GATE:
-        raise TooLarge(f"bounding box holds {size} candidates (gate {BOX_GATE})")
+        raise TooLarge(f"bounding box of dilation {k} holds {size} candidates "
+                       f"(gate {BOX_GATE})")
+    return lows, highs
+
+
+def _scan(h: HRep, lows, highs) -> list[tuple[int, ...]]:
+    """Integer points of h in the box, by a per-point constraint check."""
     # integer-cleared constraint rows for fast inner-loop evaluation
     rows = []
-    for c in h.equations:
-        m = math.lcm(*[x.denominator for x in c.coeffs + (c.rhs,)])
-        rows.append(([int(x * m) for x in c.coeffs], int(c.rhs * m), True))
-    for c in h.inequalities:
-        m = math.lcm(*[x.denominator for x in c.coeffs + (c.rhs,)])
-        rows.append(([int(x * m) for x in c.coeffs], int(c.rhs * m), False))
+    for group, is_eq in ((h.equations, True), (h.inequalities, False)):
+        for c in group:
+            m = math.lcm(*[x.denominator for x in c.coeffs + (c.rhs,)])
+            rows.append(([int(x * m) for x in c.coeffs], int(c.rhs * m), is_eq))
     out = []
     for pt in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
         ok = True
@@ -60,6 +49,28 @@ def lattice_points(h: HRep) -> list[tuple[int, ...]]:
         if ok:
             out.append(pt)
     return out
+
+
+def _lattice_polytope(h: HRep, what: str):
+    """Vertices of h, which must be a polytope with integral vertices."""
+    v = vertices(h)
+    if v.rays:
+        raise UnsupportedUnbounded(f"{what} needs a polytope")
+    for p in v.vertices:
+        if any(x.denominator != 1 for x in p):
+            raise NonLatticeVertices(f"non-integral vertex {p}")
+    return v.vertices
+
+
+def lattice_points(h: HRep) -> list[tuple[int, ...]]:
+    """All integer points of a bounded polyhedron, sorted lexicographically."""
+    try:
+        v = vertices(h)
+    except EmptyPolyhedron:
+        return []
+    if v.rays:
+        raise UnsupportedUnbounded("lattice-point scan needs a bounded polyhedron")
+    return _scan(h, *_box(v.vertices))
 
 
 @dataclass(frozen=True)
@@ -102,21 +113,18 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     Requires a bounded lattice polytope; max_dilation defaults to dim and the
     interpolation is asserted to reproduce every recorded count exactly.
     """
-    v = vertices(h)
-    if v.rays:
-        raise UnsupportedUnbounded("Ehrhart counting needs a polytope")
-    for p in v.vertices:
-        if any(x.denominator != 1 for x in p):
-            raise NonLatticeVertices(f"non-integral vertex {p}")
-    from .linalg import affine_rank
-    dim = affine_rank(v.vertices)
+    verts = _lattice_polytope(h, "Ehrhart counting")
+    dim = affine_rank(verts)
     if max_dilation is None:
         max_dilation = max(dim, 1)
     if max_dilation < dim:
         raise ValueError("need at least dim+1 interpolation points")
+    # the vertices of kQ are k * V(Q); boxes grow with k, so gate the largest
+    # one before scanning any
+    _box(verts, max_dilation)
     counts = [(0, 1)]
     for k in range(1, max_dilation + 1):
-        counts.append((k, len(lattice_points(h.dilate(k)))))
+        counts.append((k, len(_scan(h.dilate(k), *_box(verts, k)))))
     coeffs = _lagrange(counts)
     data = EhrhartData(tuple(counts), coeffs)
     if len(coeffs) - 1 > dim:
@@ -129,13 +137,8 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
 
 def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:
     """Check that every lattice point of kQ is a sum of k lattice points of Q."""
-    v = vertices(h)
-    if v.rays:
-        raise UnsupportedUnbounded("integral closure needs a polytope")
-    for p in v.vertices:
-        if any(x.denominator != 1 for x in p):
-            raise NonLatticeVertices(f"non-integral vertex {p}")
-    base = lattice_points(h)
+    verts = _lattice_polytope(h, "integral closure")
+    base = _scan(h, *_box(verts))
     base_set = set(base)
     sums = {1: base_set}
     for k in sorted(dilations):
@@ -144,7 +147,7 @@ def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:
             prev = _ksums(base, base_set, k - 1)
         cur = {tuple(a + b for a, b in zip(p, q)) for p in prev for q in base}
         sums[k] = cur
-        for z in lattice_points(h.dilate(k)):
+        for z in _scan(h.dilate(k), *_box(verts, k)):
             if z not in cur:
                 return False
     return True

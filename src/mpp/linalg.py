@@ -17,25 +17,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec(values) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
 def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def vadd(a, b) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a, b) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
 
 
 def is_zero(a) -> bool:
@@ -55,15 +42,6 @@ def primitive(a) -> Vector:
     for n in ints:
         g = gcd(g, abs(n))
     return tuple(Fraction(n // g) for n in ints)
-
-
-def sign_canonical(a) -> Vector:
-    """Primitive vector with first nonzero entry positive (for line directions)."""
-    p = primitive(a)
-    for x in p:
-        if x != 0:
-            return p if x > 0 else tuple(-y for y in p)
-    return p
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -159,9 +159,6 @@ class MarkedPoset:
         ext = set(self.minimal_elements()) | set(self.maximal_elements())
         return ext <= self.marked
 
-    def lam(self, a: str) -> Fraction:
-        return self.marking[a]
-
 
 def validate(poset: MarkedPoset) -> list[str]:
     """Check the marked-poset invariants; returns violation messages (empty = valid)."""

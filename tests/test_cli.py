@@ -249,3 +249,27 @@ def test_sweep_partial_report_exit_3(tmp_path):
     assert data["checked"] == "ehrhart" and not data["pass"]
     assert len(data["errors"]) == 2  # both partitions unbounded
     assert data["polynomials"] == []
+
+
+def test_main_in_process_parses_each_call(ex52_file, capsys):
+    # the parser is built once per process; each call must parse on its own
+    from mpp.cli import main
+    assert main(["vertices", ex52_file, "--method", "bruteforce"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["hrep", ex52_file, "--irredundant"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert main(["vertices", ex52_file]) == 0
+    third = json.loads(capsys.readouterr().out)
+    assert first["method"] == "bruteforce" and third["method"] == "dd"
+    assert third["vertices"] == first["vertices"]
+    assert second["command"] == "hrep" and "method" not in second
+
+
+def test_closed_stdout_exits_quietly(ex52_file):
+    # the reader goes away before anything is written, as `mpp ... | head` can
+    proc = subprocess.Popen([sys.executable, "-m", "mpp.cli", "vertices", ex52_file],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -1,14 +1,18 @@
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_chain_poset, make_ex52
-from mpp.family import hrep_general, zero_parameter
+from mpp.family import Parameter, hrep_general, zero_parameter
 from mpp.geometry import (AffineMap, EmptyPolyhedron, Unbounded,
-                          UnsupportedUnbounded, apply_affine, face_lattice,
-                          make_hrep, substitute, vertices, vertices_bruteforce)
+                          UnsupportedLineality, UnsupportedUnbounded,
+                          apply_affine, face_lattice, make_hrep, substitute,
+                          vertices, vertices_bruteforce)
+from mpp.poset import MarkedPoset
 from mpp.lattice import lattice_points
 from mpp import linalg
 
@@ -126,6 +130,118 @@ def test_dd_equals_bruteforce_with_equations():
             continue
         vb = vertices_bruteforce(h)
         assert set(v.vertices) == set(vb.vertices)
+
+
+def all_fractions(v):
+    return all(type(x) is Fraction for p in v.vertices + v.rays for x in p)
+
+
+def test_dd_rational_rows_match_bruteforce():
+    # coefficients and right-hand sides with denominators: the kernel scales
+    # each row to integers and must land on the same vertices
+    rnd = random.Random(44)
+    for _ in range(15):
+        d = rnd.randint(2, 3)
+        h = random_bounded_hrep(rnd, d, extra=2)
+        ineqs = [(c.coeffs, c.rhs, c.origin) for c in h.inequalities]
+        for _ in range(2):
+            coeffs = tuple(F(rnd.randint(-6, 6), rnd.choice((1, 2, 3, 4)))
+                           for _ in range(d))
+            if any(coeffs):
+                ineqs.append((coeffs, F(rnd.randint(1, 9), rnd.choice((2, 3, 4))), ("cut",)))
+        h = make_hrep(h.coords, [], ineqs)
+        try:
+            v = vertices(h)
+        except EmptyPolyhedron:
+            with pytest.raises(EmptyPolyhedron):
+                vertices_bruteforce(h)
+            continue
+        assert v.vertices == vertices_bruteforce(h).vertices
+        assert all_fractions(v)
+
+
+@pytest.mark.parametrize("values", [(F(1, 3), F(3, 4), F(1, 2)),
+                                    (F(3, 4), F(1, 3), F(2, 3)),
+                                    (F(1, 4), F(1, 4), F(3, 4))])
+def test_dd_interior_t_matches_bruteforce_in_order(values):
+    poset = make_ex52()
+    t = Parameter(dict(zip(("p", "q", "r"), values)))
+    h = hrep_general(poset, t)
+    v = vertices(h)
+    assert v.vertices == vertices_bruteforce(h).vertices  # same tuples, same order
+    assert all_fractions(v)
+
+
+def test_dd_dependent_equation():
+    rnd = random.Random(45)
+    for _ in range(10):
+        d = rnd.randint(2, 4)
+        h = random_bounded_hrep(rnd, d, extra=2)
+        coeffs = tuple(F(rnd.randint(-2, 2), 3) for _ in range(d))
+        if not any(coeffs):
+            continue
+        rhs = F(rnd.randint(0, 2), 2)
+        ineqs = [(c.coeffs, c.rhs, c.origin) for c in h.inequalities]
+        single = make_hrep(h.coords, [(coeffs, rhs, ("slice",))], ineqs)
+        double = make_hrep(h.coords, [(coeffs, rhs, ("slice",)),
+                                      (tuple(-F(3, 2) * c for c in coeffs), -F(3, 2) * rhs,
+                                       ("slice",))], ineqs)
+        try:
+            v = vertices(double)
+        except EmptyPolyhedron:
+            with pytest.raises(EmptyPolyhedron):
+                vertices_bruteforce(single)
+            continue
+        assert v == vertices(single)
+        assert v.vertices == vertices_bruteforce(single).vertices
+
+
+def test_unbounded_rays_are_primitive_fractions():
+    # x, y >= 0 and (2/3) x - y <= 1/2: recession cone spanned by (0,1), (3,2)
+    h = make_hrep(("x", "y"), [],
+                  [((F(-1), F(0)), F(0), ()), ((F(0), F(-1)), F(0), ()),
+                   ((F(2, 3), F(-1)), F(1, 2), ())])
+    v = vertices(h)
+    assert v.vertices == ((F(0), F(0)), (F(3, 4), F(0)))
+    assert v.rays == ((F(0), F(1)), (F(3), F(2)))
+    assert all_fractions(v)
+    for r in v.rays:
+        assert math.gcd(*(int(x) for x in r)) == 1
+
+
+def test_lineality_and_empty_paths():
+    slab = make_hrep(("x", "y"), [], [((F(1), F(0)), F(1), ()), ((F(-1), F(0)), F(1, 2), ())])
+    with pytest.raises(UnsupportedLineality):
+        vertices(slab)
+    clash = make_hrep(("x", "y"), [((F(1), F(1)), F(1), ()), ((F(1), F(1)), F(2), ())],
+                      [((F(-1), F(0)), F(0), ()), ((F(0), F(-1)), F(0), ())])
+    with pytest.raises(EmptyPolyhedron):
+        vertices(clash)
+    gap = make_hrep(("x",), [], [((F(-1),), F(-1, 2), ()), ((F(1),), F(1, 3), ())])
+    with pytest.raises(EmptyPolyhedron):
+        vertices(gap)
+
+
+def grid_poset(m, n):
+    """Product of chains m x n, bottom marked 0 and top marked m + n."""
+    els = [f"x{i}{j}" for i in range(m) for j in range(n)]
+    covers = [(f"x{i}{j}", f"x{i + 1}{j}") for i in range(m - 1) for j in range(n)]
+    covers += [(f"x{i}{j}", f"x{i}{j + 1}") for i in range(m) for j in range(n - 1)]
+    return MarkedPoset(tuple(els), frozenset(covers), {"x00": 0, f"x{m - 1}{n - 1}": m + n})
+
+
+def test_grid3x4_interior_vertices_pinned():
+    # ambient dimension 10 is beyond the brute-force oracle; the digest was
+    # recorded from the Fraction-based DD kernel and pins tuples and order
+    poset = grid_poset(3, 4)
+    vals = (F(1, 3), F(3, 4), F(1, 2), F(2, 3), F(1, 4))
+    t = Parameter({e: vals[i % 5] for i, e in enumerate(sorted(poset.unmarked))})
+    v = vertices(hrep_general(poset, t))
+    assert len(v.vertices) == 33 and v.rays == ()
+    assert all_fractions(v)
+    text = ";".join(",".join(map(str, p)) for p in v.vertices)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6d2ce294ef069857a6ad049039d3e783a2ffa3da223b1e1762bda96767b9223d"
 
 
 def test_vertex_tight_constraints_property():

@@ -5,8 +5,10 @@ import pytest
 from conftest import make_chain_poset, make_ex52
 from mpp.family import (Partition, hrep_chain_order, hrep_general,
                         hypercube_vertices, one_parameter, zero_parameter)
-from mpp.geometry import NonLatticeVertices, make_hrep
+from mpp import lattice
+from mpp.geometry import NonLatticeVertices, TooLarge, make_hrep
 from mpp.lattice import ehrhart, is_integrally_closed, lattice_points
+from mpp.poset import MarkedPoset
 
 
 def F(n, d=1):
@@ -111,3 +113,19 @@ def test_ex52_chain_order_polytopes_integrally_closed():
         part = Partition(frozenset(C), unmarked - frozenset(C))
         h = hrep_chain_order(poset, part)
         assert is_integrally_closed(h)
+
+
+def test_ehrhart_gates_largest_dilation_before_any_scan(monkeypatch):
+    # a 2x3 grid, all unmarked, with a bottom marked 0 and a top marked 5:
+    # dilation 1 holds 6^6 box candidates but dilation 6 holds 31^6
+    grid = [f"x{i}{j}" for i in range(2) for j in range(3)]
+    covers = [(f"x0{j}", f"x1{j}") for j in range(3)]
+    covers += [(f"x{i}{j}", f"x{i}{j + 1}") for i in range(2) for j in range(2)]
+    covers += [("bot", "x00"), ("x12", "top")]
+    poset = MarkedPoset(("bot", *grid, "top"), frozenset(covers), {"bot": 0, "top": 5})
+    h = hrep_general(poset, zero_parameter(poset), projected=False)
+    scanned = []
+    monkeypatch.setattr(lattice, "_scan", lambda *args: scanned.append(args) or [])
+    with pytest.raises(TooLarge, match="dilation 6"):
+        ehrhart(h)
+    assert scanned == []

@@ -54,7 +54,8 @@ def test_det_matches_permutation_expansion():
 
 def test_primitive_and_sign():
     assert linalg.primitive((F(2, 3), F(-4, 3))) == (F(1), F(-2))
-    assert linalg.sign_canonical((F(-2), F(4))) == (F(1), F(-2))
+    # the scale is positive, so the sign pattern is kept
+    assert linalg.primitive((F(-2), F(4))) == (F(-1), F(2))
 
 
 def test_affine_rank():
