@@ -1,9 +1,8 @@
 """Command-line front end.
 
 JSON goes to stdout, a short human summary to stderr.  Exit codes: 0 success,
-2 input validation failure, 3 computation error.  MPP_THREADS caps the worker
-pool used by parameter sweeps (library calls are pure, so sweeps parallelize
-safely).
+2 input validation failure, 3 computation error (an exhausted budget or an
+internal fault, never reported as input).
 """
 
 from __future__ import annotations
@@ -14,12 +13,12 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import degeneration as dg
 from . import family, jsonio, lattice, tropical
 from .geometry import GeometryError, face_lattice, vertices
+from .lp import SimplexError
 from .poset import MarkedPoset, PosetError, regularize, validate
 from .rationals import rat_str
 
@@ -65,22 +64,6 @@ def _resolve_parameter(args, poset) -> tuple[family.Parameter, dict]:
         t = family.zero_parameter(poset)
     header.update(jsonio.parameter_to_json(t))
     return t, header
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MPP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    w = _workers()
-    if w <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(payload: dict, summary: str) -> int:
@@ -205,14 +188,16 @@ def cmd_degenerate(args) -> int:
     return _emit(payload, f"degeneration map: {'PASS' if ok else 'FAIL'}")
 
 
-def _guarded(fn):
-    """Per-item kernel-error capture so sweeps can emit partial reports."""
-    def run(item):
+def _guarded(fn, items) -> list:
+    """(result, None) or (None, error) per item: kernel errors are captured so
+    that sweeps can emit partial reports."""
+    results = []
+    for item in items:
         try:
-            return fn(item), None
+            results.append((fn(item), None))
         except GeometryError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-    return run
+            results.append((None, f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def _sweep_ehrhart(poset) -> dict:
@@ -224,7 +209,7 @@ def _sweep_ehrhart(poset) -> dict:
         data = lattice.ehrhart(h)
         return (sorted(part.C), [rat_str(c) for c in data.coefficients])
 
-    results = _pmap(_guarded(one), parts)
+    results = _guarded(one, parts)
     rows = [r for r, err in results if err is None]
     errors = [{"C": sorted(part.C), "error": err}
               for part, (_, err) in zip(parts, results) if err is not None]
@@ -241,7 +226,7 @@ def _sweep_types(poset) -> dict:
     for p in sorted(poset.unmarked):
         faces.append({p: Fraction(0)})
         faces.append({p: Fraction(1)})
-    results = _pmap(_guarded(lambda f: dg.combinatorial_type_sweep(poset, f)), faces)
+    results = _guarded(lambda f: dg.combinatorial_type_sweep(poset, f), faces)
     reports = [r for r, err in results if err is None]
     errors = [{"face": {k: rat_str(v) for k, v in sorted(f.items())}, "error": err}
               for f, (_, err) in zip(faces, results) if err is not None]
@@ -265,7 +250,7 @@ def _sweep_domination(poset) -> dict:
         return rep
 
     targets = list(family.hypercube_vertices(poset))
-    results = _pmap(_guarded(one), targets)
+    results = _guarded(one, targets)
     reports = [r for r, err in results if err is None]
     errors = [{"t": jsonio.parameter_to_json(u)["t"], "error": err}
               for u, (_, err) in zip(targets, results) if err is not None]
@@ -449,7 +434,7 @@ def _run(args) -> int:
         return args.fn(args)
     except (InputError, jsonio.SchemaError, PosetError, ValueError) as exc:
         return _fail(exc, "input", EXIT_INPUT)
-    except (GeometryError, AssertionError) as exc:
+    except (GeometryError, SimplexError, AssertionError) as exc:
         return _fail(exc, "computation", EXIT_COMPUTE)
 
 

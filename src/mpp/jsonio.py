@@ -78,7 +78,7 @@ def parameter_from_json(data, poset: MarkedPoset) -> Parameter:
                           f"{sorted(poset.unmarked)}")
     try:
         return Parameter({k: rat(v) for k, v in t.items()})
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise SchemaError(str(exc)) from exc
 
 

@@ -12,10 +12,13 @@ def rat(value) -> Fraction:
     """Coerce ints, Fractions and strings like "3", "-1/2" to a Fraction.
 
     Floats are rejected: the kernel is exact and a float almost always
-    indicates an upstream mistake.
+    indicates an upstream mistake.  So are booleans, although Python counts
+    them as ints: JSON `true` is not the rational 1.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"a boolean is not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

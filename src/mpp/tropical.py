@@ -14,8 +14,8 @@ from . import linalg
 from .family import (Parameter, hrep_general, hypercube_vertices, iota,
                      transfer_phi_projected, transfer_theta_projected,
                      zero_parameter)
-from .geometry import (EmptyPolyhedron, HRep, UnsupportedUnbounded, face_lattice,
-                       make_hrep, vertices)
+from .geometry import (EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded,
+                       face_lattice, make_hrep, vertices)
 from .lp import LPStatus, lp_solve
 from .poset import MarkedPoset, require_valid
 
@@ -309,8 +309,6 @@ def compatible_ideal_chains(poset: MarkedPoset):
     The number of chains grows super-exponentially on antichain-rich posets;
     enumeration aborts beyond CHAIN_GATE candidates.
     """
-    from .geometry import TooLarge
-
     require_valid(poset)
     ideals = order_ideals(poset)
     full = frozenset(poset.elements)
@@ -388,7 +386,8 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
     any vertex without one (a potential counterexample); asserts nothing.
     """
     if len(poset.unmarked) > 10:
-        raise ValueError("conjecture sweep capped at 10 unmarked elements")
+        raise TooLarge(f"conjecture sweep capped at 10 unmarked elements, "
+                       f"got {len(poset.unmarked)}")
     base, _ = _base_data(poset)
     verts = generic_vertices(poset, t)
     targets = []

@@ -273,3 +273,61 @@ def test_closed_stdout_exits_quietly(ex52_file):
     err = proc.stderr.read()
     assert proc.wait() == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def _expect_input_error(proc):
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["kind"] == "input"
+    assert "Traceback" not in proc.stderr
+
+
+def test_boolean_marking_rejected(tmp_path):
+    poset = dict(EX52, marking={"0": False, "2": "2", "3": "3", "4": "4"})
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(poset))
+    _expect_input_error(run_cli("vertices", str(path)))
+
+
+@pytest.mark.parametrize("bad", [True, 0.5])
+def test_non_rational_parameter_rejected(ex52_file, tmp_path, bad):
+    # a JSON boolean posing as 1, and a float, are input errors (exit 2)
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps({"t": {"p": bad, "q": "1/2", "r": "1/2"}}))
+    _expect_input_error(run_cli("vertices", ex52_file, "--t", str(t)))
+
+
+def test_conjecture_cap_is_a_budget_error(tmp_path, capsys, monkeypatch):
+    # a chain with 11 unmarked elements between a marked bottom and top: the
+    # conjecture sweep refuses it (exit 3) before any vertex enumeration
+    from mpp import geometry
+    from mpp.cli import main
+
+    names = ["bot"] + [f"u{i:02d}" for i in range(11)] + ["top"]
+    poset = {"elements": names,
+             "covers": [[a, b] for a, b in zip(names, names[1:])],
+             "marking": {"bot": "0", "top": "12"}}
+    path = tmp_path / "chain11.json"
+    path.write_text(json.dumps(poset))
+    dd_runs = []
+    real = geometry._dd_generators
+    monkeypatch.setattr(geometry, "_dd_generators",
+                        lambda h: dd_runs.append(h) or real(h))
+    assert main(["sweep", str(path), "--check", "conjecture5"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "computation" and "10 unmarked" in out["error"]
+    assert dd_runs == []
+
+
+def test_simplex_fault_is_a_computation_error_under_O(ex52_file):
+    # an internal simplex fault is raised explicitly, so `python -O` keeps it,
+    # and it is reported as a computation error, never as input
+    code = ("import sys\n"
+            "from mpp import cli, lp\n"
+            "lp._simplex = lambda *a: (lp.LPStatus.UNBOUNDED, None, None)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code,
+                           "hrep", ex52_file, "--irredundant"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    data = json.loads(proc.stdout)
+    assert data["kind"] == "computation" and "phase 1" in data["error"]

@@ -270,44 +270,62 @@ def test_rays_in_recession_cone():
 
 
 def test_vrep_complete_against_lp_oracle():
-    """conv(V) + cone(R) must reproduce every LP optimum: bounded objectives
-    attain their maximum at a vertex, unbounded ones have a positive ray."""
+    """conv(V) + cone(R) must reproduce every LP outcome: bounded objectives
+    attain their maximum at a vertex, at an LP point x that satisfies every
+    row; unbounded ones have a positive ray; and the LP reports INFEASIBLE
+    exactly when vertex enumeration finds the polyhedron empty.  Rows have
+    rational coefficients and right-hand sides, sometimes an equation."""
     from mpp.lp import LPStatus, lp_solve
 
     rnd = random.Random(99)
-    instances = 0
-    while instances < 30:
+    vals = [F(-2), F(-1), F(-1, 2), F(-1, 3), F(0), F(0), F(1, 3), F(1, 2),
+            F(2, 3), F(1), F(3, 2), F(2)]
+    feasible = infeasible = 0
+    while feasible < 30 or infeasible < 8:
         d = rnd.randint(2, 4)
         coords = tuple(f"x{i}" for i in range(d))
-        ineqs = []
+        eqs, ineqs = [], []
         # lower bounds always; upper bounds only sometimes, admitting rays
         for i in range(d):
             e = [F(0)] * d
             e[i] = F(1)
-            ineqs.append((tuple(-x for x in e), F(rnd.randint(0, 2)), ("lo",)))
+            ineqs.append((tuple(-x for x in e), F(rnd.randint(0, 4), 2), ("lo",)))
             if rnd.random() < 0.6:
-                ineqs.append((tuple(e), F(rnd.randint(1, 4)), ("hi",)))
+                ineqs.append((tuple(e), F(rnd.randint(1, 6), rnd.randint(1, 3)), ("hi",)))
         for _ in range(rnd.randint(0, 2)):
-            coeffs = tuple(F(rnd.randint(-2, 2)) for _ in range(d))
+            coeffs = tuple(rnd.choice(vals) for _ in range(d))
             if all(c == 0 for c in coeffs):
                 continue
-            ineqs.append((coeffs, F(rnd.randint(0, 4)), ("cut",)))
-        h = make_hrep(coords, [], ineqs)
+            ineqs.append((coeffs, F(rnd.randint(-6, 8), rnd.randint(1, 3)), ("cut",)))
+        if rnd.random() < 0.4:
+            coeffs = tuple(rnd.choice(vals) for _ in range(d))
+            if any(c != 0 for c in coeffs):
+                eqs.append((coeffs, F(rnd.randint(-3, 6), rnd.randint(1, 3)), ("eq",)))
+        h = make_hrep(coords, eqs, ineqs)
+        eqs_lp, ineqs_lp = h.lp_rows()
         try:
             v = vertices(h)
         except EmptyPolyhedron:
-            continue
-        instances += 1
-        eqs_lp, ineqs_lp = h.lp_rows()
+            v = None
+        if v is None:
+            infeasible += 1
+        else:
+            feasible += 1
         for _ in range(5):
-            obj = [F(rnd.randint(-3, 3)) for _ in range(d)]
-            status, value, _ = lp_solve(d, obj, eqs_lp, ineqs_lp, maximize=True)
+            obj = [rnd.choice(vals) for _ in range(d)]
+            status, value, x = lp_solve(d, obj, eqs_lp, ineqs_lp, maximize=True)
+            if v is None:
+                assert status is LPStatus.INFEASIBLE
+                continue
             ray_positive = any(linalg.dot(obj, r) > 0 for r in v.rays)
             if status is LPStatus.UNBOUNDED:
                 assert ray_positive
-            else:
-                assert not ray_positive
-                assert value == max(linalg.dot(obj, p) for p in v.vertices)
+                continue
+            assert status is LPStatus.OPTIMAL and not ray_positive
+            assert value == max(linalg.dot(obj, p) for p in v.vertices)
+            assert linalg.dot(obj, x) == value
+            assert all(linalg.dot(c, x) == b for c, b in eqs_lp)
+            assert all(linalg.dot(c, x) <= b for c, b in ineqs_lp)
 
 
 # -- face lattices ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from mpp.lp import LPStatus, feasible_point, lp_solve
 
 
@@ -85,3 +87,88 @@ def test_feasible_point():
 def test_zero_dimensional():
     status, value, x = lp_solve(0, [], [], [])
     assert status is LPStatus.OPTIMAL and x == ()
+
+
+def _unit_rows(n, lo=None, hi=None):
+    rows = []
+    for i in range(n):
+        e = [F(0)] * n
+        e[i] = F(1)
+        if hi is not None:
+            rows.append((tuple(e), F(hi)))
+        if lo is not None:
+            rows.append((tuple(-c for c in e), F(-lo)))
+    return rows
+
+
+# Degenerate LPs with ratio-test ties and several optimal points.  Bland's rule
+# picks one optimum deterministically; (status, value, x) below were recorded
+# from the Fraction-tableau simplex, and the integer kernel must reproduce them.
+PINNED = {
+    "square_edge_optimum": (
+        2, [F(1), F(0)], [], _unit_rows(2, lo=0, hi=1), True,
+        (F(1), (F(1), F(0)))),
+    "triangle_ratio_tie": (
+        2, [F(1), F(1)], [],
+        [((F(1), F(1)), F(1))] + _unit_rows(2, lo=0, hi=1), True,
+        (F(1), (F(1), F(0)))),
+    "beale": (
+        4, [F(3, 4), F(-20), F(1, 2), F(-6)], [],
+        [((F(1, 4), F(-8), F(-1), F(9)), F(0)),
+         ((F(1, 2), F(-12), F(-1, 2), F(3)), F(0)),
+         ((F(0), F(0), F(1), F(0)), F(1))] + _unit_rows(4, lo=0), True,
+        (F(5, 4), (F(1), F(0), F(1), F(0)))),
+    "dependent_equations": (
+        3, [F(1), F(0), F(-1)],
+        [((F(1), F(1), F(1)), F(1)), ((F(2), F(2), F(2)), F(2))],
+        _unit_rows(3, lo=0), True,
+        (F(1), (F(1), F(0), F(0)))),
+    "rational_parallel_facets": (
+        2, [F(1, 2), F(1, 3)], [],
+        [((F(1, 2), F(1, 3)), F(1)), ((F(3, 2), F(1)), F(3))] + _unit_rows(2, lo=0),
+        True, (F(1), (F(2), F(0)))),
+    "negative_rhs_minimum": (
+        2, [F(1), F(1)], [((F(1), F(-1)), F(-1, 2))],
+        [((F(-1), F(0)), F(3, 2)), ((F(0), F(-1)), F(-1, 3))], False,
+        (F(1, 6), (F(-1, 6), F(1, 3)))),
+    "degenerate_cone_apex": (
+        3, [F(1), F(1), F(1)], [],
+        [((F(1), F(0), F(0)), F(0)), ((F(0), F(1), F(0)), F(0)),
+         ((F(0), F(0), F(1)), F(0)), ((F(1), F(1), F(0)), F(0)),
+         ((F(0), F(1), F(1)), F(0)), ((F(-1), F(-1), F(-1)), F(1))], True,
+        (F(0), (F(0), F(0), F(0)))),
+    # found by random search: the lowest-basic-index tie-break of the ratio
+    # test decides x here (the highest index would end at (1, 0, 0))
+    "bland_tie_break_decides_x": (
+        3, [F(0), F(-1, 3), F(-2)], [],
+        [((F(0), F(1), F(0)), F(0)), ((F(-1, 3), F(5, 2), F(1)), F(0)),
+         ((F(1), F(-1), F(0)), F(2)), ((F(-2), F(1), F(1, 2)), F(0)),
+         ((F(-1), F(0), F(-2)), F(0)), ((F(0), F(2), F(-2)), F(1)),
+         ((F(0), F(-2), F(3, 4)), F(0)), ((F(0), F(-1), F(0)), F(0)),
+         ((F(1), F(0), F(0)), F(1)), ((F(-1), F(0), F(0)), F(1)),
+         ((F(0), F(1), F(0)), F(2)), ((F(0), F(-1), F(0)), F(0)),
+         ((F(0), F(0), F(1)), F(1)), ((F(0), F(0), F(-1)), F(3))], False,
+        (F(0), (F(0), F(0), F(0)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_degenerate_optima(name):
+    n, obj, eqs, ineqs, maximize, (value, x) = PINNED[name]
+    got = lp_solve(n, obj, eqs, ineqs, maximize=maximize)
+    assert got == (LPStatus.OPTIMAL, value, x)
+    assert all(type(c) is Fraction for c in (got[1], *got[2]))
+
+
+def test_integer_inputs_match_fraction_inputs():
+    n, obj, eqs, ineqs, maximize, _ = PINNED["triangle_ratio_tie"]
+    as_int = [(tuple(int(c) for c in coeffs), int(rhs)) for coeffs, rhs in ineqs]
+    assert (lp_solve(n, [1, 1], eqs, as_int, maximize=maximize)
+            == lp_solve(n, obj, eqs, ineqs, maximize=maximize))
+
+
+def test_all_rows_redundant():
+    # 0 = 0 leaves no row after phase 1; x = u - w is then free
+    assert lp_solve(1, [F(0)], [((F(0),), F(0))], []) == (LPStatus.OPTIMAL, 0, (0,))
+    status, _, _ = lp_solve(1, [F(1)], [((F(0),), F(0))], [], maximize=True)
+    assert status is LPStatus.UNBOUNDED

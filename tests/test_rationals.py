@@ -25,3 +25,10 @@ def test_rejects_floats():
 def test_round_trip():
     for s in ["0", "17", "-3", "5/7", "-22/7"]:
         assert rat_str(rat(s)) == s
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_rejects_booleans(bad):
+    # bool is an int subclass, but JSON true/false are not rationals
+    with pytest.raises(TypeError):
+        rat(bad)
