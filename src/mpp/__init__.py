@@ -30,7 +30,7 @@ from .tropical import (TropicalArrangement, TropicalForm, arrangement, covector,
                        tropical_subdivision)
 from .degeneration import (DegenerationPair, FaceMap, check_fvector_domination,
                            combinatorial_type_sweep, composition_law,
-                           degeneration_map, hibi_li_check)
+                           degeneration_map, fvector_domination, hibi_li_check)
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

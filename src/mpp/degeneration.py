@@ -18,6 +18,7 @@ from .family import (Parameter, Partition, check_partition, facet_count,
                      transfer_theta_projected)
 from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded,
                        face_lattice, make_hrep, vertices)
+from .linalg import barycenter
 from .poset import MarkedPoset, require_valid, star_elements
 from .rationals import rat_str
 
@@ -69,11 +70,6 @@ class FaceMap:
         return sorted((src[f], tgt[g]) for f, g in self.mapping.items())
 
 
-def _barycenter(points):
-    n = len(points)
-    return tuple(sum(col, ZERO) / n for col in zip(*points))
-
-
 def face_map_via(source: FaceLattice, target_h: HRep, target: FaceLattice,
                  mapper) -> FaceMap:
     """Face map determined by mapping one relative-interior witness per face."""
@@ -83,7 +79,7 @@ def face_map_via(source: FaceLattice, target_h: HRep, target: FaceLattice,
         if f.dim < 0:
             mapping[f] = empty_target
             continue
-        witness = _barycenter([source.vertices[i] for i in sorted(f.vertex_ids)])
+        witness = barycenter([source.vertices[i] for i in sorted(f.vertex_ids)])
         mapping[f] = target.minimal_face_containing(target_h, mapper(witness))
     return FaceMap(source, target, mapping)
 
@@ -111,20 +107,31 @@ def degeneration_map(poset: MarkedPoset, pair: DegenerationPair) -> FaceMap:
     return face_map_via(lat_u, h_t, lat_t, mapper)
 
 
-def check_fvector_domination(poset: MarkedPoset, pair: DegenerationPair) -> dict:
-    """Componentwise f-vector comparison f_i(target) <= f_i(source)."""
-    _, _, lat_u = _polytope_data(poset, pair.source)
-    _, _, lat_t = _polytope_data(poset, pair.target)
-    fu, ft = lat_u.f_vector(), lat_t.f_vector()
-    width = max(len(fu), len(ft))
+def _dominated(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    """small_i <= big_i for every i, the shorter f-vector padded with zeros."""
+    width = max(len(small), len(big))
     pad = lambda f: f + (0,) * (width - len(f))
-    ok = all(a <= b for a, b in zip(pad(ft), pad(fu)))
+    return all(a <= b for a, b in zip(pad(small), pad(big)))
+
+
+def fvector_domination(pair: DegenerationPair, source: FaceLattice,
+                       target: FaceLattice) -> dict:
+    """Componentwise f-vector comparison f_i(target) <= f_i(source) of two
+    lattices already built, e.g. those of a FaceMap."""
+    fu, ft = source.f_vector(), target.f_vector()
     return {"check": "f-vector-domination",
             "source_t": {k: rat_str(v) for k, v in sorted(pair.source.values.items())},
             "target_t": {k: rat_str(v) for k, v in sorted(pair.target.values.items())},
             "source_f_vector": list(fu),
             "target_f_vector": list(ft),
-            "pass": ok}
+            "pass": _dominated(ft, fu)}
+
+
+def check_fvector_domination(poset: MarkedPoset, pair: DegenerationPair) -> dict:
+    """Componentwise f-vector comparison f_i(target) <= f_i(source)."""
+    _, _, lat_u = _polytope_data(poset, pair.source)
+    _, _, lat_t = _polytope_data(poset, pair.target)
+    return fvector_domination(pair, lat_u, lat_t)
 
 
 def composition_law(poset: MarkedPoset, u: Parameter, u2: Parameter,
@@ -274,13 +281,10 @@ def hibi_li_check(poset: MarkedPoset, part_a: Partition, part_b: Partition,
     lat_a = face_lattice(h_a, vertices(h_a))
     lat_b = face_lattice(h_b, vertices(h_b))
     fa, fb = lat_a.f_vector(), lat_b.f_vector()
-    width = max(len(fa), len(fb))
-    pad = lambda f: f + (0,) * (width - len(f))
-    dominated = all(x <= y for x, y in zip(pad(fa), pad(fb)))
     report = {"check": "hibi-li",
               "C": sorted(part_a.C), "C'": sorted(part_b.C),
               "f_vector_CO": list(fa), "f_vector_C'O'": list(fb),
-              "dominated": dominated}
+              "dominated": _dominated(fa, fb)}
     moved = part_b.C - part_a.C
     if len(moved) == 1:
         q = next(iter(moved))

@@ -6,8 +6,10 @@ description method on the homogenization cone, integer inside and Fraction at
 the API boundary: rows are scaled to integers, rays stay primitive int tuples
 with bitmask zero sets, and only the returned VRep holds Fractions.  A
 brute-force constraint-subset oracle is kept alongside for cross-checking.
-Face lattices are computed from vertex-facet incidences and are restricted to
-bounded polyhedra.
+Face lattices are restricted to bounded polyhedra.  Faces are vertex bitmasks,
+enumerated level by level from the vertex-facet incidences, so a face's
+dimension is its level in the lattice; the face holding a point in its
+relative interior is looked up by the point's set of tight inequalities.
 """
 
 from __future__ import annotations
@@ -100,13 +102,15 @@ class HRep:
         ineqs = [(c.coeffs, c.rhs) for c in self.inequalities]
         return eqs, ineqs
 
+    @cached_property
+    def int_inequalities(self) -> tuple[tuple[int, ...], ...]:
+        """Each inequality as the primitive integer row (-rhs, coeffs) scaled
+        by a positive factor: the point x satisfies it iff row . (1, x) <= 0."""
+        return tuple(_int_row((-c.rhs,) + c.coeffs) for c in self.inequalities)
+
     def contains(self, point) -> bool:
         return (all(c.evaluate(point) == c.rhs for c in self.equations)
                 and all(c.evaluate(point) <= c.rhs for c in self.inequalities))
-
-    def tight_inequalities(self, point) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.inequalities)
-                         if c.evaluate(point) == c.rhs)
 
     def dilate(self, k) -> "HRep":
         k = Fraction(k)
@@ -252,7 +256,7 @@ def _dd_generators(h: HRep):
         lines = _eliminate(_int_row((-c.rhs,) + c.coeffs), lines)[2]
     span_dim = len(lines)
     rows = [(-1,) + (0,) * d]  # x0 >= 0
-    rows += sorted({_int_row((-c.rhs,) + c.coeffs) for c in h.inequalities})
+    rows += sorted(set(h.int_inequalities))
     rays: list[tuple[tuple[int, ...], int]] = []
     for idx, row in enumerate(rows):
         lines, rays = _dd_process_inequality(idx, row, lines, rays, span_dim)
@@ -385,44 +389,93 @@ class FaceLattice:
     def facets(self) -> tuple[Face, ...]:
         return tuple(f for f in self.faces if f.dim == self.dim - 1)
 
+    @cached_property
+    def by_tight(self) -> dict[frozenset[int], Face]:
+        # distinct nonempty faces have distinct equality sets; the empty face
+        # is left out, since on a point it shares the point's set
+        return {f.tight: f for f in self.faces if f.dim >= 0}
+
     def minimal_face_containing(self, h: HRep, point) -> Face:
-        """The unique face with the point in its relative interior."""
-        if not h.contains(point):
+        """The unique face with the point in its relative interior: the face
+        whose equality set is the set of inequalities tight at the point."""
+        if any(c.evaluate(point) != c.rhs for c in h.equations):
             raise GeometryError("point lies outside the polytope")
-        tight = h.tight_inequalities(point)
-        ids = frozenset(i for i, vx in enumerate(self.vertices)
-                        if tight <= h.tight_inequalities(vx))
-        return self.by_vertex_ids[ids]
+        hom, = _homogenized([point])
+        tight = []
+        for j, row in enumerate(h.int_inequalities):
+            value = _idot(row, hom)
+            if value > 0:
+                raise GeometryError("point lies outside the polytope")
+            if value == 0:
+                tight.append(j)
+        return self.by_tight[frozenset(tight)]
+
+
+FACE_GATE = 10 ** 6
+
+
+def _homogenized(points) -> list[tuple[int, ...]]:
+    """Rational points as integer rows (D, D * x) over their common denominator D."""
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    return [(den,) + tuple(x.numerator * (den // x.denominator) for x in p)
+            for p in points]
+
+
+def incidences(h: HRep, points) -> list[int]:
+    """For each inequality of h, the bitmask of the points (by index) on
+    which it is tight, decided in integers."""
+    homs = _homogenized(points)
+    return [sum(1 << i for i, p in enumerate(homs) if _idot(r, p) == 0)
+            for r in h.int_inequalities]
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def face_lattice(h: HRep, v: VRep) -> FaceLattice:
-    """Face lattice from vertex-facet incidences (bounded polytopes only)."""
+    """Face lattice from vertex-facet incidences (bounded polytopes only).
+
+    Faces are vertex bitmasks, enumerated level by level from the polytope
+    down (Kaibel & Pfetsch 2002).  With m_j the mask of the vertices tight on
+    inequality j, the facets of a k-face F are the inclusion-maximal sets
+    among {F & m_j} minus F itself, and they have dimension k - 1; so only the
+    polytope's own dimension is computed by rank.  Incidences are decided in
+    integers.  Raises TooLarge beyond FACE_GATE faces.
+    """
     if v.rays:
         raise UnsupportedUnbounded("face lattices are computed for polytopes only")
     n = len(v.vertices)
-    all_ids = frozenset(range(n))
-    tight_sets = [frozenset(i for i in range(n)
-                            if c.evaluate(v.vertices[i]) == c.rhs)
-                  for c in h.inequalities]
-    found = {all_ids}
-    frontier = [all_ids]
-    while frontier:
-        cur = frontier.pop()
-        for t in tight_sets:
-            nxt = cur & t
-            if nxt not in found:
-                found.add(nxt)
-                frontier.append(nxt)
-    found.add(frozenset())
-    faces = []
-    for ids in found:
-        pts = [v.vertices[i] for i in sorted(ids)]
-        dim = linalg.affine_rank(pts)
-        tight = frozenset(j for j, t in enumerate(tight_sets) if ids <= t) if ids else \
-            frozenset(range(len(h.inequalities)))
-        faces.append(Face(ids, tight, dim))
-    faces.sort(key=lambda f: (f.dim, sorted(f.vertex_ids)))
-    return FaceLattice(v.vertices, tuple(faces))
+    masks = incidences(h, v.vertices)
+    found = [(-1, (), frozenset(range(len(masks))))]  # (dim, vertex ids, tight)
+    level = [(1 << n) - 1] if n else []
+    k = linalg.affine_rank(v.vertices)
+    while level:
+        if len(found) + len(level) > FACE_GATE:
+            raise TooLarge(f"face lattice holds more than {FACE_GATE} faces "
+                           f"({len(found) + len(level)} through dimension {k})")
+        below = set()
+        for f in level:
+            meets = [f & m for m in masks]
+            found.append((k, _bits(f), frozenset(j for j, g in enumerate(meets) if g == f)))
+            if k == 0:
+                continue
+            facets: list[int] = []
+            for g in sorted({g for g in meets if g != f}, key=int.bit_count, reverse=True):
+                if all(g & c != g for c in facets):
+                    facets.append(g)
+            below.update(facets)
+        level = list(below)
+        k -= 1
+    found.sort(key=lambda face: face[:2])
+    return FaceLattice(v.vertices, tuple(Face(frozenset(ids), tight, dim)
+                                         for dim, ids, tight in found))
 
 
 # -- affine maps ---------------------------------------------------------------

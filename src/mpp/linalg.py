@@ -8,7 +8,7 @@ where a single rounding error would corrupt combinatorial conclusions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -69,11 +69,27 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(rows) -> int:
-    rows = [list(r) for r in rows if not is_zero(r)]
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    """Rank by fraction-free elimination on the rows scaled to integers."""
+    m = []
+    for r in rows:
+        if not is_zero(r):
+            d = lcm(*(x.denominator for x in r))
+            m.append([x.numerator * (d // x.denominator) for x in r])
+    done = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(done, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[done], m[pr] = m[pr], m[done]
+        piv = m[done]
+        for i in range(done + 1, len(m)):
+            a = m[i][c]
+            if a:
+                row = [piv[c] * x - a * y for x, y in zip(m[i], piv)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        done += 1
+    return done
 
 
 def solve(a_rows, b) -> Vector | None:
@@ -155,6 +171,12 @@ def det(a_rows) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return result
+
+
+def barycenter(points) -> Vector:
+    """Average of a nonempty list of points."""
+    n = len(points)
+    return tuple(sum(col, ZERO) / n for col in zip(*points))
 
 
 def affine_rank(points) -> int:

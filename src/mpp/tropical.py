@@ -15,7 +15,7 @@ from .family import (Parameter, hrep_general, hypercube_vertices, iota,
                      transfer_phi_projected, transfer_theta_projected,
                      zero_parameter)
 from .geometry import (EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded,
-                       face_lattice, make_hrep, vertices)
+                       face_lattice, incidences, make_hrep, vertices)
 from .lp import LPStatus, lp_solve
 from .poset import MarkedPoset, require_valid
 
@@ -166,11 +166,6 @@ def _canonical_covector(cov: dict[str, frozenset[str]]):
     return tuple((r, tuple(sorted(v))) for r, v in sorted(cov.items()))
 
 
-def _barycenter(points):
-    n = len(points)
-    return tuple(sum(col, ZERO) / n for col in zip(*points))
-
-
 def _base_data(poset: MarkedPoset):
     base = hrep_general(poset, zero_parameter(poset), projected=True)
     v = vertices(base)
@@ -193,19 +188,22 @@ def tropical_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
             v = vertices(h)
         except EmptyPolyhedron:
             continue
-        cells.append(_make_cell(poset, base, arr, v.vertices, ("covector",)))
+        cells.append(_polytope_cell(poset, base, arr, v.vertices, ("covector",)))
     return cells
 
 
-def _make_cell(poset, base, arr, verts, origin) -> SubdivisionCell:
+def _make_cell(poset, base, arr, verts, dim, tight, origin) -> SubdivisionCell:
     verts = tuple(sorted(verts))
-    bary = _barycenter(verts)
-    full = iota(poset, dict(zip(base.coords, bary)))
-    cov = covector(arr, full)
-    tight = frozenset(i for i, c in enumerate(base.inequalities)
-                      if all(c.evaluate(p) == c.rhs for p in verts))
-    return SubdivisionCell(verts, linalg.affine_rank(verts),
-                           _canonical_covector(cov), tight, tuple(origin))
+    full = iota(poset, dict(zip(base.coords, linalg.barycenter(verts))))
+    return SubdivisionCell(verts, dim, _canonical_covector(covector(arr, full)),
+                           tight, tuple(origin))
+
+
+def _polytope_cell(poset, base, arr, verts, origin) -> SubdivisionCell:
+    """The cell spanned by all of verts: one rank, tight rows by incidence."""
+    every = (1 << len(verts)) - 1
+    tight = frozenset(j for j, m in enumerate(incidences(base, verts)) if m == every)
+    return _make_cell(poset, base, arr, verts, linalg.affine_rank(verts), tight, origin)
 
 
 def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
@@ -213,11 +211,14 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
 
     Its cells are the nonempty intersections of polytope faces with cells of
     the arrangement; computed here as the faces of the covector cells, which
-    is the same collection.
+    is the same collection.  A cell's dimension and its tight base rows come
+    from its face: the base inequalities are the first rows of each cell's
+    H-rep.
     """
     base, _ = _base_data(poset)
     arr = arrangement(poset)
     index = {e: i for i, e in enumerate(base.coords)}
+    nb = len(base.inequalities)
     seen: dict[frozenset, SubdivisionCell] = {}
     for tau in _feasible_covectors(poset, arr, base):
         eqs, ineqs = _covector_cell_rows(poset, index, tau)
@@ -233,7 +234,9 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
             pts = tuple(v.vertices[i] for i in sorted(face.vertex_ids))
             key = frozenset(pts)
             if key not in seen:
-                seen[key] = _make_cell(poset, base, arr, pts, ("tropical",))
+                tight = frozenset(j for j in face.tight if j < nb)
+                seen[key] = _make_cell(poset, base, arr, pts, face.dim, tight,
+                                       ("tropical",))
     return sorted(seen.values(), key=lambda c: (c.dim, c.vertices))
 
 
@@ -374,7 +377,7 @@ def ideal_chain_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
         except EmptyPolyhedron:
             continue
         label = ("ideal-chain",) + tuple("|".join(b) for b in blocks)
-        cells.append(_make_cell(poset, base, arr, v.vertices, label))
+        cells.append(_polytope_cell(poset, base, arr, v.vertices, label))
     return cells
 
 

@@ -318,6 +318,37 @@ def test_conjecture_cap_is_a_budget_error(tmp_path, capsys, monkeypatch):
     assert dd_runs == []
 
 
+def test_face_budget_is_a_computation_error(ex52_file, capsys, monkeypatch):
+    # ex52 at t=0 has 38 faces, the empty face and the polytope included
+    from mpp import geometry
+    from mpp.cli import main
+    monkeypatch.setattr(geometry, "FACE_GATE", 38)
+    assert main(["fvector", ex52_file]) == 0
+    assert json.loads(capsys.readouterr().out)["f_vector"] == [11, 17, 8]
+    monkeypatch.setattr(geometry, "FACE_GATE", 20)
+    assert main(["fvector", ex52_file]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "computation"
+    assert "more than 20 faces (27 through dimension 1)" in out["error"]
+
+
+def test_degenerate_builds_each_lattice_once(ex52_file, tmp_path, capsys, monkeypatch):
+    from mpp import degeneration
+    from mpp.cli import main
+    t1 = tmp_path / "t1.json"
+    t1.write_text(json.dumps({"t": {"p": "1/2", "q": "1/3", "r": "1/2"}}))
+    t2 = tmp_path / "t2.json"
+    t2.write_text(json.dumps({"t": {"p": "0", "q": "1", "r": "1/2"}}))
+    built = []
+    real = degeneration.face_lattice
+    monkeypatch.setattr(degeneration, "face_lattice",
+                        lambda h, v: built.append(h) or real(h, v))
+    assert main(["degenerate", ex52_file, "--from-t", str(t1), "--to-t", str(t2)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(built) == 2
+    assert data["f_vector_domination"]["pass"] and data["dims_nondecreasing"]
+
+
 def test_simplex_fault_is_a_computation_error_under_O(ex52_file):
     # an internal simplex fault is raised explicitly, so `python -O` keeps it,
     # and it is reported as a computation error, never as input

@@ -9,7 +9,8 @@ from mpp.degeneration import (DegenerationPair, canonical_incidence,
                               check_fvector_domination,
                               combinatorial_type_sweep, composition_law,
                               contdeg_face_map, contdeg_hrep, contdeg_rho,
-                              degeneration_map, hibi_li_check,
+                              degeneration_map, fvector_domination,
+                              hibi_li_check,
                               incidence_matrix, lattices_isomorphic,
                               sample_face_parameters)
 from mpp.family import (Parameter, Partition, generic_parameter, hrep_general,
@@ -110,6 +111,16 @@ def test_ex52_interior_to_chain_vertex_surjective(ex52):
         assert tverts <= hit
         dom = check_fvector_domination(ex52, pair)
         assert dom["pass"]
+
+
+def test_domination_from_the_lattices_of_the_map(ex52):
+    t = generic_parameter(ex52)
+    for u in hypercube_vertices(ex52):
+        pair = DegenerationPair(t, u)
+        fm = degeneration_map(ex52, pair)
+        rep = fvector_domination(pair, fm.source, fm.target)
+        assert rep == check_fvector_domination(ex52, pair)
+        assert rep["source_f_vector"] == list(fm.source.f_vector())
 
 
 def test_every_target_face_has_same_dim_preimage(ex52):

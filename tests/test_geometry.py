@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_chain_poset, make_ex52
-from mpp.family import Parameter, hrep_general, zero_parameter
-from mpp.geometry import (AffineMap, EmptyPolyhedron, Unbounded,
+from conftest import make_chain_poset, make_double_star, make_ex52
+from mpp.family import Parameter, hrep_general, hypercube_vertices, zero_parameter
+from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, Unbounded,
                           UnsupportedLineality, UnsupportedUnbounded,
                           apply_affine, face_lattice, make_hrep, substitute,
                           vertices, vertices_bruteforce)
@@ -392,6 +392,129 @@ def test_minimal_face_containing():
     assert inner.dim == 2
     with pytest.raises(GeometryError):
         lat.minimal_face_containing(h, (F(2), F(0)))
+
+
+def closure_faces(h, v):
+    """Oracle: close the inequality tight sets under intersection, one affine
+    rank per face."""
+    n = len(v.vertices)
+    tight_sets = [frozenset(i for i in range(n) if c.evaluate(v.vertices[i]) == c.rhs)
+                  for c in h.inequalities]
+    found = {frozenset(range(n))}
+    frontier = list(found)
+    while frontier:
+        cur = frontier.pop()
+        for t in tight_sets:
+            if cur & t not in found:
+                found.add(cur & t)
+                frontier.append(cur & t)
+    found.add(frozenset())
+    faces = []
+    for ids in found:
+        dim = linalg.affine_rank([v.vertices[i] for i in sorted(ids)])
+        tight = (frozenset(j for j, t in enumerate(tight_sets) if ids <= t) if ids
+                 else frozenset(range(len(h.inequalities))))
+        faces.append(Face(ids, tight, dim))
+    faces.sort(key=lambda f: (f.dim, sorted(f.vertex_ids)))
+    return tuple(faces)
+
+
+def random_face_hrep(rnd, d):
+    """A bounded polytope with rational rows, sometimes an equation through an
+    interior point, rows repeated at another scale and implied rows."""
+    coords = tuple(f"x{i}" for i in range(d))
+    k = rnd.randint(1, 3)
+    ineqs = [(c.coeffs, c.rhs, c.origin) for c in box(coords, [(-k, k)] * d).inequalities]
+    for _ in range(rnd.randint(0, 4)):
+        coeffs = tuple(F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(d))
+        if any(coeffs):
+            ineqs.append((coeffs, F(rnd.randint(0, 3 * k), rnd.randint(1, 2)), ("cut",)))
+    for coeffs, rhs, _ in rnd.sample(ineqs, 2):
+        s = F(rnd.randint(1, 5), rnd.randint(1, 5))
+        ineqs.append((tuple(s * x for x in coeffs), s * rhs, ("scaled",)))
+        ineqs.append((coeffs, rhs + 1, ("implied",)))
+    eqs = []
+    if d > 1 and rnd.random() < 0.4:
+        inner = tuple(F(rnd.randint(-2, 2), 3) for _ in range(d))
+        coeffs = tuple(F(rnd.randint(-2, 2), rnd.randint(1, 2)) for _ in range(d))
+        if any(coeffs):
+            eqs.append((coeffs, linalg.dot(coeffs, inner), ("eq",)))
+    rnd.shuffle(ineqs)
+    return make_hrep(coords, eqs, ineqs)
+
+
+def test_face_lattice_matches_closure_oracle():
+    rnd = random.Random(17)
+    cases = [
+        # a single point, with and without inequalities
+        make_hrep(("x",), [((F(1),), F(3), ())], [((F(1),), F(5), ())]),
+        make_hrep(("x", "y"), [((F(1), F(0)), F(1, 2), ()), ((F(0), F(2)), F(1), ())], []),
+        # a segment in the plane with rational endpoints
+        make_hrep(("x", "y"), [((F(1), F(1)), F(1, 3), ())],
+                  [((F(-1), F(0)), F(0), ()), ((F(2), F(0)), F(1), ())]),
+    ]
+    cases += [random_face_hrep(rnd, rnd.randint(1, 4)) for _ in range(40)]
+    seen_dims = set()
+    for h in cases:
+        try:
+            v = vertices(h)
+        except EmptyPolyhedron:
+            continue
+        lat = face_lattice(h, v)
+        assert lat.faces == closure_faces(h, v)
+        seen_dims.add(lat.dim)
+    assert seen_dims >= {0, 1, 2, 3}
+
+
+def test_barycenter_lies_in_its_own_face():
+    from mpp.geometry import GeometryError
+    rnd = random.Random(5)
+    cases = [random_face_hrep(rnd, rnd.randint(1, 3)) for _ in range(25)]
+    cases.append(hrep_general(make_ex52(), Parameter(
+        {"p": F(1, 3), "q": F(1, 2), "r": F(3, 4)}), projected=True))
+    for h in cases:
+        try:
+            v = vertices(h)
+        except EmptyPolyhedron:
+            continue
+        lat = face_lattice(h, v)
+        for f in lat.faces:
+            if f.dim >= 0:
+                pts = [v.vertices[i] for i in sorted(f.vertex_ids)]
+                assert lat.minimal_face_containing(h, linalg.barycenter(pts)) == f
+        far = (v.vertices[0][0] + 100,) + v.vertices[0][1:]
+        with pytest.raises(GeometryError):
+            lat.minimal_face_containing(h, far)
+        if h.equations:  # inside every inequality, off the equation
+            c = h.equations[0]
+            off = next(p for p in itertools.product((F(0), F(1, 7)), repeat=h.dim_ambient)
+                       if c.evaluate(p) != c.rhs)
+            if all(g.evaluate(off) <= g.rhs for g in h.inequalities):
+                with pytest.raises(GeometryError):
+                    lat.minimal_face_containing(h, off)
+
+
+@pytest.mark.parametrize("name", ["ex52", "dstar", "grid2x3"])
+def test_euler_relation_on_family_members(name):
+    poset = {"ex52": make_ex52, "dstar": make_double_star,
+             "grid2x3": lambda: grid_poset(2, 3)}[name]()
+    unmarked = sorted(poset.unmarked)
+    interior = Parameter({e: F(i % 3 + 1, 4) for i, e in enumerate(unmarked)})
+    corners = list(hypercube_vertices(poset))
+    for t in [corners[0], corners[-1], corners[len(corners) // 2], interior]:
+        h = hrep_general(poset, t, projected=True)
+        lat = face_lattice(h, vertices(h))
+        euler = sum((-1) ** i * c for i, c in enumerate(lat.f_vector()))
+        assert euler == 1 - (-1) ** lat.dim
+        assert lat.dim == len(unmarked)
+
+
+def test_grid3x4_order_polytope_f_vector_pinned():
+    # recorded from the closure algorithm (one affine rank per face)
+    poset = grid_poset(3, 4)
+    h = hrep_general(poset, zero_parameter(poset), projected=True)
+    lat = face_lattice(h, vertices(h))
+    assert lat.f_vector() == (33, 262, 957, 2001, 2640, 2298, 1337, 513, 124, 17)
 
 
 # -- affine maps ------------------------------------------------------------------

@@ -63,3 +63,24 @@ def test_affine_rank():
     assert linalg.affine_rank(pts) == 1
     assert linalg.affine_rank([]) == -1
     assert linalg.affine_rank([(F(5), F(5))]) == 0
+
+
+def test_rank_matches_rref_pivots():
+    # fraction-free rank against the pivot count of the Fraction rref, on
+    # rational rows with zero, repeated and combined rows
+    rnd = random.Random(23)
+    for _ in range(200):
+        n, k = rnd.randint(1, 5), rnd.randint(1, 6)
+        rows = [[F(rnd.randint(-4, 4), rnd.randint(1, 4)) for _ in range(n)]
+                for _ in range(k)]
+        if rnd.random() < 0.5:
+            a, b = rnd.sample(rows, 2) if k > 1 else (rows[0], rows[0])
+            s = F(rnd.randint(-3, 3), rnd.randint(1, 3))
+            rows.append([x + s * y for x, y in zip(a, b)])
+        if rnd.random() < 0.3:
+            rows.append([F(0)] * n)
+        rnd.shuffle(rows)
+        expected = len(linalg.rref(rows)[1]) if any(map(any, rows)) else 0
+        assert linalg.rank(rows) == expected
+    assert linalg.rank([]) == 0
+    assert linalg.rank([[F(0), F(0)]]) == 0

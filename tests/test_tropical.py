@@ -146,6 +146,24 @@ def test_polytope_vertices_are_subdivision_vertices(ex52):
     assert pv <= sv
 
 
+@pytest.mark.parametrize("cells_of", [tropical_subdivision, tropical_cells,
+                                      ideal_chain_cells])
+def test_cell_dim_and_tight_rows_match_evaluation(cells_of):
+    # dimension by affine rank and tight base rows by exact evaluation at
+    # every vertex of the cell
+    from conftest import make_double_star, make_ex52
+    from mpp.tropical import _base_data
+    for poset in (make_ex52(), make_double_star()):
+        base, _ = _base_data(poset)
+        cells = cells_of(poset)
+        assert cells
+        for cell in cells:
+            assert cell.dim == linalg.affine_rank(cell.vertices)
+            assert cell.tight == frozenset(
+                i for i, c in enumerate(base.inequalities)
+                if all(c.evaluate(p) == c.rhs for p in cell.vertices))
+
+
 def test_subdivision_cells_partition_volume(ex52):
     # exact normalized volumes via Ehrhart leading coefficients
     base = hrep_general(ex52, zero_parameter(ex52))
