@@ -67,8 +67,9 @@ def _resolve_parameter(args, poset) -> tuple[family.Parameter, dict]:
 
 
 def _emit(payload: dict, summary: str) -> int:
-    json.dump(jsonio.jsonable(payload), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    """Write payload as indented JSON in one piece; its keys are all str."""
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True,
+                                default=jsonio.json_default) + "\n")
     sys.stdout.flush()  # a closed pipe shows up here, inside main
     print(summary, file=sys.stderr)
     return 0
@@ -240,10 +241,13 @@ def _sweep_types(poset) -> dict:
 
 def _sweep_domination(poset) -> dict:
     t = family.generic_parameter(poset)
+    # built on first use and shared by every target; a failure is not cached,
+    # so each target reports it
+    source = functools.cache(lambda: dg.polytope_data(poset, t))
 
     def one(u):
         pair = dg.DegenerationPair(t, u)
-        fmap = dg.degeneration_map(poset, pair)
+        fmap = dg.degeneration_map(poset, pair, source())
         rep = dg.fvector_domination(pair, fmap.source, fmap.target)
         rep["map_ok"] = (fmap.is_surjective() and fmap.is_order_preserving()
                          and fmap.dims_nondecreasing())

@@ -84,7 +84,8 @@ def face_map_via(source: FaceLattice, target_h: HRep, target: FaceLattice,
     return FaceMap(source, target, mapping)
 
 
-def _polytope_data(poset: MarkedPoset, t: Parameter):
+def polytope_data(poset: MarkedPoset, t: Parameter):
+    """(H-rep, V-rep, face lattice) of the projected polytope O_t."""
     h = hrep_general(poset, t, projected=True)
     v = vertices(h)
     if v.rays:
@@ -92,11 +93,15 @@ def _polytope_data(poset: MarkedPoset, t: Parameter):
     return h, v, face_lattice(h, v)
 
 
-def degeneration_map(poset: MarkedPoset, pair: DegenerationPair) -> FaceMap:
-    """The induced face-lattice map of the continuous degeneration u -> u2."""
+def degeneration_map(poset: MarkedPoset, pair: DegenerationPair,
+                     source=None) -> FaceMap:
+    """The induced face-lattice map of the continuous degeneration u -> u2.
+
+    source, if given, is polytope_data(poset, pair.source), built once for
+    many maps out of the same u."""
     require_valid(poset)
-    h_u, v_u, lat_u = _polytope_data(poset, pair.source)
-    h_t, v_t, lat_t = _polytope_data(poset, pair.target)
+    h_u, v_u, lat_u = source or polytope_data(poset, pair.source)
+    h_t, v_t, lat_t = polytope_data(poset, pair.target)
     coords = h_u.coords
 
     def mapper(point):
@@ -129,8 +134,8 @@ def fvector_domination(pair: DegenerationPair, source: FaceLattice,
 
 def check_fvector_domination(poset: MarkedPoset, pair: DegenerationPair) -> dict:
     """Componentwise f-vector comparison f_i(target) <= f_i(source)."""
-    _, _, lat_u = _polytope_data(poset, pair.source)
-    _, _, lat_t = _polytope_data(poset, pair.target)
+    _, _, lat_u = polytope_data(poset, pair.source)
+    _, _, lat_t = polytope_data(poset, pair.target)
     return fvector_domination(pair, lat_u, lat_t)
 
 
@@ -252,7 +257,7 @@ def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction],
         params = [Parameter({})]
     lattices = []
     for t in params:
-        _, _, lat = _polytope_data(poset, t)
+        _, _, lat = polytope_data(poset, t)
         lattices.append(lat)
     ok = all(lattices_isomorphic(lattices[0], lat) for lat in lattices[1:])
     return {"check": "combinatorial-type",

@@ -130,3 +130,11 @@ def jsonable(obj):
     if isinstance(obj, frozenset):
         return sorted(jsonable(x) for x in obj)
     return obj
+
+
+def json_default(obj):
+    """json.dumps hook with the conversions of jsonable: Fraction to a
+    rational string, frozenset to a sorted list."""
+    if isinstance(obj, (Fraction, frozenset)):
+        return jsonable(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")

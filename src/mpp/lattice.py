@@ -1,13 +1,14 @@
 """Lattice points, Ehrhart interpolation, and integral-closure checks.
 
-Counting is an exhaustive scan over the exact vertex bounding box with a
-per-point constraint check; the documented complexity gate is a box of at
-most 10^7 candidate points.
+Lattice points are enumerated depth-first over the coordinates inside the
+exact vertex bounding box, each coordinate bounded by the constraint rows
+given the coordinates fixed before it, so no box point is tested on its own.
+The documented complexity gate is still a box of at most 10^7 candidate
+points, checked before any enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,23 +32,64 @@ def _box(verts, k=1):
 
 
 def _scan(h: HRep, lows, highs) -> list[tuple[int, ...]]:
-    """Integer points of h in the box, by a per-point constraint check."""
-    # integer-cleared constraint rows for fast inner-loop evaluation
+    """Integer points of h in the box [lows, highs], in itertools.product order.
+
+    Depth-first over the coordinates in order.  With s the sum of a_i * x_i
+    over the coordinates already fixed and m the least value the terms after
+    x_j take in the box, a row a . x <= b requires a_j * x_j <= b - s - m: a
+    cap on x_j if a_j > 0, a floor if a_j < 0.  At the row's last nonzero
+    coordinate m = 0 and this is the row itself, so every point is checked
+    exactly; before it, the bound cuts prefixes with no completion in the
+    box.  Bounds that cannot cut inside the box are dropped, and an equation
+    is two opposite rows.
+    """
+    n = len(lows)
+    if not n:
+        return [()]
     rows = []
-    for group, is_eq in ((h.equations, True), (h.inequalities, False)):
-        for c in group:
-            m = math.lcm(*[x.denominator for x in c.coeffs + (c.rhs,)])
-            rows.append(([int(x * m) for x in c.coeffs], int(c.rhs * m), is_eq))
+    for c in h.equations + h.inequalities:
+        m = math.lcm(*[x.denominator for x in c.coeffs + (c.rhs,)])
+        rows.append(([int(x * m) for x in c.coeffs], int(c.rhs * m)))
+    rows += [([-a for a in coeffs], -rhs) for coeffs, rhs in rows[:len(h.equations)]]
+    bounds = [[] for _ in range(n)]  # (row, a_j, c): a_j * x_j <= c - sums[row]
+    feeds = [[] for _ in range(n)]   # (row, a_j) for rows bounding a later x_i
+    for r, (coeffs, rhs) in enumerate(rows):
+        least = [min(a * lo, a * hi) for a, lo, hi in zip(coeffs, lows, highs)]
+        most = [max(a * lo, a * hi) for a, lo, hi in zip(coeffs, lows, highs)]
+        # rest: least of the terms after x_j, top: most of the terms up to x_j
+        rest, top, later = 0, sum(most), False
+        for j in reversed(range(n)):
+            a = coeffs[j]
+            if a and later:
+                feeds[j].append((r, a))
+            if a and rhs - rest < top:  # the row can cut x_j inside the box
+                bounds[j].append((r, a, rhs - rest))
+                later = True
+            top -= most[j]
+            rest += least[j]
+    sums = [0] * len(rows)  # a . x over the coordinates fixed so far
     out = []
-    for pt in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
-        ok = True
-        for coeffs, rhs, is_eq in rows:
-            s = sum(a * x for a, x in zip(coeffs, pt))
-            if (s != rhs) if is_eq else (s > rhs):
-                ok = False
-                break
-        if ok:
-            out.append(pt)
+
+    def visit(j, prefix):
+        lo, hi = lows[j], highs[j]
+        for r, a, b in bounds[j]:
+            if a > 0:
+                hi = min(hi, (b - sums[r]) // a)
+            else:
+                lo = max(lo, -((b - sums[r]) // -a))
+        if j == n - 1:
+            out.extend(prefix + (x,) for x in range(lo, hi + 1))
+            return
+        feed = feeds[j]
+        base = [sums[r] for r, _ in feed]
+        for x in range(lo, hi + 1):
+            for (r, a), s in zip(feed, base):
+                sums[r] = s + a * x
+            visit(j + 1, prefix + (x,))
+        for (r, _), s in zip(feed, base):
+            sums[r] = s
+
+    visit(0, ())
     return out
 
 

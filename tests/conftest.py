@@ -49,6 +49,14 @@ def make_double_star() -> MarkedPoset:
     )
 
 
+def make_grid(m: int, n: int) -> MarkedPoset:
+    """Product of chains m x n, bottom marked 0 and top marked m + n."""
+    elements = tuple(f"x{i}{j}" for i in range(m) for j in range(n))
+    covers = {(f"x{i}{j}", f"x{i + 1}{j}") for i in range(m - 1) for j in range(n)}
+    covers |= {(f"x{i}{j}", f"x{i}{j + 1}") for i in range(m) for j in range(n - 1)}
+    return MarkedPoset(elements, frozenset(covers), {"x00": 0, f"x{m - 1}{n - 1}": m + n})
+
+
 @pytest.fixture
 def ex52():
     return make_ex52()

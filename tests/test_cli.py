@@ -1,9 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from conftest import make_grid
+from mpp.cli import _emit
+from mpp.jsonio import jsonable, poset_to_json
 
 EX52 = {"elements": ["0", "2", "3", "4", "p", "q", "r"],
         "covers": [["0", "p"], ["0", "q"], ["p", "r"], ["q", "r"],
@@ -100,6 +106,34 @@ def test_lattice_points(chain_file):
     proc = run_cli("lattice-points", chain_file)
     data = json.loads(proc.stdout)
     assert len(data["points"]) == 6
+
+
+@pytest.mark.parametrize("t", ["0", "1"])
+def test_lattice_points_grid2x3_order_polynomial(tmp_path, t):
+    # Stanley: the order polytope of the 2x3 grid (bottom 0, top 5) has
+    # Omega(P, 5) = 371 lattice points, and so does every hypercube vertex
+    poset = poset_to_json(make_grid(2, 3))
+    path = tmp_path / "grid2x3.json"
+    path.write_text(json.dumps(poset))
+    param = tmp_path / "t.json"
+    param.write_text(json.dumps({"t": {e: t for e in poset["elements"]
+                                       if e not in poset["marking"]}}))
+    proc = run_cli("lattice-points", str(path), "--t", str(param))
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout)
+    assert len(data["points"]) == 371
+    assert data["points"] == sorted(data["points"])
+
+
+def test_emit_bytes_match_a_jsonable_walk(capsys):
+    payload = {"b": [Fraction(1, 2), (Fraction(3), ("x", (Fraction(-2, 3),)))],
+               "a": {"z": frozenset({Fraction(10), Fraction(9)}),
+                     "y": frozenset({("p", "q"), ("a",)}), "x": None},
+               "c": [True, 1, "s", [], {}]}
+    assert _emit(payload, "summary") == 0
+    old = io.StringIO()
+    json.dump(jsonable(payload), old, indent=2, sort_keys=True)
+    assert capsys.readouterr().out == old.getvalue() + "\n"
 
 
 def test_subdivision_with_off(ex52_file, tmp_path):

@@ -1,12 +1,16 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_chain_poset, make_ex52
+from conftest import make_chain_poset, make_ex52, make_grid
 from mpp.family import (Partition, hrep_chain_order, hrep_general,
                         hypercube_vertices, one_parameter, zero_parameter)
 from mpp import lattice
-from mpp.geometry import NonLatticeVertices, TooLarge, make_hrep
+from mpp.geometry import (EmptyPolyhedron, NonLatticeVertices, TooLarge,
+                          make_hrep, vertices)
 from mpp.lattice import ehrhart, is_integrally_closed, lattice_points
 from mpp.poset import MarkedPoset
 
@@ -129,3 +133,89 @@ def test_ehrhart_gates_largest_dilation_before_any_scan(monkeypatch):
     with pytest.raises(TooLarge, match="dilation 6"):
         ehrhart(h)
     assert scanned == []
+
+
+# -- the enumerator against a box-scan oracle -----------------------------------
+
+def box_scan(h, lows, highs):
+    """Oracle: every point of the box, checked against every integer-cleared
+    row (the scan lattice_points ran before it enumerated depth-first)."""
+    rows = []
+    for group, is_eq in ((h.equations, True), (h.inequalities, False)):
+        for c in group:
+            m = math.lcm(*[x.denominator for x in c.coeffs + (c.rhs,)])
+            rows.append(([int(x * m) for x in c.coeffs], int(c.rhs * m), is_eq))
+    out = []
+    for pt in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
+        ok = True
+        for coeffs, rhs, is_eq in rows:
+            s = sum(a * x for a, x in zip(coeffs, pt))
+            if (s != rhs) if is_eq else (s > rhs):
+                ok = False
+                break
+        if ok:
+            out.append(pt)
+    return out
+
+
+def random_rat(rnd, lo, hi, den=4):
+    return Fraction(rnd.randint(lo * den, hi * den), rnd.randint(1, den))
+
+
+def random_hrep(rnd, n):
+    """A bounded H-rep in n coordinates with rational data around a rational
+    point p: a box, random cuts that keep p, a rescaled and an implied copy of
+    the last cut, and sometimes an equation through p (lower-dimensional), an
+    equation that may miss p, or a cut that empties the box."""
+    coords = tuple(f"x{i}" for i in range(n))
+    p = [random_rat(rnd, 0, 1) for _ in range(n)]
+    unit = [tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n)]
+    ineqs = []
+    for e, x in zip(unit, p):
+        ineqs.append((e, x + random_rat(rnd, 0, 2), ()))
+        ineqs.append((tuple(-a for a in e), -x + random_rat(rnd, 0, 1), ()))
+    for _ in range(rnd.randint(1, 4)):
+        coeffs = tuple(random_rat(rnd, -3, 3) for _ in range(n))
+        if any(coeffs):
+            at_p = sum(a * x for a, x in zip(coeffs, p))
+            ineqs.append((coeffs, at_p + random_rat(rnd, 0, 2), ()))
+    cut, rhs, _ = ineqs[-1]
+    scale = Fraction(rnd.randint(1, 5), rnd.randint(1, 5))
+    ineqs.append((tuple(scale * a for a in cut), scale * rhs, ()))  # rescaled
+    ineqs.append((cut, rhs + random_rat(rnd, 0, 2), ()))             # implied
+    eqs = []
+    shape = rnd.random()
+    if shape < 0.3:
+        coeffs = tuple(Fraction(rnd.randint(-2, 2)) for _ in range(n))
+        if any(coeffs):
+            at_p = sum(a * x for a, x in zip(coeffs, p))
+            eqs.append((coeffs, at_p if shape < 0.2 else random_rat(rnd, -1, 2, den=2), ()))
+    elif shape < 0.4:
+        ineqs.append((unit[0], p[0] - 3, ()))
+    return make_hrep(coords, eqs, ineqs)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_enumerator_matches_box_scan(seed):
+    rnd = random.Random(seed)
+    h = random_hrep(rnd, rnd.randint(1, 4))
+    try:
+        verts = vertices(h).vertices
+    except EmptyPolyhedron:
+        assert lattice_points(h) == []
+    else:
+        assert lattice_points(h) == box_scan(h, *lattice._box(verts))
+        for k in (1, 2, 3):
+            box = lattice._box(verts, k)
+            assert lattice._scan(h.dilate(k), *box) == box_scan(h.dilate(k), *box)
+    # a box not fitted to the polytope, wider on some sides, cut on others
+    box = ([rnd.randint(-3, 1) for _ in h.coords], [rnd.randint(0, 4) for _ in h.coords])
+    assert lattice._scan(h, *box) == box_scan(h, *box)
+
+
+def test_grid3x3_order_polytope_count():
+    poset = make_grid(3, 3)
+    h = hrep_general(poset, zero_parameter(poset), projected=False)
+    box = lattice._box(vertices(h).vertices)
+    assert math.prod(hi - lo + 1 for lo, hi in zip(*box)) == 7 ** 7
+    assert len(lattice_points(h)) == 17472
