@@ -1,0 +1,252 @@
+"""Golden CLI output: the sha256 of stdout and the exit code of `mpp` queries
+on ex52, the double star and grid2x3, pinned so that a refactor of how the
+family's objects are derived cannot change an answer unnoticed.
+
+Each query runs `cli.main` in-process.  For `subdivision --off` the hash of
+the OFF file is pinned too.  After an intended output change, the new
+tuples to pin are in the failure messages.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+import pytest
+
+from mpp import cli
+from mpp.jsonio import poset_to_json
+
+from conftest import make_double_star, make_ex52, make_grid
+
+POSETS = {"ex52": make_ex52, "dstar": make_double_star, "grid2x3": lambda: make_grid(2, 3)}
+
+# per poset: interior t, a face point of it (the degeneration target), and two
+# partitions with C of the first inside C of the second
+INPUTS = {
+    "ex52": {"t": {"p": "1/3", "q": "1/2", "r": "2/3"},
+             "face": {"p": "1", "q": "1/2", "r": "0"},
+             "part_a": {"C": ["p"], "O": ["q", "r"]},
+             "part_b": {"C": ["p", "r"], "O": ["q"]}},
+    "dstar": {"t": {"c1": "1/4", "c2": "1/2", "q": "2/3", "d1": "1/3", "d2": "3/4"},
+              "face": {"c1": "1/4", "c2": "0", "q": "1", "d1": "1/3", "d2": "3/4"},
+              "part_a": {"C": ["c1", "c2", "d1"], "O": ["d2", "q"]},
+              "part_b": {"C": ["c1", "c2", "d1", "d2"], "O": ["q"]}},
+    "grid2x3": {"t": {"x01": "1/2", "x02": "1/3", "x10": "3/4", "x11": "2/3"},
+                "face": {"x01": "0", "x02": "1/3", "x10": "1", "x11": "2/3"},
+                "part_a": {"C": ["x11"], "O": ["x01", "x02", "x10"]},
+                "part_b": {"C": ["x01", "x11"], "O": ["x02", "x10"]}},
+}
+
+# mode -> argv after the poset path; {t}, {face}, {part_a}, {part_b}, {off}
+# stand for files written per poset
+MODES = {
+    "hrep": ["hrep"],
+    "hrep-t-projected": ["hrep", "--t", "{t}", "--projected"],
+    "hrep-partition": ["hrep", "--partition", "{part_a}"],
+    "hrep-partition-projected": ["hrep", "--partition", "{part_b}", "--projected"],
+    "hrep-irredundant": ["hrep", "--t", "generic", "--irredundant"],
+    "vertices-dd": ["vertices", "--t", "{t}"],
+    "vertices-dd-partition": ["vertices", "--partition", "{part_a}"],
+    "vertices-tropical": ["vertices", "--t", "generic", "--method", "tropical"],
+    "fvector": ["fvector", "--t", "generic"],
+    "ehrhart": ["ehrhart", "--partition", "{part_a}"],
+    "lattice-points": ["lattice-points", "--partition", "{part_b}"],
+    "subdivision": ["subdivision"],
+    "subdivision-ideal-chains": ["subdivision", "--ideal-chains"],
+    "subdivision-off": ["subdivision", "--off", "{off}"],
+    "subdivision-ideal-chains-off": ["subdivision", "--ideal-chains", "--off", "{off}"],
+    "degenerate": ["degenerate", "--from-t", "{t}", "--to-t", "{face}"],
+    "sweep-ehrhart": ["sweep", "--check", "ehrhart"],
+    "sweep-types": ["sweep", "--check", "types"],
+    "sweep-domination": ["sweep", "--check", "domination"],
+    "sweep-tame": ["sweep", "--check", "tame"],
+    "sweep-hibi-li": ["sweep", "--check", "hibi-li"],
+    "sweep-conjecture5": ["sweep", "--check", "conjecture5"],
+    "tame": ["tame"],
+    "hibi-li": ["hibi-li", "--part-a", "{part_a}", "--part-b", "{part_b}"],
+}
+
+# (poset, mode) -> (sha256 of stdout, exit code, sha256 of the OFF file or None),
+# recorded before the one-pass H-rep builder.  The double star's Ehrhart sweep
+# (4 s) is left out; ex52 and grid2x3 cover that mode.
+GOLDEN = {
+    ('ex52', 'hrep'):
+        ('f99dc22296a931cd4569c93bfa140c5eb103cf907ab0bd25bf5438bec6246647', 0, None),
+    ('ex52', 'hrep-t-projected'):
+        ('dddb199cf56e46e8eb798a5ac3ac7e46736f8007fab545a0784e5ce865bc2ee7', 0, None),
+    ('ex52', 'hrep-partition'):
+        ('d4033f2bd800e1155034dd71f193607cbea25692a28423037ec2568379b7c907', 0, None),
+    ('ex52', 'hrep-partition-projected'):
+        ('c6a4d75984f1f3e8c6e6368faf6be12c948a557f1aa0c8923caba4d77aa54467', 0, None),
+    ('ex52', 'hrep-irredundant'):
+        ('e9985b7b21830a2844b59a81e829d20938245e2ff010c1857af278d6cd027b3c', 0, None),
+    ('ex52', 'vertices-dd'):
+        ('8ef87e3a6a56362e10025d74707eb0e92a39401334a8eff75ae388f878ea3675', 0, None),
+    ('ex52', 'vertices-dd-partition'):
+        ('2f958e76ae9acff7d7063a5791c352a765dd391ceb1dd350e768ffc3c3438b90', 0, None),
+    ('ex52', 'vertices-tropical'):
+        ('bc934e5b55435621391eb412a744a6b6cddcfe1444d5e3d15dc5cd0d123e0b73', 0, None),
+    ('ex52', 'fvector'):
+        ('49ecdb4476fcef58f18dd76f34647ce3b98bb450b6690beb1d117fa3cbefeba5', 0, None),
+    ('ex52', 'ehrhart'):
+        ('f837cc247181e0502bcdfdc82378d1d793485778adfb397160dec76686011cb6', 0, None),
+    ('ex52', 'lattice-points'):
+        ('3477743461a6e56c81e083a72fc4bd25e222f496cbd7c94e2e1489a0fb5f90aa', 0, None),
+    ('ex52', 'subdivision'):
+        ('7818e06a7a225e623ee83e0d64e1e164b5bc2046121d634d6027a321a13f0920', 0, None),
+    ('ex52', 'subdivision-ideal-chains'):
+        ('9a0735884a0ccd997ed0c82f1386b0457baff3334b890b35abb17769ff289e8b', 0, None),
+    ('ex52', 'subdivision-off'):
+        ('7818e06a7a225e623ee83e0d64e1e164b5bc2046121d634d6027a321a13f0920', 0, 'a401645d7c15cbb586537c8403e3f449d77a3eb9bf54dccefd69f72206499a90'),
+    ('ex52', 'subdivision-ideal-chains-off'):
+        ('9a0735884a0ccd997ed0c82f1386b0457baff3334b890b35abb17769ff289e8b', 0, 'a401645d7c15cbb586537c8403e3f449d77a3eb9bf54dccefd69f72206499a90'),
+    ('ex52', 'degenerate'):
+        ('53110c16ea213ae9d75425ab23a745bb16cb0fdd1defa1382fbbae5ac3b1529e', 0, None),
+    ('ex52', 'sweep-ehrhart'):
+        ('f6b4c4657d734fab44cdc28bbc1bb89545f828598105e6cb29f2b89668e0e95c', 0, None),
+    ('ex52', 'sweep-types'):
+        ('10e6d107b52cbc74f969598faf900206887b91dd2271237526d1dada3d9456f7', 0, None),
+    ('ex52', 'sweep-domination'):
+        ('bb591e601823a93a1c3f0c157ed7ca7155fa1f04b74c934adfa921595d53f464', 0, None),
+    ('ex52', 'sweep-tame'):
+        ('45b0f56a649a624e0898a4f568225ba7c76eb1fd59bb5b282545f5424a3dcae9', 0, None),
+    ('ex52', 'sweep-hibi-li'):
+        ('a40c0f90a815871e55fd0c9ea6c260d36594844320ebcfb87678384836a0cc8e', 0, None),
+    ('ex52', 'sweep-conjecture5'):
+        ('d8a1bdc5871fa197506a52c7a1fc8ac1d2c6ba6bc417dbeda0988062802c1497', 0, None),
+    ('ex52', 'tame'):
+        ('46277c5793529c4157dbded7ee2ed974e0adc5cf1a29ae2aad1ada3fedf71b3b', 0, None),
+    ('ex52', 'hibi-li'):
+        ('176eb2f15d04affe70f2ec1331fa472412d40102280c57675d9cc9c02adb971e', 0, None),
+    ('dstar', 'hrep'):
+        ('1660e7ede42431d28ab0c877cb5402d8ded93970fb477e929e4476e0c8673ba4', 0, None),
+    ('dstar', 'hrep-t-projected'):
+        ('804719dfc00bcedf95b59b06653e4106e5935a260b73ffca5244b023281b1842', 0, None),
+    ('dstar', 'hrep-partition'):
+        ('b1135b6897accb3f4e04e68dcfcbe952a0b01aabfa4e01798fbc98387c3c713c', 0, None),
+    ('dstar', 'hrep-partition-projected'):
+        ('d80e425249008d546331d5557d746b59f1ae1f0a6d2c7b4fc2d17c17508c0a7d', 0, None),
+    ('dstar', 'hrep-irredundant'):
+        ('fc7f540aadfd400a212e320cf1d382d110257289b76ed69bcd9f564a31944430', 0, None),
+    ('dstar', 'vertices-dd'):
+        ('a2c13b7cc09c1c96299f12a2e124ec04a12d9cac425e5cc8f93f35552060d4d4', 0, None),
+    ('dstar', 'vertices-dd-partition'):
+        ('0206fdf8b0d0d229c5aea8f45880dd59feceb4ba5c24b33f5ff2ec85b7827aff', 0, None),
+    ('dstar', 'vertices-tropical'):
+        ('e6ca9fce7164707a3fc4938ef745aee1da0a1bb8643a28368868a1e1a991d1d2', 0, None),
+    ('dstar', 'fvector'):
+        ('2d8263fe416269ad6f5dda5e2cbea84a4e84b5f9e16fdc940ff9a5f874304fd1', 0, None),
+    ('dstar', 'ehrhart'):
+        ('c05236f7c5c79c52ead6be67e0ced9576f7b7a56a2cea77b90acd8064f936c0e', 0, None),
+    ('dstar', 'lattice-points'):
+        ('5d7c51f577882fffb92daafb7eaeea49e86c9c1e9c5cf0bfada903fa1d21b058', 0, None),
+    ('dstar', 'subdivision'):
+        ('2d610779200b81a096783440bd0162ba3a0aa19b1a9b1d951c67bad85f228820', 0, None),
+    ('dstar', 'subdivision-ideal-chains'):
+        ('ce2b5d26e826e961e9e789c54504247e3b187e617fcc9113e343254d9f45e280', 0, None),
+    ('dstar', 'subdivision-off'):
+        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('dstar', 'subdivision-ideal-chains-off'):
+        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('dstar', 'degenerate'):
+        ('39adb9ded1eb228d0e59d55e1991773dcb9097a233c98c22e7f707e79122d7f2', 0, None),
+    ('dstar', 'sweep-types'):
+        ('19d56a516a787cf50470a548ec4c56ebb426a4025fd2cd1ad910b664a9c720b6', 0, None),
+    ('dstar', 'sweep-domination'):
+        ('de81ac6892a6dece8bb7dc346306576372c3dd5637a53691b63a604441d45225', 0, None),
+    ('dstar', 'sweep-tame'):
+        ('45b0f56a649a624e0898a4f568225ba7c76eb1fd59bb5b282545f5424a3dcae9', 0, None),
+    ('dstar', 'sweep-hibi-li'):
+        ('e8e68fb190b0e7718421992ecb30232dc605bab4db72c7b8c22620a6ab82cb1e', 0, None),
+    ('dstar', 'sweep-conjecture5'):
+        ('6f750dba2da39891a52850b1267f8443699b9f601bb35e42e74132f291ab5981', 0, None),
+    ('dstar', 'tame'):
+        ('46277c5793529c4157dbded7ee2ed974e0adc5cf1a29ae2aad1ada3fedf71b3b', 0, None),
+    ('dstar', 'hibi-li'):
+        ('ad0a4d3683af9da294eb44ba85ecc736ef8c83fb078fc1765a7f3a60cef15be3', 0, None),
+    ('grid2x3', 'hrep'):
+        ('a8e79ab492c8b8a70bd2de9c6c113d84734c1e408ab10ef5709150220423d652', 0, None),
+    ('grid2x3', 'hrep-t-projected'):
+        ('751bc139087f83a137bf77bcee95d6a174a036918a76d0179da3031c4ddecd3a', 0, None),
+    ('grid2x3', 'hrep-partition'):
+        ('a96223717600dc5919582eba8194c4e8f51f312292f48f48f94215f378e1d543', 0, None),
+    ('grid2x3', 'hrep-partition-projected'):
+        ('703e3943c57bd08832967d61345ee7f65e2df8a5394c97b6080ad5d1f0a35629', 0, None),
+    ('grid2x3', 'hrep-irredundant'):
+        ('e633c1b154bf08b09ea8ff33cfb4373fa33713c208bde33aaaf33e991ad5ff8d', 0, None),
+    ('grid2x3', 'vertices-dd'):
+        ('9d0062da86d02aae1b291fa2b1792228c6abf4080d173d6d6777ecc058c3e9c5', 0, None),
+    ('grid2x3', 'vertices-dd-partition'):
+        ('48d93223e9228f9989320b4df06515af879715bd2dbac48f8a6fc4b0b04a95ca', 0, None),
+    ('grid2x3', 'vertices-tropical'):
+        ('9a89240afd548824536ae0711e2016af026a22daec93addc185fbfc1575f72e6', 0, None),
+    ('grid2x3', 'fvector'):
+        ('3c4752a2acdbc35af24c0049d3357f2d4ea5555b05eeb04b9537c2d13e93d7ce', 0, None),
+    ('grid2x3', 'ehrhart'):
+        ('6cecf405f4ad24a1df46b8d05624c1f426a609f0b017dbca58b27f9f4105bf0e', 0, None),
+    ('grid2x3', 'lattice-points'):
+        ('b31724388378c594d36fec995378751ef41d0483ddb9c6d96d7dd62fecdedebf', 0, None),
+    ('grid2x3', 'subdivision'):
+        ('8641e63038c01880ef9a7520808d74c9d1a6c56284ed06cca5400f9534c37a28', 0, None),
+    ('grid2x3', 'subdivision-ideal-chains'):
+        ('ac61ce8964073672aa75438b0052bc40e9dcd17b62f572adb7175c867f51205c', 0, None),
+    ('grid2x3', 'subdivision-off'):
+        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('grid2x3', 'subdivision-ideal-chains-off'):
+        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('grid2x3', 'degenerate'):
+        ('6ff6b6990e208b43709ae439767db495a75fb0d3988bccb65930ce924e239909', 0, None),
+    ('grid2x3', 'sweep-ehrhart'):
+        ('d685e7a3bab09383daeb89bb9c7ea8b0f7418b9a671ef2a72ddd60eb24659a21', 0, None),
+    ('grid2x3', 'sweep-types'):
+        ('fc451f3ee3c658e25977fb1d6bacd15222850c491c0551c472342e3be9debbc4', 0, None),
+    ('grid2x3', 'sweep-domination'):
+        ('25f92f4734582b1bb63daa9a988f70c3e8b7f8018b66aa3d3491b85a485b691f', 0, None),
+    ('grid2x3', 'sweep-tame'):
+        ('45b0f56a649a624e0898a4f568225ba7c76eb1fd59bb5b282545f5424a3dcae9', 0, None),
+    ('grid2x3', 'sweep-hibi-li'):
+        ('d6bae973652931a1c65a1cdbb5d656b10d751d707b421f30efd0f87da12313ac', 0, None),
+    ('grid2x3', 'sweep-conjecture5'):
+        ('60b2ad83992e23722acc7bc72404e02436ac441887a750fa423f4576f7800865', 0, None),
+    ('grid2x3', 'tame'):
+        ('46277c5793529c4157dbded7ee2ed974e0adc5cf1a29ae2aad1ada3fedf71b3b', 0, None),
+    ('grid2x3', 'hibi-li'):
+        ('4e45b38e510006b4a6b7555d540fffc3d153c17e47368c41dc8c22033bceb263', 0, None),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_golden(poset_key: str, mode: str, tmp_path) -> tuple[str, int, str | None]:
+    files = {"poset": poset_to_json(POSETS[poset_key]())}
+    for name, value in INPUTS[poset_key].items():
+        files[name] = {"t": value} if name in ("t", "face") else value
+    paths = {}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    paths["off"] = str(tmp_path / "out.off")
+    argv = [MODES[mode][0], paths["poset"]] + [a.format(**paths) for a in MODES[mode][1:]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    off = None
+    if os.path.exists(paths["off"]):
+        with open(paths["off"], "rb") as fh:
+            off = _sha(fh.read())
+    return _sha(out.getvalue().encode()), code, off
+
+
+CASES = list(GOLDEN)
+
+
+@pytest.mark.parametrize("poset_key,mode", CASES, ids=[f"{p}-{m}" for p, m in CASES])
+def test_golden_cli_output(poset_key, mode, tmp_path):
+    assert run_golden(poset_key, mode, tmp_path) == GOLDEN[(poset_key, mode)]
