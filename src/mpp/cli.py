@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import degeneration as dg
 from . import family, jsonio, lattice, tropical
-from .geometry import GeometryError, face_lattice, vertices
+from .geometry import GeometryError, TooLarge, face_lattice, vertices
 from .lp import SimplexError
 from .poset import MarkedPoset, PosetError, regularize, validate
 from .rationals import rat_str
@@ -164,7 +164,7 @@ def cmd_subdivision(args) -> int:
                "vertices": [[rat_str(x) for x in p] for p in sub_vertices]}
     if args.off:
         with open(args.off, "w", encoding="utf-8") as fh:
-            fh.write(tropical.export_off(poset))
+            fh.write(tropical.export_off(poset, None if args.ideal_chains else cells))
     return _emit(payload, f"{kind} subdivision: {len(cells)} cells, "
                           f"{len(sub_vertices)} vertices")
 
@@ -189,57 +189,48 @@ def cmd_degenerate(args) -> int:
     return _emit(payload, f"degeneration map: {'PASS' if ok else 'FAIL'}")
 
 
-def _guarded(fn, items) -> list:
-    """(result, None) or (None, error) per item: kernel errors are captured so
-    that sweeps can emit partial reports."""
-    results = []
+def _sweep(fn, items, label) -> tuple[list, list]:
+    """fn over every item: (results, errors).  A kernel error on one item
+    becomes an error entry {**label(item), "error": ...} instead of ending the
+    sweep, so that it can emit a partial report."""
+    results, errors = [], []
     for item in items:
         try:
-            results.append((fn(item), None))
+            results.append(fn(item))
         except GeometryError as exc:
-            results.append((None, f"{type(exc).__name__}: {exc}"))
-    return results
+            errors.append({**label(item), "error": f"{type(exc).__name__}: {exc}"})
+    return results, errors
 
 
-def _sweep_ehrhart(poset) -> dict:
+# Each sweep returns (report, errors); cmd_sweep fails a report with errors.
+
+def _sweep_ehrhart(poset):
     parts = [family.partition_of_parameter(poset, t)
              for t in family.hypercube_vertices(poset)]
 
     def one(part):
         h = family.hrep_chain_order(poset, part, projected=False)
         data = lattice.ehrhart(h)
-        return (sorted(part.C), [rat_str(c) for c in data.coefficients])
+        return {"C": sorted(part.C), "coefficients": [rat_str(c) for c in data.coefficients]}
 
-    results = _guarded(one, parts)
-    rows = [r for r, err in results if err is None]
-    errors = [{"C": sorted(part.C), "error": err}
-              for part, (_, err) in zip(parts, results) if err is not None]
-    polys = {tuple(p) for _, p in rows}
-    report = {"check": "ehrhart", "pass": len(polys) == 1 and not errors,
-              "polynomials": [{"C": c, "coefficients": p} for c, p in rows]}
-    if errors:
-        report["errors"] = errors
-    return report
+    rows, errors = _sweep(one, parts, lambda part: {"C": sorted(part.C)})
+    polys = {tuple(r["coefficients"]) for r in rows}
+    return {"check": "ehrhart", "pass": len(polys) == 1, "polynomials": rows}, errors
 
 
-def _sweep_types(poset) -> dict:
+def _sweep_types(poset):
     faces = [{}]
     for p in sorted(poset.unmarked):
         faces.append({p: Fraction(0)})
         faces.append({p: Fraction(1)})
-    results = _guarded(lambda f: dg.combinatorial_type_sweep(poset, f), faces)
-    reports = [r for r, err in results if err is None]
-    errors = [{"face": {k: rat_str(v) for k, v in sorted(f.items())}, "error": err}
-              for f, (_, err) in zip(faces, results) if err is not None]
-    report = {"check": "types",
-              "pass": bool(reports) and all(r["pass"] for r in reports) and not errors,
-              "faces": reports}
-    if errors:
-        report["errors"] = errors
-    return report
+    reports, errors = _sweep(
+        lambda f: dg.combinatorial_type_sweep(poset, f), faces,
+        lambda f: {"face": {k: rat_str(v) for k, v in sorted(f.items())}})
+    return {"check": "types", "pass": bool(reports) and all(r["pass"] for r in reports),
+            "faces": reports}, errors
 
 
-def _sweep_domination(poset) -> dict:
+def _sweep_domination(poset):
     t = family.generic_parameter(poset)
     # built on first use and shared by every target; a failure is not cached,
     # so each target reports it
@@ -253,85 +244,66 @@ def _sweep_domination(poset) -> dict:
                          and fmap.dims_nondecreasing())
         return rep
 
-    targets = list(family.hypercube_vertices(poset))
-    results = _guarded(one, targets)
-    reports = [r for r, err in results if err is None]
-    errors = [{"t": jsonio.parameter_to_json(u)["t"], "error": err}
-              for u, (_, err) in zip(targets, results) if err is not None]
-    report = {"check": "domination", "generic_t": jsonio.parameter_to_json(t)["t"],
-              "pass": bool(reports) and not errors
-                      and all(r["pass"] and r["map_ok"] for r in reports),
-              "targets": reports}
-    if errors:
-        report["errors"] = errors
-    return report
+    reports, errors = _sweep(one, family.hypercube_vertices(poset),
+                             lambda u: {"t": jsonio.parameter_to_json(u)["t"]})
+    return {"check": "domination", "generic_t": jsonio.parameter_to_json(t)["t"],
+            "pass": bool(reports) and all(r["pass"] and r["map_ok"] for r in reports),
+            "targets": reports}, errors
 
 
-def _sweep_hibi_li(poset) -> dict:
+def _sweep_hibi_li(poset):
     unmarked = sorted(poset.unmarked)
     tame = family.is_tame(poset)
-    rows = []
-    table_errors = []
-    for k in range(len(unmarked) + 1):
-        for C in itertools.combinations(unmarked, k):
-            part = family.Partition(frozenset(C), frozenset(unmarked) - frozenset(C))
-            try:
-                h = family.hrep_chain_order(poset, part, projected=True)
-                lat = face_lattice(h, vertices(h))
-            except GeometryError as exc:
-                table_errors.append({"C": list(C),
-                                     "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            rows.append({"C": list(C), "f_vector": list(lat.f_vector())})
-    moves = []
-    errors = []
-    ok = True
-    for k in range(len(unmarked)):
-        for C in itertools.combinations(unmarked, k):
-            base = frozenset(C)
-            for q in unmarked:
-                if q in base:
-                    continue
-                part_a = family.Partition(base, frozenset(unmarked) - base)
-                part_b = family.Partition(base | {q}, frozenset(unmarked) - base - {q})
-                try:
-                    rep = dg.hibi_li_check(poset, part_a, part_b, tame=tame)
-                except GeometryError as exc:
-                    errors.append({"C": sorted(base), "moved": q,
-                                   "error": f"{type(exc).__name__}: {exc}"})
-                    continue
-                ok = ok and rep["dominated"] and rep.get("facet_delta_match", True)
-                moves.append(rep)
-    errors = table_errors + errors
-    report = {"check": "hibi-li", "tame": tame, "pass": ok and not errors,
-              "f_vectors": rows, "moves": moves}
-    if errors:
-        report["errors"] = errors
-    return report
+
+    def partition(C):
+        return family.Partition(frozenset(C), frozenset(unmarked) - frozenset(C))
+
+    def f_vector(C):
+        h = family.hrep_chain_order(poset, partition(C), projected=True)
+        return {"C": list(C), "f_vector": list(face_lattice(h, vertices(h)).f_vector())}
+
+    def move(item):
+        C, q = item
+        return dg.hibi_li_check(poset, partition(C), partition(C + (q,)), tame=tame)
+
+    rows, table_errors = _sweep(
+        f_vector, [C for k in range(len(unmarked) + 1)
+                   for C in itertools.combinations(unmarked, k)],
+        lambda C: {"C": list(C)})
+    moves, errors = _sweep(
+        move, [(C, q) for k in range(len(unmarked))
+               for C in itertools.combinations(unmarked, k) for q in unmarked if q not in C],
+        lambda item: {"C": list(item[0]), "moved": item[1]})
+    ok = all(r["dominated"] and r.get("facet_delta_match", True) for r in moves)
+    return {"check": "hibi-li", "tame": tame, "pass": ok, "f_vectors": rows,
+            "moves": moves}, table_errors + errors
+
+
+def _sweep_conjecture5(poset):
+    t = family.generic_parameter(poset)
+    return tropical.check_vertex_degeneration_conjecture(poset, t), []
+
+
+SWEEPS = {"ehrhart": _sweep_ehrhart, "types": _sweep_types,
+          "domination": _sweep_domination,
+          "tame": lambda poset: ({"check": "tame", "pass": family.is_tame(poset)}, []),
+          "hibi-li": _sweep_hibi_li, "conjecture5": _sweep_conjecture5}
 
 
 def cmd_sweep(args) -> int:
     poset = _load_poset(args.poset)
     if len(poset.unmarked) > 12:
-        raise InputError("sweeps are capped at 12 unmarked elements")
-    if args.check == "ehrhart":
-        report = _sweep_ehrhart(poset)
-    elif args.check == "types":
-        report = _sweep_types(poset)
-    elif args.check == "domination":
-        report = _sweep_domination(poset)
-    elif args.check == "tame":
-        report = {"check": "tame", "pass": family.is_tame(poset)}
-    elif args.check == "hibi-li":
-        report = _sweep_hibi_li(poset)
-    else:  # conjecture5
-        t = family.generic_parameter(poset)
-        report = tropical.check_vertex_degeneration_conjecture(poset, t)
+        raise TooLarge(f"sweeps are capped at 12 unmarked elements, "
+                       f"got {len(poset.unmarked)}")
+    report, errors = SWEEPS[args.check](poset)
+    if errors:
+        report["pass"] = False
+        report["errors"] = errors
     payload = {"command": "sweep", "checked": args.check, **report}
-    status = "PASS" if report.get("pass") else "FAIL"
-    if report.get("errors"):
+    status = "PASS" if report["pass"] else "FAIL"
+    if errors:
         _emit(payload, f"sweep {args.check}: {status} "
-                       f"({len(report['errors'])} items failed to compute)")
+                       f"({len(errors)} items failed to compute)")
         return EXIT_COMPUTE
     return _emit(payload, f"sweep {args.check}: {status}")
 

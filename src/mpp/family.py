@@ -1,6 +1,12 @@
 """The parametrized family O_t(P, lambda): inequality descriptions for any
 parameter in the hypercube, the piecewise-linear transfer maps between family
 members, tightness predicates, LP-based redundancy elimination, and tameness.
+
+Both inequality descriptions are written in one pass by one row builder
+(`_hrep`): each row goes straight into its final coordinates, a marked term
+into the right-hand side when projected, and make_hrep runs once.  Chain
+weights are suffix products of t along the chain; the chains come from the
+tails cached on the poset.
 """
 
 from __future__ import annotations
@@ -10,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, make_hrep,
-                       substitute)
+from .geometry import AffineMap, EmptyPolyhedron, HRep, TooLarge, make_hrep
 from .lp import LPStatus, lp_solve
 from .poset import (MarkedPoset, PosetError, SaturatedChain, chain_counts,
                     chains_through, require_valid, saturated_chains_to)
@@ -112,81 +117,84 @@ def _t_of(poset: MarkedPoset, t: Parameter, p: str) -> Fraction:
 
 # -- inequality descriptions -------------------------------------------------
 
-def chain_coefficients(poset: MarkedPoset, t: Parameter, chain: SaturatedChain):
-    """Left-hand-side coefficients {element: coefficient} of the inequality
-    (1 - t_p) * (t_{p_1}...t_{p_r} x_{p_0} + ... + x_{p_r}) <= x_p."""
-    tp = _t_of(poset, t, chain.target)
-    coeffs: dict[str, Fraction] = {}
-    r = len(chain.below) - 1
-    for i, e in enumerate(chain.below):
-        w = ONE - tp
-        for j in range(i + 1, r + 1):
-            w *= t[chain.below[j]]
-        coeffs[e] = coeffs.get(e, ZERO) + w
-    return coeffs
+def check_parameter(poset: MarkedPoset, t: Parameter) -> Parameter:
+    """t must assign exactly the unmarked elements."""
+    missing = sorted(set(poset.unmarked) - t.values.keys())
+    extra = sorted(t.values.keys() - set(poset.unmarked))
+    if missing or extra:
+        raise PosetError("parameter must assign exactly the unmarked elements: "
+                         f"missing {missing}, extra {extra}")
+    return t
+
+
+def _row(poset: MarkedPoset, index: dict[str, int], terms):
+    """(coeffs, rhs) of sum(c * x_e for e, c in terms) <= 0 over the
+    coordinates in index; the term of a marked element outside index moves
+    into rhs at its marking value."""
+    row = [ZERO] * len(index)
+    rhs = ZERO
+    for e, c in terms:
+        if e in index:
+            row[index[e]] += c
+        else:
+            rhs -= c * poset.marking[e]
+    return tuple(row), rhs
+
+
+def _hrep(poset: MarkedPoset, rows, projected: bool) -> HRep:
+    """H-rep with one inequality sum(c * x_e) <= 0 per (terms, origin) in rows.
+    The marked coordinates are fixed by marking equations in the full space
+    R^P, or eliminated when projected.  Each row is written once, in the final
+    coordinates, and make_hrep runs once."""
+    coords = poset.unmarked if projected else poset.elements
+    index = {e: i for i, e in enumerate(coords)}
+    eqs = [] if projected else [(tuple(ONE if e == a else ZERO for e in coords),
+                                 poset.marking[a], ("marking", a))
+                                for a in sorted(poset.marking)]
+    ineqs = [_row(poset, index, terms) + (origin,) for terms, origin in rows]
+    return make_hrep(coords, eqs, ineqs)
 
 
 def hrep_general(poset: MarkedPoset, t: Parameter, projected: bool = True) -> HRep:
-    """H-description of O_t(P, lambda), one inequality per saturated chain.
+    """H-description of O_t(P, lambda), one inequality per saturated chain:
+    (1 - t_p) * (t_{p_1}...t_{p_r} x_{p_0} + ... + x_{p_r}) <= x_p.
 
     No on-the-fly simplification: redundancy removal is a separate step so
     that every constraint keeps its generating chain as origin tag.
     """
     require_valid(poset)
-    coords = poset.elements
-    index = {e: i for i, e in enumerate(coords)}
-    eqs = []
-    for a in sorted(poset.marking):
-        row = [ZERO] * len(coords)
-        row[index[a]] = ONE
-        eqs.append((tuple(row), poset.marking[a], ("marking", a)))
-    ineqs = []
-    for p in coords:
-        for chain in saturated_chains_to(poset, p):
-            if p in poset.marked and len(chain.below) == 1:
-                continue  # r = 0 into a marked target follows from the marking
-            coeffs = chain_coefficients(poset, t, chain)
-            row = [ZERO] * len(coords)
-            for e, c in coeffs.items():
-                row[index[e]] += c
-            row[index[p]] -= ONE
-            ineqs.append((tuple(row), ZERO, ("chain",) + chain.below + (chain.target,)))
-    h = make_hrep(coords, eqs, ineqs)
-    if projected:
-        h = substitute(h, poset.marking)
-    return h
+    check_parameter(poset, t)
+    tv = t.values
+
+    def rows():
+        for p in poset.elements:
+            marked = p in poset.marked
+            for chain in saturated_chains_to(poset, p):
+                below = chain.below
+                if marked and len(below) == 1:
+                    continue  # r = 0 into a marked target follows from the marking
+                terms = [(p, -ONE)]
+                w = ONE if marked else ONE - tv[p]  # weights as suffix products
+                for i in range(len(below) - 1, 0, -1):
+                    terms.append((below[i], w))
+                    w *= tv[below[i]]
+                terms.append((below[0], w))
+                yield terms, ("chain",) + below + (p,)
+
+    return _hrep(poset, rows(), projected)
 
 
 def hrep_chain_order(poset: MarkedPoset, part: Partition, projected: bool = True) -> HRep:
     """Direct description of the marked chain-order polyhedron O_{C,O}."""
     require_valid(poset)
     check_partition(poset, part)
-    coords = poset.elements
-    index = {e: i for i, e in enumerate(coords)}
-    eqs = []
-    for a in sorted(poset.marking):
-        row = [ZERO] * len(coords)
-        row[index[a]] = ONE
-        eqs.append((tuple(row), poset.marking[a], ("marking", a)))
-    ineqs = []
-    for p in sorted(part.C):
-        row = [ZERO] * len(coords)
-        row[index[p]] = -ONE
-        ineqs.append((tuple(row), ZERO, ("nonneg", p)))
-    stops = poset.marked | part.O
-    for a, mids, b in chains_through(poset, part.C, stops):
+    rows = [([(p, -ONE)], ("nonneg", p)) for p in sorted(part.C)]
+    for a, mids, b in chains_through(poset, part.C, poset.marked | part.O):
         if a in poset.marked and b in poset.marked and not mids:
             continue
-        row = [ZERO] * len(coords)
-        row[index[a]] += ONE
-        for m in mids:
-            row[index[m]] += ONE
-        row[index[b]] -= ONE
-        ineqs.append((tuple(row), ZERO, ("cochain", a) + mids + (b,)))
-    h = make_hrep(coords, eqs, ineqs)
-    if projected:
-        h = substitute(h, poset.marking)
-    return h
+        rows.append(([(e, ONE) for e in (a,) + mids] + [(b, -ONE)],
+                     ("cochain", a) + mids + (b,)))
+    return _hrep(poset, rows, projected)
 
 
 # -- transfer maps -------------------------------------------------------------
@@ -217,9 +225,7 @@ def transfer_psi(poset: MarkedPoset, t: Parameter, y) -> dict[str, Fraction]:
 def transfer_psi_closed(poset: MarkedPoset, t: Parameter, y) -> dict[str, Fraction]:
     """Closed form of psi_t: max over saturated chains ending at p of the
     t-weighted partial sums.  Kept independent of the recursion as an oracle."""
-    from .poset import _unmarked_tails
-
-    tails = _unmarked_tails(poset)
+    tails = poset.chain_tails
     out: dict[str, Fraction] = {}
     for p in poset.elements:
         if p in poset.marked:

@@ -4,7 +4,10 @@ redundant covering relations), plus rank functions and star elements.
 
 Element identifiers are opaque strings; marking values are exact rationals.
 All set-valued results come back in lexicographic element order.  Instances
-are immutable; the documented desk-scale limit is |P| <= 12.
+are immutable, so the validation report and the chain tails are derived once
+per instance and cached on it.  |P| itself is not capped: the steps that grow
+super-polynomially with it (faces, lattice points, ideal chains, sweeps) each
+run under their own budget and raise TooLarge when it is exhausted.
 """
 
 from __future__ import annotations
@@ -159,71 +162,68 @@ class MarkedPoset:
         ext = set(self.minimal_elements()) | set(self.maximal_elements())
         return ext <= self.marked
 
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """Violations of the marked-poset invariants (empty = valid), found
+        once per instance; `validate` and `require_valid` read them."""
+        if not self.is_acyclic:
+            return ("cycle in covering relations",)
+        report: list[str] = []
+        # covers must have empty open intervals
+        for p, q in sorted(self.covers):
+            for w in self.elements:
+                if w != p and w != q and self.lt(p, w) and self.lt(w, q):
+                    report.append(f"non-covering pair ({p}, {q}): {w} lies strictly between")
+        for a in sorted(self.marking):
+            for b in sorted(self.marking):
+                if a != b and self.lt(a, b) and self.marking[a] > self.marking[b]:
+                    report.append(f"marking not order-preserving: {a} < {b} but "
+                                  f"lambda({a}) > lambda({b})")
+        for e in self.minimal_elements():
+            if e not in self.marked:
+                report.append(f"unmarked minimal element {e}")
+        return tuple(report)
+
+    @cached_property
+    def chain_tails(self) -> dict[str, tuple[tuple[str, ...], ...]]:
+        """For each element e, the saturated chains p_0 < ... < p_r = e with
+        p_0 marked and all interior elements unmarked, in lexicographic order
+        (a marked e gets the trivial chain)."""
+        memo: dict[str, tuple[tuple[str, ...], ...]] = {}
+
+        def tails(e: str) -> tuple[tuple[str, ...], ...]:
+            if e not in memo:
+                if e in self.marked:
+                    memo[e] = ((e,),)
+                else:
+                    memo[e] = tuple(sorted(t + (e,) for c in self.lower_covers(e)
+                                           for t in tails(c)))
+            return memo[e]
+
+        for e in self.elements:
+            tails(e)
+        return memo
+
 
 def validate(poset: MarkedPoset) -> list[str]:
     """Check the marked-poset invariants; returns violation messages (empty = valid)."""
-    report: list[str] = []
-    if not poset.is_acyclic:
-        report.append("cycle in covering relations")
-        return report
-    # covers must have empty open intervals
-    for p, q in sorted(poset.covers):
-        for w in poset.elements:
-            if w != p and w != q and poset.lt(p, w) and poset.lt(w, q):
-                report.append(f"non-covering pair ({p}, {q}): {w} lies strictly between")
-    for a in sorted(poset.marking):
-        for b in sorted(poset.marking):
-            if a != b and poset.lt(a, b) and poset.marking[a] > poset.marking[b]:
-                report.append(f"marking not order-preserving: {a} < {b} but "
-                              f"lambda({a}) > lambda({b})")
-    for e in poset.minimal_elements():
-        if e not in poset.marked:
-            report.append(f"unmarked minimal element {e}")
-    return report
+    return list(poset.problems)
 
 
 def require_valid(poset: MarkedPoset) -> MarkedPoset:
-    problems = validate(poset)
-    if problems:
-        raise PosetError("; ".join(problems))
+    if poset.problems:
+        raise PosetError("; ".join(poset.problems))
     return poset
 
 
 # -- saturated chains ------------------------------------------------------
 
-def _unmarked_tails(poset: MarkedPoset) -> dict[str, tuple[tuple[str, ...], ...]]:
-    """For each element e, the saturated chains p_0 < ... < p_r = e with p_0
-    marked and all interior elements unmarked (markeds get the trivial chain)."""
-    memo: dict[str, tuple[tuple[str, ...], ...]] = {}
-
-    def tails(e: str) -> tuple[tuple[str, ...], ...]:
-        if e in memo:
-            return memo[e]
-        if e in poset.marked:
-            memo[e] = ((e,),)
-            return memo[e]
-        acc = []
-        for c in poset.lower_covers(e):
-            for t in tails(c):
-                acc.append(t + (e,))
-        memo[e] = tuple(sorted(acc))
-        return memo[e]
-
-    for e in poset.elements:
-        tails(e)
-    return memo
-
-
 def saturated_chains_to(poset: MarkedPoset, p: str) -> list[SaturatedChain]:
     """All chains p_0 < p_1 < ... < p_r < p with p_0 marked and interior
     unmarked, in lexicographic order.  These index the defining inequalities."""
-    tails = _unmarked_tails(poset)
-    chains = []
-    for q in poset.lower_covers(p):
-        for t in tails[q]:
-            chains.append(SaturatedChain(below=t, target=p))
-    chains.sort(key=lambda c: c.below)
-    return chains
+    tails = poset.chain_tails
+    return [SaturatedChain(below=t, target=p)
+            for t in sorted(t for q in poset.lower_covers(p) for t in tails[q])]
 
 
 def chains_through(poset: MarkedPoset, via: frozenset[str] | set[str],

@@ -1,6 +1,11 @@
 """Tropical hyperplane arrangement of a marked poset, covectors, the tropical
 subdivision of the marked order polyhedron, and vertex enumeration of generic
 family members by transferring subdivision vertices.
+
+Every cell is cut from the one base polytope O_0(P, lambda) in the projected
+coordinates.  A public call builds it once (`_base_data`) and passes it down,
+and one generator (`_covector_cells`) runs the covector search and yields
+each nonempty cell with its vertices.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from . import linalg
-from .family import (Parameter, hrep_general, hypercube_vertices, iota,
+from .family import (Parameter, _row, hrep_general, hypercube_vertices, iota,
                      transfer_phi_projected, transfer_theta_projected,
                      zero_parameter)
 from .geometry import (EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded,
@@ -94,34 +99,23 @@ class SubdivisionCell:
         return frozenset(self.vertices)
 
 
-def _elem_expr(poset: MarkedPoset, index: dict[str, int], e: str):
-    row = [ZERO] * len(index)
-    const = ZERO
-    if e in poset.marked:
-        const = poset.marking[e]
-    else:
-        row[index[e]] = ONE
-    return row, const
+def _difference(poset: MarkedPoset, index: dict[str, int], a: str, b: str, origin):
+    """(coeffs, rhs, origin) of x_a - x_b (= or <=) 0 over the projected
+    coordinates, a marked term moved into rhs."""
+    return _row(poset, index, ((a, ONE), (b, -ONE))) + (origin,)
 
 
 def _covector_cell_rows(poset: MarkedPoset, index, tau: dict[str, frozenset[str]]):
     """Equations/inequalities pinning the closed arrangement cell F_tau."""
     eqs, ineqs = [], []
     for r, members in sorted(tau.items()):
-        members = sorted(members)
-        support = poset.lower_covers(r)
-        m0 = members[0]
-        row0, const0 = _elem_expr(poset, index, m0)
-        for m in members[1:]:
-            row, const = _elem_expr(poset, index, m)
-            eqs.append((tuple(a - b for a, b in zip(row, row0)), const0 - const,
-                        ("covector-eq", r, m0, m)))
-        for other in support:
-            if other in members:
-                continue
-            row, const = _elem_expr(poset, index, other)
-            ineqs.append((tuple(a - b for a, b in zip(row, row0)), const0 - const,
-                          ("covector-le", r, other, m0)))
+        m0, *rest = sorted(members)
+        for m in rest:
+            eqs.append(_difference(poset, index, m, m0, ("covector-eq", r, m0, m)))
+        for other in poset.lower_covers(r):
+            if other not in members:
+                ineqs.append(_difference(poset, index, other, m0,
+                                         ("covector-le", r, other, m0)))
     return eqs, ineqs
 
 
@@ -162,6 +156,19 @@ def _feasible_covectors(poset: MarkedPoset, arr: TropicalArrangement, base: HRep
     return found
 
 
+def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep):
+    """(H-rep, V-rep) of each nonempty cell: the polytope cut with F_tau, over
+    the feasible covectors tau.  The base rows come first in each H-rep."""
+    index = {e: i for i, e in enumerate(base.coords)}
+    for tau in _feasible_covectors(poset, arr, base):
+        h = _combined_hrep(base, *_covector_cell_rows(poset, index, tau))
+        try:
+            v = vertices(h)
+        except EmptyPolyhedron:
+            continue
+        yield h, v
+
+
 def _canonical_covector(cov: dict[str, frozenset[str]]):
     return tuple((r, tuple(sorted(v))) for r, v in sorted(cov.items()))
 
@@ -179,17 +186,8 @@ def tropical_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     require_valid(poset)
     base, _ = _base_data(poset)
     arr = arrangement(poset)
-    index = {e: i for i, e in enumerate(base.coords)}
-    cells = []
-    for tau in _feasible_covectors(poset, arr, base):
-        eqs, ineqs = _covector_cell_rows(poset, index, tau)
-        h = _combined_hrep(base, eqs, ineqs)
-        try:
-            v = vertices(h)
-        except EmptyPolyhedron:
-            continue
-        cells.append(_polytope_cell(poset, base, arr, v.vertices, ("covector",)))
-    return cells
+    return [_polytope_cell(poset, base, arr, v.vertices, ("covector",))
+            for _, v in _covector_cells(poset, arr, base)]
 
 
 def _make_cell(poset, base, arr, verts, dim, tight, origin) -> SubdivisionCell:
@@ -217,16 +215,9 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     """
     base, _ = _base_data(poset)
     arr = arrangement(poset)
-    index = {e: i for i, e in enumerate(base.coords)}
     nb = len(base.inequalities)
     seen: dict[frozenset, SubdivisionCell] = {}
-    for tau in _feasible_covectors(poset, arr, base):
-        eqs, ineqs = _covector_cell_rows(poset, index, tau)
-        h = _combined_hrep(base, eqs, ineqs)
-        try:
-            v = vertices(h)
-        except EmptyPolyhedron:
-            continue
+    for h, v in _covector_cells(poset, arr, base):
         lat = face_lattice(h, v)
         for face in lat.faces:
             if face.dim < 0:
@@ -240,38 +231,39 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     return sorted(seen.values(), key=lambda c: (c.dim, c.vertices))
 
 
-def subdivision_vertices(poset: MarkedPoset) -> list[tuple[Fraction, ...]]:
-    """Vertices of the tropical subdivision (0-cells of the complex)."""
-    base, _ = _base_data(poset)
+def subdivision_vertices(poset: MarkedPoset,
+                         base: HRep | None = None) -> list[tuple[Fraction, ...]]:
+    """Vertices of the tropical subdivision (0-cells of the complex).  base,
+    if given, is the polytope's H-rep from _base_data."""
+    if base is None:
+        base, _ = _base_data(poset)
     arr = arrangement(poset)
-    index = {e: i for i, e in enumerate(base.coords)}
+    return sorted({p for _, v in _covector_cells(poset, arr, base) for p in v.vertices})
+
+
+def _transferred(poset: MarkedPoset, t: Parameter, base: HRep) -> set:
+    """phi_t images of the subdivision vertices."""
     out = set()
-    for tau in _feasible_covectors(poset, arr, base):
-        eqs, ineqs = _covector_cell_rows(poset, index, tau)
-        h = _combined_hrep(base, eqs, ineqs)
-        try:
-            v = vertices(h)
-        except EmptyPolyhedron:
-            continue
-        out.update(v.vertices)
-    return sorted(out)
+    for p in subdivision_vertices(poset, base):
+        y = transfer_phi_projected(poset, t, dict(zip(base.coords, p)))
+        out.add(tuple(y[c] for c in base.coords))
+    return out
 
 
-def generic_vertices(poset: MarkedPoset, t: Parameter) -> list[tuple[Fraction, ...]]:
+def generic_vertices(poset: MarkedPoset, t: Parameter,
+                     base: HRep | None = None) -> list[tuple[Fraction, ...]]:
     """Vertices of O_t for interior t, via the tropical subdivision.
 
     Transfers the subdivision vertices and cross-checks against the kernel's
     double-description enumeration; for interior parameters the two always
-    agree, so a mismatch means a kernel bug and raises.
+    agree, so a mismatch means a kernel bug and raises.  base is as for
+    subdivision_vertices.
     """
     if not t.is_interior:
         raise NonInteriorParameter("generic vertices need t in the open hypercube")
-    base, _ = _base_data(poset)
-    sub = subdivision_vertices(poset)
-    images = set()
-    for p in sub:
-        y = transfer_phi_projected(poset, t, dict(zip(base.coords, p)))
-        images.add(tuple(y[c] for c in base.coords))
+    if base is None:
+        base, _ = _base_data(poset)
+    images = _transferred(poset, t, base)
     kernel = set(vertices(hrep_general(poset, t, projected=True)).vertices)
     if images != kernel:
         raise AssertionError(
@@ -283,12 +275,7 @@ def generic_vertices(poset: MarkedPoset, t: Parameter) -> list[tuple[Fraction, .
 def transferred_subdivision_vertices(poset: MarkedPoset, t: Parameter):
     """phi_t images of the subdivision vertices for arbitrary t (a superset of
     the vertices of O_t)."""
-    base, _ = _base_data(poset)
-    out = set()
-    for p in subdivision_vertices(poset):
-        y = transfer_phi_projected(poset, t, dict(zip(base.coords, p)))
-        out.add(tuple(y[c] for c in base.coords))
-    return sorted(out)
+    return sorted(_transferred(poset, t, _base_data(poset)[0]))
 
 
 # -- ideal-chain subdivision ----------------------------------------------------
@@ -359,18 +346,10 @@ def ideal_chain_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     cells = []
     for chain in compatible_ideal_chains(poset):
         blocks = [sorted(chain[k] - chain[k - 1]) for k in range(1, len(chain))]
-        eqs, ineqs = [], []
-        for blk in blocks:
-            row0, const0 = _elem_expr(poset, index, blk[0])
-            for e in blk[1:]:
-                row, const = _elem_expr(poset, index, e)
-                eqs.append((tuple(a - b for a, b in zip(row, row0)), const0 - const,
-                            ("block-eq", blk[0], e)))
-        for lo, hi in zip(blocks, blocks[1:]):
-            row_lo, c_lo = _elem_expr(poset, index, lo[0])
-            row_hi, c_hi = _elem_expr(poset, index, hi[0])
-            ineqs.append((tuple(a - b for a, b in zip(row_lo, row_hi)), c_hi - c_lo,
-                          ("block-le", lo[0], hi[0])))
+        eqs = [_difference(poset, index, e, blk[0], ("block-eq", blk[0], e))
+               for blk in blocks for e in blk[1:]]
+        ineqs = [_difference(poset, index, lo[0], hi[0], ("block-le", lo[0], hi[0]))
+                 for lo, hi in zip(blocks, blocks[1:])]
         try:
             h = _combined_hrep(base, eqs, ineqs)
             v = vertices(h)
@@ -391,11 +370,14 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
     if len(poset.unmarked) > 10:
         raise TooLarge(f"conjecture sweep capped at 10 unmarked elements, "
                        f"got {len(poset.unmarked)}")
-    base, _ = _base_data(poset)
-    verts = generic_vertices(poset, t)
+    base, base_v = _base_data(poset)
+    verts = generic_vertices(poset, t, base)
     targets = []
     for u in hypercube_vertices(poset):
-        vu = vertices(hrep_general(poset, u, projected=True))
+        if any(u.values.values()):
+            vu = vertices(hrep_general(poset, u, projected=True))
+        else:
+            vu = base_v  # the corner u = 0 is the base polytope itself
         targets.append((u, frozenset(vu.vertices)))
     items = []
     all_witnessed = True
@@ -415,16 +397,17 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
 
 # -- OFF export -------------------------------------------------------------------
 
-def export_off(poset: MarkedPoset) -> str:
+def export_off(poset: MarkedPoset, cells: list[SubdivisionCell] | None = None) -> str:
     """OFF-format 2-skeleton of the tropical subdivision (ambient dim <= 3).
 
-    Viewer export only: coordinates are rendered as floats.
+    Viewer export only: coordinates are rendered as floats.  cells, if
+    given, is tropical_subdivision(poset), already built.
     """
-    base, _ = _base_data(poset)
-    d = len(base.coords)
+    d = len(poset.unmarked)  # the projected coordinates
     if d > 3:
         raise ValueError("OFF export supports ambient dimension <= 3")
-    cells = tropical_subdivision(poset)
+    if cells is None:
+        cells = tropical_subdivision(poset)
     verts = sorted({p for c in cells for p in c.vertices})
     vid = {p: i for i, p in enumerate(verts)}
     polygons = []

@@ -396,3 +396,26 @@ def test_simplex_fault_is_a_computation_error_under_O(ex52_file):
     assert proc.returncode == 3
     data = json.loads(proc.stdout)
     assert data["kind"] == "computation" and "phase 1" in data["error"]
+
+
+@pytest.mark.parametrize("check", ["ehrhart", "types", "domination", "tame",
+                                   "hibi-li", "conjecture5"])
+def test_sweep_cap_is_a_budget(tmp_path, monkeypatch, capsys, check):
+    # 13 unmarked elements exceed the sweep budget of 12: a computation
+    # error (exit 3) that names the count, raised before any DD run
+    import mpp.geometry
+    from mpp.cli import main
+
+    runs = []
+    dd = mpp.geometry._dd_generators
+    monkeypatch.setattr(mpp.geometry, "_dd_generators",
+                        lambda h: runs.append(1) or dd(h))
+    names = ["bot"] + [f"u{i:02d}" for i in range(13)] + ["top"]
+    poset = {"elements": names, "covers": [list(c) for c in zip(names, names[1:])],
+             "marking": {"bot": "0", "top": "14"}}
+    path = tmp_path / "chain13.json"
+    path.write_text(json.dumps(poset))
+    assert main(["sweep", str(path), "--check", check]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "computation" and "got 13" in out["error"]
+    assert runs == []

@@ -1,0 +1,90 @@
+"""Each object derived from the marked poset is computed once per query: the
+validation report, the base polytope, the covector search and the tropical
+subdivision.  Counters are put around the one place each is computed."""
+
+from __future__ import annotations
+
+import functools
+import json
+
+import pytest
+
+from mpp import cli, tropical
+from mpp.jsonio import poset_to_json
+from mpp.poset import MarkedPoset, validate
+
+from conftest import make_ex52
+
+
+@pytest.fixture
+def ex52_file(tmp_path):
+    path = tmp_path / "ex52.json"
+    path.write_text(json.dumps(poset_to_json(make_ex52())))
+    return str(path)
+
+
+def _count(monkeypatch, module, name) -> list:
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_vertices_query_validates_once(ex52_file, monkeypatch, capsys):
+    prop = MarkedPoset.__dict__["problems"]
+    calls = []
+
+    def problems(self):
+        calls.append(1)
+        return prop.func(self)
+
+    counted = functools.cached_property(problems)
+    counted.__set_name__(MarkedPoset, "problems")
+    monkeypatch.setattr(MarkedPoset, "problems", counted)
+    assert cli.main(["vertices", ex52_file, "--t", "generic"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["vertices"]
+
+
+def test_validate_returns_a_fresh_list():
+    poset = MarkedPoset(("a", "p"), frozenset([("a", "p")]), {})
+    first = validate(poset)
+    assert first == ["unmarked minimal element a"]
+    first.clear()
+    assert validate(poset) == ["unmarked minimal element a"]
+
+
+def test_conjecture_sweep_builds_base_once(ex52_file, monkeypatch, capsys):
+    bases = _count(monkeypatch, tropical, "_base_data")
+    searches = _count(monkeypatch, tropical, "_feasible_covectors")
+    hrep_at = []
+    hrep_general = tropical.hrep_general
+
+    def counted(poset, t, projected=True):
+        hrep_at.append(tuple(sorted(t.values.items())))
+        return hrep_general(poset, t, projected)
+
+    monkeypatch.setattr(tropical, "hrep_general", counted)
+    assert cli.main(["sweep", ex52_file, "--check", "conjecture5"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert (len(bases), len(searches)) == (1, 1)
+    # O_0 once (the base), then the generic t and the seven other corners
+    zero = [t for t in hrep_at if not any(v for _, v in t)]
+    assert (len(zero), len(hrep_at)) == (1, 9)
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+def test_subdivision_off_builds_one_subdivision(ex52_file, tmp_path, monkeypatch,
+                                                capsys, ideal):
+    built = _count(monkeypatch, tropical, "tropical_subdivision")
+    off = tmp_path / "out.off"
+    argv = ["subdivision", ex52_file, "--off", str(off)] + ["--ideal-chains"] * ideal
+    assert cli.main(argv) == 0
+    assert len(built) == 1  # the cells when tropical, else only the OFF export
+    assert off.read_text().startswith("OFF\n")
+    capsys.readouterr()

@@ -16,7 +16,7 @@ from mpp.family import (Parameter, Partition, chain_tight, eliminate_redundancy,
                         transfer_theta, unimodular_move, zero_parameter, iota)
 from mpp.geometry import EmptyPolyhedron, apply_affine, face_lattice, vertices
 from mpp.lattice import lattice_points
-from mpp.poset import MarkedPoset, saturated_chains_to
+from mpp.poset import MarkedPoset, PosetError, saturated_chains_to
 
 
 def F(n, d=1):
@@ -60,6 +60,22 @@ def test_hrep_general_fractional_expansion(ex52):
     assert chain_0pr.coeffs[idx["r"]] == F(-1)
     assert chain_0pr.coeffs[idx["q"]] == 0
     assert chain_0pr.rhs == 0
+
+
+@pytest.mark.parametrize("projected", [True, False])
+def test_hrep_general_names_missing_coordinates(ex52, projected):
+    # t lacks q and r: an input error naming them, not a bare KeyError
+    with pytest.raises(PosetError, match=r"missing \['q', 'r'\], extra \[\]"):
+        hrep_general(ex52, Parameter({"p": F(1, 2)}), projected=projected)
+
+
+def test_hrep_general_names_extra_coordinates(ex52):
+    # a coordinate outside the unmarked elements is refused, not ignored
+    t = Parameter({"p": F(1, 2), "q": F(1, 2), "r": F(1, 2), "zz": F(1, 3)})
+    with pytest.raises(PosetError, match=r"missing \[\], extra \['zz'\]"):
+        hrep_general(ex52, t)
+    with pytest.raises(PosetError, match=r"extra \['0'\]"):
+        hrep_general(ex52, Parameter({"p": 0, "q": 0, "r": 0, "0": 0}))
 
 
 def test_hrep_chain_order_pure_order_case(ex52):
@@ -247,10 +263,23 @@ def test_maximizing_relation_translation_invariant(ex52):
     assert maximizing_relation(ex52, x) == maximizing_relation(ex52, shifted)
 
 
+def _chain_coefficients(poset, t, chain):
+    """Left-hand side of the chain's inequality by its product formula,
+    (1 - t_p) * (t_{p_1}...t_{p_r} x_{p_0} + ... + x_{p_r})."""
+    tp = F(0) if chain.target in poset.marked else t[chain.target]
+    r = len(chain.below) - 1
+    coeffs = {}
+    for i, e in enumerate(chain.below):
+        w = 1 - tp
+        for j in range(i + 1, r + 1):
+            w *= t[chain.below[j]]
+        coeffs[e] = w
+    return coeffs
+
+
 def _tight_by_substitution(poset, t, x, chain):
-    from mpp.family import chain_coefficients
     y = transfer_phi(poset, t, x)
-    coeffs = chain_coefficients(poset, t, chain)
+    coeffs = _chain_coefficients(poset, t, chain)
     lhs = sum((c * y[e] for e, c in coeffs.items()), F(0))
     return lhs == y[chain.target]
 
