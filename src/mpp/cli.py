@@ -254,17 +254,20 @@ def _sweep_domination(poset):
 def _sweep_hibi_li(poset):
     unmarked = sorted(poset.unmarked)
     tame = family.is_tame(poset)
+    # each partition's lattice is built on first use and shared by the table
+    # and the moves; a failure is not cached, so each item reports it
+    lattice_of = functools.cache(lambda part: dg.chain_order_lattice(poset, part))
 
     def partition(C):
         return family.Partition(frozenset(C), frozenset(unmarked) - frozenset(C))
 
     def f_vector(C):
-        h = family.hrep_chain_order(poset, partition(C), projected=True)
-        return {"C": list(C), "f_vector": list(face_lattice(h, vertices(h)).f_vector())}
+        return {"C": list(C), "f_vector": list(lattice_of(partition(C)).f_vector())}
 
     def move(item):
         C, q = item
-        return dg.hibi_li_check(poset, partition(C), partition(C + (q,)), tame=tame)
+        return dg.hibi_li_check(poset, partition(C), partition(C + (q,)), tame=tame,
+                                lattice_of=lattice_of)
 
     rows, table_errors = _sweep(
         f_vector, [C for k in range(len(unmarked) + 1)

@@ -1,12 +1,16 @@
 """The parametrized family O_t(P, lambda): inequality descriptions for any
 parameter in the hypercube, the piecewise-linear transfer maps between family
-members, tightness predicates, LP-based redundancy elimination, and tameness.
+members, tightness predicates, redundancy elimination, and tameness.
 
 Both inequality descriptions are written in one pass by one row builder
 (`_hrep`): each row goes straight into its final coordinates, a marked term
 into the right-hand side when projected, and make_hrep runs once.  Chain
 weights are suffix products of t along the chain; the chains come from the
 tails cached on the poset.
+
+Redundancy and tameness are read off the double description, with no LP:
+each inequality's tight vertices and recession rays form a bitmask, and the
+facets are the inclusion-maximal masks that hold a vertex and are not full.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import AffineMap, EmptyPolyhedron, HRep, TooLarge, make_hrep
-from .lp import LPStatus, lp_solve
+from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, incidences,
+                       make_hrep, maximal_masks, vertices)
 from .poset import (MarkedPoset, PosetError, SaturatedChain, chain_counts,
                     chains_through, require_valid, saturated_chains_to)
 from .rationals import rat
@@ -322,49 +326,43 @@ def chain_tight(poset: MarkedPoset, t: Parameter, x, chain: SaturatedChain) -> b
 
 # -- redundancy elimination and tameness ---------------------------------------
 
-def _feasible(h: HRep) -> bool:
-    eqs, ineqs = h.lp_rows()
-    status, _, _ = lp_solve(h.dim_ambient, [ZERO] * h.dim_ambient, eqs, ineqs)
-    return status is LPStatus.OPTIMAL
+def _facet_masks(h: HRep) -> tuple[list[int], set[int], int]:
+    """(masks, facets, full): each inequality's mask of tight generators (the
+    vertices, then the recession rays), the facets' masks among them, and the
+    mask of all generators.  A facet mask holds a vertex, is not full, and is
+    inclusion-maximal among such masks."""
+    v = vertices(h)
+    masks = incidences(h, v.vertices, v.rays)
+    full = (1 << (len(v.vertices) + len(v.rays))) - 1
+    some_vertex = (1 << len(v.vertices)) - 1
+    return masks, set(maximal_masks(m for m in masks if m & some_vertex and m != full)), full
 
 
 def eliminate_redundancy(h: HRep) -> HRep:
-    """Irredundant description: implicit equalities become equations, then
-    constraints implied by the rest are dropped (exact LP per constraint)."""
-    n = h.dim_ambient
-    if not _feasible(h):
-        raise EmptyPolyhedron("cannot eliminate redundancy of an empty polyhedron")
-    all_eqs, all_ineqs = h.lp_rows()
-    equations = list(h.equations)
-    candidates = []
-    for c in h.inequalities:
-        status, value, _ = lp_solve(n, c.coeffs, all_eqs, all_ineqs, maximize=False)
-        if status is LPStatus.OPTIMAL and value == c.rhs:
-            equations.append(c)
-        else:
-            candidates.append(c)
+    """Irredundant description from the DD generators and their incidences.
+
+    Inequalities tight on every generator are implicit equalities and join the
+    equations (deduplicated up to scale and sign, the first kept).  For each
+    facet the last inequality in input order with the facet's mask is kept;
+    all other inequalities are dropped.  Pointed polyhedra only: one with a
+    line raises UnsupportedLineality (marked poset polyhedra have none).
+    """
+    try:
+        masks, facets, full = _facet_masks(h)
+    except EmptyPolyhedron:
+        raise EmptyPolyhedron("cannot eliminate redundancy of an empty polyhedron") from None
     seen_eq = set()
     uniq_eqs = []
-    for c in equations:
+    for c in h.equations + tuple(c for c, m in zip(h.inequalities, masks) if m == full):
         coeffs, rhs = c.normalized()
         if next(x for x in coeffs if x != 0) < 0:  # equations are sign-free
             coeffs, rhs = tuple(-x for x in coeffs), -rhs
         if (coeffs, rhs) not in seen_eq:
             seen_eq.add((coeffs, rhs))
             uniq_eqs.append(c)
-    eq_rows = [(c.coeffs, c.rhs) for c in uniq_eqs]
-
-    kept = list(candidates)
-    i = 0
-    while i < len(kept):
-        c = kept[i]
-        others = [(d.coeffs, d.rhs) for j, d in enumerate(kept) if j != i]
-        status, value, _ = lp_solve(n, c.coeffs, eq_rows, others, maximize=True)
-        if status is LPStatus.OPTIMAL and value <= c.rhs:
-            kept.pop(i)
-        else:
-            i += 1
-    return HRep(h.coords, tuple(uniq_eqs), tuple(kept))
+    last = {m: i for i, m in enumerate(masks) if m in facets}
+    kept = tuple(h.inequalities[i] for i in sorted(last.values()))
+    return HRep(h.coords, tuple(uniq_eqs), kept)
 
 
 def facet_count(h: HRep) -> int:
@@ -372,8 +370,9 @@ def facet_count(h: HRep) -> int:
 
 
 def is_tame(poset: MarkedPoset) -> bool:
-    """Sweep all partitions: every listed chain-order inequality must be
-    facet-defining (no duplicates, no implicit equalities, none redundant)."""
+    """Sweep all partitions: every listed chain-order inequality must define
+    a facet of its own, so its mask is a facet mask and no other row has it
+    (no duplicates, no implicit equalities, none redundant)."""
     require_valid(poset)
     unmarked = sorted(poset.unmarked)
     if len(unmarked) > 12:
@@ -381,20 +380,9 @@ def is_tame(poset: MarkedPoset) -> bool:
     for bits in itertools.product((False, True), repeat=len(unmarked)):
         C = frozenset(p for p, b in zip(unmarked, bits) if b)
         part = Partition(C, frozenset(unmarked) - C)
-        h = hrep_chain_order(poset, part, projected=True)
-        keys = [c.normalized() for c in h.inequalities]
-        if len(set(keys)) != len(keys):
+        masks, facets, _ = _facet_masks(hrep_chain_order(poset, part, projected=True))
+        if len(set(masks)) != len(masks) or not facets.issuperset(masks):
             return False
-        n = h.dim_ambient
-        eq_rows, ineq_rows = h.lp_rows()
-        for i, c in enumerate(h.inequalities):
-            status, value, _ = lp_solve(n, c.coeffs, eq_rows, ineq_rows, maximize=False)
-            if status is LPStatus.OPTIMAL and value == c.rhs:
-                return False  # implicit equality, not a facet
-            others = ineq_rows[:i] + ineq_rows[i + 1:]
-            status, value, _ = lp_solve(n, c.coeffs, eq_rows, others, maximize=True)
-            if status is LPStatus.OPTIMAL and value <= c.rhs:
-                return False  # redundant
     return True
 
 

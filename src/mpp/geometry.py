@@ -97,11 +97,6 @@ class HRep:
     def dim_ambient(self) -> int:
         return len(self.coords)
 
-    def lp_rows(self):
-        eqs = [(c.coeffs, c.rhs) for c in self.equations]
-        ineqs = [(c.coeffs, c.rhs) for c in self.inequalities]
-        return eqs, ineqs
-
     @cached_property
     def int_inequalities(self) -> tuple[tuple[int, ...], ...]:
         """Each inequality as the primitive integer row (-rhs, coeffs) scaled
@@ -121,32 +116,30 @@ class HRep:
         )
 
 
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def make_hrep(coords, equations, inequalities) -> HRep:
     """Build an HRep from (coeffs, rhs, origin) triples, dropping constant rows.
 
     A constant row that fails (e.g. 0 <= -1) raises EmptyPolyhedron since the
-    representation invariant forbids storing zero rows.
+    representation invariant forbids storing zero rows.  Values that are not
+    Fractions yet are converted.
     """
-    coords = tuple(coords)
-    eqs = []
-    for coeffs, rhs, origin in equations:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        rhs = Fraction(rhs)
-        if all(c == 0 for c in coeffs):
-            if rhs != 0:
-                raise EmptyPolyhedron(f"constant equation violated (origin {origin})")
-            continue
-        eqs.append(Constraint(coeffs, rhs, tuple(origin)))
-    ineqs = []
-    for coeffs, rhs, origin in inequalities:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        rhs = Fraction(rhs)
-        if all(c == 0 for c in coeffs):
-            if rhs < 0:
-                raise EmptyPolyhedron(f"constant inequality violated (origin {origin})")
-            continue
-        ineqs.append(Constraint(coeffs, rhs, tuple(origin)))
-    return HRep(coords, tuple(eqs), tuple(ineqs))
+    def rows(triples, kind, violated):
+        out = []
+        for coeffs, rhs, origin in triples:
+            coeffs, rhs = tuple(map(_fraction, coeffs)), _fraction(rhs)
+            if not any(coeffs):
+                if violated(rhs):
+                    raise EmptyPolyhedron(f"constant {kind} violated (origin {origin})")
+                continue
+            out.append(Constraint(coeffs, rhs, tuple(origin)))
+        return tuple(out)
+
+    return HRep(tuple(coords), rows(equations, "equation", lambda rhs: rhs != 0),
+                rows(inequalities, "inequality", lambda rhs: rhs < 0))
 
 
 @dataclass(frozen=True)
@@ -272,11 +265,12 @@ def vertices(h: HRep) -> VRep:
     if h.dim_ambient == 0:
         return VRep((), ((),), ())
     lines, rays = _dd_generators(h)
-    if lines:
-        raise UnsupportedLineality("polyhedron contains a line")
+    # lines lie in x0 = 0, so without a ray of x0 > 0 there is no point at all
     verts = {tuple(Fraction(x, r[0]) for x in r[1:]) for r, _ in rays if r[0] > 0}
     if not verts:
         raise EmptyPolyhedron("no feasible point")
+    if lines:
+        raise UnsupportedLineality("polyhedron contains a line")
     # a ray with r[0] == 0 is primitive, so its tail r[1:] is primitive too
     recession = {tuple(Fraction(x) for x in r[1:]) for r, _ in rays if r[0] == 0}
     return VRep(h.coords, tuple(sorted(verts)), tuple(sorted(recession)))
@@ -421,12 +415,22 @@ def _homogenized(points) -> list[tuple[int, ...]]:
             for p in points]
 
 
-def incidences(h: HRep, points) -> list[int]:
-    """For each inequality of h, the bitmask of the points (by index) on
-    which it is tight, decided in integers."""
-    homs = _homogenized(points)
+def incidences(h: HRep, points, rays=()) -> list[int]:
+    """For each inequality of h, the bitmask of the generators on which it is
+    tight, decided in integers: bit i for points[i], then bit len(points) + j
+    for the recession ray rays[j]."""
+    homs = _homogenized(points) + [(0,) + r[1:] for r in _homogenized(rays)]
     return [sum(1 << i for i, p in enumerate(homs) if _idot(r, p) == 0)
             for r in h.int_inequalities]
+
+
+def maximal_masks(masks) -> list[int]:
+    """The inclusion-maximal masks among the distinct given ones, largest first."""
+    out: list[int] = []
+    for g in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(g & c != g for c in out):
+            out.append(g)
+    return out
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -466,11 +470,7 @@ def face_lattice(h: HRep, v: VRep) -> FaceLattice:
             found.append((k, _bits(f), frozenset(j for j, g in enumerate(meets) if g == f)))
             if k == 0:
                 continue
-            facets: list[int] = []
-            for g in sorted({g for g in meets if g != f}, key=int.bit_count, reverse=True):
-                if all(g & c != g for c in facets):
-                    facets.append(g)
-            below.update(facets)
+            below.update(maximal_masks(g for g in meets if g != f))
         level = list(below)
         k -= 1
     found.sort(key=lambda face: face[:2])

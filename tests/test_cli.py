@@ -385,13 +385,14 @@ def test_degenerate_builds_each_lattice_once(ex52_file, tmp_path, capsys, monkey
 
 def test_simplex_fault_is_a_computation_error_under_O(ex52_file):
     # an internal simplex fault is raised explicitly, so `python -O` keeps it,
-    # and it is reported as a computation error, never as input
+    # and it is reported as a computation error, never as input; the covector
+    # search of `subdivision` runs the simplex
     code = ("import sys\n"
             "from mpp import cli, lp\n"
             "lp._simplex = lambda *a: (lp.LPStatus.UNBOUNDED, None, None)\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code,
-                           "hrep", ex52_file, "--irredundant"],
+                           "subdivision", ex52_file],
                           capture_output=True, text=True)
     assert proc.returncode == 3
     data = json.loads(proc.stdout)

@@ -13,7 +13,7 @@ from mpp import cli, tropical
 from mpp.jsonio import poset_to_json
 from mpp.poset import MarkedPoset, validate
 
-from conftest import make_ex52
+from conftest import make_double_star, make_ex52
 
 
 @pytest.fixture
@@ -88,3 +88,17 @@ def test_subdivision_off_builds_one_subdivision(ex52_file, tmp_path, monkeypatch
     assert len(built) == 1  # the cells when tropical, else only the OFF export
     assert off.read_text().startswith("OFF\n")
     capsys.readouterr()
+
+
+def test_hibi_li_sweep_builds_each_lattice_once(tmp_path, monkeypatch, capsys):
+    # the double star has 5 unmarked elements: 32 partitions, each one face
+    # lattice shared by the f-vector table and the 80 moves through it
+    from mpp import degeneration
+
+    path = tmp_path / "dstar.json"
+    path.write_text(json.dumps(poset_to_json(make_double_star())))
+    built = _count(monkeypatch, degeneration, "face_lattice")
+    assert cli.main(["sweep", str(path), "--check", "hibi-li"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["pass"] and len(data["f_vectors"]) == 32 and len(data["moves"]) == 80
+    assert len(built) == 32

@@ -359,7 +359,8 @@ def test_implicit_equality_detected():
 def test_eliminate_redundancy_empty():
     from mpp.geometry import make_hrep
     h = make_hrep(("x",), [], [((F(1),), F(0), ()), ((F(-1),), F(-1), ())])
-    with pytest.raises(EmptyPolyhedron):
+    with pytest.raises(EmptyPolyhedron,
+                       match="^cannot eliminate redundancy of an empty polyhedron$"):
         eliminate_redundancy(h)
 
 
@@ -415,6 +416,207 @@ def test_facet_delta_matches_lp_on_ex52(ex52):
                 actual = (facet_count(hrep_chain_order(ex52, part2))
                           - facet_count(hrep_chain_order(ex52, part)))
                 assert predicted == actual, (C, q)
+
+
+def test_eliminate_redundancy_keeps_last_representative():
+    from mpp.geometry import make_hrep
+    # x <= 1 three times (once scaled), 0 <= x once, and x <= 3 implied
+    h = make_hrep(("x",), [],
+                  [((F(1),), F(1), ("a",)), ((F(2),), F(2), ("b",)),
+                   ((F(-1),), F(0), ("c",)), ((F(1),), F(3), ("d",)),
+                   ((F(1),), F(1), ("e",))])
+    out = eliminate_redundancy(h)
+    assert [c.origin for c in out.inequalities] == [("c",), ("e",)]
+    assert out == lp_eliminate_redundancy(h)
+
+
+def test_eliminate_redundancy_line_unsupported():
+    from mpp.geometry import UnsupportedLineality, make_hrep
+    h = make_hrep(("x", "y"), [], [((F(1), F(0)), F(1), ()), ((F(-1), F(0)), F(0), ())])
+    with pytest.raises(UnsupportedLineality):
+        eliminate_redundancy(h)
+    # an empty set holds no line, even where the rows leave a direction free
+    h = make_hrep(("x", "y"), [], [((F(1), F(0)), F(0), ()), ((F(-1), F(0)), F(-1), ())])
+    with pytest.raises(EmptyPolyhedron, match="empty polyhedron"):
+        eliminate_redundancy(h)
+
+
+# -- the LP oracles: redundancy and tameness by an exact LP per row ------------------
+
+def _lp_rows(h):
+    return ([(c.coeffs, c.rhs) for c in h.equations],
+            [(c.coeffs, c.rhs) for c in h.inequalities])
+
+
+def lp_eliminate_redundancy(h):
+    """Implicit equalities by minimizing each row, then each remaining row
+    dropped while the others imply it."""
+    from mpp.geometry import HRep
+    from mpp.lp import LPStatus, lp_solve
+
+    n = h.dim_ambient
+    all_eqs, all_ineqs = _lp_rows(h)
+    if lp_solve(n, [F(0)] * n, all_eqs, all_ineqs)[0] is not LPStatus.OPTIMAL:
+        raise EmptyPolyhedron("cannot eliminate redundancy of an empty polyhedron")
+    equations = list(h.equations)
+    candidates = []
+    for c in h.inequalities:
+        status, value, _ = lp_solve(n, c.coeffs, all_eqs, all_ineqs, maximize=False)
+        if status is LPStatus.OPTIMAL and value == c.rhs:
+            equations.append(c)
+        else:
+            candidates.append(c)
+    seen_eq = set()
+    uniq_eqs = []
+    for c in equations:
+        coeffs, rhs = c.normalized()
+        if next(x for x in coeffs if x != 0) < 0:
+            coeffs, rhs = tuple(-x for x in coeffs), -rhs
+        if (coeffs, rhs) not in seen_eq:
+            seen_eq.add((coeffs, rhs))
+            uniq_eqs.append(c)
+    eq_rows = [(c.coeffs, c.rhs) for c in uniq_eqs]
+    kept = list(candidates)
+    i = 0
+    while i < len(kept):
+        c = kept[i]
+        others = [(d.coeffs, d.rhs) for j, d in enumerate(kept) if j != i]
+        status, value, _ = lp_solve(n, c.coeffs, eq_rows, others, maximize=True)
+        if status is LPStatus.OPTIMAL and value <= c.rhs:
+            kept.pop(i)
+        else:
+            i += 1
+    return HRep(h.coords, tuple(uniq_eqs), tuple(kept))
+
+
+def lp_is_tame(poset):
+    """Every chain-order row of every partition is neither an implicit
+    equality nor implied by the other rows, and no two rows coincide."""
+    import itertools
+
+    from mpp.lp import LPStatus, lp_solve
+
+    unmarked = sorted(poset.unmarked)
+    for bits in itertools.product((False, True), repeat=len(unmarked)):
+        C = frozenset(p for p, b in zip(unmarked, bits) if b)
+        h = hrep_chain_order(poset, Partition(C, frozenset(unmarked) - C))
+        keys = [c.normalized() for c in h.inequalities]
+        if len(set(keys)) != len(keys):
+            return False
+        n = h.dim_ambient
+        eq_rows, ineq_rows = _lp_rows(h)
+        for i, c in enumerate(h.inequalities):
+            status, value, _ = lp_solve(n, c.coeffs, eq_rows, ineq_rows, maximize=False)
+            if status is LPStatus.OPTIMAL and value == c.rhs:
+                return False
+            others = ineq_rows[:i] + ineq_rows[i + 1:]
+            status, value, _ = lp_solve(n, c.coeffs, eq_rows, others, maximize=True)
+            if status is LPStatus.OPTIMAL and value <= c.rhs:
+                return False
+    return True
+
+
+VALS = [F(-2), F(-1), F(-1, 2), F(0), F(0), F(1, 3), F(1), F(3, 2), F(2)]
+
+
+def _with_copies(rnd, rows):
+    """rows plus duplicates and positively scaled copies, shuffled, each
+    tagged with its own origin so that the kept representative shows."""
+    out = list(rows)
+    for coeffs, rhs in rnd.sample(rows, min(len(rows), rnd.randint(0, 3))):
+        k = rnd.choice((F(1), F(2), F(1, 3)))
+        out.append((tuple(k * x for x in coeffs), k * rhs))
+    rnd.shuffle(out)
+    return [(coeffs, rhs, ("row", str(i))) for i, (coeffs, rhs) in enumerate(out)]
+
+
+def _random_hrep(rnd, bounded: bool):
+    """Rows through or around a point c: a box (bounded) or lower bounds only
+    and some upper bounds (pointed, often with rays), random cuts, and
+    sometimes an implicit equality pair or an equation."""
+    from mpp.geometry import make_hrep
+
+    d = rnd.randint(1, 4)
+    c = [F(rnd.randint(-3, 3), rnd.randint(1, 2)) for _ in range(d)]
+    rows = []
+    for i in range(d):
+        e = tuple(F(int(j == i)) for j in range(d))
+        rows.append((tuple(-x for x in e), -c[i] + rnd.randint(0, 2)))
+        if bounded or rnd.random() < 0.4:
+            rows.append((e, c[i] + rnd.randint(0, 2)))
+    for _ in range(rnd.randint(0, 3)):
+        a = tuple(rnd.choice(VALS) for _ in range(d))
+        if any(a):
+            rows.append((a, sum(x * y for x, y in zip(a, c)) + rnd.choice((-1, 0, 0, 1, 2))))
+    if rnd.random() < 0.3:
+        a = tuple(rnd.choice(VALS) for _ in range(d))
+        if any(a):
+            b = sum(x * y for x, y in zip(a, c))
+            rows += [(a, b), (tuple(-x for x in a), -b)]
+    eqs = []
+    if rnd.random() < 0.2:
+        a = tuple(rnd.choice(VALS) for _ in range(d))
+        if any(a):
+            eqs.append((a, sum(x * y for x, y in zip(a, c)), ("eq",)))
+    return make_hrep(tuple(f"x{i}" for i in range(d)), eqs, _with_copies(rnd, rows))
+
+
+def _same_as_lp(h):
+    try:
+        expected = lp_eliminate_redundancy(h)
+    except EmptyPolyhedron:
+        with pytest.raises(EmptyPolyhedron, match="empty polyhedron"):
+            eliminate_redundancy(h)
+        return None
+    assert eliminate_redundancy(h) == expected
+    assert facet_count(h) == len(expected.inequalities)
+    return vertices(h)
+
+
+def test_eliminate_redundancy_matches_lp_on_bounded_hreps():
+    rnd = random.Random(7)
+    shapes = set()
+    for _ in range(300):
+        v = _same_as_lp(_random_hrep(rnd, bounded=True))
+        shapes.add(v is None)
+    assert shapes == {True, False}
+
+
+def test_eliminate_redundancy_matches_lp_on_pointed_hreps():
+    rnd = random.Random(8)
+    with_rays = 0
+    for _ in range(300):
+        v = _same_as_lp(_random_hrep(rnd, bounded=False))
+        with_rays += v is not None and bool(v.rays)
+    assert with_rays >= 100
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eliminate_redundancy_matches_lp_on_poset_hreps(seed):
+    rnd = random.Random(100 + seed)
+    for _ in range(15):
+        poset = random_marked_poset(rnd, rnd.randint(4, 7), bounded=rnd.random() < 0.7,
+                                    max_unmarked=4)
+        t = random_parameter(rnd, poset, interior=rnd.random() < 0.5)
+        C = frozenset(p for p in poset.unmarked if rnd.random() < 0.5)
+        part = Partition(C, frozenset(poset.unmarked) - C)
+        for projected in (True, False):
+            _same_as_lp(hrep_general(poset, t, projected=projected))
+            _same_as_lp(hrep_chain_order(poset, part, projected=projected))
+
+
+def test_is_tame_matches_lp_on_random_posets():
+    rnd = random.Random(11)
+    seen = set()
+    for i in range(40):
+        poset = random_marked_poset(rnd, rnd.randint(5, 8), max_unmarked=4)
+        if i % 2:  # a coarser marking, still order-preserving, makes constant intervals
+            poset = MarkedPoset(poset.elements, poset.covers,
+                                {a: v // 2 for a, v in poset.marking.items()})
+        expected = lp_is_tame(poset)
+        assert is_tame(poset) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 # -- unimodular moves ---------------------------------------------------------------

@@ -10,8 +10,8 @@ from conftest import make_chain_poset, make_double_star, make_ex52
 from mpp.family import Parameter, hrep_general, hypercube_vertices, zero_parameter
 from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, Unbounded,
                           UnsupportedLineality, UnsupportedUnbounded,
-                          apply_affine, face_lattice, make_hrep, substitute,
-                          vertices, vertices_bruteforce)
+                          apply_affine, face_lattice, incidences, make_hrep,
+                          maximal_masks, substitute, vertices, vertices_bruteforce)
 from mpp.poset import MarkedPoset
 from mpp.lattice import lattice_points
 from mpp import linalg
@@ -213,6 +213,9 @@ def test_lineality_and_empty_paths():
     slab = make_hrep(("x", "y"), [], [((F(1), F(0)), F(1), ()), ((F(-1), F(0)), F(1, 2), ())])
     with pytest.raises(UnsupportedLineality):
         vertices(slab)
+    gap = make_hrep(("x", "y"), [], [((F(1), F(0)), F(0), ()), ((F(-1), F(0)), F(-1), ())])
+    with pytest.raises(EmptyPolyhedron):  # empty, though no row bounds y
+        vertices(gap)
     clash = make_hrep(("x", "y"), [((F(1), F(1)), F(1), ()), ((F(1), F(1)), F(2), ())],
                       [((F(-1), F(0)), F(0), ()), ((F(0), F(-1)), F(0), ())])
     with pytest.raises(EmptyPolyhedron):
@@ -302,7 +305,8 @@ def test_vrep_complete_against_lp_oracle():
             if any(c != 0 for c in coeffs):
                 eqs.append((coeffs, F(rnd.randint(-3, 6), rnd.randint(1, 3)), ("eq",)))
         h = make_hrep(coords, eqs, ineqs)
-        eqs_lp, ineqs_lp = h.lp_rows()
+        eqs_lp = [(c.coeffs, c.rhs) for c in h.equations]
+        ineqs_lp = [(c.coeffs, c.rhs) for c in h.inequalities]
         try:
             v = vertices(h)
         except EmptyPolyhedron:
@@ -345,6 +349,21 @@ def test_square_lattice_structure():
     assert lat.all_face_counts() == (4, 4, 1)
     dims = sorted(f.dim for f in lat.faces)
     assert dims == [-1, 0, 0, 0, 0, 1, 1, 1, 1, 2]
+
+
+def test_incidences_cover_rays():
+    # the quadrant x, y >= 0 plus x <= 2: vertices (0,0), (2,0), ray (0,1)
+    h = make_hrep(("x", "y"), [], [((F(-1), F(0)), F(0), ("x",)),
+                                   ((F(0), F(-1)), F(0), ("y",)),
+                                   ((F(1), F(0)), F(2), ("cap",))])
+    v = vertices(h)
+    assert v.vertices == ((F(0), F(0)), (F(2), F(0))) and v.rays == ((F(0), F(1)),)
+    assert incidences(h, v.vertices, v.rays) == [0b101, 0b011, 0b110]
+
+
+def test_maximal_masks():
+    assert maximal_masks([0b0011, 0b0001, 0b0110, 0b0011, 0]) == [0b0011, 0b0110]
+    assert maximal_masks([0]) == [0] and maximal_masks([]) == []
 
 
 def test_face_lattice_rejects_unbounded():

@@ -1,6 +1,7 @@
 """Golden CLI output: the sha256 of stdout and the exit code of `mpp` queries
-on ex52, the double star and grid2x3, pinned so that a refactor of how the
-family's objects are derived cannot change an answer unnoticed.
+on ex52, the double star, grid2x3 and a non-tame chain, pinned so that a
+refactor of how the family's objects are derived cannot change an answer
+unnoticed.
 
 Each query runs `cli.main` in-process.  For `subdivision --off` the hash of
 the OFF file is pinned too.  After an intended output change, the new
@@ -19,10 +20,20 @@ import pytest
 
 from mpp import cli
 from mpp.jsonio import poset_to_json
+from mpp.poset import MarkedPoset
 
 from conftest import make_double_star, make_ex52, make_grid
 
-POSETS = {"ex52": make_ex52, "dstar": make_double_star, "grid2x3": lambda: make_grid(2, 3)}
+
+def make_constant_interval() -> MarkedPoset:
+    """a < p < b < t with lambda(a) = lambda(b): not tame."""
+    return MarkedPoset(("a", "p", "b", "t"),
+                       frozenset([("a", "p"), ("p", "b"), ("b", "t")]),
+                       {"a": 1, "b": 1, "t": 2})
+
+
+POSETS = {"ex52": make_ex52, "dstar": make_double_star, "grid2x3": lambda: make_grid(2, 3),
+          "nontame": make_constant_interval}
 
 # per poset: interior t, a face point of it (the degeneration target), and two
 # partitions with C of the first inside C of the second
@@ -39,6 +50,7 @@ INPUTS = {
                 "face": {"x01": "0", "x02": "1/3", "x10": "1", "x11": "2/3"},
                 "part_a": {"C": ["x11"], "O": ["x01", "x02", "x10"]},
                 "part_b": {"C": ["x01", "x11"], "O": ["x02", "x10"]}},
+    "nontame": {"t": {"p": "1/2"}},
 }
 
 # mode -> argv after the poset path; {t}, {face}, {part_a}, {part_b}, {off}
@@ -49,6 +61,9 @@ MODES = {
     "hrep-partition": ["hrep", "--partition", "{part_a}"],
     "hrep-partition-projected": ["hrep", "--partition", "{part_b}", "--projected"],
     "hrep-irredundant": ["hrep", "--t", "generic", "--irredundant"],
+    "hrep-irredundant-t0": ["hrep", "--irredundant"],
+    "hrep-irredundant-partition": ["hrep", "--partition", "{part_a}", "--irredundant"],
+    "hrep-irredundant-projected": ["hrep", "--t", "{t}", "--projected", "--irredundant"],
     "vertices-dd": ["vertices", "--t", "{t}"],
     "vertices-dd-partition": ["vertices", "--partition", "{part_a}"],
     "vertices-tropical": ["vertices", "--t", "generic", "--method", "tropical"],
@@ -216,6 +231,35 @@ GOLDEN = {
         ('46277c5793529c4157dbded7ee2ed974e0adc5cf1a29ae2aad1ada3fedf71b3b', 0, None),
     ('grid2x3', 'hibi-li'):
         ('4e45b38e510006b4a6b7555d540fffc3d153c17e47368c41dc8c22033bceb263', 0, None),
+    # recorded before redundancy and tameness moved from the LP to DD incidences
+    ('ex52', 'hrep-irredundant-t0'):
+        ('0635cbfd68a488ae2493636291c8c75d6c6030d80b0d4a985794e55b8dd94d6f', 0, None),
+    ('ex52', 'hrep-irredundant-partition'):
+        ('d4033f2bd800e1155034dd71f193607cbea25692a28423037ec2568379b7c907', 0, None),
+    ('ex52', 'hrep-irredundant-projected'):
+        ('dddb199cf56e46e8eb798a5ac3ac7e46736f8007fab545a0784e5ce865bc2ee7', 0, None),
+    ('dstar', 'hrep-irredundant-t0'):
+        ('32863f0cea30088b6b0445d659fde42c68c60a0b9748980e4e08ea1178c21971', 0, None),
+    ('dstar', 'hrep-irredundant-partition'):
+        ('b1135b6897accb3f4e04e68dcfcbe952a0b01aabfa4e01798fbc98387c3c713c', 0, None),
+    ('dstar', 'hrep-irredundant-projected'):
+        ('804719dfc00bcedf95b59b06653e4106e5935a260b73ffca5244b023281b1842', 0, None),
+    ('grid2x3', 'hrep-irredundant-t0'):
+        ('925dba912481732975277334af94693927196f951d8d13c8e698ee841668bb59', 0, None),
+    ('grid2x3', 'hrep-irredundant-partition'):
+        ('a96223717600dc5919582eba8194c4e8f51f312292f48f48f94215f378e1d543', 0, None),
+    ('grid2x3', 'hrep-irredundant-projected'):
+        ('751bc139087f83a137bf77bcee95d6a174a036918a76d0179da3031c4ddecd3a', 0, None),
+    ('nontame', 'tame'):
+        ('52611cdb2666e4ab5bfcaa1fe453a8d5c117f9e39057cee43e950a659bd0ecec', 0, None),
+    ('nontame', 'sweep-tame'):
+        ('4ae2ad29da941d6426d7c201bf2d52519411c6d0567c07709697d03e94dd39bd', 0, None),
+    ('nontame', 'sweep-hibi-li'):
+        ('836cb057daa1eb78ec965d8db0864496c33f827afe71520d1896b174f13d2140', 0, None),
+    ('nontame', 'hrep-irredundant-t0'):
+        ('22727d4c8ed76901e17813daa6df33abe6211d9720a708ff4f3e7051f518cdf7', 0, None),
+    ('nontame', 'hrep-irredundant-projected'):
+        ('817f24b40bddb801fc5b969493ea1caeb1661bbc93bddc6823d6387e9b2d75ae', 0, None),
 }
 
 
