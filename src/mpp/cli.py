@@ -253,10 +253,14 @@ def _sweep_domination(poset):
 
 def _sweep_hibi_li(poset):
     unmarked = sorted(poset.unmarked)
-    tame = family.is_tame(poset)
-    # each partition's lattice is built on first use and shared by the table
-    # and the moves; a failure is not cached, so each item reports it
-    lattice_of = functools.cache(lambda part: dg.chain_order_lattice(poset, part))
+    # each partition's polytope (H-rep and DD) is built once and shared by the
+    # tameness sweep and the lattices; each lattice is built on first use and
+    # shared by the table and the moves; a failure is not cached, so each item
+    # reports it
+    polytope_of = functools.cache(lambda part: family.chain_order_polytope(poset, part))
+    tame = family.is_tame(poset, polytope_of)
+    lattice_of = functools.cache(
+        lambda part: dg.chain_order_lattice(poset, part, polytope_of(part)))
 
     def partition(C):
         return family.Partition(frozenset(C), frozenset(unmarked) - frozenset(C))

@@ -3,21 +3,28 @@ f-vector domination, combinatorial-type sweeps over hypercube faces, and the
 Hibi-Li comparison of chain-order polytopes.
 
 The face map of a degeneration sends a face to the unique face whose relative
-interior contains the image of a relative-interior witness (the vertex
-barycenter); this matches the topological construction exactly because the
-transfer maps are piecewise-linear homeomorphisms.
+interior contains the image of a relative-interior witness; this matches the
+topological construction exactly because the transfer maps are
+piecewise-linear homeomorphisms.  The witness is the sum of the face's
+homogenized integer vertex rows (the vertex barycenter as a homogeneous
+point), it is mapped by the integer transfer kernel, and the image face is
+looked up by its tight set, all in integers.  Order preservation is checked
+on the cover relations of the source lattice.  Samples of one hypercube face
+share their H-rep rows, so equal vertex tight sets already prove two of their
+lattices isomorphic; canonical forms are compared only when that fails.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import (Parameter, Partition, check_partition, facet_count_delta,
-                     hrep_chain_order, hrep_general, is_tame, transfer_theta_projected)
-from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded,
-                       face_lattice, make_hrep, vertices)
-from .linalg import barycenter
+from .family import (Parameter, Partition, chain_order_polytope, check_partition,
+                     facet_count_delta, hrep_general, is_tame,
+                     transfer_theta_homogeneous)
+from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, face_lattice,
+                       homogenized, make_hrep, vertices)
 from .poset import MarkedPoset, require_valid, star_elements
 from .rationals import rat_str
 
@@ -53,12 +60,11 @@ class FaceMap:
         return set(self.mapping.values()) == set(self.target.faces)
 
     def is_order_preserving(self) -> bool:
-        for f in self.source.faces:
-            for g in self.source.faces:
-                if f.vertex_ids <= g.vertex_ids:
-                    if not self.mapping[f].vertex_ids <= self.mapping[g].vertex_ids:
-                        return False
-        return True
+        """f <= g implies image(f) <= image(g), checked on the cover
+        relations of the source lattice only."""
+        image = self.mapping
+        return all(image[g].vertex_ids <= image[f].vertex_ids
+                   for f, g in self.source.covers)
 
     def dims_nondecreasing(self) -> bool:
         return all(self.mapping[f].dim >= f.dim for f in self.source.faces)
@@ -71,15 +77,21 @@ class FaceMap:
 
 def face_map_via(source: FaceLattice, target_h: HRep, target: FaceLattice,
                  mapper) -> FaceMap:
-    """Face map determined by mapping one relative-interior witness per face."""
+    """Face map determined by mapping one relative-interior witness per face.
+
+    A face's witness is the sum of its vertices' homogenized integer rows,
+    (k D, D (v_1 + ... + v_k)): the vertex barycenter as a homogeneous point.
+    mapper takes it to the integer row of its image (first entry positive),
+    and the image face is looked up by the image's tight set."""
     mapping: dict[Face, Face] = {}
     empty_target = next(f for f in target.faces if f.dim < 0)
+    homs = homogenized(source.vertices)
     for f in source.faces:
         if f.dim < 0:
             mapping[f] = empty_target
             continue
-        witness = barycenter([source.vertices[i] for i in sorted(f.vertex_ids)])
-        mapping[f] = target.minimal_face_containing(target_h, mapper(witness))
+        witness = tuple(map(sum, zip(*(homs[i] for i in f.vertex_ids))))
+        mapping[f] = target.minimal_face_at(target_h, mapper(witness))
     return FaceMap(source, target, mapping)
 
 
@@ -99,16 +111,10 @@ def degeneration_map(poset: MarkedPoset, pair: DegenerationPair,
     source, if given, is polytope_data(poset, pair.source), built once for
     many maps out of the same u."""
     require_valid(poset)
-    h_u, v_u, lat_u = source or polytope_data(poset, pair.source)
-    h_t, v_t, lat_t = polytope_data(poset, pair.target)
-    coords = h_u.coords
-
-    def mapper(point):
-        y = transfer_theta_projected(poset, pair.source, pair.target,
-                                     dict(zip(coords, point)))
-        return tuple(y[c] for c in coords)
-
-    return face_map_via(lat_u, h_t, lat_t, mapper)
+    _, _, lat_u = source or polytope_data(poset, pair.source)
+    h_t, _, lat_t = polytope_data(poset, pair.target)
+    theta = transfer_theta_homogeneous(poset, pair.source, pair.target)
+    return face_map_via(lat_u, h_t, lat_t, theta)
 
 
 def _dominated(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
@@ -254,24 +260,39 @@ def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction],
                                     samples)
     if not params or not params[0].values:
         params = [Parameter({})]
-    lattices = []
-    for t in params:
-        _, _, lat = polytope_data(poset, t)
-        lattices.append(lat)
-    ok = all(lattices_isomorphic(lattices[0], lat) for lat in lattices[1:])
+    lattices = [polytope_data(poset, t)[2] for t in params]
     return {"check": "combinatorial-type",
             "face": {k: rat_str(Fraction(v)) for k, v in sorted(fixed.items())},
             "samples": [{k: rat_str(v) for k, v in sorted(t.values.items())} for t in params],
             "f_vectors": [list(lat.f_vector()) for lat in lattices],
-            "pass": ok}
+            "pass": _all_isomorphic(lattices)}
+
+
+def _vertex_tight_sets(lat: FaceLattice) -> frozenset[frozenset[int]]:
+    return frozenset(f.tight for f in lat.faces if f.dim == 0)
+
+
+def _all_isomorphic(lattices: list[FaceLattice]) -> bool:
+    """Whether every lattice is combinatorially equivalent to the first.
+
+    Lattices whose vertices have the same tight sets are: the identity on the
+    rows is an isomorphism.  Samples of one hypercube face share their H-rep
+    rows, so this witness settles them; where it fails, this is
+    lattices_isomorphic with each canonical form computed once."""
+    first = _vertex_tight_sets(lattices[0])
+    form = functools.cache(lambda i: canonical_incidence(incidence_matrix(lattices[i])))
+    return all(_vertex_tight_sets(lat) == first
+               or (lat.f_vector() == lattices[0].f_vector() and form(i) == form(0))
+               for i, lat in enumerate(lattices[1:], 1))
 
 
 # -- Hibi-Li comparison ------------------------------------------------------------
 
-def chain_order_lattice(poset: MarkedPoset, part: Partition) -> FaceLattice:
-    """Face lattice of the projected chain-order polytope O_{C,O}."""
-    h = hrep_chain_order(poset, part, projected=True)
-    return face_lattice(h, vertices(h))
+def chain_order_lattice(poset: MarkedPoset, part: Partition,
+                        polytope=None) -> FaceLattice:
+    """Face lattice of the projected chain-order polytope O_{C,O}; polytope,
+    if given, is its (H-rep, V-rep) from chain_order_polytope."""
+    return face_lattice(*(polytope or chain_order_polytope(poset, part)))
 
 
 def _facet_total(lat: FaceLattice) -> int:
@@ -347,4 +368,9 @@ def contdeg_face_map() -> FaceMap:
     h1 = contdeg_hrep(1)
     v0, v1 = vertices(h0), vertices(h1)
     lat0, lat1 = face_lattice(h0, v0), face_lattice(h1, v1)
-    return face_map_via(lat0, h1, lat1, lambda p: contdeg_rho(1, p))
+
+    def rho(hom):
+        point = contdeg_rho(1, [Fraction(x, hom[0]) for x in hom[1:]])
+        return homogenized([point])[0]
+
+    return face_map_via(lat0, h1, lat1, rho)

@@ -16,11 +16,12 @@ facets are the inclusion-maximal masks that hold a vertex and are not full.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, incidences,
+from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, VRep, incidences,
                        make_hrep, maximal_masks, vertices)
 from .poset import (MarkedPoset, PosetError, SaturatedChain, chain_counts,
                     chains_through, require_valid, saturated_chains_to)
@@ -202,33 +203,79 @@ def hrep_chain_order(poset: MarkedPoset, part: Partition, projected: bool = True
 
 
 # -- transfer maps -------------------------------------------------------------
+# One integer kernel, theta_{t,t'} = phi_{t'} after psi_t; psi_t and phi_t are
+# theta with the other parameter left out.  The Fraction maps below are
+# wrappers that convert at the boundary.
+
+def _theta_kernel(poset: MarkedPoset, t: Parameter | None, t2: Parameter | None):
+    """(scale, run) with run(x) = scale * theta_{t,t2}(x) for a point x of R^P
+    given as integers in poset.elements order; t None leaves psi out, t2 None
+    leaves phi out.  Marked coordinates pass through unchanged.
+
+    Both maps are max-plus with weights a / D over one common denominator D
+    of t and t2, so theta is positively homogeneous, and x is prescaled by
+    scale = D^K.  Let c(p) be the longest chain of elements with t_p != 0
+    ending at p; then psi's value at p is divisible by D^(K - c(p)), and K is
+    1 + the largest c of a lower cover of an element that takes a step, so
+    every division by D is exact.
+    """
+    index = {e: i for i, e in enumerate(poset.elements)}
+    pars = [par for par in (t, t2) if par is not None]
+    den = math.lcm(*(par[p].denominator for par in pars for p in poset.unmarked))
+    c = dict.fromkeys(poset.marked, 0)
+    levels = 0
+    psi, phi = [], []
+    for p in poset.linear_extension():
+        if p in c:
+            continue
+        lows = poset.lower_covers(p)
+        below = max((c[q] for q in lows), default=0)
+        a, b = (ZERO if par is None else par[p] for par in (t, t2))
+        for w, steps in ((a, psi), (b, phi)):
+            if w:
+                steps.append((index[p], w.numerator * (den // w.denominator),
+                              [index[q] for q in lows]))
+                levels = max(levels, below + 1)
+        c[p] = below + 1 if a else 0
+    scale = den ** levels
+
+    def run(x: list[int]) -> list[int]:
+        y = [v * scale for v in x]
+        for i, a, lows in psi:  # in linear-extension order: covers come first
+            y[i] += a * max([y[j] for j in lows]) // den
+        z = y[:]
+        for i, b, lows in phi:
+            z[i] -= b * max([y[j] for j in lows]) // den
+        return z
+
+    return scale, run
+
+
+def _transfer(poset: MarkedPoset, t, t2, x) -> dict[str, Fraction]:
+    """theta_{t,t2}(x) on the full space R^P through the integer kernel."""
+    xs = [Fraction(x[e]) for e in poset.elements]
+    den = math.lcm(*(v.denominator for v in xs))
+    scale, run = _theta_kernel(poset, t, t2)
+    out = run([v.numerator * (den // v.denominator) for v in xs])
+    den *= scale
+    return {e: Fraction(v, den) for e, v in zip(poset.elements, out)}
+
 
 def transfer_phi(poset: MarkedPoset, t: Parameter, x) -> dict[str, Fraction]:
-    """phi_t(x)_p = x_p - t_p max_{q < p} x_q on the full space R^P."""
-    out = {}
-    for p in poset.elements:
-        if p in poset.marked:
-            out[p] = Fraction(x[p])
-        else:
-            lows = poset.lower_covers(p)
-            out[p] = Fraction(x[p]) - t[p] * max(Fraction(x[q]) for q in lows)
-    return out
+    """phi_t(x)_p = x_p - t_p max_{q < p} x_q on the full space R^P (q runs
+    over the lower covers of p; marked coordinates are taken from x)."""
+    return _transfer(poset, None, t, x)
 
 
 def transfer_psi(poset: MarkedPoset, t: Parameter, y) -> dict[str, Fraction]:
-    """Inverse transfer map, evaluated recursively along a linear extension."""
-    out: dict[str, Fraction] = {}
-    for p in poset.linear_extension():
-        if p in poset.marked:
-            out[p] = Fraction(y[p])
-        else:
-            out[p] = Fraction(y[p]) + t[p] * max(out[q] for q in poset.lower_covers(p))
-    return out
+    """Inverse of phi_t: psi_t(y)_p = y_p + t_p max_{q < p} psi_t(y)_q, along a
+    linear extension."""
+    return _transfer(poset, t, None, y)
 
 
 def transfer_psi_closed(poset: MarkedPoset, t: Parameter, y) -> dict[str, Fraction]:
     """Closed form of psi_t: max over saturated chains ending at p of the
-    t-weighted partial sums.  Kept independent of the recursion as an oracle."""
+    t-weighted partial sums.  Kept independent of the kernel as an oracle."""
     tails = poset.chain_tails
     out: dict[str, Fraction] = {}
     for p in poset.elements:
@@ -251,8 +298,36 @@ def transfer_psi_closed(poset: MarkedPoset, t: Parameter, y) -> dict[str, Fracti
 
 
 def transfer_theta(poset: MarkedPoset, t: Parameter, t2: Parameter, y) -> dict[str, Fraction]:
-    """theta_{t,t'} = phi_{t'} after psi_t."""
-    return transfer_phi(poset, t2, transfer_psi(poset, t, y))
+    """theta_{t,t'} = phi_{t'} after psi_t, in one pass of the kernel."""
+    return _transfer(poset, t, t2, y)
+
+
+def transfer_theta_homogeneous(poset: MarkedPoset, t: Parameter | None,
+                               t2: Parameter | None):
+    """theta_{t,t'} on the projected coordinates in homogeneous integers: a
+    function from an integer row (w0, w) with w0 > 0 and w in poset.unmarked
+    order, standing for the point w / w0, to the integer row of its image.
+    The marked coordinates are w0 times the marking, over its denominator.
+    As in the kernel, t None gives phi_{t'} and t2 None gives psi_t."""
+    scale, run = _theta_kernel(poset, t, t2)
+    index = {e: i for i, e in enumerate(poset.elements)}
+    den = math.lcm(*(v.denominator for v in poset.marking.values()))
+    marked = [(index[a], v.numerator * (den // v.denominator))
+              for a, v in poset.marking.items()]
+    free = [index[p] for p in poset.unmarked]
+    n = len(poset.elements)
+
+    def theta(hom) -> tuple[int, ...]:
+        x = [0] * n
+        w0 = hom[0]
+        for i, v in marked:
+            x[i] = w0 * v
+        for i, w in zip(free, hom[1:]):
+            x[i] = w * den
+        y = run(x)
+        return (w0 * den * scale,) + tuple(y[i] for i in free)
+
+    return theta
 
 
 def iota(poset: MarkedPoset, x) -> dict[str, Fraction]:
@@ -264,18 +339,25 @@ def iota(poset: MarkedPoset, x) -> dict[str, Fraction]:
 
 
 def project(poset: MarkedPoset, x) -> dict[str, Fraction]:
+    """Keep the unmarked coordinates."""
     return {p: Fraction(x[p]) for p in poset.unmarked}
 
 
+# The projected maps act on R^unmarked: the marked coordinates come from the
+# marking, not from the input.
+
 def transfer_phi_projected(poset, t, x):
+    """phi_t on the projected coordinates."""
     return project(poset, transfer_phi(poset, t, iota(poset, x)))
 
 
 def transfer_psi_projected(poset, t, y):
+    """psi_t on the projected coordinates."""
     return project(poset, transfer_psi(poset, t, iota(poset, y)))
 
 
 def transfer_theta_projected(poset, t, t2, y):
+    """theta_{t,t'} on the projected coordinates."""
     return project(poset, transfer_theta(poset, t, t2, iota(poset, y)))
 
 
@@ -326,12 +408,11 @@ def chain_tight(poset: MarkedPoset, t: Parameter, x, chain: SaturatedChain) -> b
 
 # -- redundancy elimination and tameness ---------------------------------------
 
-def _facet_masks(h: HRep) -> tuple[list[int], set[int], int]:
+def _facet_masks(h: HRep, v: VRep) -> tuple[list[int], set[int], int]:
     """(masks, facets, full): each inequality's mask of tight generators (the
-    vertices, then the recession rays), the facets' masks among them, and the
-    mask of all generators.  A facet mask holds a vertex, is not full, and is
-    inclusion-maximal among such masks."""
-    v = vertices(h)
+    vertices, then the recession rays of v = vertices(h)), the facets' masks
+    among them, and the mask of all generators.  A facet mask holds a vertex,
+    is not full, and is inclusion-maximal among such masks."""
     masks = incidences(h, v.vertices, v.rays)
     full = (1 << (len(v.vertices) + len(v.rays))) - 1
     some_vertex = (1 << len(v.vertices)) - 1
@@ -348,7 +429,7 @@ def eliminate_redundancy(h: HRep) -> HRep:
     line raises UnsupportedLineality (marked poset polyhedra have none).
     """
     try:
-        masks, facets, full = _facet_masks(h)
+        masks, facets, full = _facet_masks(h, vertices(h))
     except EmptyPolyhedron:
         raise EmptyPolyhedron("cannot eliminate redundancy of an empty polyhedron") from None
     seen_eq = set()
@@ -369,18 +450,26 @@ def facet_count(h: HRep) -> int:
     return len(eliminate_redundancy(h).inequalities)
 
 
-def is_tame(poset: MarkedPoset) -> bool:
+def chain_order_polytope(poset: MarkedPoset, part: Partition) -> tuple[HRep, VRep]:
+    """(H-rep, V-rep) of the projected chain-order polytope O_{C,O}."""
+    h = hrep_chain_order(poset, part, projected=True)
+    return h, vertices(h)
+
+
+def is_tame(poset: MarkedPoset, polytope_of=None) -> bool:
     """Sweep all partitions: every listed chain-order inequality must define
     a facet of its own, so its mask is a facet mask and no other row has it
-    (no duplicates, no implicit equalities, none redundant)."""
+    (no duplicates, no implicit equalities, none redundant).  polytope_of(part),
+    if given, returns chain_order_polytope(poset, part), shared with the caller."""
     require_valid(poset)
     unmarked = sorted(poset.unmarked)
     if len(unmarked) > 12:
         raise TooLarge("tameness sweep capped at 12 unmarked elements")
+    polytope_of = polytope_of or (lambda part: chain_order_polytope(poset, part))
     for bits in itertools.product((False, True), repeat=len(unmarked)):
         C = frozenset(p for p, b in zip(unmarked, bits) if b)
         part = Partition(C, frozenset(unmarked) - C)
-        masks, facets, _ = _facet_masks(hrep_chain_order(poset, part, projected=True))
+        masks, facets, _ = _facet_masks(*polytope_of(part))
         if len(set(masks)) != len(masks) or not facets.issuperset(masks):
             return False
     return True

@@ -103,6 +103,12 @@ class HRep:
         by a positive factor: the point x satisfies it iff row . (1, x) <= 0."""
         return tuple(_int_row((-c.rhs,) + c.coeffs) for c in self.inequalities)
 
+    @cached_property
+    def int_equations(self) -> tuple[tuple[int, ...], ...]:
+        """Each equation as an integer row, like int_inequalities: x satisfies
+        it iff row . (1, x) == 0."""
+        return tuple(_int_row((-c.rhs,) + c.coeffs) for c in self.equations)
+
     def contains(self, point) -> bool:
         return (all(c.evaluate(point) == c.rhs for c in self.equations)
                 and all(c.evaluate(point) <= c.rhs for c in self.inequalities))
@@ -245,8 +251,8 @@ def _dd_generators(h: HRep):
     """
     d = h.dim_ambient
     lines = [tuple(1 if j == i else 0 for j in range(d + 1)) for i in range(d + 1)]
-    for c in h.equations:  # before any ray exists, equations only cut lines
-        lines = _eliminate(_int_row((-c.rhs,) + c.coeffs), lines)[2]
+    for row in h.int_equations:  # before any ray exists, equations only cut lines
+        lines = _eliminate(row, lines)[2]
     span_dim = len(lines)
     rows = [(-1,) + (0,) * d]  # x0 >= 0
     rows += sorted(set(h.int_inequalities))
@@ -384,17 +390,32 @@ class FaceLattice:
         return tuple(f for f in self.faces if f.dim == self.dim - 1)
 
     @cached_property
+    def covers(self) -> tuple[tuple[Face, Face], ...]:
+        """The cover relations (F, G), G a facet of F: G is inclusion-maximal
+        among F & H over the polytope's facets H, F itself left out.  The
+        facet of a vertex is the empty face, so those covers are included."""
+        mask = {f: sum(1 << i for i in f.vertex_ids) for f in self.faces}
+        by_mask = {m: f for f, m in mask.items()}
+        facets = [mask[h] for h in self.facets()]
+        return tuple((f, by_mask[g]) for f, m in mask.items()
+                     for g in maximal_masks(m & h for h in facets if m & h != m))
+
+    @cached_property
     def by_tight(self) -> dict[frozenset[int], Face]:
         # distinct nonempty faces have distinct equality sets; the empty face
         # is left out, since on a point it shares the point's set
         return {f.tight: f for f in self.faces if f.dim >= 0}
 
     def minimal_face_containing(self, h: HRep, point) -> Face:
-        """The unique face with the point in its relative interior: the face
-        whose equality set is the set of inequalities tight at the point."""
-        if any(c.evaluate(point) != c.rhs for c in h.equations):
+        """The unique face with the rational point in its relative interior."""
+        return self.minimal_face_at(h, homogenized([point])[0])
+
+    def minimal_face_at(self, h: HRep, hom) -> Face:
+        """The unique face with the point hom[1:] / hom[0] (an integer row,
+        hom[0] > 0) in its relative interior: the face whose equality set is
+        the set of inequalities tight at the point, decided in integers."""
+        if any(_idot(row, hom) for row in h.int_equations):
             raise GeometryError("point lies outside the polytope")
-        hom, = _homogenized([point])
         tight = []
         for j, row in enumerate(h.int_inequalities):
             value = _idot(row, hom)
@@ -408,7 +429,7 @@ class FaceLattice:
 FACE_GATE = 10 ** 6
 
 
-def _homogenized(points) -> list[tuple[int, ...]]:
+def homogenized(points) -> list[tuple[int, ...]]:
     """Rational points as integer rows (D, D * x) over their common denominator D."""
     den = math.lcm(*(x.denominator for p in points for x in p))
     return [(den,) + tuple(x.numerator * (den // x.denominator) for x in p)
@@ -419,7 +440,7 @@ def incidences(h: HRep, points, rays=()) -> list[int]:
     """For each inequality of h, the bitmask of the generators on which it is
     tight, decided in integers: bit i for points[i], then bit len(points) + j
     for the recession ray rays[j]."""
-    homs = _homogenized(points) + [(0,) + r[1:] for r in _homogenized(rays)]
+    homs = homogenized(points) + [(0,) + r[1:] for r in homogenized(rays)]
     return [sum(1 << i for i, p in enumerate(homs) if _idot(r, p) == 0)
             for r in h.int_inequalities]
 

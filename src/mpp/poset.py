@@ -4,14 +4,16 @@ redundant covering relations), plus rank functions and star elements.
 
 Element identifiers are opaque strings; marking values are exact rationals.
 All set-valued results come back in lexicographic element order.  Instances
-are immutable, so the validation report and the chain tails are derived once
-per instance and cached on it.  |P| itself is not capped: the steps that grow
-super-polynomially with it (faces, lattice points, ideal chains, sweeps) each
-run under their own budget and raise TooLarge when it is exhausted.
+are immutable, so the validation report, the linear extension and the chain
+tails are derived once per instance and cached on it.  |P| itself is not
+capped: the steps that grow super-polynomially with it (faces, lattice points,
+ideal chains, sweeps) each run under their own budget and raise TooLarge when
+it is exhausted.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -116,12 +118,15 @@ class MarkedPoset:
         return below
 
     def linear_extension(self) -> tuple[str, ...]:
-        """Deterministic linear extension (Kahn's algorithm, lex tie-break)."""
+        """Deterministic linear extension (Kahn's algorithm, lex tie-break),
+        computed once per instance."""
+        return self._linear_extension
+
+    @cached_property
+    def _linear_extension(self) -> tuple[str, ...]:
         if not self.is_acyclic:
             raise PosetError("cover relation has a cycle")
         indeg = {e: len(self._lower[e]) for e in self.elements}
-        import heapq
-
         heap = [e for e in self.elements if indeg[e] == 0]
         heapq.heapify(heap)
         out = []

@@ -17,10 +17,9 @@ from functools import cmp_to_key
 
 from . import linalg
 from .family import (Parameter, _row, hrep_general, hypercube_vertices, iota,
-                     transfer_phi_projected, transfer_theta_projected,
-                     zero_parameter)
+                     transfer_theta_homogeneous, zero_parameter)
 from .geometry import (EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded,
-                       face_lattice, incidences, make_hrep, vertices)
+                       face_lattice, homogenized, incidences, make_hrep, vertices)
 from .lp import LPStatus, lp_solve
 from .poset import MarkedPoset, require_valid
 
@@ -241,13 +240,16 @@ def subdivision_vertices(poset: MarkedPoset,
     return sorted({p for _, v in _covector_cells(poset, arr, base) for p in v.vertices})
 
 
+def _image(theta, hom) -> tuple[Fraction, ...]:
+    """The rational point of the integer row theta(hom)."""
+    img = theta(hom)
+    return tuple(Fraction(v, img[0]) for v in img[1:])
+
+
 def _transferred(poset: MarkedPoset, t: Parameter, base: HRep) -> set:
     """phi_t images of the subdivision vertices."""
-    out = set()
-    for p in subdivision_vertices(poset, base):
-        y = transfer_phi_projected(poset, t, dict(zip(base.coords, p)))
-        out.add(tuple(y[c] for c in base.coords))
-    return out
+    phi = transfer_theta_homogeneous(poset, None, t)
+    return {_image(phi, hom) for hom in homogenized(subdivision_vertices(poset, base))}
 
 
 def generic_vertices(poset: MarkedPoset, t: Parameter,
@@ -378,14 +380,13 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
             vu = vertices(hrep_general(poset, u, projected=True))
         else:
             vu = base_v  # the corner u = 0 is the base polytope itself
-        targets.append((u, frozenset(vu.vertices)))
+        targets.append((u, transfer_theta_homogeneous(poset, t, u), frozenset(vu.vertices)))
     items = []
     all_witnessed = True
-    for p in verts:
+    for p, hom in zip(verts, homogenized(verts)):
         witnesses = []
-        for u, vset in targets:
-            img = transfer_theta_projected(poset, t, u, dict(zip(base.coords, p)))
-            if tuple(img[c] for c in base.coords) in vset:
+        for u, theta, vset in targets:
+            if _image(theta, hom) in vset:
                 witnesses.append({k: u[k] for k in sorted(u.values)})
         if not witnesses:
             all_witnessed = False

@@ -187,3 +187,58 @@ def random_parameter(rnd: random.Random, poset: MarkedPoset, interior=False):
             d = rnd.randint(1, 6)
             vals[p] = Fraction(rnd.randint(0, d), d)
     return Parameter(vals)
+
+
+# -- Fraction transfer maps: the recursions the integer kernel replaced, kept
+# -- as oracles for it -----------------------------------------------------------
+
+def fraction_phi(poset: MarkedPoset, t, x) -> dict:
+    """phi_t(x)_p = x_p - t_p max over the lower covers q of p of x_q."""
+    out = {}
+    for p in poset.elements:
+        if p in poset.marked:
+            out[p] = Fraction(x[p])
+        else:
+            lows = poset.lower_covers(p)
+            out[p] = Fraction(x[p]) - t[p] * max(Fraction(x[q]) for q in lows)
+    return out
+
+
+def fraction_psi(poset: MarkedPoset, t, y) -> dict:
+    """psi_t, recursively along a linear extension."""
+    out = {}
+    for p in poset.linear_extension():
+        if p in poset.marked:
+            out[p] = Fraction(y[p])
+        else:
+            out[p] = Fraction(y[p]) + t[p] * max(out[q] for q in poset.lower_covers(p))
+    return out
+
+
+def fraction_theta_projected(poset: MarkedPoset, t, t2, y) -> dict:
+    """phi_{t2} after psi_t on the unmarked coordinates, the marked ones
+    filled in from the marking."""
+    full = {**poset.marking, **{p: Fraction(y[p]) for p in poset.unmarked}}
+    out = fraction_phi(poset, t2, fraction_psi(poset, t, full))
+    return {p: out[p] for p in poset.unmarked}
+
+
+def make_ex52_rational() -> MarkedPoset:
+    """ex52 with the rational marking 0, 1/2, 3/4, 5/3."""
+    poset = make_ex52()
+    return MarkedPoset(poset.elements, poset.covers,
+                       {"0": 0, "2": Fraction(1, 2), "3": Fraction(3, 4),
+                        "4": Fraction(5, 3)})
+
+
+def sevenths_and_fifths(rnd: random.Random, names, interior=True) -> dict:
+    """t values over denominators 5 and 7, mixed across coordinates; with
+    interior False some coordinates are pinned to 0 or 1."""
+    vals = {}
+    for p in names:
+        if not interior and rnd.random() < 0.4:
+            vals[p] = Fraction(rnd.randint(0, 1))
+        else:
+            d = rnd.choice((5, 7))
+            vals[p] = Fraction(rnd.randint(1, d - 1), d)
+    return vals

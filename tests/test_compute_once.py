@@ -1,6 +1,7 @@
 """Each object derived from the marked poset is computed once per query: the
-validation report, the base polytope, the covector search and the tropical
-subdivision.  Counters are put around the one place each is computed."""
+validation report, the linear extension, the base polytope, the covector
+search, the tropical subdivision and each partition's chain-order polytope.
+Counters are put around the one place each is computed."""
 
 from __future__ import annotations
 
@@ -102,3 +103,38 @@ def test_hibi_li_sweep_builds_each_lattice_once(tmp_path, monkeypatch, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] and len(data["f_vectors"]) == 32 and len(data["moves"]) == 80
     assert len(built) == 32
+
+
+def test_degenerate_query_computes_the_linear_extension_once(ex52_file, tmp_path,
+                                                              monkeypatch, capsys):
+    prop = MarkedPoset.__dict__["_linear_extension"]
+    calls = []
+
+    def linear_extension(self):
+        calls.append(1)
+        return prop.func(self)
+
+    counted = functools.cached_property(linear_extension)
+    counted.__set_name__(MarkedPoset, "_linear_extension")
+    monkeypatch.setattr(MarkedPoset, "_linear_extension", counted)
+    src, dst = tmp_path / "t.json", tmp_path / "u.json"
+    src.write_text(json.dumps({"t": {"p": "1/3", "q": "1/2", "r": "2/3"}}))
+    dst.write_text(json.dumps({"t": {"p": "1", "q": "1/2", "r": "0"}}))
+    argv = ["degenerate", ex52_file, "--from-t", str(src), "--to-t", str(dst)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["order_preserving"] is True
+    assert len(calls) == 1
+
+
+def test_hibi_li_sweep_runs_dd_once_per_partition(tmp_path, monkeypatch, capsys):
+    # the tameness sweep and the face lattices share each partition's
+    # (H-rep, V-rep): 32 DD runs for the double star's 32 partitions
+    from mpp import degeneration, family
+
+    path = tmp_path / "dstar.json"
+    path.write_text(json.dumps(poset_to_json(make_double_star())))
+    runs = [_count(monkeypatch, module, "vertices") for module in (family, degeneration)]
+    assert cli.main(["sweep", str(path), "--check", "hibi-li"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["pass"] and data["tame"] and len(data["f_vectors"]) == 32
+    assert sum(map(len, runs)) == 32

@@ -3,19 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (make_double_star, make_ex52, random_marked_poset,
-                      random_parameter)
-from mpp.degeneration import (DegenerationPair, canonical_incidence,
+from conftest import (fraction_theta_projected, make_double_star, make_ex52,
+                      make_ex52_rational, make_grid, random_marked_poset,
+                      random_parameter, sevenths_and_fifths)
+from mpp import degeneration
+from mpp.degeneration import (DegenerationPair, FaceMap, canonical_incidence,
                               check_fvector_domination,
                               combinatorial_type_sweep, composition_law,
                               contdeg_face_map, contdeg_hrep, contdeg_rho,
                               degeneration_map, fvector_domination,
                               hibi_li_check,
                               incidence_matrix, lattices_isomorphic,
-                              sample_face_parameters)
+                              polytope_data, sample_face_parameters)
 from mpp.family import (Parameter, Partition, generic_parameter, hrep_general,
                         hypercube_vertices)
-from mpp.geometry import face_lattice, vertices
+from mpp.geometry import HRep, face_lattice, vertices
+from mpp.linalg import barycenter
 
 
 def F(n, d=1):
@@ -191,6 +194,95 @@ def test_composition_on_random_posets():
         done += 1
 
 
+# -- the integer face map against the Fraction one it replaced ------------------------
+
+def fraction_face_map(poset, pair) -> FaceMap:
+    """Oracle: each face's vertex barycenter in Fractions, mapped by the
+    Fraction recursions of phi and psi, its image face looked up by the
+    rational point."""
+    h_u, _, lat_u = polytope_data(poset, pair.source)
+    h_t, _, lat_t = polytope_data(poset, pair.target)
+    empty = next(f for f in lat_t.faces if f.dim < 0)
+    mapping = {}
+    for f in lat_u.faces:
+        if f.dim < 0:
+            mapping[f] = empty
+            continue
+        w = barycenter([lat_u.vertices[i] for i in sorted(f.vertex_ids)])
+        y = fraction_theta_projected(poset, pair.source, pair.target, dict(zip(h_u.coords, w)))
+        mapping[f] = lat_t.minimal_face_containing(h_t, tuple(y[c] for c in h_t.coords))
+    return FaceMap(lat_u, lat_t, mapping)
+
+
+def _oracle_posets():
+    rnd = random.Random(31)
+    posets = [make_ex52(), make_ex52_rational(), make_double_star(), make_grid(2, 3)]
+    while len(posets) < 8:
+        poset = random_marked_poset(rnd, rnd.randint(4, 7), bounded=True, max_unmarked=4)
+        if poset.unmarked:
+            posets.append(poset)
+    return rnd, posets
+
+
+def test_face_map_matches_fraction_oracle_interior_to_boundary():
+    rnd, posets = _oracle_posets()
+    for poset in posets:
+        for _ in range(3):
+            u = Parameter(sevenths_and_fifths(rnd, poset.unmarked))
+            u2 = Parameter({p: (Fraction(rnd.randint(0, 1)) if rnd.random() < 0.5 else v)
+                            for p, v in u.values.items()})
+            pair = DegenerationPair(u, u2)
+            assert (degeneration_map(poset, pair).as_index_pairs()
+                    == fraction_face_map(poset, pair).as_index_pairs())
+
+
+def test_face_map_matches_fraction_oracle_generic_to_every_vertex():
+    _, posets = _oracle_posets()
+    for poset in posets:
+        t = generic_parameter(poset)
+        source = polytope_data(poset, t)
+        for u in hypercube_vertices(poset):
+            pair = DegenerationPair(t, u)
+            assert (degeneration_map(poset, pair, source).as_index_pairs()
+                    == fraction_face_map(poset, pair).as_index_pairs())
+
+
+def all_pairs_order_preserving(fm: FaceMap) -> bool:
+    """Oracle: f <= g implies image(f) <= image(g), over every pair of faces."""
+    faces = fm.source.faces
+    return all(fm.mapping[f].vertex_ids <= fm.mapping[g].vertex_ids
+               for f in faces for g in faces if f.vertex_ids <= g.vertex_ids)
+
+
+def test_order_preservation_on_covers_matches_all_pairs():
+    rnd = random.Random(17)
+    maps = [contdeg_face_map()]
+    for poset in (make_ex52(), make_double_star(), make_ex52_rational()):
+        t = generic_parameter(poset)
+        maps += [degeneration_map(poset, DegenerationPair(t, u))
+                 for u in list(hypercube_vertices(poset))[:3]]
+    outcomes = set()
+    for fm in maps:
+        assert fm.is_order_preserving() and all_pairs_order_preserving(fm)
+        faces = list(fm.source.faces)
+        empty = next(f for f in faces if f.dim < 0)
+        for trial in range(30):
+            mapping = dict(fm.mapping)
+            if trial % 3 == 0:  # swap the empty face's image with another's
+                a, b = empty, rnd.choice(faces)
+                mapping[a], mapping[b] = mapping[b], mapping[a]
+            elif trial % 3 == 1:  # swap two faces' images
+                a, b = rnd.sample(faces, 2)
+                mapping[a], mapping[b] = mapping[b], mapping[a]
+            else:  # send one face anywhere
+                mapping[rnd.choice(faces)] = rnd.choice(fm.target.faces)
+            mutated = FaceMap(fm.source, fm.target, mapping)
+            want = all_pairs_order_preserving(mutated)
+            assert mutated.is_order_preserving() == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 # -- combinatorial types -----------------------------------------------------------------
 
 def test_type_constant_on_open_cube(ex52):
@@ -273,6 +365,38 @@ def test_square_symmetry_canonicalization():
                          ((F(0), F(1)), F(3), ()), ((F(0), F(-1)), F(0), ())])
     lat2 = face_lattice(sheared, vertices(sheared))
     assert lattices_isomorphic(lat1, lat2)
+
+
+def test_type_witness_fails_but_forms_agree(monkeypatch):
+    # the pentagon with its rows permuted: the vertex tight sets differ, so
+    # the canonical forms decide, once per lattice
+    h = contdeg_hrep(0)
+    permuted = HRep(h.coords, h.equations, h.inequalities[::-1])
+    lattices = [face_lattice(g, vertices(g)) for g in (h, permuted, permuted)]
+    forms = []
+    canonical = degeneration.canonical_incidence
+    monkeypatch.setattr(degeneration, "canonical_incidence",
+                        lambda data: forms.append(1) or canonical(data))
+    assert degeneration._all_isomorphic(lattices)
+    assert len(forms) == 3
+
+
+def test_type_witness_pentagon_against_rectangle():
+    # the same rows, origins included, but different vertex tight sets
+    lattices = [face_lattice(g, vertices(g)) for g in (contdeg_hrep(0), contdeg_hrep(1))]
+    assert not degeneration._all_isomorphic(lattices)
+    assert not degeneration._all_isomorphic(lattices[::-1])
+    assert degeneration._all_isomorphic(lattices[:1] * 3)
+
+
+def test_type_sweep_witness_holds_on_sampled_faces(monkeypatch):
+    forms = []
+    monkeypatch.setattr(degeneration, "canonical_incidence",
+                        lambda data: forms.append(1))
+    for poset in (make_ex52(), make_double_star(), make_grid(2, 2)):
+        for fixed in [{}] + [{p: F(v)} for p in poset.unmarked for v in (0, 1)]:
+            assert combinatorial_type_sweep(poset, fixed)["pass"]
+    assert forms == []
 
 
 # -- Hibi-Li -----------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (make_chain_poset, make_double_star,
-                      random_marked_poset, random_parameter, random_point)
+from conftest import (fraction_phi, fraction_psi, fraction_theta_projected,
+                      make_chain_poset, make_double_star, make_ex52,
+                      make_ex52_rational, make_grid, random_marked_poset,
+                      random_parameter, random_point, sevenths_and_fifths)
 from mpp.family import (Parameter, Partition, chain_tight, eliminate_redundancy,
                         facet_count, facet_count_delta, generic_parameter,
                         hrep_chain_order, hrep_general, hypercube_vertices,
@@ -13,7 +16,9 @@ from mpp.family import (Parameter, Partition, chain_tight, eliminate_redundancy,
                         partition_of_parameter,
                         transfer_phi, transfer_phi_projected, transfer_psi,
                         transfer_psi_closed, transfer_psi_projected,
-                        transfer_theta, unimodular_move, zero_parameter, iota)
+                        transfer_theta, transfer_theta_homogeneous,
+                        transfer_theta_projected, unimodular_move, zero_parameter,
+                        iota)
 from mpp.geometry import EmptyPolyhedron, apply_affine, face_lattice, vertices
 from mpp.lattice import lattice_points
 from mpp.poset import MarkedPoset, PosetError, saturated_chains_to
@@ -172,6 +177,55 @@ def test_transfer_bijectivity_random(seed):
     assert transfer_psi(poset, t, transfer_phi(poset, t, x)) == x
     assert transfer_phi(poset, t, transfer_psi(poset, t, x)) == x
     assert transfer_psi_closed(poset, t, x) == transfer_psi(poset, t, x)
+
+
+def _kernel_cases():
+    """Posets with integer and rational markings, bounded or not, and
+    parameters mixing sevenths and fifths, interior or with 0/1 coordinates."""
+    rnd = random.Random(2024)
+    posets = [make_ex52(), make_ex52_rational(), make_double_star(), make_grid(2, 3)]
+    posets += [random_marked_poset(rnd, rnd.randint(2, 8), bounded=rnd.random() < 0.5,
+                                   scale=rnd.choice((1, 3))) for _ in range(12)]
+    for poset in posets:
+        for _ in range(6):
+            interior = rnd.random() < 0.5
+            t = Parameter(sevenths_and_fifths(rnd, poset.unmarked, interior))
+            t2 = Parameter(sevenths_and_fifths(rnd, poset.unmarked, not interior))
+            yield rnd, poset, t, t2
+        corners = list(hypercube_vertices(poset))
+        yield rnd, poset, rnd.choice(corners), rnd.choice(corners)
+
+
+def test_kernel_matches_fraction_recursions_and_closed_form():
+    # random points lie outside the polytopes as often as not, and the
+    # marked coordinates are taken from the input point
+    for rnd, poset, t, t2 in _kernel_cases():
+        for _ in range(3):
+            x = random_point(rnd, poset.elements, den=35)
+            assert transfer_phi(poset, t, x) == fraction_phi(poset, t, x)
+            assert transfer_psi(poset, t, x) == fraction_psi(poset, t, x)
+            assert transfer_psi(poset, t, x) == transfer_psi_closed(poset, t, x)
+            assert (transfer_theta(poset, t, t2, x)
+                    == fraction_phi(poset, t2, fraction_psi(poset, t, x)))
+
+
+def test_homogeneous_theta_matches_fraction_recursions():
+    for rnd, poset, t, t2 in _kernel_cases():
+        theta = transfer_theta_homogeneous(poset, t, t2)
+        phi = transfer_theta_homogeneous(poset, None, t2)
+        psi = transfer_theta_homogeneous(poset, t, None)
+        for _ in range(3):
+            y = random_point(rnd, poset.unmarked, den=35)
+            w0 = math.lcm(*(v.denominator for v in y.values())) * rnd.randint(1, 3)
+            hom = (w0,) + tuple(int(y[p] * w0) for p in poset.unmarked)
+            for fn, want in ((theta, fraction_theta_projected(poset, t, t2, y)),
+                             (phi, transfer_phi_projected(poset, t2, y)),
+                             (psi, transfer_psi_projected(poset, t, y))):
+                img = fn(hom)
+                assert img[0] > 0
+                assert {p: Fraction(v, img[0]) for p, v in zip(poset.unmarked, img[1:])} == want
+            assert transfer_theta_projected(poset, t, t2, y) == fraction_theta_projected(
+                poset, t, t2, y)
 
 
 def test_theta_identity_and_composition(ex52):

@@ -1,7 +1,7 @@
 """Golden CLI output: the sha256 of stdout and the exit code of `mpp` queries
-on ex52, the double star, grid2x3 and a non-tame chain, pinned so that a
-refactor of how the family's objects are derived cannot change an answer
-unnoticed.
+on ex52 (also with a rational marking), the double star, grid2x3, grid2x4
+and a non-tame chain, pinned so that a refactor of how the family's objects
+are derived cannot change an answer unnoticed.
 
 Each query runs `cli.main` in-process.  For `subdivision --off` the hash of
 the OFF file is pinned too.  After an intended output change, the new
@@ -22,7 +22,7 @@ from mpp import cli
 from mpp.jsonio import poset_to_json
 from mpp.poset import MarkedPoset
 
-from conftest import make_double_star, make_ex52, make_grid
+from conftest import make_double_star, make_ex52, make_ex52_rational, make_grid
 
 
 def make_constant_interval() -> MarkedPoset:
@@ -33,7 +33,8 @@ def make_constant_interval() -> MarkedPoset:
 
 
 POSETS = {"ex52": make_ex52, "dstar": make_double_star, "grid2x3": lambda: make_grid(2, 3),
-          "nontame": make_constant_interval}
+          "nontame": make_constant_interval, "grid2x4": lambda: make_grid(2, 4),
+          "ex52q": make_ex52_rational}
 
 # per poset: interior t, a face point of it (the degeneration target), and two
 # partitions with C of the first inside C of the second
@@ -51,6 +52,12 @@ INPUTS = {
                 "part_a": {"C": ["x11"], "O": ["x01", "x02", "x10"]},
                 "part_b": {"C": ["x01", "x11"], "O": ["x02", "x10"]}},
     "nontame": {"t": {"p": "1/2"}},
+    "grid2x4": {"t": {"x01": "1/2", "x02": "2/7", "x03": "3/5", "x10": "1/3",
+                      "x11": "4/7", "x12": "2/5"},
+                "face": {"x01": "0", "x02": "2/7", "x03": "1", "x10": "1/3",
+                         "x11": "0", "x12": "2/5"}},
+    "ex52q": {"t": {"p": "2/7", "q": "3/5", "r": "4/7"},
+              "face": {"p": "2/7", "q": "1", "r": "0"}},
 }
 
 # mode -> argv after the poset path; {t}, {face}, {part_a}, {part_b}, {off}
@@ -260,6 +267,14 @@ GOLDEN = {
         ('22727d4c8ed76901e17813daa6df33abe6211d9720a708ff4f3e7051f518cdf7', 0, None),
     ('nontame', 'hrep-irredundant-projected'):
         ('817f24b40bddb801fc5b969493ea1caeb1661bbc93bddc6823d6387e9b2d75ae', 0, None),
+    # recorded before the degeneration layer moved to integers; ex52q is ex52
+    # with a rational marking and t mixing sevenths and fifths
+    ('grid2x4', 'degenerate'):
+        ('ed7cab480cf0e62119ff1e812732fe61ae88b60579f1da94c1897e8c1c2c472e', 0, None),
+    ('grid2x4', 'sweep-types'):
+        ('7018c73d554997bcb0718f7dd5535bb52f614a1b08e21fee64cdeb2a70989f3c', 0, None),
+    ('ex52q', 'degenerate'):
+        ('f735ce52c3b873ba82c065b874a813a4168859d524fe454388922e48bdbb1b04', 0, None),
 }
 
 
