@@ -18,7 +18,7 @@ from .family import (Parameter, Partition, chain_tight, eliminate_redundancy,
                      transfer_theta, transfer_theta_projected, unimodular_move,
                      zero_parameter, one_parameter)
 from .geometry import (AffineMap, Constraint, EmptyPolyhedron, Face, FaceLattice,
-                       HRep, VRep, apply_affine, face_lattice, make_hrep,
+                       HRep, VRep, apply_affine, face_counts, face_lattice, make_hrep,
                        substitute, vertices, vertices_bruteforce)
 from .lattice import EhrhartData, ehrhart, is_integrally_closed, lattice_points
 from .poset import (MarkedPoset, SaturatedChain, constant_intervals,

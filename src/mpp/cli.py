@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import degeneration as dg
 from . import family, jsonio, lattice, tropical
-from .geometry import GeometryError, TooLarge, face_lattice, vertices
+from .geometry import GeometryError, TooLarge, face_counts, vertices
 from .lp import SimplexError
 from .poset import MarkedPoset, PosetError, regularize, validate
 from .rationals import rat_str
@@ -117,10 +117,11 @@ def cmd_fvector(args) -> int:
     t, header = _resolve_parameter(args, poset)
     h = family.hrep_general(poset, t, projected=True)
     v = vertices(h)
-    lat = face_lattice(h, v)
-    payload = {"command": "fvector", **header, "f_vector": list(lat.f_vector()),
-               "dim": lat.dim}
-    return _emit(payload, f"f-vector: {lat.f_vector()}")
+    f = face_counts(h, v)
+    # a polytope with one vertex is a point; otherwise f lists dims 0 .. dim - 1
+    payload = {"command": "fvector", **header, "f_vector": list(f),
+               "dim": len(f) if len(v.vertices) > 1 else 0}
+    return _emit(payload, f"f-vector: {f}")
 
 
 def cmd_ehrhart(args) -> int:
@@ -254,24 +255,23 @@ def _sweep_domination(poset):
 def _sweep_hibi_li(poset):
     unmarked = sorted(poset.unmarked)
     # each partition's polytope (H-rep and DD) is built once and shared by the
-    # tameness sweep and the lattices; each lattice is built on first use and
-    # shared by the table and the moves; a failure is not cached, so each item
-    # reports it
+    # tameness sweep and the f-vectors; each f-vector is counted on first use
+    # and shared by the table and the moves; a failure is not cached, so each
+    # item reports it
     polytope_of = functools.cache(lambda part: family.chain_order_polytope(poset, part))
     tame = family.is_tame(poset, polytope_of)
-    lattice_of = functools.cache(
-        lambda part: dg.chain_order_lattice(poset, part, polytope_of(part)))
+    fvector_of = functools.cache(lambda part: face_counts(*polytope_of(part)))
 
     def partition(C):
         return family.Partition(frozenset(C), frozenset(unmarked) - frozenset(C))
 
     def f_vector(C):
-        return {"C": list(C), "f_vector": list(lattice_of(partition(C)).f_vector())}
+        return {"C": list(C), "f_vector": list(fvector_of(partition(C)))}
 
     def move(item):
         C, q = item
         return dg.hibi_li_check(poset, partition(C), partition(C + (q,)), tame=tame,
-                                lattice_of=lattice_of)
+                                fvector_of=fvector_of)
 
     rows, table_errors = _sweep(
         f_vector, [C for k in range(len(unmarked) + 1)

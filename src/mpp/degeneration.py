@@ -9,9 +9,11 @@ piecewise-linear homeomorphisms.  The witness is the sum of the face's
 homogenized integer vertex rows (the vertex barycenter as a homogeneous
 point), it is mapped by the integer transfer kernel, and the image face is
 looked up by its tight set, all in integers.  Order preservation is checked
-on the cover relations of the source lattice.  Samples of one hypercube face
-share their H-rep rows, so equal vertex tight sets already prove two of their
-lattices isomorphic; canonical forms are compared only when that fails.
+on the cover relations of the source lattice.  Type sweeps and the Hibi-Li
+table need f-vectors and facets only, so they count faces instead of storing
+a lattice.  Samples of one hypercube face share their H-rep rows, so equal
+vertex tight sets already prove two of them isomorphic; canonical forms of
+the vertex-facet incidences are compared only when that fails.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from fractions import Fraction
 from .family import (Parameter, Partition, chain_order_polytope, check_partition,
                      facet_count_delta, hrep_general, is_tame,
                      transfer_theta_homogeneous)
-from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, face_lattice,
-                       homogenized, make_hrep, vertices)
+from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, VRep, face_counts,
+                       face_lattice, facet_masks, homogenized, make_hrep, vertices)
 from .poset import MarkedPoset, require_valid, star_elements
 from .rationals import rat_str
 
@@ -95,12 +97,18 @@ def face_map_via(source: FaceLattice, target_h: HRep, target: FaceLattice,
     return FaceMap(source, target, mapping)
 
 
-def polytope_data(poset: MarkedPoset, t: Parameter):
-    """(H-rep, V-rep, face lattice) of the projected polytope O_t."""
+def _bounded_polytope(poset: MarkedPoset, t: Parameter) -> tuple[HRep, VRep]:
+    """(H-rep, V-rep) of the projected polytope O_t, which must be bounded."""
     h = hrep_general(poset, t, projected=True)
     v = vertices(h)
     if v.rays:
         raise UnsupportedUnbounded("degeneration maps are implemented for polytopes")
+    return h, v
+
+
+def polytope_data(poset: MarkedPoset, t: Parameter):
+    """(H-rep, V-rep, face lattice) of the projected polytope O_t."""
+    h, v = _bounded_polytope(poset, t)
     return h, v, face_lattice(h, v)
 
 
@@ -260,62 +268,55 @@ def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction],
                                     samples)
     if not params or not params[0].values:
         params = [Parameter({})]
-    lattices = [polytope_data(poset, t)[2] for t in params]
+    samples = [_type_sample(*_bounded_polytope(poset, t)) for t in params]
     return {"check": "combinatorial-type",
             "face": {k: rat_str(Fraction(v)) for k, v in sorted(fixed.items())},
             "samples": [{k: rat_str(v) for k, v in sorted(t.values.items())} for t in params],
-            "f_vectors": [list(lat.f_vector()) for lat in lattices],
-            "pass": _all_isomorphic(lattices)}
+            "f_vectors": [list(sample[0]) for sample in samples],
+            "pass": _all_isomorphic(samples)}
 
 
-def _vertex_tight_sets(lat: FaceLattice) -> frozenset[frozenset[int]]:
-    return frozenset(f.tight for f in lat.faces if f.dim == 0)
+def _type_sample(h: HRep, v: VRep):
+    """(f-vector, vertex tight sets, vertex-facet incidences) of a polytope,
+    read off the incidence and facet masks; no face is stored."""
+    masks, facets, _ = facet_masks(h, v)
+    n = len(v.vertices)
+    tight = frozenset(frozenset(j for j, m in enumerate(masks) if m >> i & 1)
+                      for i in range(n))
+    pairs = frozenset((i, fi) for fi, f in enumerate(facets) for i in range(n) if f >> i & 1)
+    return face_counts(h, v, facets), tight, (n, len(facets), pairs)
 
 
-def _all_isomorphic(lattices: list[FaceLattice]) -> bool:
-    """Whether every lattice is combinatorially equivalent to the first.
+def _all_isomorphic(samples) -> bool:
+    """Whether every sample (from _type_sample) is combinatorially equivalent
+    to the first.
 
-    Lattices whose vertices have the same tight sets are: the identity on the
-    rows is an isomorphism.  Samples of one hypercube face share their H-rep
-    rows, so this witness settles them; where it fails, this is
+    Polytopes whose vertices have the same tight sets are: the identity on
+    the rows is an isomorphism.  Samples of one hypercube face share their
+    H-rep rows, so this witness settles them; where it fails, this is
     lattices_isomorphic with each canonical form computed once."""
-    first = _vertex_tight_sets(lattices[0])
-    form = functools.cache(lambda i: canonical_incidence(incidence_matrix(lattices[i])))
-    return all(_vertex_tight_sets(lat) == first
-               or (lat.f_vector() == lattices[0].f_vector() and form(i) == form(0))
-               for i, lat in enumerate(lattices[1:], 1))
+    form = functools.cache(lambda i: canonical_incidence(samples[i][2]))
+    return all(s[1] == samples[0][1] or (s[0] == samples[0][0] and form(i) == form(0))
+               for i, s in enumerate(samples[1:], 1))
 
 
 # -- Hibi-Li comparison ------------------------------------------------------------
 
-def chain_order_lattice(poset: MarkedPoset, part: Partition,
-                        polytope=None) -> FaceLattice:
-    """Face lattice of the projected chain-order polytope O_{C,O}; polytope,
-    if given, is its (H-rep, V-rep) from chain_order_polytope."""
-    return face_lattice(*(polytope or chain_order_polytope(poset, part)))
-
-
-def _facet_total(lat: FaceLattice) -> int:
-    """The polytope's facets; a point has none, as facet_count gives."""
-    return len(lat.facets()) if lat.dim > 0 else 0
-
-
 def hibi_li_check(poset: MarkedPoset, part_a: Partition, part_b: Partition,
-                  tame: bool | None = None, lattice_of=None) -> dict:
+                  tame: bool | None = None, fvector_of=None) -> dict:
     """Compare f-vectors of O_{C,O} and O_{C',O'} for C contained in C'.
 
     Reports the componentwise comparison (the conjectured domination) and, for
     single-element moves on tame posets, the facet-count delta against the
-    (k-1)(l-1) formula.  lattice_of(part), if given, returns the face lattice
-    of a partition's polytope, shared by many checks.
+    (k-1)(l-1) formula.  fvector_of(part), if given, returns the f-vector of
+    a partition's polytope, shared by many checks.
     """
     check_partition(poset, part_a)
     check_partition(poset, part_b)
     if not part_a.C <= part_b.C:
         raise ValueError("need C subset of C'")
-    lattice_of = lattice_of or (lambda part: chain_order_lattice(poset, part))
-    lat_a, lat_b = lattice_of(part_a), lattice_of(part_b)
-    fa, fb = lat_a.f_vector(), lat_b.f_vector()
+    fvector_of = fvector_of or (lambda part: face_counts(*chain_order_polytope(poset, part)))
+    fa, fb = fvector_of(part_a), fvector_of(part_b)
     report = {"check": "hibi-li",
               "C": sorted(part_a.C), "C'": sorted(part_b.C),
               "f_vector_CO": list(fa), "f_vector_C'O'": list(fb),
@@ -327,7 +328,9 @@ def hibi_li_check(poset: MarkedPoset, part_a: Partition, part_b: Partition,
             tame = is_tame(poset)
         if tame:
             predicted = facet_count_delta(poset, part_a, q)
-            actual = _facet_total(lat_b) - _facet_total(lat_a)
+            # the members of one family share their dimension, so the last
+            # entries are the facet counts (two points: 1 - 1, as 0 - 0)
+            actual = fb[-1] - fa[-1]
             report["moved"] = q
             report["star"] = q in star_elements(poset, part_a.C, part_a.O)
             report["facet_delta_formula"] = predicted

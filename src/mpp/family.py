@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, VRep, incidences,
-                       make_hrep, maximal_masks, vertices)
+from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, VRep, facet_masks,
+                       make_hrep, vertices)
 from .poset import (MarkedPoset, PosetError, SaturatedChain, chain_counts,
                     chains_through, require_valid, saturated_chains_to)
 from .rationals import rat
@@ -53,9 +53,6 @@ class Parameter:
     @cached_property
     def is_interior(self) -> bool:
         return all(0 < v < 1 for v in self.values.values())
-
-    def fixed_coords(self) -> frozenset[str]:
-        return frozenset(p for p, v in self.values.items() if v in (0, 1))
 
     def is_degeneration_of(self, other: "Parameter") -> bool:
         """True iff self agrees with `other` on every coordinate other pins to 0/1."""
@@ -408,17 +405,6 @@ def chain_tight(poset: MarkedPoset, t: Parameter, x, chain: SaturatedChain) -> b
 
 # -- redundancy elimination and tameness ---------------------------------------
 
-def _facet_masks(h: HRep, v: VRep) -> tuple[list[int], set[int], int]:
-    """(masks, facets, full): each inequality's mask of tight generators (the
-    vertices, then the recession rays of v = vertices(h)), the facets' masks
-    among them, and the mask of all generators.  A facet mask holds a vertex,
-    is not full, and is inclusion-maximal among such masks."""
-    masks = incidences(h, v.vertices, v.rays)
-    full = (1 << (len(v.vertices) + len(v.rays))) - 1
-    some_vertex = (1 << len(v.vertices)) - 1
-    return masks, set(maximal_masks(m for m in masks if m & some_vertex and m != full)), full
-
-
 def eliminate_redundancy(h: HRep) -> HRep:
     """Irredundant description from the DD generators and their incidences.
 
@@ -429,7 +415,7 @@ def eliminate_redundancy(h: HRep) -> HRep:
     line raises UnsupportedLineality (marked poset polyhedra have none).
     """
     try:
-        masks, facets, full = _facet_masks(h, vertices(h))
+        masks, facets, full = facet_masks(h, vertices(h))
     except EmptyPolyhedron:
         raise EmptyPolyhedron("cannot eliminate redundancy of an empty polyhedron") from None
     seen_eq = set()
@@ -469,7 +455,7 @@ def is_tame(poset: MarkedPoset, polytope_of=None) -> bool:
     for bits in itertools.product((False, True), repeat=len(unmarked)):
         C = frozenset(p for p, b in zip(unmarked, bits) if b)
         part = Partition(C, frozenset(unmarked) - C)
-        masks, facets, _ = _facet_masks(*polytope_of(part))
+        masks, facets, _ = facet_masks(*polytope_of(part))
         if len(set(masks)) != len(masks) or not facets.issuperset(masks):
             return False
     return True

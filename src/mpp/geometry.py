@@ -7,9 +7,10 @@ the API boundary: rows are scaled to integers, rays stay primitive int tuples
 with bitmask zero sets, and only the returned VRep holds Fractions.  A
 brute-force constraint-subset oracle is kept alongside for cross-checking.
 Face lattices are restricted to bounded polyhedra.  Faces are vertex bitmasks,
-enumerated level by level from the vertex-facet incidences, so a face's
+enumerated level by level from the facets' incidence masks, so a face's
 dimension is its level in the lattice; the face holding a point in its
 relative interior is looked up by the point's set of tight inequalities.
+f-vectors come from the same walk, counted, with one level held at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .linalg import ZERO, ONE, dot, primitive
+from .linalg import ZERO, ONE, dot, homogenized, primitive
 from .lp import LPStatus, lp_solve
 
 
@@ -370,13 +371,7 @@ class FaceLattice:
         Proper faces only (dims 0 .. dim-1); a 0-dimensional polytope reports
         (1,) so that a point has a nonempty f-vector.
         """
-        if self.dim == 0:
-            return (1,)
-        counts = [0] * self.dim
-        for f in self.faces:
-            if 0 <= f.dim < self.dim:
-                counts[f.dim] += 1
-        return tuple(counts)
+        return (1,) if self.dim == 0 else self.all_face_counts()[:-1]
 
     def all_face_counts(self) -> tuple[int, ...]:
         """Counts for dims 0 .. dim including the polytope itself."""
@@ -429,13 +424,6 @@ class FaceLattice:
 FACE_GATE = 10 ** 6
 
 
-def homogenized(points) -> list[tuple[int, ...]]:
-    """Rational points as integer rows (D, D * x) over their common denominator D."""
-    den = math.lcm(*(x.denominator for p in points for x in p))
-    return [(den,) + tuple(x.numerator * (den // x.denominator) for x in p)
-            for p in points]
-
-
 def incidences(h: HRep, points, rays=()) -> list[int]:
     """For each inequality of h, the bitmask of the generators on which it is
     tight, decided in integers: bit i for points[i], then bit len(points) + j
@@ -449,9 +437,23 @@ def maximal_masks(masks) -> list[int]:
     """The inclusion-maximal masks among the distinct given ones, largest first."""
     out: list[int] = []
     for g in sorted(set(masks), key=int.bit_count, reverse=True):
-        if all(g & c != g for c in out):
+        for c in out:
+            if g & c == g:
+                break
+        else:
             out.append(g)
     return out
+
+
+def facet_masks(h: HRep, v: VRep) -> tuple[list[int], set[int], int]:
+    """(masks, facets, full): each inequality's mask of tight generators (the
+    vertices, then the recession rays of v = vertices(h)), the facets' masks
+    among them, and the mask of all generators.  A facet mask holds a vertex,
+    is not full, and is inclusion-maximal among such masks."""
+    masks = incidences(h, v.vertices, v.rays)
+    full = (1 << (len(v.vertices) + len(v.rays))) - 1
+    some_vertex = (1 << len(v.vertices)) - 1
+    return masks, set(maximal_masks(m for m in masks if m & some_vertex and m != full)), full
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -464,36 +466,53 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def face_lattice(h: HRep, v: VRep) -> FaceLattice:
-    """Face lattice from vertex-facet incidences (bounded polytopes only).
-
-    Faces are vertex bitmasks, enumerated level by level from the polytope
-    down (Kaibel & Pfetsch 2002).  With m_j the mask of the vertices tight on
-    inequality j, the facets of a k-face F are the inclusion-maximal sets
-    among {F & m_j} minus F itself, and they have dimension k - 1; so only the
-    polytope's own dimension is computed by rank.  Incidences are decided in
-    integers.  Raises TooLarge beyond FACE_GATE faces.
-    """
+def _face_levels(v: VRep, facets):
+    """Yield (k, vertex masks of the k-faces) from the polytope's dimension
+    down to 0, one level at a time (Kaibel & Pfetsch 2002).  Every ridge is
+    the meet of two facets, so the facets of a face F are the maximal F & G,
+    F left out, over the facets G of a face that F is a facet of; each face
+    carries those G (as in the face iterator of Kliem & Stump 2022).  Raises
+    TooLarge once more than FACE_GATE faces, the empty one included, are
+    enumerated."""
     if v.rays:
         raise UnsupportedUnbounded("face lattices are computed for polytopes only")
     n = len(v.vertices)
-    masks = incidences(h, v.vertices)
-    found = [(-1, (), frozenset(range(len(masks))))]  # (dim, vertex ids, tight)
-    level = [(1 << n) - 1] if n else []
+    level = {(1 << n) - 1: facets} if n else {}  # face -> facets of a parent
     k = linalg.affine_rank(v.vertices)
+    total = 1  # the empty face
     while level:
-        if len(found) + len(level) > FACE_GATE:
+        total += len(level)
+        if total > FACE_GATE:
             raise TooLarge(f"face lattice holds more than {FACE_GATE} faces "
-                           f"({len(found) + len(level)} through dimension {k})")
-        below = set()
-        for f in level:
-            meets = [f & m for m in masks]
-            found.append((k, _bits(f), frozenset(j for j, g in enumerate(meets) if g == f)))
-            if k == 0:
-                continue
-            below.update(maximal_masks(g for g in meets if g != f))
-        level = list(below)
+                           f"({total} through dimension {k})")
+        yield k, level
+        if k == 0:
+            return
+        below = {}
+        for f, parent_facets in level.items():
+            own = maximal_masks({f & g for g in parent_facets} - {f})
+            below.update(dict.fromkeys(own, own))
+        level = below
         k -= 1
+
+
+def face_counts(h: HRep, v: VRep, facets=None) -> tuple[int, ...]:
+    """FaceLattice.f_vector of a bounded polytope, (1,) for a point, counted
+    on the level walk without storing a face.  facets, if given, is
+    facet_masks(h, v)[1]."""
+    facets = facet_masks(h, v)[1] if facets is None else facets
+    counts = [len(level) for _, level in _face_levels(v, facets)]
+    return (1,) if len(counts) == 1 else tuple(reversed(counts[1:]))
+
+
+def face_lattice(h: HRep, v: VRep) -> FaceLattice:
+    """Face lattice of a bounded polytope: the faces of the level walk, each
+    with its tight set read off the incidence masks of all inequalities."""
+    masks, facets, _ = facet_masks(h, v)
+    found = [(-1, (), frozenset(range(len(masks))))]  # (dim, vertex ids, tight)
+    for k, level in _face_levels(v, facets):
+        found += [(k, _bits(f), frozenset(j for j, m in enumerate(masks) if f & m == f))
+                  for f in level]
     found.sort(key=lambda face: face[:2])
     return FaceLattice(v.vertices, tuple(Face(frozenset(ids), tight, dim)
                                          for dim, ids, tight in found))
@@ -521,9 +540,6 @@ class AffineMap:
     def is_unimodular(self) -> bool:
         ints = all(x.denominator == 1 for row in self.matrix for x in row)
         return ints and abs(linalg.det(self.matrix)) == 1
-
-    def apply(self, point):
-        return tuple(dot(row, point) + off for row, off in zip(self.matrix, self.offset))
 
 
 def apply_affine(amap: AffineMap, h: HRep) -> HRep:

@@ -1,7 +1,8 @@
 """Strict JSON schemas for posets, parameters, partitions and geometry data.
 
-Rationals travel as strings ("3", "-1/2") and round-trip bit-exactly.
-Unknown keys are rejected so that typos fail loudly.
+Rationals travel as strings ("3", "-1/2") and round-trip bit-exactly; on
+input a JSON integer is accepted too.  Unknown keys are rejected so that
+typos fail loudly.
 """
 
 from __future__ import annotations

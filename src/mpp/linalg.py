@@ -179,10 +179,14 @@ def barycenter(points) -> Vector:
     return tuple(sum(col, ZERO) / n for col in zip(*points))
 
 
+def homogenized(points) -> list[tuple[int, ...]]:
+    """Rational points as integer rows (D, D * x) over their common denominator D."""
+    den = lcm(*(x.denominator for p in points for x in p))
+    return [(den,) + tuple(x.numerator * (den // x.denominator) for x in p)
+            for p in points]
+
+
 def affine_rank(points) -> int:
-    """Dimension of the affine hull of a set of points (-1 for the empty set)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    return rank([vsub(p, base) for p in pts[1:]])
+    """Dimension of the affine hull of a set of points (-1 for the empty set):
+    the rank of their homogenized integer rows, minus 1."""
+    return rank(homogenized(points)) - 1

@@ -91,23 +91,11 @@ class MarkedPoset:
 
     @cached_property
     def is_acyclic(self) -> bool:
-        indeg = {e: len(self._lower[e]) for e in self.elements}
-        queue = [e for e in self.elements if indeg[e] == 0]
-        seen = 0
-        while queue:
-            e = queue.pop()
-            seen += 1
-            for q in self._upper[e]:
-                indeg[q] -= 1
-                if indeg[q] == 0:
-                    queue.append(q)
-        return seen == len(self.elements)
+        return len(self._kahn()) == len(self.elements)
 
     @cached_property
     def _below(self) -> dict[str, frozenset[str]]:
         """below[p] = all q with q < p (strictly).  Requires acyclicity."""
-        if not self.is_acyclic:
-            raise PosetError("cover relation has a cycle")
         below: dict[str, frozenset[str]] = {}
         for e in self.linear_extension():
             acc: set[str] = set()
@@ -126,6 +114,11 @@ class MarkedPoset:
     def _linear_extension(self) -> tuple[str, ...]:
         if not self.is_acyclic:
             raise PosetError("cover relation has a cycle")
+        return self._kahn()
+
+    def _kahn(self) -> tuple[str, ...]:
+        """Kahn's algorithm with lexicographic tie-break: a linear extension,
+        or fewer elements than the poset has when the covers hold a cycle."""
         indeg = {e: len(self._lower[e]) for e in self.elements}
         heap = [e for e in self.elements if indeg[e] == 0]
         heapq.heapify(heap)
@@ -148,9 +141,6 @@ class MarkedPoset:
     def minimal_elements(self) -> tuple[str, ...]:
         return tuple(sorted(e for e in self.elements if not self._lower[e]))
 
-    def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e in self.elements if not self._upper[e]))
-
     @cached_property
     def strictly_marked(self) -> bool:
         """No two comparable marked elements share a marking value."""
@@ -160,12 +150,6 @@ class MarkedPoset:
                 if a != b and self.lt(a, b) and self.marking[a] == self.marking[b]:
                     return False
         return True
-
-    @cached_property
-    def all_extremal_marked(self) -> bool:
-        """True iff every O_t(P, lambda) is bounded."""
-        ext = set(self.minimal_elements()) | set(self.maximal_elements())
-        return ext <= self.marked
 
     @cached_property
     def problems(self) -> tuple[str, ...]:

@@ -93,12 +93,11 @@ def test_subdivision_off_builds_one_subdivision(ex52_file, tmp_path, monkeypatch
 
 def test_hibi_li_sweep_builds_each_lattice_once(tmp_path, monkeypatch, capsys):
     # the double star has 5 unmarked elements: 32 partitions, each one face
-    # lattice shared by the f-vector table and the 80 moves through it
-    from mpp import degeneration
-
+    # count (the sweep stores no lattice) shared by the f-vector table and the
+    # 80 moves through it
     path = tmp_path / "dstar.json"
     path.write_text(json.dumps(poset_to_json(make_double_star())))
-    built = _count(monkeypatch, degeneration, "face_lattice")
+    built = _count(monkeypatch, cli, "face_counts")
     assert cli.main(["sweep", str(path), "--check", "hibi-li"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] and len(data["f_vectors"]) == 32 and len(data["moves"]) == 80

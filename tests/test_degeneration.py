@@ -372,21 +372,22 @@ def test_type_witness_fails_but_forms_agree(monkeypatch):
     # the canonical forms decide, once per lattice
     h = contdeg_hrep(0)
     permuted = HRep(h.coords, h.equations, h.inequalities[::-1])
-    lattices = [face_lattice(g, vertices(g)) for g in (h, permuted, permuted)]
+    samples = [degeneration._type_sample(g, vertices(g)) for g in (h, permuted, permuted)]
     forms = []
     canonical = degeneration.canonical_incidence
     monkeypatch.setattr(degeneration, "canonical_incidence",
                         lambda data: forms.append(1) or canonical(data))
-    assert degeneration._all_isomorphic(lattices)
+    assert degeneration._all_isomorphic(samples)
     assert len(forms) == 3
 
 
 def test_type_witness_pentagon_against_rectangle():
     # the same rows, origins included, but different vertex tight sets
-    lattices = [face_lattice(g, vertices(g)) for g in (contdeg_hrep(0), contdeg_hrep(1))]
-    assert not degeneration._all_isomorphic(lattices)
-    assert not degeneration._all_isomorphic(lattices[::-1])
-    assert degeneration._all_isomorphic(lattices[:1] * 3)
+    samples = [degeneration._type_sample(g, vertices(g))
+               for g in (contdeg_hrep(0), contdeg_hrep(1))]
+    assert not degeneration._all_isomorphic(samples)
+    assert not degeneration._all_isomorphic(samples[::-1])
+    assert degeneration._all_isomorphic(samples[:1] * 3)
 
 
 def test_type_sweep_witness_holds_on_sampled_faces(monkeypatch):

@@ -10,8 +10,9 @@ from conftest import make_chain_poset, make_double_star, make_ex52
 from mpp.family import Parameter, hrep_general, hypercube_vertices, zero_parameter
 from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, Unbounded,
                           UnsupportedLineality, UnsupportedUnbounded,
-                          apply_affine, face_lattice, incidences, make_hrep,
-                          maximal_masks, substitute, vertices, vertices_bruteforce)
+                          TooLarge, apply_affine, face_counts, face_lattice, facet_masks,
+                          incidences, make_hrep, maximal_masks, substitute, vertices,
+                          vertices_bruteforce)
 from mpp.poset import MarkedPoset
 from mpp.lattice import lattice_points
 from mpp import linalg
@@ -338,7 +339,7 @@ def test_point_f_vector():
     h = make_hrep(("x",), [((F(1),), F(3), ())], [((F(1),), F(5), ())])
     v = vertices(h)
     lat = face_lattice(h, v)
-    assert lat.f_vector() == (1,)
+    assert lat.f_vector() == (1,) == face_counts(h, v)
     assert lat.dim == 0
 
 
@@ -368,8 +369,9 @@ def test_maximal_masks():
 
 def test_face_lattice_rejects_unbounded():
     h = make_hrep(("x",), [], [((F(-1),), F(0), ())])
-    with pytest.raises(UnsupportedUnbounded):
-        face_lattice(h, vertices(h))
+    for build in (face_lattice, face_counts):
+        with pytest.raises(UnsupportedUnbounded, match="polytopes only"):
+            build(h, vertices(h))
 
 
 def test_euler_relation_random():
@@ -389,6 +391,7 @@ def test_euler_relation_random():
         fv = lat.f_vector()
         euler = sum((-1) ** i * c for i, c in enumerate(fv))
         assert euler == 1 - (-1) ** lat.dim
+        assert face_counts(h, v) == fv
 
 
 def test_meet_of_faces_is_face():
@@ -485,6 +488,48 @@ def test_face_lattice_matches_closure_oracle():
     assert seen_dims >= {0, 1, 2, 3}
 
 
+def test_face_counts_match_face_lattice():
+    # the same cases as the closure oracle: two points, a segment and 40
+    # random polytopes with scaled, implied and equation rows
+    rnd = random.Random(17)
+    cases = [
+        make_hrep(("x",), [((F(1),), F(3), ())], [((F(1),), F(5), ())]),
+        make_hrep(("x", "y"), [((F(1), F(0)), F(1, 2), ()), ((F(0), F(2)), F(1), ())], []),
+        make_hrep(("x", "y"), [((F(1), F(1)), F(1, 3), ())],
+                  [((F(-1), F(0)), F(0), ()), ((F(2), F(0)), F(1), ())]),
+    ]
+    cases += [random_face_hrep(rnd, rnd.randint(1, 4)) for _ in range(40)]
+    seen = set()
+    for h in cases:
+        try:
+            v = vertices(h)
+        except EmptyPolyhedron:
+            continue
+        lat = face_lattice(h, v)
+        fv = face_counts(h, v)
+        assert fv == lat.f_vector()
+        assert face_counts(h, v, facet_masks(h, v)[1]) == fv
+        if lat.dim > 0:  # Euler's relation on the counts
+            assert sum((-1) ** i * c for i, c in enumerate(fv)) == 1 - (-1) ** lat.dim
+        seen.add(lat.dim)
+    assert seen >= {0, 1, 2, 3, 4}
+
+
+def test_face_budget_counts_faces_enumerated(monkeypatch):
+    # the cube: the empty face, the cube, 6 facets and 12 edges are 20 faces
+    # through dimension 1; both paths enumerate them and raise alike
+    from mpp import geometry
+    h = box(("x", "y", "z"), [(0, 1)] * 3)
+    v = vertices(h)
+    monkeypatch.setattr(geometry, "FACE_GATE", 28)
+    assert face_counts(h, v) == (8, 12, 6)
+    monkeypatch.setattr(geometry, "FACE_GATE", 19)
+    for build in (face_lattice, face_counts):
+        with pytest.raises(TooLarge) as err:
+            build(h, v)
+        assert str(err.value) == "face lattice holds more than 19 faces (20 through dimension 1)"
+
+
 def test_barycenter_lies_in_its_own_face():
     from mpp.geometry import GeometryError
     rnd = random.Random(5)
@@ -522,18 +567,22 @@ def test_euler_relation_on_family_members(name):
     corners = list(hypercube_vertices(poset))
     for t in [corners[0], corners[-1], corners[len(corners) // 2], interior]:
         h = hrep_general(poset, t, projected=True)
-        lat = face_lattice(h, vertices(h))
+        v = vertices(h)
+        lat = face_lattice(h, v)
         euler = sum((-1) ** i * c for i, c in enumerate(lat.f_vector()))
         assert euler == 1 - (-1) ** lat.dim
         assert lat.dim == len(unmarked)
+        assert face_counts(h, v) == lat.f_vector()
 
 
 def test_grid3x4_order_polytope_f_vector_pinned():
     # recorded from the closure algorithm (one affine rank per face)
     poset = grid_poset(3, 4)
     h = hrep_general(poset, zero_parameter(poset), projected=True)
-    lat = face_lattice(h, vertices(h))
-    assert lat.f_vector() == (33, 262, 957, 2001, 2640, 2298, 1337, 513, 124, 17)
+    v = vertices(h)
+    pinned = (33, 262, 957, 2001, 2640, 2298, 1337, 513, 124, 17)
+    assert face_lattice(h, v).f_vector() == pinned
+    assert face_counts(h, v) == pinned
 
 
 # -- affine maps ------------------------------------------------------------------

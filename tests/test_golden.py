@@ -1,7 +1,8 @@
 """Golden CLI output: the sha256 of stdout and the exit code of `mpp` queries
-on ex52 (also with a rational marking), the double star, grid2x3, grid2x4
-and a non-tame chain, pinned so that a refactor of how the family's objects
-are derived cannot change an answer unnoticed.
+on ex52 (also with a rational marking), the double star, grid2x3, grid2x4, a
+non-tame chain and a chain whose every O_t is a point, pinned so that a
+refactor of how the family's objects are derived cannot change an answer
+unnoticed.
 
 Each query runs `cli.main` in-process.  For `subdivision --off` the hash of
 the OFF file is pinned too.  After an intended output change, the new
@@ -32,9 +33,15 @@ def make_constant_interval() -> MarkedPoset:
                        {"a": 1, "b": 1, "t": 2})
 
 
+def make_point() -> MarkedPoset:
+    """a < p < b with lambda(a) = lambda(b): every O_t is the point x_p = 2."""
+    return MarkedPoset(("a", "p", "b"), frozenset([("a", "p"), ("p", "b")]),
+                       {"a": 2, "b": 2})
+
+
 POSETS = {"ex52": make_ex52, "dstar": make_double_star, "grid2x3": lambda: make_grid(2, 3),
           "nontame": make_constant_interval, "grid2x4": lambda: make_grid(2, 4),
-          "ex52q": make_ex52_rational}
+          "ex52q": make_ex52_rational, "point": make_point}
 
 # per poset: interior t, a face point of it (the degeneration target), and two
 # partitions with C of the first inside C of the second
@@ -58,6 +65,7 @@ INPUTS = {
                          "x11": "0", "x12": "2/5"}},
     "ex52q": {"t": {"p": "2/7", "q": "3/5", "r": "4/7"},
               "face": {"p": "2/7", "q": "1", "r": "0"}},
+    "point": {"t": {"p": "1/2"}},
 }
 
 # mode -> argv after the poset path; {t}, {face}, {part_a}, {part_b}, {off}
@@ -75,6 +83,8 @@ MODES = {
     "vertices-dd-partition": ["vertices", "--partition", "{part_a}"],
     "vertices-tropical": ["vertices", "--t", "generic", "--method", "tropical"],
     "fvector": ["fvector", "--t", "generic"],
+    "fvector-t0": ["fvector"],
+    "fvector-partition": ["fvector", "--partition", "{part_a}"],
     "ehrhart": ["ehrhart", "--partition", "{part_a}"],
     "lattice-points": ["lattice-points", "--partition", "{part_b}"],
     "subdivision": ["subdivision"],
@@ -275,6 +285,28 @@ GOLDEN = {
         ('7018c73d554997bcb0718f7dd5535bb52f614a1b08e21fee64cdeb2a70989f3c', 0, None),
     ('ex52q', 'degenerate'):
         ('f735ce52c3b873ba82c065b874a813a4168859d524fe454388922e48bdbb1b04', 0, None),
+    # recorded before f-vectors and type sweeps moved to the counting walk;
+    # every O_t of the point poset is a single point
+    ('ex52', 'fvector-t0'):
+        ('9c23c15f988d84cddfeb8bdf040cc5833f966729499862fa38a19606ce2d57dc', 0, None),
+    ('ex52', 'fvector-partition'):
+        ('cbc5695e0e6798dfe3482dc5fef597b511ff33f3911dd07c4aae5d1b26717761', 0, None),
+    ('dstar', 'fvector-t0'):
+        ('a49f789c9dc621c8cf587d168b7aafe531ef2535007a74113702714f678afbd2', 0, None),
+    ('dstar', 'fvector-partition'):
+        ('9fa2ad73b9c81d2a1357908a4bf683c1e7a01cbbdc300e3ea085679874237cca', 0, None),
+    ('grid2x3', 'fvector-t0'):
+        ('379deaee04ac3dfb5eb881b64e3b9b5888b0f82c4559993a0310ea7039702f0c', 0, None),
+    ('grid2x3', 'fvector-partition'):
+        ('8654c7d198b03f6623f5a5dad9e26001e2d635bd955659d5f370dec5f350abbb', 0, None),
+    ('point', 'fvector-t0'):
+        ('865d2c16a1cfe655831cd72f6bb83fd8b83b51fd3e204de8df4bcd48dd6d4b89', 0, None),
+    ('point', 'fvector'):
+        ('8d33a15da896308fa407e02eb0a103844521f38a57bdda8c3442ced4e757560e', 0, None),
+    ('point', 'sweep-types'):
+        ('06671f39801d2fc82fa607c31458c05b83d62f93805dd445e601ecbba886742e', 0, None),
+    ('point', 'sweep-hibi-li'):
+        ('836cb057daa1eb78ec965d8db0864496c33f827afe71520d1896b174f13d2140', 0, None),
 }
 
 

@@ -59,6 +59,21 @@ def test_parameter_round_trip(ex52):
     assert parameter_to_json(t) == {"t": {"p": "1/2", "q": "0", "r": "1"}}
 
 
+def test_json_integers_are_rationals(ex52):
+    # inputs may give an integer as a JSON number; output always writes strings
+    data = ex52_json()
+    data["marking"] = {"0": 0, "2": 2, "3": "3", "4": 4}
+    poset = poset_from_json(json.dumps(data))
+    assert poset.marking == ex52.marking
+    assert poset_to_json(poset) == poset_to_json(ex52)
+    t = parameter_from_json('{"t": {"p": "1/2", "q": 0, "r": 1}}', ex52)
+    assert t.values == {"p": Fraction(1, 2), "q": 0, "r": 1}
+    assert parameter_to_json(t) == {"t": {"p": "1/2", "q": "0", "r": "1"}}
+    for bad in ('{"t": {"p": 0.5, "q": 0, "r": 1}}', '{"t": {"p": true, "q": 0, "r": 1}}'):
+        with pytest.raises(SchemaError):
+            parameter_from_json(bad, ex52)
+
+
 def test_parameter_must_cover_unmarked(ex52):
     with pytest.raises(SchemaError):
         parameter_from_json({"t": {"p": "1/2"}}, ex52)

@@ -63,6 +63,34 @@ def test_affine_rank():
     assert linalg.affine_rank(pts) == 1
     assert linalg.affine_rank([]) == -1
     assert linalg.affine_rank([(F(5), F(5))]) == 0
+    assert linalg.affine_rank([()]) == 0
+
+
+def difference_rank(points) -> int:
+    """Oracle: the rank of the differences to the first point, in Fractions."""
+    if not points:
+        return -1
+    return linalg.rank([tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]])
+
+
+def test_affine_rank_matches_difference_rank():
+    # integer homogenized rank against the Fraction difference rank, on
+    # rational point sets with repeated points and points on a common flat
+    rnd = random.Random(29)
+    for _ in range(300):
+        d, k = rnd.randint(1, 5), rnd.randint(0, 7)
+        pts = [tuple(F(rnd.randint(-4, 4), rnd.randint(1, 5)) for _ in range(d))
+               for _ in range(k)]
+        if k >= 2 and rnd.random() < 0.5:  # an affine combination of two points
+            a, b = rnd.sample(pts, 2)
+            s = F(rnd.randint(-3, 3), rnd.randint(1, 3))
+            pts.append(tuple(x + s * (y - x) for x, y in zip(a, b)))
+        if pts and rnd.random() < 0.3:
+            pts.append(rnd.choice(pts))
+        if pts and rnd.random() < 0.3:  # all on the hyperplane x_0 = c
+            pts = [(pts[0][0],) + p[1:] for p in pts]
+        rnd.shuffle(pts)
+        assert linalg.affine_rank(pts) == difference_rank(pts)
 
 
 def test_rank_matches_rref_pivots():
