@@ -67,9 +67,8 @@ def _resolve_parameter(args, poset) -> tuple[family.Parameter, dict]:
 
 
 def _emit(payload: dict, summary: str) -> int:
-    """Write payload as indented JSON in one piece; its keys are all str."""
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True,
-                                default=jsonio.json_default) + "\n")
+    """Write payload as indented JSON (jsonio.encode) in one piece."""
+    sys.stdout.write(jsonio.encode(payload) + "\n")
     sys.stdout.flush()  # a closed pipe shows up here, inside main
     print(summary, file=sys.stderr)
     return 0
@@ -143,7 +142,7 @@ def cmd_lattice_points(args) -> int:
     h = family.hrep_general(poset, t, projected=False)
     pts = lattice.lattice_points(h)
     payload = {"command": "lattice-points", **header, "coords": list(h.coords),
-               "points": [[int(x) for x in p] for p in pts]}
+               "points": pts}
     return _emit(payload, f"lattice points: {len(pts)}")
 
 

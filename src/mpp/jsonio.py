@@ -2,7 +2,7 @@
 
 Rationals travel as strings ("3", "-1/2") and round-trip bit-exactly; on
 input a JSON integer is accepted too.  Unknown keys are rejected so that
-typos fail loudly.
+typos fail loudly.  `encode` writes the CLI's indented output.
 """
 
 from __future__ import annotations
@@ -133,9 +133,66 @@ def jsonable(obj):
     return obj
 
 
-def json_default(obj):
-    """json.dumps hook with the conversions of jsonable: Fraction to a
-    rational string, frozenset to a sorted list."""
-    if isinstance(obj, (Fraction, frozenset)):
-        return jsonable(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+_string = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INT = {int}
+
+
+def encode(obj) -> str:
+    """json.dumps(jsonable(obj), indent=2, sort_keys=True), byte for byte,
+    without the pure-Python encoder that json.dumps falls back to when it
+    indents.  Floats and objects jsonable leaves alone raise TypeError."""
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+def _write(obj, out: list, nl: str) -> None:
+    """Append obj's text to out; nl is a newline and the current indent."""
+    if isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, out, nl)
+    elif isinstance(obj, dict):
+        _write_dict(obj, out, nl)
+    elif isinstance(obj, Fraction):
+        out.append(_string(rat_str(obj)))
+    elif isinstance(obj, frozenset):
+        _write_list(jsonable(obj), out, nl)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_list(items, out: list, nl: str) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    if set(map(type, items)) == _INT:  # no bool: it would print as True
+        out.append("[" + inner + ("," + inner).join(map(repr, items)) + nl + "]")
+        return
+    sep = "[" + inner
+    for x in items:
+        out.append(sep)
+        _write(x, out, inner)
+        sep = "," + inner
+    out.append(nl + "]")
+
+
+def _write_dict(mapping, out: list, nl: str) -> None:
+    if not all(type(k) is str for k in mapping):
+        mapping = {str(k): v for k, v in mapping.items()}
+    if not mapping:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for key in sorted(mapping):
+        out.append(sep + _string(key) + ": ")
+        _write(mapping[key], out, inner)
+        sep = "," + inner
+    out.append(nl + "}")

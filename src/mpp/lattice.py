@@ -3,8 +3,13 @@
 Lattice points are enumerated depth-first over the coordinates inside the
 exact vertex bounding box, each coordinate bounded by the constraint rows
 given the coordinates fixed before it, so no box point is tested on its own.
-The documented complexity gate is still a box of at most 10^7 candidate
-points, checked before any enumeration.
+The rows are the H-rep's cached primitive integer rows, a dilation k scales
+their right-hand sides, and coordinates the box pins to one value are folded
+into the right-hand sides, so the search is in Python ints over the free
+coordinates only.  Ehrhart counts add up the width of the last free
+coordinate's range instead of listing points.  The documented complexity
+gate is still a box of at most 10^7 candidate points, checked before any
+enumeration.
 """
 
 from __future__ import annotations
@@ -15,15 +20,24 @@ from fractions import Fraction
 
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
                        UnsupportedUnbounded, vertices)
-from .linalg import affine_rank
+from .linalg import homogenized, rank
 
 BOX_GATE = 10 ** 7
 
 
-def _box(verts, k=1):
-    """Integer bounding box of k * conv(verts), gated at BOX_GATE candidates."""
-    lows = [math.ceil(k * min(col)) for col in zip(*verts)]
-    highs = [math.floor(k * max(col)) for col in zip(*verts)]
+def _extremes(rows) -> tuple[int, list[int], list[int]]:
+    """(D, least, most) of the vertices' homogenized rows (D, D * v): per
+    coordinate the least and the greatest vertex value, times D."""
+    cols = list(zip(*rows))[1:]
+    return rows[0][0], [min(c) for c in cols], [max(c) for c in cols]
+
+
+def _box(extremes, k=1):
+    """Integer bounding box of k * conv(verts), from _extremes, gated at
+    BOX_GATE candidates."""
+    den, least, most = extremes
+    lows = [-(-k * a // den) for a in least]
+    highs = [k * b // den for b in most]
     size = math.prod(max(0, hi - lo + 1) for lo, hi in zip(lows, highs))
     if size > BOX_GATE:
         raise TooLarge(f"bounding box of dilation {k} holds {size} candidates "
@@ -31,31 +45,48 @@ def _box(verts, k=1):
     return lows, highs
 
 
-def _scan(h: HRep, lows, highs) -> list[tuple[int, ...]]:
-    """Integer points of h in the box [lows, highs], in itertools.product order.
+def _scan(h: HRep, lows, highs, k=1, count=False):
+    """Integer points of k * h in the box [lows, highs], in itertools.product
+    order; with count=True only their number.
 
-    Depth-first over the coordinates in order.  With s the sum of a_i * x_i
-    over the coordinates already fixed and m the least value the terms after
-    x_j take in the box, a row a . x <= b requires a_j * x_j <= b - s - m: a
-    cap on x_j if a_j > 0, a floor if a_j < 0.  At the row's last nonzero
+    The rows are h.int_inequalities and h.int_equations (an equation is two
+    opposite rows) with their right-hand sides times k.  A coordinate whose
+    box is one value is pinned: its term moves into the right-hand sides,
+    and points get its value back in place.  The search runs depth-first
+    over the free coordinates in order.  With s the sum of a_i * x_i over
+    the coordinates already fixed and m the least value the terms after x_j
+    take in the box, a row a . x <= b requires a_j * x_j <= b - s - m: a cap
+    on x_j if a_j > 0, a floor if a_j < 0.  At the row's last nonzero
     coordinate m = 0 and this is the row itself, so every point is checked
     exactly; before it, the bound cuts prefixes with no completion in the
-    box.  Bounds that cannot cut inside the box are dropped, and an equation
-    is two opposite rows.
+    box.  Bounds that cannot cut inside the box are dropped.  At the last
+    free coordinate the points are the whole range left, so counting adds
+    its width.
     """
-    n = len(lows)
-    if not n:
-        return [()]
-    rows = []
-    for c in h.equations + h.inequalities:
-        m = math.lcm(*[x.denominator for x in c.coeffs + (c.rhs,)])
-        rows.append(([int(x * m) for x in c.coeffs], int(c.rhs * m)))
-    rows += [([-a for a in coeffs], -rhs) for coeffs, rhs in rows[:len(h.equations)]]
+    empty = 0 if count else []
+    if any(lo > hi for lo, hi in zip(lows, highs)):
+        return empty
+    free = [j for j, (lo, hi) in enumerate(zip(lows, highs)) if lo < hi]
+    pins = [(1 + j, lo) for j, (lo, hi) in enumerate(zip(lows, highs)) if lo == hi]
+    eqs = h.int_equations
+    rows = []  # (coefficients on the free coordinates, right-hand side)
+    for row in h.int_inequalities + eqs + tuple(tuple(-a for a in r) for r in eqs):
+        coeffs = [row[1 + j] for j in free]
+        rhs = -row[0] * k - sum(row[j] * v for j, v in pins)
+        if any(coeffs):
+            rows.append((coeffs, rhs))
+        elif rhs < 0:
+            return empty
+    if not free:
+        return 1 if count else [tuple(lows)]
+    lows_f = [lows[j] for j in free]
+    highs_f = [highs[j] for j in free]
+    n = len(free)
     bounds = [[] for _ in range(n)]  # (row, a_j, c): a_j * x_j <= c - sums[row]
     feeds = [[] for _ in range(n)]   # (row, a_j) for rows bounding a later x_i
     for r, (coeffs, rhs) in enumerate(rows):
-        least = [min(a * lo, a * hi) for a, lo, hi in zip(coeffs, lows, highs)]
-        most = [max(a * lo, a * hi) for a, lo, hi in zip(coeffs, lows, highs)]
+        least = [min(a * lo, a * hi) for a, lo, hi in zip(coeffs, lows_f, highs_f)]
+        most = [max(a * lo, a * hi) for a, lo, hi in zip(coeffs, lows_f, highs_f)]
         # rest: least of the terms after x_j, top: most of the terms up to x_j
         rest, top, later = 0, sum(most), False
         for j in reversed(range(n)):
@@ -67,30 +98,42 @@ def _scan(h: HRep, lows, highs) -> list[tuple[int, ...]]:
                 later = True
             top -= most[j]
             rest += least[j]
-    sums = [0] * len(rows)  # a . x over the coordinates fixed so far
-    out = []
+    # steps[i][x - lows_f[i]]: x, then the pinned values up to the next free
+    # coordinate; a point is the pinned head followed by one step per level
+    ends = free[1:] + [len(lows)]
+    steps = [[(x,) + tuple(lows[j + 1:end]) for x in range(lows[j], highs[j] + 1)]
+             for j, end in zip(free, ends)]
+    sums = [0] * len(rows)  # a . x over the free coordinates fixed so far
+    out = None if count else []
+    last = n - 1
 
-    def visit(j, prefix):
-        lo, hi = lows[j], highs[j]
-        for r, a, b in bounds[j]:
+    def visit(i, prefix):
+        lo, hi = lows_f[i], highs_f[i]
+        for r, a, b in bounds[i]:
             if a > 0:
                 hi = min(hi, (b - sums[r]) // a)
             else:
                 lo = max(lo, -((b - sums[r]) // -a))
-        if j == n - 1:
-            out.extend(prefix + (x,) for x in range(lo, hi + 1))
-            return
-        feed = feeds[j]
-        base = [sums[r] for r, _ in feed]
+        if lo > hi:
+            return 0
+        step, base = steps[i], lows_f[i]
+        if i == last:
+            if out is not None:
+                out.extend(map(prefix.__add__, step[lo - base:hi - base + 1]))
+            return hi - lo + 1
+        feed = feeds[i]
+        saved = [sums[r] for r, _ in feed]
+        found = 0
         for x in range(lo, hi + 1):
-            for (r, a), s in zip(feed, base):
+            for (r, a), s in zip(feed, saved):
                 sums[r] = s + a * x
-            visit(j + 1, prefix + (x,))
-        for (r, _), s in zip(feed, base):
+            found += visit(i + 1, prefix + step[x - base])
+        for (r, _), s in zip(feed, saved):
             sums[r] = s
+        return found
 
-    visit(0, ())
-    return out
+    found = visit(0, tuple(lows[:free[0]]))
+    return found if count else out
 
 
 def _lattice_polytope(h: HRep, what: str):
@@ -112,7 +155,7 @@ def lattice_points(h: HRep) -> list[tuple[int, ...]]:
         return []
     if v.rays:
         raise UnsupportedUnbounded("lattice-point scan needs a bounded polyhedron")
-    return _scan(h, *_box(v.vertices))
+    return _scan(h, *_box(_extremes(homogenized(v.vertices))))
 
 
 @dataclass(frozen=True)
@@ -127,26 +170,28 @@ class EhrhartData:
         return acc
 
 
-def _lagrange(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        poly = [Fraction(1)]  # prod_{j != i} (x - xj), expanded
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                new[k + 1] += c
-                new[k] -= xj * c
-            poly = new
-            denom *= xi - xj
-        for k, c in enumerate(poly):
-            coeffs[k] += Fraction(yi) * c / denom
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _interpolate(values: list[int]) -> tuple[list[int], int]:
+    """(a, D): the polynomial of degree < len(values) that takes values[k] at
+    k = 0, 1, ... is sum_i a_i k^i / D, with D = (len(values) - 1)!.
+
+    Newton's form on the forward differences d_j of values, sum_j d_j C(k, j),
+    is expanded in integers: C(k, j) = k (k - 1) ... (k - j + 1) / j!."""
+    n = len(values)
+    diffs = list(values)
+    for j in range(1, n):
+        for i in reversed(range(j, n)):
+            diffs[i] -= diffs[i - 1]
+    den = math.factorial(n - 1)
+    coeffs = [0] * n
+    falling = [1]  # k (k - 1) ... (k - j + 1), lowest degree first
+    for j, d in enumerate(diffs):
+        scale = d * (den // math.factorial(j))
+        for i, c in enumerate(falling):
+            coeffs[i] += scale * c
+        falling = [0] + falling  # times (k - j)
+        for i in range(j + 1):
+            falling[i] -= j * falling[i + 1]
+    return coeffs, den
 
 
 def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
@@ -155,32 +200,34 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     Requires a bounded lattice polytope; max_dilation defaults to dim and the
     interpolation is asserted to reproduce every recorded count exactly.
     """
-    verts = _lattice_polytope(h, "Ehrhart counting")
-    dim = affine_rank(verts)
+    rows = homogenized(_lattice_polytope(h, "Ehrhart counting"))
+    dim = rank(rows) - 1  # the affine rank of the vertices
     if max_dilation is None:
         max_dilation = max(dim, 1)
     if max_dilation < dim:
         raise ValueError("need at least dim+1 interpolation points")
     # the vertices of kQ are k * V(Q); boxes grow with k, so gate the largest
     # one before scanning any
-    _box(verts, max_dilation)
+    extremes = _extremes(rows)
+    _box(extremes, max_dilation)
     counts = [(0, 1)]
     for k in range(1, max_dilation + 1):
-        counts.append((k, len(_scan(h.dilate(k), *_box(verts, k)))))
-    coeffs = _lagrange(counts)
-    data = EhrhartData(tuple(counts), coeffs)
+        counts.append((k, _scan(h, *_box(extremes, k), k=k, count=True)))
+    coeffs, den = _interpolate([c for _, c in counts])
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
     if len(coeffs) - 1 > dim:
         raise AssertionError("Ehrhart interpolation exceeded polytope dimension")
     for k, c in counts:
-        if data.evaluate(k) != c:
+        if sum(a * k ** i for i, a in enumerate(coeffs)) != c * den:
             raise AssertionError("Ehrhart interpolation failed to reproduce a count")
-    return data
+    return EhrhartData(tuple(counts), tuple(Fraction(a, den) for a in coeffs))
 
 
 def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:
     """Check that every lattice point of kQ is a sum of k lattice points of Q."""
-    verts = _lattice_polytope(h, "integral closure")
-    base = _scan(h, *_box(verts))
+    extremes = _extremes(homogenized(_lattice_polytope(h, "integral closure")))
+    base = _scan(h, *_box(extremes))
     base_set = set(base)
     sums = {1: base_set}
     for k in sorted(dilations):
@@ -189,7 +236,7 @@ def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:
             prev = _ksums(base, base_set, k - 1)
         cur = {tuple(a + b for a, b in zip(p, q)) for p in prev for q in base}
         sums[k] = cur
-        for z in _scan(h.dilate(k), *_box(verts, k)):
+        for z in _scan(h, *_box(extremes, k), k=k):
             if z not in cur:
                 return False
     return True

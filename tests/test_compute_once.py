@@ -137,3 +137,39 @@ def test_hibi_li_sweep_runs_dd_once_per_partition(tmp_path, monkeypatch, capsys)
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] and data["tame"] and len(data["f_vectors"]) == 32
     assert sum(map(len, runs)) == 32
+
+
+@pytest.mark.parametrize("argv", [["ehrhart", "{}", "--dilations", "4"],
+                                  ["sweep", "{}", "--check", "ehrhart"]])
+def test_ehrhart_runs_dd_once_per_polytope_and_never_dilates(ex52_file, monkeypatch,
+                                                             capsys, argv):
+    # dilation k scales the right-hand sides of the integer rows inside the
+    # enumerator: no dilated H-rep, and one DD run per polytope for its box
+    import sys
+
+    from mpp.geometry import HRep
+
+    runs = [_count(monkeypatch, module, "vertices")
+            for name, module in sorted(sys.modules.items())
+            if name.startswith("mpp.") and hasattr(module, "vertices")]
+    dilated = _count(monkeypatch, HRep, "dilate")
+    assert cli.main([a.format(ex52_file) for a in argv]) == 0
+    data = json.loads(capsys.readouterr().out)
+    polytopes = len(data.get("polynomials", [None]))  # the sweep: 8 corners
+    assert sum(map(len, runs)) == polytopes
+    assert dilated == []
+
+
+def test_fvector_domination_check_builds_no_face_lattice(monkeypatch):
+    # it compares face counts; a FaceLattice would be built only to count
+    from mpp import degeneration
+    from mpp.degeneration import DegenerationPair, check_fvector_domination
+    from mpp.family import generic_parameter, zero_parameter
+
+    counted = _count(monkeypatch, degeneration, "face_counts")
+    monkeypatch.setattr(degeneration, "face_lattice", None)  # any call fails
+    poset = make_ex52()
+    pair = DegenerationPair(generic_parameter(poset), zero_parameter(poset))
+    rep = check_fvector_domination(poset, pair)
+    assert rep["pass"] and len(counted) == 2
+    assert rep["source_f_vector"] == [14, 22, 10]

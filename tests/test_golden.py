@@ -87,6 +87,10 @@ MODES = {
     "fvector-partition": ["fvector", "--partition", "{part_a}"],
     "ehrhart": ["ehrhart", "--partition", "{part_a}"],
     "lattice-points": ["lattice-points", "--partition", "{part_b}"],
+    "lattice-points-t0": ["lattice-points"],
+    "lattice-points-t": ["lattice-points", "--t", "{t}"],
+    "ehrhart-t0": ["ehrhart"],
+    "ehrhart-dilations": ["ehrhart", "--dilations", "5"],
     "subdivision": ["subdivision"],
     "subdivision-ideal-chains": ["subdivision", "--ideal-chains"],
     "subdivision-off": ["subdivision", "--off", "{off}"],
@@ -307,6 +311,27 @@ GOLDEN = {
         ('06671f39801d2fc82fa607c31458c05b83d62f93805dd445e601ecbba886742e', 0, None),
     ('point', 'sweep-hibi-li'):
         ('836cb057daa1eb78ec965d8db0864496c33f827afe71520d1896b174f13d2140', 0, None),
+    # recorded before lattice points were counted on integer rows with pinned
+    # coordinates folded: grid2x4 at t=0 pins its first and last coordinates,
+    # ex52 at interior t has rational box bounds, ex52q pins its marked
+    # coordinates at non-integers (no point; ehrhart exits 3), and every
+    # coordinate of the point poset is pinned
+    ('grid2x4', 'lattice-points-t0'):
+        ('41d315b9c6a80e6fe923a3d22085fa3925265d81ccfbec502bd4f8ac24725a93', 0, None),
+    ('ex52', 'lattice-points-t'):
+        ('9280d67d4e497c08f6881ad791e23746c777211b9f9913a3f0bde2fb55847459', 0, None),
+    ('ex52q', 'lattice-points-t0'):
+        ('2441296a4ac4f58c4c2c23755d709b7c7187440e13c1dab8dd8db33ef5915b18', 0, None),
+    ('ex52q', 'lattice-points-t'):
+        ('8907d7ce4609af2c9548a7f3f89fdd09afb479dc7c9d82c7ced696c6a6322fc1', 0, None),
+    ('ex52q', 'ehrhart-t0'):
+        ('b4012e77fa57ebdd08f3ae7c4921bd2bf620047a6d16cb8c478dcde86e303218', 3, None),
+    ('point', 'lattice-points-t0'):
+        ('409ceeb32a733cba6e73e25619433e506c9007efdf98993e547c4a562f40d03b', 0, None),
+    ('point', 'ehrhart-t0'):
+        ('b0dca235935f915c8f6d6934fae4afd6fc70ba5e736e5260a91739c0e7460f61', 0, None),
+    ('ex52', 'ehrhart-dilations'):
+        ('d07326ab226f49d48db440bff3164549b3693fe5c9602105f4a20de465abe7f1', 0, None),
 }
 
 

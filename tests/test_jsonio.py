@@ -2,10 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpp.family import hrep_general, zero_parameter
 from mpp.geometry import vertices
-from mpp.jsonio import (SchemaError, hrep_to_json, jsonable, parameter_from_json,
+from mpp.jsonio import (SchemaError, encode, hrep_to_json, jsonable, parameter_from_json,
                         parameter_to_json, partition_from_json, partition_to_json,
                         poset_from_json, poset_to_json, vrep_to_json)
 
@@ -115,3 +116,60 @@ def test_jsonable_converts_fractions():
     data = jsonable({"a": Fraction(1, 2), "b": [Fraction(3), (Fraction(1, 3),)],
                      "c": frozenset({"x"})})
     assert data == {"a": "1/2", "b": ["3", ["1/3"]], "c": ["x"]}
+
+
+# -- the CLI's JSON writer against json.dumps --------------------------------
+
+def reference(obj) -> str:
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    {"caf\u00e9": "na\u00efve \u2203x \U0001f600", "\u00fc": ["\u00e9", "\u4e2d"]},
+    {'say "hi"': 'a "quoted" \\ back\\slash', "\\": "/"},
+    {"tab\tnew\nline\x00\x1f\x7f": ["\r\b\f", "\x01"]},
+    [True, 1, False, 0, None, [1, True], [0, False]],
+    {"n": [-1, -(2 ** 70), 2 ** 64, 2 ** 200, 0]},
+    {"a": [], "b": {}, "c": [[], [{}], {"d": []}], "": [[[]]]},
+    ((1, 2), ("x", (3,)), ()),
+    None,
+    {"frac": [Fraction(-2, 3), Fraction(5)], "set": frozenset({Fraction(10), Fraction(9)})},
+    {"z": 1, "a": {"y": 2, "b": [3, 4]}, "m": "s"},
+    {1: "int key", "2": "str key", None: "null key", True: "bool key"},
+    "top-level \u2603",
+    -7,
+], ids=["non-ascii", "quotes-backslashes", "control-chars", "bool-and-int",
+        "big-ints", "empty-containers", "tuples", "none", "fractions",
+        "sorted-keys", "non-str-keys", "bare-string", "bare-int"])
+def test_encode_matches_json_dumps(payload):
+    assert encode(payload) == reference(payload)
+
+
+@pytest.mark.parametrize("bad", [1.5, object(), {"a": [1, 2.0]}, [{1, 2}], b"bytes"])
+def test_encode_rejects_what_it_cannot_write_exactly(bad):
+    with pytest.raises(TypeError):
+        encode(bad)
+
+
+scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+           | st.text() | st.fractions())
+payloads = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=5)
+                   | st.frozensets(st.integers(), max_size=4)
+                   | st.frozensets(st.fractions(), max_size=4)
+                   | st.frozensets(st.integers() | st.text(max_size=2), max_size=3)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_encode_matches_json_dumps_on_random_trees(payload):
+    try:
+        expected = reference(payload)
+    except TypeError:  # a frozenset mixing ints and strings cannot be sorted
+        with pytest.raises(TypeError):
+            encode(payload)
+    else:
+        assert encode(payload) == expected

@@ -12,6 +12,7 @@ from mpp import lattice
 from mpp.geometry import (EmptyPolyhedron, NonLatticeVertices, TooLarge,
                           make_hrep, vertices)
 from mpp.lattice import ehrhart, is_integrally_closed, lattice_points
+from mpp.linalg import homogenized
 from mpp.poset import MarkedPoset
 
 
@@ -128,11 +129,20 @@ def test_ehrhart_gates_largest_dilation_before_any_scan(monkeypatch):
     covers += [("bot", "x00"), ("x12", "top")]
     poset = MarkedPoset(("bot", *grid, "top"), frozenset(covers), {"bot": 0, "top": 5})
     h = hrep_general(poset, zero_parameter(poset), projected=False)
-    scanned = []
-    monkeypatch.setattr(lattice, "_scan", lambda *args: scanned.append(args) or [])
+    scan, scanned = lattice._scan, []
+
+    def counted(*args, **kwargs):
+        scanned.append(kwargs)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_scan", counted)
     with pytest.raises(TooLarge, match="dilation 6"):
         ehrhart(h)
     assert scanned == []
+    # the same intercept sees every count when no box is too large
+    segment = make_hrep(("x",), [], [((F(1),), F(1), ()), ((F(-1),), F(0), ())])
+    assert [c for _, c in ehrhart(segment, 3).counts] == [1, 2, 3, 4]
+    assert scanned == [{"k": k, "count": True} for k in (1, 2, 3)]
 
 
 # -- the enumerator against a box-scan oracle -----------------------------------
@@ -204,18 +214,109 @@ def test_enumerator_matches_box_scan(seed):
     except EmptyPolyhedron:
         assert lattice_points(h) == []
     else:
-        assert lattice_points(h) == box_scan(h, *lattice._box(verts))
+        assert lattice_points(h) == box_scan(h, *lattice._box(lattice._extremes(homogenized(verts))))
         for k in (1, 2, 3):
-            box = lattice._box(verts, k)
-            assert lattice._scan(h.dilate(k), *box) == box_scan(h.dilate(k), *box)
+            box = lattice._box(lattice._extremes(homogenized(verts)), k)
+            expected = box_scan(h.dilate(k), *box)
+            assert lattice._scan(h, *box, k=k) == expected
+            assert lattice._scan(h, *box, k=k, count=True) == len(expected)
     # a box not fitted to the polytope, wider on some sides, cut on others
     box = ([rnd.randint(-3, 1) for _ in h.coords], [rnd.randint(0, 4) for _ in h.coords])
-    assert lattice._scan(h, *box) == box_scan(h, *box)
+    expected = box_scan(h, *box)
+    assert lattice._scan(h, *box) == expected
+    assert lattice._scan(h, *box, count=True) == len(expected)
 
 
 def test_grid3x3_order_polytope_count():
     poset = make_grid(3, 3)
     h = hrep_general(poset, zero_parameter(poset), projected=False)
-    box = lattice._box(vertices(h).vertices)
+    box = lattice._box(lattice._extremes(homogenized(vertices(h).vertices)))
     assert math.prod(hi - lo + 1 for lo, hi in zip(*box)) == 7 ** 7
     assert len(lattice_points(h)) == 17472
+
+
+# -- pinned coordinates: a box of one value is folded into the right-hand sides
+
+def pinned_hrep():
+    """a - b + c = 1, every coordinate >= 0, a + b + c + d <= 5, a - 2d <= 1."""
+    ineqs = [(tuple(F(-int(i == j)) for j in range(4)), F(0), ()) for i in range(4)]
+    ineqs += [((F(1), F(1), F(1), F(1)), F(5), ()), ((F(1), F(0), F(0), F(-2)), F(1), ())]
+    return make_hrep(("a", "b", "c", "d"), [((F(1), F(-1), F(1), F(0)), F(1), ())], ineqs)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("pinned", [(0,), (1,), (3,), (0, 3), (0, 1, 2, 3)],
+                         ids=["first", "middle", "last", "ends", "everywhere"])
+def test_enumerator_folds_pinned_coordinates(pinned, k):
+    h = pinned_hrep()
+    lows, highs = [-1] * 4, [5 * k] * 4
+    for j in pinned:
+        lows[j] = highs[j] = 1
+    expected = box_scan(h.dilate(k), lows, highs)
+    # (1, 1, 1, 1) is the one point of the all-pinned box at k = 1 only
+    assert expected or (len(pinned) == 4 and k == 2)
+    assert lattice._scan(h, lows, highs, k=k) == expected
+    assert lattice._scan(h, lows, highs, k=k, count=True) == len(expected)
+
+
+@pytest.mark.parametrize("box,found", [
+    (([-1, -1, -1, -1], [5, 5, -1, 5]), False),  # c pinned to -1 violates c >= 0
+    (([0, 0, 0, 3], [5, 5, 5, 3]), True),        # d pinned to 3 in a row with free a
+    (([0, 0, 0, 0], [5, 5, 5, 5]), True),
+    (([0, 3, 0, 0], [5, 2, 5, 5]), False),       # an empty box: lo > hi on b
+    (([0, 0, 0, 0], [0, 0, 0, 0]), False),       # the origin violates the equation
+], ids=["violating-pin", "pinned-last", "unpinned", "empty-box", "all-pinned-off"])
+def test_enumerator_pinned_edge_cases(box, found):
+    h = pinned_hrep()
+    expected = box_scan(h, *box)
+    assert bool(expected) == found
+    assert lattice._scan(h, *box) == expected
+    assert lattice._scan(h, *box, count=True) == len(expected)
+
+
+def test_all_pinned_box_is_one_point_or_none():
+    h = pinned_hrep()
+    assert lattice._scan(h, [1, 1, 1, 1], [1, 1, 1, 1]) == [(1, 1, 1, 1)]
+    assert lattice._scan(h, [1, 1, 1, 1], [1, 1, 1, 1], count=True) == 1
+    assert lattice._scan(h, [2, 1, 0, 0], [2, 1, 0, 0]) == []  # a - 2d <= 1 fails
+
+
+# -- Ehrhart interpolation in integers against Lagrange in Fractions -----------
+
+def lagrange(points):
+    """Oracle: the interpolating polynomial through (x, y) points, expanded in
+    Fractions, lowest degree first (what ehrhart ran before it interpolated
+    in integers)."""
+    coeffs = [F(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        poly, denom = [F(1)], F(1)  # prod_{j != i} (x - xj), expanded
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                poly = [F(0)] + poly
+                for d in range(len(poly) - 1):
+                    poly[d] -= xj * poly[d + 1]
+                denom *= xi - xj
+        for d, c in enumerate(poly):
+            coeffs[d] += yi * c / denom
+    return coeffs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_interpolation_matches_lagrange(seed):
+    rnd = random.Random(seed)
+    n = rnd.randint(1, 9)
+    if seed % 2:  # values of a polynomial of lower degree: top coefficients 0
+        poly = [random_rat(rnd, -5, 5) for _ in range(rnd.randint(1, n))]
+        values = [sum(c * k ** i for i, c in enumerate(poly)) for k in range(n)]
+        values = [int(v * math.lcm(*(c.denominator for c in poly))) for v in values]
+    else:
+        values = [rnd.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+    coeffs, den = lattice._interpolate(values)
+    assert [F(a, den) for a in coeffs] == lagrange(list(enumerate(values)))
+
+
+def test_box_rounds_rational_extremes_inwards():
+    # k * conv of (1/3, -1/2) and (5/2, 7/3) at k = 2: x in [2/3, 5], y in [-1, 14/3]
+    extremes = lattice._extremes(homogenized([(F(1, 3), F(-1, 2)), (F(5, 2), F(7, 3))]))
+    assert lattice._box(extremes) == ([1, 0], [2, 2])
+    assert lattice._box(extremes, 2) == ([1, -1], [5, 4])
