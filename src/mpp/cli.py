@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import degeneration as dg
 from . import family, jsonio, lattice, tropical
 from .geometry import GeometryError, TooLarge, face_counts, vertices
-from .lp import SimplexError
 from .poset import MarkedPoset, PosetError, regularize, validate
 from .rationals import rat_str
 
@@ -416,7 +415,7 @@ def _run(args) -> int:
         return args.fn(args)
     except (InputError, jsonio.SchemaError, PosetError, ValueError) as exc:
         return _fail(exc, "input", EXIT_INPUT)
-    except (GeometryError, SimplexError, AssertionError) as exc:
+    except (GeometryError, AssertionError) as exc:
         return _fail(exc, "computation", EXIT_COMPUTE)
 
 

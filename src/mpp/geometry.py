@@ -24,7 +24,6 @@ from functools import cached_property
 
 from . import linalg
 from .linalg import ZERO, ONE, dot, homogenized, primitive
-from .lp import LPStatus, lp_solve
 
 
 class GeometryError(Exception):
@@ -286,21 +285,29 @@ def vertices(h: HRep) -> VRep:
 # -- brute-force oracle -------------------------------------------------------
 
 def _recession_direction(h: HRep):
-    """A nonzero recession direction of the polyhedron, or None."""
+    """A nonzero recession direction of the polyhedron, or None.
+
+    Rows of rank below d leave a line.  Otherwise the recession cone
+    {y : E y = 0, A y <= 0} is pointed, so it is nonzero exactly when it has
+    an extreme ray: the one-dimensional kernel of the equations and
+    d - 1 - rank(E) inequalities, taken with the sign that satisfies every
+    inequality.
+    """
     d = h.dim_ambient
-    eqs = [(c.coeffs, ZERO) for c in h.equations]
-    ineqs = [(c.coeffs, ZERO) for c in h.inequalities]
-    box = []
-    for i in range(d):
-        e = tuple(ONE if j == i else ZERO for j in range(d))
-        box.append((e, ONE))
-        box.append((tuple(-x for x in e), ONE))
-    for i in range(d):
-        for sign in (1, -1):
-            obj = [Fraction(sign) if j == i else ZERO for j in range(d)]
-            status, value, x = lp_solve(d, obj, eqs, ineqs + box, maximize=True)
-            if status is LPStatus.OPTIMAL and value > 0:
-                return x
+    eqs = [c.coeffs for c in h.equations]
+    ineqs = [c.coeffs for c in h.inequalities]
+    lines = linalg.nullspace(eqs + ineqs, d)
+    if lines:
+        return lines[0]
+    k = d - 1 - linalg.rank(eqs)
+    if k < 0:  # the equations alone pin the point
+        return None
+    for combo in itertools.combinations(ineqs, k):
+        kernel = linalg.nullspace(eqs + list(combo), d)
+        if len(kernel) == 1:
+            for y in (kernel[0], tuple(-x for x in kernel[0])):
+                if all(dot(a, y) <= 0 for a in ineqs):
+                    return y
     return None
 
 

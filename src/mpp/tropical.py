@@ -5,7 +5,9 @@ family members by transferring subdivision vertices.
 Every cell is cut from the one base polytope O_0(P, lambda) in the projected
 coordinates.  A public call builds it once (`_base_data`) and passes it down,
 and one generator (`_covector_cells`) runs the covector search and yields
-each nonempty cell with its vertices.
+each nonempty cell with its vertices.  The search decides whether a partial
+cell is empty by double description, the same enumeration that gives each
+cell its vertices; no linear program is solved.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .family import (Parameter, _row, hrep_general, hypercube_vertices, iota,
                      transfer_theta_homogeneous, zero_parameter)
 from .geometry import (EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded,
                        face_lattice, homogenized, incidences, make_hrep, vertices)
-from .lp import LPStatus, lp_solve
 from .poset import MarkedPoset, require_valid
 
 ZERO = Fraction(0)
@@ -124,48 +125,33 @@ def _combined_hrep(base: HRep, extra_eqs, extra_ineqs) -> HRep:
     return make_hrep(base.coords, eqs, ineqs)
 
 
-def _feasible_covectors(poset: MarkedPoset, arr: TropicalArrangement, base: HRep):
-    """All covectors whose closed cell meets the polytope (LP-pruned recursion)."""
+def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep):
+    """(tau, H-rep, V-rep) of each nonempty cell: the polytope cut with F_tau,
+    over the covectors tau whose closed cell meets it.  tau is extended one
+    hyperplane at a time, and a partial covector is dropped as soon as its
+    cell is empty, by the same double description that gives a full
+    covector's cell its vertices.  The base rows come first in each H-rep."""
     index = {e: i for i, e in enumerate(base.coords)}
     names = arr.names()
-    found = []
-
-    def feasible(partial) -> bool:
-        eqs, ineqs = _covector_cell_rows(poset, index, partial)
-        all_eqs = [(c.coeffs, c.rhs) for c in base.equations] + [(r, b) for r, b, _ in eqs]
-        all_ineqs = [(c.coeffs, c.rhs) for c in base.inequalities] + [(r, b) for r, b, _ in ineqs]
-        status, _, _ = lp_solve(len(base.coords), [ZERO] * len(base.coords),
-                                all_eqs, all_ineqs)
-        return status is LPStatus.OPTIMAL
 
     def rec(i, partial):
+        try:
+            h = _combined_hrep(base, *_covector_cell_rows(poset, index, partial))
+            v = vertices(h)
+        except EmptyPolyhedron:
+            return
         if i == len(names):
-            found.append(dict(partial))
+            yield dict(partial), h, v
             return
         r = names[i]
         support = sorted(arr.form(r).support)
         for size in range(1, len(support) + 1):
             for members in itertools.combinations(support, size):
                 partial[r] = frozenset(members)
-                if feasible(partial):
-                    rec(i + 1, partial)
+                yield from rec(i + 1, partial)
                 del partial[r]
 
-    rec(0, {})
-    return found
-
-
-def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep):
-    """(H-rep, V-rep) of each nonempty cell: the polytope cut with F_tau, over
-    the feasible covectors tau.  The base rows come first in each H-rep."""
-    index = {e: i for i, e in enumerate(base.coords)}
-    for tau in _feasible_covectors(poset, arr, base):
-        h = _combined_hrep(base, *_covector_cell_rows(poset, index, tau))
-        try:
-            v = vertices(h)
-        except EmptyPolyhedron:
-            continue
-        yield h, v
+    yield from rec(0, {})
 
 
 def _canonical_covector(cov: dict[str, frozenset[str]]):
@@ -186,7 +172,7 @@ def tropical_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     base, _ = _base_data(poset)
     arr = arrangement(poset)
     return [_polytope_cell(poset, base, arr, v.vertices, ("covector",))
-            for _, v in _covector_cells(poset, arr, base)]
+            for _, _, v in _covector_cells(poset, arr, base)]
 
 
 def _make_cell(poset, base, arr, verts, dim, tight, origin) -> SubdivisionCell:
@@ -216,7 +202,7 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     arr = arrangement(poset)
     nb = len(base.inequalities)
     seen: dict[frozenset, SubdivisionCell] = {}
-    for h, v in _covector_cells(poset, arr, base):
+    for _, h, v in _covector_cells(poset, arr, base):
         lat = face_lattice(h, v)
         for face in lat.faces:
             if face.dim < 0:
@@ -237,7 +223,7 @@ def subdivision_vertices(poset: MarkedPoset,
     if base is None:
         base, _ = _base_data(poset)
     arr = arrangement(poset)
-    return sorted({p for _, v in _covector_cells(poset, arr, base) for p in v.vertices})
+    return sorted({p for _, _, v in _covector_cells(poset, arr, base) for p in v.vertices})
 
 
 def _image(theta, hom) -> tuple[Fraction, ...]:

@@ -57,6 +57,16 @@ def make_grid(m: int, n: int) -> MarkedPoset:
     return MarkedPoset(elements, frozenset(covers), {"x00": 0, f"x{m - 1}{n - 1}": m + n})
 
 
+def make_marked_interior() -> MarkedPoset:
+    """Nine elements with e3 and e4 marked inside: the marking pins enough that
+    18 of the 24 partial covectors of its covector search have an empty cell."""
+    names = tuple(f"e{i}" for i in range(9))
+    covers = [("e0", "e2"), ("e0", "e3"), ("e1", "e2"), ("e2", "e4"), ("e3", "e7"),
+              ("e4", "e5"), ("e5", "e7"), ("e6", "e7"), ("e7", "e8")]
+    return MarkedPoset(names, frozenset(covers),
+                       {"e0": 0, "e1": 0, "e3": 2, "e4": 4, "e6": 0, "e8": 10})
+
+
 @pytest.fixture
 def ex52():
     return make_ex52()

@@ -383,20 +383,39 @@ def test_degenerate_builds_each_lattice_once(ex52_file, tmp_path, capsys, monkey
     assert data["f_vector_domination"]["pass"] and data["dims_nondecreasing"]
 
 
-def test_simplex_fault_is_a_computation_error_under_O(ex52_file):
-    # an internal simplex fault is raised explicitly, so `python -O` keeps it,
-    # and it is reported as a computation error, never as input; the covector
-    # search of `subdivision` runs the simplex
+def test_internal_fault_is_a_computation_error_under_O(ex52_file):
+    # an internal fault is raised explicitly, so `python -O` keeps it, and it
+    # is reported as a computation error, never as input: with no transferred
+    # subdivision vertex, the tropical method disagrees with the kernel
     code = ("import sys\n"
-            "from mpp import cli, lp\n"
-            "lp._simplex = lambda *a: (lp.LPStatus.UNBOUNDED, None, None)\n"
+            "from mpp import cli, tropical\n"
+            "tropical._transferred = lambda *a: set()\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code,
-                           "subdivision", ex52_file],
+    proc = subprocess.run([sys.executable, "-O", "-c", code, "vertices", ex52_file,
+                           "--t", "generic", "--method", "tropical"],
                           capture_output=True, text=True)
     assert proc.returncode == 3
     data = json.loads(proc.stdout)
-    assert data["kind"] == "computation" and "phase 1" in data["error"]
+    assert data["kind"] == "computation" and "disagree" in data["error"]
+
+
+def test_no_query_loads_the_simplex(ex52_file):
+    # redundancy, tameness, the covector search and the brute-force oracle
+    # run without a linear program: mpp.lp is a test-side oracle only
+    queries = [["hrep", "--irredundant"], ["hrep", "--t", "generic", "--irredundant"],
+               ["tame"], ["subdivision"],
+               ["vertices", "--t", "generic", "--method", "tropical"],
+               ["vertices", "--method", "bruteforce"]]
+    code = ("import contextlib, io, json, sys\n"
+            "from mpp import cli\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main([argv[0], sys.argv[1]] + argv[1:]))\n"
+            "print(json.dumps({'codes': codes, 'lp': 'mpp.lp' in sys.modules}))\n")
+    proc = subprocess.run([sys.executable, "-c", code, ex52_file, json.dumps(queries)],
+                          capture_output=True, text=True)
+    assert json.loads(proc.stdout) == {"codes": [0] * len(queries), "lp": False}
 
 
 @pytest.mark.parametrize("check", ["ehrhart", "types", "domination", "tame",

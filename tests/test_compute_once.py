@@ -62,7 +62,7 @@ def test_validate_returns_a_fresh_list():
 
 def test_conjecture_sweep_builds_base_once(ex52_file, monkeypatch, capsys):
     bases = _count(monkeypatch, tropical, "_base_data")
-    searches = _count(monkeypatch, tropical, "_feasible_covectors")
+    searches = _count(monkeypatch, tropical, "_covector_cells")
     hrep_at = []
     hrep_general = tropical.hrep_general
 

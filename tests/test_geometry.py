@@ -333,6 +333,65 @@ def test_vrep_complete_against_lp_oracle():
             assert all(linalg.dot(c, x) <= b for c, b in ineqs_lp)
 
 
+def _lp_recession_direction(h):
+    """A nonzero recession direction by exact LP: maximize and minimize each
+    coordinate over the recession cone cut by the unit box."""
+    from mpp.lp import LPStatus, lp_solve
+
+    d = h.dim_ambient
+    eqs = [(c.coeffs, F(0)) for c in h.equations]
+    ineqs = [(c.coeffs, F(0)) for c in h.inequalities]
+    box = []
+    for i in range(d):
+        e = tuple(F(1) if j == i else F(0) for j in range(d))
+        box += [(e, F(1)), (tuple(-x for x in e), F(1))]
+    for i in range(d):
+        for sign in (1, -1):
+            obj = [F(sign) if j == i else F(0) for j in range(d)]
+            status, value, x = lp_solve(d, obj, eqs, ineqs + box, maximize=True)
+            if status is LPStatus.OPTIMAL and value > 0:
+                return x
+    return None
+
+
+def test_recession_direction_against_lp_oracle():
+    """The brute-force recession test (a line when the rows have rank below d,
+    else an extreme ray of the pointed cone) finds a direction exactly when
+    the LP does, on random rows with lines, equations and equations of full
+    rank; a direction it returns is one."""
+    from mpp.geometry import _recession_direction
+
+    rnd = random.Random(17)
+    vals = [F(-2), F(-1), F(-1, 2), F(0), F(0), F(1, 3), F(1), F(2)]
+    found = none = full_rank = lines = 0
+    for _ in range(300):
+        d = rnd.randint(1, 4)
+
+        def row():
+            return tuple(rnd.choice(vals) for _ in range(d))
+
+        eqs = [(row(), F(rnd.randint(-2, 2)), ("eq",))
+               for _ in range(rnd.choice([0, 0, 0, 1, 2, d]))]
+        ineqs = [(row(), F(rnd.randint(-2, 4)), ("le",))
+                 for _ in range(rnd.randint(0, 2 * d + 2))]
+        try:
+            h = make_hrep(tuple(f"x{i}" for i in range(d)), eqs, ineqs)
+        except EmptyPolyhedron:  # a violated constant row
+            continue
+        full_rank += linalg.rank([c.coeffs for c in h.equations]) == d
+        lines += linalg.rank([c.coeffs for c in h.equations + h.inequalities]) < d
+        y = _recession_direction(h)
+        assert (y is None) == (_lp_recession_direction(h) is None)
+        if y is None:
+            none += 1
+            continue
+        found += 1
+        assert any(y)
+        assert all(linalg.dot(c.coeffs, y) == 0 for c in h.equations)
+        assert all(linalg.dot(c.coeffs, y) <= 0 for c in h.inequalities)
+    assert min(found, none, full_rank, lines) >= 20, (found, none, full_rank, lines)
+
+
 # -- face lattices ---------------------------------------------------------------
 
 def test_point_f_vector():

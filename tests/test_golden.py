@@ -1,6 +1,7 @@
 """Golden CLI output: the sha256 of stdout and the exit code of `mpp` queries
 on ex52 (also with a rational marking), the double star, grid2x3, grid2x4, a
-non-tame chain and a chain whose every O_t is a point, pinned so that a
+non-tame chain, a chain whose every O_t is a point and a poset whose covector
+search meets empty partial cells, pinned so that a
 refactor of how the family's objects are derived cannot change an answer
 unnoticed.
 
@@ -23,7 +24,8 @@ from mpp import cli
 from mpp.jsonio import poset_to_json
 from mpp.poset import MarkedPoset
 
-from conftest import make_double_star, make_ex52, make_ex52_rational, make_grid
+from conftest import (make_double_star, make_ex52, make_ex52_rational, make_grid,
+                      make_marked_interior)
 
 
 def make_constant_interval() -> MarkedPoset:
@@ -41,7 +43,8 @@ def make_point() -> MarkedPoset:
 
 POSETS = {"ex52": make_ex52, "dstar": make_double_star, "grid2x3": lambda: make_grid(2, 3),
           "nontame": make_constant_interval, "grid2x4": lambda: make_grid(2, 4),
-          "ex52q": make_ex52_rational, "point": make_point}
+          "ex52q": make_ex52_rational, "point": make_point,
+          "interior": make_marked_interior}
 
 # per poset: interior t, a face point of it (the degeneration target), and two
 # partitions with C of the first inside C of the second
@@ -66,6 +69,7 @@ INPUTS = {
     "ex52q": {"t": {"p": "2/7", "q": "3/5", "r": "4/7"},
               "face": {"p": "2/7", "q": "1", "r": "0"}},
     "point": {"t": {"p": "1/2"}},
+    "interior": {},
 }
 
 # mode -> argv after the poset path; {t}, {face}, {part_a}, {part_b}, {off}
@@ -332,6 +336,12 @@ GOLDEN = {
         ('b0dca235935f915c8f6d6934fae4afd6fc70ba5e736e5260a91739c0e7460f61', 0, None),
     ('ex52', 'ehrhart-dilations'):
         ('d07326ab226f49d48db440bff3164549b3693fe5c9602105f4a20de465abe7f1', 0, None),
+    # recorded before the covector search was pruned by double description
+    # instead of the simplex; no other golden poset has an empty partial cell
+    ('interior', 'subdivision'):
+        ('5ee11448e6dca4d4492bf3b5c33952ba5bd68f74eb860a619209cf616fab3ef1', 0, None),
+    ('interior', 'vertices-tropical'):
+        ('222cb19d00837d6c8bd183ab74b4b540c05296454fffae9635557e46346400d2', 0, None),
 }
 
 

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_marked_poset, random_parameter
+from conftest import (make_double_star, make_ex52, make_grid, make_marked_interior,
+                      random_marked_poset, random_parameter)
 from mpp import linalg
 from mpp.family import (Parameter, generic_parameter, hrep_general, iota,
                         transfer_phi_projected, zero_parameter, one_parameter)
@@ -210,7 +212,6 @@ def test_phi_affine_on_each_cell(ex52):
         y = transfer_phi_projected(ex52, t, dict(zip(base.coords, point)))
         return tuple(y[c] for c in base.coords)
 
-    import itertools
     for cell in tropical_cells(ex52):
         for a, b in itertools.combinations(cell.vertices, 2):
             mid = tuple((x + y) / 2 for x, y in zip(a, b))
@@ -223,7 +224,7 @@ def test_subdivision_equals_literal_pair_enumeration(ex52):
     defining collection {face of polytope intersected with arrangement cell}."""
     from mpp.geometry import EmptyPolyhedron, face_lattice, make_hrep, vertices as vfun
     from mpp.tropical import (_base_data, _combined_hrep, _covector_cell_rows,
-                              _feasible_covectors)
+                              _covector_cells)
     from mpp.tropical import arrangement as arr_f
 
     base, base_v = _base_data(ex52)
@@ -232,7 +233,7 @@ def test_subdivision_equals_literal_pair_enumeration(ex52):
     lat = face_lattice(base, base_v)
 
     literal = set()
-    for tau in _feasible_covectors(ex52, arr, base):
+    for tau, _, _ in _covector_cells(ex52, arr, base):
         cov_eqs, cov_ineqs = _covector_cell_rows(ex52, index, tau)
         for face in lat.faces:
             if face.dim < 0:
@@ -289,6 +290,63 @@ def test_lemma_reduction_pins_subdivision_vertices(ex52):
                 rows.append(row)
                 rhs.append(const)
         assert linalg.solve_unique(rows, rhs) == v
+
+
+def _lp_pruned_covectors(poset, arr, base, probes):
+    """The covectors whose closed cell meets the polytope, each partial
+    covector tested by an exact LP; probes collects each test's outcome."""
+    from mpp.lp import LPStatus, lp_solve
+    from mpp.tropical import _covector_cell_rows
+
+    index = {e: i for i, e in enumerate(base.coords)}
+    names = arr.names()
+    n = len(base.coords)
+    found = []
+
+    def feasible(partial) -> bool:
+        eqs, ineqs = _covector_cell_rows(poset, index, partial)
+        all_eqs = [(c.coeffs, c.rhs) for c in base.equations] + [(r, b) for r, b, _ in eqs]
+        all_ineqs = ([(c.coeffs, c.rhs) for c in base.inequalities]
+                     + [(r, b) for r, b, _ in ineqs])
+        status, _, _ = lp_solve(n, [F(0)] * n, all_eqs, all_ineqs)
+        probes.append(status is LPStatus.OPTIMAL)
+        return probes[-1]
+
+    def rec(i, partial):
+        if i == len(names):
+            found.append(dict(partial))
+            return
+        r = names[i]
+        support = sorted(arr.form(r).support)
+        for size in range(1, len(support) + 1):
+            for members in itertools.combinations(support, size):
+                partial[r] = frozenset(members)
+                if feasible(partial):
+                    rec(i + 1, partial)
+                del partial[r]
+
+    rec(0, {})
+    return found
+
+
+def test_dd_pruned_covectors_equal_lp_pruned():
+    """The covector search prunes a partial covector when double description
+    finds its cell empty; an exact LP per partial covector must keep the same
+    covectors, in the same order, on posets where some probes are empty."""
+    from mpp.tropical import _base_data, _covector_cells
+
+    rnd = random.Random(7)
+    posets = [make_ex52(), make_double_star(), make_grid(2, 3), make_grid(3, 3),
+              make_marked_interior()]
+    posets += [random_marked_poset(rnd, rnd.randint(6, 9), scale=2, mark_extra=0.3)
+               for _ in range(30)]
+    probes = []
+    for poset in posets:
+        base, _ = _base_data(poset)
+        arr = arrangement(poset)
+        dd = [tau for tau, _, _ in _covector_cells(poset, arr, base)]
+        assert dd == _lp_pruned_covectors(poset, arr, base, probes)
+    assert probes.count(False) >= 18  # not vacuous: empty cells were pruned
 
 
 # -- generic vertices ------------------------------------------------------------------
@@ -376,7 +434,6 @@ def ehrhart_of_cell(poset, cell):
 
 def hull_hrep(verts):
     # tiny exact convex hull for 2-D point sets (used by tests only)
-    import itertools
     pts = sorted(set(verts))
     d = len(pts[0])
     assert d == 2
