@@ -107,7 +107,7 @@ def cmd_vertices(args) -> int:
         v = vertices(h)
     payload = {"command": "vertices", **header, "method": args.method,
                **jsonio.vrep_to_json(v)}
-    return _emit(payload, f"vertices: {len(v.vertices)}, rays: {len(v.rays)}")
+    return _emit(payload, f"vertices: {len(v.rows)}, rays: {len(v.rays)}")
 
 
 def cmd_fvector(args) -> int:
@@ -118,7 +118,7 @@ def cmd_fvector(args) -> int:
     f = face_counts(h, v)
     # a polytope with one vertex is a point; otherwise f lists dims 0 .. dim - 1
     payload = {"command": "fvector", **header, "f_vector": list(f),
-               "dim": len(f) if len(v.vertices) > 1 else 0}
+               "dim": len(f) if len(v.rows) > 1 else 0}
     return _emit(payload, f"f-vector: {f}")
 
 
@@ -153,9 +153,13 @@ def cmd_subdivision(args) -> int:
     else:
         cells = tropical.tropical_subdivision(poset)
         kind = "tropical"
-    sub_vertices = sorted({p for c in cells for p in c.vertices})
+    # cells share their vertex tuples (all of them, in a tropical subdivision),
+    # so each distinct tuple object is deduplicated and written out once
+    shared = {id(p): p for c in cells for p in c.vertices}
+    text = {key: [rat_str(x) for x in p] for key, p in shared.items()}
+    sub_vertices = sorted(set(shared.values()))
     payload = {"command": "subdivision", "kind": kind,
-               "cells": [{"vertices": [[rat_str(x) for x in p] for p in c.vertices],
+               "cells": [{"vertices": [text[id(p)] for p in c.vertices],
                           "dim": c.dim,
                           "covector": {r: list(m) for r, m in c.covector},
                           "tight": sorted(c.tight),

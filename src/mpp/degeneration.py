@@ -26,13 +26,9 @@ from .family import (Parameter, Partition, chain_order_polytope, check_partition
                      facet_count_delta, hrep_general, is_tame,
                      transfer_theta_homogeneous)
 from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, VRep, face_counts,
-                       face_lattice, facet_masks, homogenized, make_hrep, vertices)
+                       face_lattice, facet_masks, vertices)
 from .poset import MarkedPoset, require_valid, star_elements
 from .rationals import rat_str
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class DegenerationPair:
@@ -87,7 +83,7 @@ def face_map_via(source: FaceLattice, target_h: HRep, target: FaceLattice,
     and the image face is looked up by the image's tight set."""
     mapping: dict[Face, Face] = {}
     empty_target = next(f for f in target.faces if f.dim < 0)
-    homs = homogenized(source.vertices)
+    homs = source.rows
     for f in source.faces:
         if f.dim < 0:
             mapping[f] = empty_target
@@ -174,7 +170,7 @@ def composition_law(poset: MarkedPoset, u: Parameter, u2: Parameter,
 def incidence_matrix(lat: FaceLattice) -> tuple[int, int, frozenset[tuple[int, int]]]:
     """(#vertices, #facets, incidences) of the vertex-facet bipartite graph."""
     facets = lat.facets()
-    nv = len(lat.vertices)
+    nv = len(lat.rows)
     pairs = {(v, fi) for fi, f in enumerate(facets) for v in f.vertex_ids}
     return nv, len(facets), frozenset(pairs)
 
@@ -285,7 +281,7 @@ def _type_sample(h: HRep, v: VRep):
     """(f-vector, vertex tight sets, vertex-facet incidences) of a polytope,
     read off the incidence and facet masks; no face is stored."""
     masks, facets, _ = facet_masks(h, v)
-    n = len(v.vertices)
+    n = len(v.rows)
     tight = frozenset(frozenset(j for j, m in enumerate(masks) if m >> i & 1)
                       for i in range(n))
     pairs = frozenset((i, fi) for fi, f in enumerate(facets) for i in range(n) if f >> i & 1)
@@ -342,43 +338,3 @@ def hibi_li_check(poset: MarkedPoset, part_a: Partition, part_b: Partition,
             report["facet_delta_lp"] = actual
             report["facet_delta_match"] = predicted == actual
     return report
-
-
-# -- the pentagon-to-rectangle regression fixture -----------------------------------
-
-def contdeg_hrep(t) -> HRep:
-    """The toy deformation: 0 <= x1 <= 2, 0 <= x2, x2 <= (1-t)x1 + 1,
-    x2 <= (1-t)(2-x1) + 1.  Pentagon at t=0, rectangle at t=1."""
-    t = Fraction(t)
-    return make_hrep(
-        ("x1", "x2"),
-        [],
-        [((Fraction(-1), ZERO), ZERO, ("x1-low",)),
-         ((ONE, ZERO), Fraction(2), ("x1-high",)),
-         ((ZERO, Fraction(-1)), ZERO, ("x2-low",)),
-         ((-(ONE - t), ONE), ONE, ("roof-left",)),
-         (((ONE - t), ONE), ONE + 2 * (ONE - t), ("roof-right",))],
-    )
-
-
-def contdeg_rho(t, point):
-    """The deformation map of the fixture (piecewise-rational, exact)."""
-    t = Fraction(t)
-    x1, x2 = Fraction(point[0]), Fraction(point[1])
-    if x1 <= 1:
-        return (x1, x2 * ((ONE - t) * x1 + 1) / (x1 + 1))
-    return (x1, x2 * ((ONE - t) * (2 - x1) + 1) / ((2 - x1) + 1))
-
-
-def contdeg_face_map() -> FaceMap:
-    """Face map of the pentagon -> rectangle degeneration via rho_1."""
-    h0 = contdeg_hrep(0)
-    h1 = contdeg_hrep(1)
-    v0, v1 = vertices(h0), vertices(h1)
-    lat0, lat1 = face_lattice(h0, v0), face_lattice(h1, v1)
-
-    def rho(hom):
-        point = contdeg_rho(1, [Fraction(x, hom[0]) for x in hom[1:]])
-        return homogenized([point])[0]
-
-    return face_map_via(lat0, h1, lat1, rho)

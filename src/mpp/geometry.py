@@ -2,15 +2,17 @@
 
 H-representations hold equations and inequalities with Fraction coefficients
 and an origin tag per constraint.  Vertex enumeration is the classical double
-description method on the homogenization cone, integer inside and Fraction at
-the API boundary: rows are scaled to integers, rays stay primitive int tuples
-with bitmask zero sets, and only the returned VRep holds Fractions.  A
-brute-force constraint-subset oracle is kept alongside for cross-checking.
-Face lattices are restricted to bounded polyhedra.  Faces are vertex bitmasks,
-enumerated level by level from the facets' incidence masks, so a face's
-dimension is its level in the lattice; the face holding a point in its
-relative interior is looked up by the point's set of tight inequalities.
-f-vectors come from the same walk, counted, with one level held at a time.
+description method on the homogenization cone, in integers throughout: rows
+are scaled to integers, rays stay primitive int tuples with bitmask zero
+sets, and the returned VRep holds each vertex as an integer row over one
+common denominator.  Fraction vertices are built only when a caller reads
+VRep.vertices.  A brute-force constraint-subset oracle is kept alongside for
+cross-checking.  Face lattices are restricted to bounded polyhedra.  Faces
+are vertex bitmasks, enumerated level by level from the facets' incidence
+masks, so a face's dimension is its level in the lattice; the face holding a
+point in its relative interior is looked up by the point's set of tight
+inequalities.  f-vectors come from the same walk, counted, with one level
+held at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .linalg import ZERO, ONE, dot, homogenized, primitive
+from .linalg import (ZERO, ONE, common_denominator, dehomogenized, dot, homogenized,
+                     primitive)
 
 
 class GeometryError(Exception):
@@ -101,25 +104,17 @@ class HRep:
     def int_inequalities(self) -> tuple[tuple[int, ...], ...]:
         """Each inequality as the primitive integer row (-rhs, coeffs) scaled
         by a positive factor: the point x satisfies it iff row . (1, x) <= 0."""
-        return tuple(_int_row((-c.rhs,) + c.coeffs) for c in self.inequalities)
+        return tuple(map(_int_row, self.inequalities))
 
     @cached_property
     def int_equations(self) -> tuple[tuple[int, ...], ...]:
         """Each equation as an integer row, like int_inequalities: x satisfies
         it iff row . (1, x) == 0."""
-        return tuple(_int_row((-c.rhs,) + c.coeffs) for c in self.equations)
+        return tuple(map(_int_row, self.equations))
 
     def contains(self, point) -> bool:
         return (all(c.evaluate(point) == c.rhs for c in self.equations)
                 and all(c.evaluate(point) <= c.rhs for c in self.inequalities))
-
-    def dilate(self, k) -> "HRep":
-        k = Fraction(k)
-        return HRep(
-            self.coords,
-            tuple(Constraint(c.coeffs, k * c.rhs, c.origin) for c in self.equations),
-            tuple(Constraint(c.coeffs, k * c.rhs, c.origin) for c in self.inequalities),
-        )
 
 
 def _fraction(x) -> Fraction:
@@ -150,9 +145,22 @@ def make_hrep(coords, equations, inequalities) -> HRep:
 
 @dataclass(frozen=True)
 class VRep:
+    """Vertices and recession rays of a polyhedron.
+
+    rows holds each vertex x as the integer row (D, D * x) over one common
+    denominator D, the least one, sorted: the order of the vertices
+    themselves.  rays are primitive integer directions as Fraction tuples,
+    sorted.  vertices, the Fraction tuples of the vertices, is built on
+    first read; equality compares rows, which are canonical.
+    """
+
     coords: tuple[str, ...]
-    vertices: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     rays: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        return dehomogenized(self.rows)
 
 
 # -- double description ------------------------------------------------------
@@ -163,10 +171,14 @@ def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     return v if g <= 1 else tuple(x // g for x in v)
 
 
-def _int_row(row) -> tuple[int, ...]:
-    """Scale a rational row by a positive factor to a primitive integer row."""
+def _int_row(c: Constraint) -> tuple[int, ...]:
+    """The row (-rhs, coeffs) of c scaled by a positive factor to a primitive
+    integer row, without building a Fraction."""
+    row = (c.rhs,) + c.coeffs
     m = math.lcm(*(x.denominator for x in row))
-    return _primitive(tuple(x.numerator * (m // x.denominator) for x in row))
+    ints = [x.numerator * (m // x.denominator) for x in row]
+    ints[0] = -ints[0]
+    return _primitive(tuple(ints))
 
 
 def _idot(a, b) -> int:
@@ -269,17 +281,18 @@ def vertices(h: HRep) -> VRep:
     polyhedron contains a line (marked poset polyhedra never do).
     """
     if h.dim_ambient == 0:
-        return VRep((), ((),), ())
+        return VRep((), ((1,),), ())
     lines, rays = _dd_generators(h)
     # lines lie in x0 = 0, so without a ray of x0 > 0 there is no point at all
-    verts = {tuple(Fraction(x, r[0]) for x in r[1:]) for r, _ in rays if r[0] > 0}
-    if not verts:
+    points = [r for r, _ in rays if r[0] > 0]
+    if not points:
         raise EmptyPolyhedron("no feasible point")
     if lines:
         raise UnsupportedLineality("polyhedron contains a line")
     # a ray with r[0] == 0 is primitive, so its tail r[1:] is primitive too
     recession = {tuple(Fraction(x) for x in r[1:]) for r, _ in rays if r[0] == 0}
-    return VRep(h.coords, tuple(sorted(verts)), tuple(sorted(recession)))
+    return VRep(h.coords, tuple(sorted(set(common_denominator(points)))),
+                tuple(sorted(recession)))
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -321,7 +334,7 @@ def vertices_bruteforce(h: HRep) -> VRep:
     if d > 8:
         raise TooLarge("brute-force vertex enumeration capped at dimension 8")
     if d == 0:
-        return VRep((), ((),), ())
+        return VRep((), ((1,),), ())
     eq_rows = [list(c.coeffs) for c in h.equations]
     eq_rhs = [c.rhs for c in h.equations]
     feasible_any = False
@@ -341,7 +354,7 @@ def vertices_bruteforce(h: HRep) -> VRep:
         raise Unbounded("polyhedron has a recession direction")
     if not verts and not feasible_any:
         raise EmptyPolyhedron("no feasible point")
-    return VRep(h.coords, tuple(sorted(verts)), ())
+    return VRep(h.coords, tuple(sorted(homogenized(verts))), ())
 
 
 # -- face lattice -------------------------------------------------------------
@@ -358,10 +371,11 @@ class FaceLattice:
     """All faces of a polytope ordered by vertex-set inclusion.
 
     Includes the empty face (dim -1) and the polytope itself.  ``tight`` holds
-    indices into the generating HRep's inequality list.
+    indices into the generating HRep's inequality list; ``vertex_ids`` index
+    rows, the vertices as in VRep.rows.
     """
 
-    vertices: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     faces: tuple[Face, ...]
 
     @cached_property
@@ -369,8 +383,8 @@ class FaceLattice:
         return max(f.dim for f in self.faces)
 
     @cached_property
-    def by_vertex_ids(self) -> dict[frozenset[int], Face]:
-        return {f.vertex_ids: f for f in self.faces}
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        return dehomogenized(self.rows)
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension.
@@ -431,11 +445,11 @@ class FaceLattice:
 FACE_GATE = 10 ** 6
 
 
-def incidences(h: HRep, points, rays=()) -> list[int]:
-    """For each inequality of h, the bitmask of the generators on which it is
-    tight, decided in integers: bit i for points[i], then bit len(points) + j
-    for the recession ray rays[j]."""
-    homs = homogenized(points) + [(0,) + r[1:] for r in homogenized(rays)]
+def incidences(h: HRep, v: VRep) -> list[int]:
+    """For each inequality of h, the bitmask of the generators of v on which
+    it is tight, decided in integers: bit i for the vertex v.rows[i], then
+    bit len(v.rows) + j for the recession ray v.rays[j]."""
+    homs = v.rows + tuple((0,) + r[1:] for r in homogenized(v.rays))
     return [sum(1 << i for i, p in enumerate(homs) if _idot(r, p) == 0)
             for r in h.int_inequalities]
 
@@ -457,9 +471,9 @@ def facet_masks(h: HRep, v: VRep) -> tuple[list[int], set[int], int]:
     vertices, then the recession rays of v = vertices(h)), the facets' masks
     among them, and the mask of all generators.  A facet mask holds a vertex,
     is not full, and is inclusion-maximal among such masks."""
-    masks = incidences(h, v.vertices, v.rays)
-    full = (1 << (len(v.vertices) + len(v.rays))) - 1
-    some_vertex = (1 << len(v.vertices)) - 1
+    masks = incidences(h, v)
+    full = (1 << (len(v.rows) + len(v.rays))) - 1
+    some_vertex = (1 << len(v.rows)) - 1
     return masks, set(maximal_masks(m for m in masks if m & some_vertex and m != full)), full
 
 
@@ -483,9 +497,9 @@ def _face_levels(v: VRep, facets):
     enumerated."""
     if v.rays:
         raise UnsupportedUnbounded("face lattices are computed for polytopes only")
-    n = len(v.vertices)
+    n = len(v.rows)
     level = {(1 << n) - 1: facets} if n else {}  # face -> facets of a parent
-    k = linalg.affine_rank(v.vertices)
+    k = linalg.rank(v.rows) - 1  # the affine rank of the vertices
     total = 1  # the empty face
     while level:
         total += len(level)
@@ -521,8 +535,8 @@ def face_lattice(h: HRep, v: VRep) -> FaceLattice:
         found += [(k, _bits(f), frozenset(j for j, m in enumerate(masks) if f & m == f))
                   for f in level]
     found.sort(key=lambda face: face[:2])
-    return FaceLattice(v.vertices, tuple(Face(frozenset(ids), tight, dim)
-                                         for dim, ids, tight in found))
+    return FaceLattice(v.rows, tuple(Face(frozenset(ids), tight, dim)
+                                     for dim, ids, tight in found))
 
 
 # -- affine maps ---------------------------------------------------------------

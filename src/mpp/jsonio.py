@@ -8,6 +8,7 @@ typos fail loudly.  `encode` writes the CLI's indented output.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .family import Parameter, Partition
@@ -114,9 +115,22 @@ def hrep_to_json(h: HRep) -> dict:
             "inequalities": [row(c) for c in h.inequalities]}
 
 
+def row_strs(row) -> list[str]:
+    """The rational strings of the point of an integer row (D, D * x), each
+    x_i / D reduced by its gcd: rat_str of the Fraction, without building it."""
+    den = row[0]
+    if den == 1:
+        return list(map(str, row[1:]))
+    out = []
+    for x in row[1:]:
+        g = math.gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
+
+
 def vrep_to_json(v: VRep) -> dict:
     return {"coords": list(v.coords),
-            "vertices": [[rat_str(x) for x in p] for p in v.vertices],
+            "vertices": [row_strs(r) for r in v.rows],
             "rays": [[rat_str(x) for x in r] for r in v.rays]}
 
 
@@ -136,6 +150,7 @@ def jsonable(obj):
 _string = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INT = {int}
+_STR = {str}
 
 
 def encode(obj) -> str:
@@ -172,8 +187,10 @@ def _write_list(items, out: list, nl: str) -> None:
         out.append("[]")
         return
     inner = nl + "  "
-    if set(map(type, items)) == _INT:  # no bool: it would print as True
-        out.append("[" + inner + ("," + inner).join(map(repr, items)) + nl + "]")
+    kinds = set(map(type, items))
+    if kinds == _INT or kinds == _STR:  # no bool: it would print as True
+        text = map(repr if kinds == _INT else _string, items)
+        out.append("[" + inner + ("," + inner).join(text) + nl + "]")
         return
     sep = "[" + inner
     for x in items:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
                        UnsupportedUnbounded, vertices)
-from .linalg import homogenized, rank
+from .linalg import rank
 
 BOX_GATE = 10 ** 7
 
@@ -137,14 +137,15 @@ def _scan(h: HRep, lows, highs, k=1, count=False):
 
 
 def _lattice_polytope(h: HRep, what: str):
-    """Vertices of h, which must be a polytope with integral vertices."""
+    """The vertex rows (1, v) of h, which must be a polytope with integral
+    vertices: their common denominator is 1."""
     v = vertices(h)
     if v.rays:
         raise UnsupportedUnbounded(f"{what} needs a polytope")
-    for p in v.vertices:
-        if any(x.denominator != 1 for x in p):
-            raise NonLatticeVertices(f"non-integral vertex {p}")
-    return v.vertices
+    if v.rows[0][0] != 1:
+        p = next(p for p in v.vertices if any(x.denominator != 1 for x in p))
+        raise NonLatticeVertices(f"non-integral vertex {p}")
+    return v.rows
 
 
 def lattice_points(h: HRep) -> list[tuple[int, ...]]:
@@ -155,7 +156,7 @@ def lattice_points(h: HRep) -> list[tuple[int, ...]]:
         return []
     if v.rays:
         raise UnsupportedUnbounded("lattice-point scan needs a bounded polyhedron")
-    return _scan(h, *_box(_extremes(homogenized(v.vertices))))
+    return _scan(h, *_box(_extremes(v.rows)))
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     Requires a bounded lattice polytope; max_dilation defaults to dim and the
     interpolation is asserted to reproduce every recorded count exactly.
     """
-    rows = homogenized(_lattice_polytope(h, "Ehrhart counting"))
+    rows = _lattice_polytope(h, "Ehrhart counting")
     dim = rank(rows) - 1  # the affine rank of the vertices
     if max_dilation is None:
         max_dilation = max(dim, 1)
@@ -226,7 +227,7 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
 
 def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:
     """Check that every lattice point of kQ is a sum of k lattice points of Q."""
-    extremes = _extremes(homogenized(_lattice_polytope(h, "integral closure")))
+    extremes = _extremes(_lattice_polytope(h, "integral closure"))
     base = _scan(h, *_box(extremes))
     base_set = set(base)
     sums = {1: base_set}

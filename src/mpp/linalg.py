@@ -173,17 +173,28 @@ def det(a_rows) -> Fraction:
     return result
 
 
-def barycenter(points) -> Vector:
-    """Average of a nonempty list of points."""
-    n = len(points)
-    return tuple(sum(col, ZERO) / n for col in zip(*points))
-
-
 def homogenized(points) -> list[tuple[int, ...]]:
-    """Rational points as integer rows (D, D * x) over their common denominator D."""
+    """Rational points as integer rows (D, D * x) over their least common
+    denominator D.  A VRep already holds its vertices this way (VRep.rows);
+    this converts points that arrive as Fractions."""
     den = lcm(*(x.denominator for p in points for x in p))
     return [(den,) + tuple(x.numerator * (den // x.denominator) for x in p)
             for p in points]
+
+
+def dehomogenized(rows) -> tuple[Vector, ...]:
+    """The rational points of integer rows (w0, w) with w0 > 0: each w / w0."""
+    return tuple(tuple(Fraction(x, r[0]) for x in r[1:]) for r in rows)
+
+
+def common_denominator(rows) -> list[tuple[int, ...]]:
+    """Primitive integer rows (x0, x), x0 > 0, rescaled in the same order to
+    (D, D * x / x0) over one D, the lcm of the x0.  A primitive row's x0 is
+    the least common denominator of its point, so D is that of all points,
+    and rows over one D sort as their points do."""
+    den = lcm(*(r[0] for r in rows))
+    return [r if r[0] == den else (den,) + tuple(x * (den // r[0]) for x in r[1:])
+            for r in rows]
 
 
 def affine_rank(points) -> int:

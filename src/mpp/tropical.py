@@ -7,21 +7,27 @@ coordinates.  A public call builds it once (`_base_data`) and passes it down,
 and one generator (`_covector_cells`) runs the covector search and yields
 each nonempty cell with its vertices.  The search decides whether a partial
 cell is empty by double description, the same enumeration that gives each
-cell its vertices; no linear program is solved.
+cell its vertices; no linear program is solved.  Vertices stay integer rows
+(VRep.rows) throughout: subdivision cells are keyed by vertex bitmasks,
+covectors are read off integer witnesses, and Fractions are built once per
+subdivision vertex, for the returned cells.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 from . import linalg
-from .family import (Parameter, _row, hrep_general, hypercube_vertices, iota,
+from .family import (Parameter, _row, hrep_general, hypercube_vertices,
                      transfer_theta_homogeneous, zero_parameter)
-from .geometry import (EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded,
-                       face_lattice, homogenized, incidences, make_hrep, vertices)
+from .geometry import (EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded, VRep,
+                       _bits, _face_levels, _primitive, facet_masks, incidences,
+                       make_hrep, vertices)
+from .linalg import common_denominator, dehomogenized
 from .poset import MarkedPoset, require_valid
 
 ZERO = Fraction(0)
@@ -95,9 +101,6 @@ class SubdivisionCell:
     tight: frozenset[int]
     origin: tuple[str, ...]
 
-    def vertex_set(self):
-        return frozenset(self.vertices)
-
 
 def _difference(poset: MarkedPoset, index: dict[str, int], a: str, b: str, origin):
     """(coeffs, rhs, origin) of x_a - x_b (= or <=) 0 over the projected
@@ -125,21 +128,26 @@ def _combined_hrep(base: HRep, extra_eqs, extra_ineqs) -> HRep:
     return make_hrep(base.coords, eqs, ineqs)
 
 
-def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep):
+def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
+                    base_v: VRep):
     """(tau, H-rep, V-rep) of each nonempty cell: the polytope cut with F_tau,
     over the covectors tau whose closed cell meets it.  tau is extended one
     hyperplane at a time, and a partial covector is dropped as soon as its
     cell is empty, by the same double description that gives a full
-    covector's cell its vertices.  The base rows come first in each H-rep."""
+    covector's cell its vertices.  The base rows come first in each H-rep.
+    The root is the polytope itself: base with base_v = vertices(base)."""
     index = {e: i for i, e in enumerate(base.coords)}
     names = arr.names()
 
     def rec(i, partial):
-        try:
-            h = _combined_hrep(base, *_covector_cell_rows(poset, index, partial))
-            v = vertices(h)
-        except EmptyPolyhedron:
-            return
+        if not partial:
+            h, v = base, base_v
+        else:
+            try:
+                h = _combined_hrep(base, *_covector_cell_rows(poset, index, partial))
+                v = vertices(h)
+            except EmptyPolyhedron:
+                return
         if i == len(names):
             yield dict(partial), h, v
             return
@@ -154,11 +162,7 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep):
     yield from rec(0, {})
 
 
-def _canonical_covector(cov: dict[str, frozenset[str]]):
-    return tuple((r, tuple(sorted(v))) for r, v in sorted(cov.items()))
-
-
-def _base_data(poset: MarkedPoset):
+def _base_data(poset: MarkedPoset) -> tuple[HRep, VRep]:
     base = hrep_general(poset, zero_parameter(poset), projected=True)
     v = vertices(base)
     if v.rays:
@@ -166,27 +170,49 @@ def _base_data(poset: MarkedPoset):
     return base, v
 
 
+def _covector_forms(poset: MarkedPoset, arr: TropicalArrangement, coords):
+    """The hyperplanes of arr = arrangement(poset), by name, each with its
+    terms (q, j, a): max_q x_q has no constants, and at the homogeneous point
+    w = (w0, w0 x) of the projected coordinates x_q is a * w[j] / (L * w0),
+    L the denominator of the marking (j = 0 for a marked q)."""
+    index = {e: 1 + i for i, e in enumerate(coords)}
+    den = math.lcm(*(v.denominator for v in poset.marking.values()))
+    return [(r, [(q, index[q], den) if q in index else (q, 0, int(den * poset.marking[q]))
+                 for q in form.support])
+            for r, form in arr.hyperplanes]
+
+
+def _covector_at(forms, rows) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The canonical covector (per hyperplane its sorted argmax terms) at the
+    barycenter of integer rows over one denominator, compared in integers:
+    their sum w is the barycenter as a homogeneous point."""
+    w = tuple(map(sum, zip(*rows)))
+    out = []
+    for r, terms in forms:
+        values = [a * w[j] for _, j, a in terms]
+        best = max(values)
+        out.append((r, tuple(sorted(q for (q, _, _), value in zip(terms, values)
+                                    if value == best))))
+    return tuple(out)
+
+
 def tropical_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     """The cells polytope cut with F_tau over all feasible covectors tau (no faces)."""
     require_valid(poset)
-    base, _ = _base_data(poset)
+    base, base_v = _base_data(poset)
     arr = arrangement(poset)
-    return [_polytope_cell(poset, base, arr, v.vertices, ("covector",))
-            for _, _, v in _covector_cells(poset, arr, base)]
+    forms = _covector_forms(poset, arr, base.coords)
+    return [_polytope_cell(base, forms, v, ("covector",))
+            for _, _, v in _covector_cells(poset, arr, base, base_v)]
 
 
-def _make_cell(poset, base, arr, verts, dim, tight, origin) -> SubdivisionCell:
-    verts = tuple(sorted(verts))
-    full = iota(poset, dict(zip(base.coords, linalg.barycenter(verts))))
-    return SubdivisionCell(verts, dim, _canonical_covector(covector(arr, full)),
-                           tight, tuple(origin))
-
-
-def _polytope_cell(poset, base, arr, verts, origin) -> SubdivisionCell:
-    """The cell spanned by all of verts: one rank, tight rows by incidence."""
-    every = (1 << len(verts)) - 1
-    tight = frozenset(j for j, m in enumerate(incidences(base, verts)) if m == every)
-    return _make_cell(poset, base, arr, verts, linalg.affine_rank(verts), tight, origin)
+def _polytope_cell(base: HRep, forms, v: VRep, origin) -> SubdivisionCell:
+    """The cell spanned by all vertices of v: one rank, tight base rows by
+    incidence, the covector of the vertex barycenter."""
+    every = (1 << len(v.rows)) - 1
+    tight = frozenset(j for j, m in enumerate(incidences(base, v)) if m == every)
+    return SubdivisionCell(v.vertices, linalg.rank(v.rows) - 1,
+                           _covector_at(forms, v.rows), tight, tuple(origin))
 
 
 def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
@@ -194,76 +220,101 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
 
     Its cells are the nonempty intersections of polytope faces with cells of
     the arrangement; computed here as the faces of the covector cells, which
-    is the same collection.  A cell's dimension and its tight base rows come
-    from its face: the base inequalities are the first rows of each cell's
-    H-rep.
+    is the same collection.  A face of a covector cell's level walk is keyed
+    by its vertex mask over one global index of the subdivision vertices
+    (their primitive integer rows), so a face shared by covector cells is
+    kept once.  Its dimension is its level, and its tight base rows come
+    from the incidence masks: the base inequalities are the first rows of
+    each cell's H-rep.  Cells sort by (dim, vertices) through the ranks of
+    the vertices, whose Fractions are built once.
     """
-    base, _ = _base_data(poset)
+    base, base_v = _base_data(poset)
     arr = arrangement(poset)
     nb = len(base.inequalities)
-    seen: dict[frozenset, SubdivisionCell] = {}
-    for _, h, v in _covector_cells(poset, arr, base):
-        lat = face_lattice(h, v)
-        for face in lat.faces:
-            if face.dim < 0:
-                continue
-            pts = tuple(v.vertices[i] for i in sorted(face.vertex_ids))
-            key = frozenset(pts)
-            if key not in seen:
-                tight = frozenset(j for j in face.tight if j < nb)
-                seen[key] = _make_cell(poset, base, arr, pts, face.dim, tight,
-                                       ("tropical",))
-    return sorted(seen.values(), key=lambda c: (c.dim, c.vertices))
+    index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> global id
+    found: dict[int, tuple] = {}  # global vertex mask -> (dim, global ids, tight)
+    for _, h, v in _covector_cells(poset, arr, base, base_v):
+        ids = [index.setdefault(_primitive(r), len(index)) for r in v.rows]
+        bits = [1 << i for i in ids]
+        masks, facets, _ = facet_masks(h, v)
+        masks = masks[:nb]
+        for k, level in _face_levels(v, facets):
+            for f in level:
+                local = _bits(f)
+                key = sum(bits[i] for i in local)
+                if key not in found:
+                    found[key] = (k, [ids[i] for i in local],
+                                  frozenset(j for j, m in enumerate(masks) if f & m == f))
+    rows = common_denominator(list(index))
+    rank = [0] * len(rows)
+    for pos, i in enumerate(sorted(range(len(rows)), key=rows.__getitem__)):
+        rank[i] = pos
+    points = dehomogenized(rows)
+    forms = _covector_forms(poset, arr, base.coords)
+    cells = []
+    for dim, ids, tight in found.values():
+        ids.sort(key=rank.__getitem__)
+        cell = SubdivisionCell(tuple(points[i] for i in ids), dim,
+                               _covector_at(forms, [rows[i] for i in ids]),
+                               tight, ("tropical",))
+        cells.append(((dim, [rank[i] for i in ids]), cell))
+    cells.sort(key=lambda item: item[0])
+    return [cell for _, cell in cells]
 
 
-def subdivision_vertices(poset: MarkedPoset,
-                         base: HRep | None = None) -> list[tuple[Fraction, ...]]:
-    """Vertices of the tropical subdivision (0-cells of the complex).  base,
-    if given, is the polytope's H-rep from _base_data."""
-    if base is None:
-        base, _ = _base_data(poset)
+def _subdivision_rows(poset: MarkedPoset, base_data) -> set[tuple[int, ...]]:
+    """The primitive integer rows of the subdivision vertices (the 0-cells);
+    base_data is _base_data(poset)."""
     arr = arrangement(poset)
-    return sorted({p for _, _, v in _covector_cells(poset, arr, base) for p in v.vertices})
+    return {_primitive(r) for _, _, v in _covector_cells(poset, arr, *base_data)
+            for r in v.rows}
 
 
-def _image(theta, hom) -> tuple[Fraction, ...]:
-    """The rational point of the integer row theta(hom)."""
-    img = theta(hom)
-    return tuple(Fraction(v, img[0]) for v in img[1:])
+def _sorted_points(rows) -> list[tuple[Fraction, ...]]:
+    """The sorted rational points of primitive integer rows."""
+    return list(dehomogenized(sorted(common_denominator(list(rows)))))
 
 
-def _transferred(poset: MarkedPoset, t: Parameter, base: HRep) -> set:
-    """phi_t images of the subdivision vertices."""
+def subdivision_vertices(poset: MarkedPoset) -> list[tuple[Fraction, ...]]:
+    """Vertices of the tropical subdivision (0-cells of the complex)."""
+    return _sorted_points(_subdivision_rows(poset, _base_data(poset)))
+
+
+def _transferred(poset: MarkedPoset, t: Parameter, base_data) -> set[tuple[int, ...]]:
+    """The primitive integer rows of the phi_t images of the subdivision
+    vertices; base_data is _base_data(poset)."""
     phi = transfer_theta_homogeneous(poset, None, t)
-    return {_image(phi, hom) for hom in homogenized(subdivision_vertices(poset, base))}
+    return {_primitive(phi(r)) for r in _subdivision_rows(poset, base_data)}
 
 
-def generic_vertices(poset: MarkedPoset, t: Parameter,
-                     base: HRep | None = None) -> list[tuple[Fraction, ...]]:
+def _generic_vrep(poset: MarkedPoset, t: Parameter, base_data=None) -> VRep:
+    """The V-rep of O_t for interior t, cross-checked against the transferred
+    subdivision vertices; base_data, if given, is _base_data(poset)."""
+    if not t.is_interior:
+        raise NonInteriorParameter("generic vertices need t in the open hypercube")
+    images = _transferred(poset, t, base_data or _base_data(poset))
+    v = vertices(hrep_general(poset, t, projected=True))
+    if images != {_primitive(r) for r in v.rows}:
+        raise AssertionError(
+            "tropical subdivision vertices disagree with kernel enumeration: "
+            f"{_sorted_points(images)} vs {list(v.vertices)}")
+    return v
+
+
+def generic_vertices(poset: MarkedPoset, t: Parameter) -> list[tuple[Fraction, ...]]:
     """Vertices of O_t for interior t, via the tropical subdivision.
 
     Transfers the subdivision vertices and cross-checks against the kernel's
     double-description enumeration; for interior parameters the two always
-    agree, so a mismatch means a kernel bug and raises.  base is as for
-    subdivision_vertices.
+    agree, so a mismatch means a kernel bug and raises.
     """
-    if not t.is_interior:
-        raise NonInteriorParameter("generic vertices need t in the open hypercube")
-    if base is None:
-        base, _ = _base_data(poset)
-    images = _transferred(poset, t, base)
-    kernel = set(vertices(hrep_general(poset, t, projected=True)).vertices)
-    if images != kernel:
-        raise AssertionError(
-            "tropical subdivision vertices disagree with kernel enumeration: "
-            f"{sorted(images)} vs {sorted(kernel)}")
-    return sorted(images)
+    return list(_generic_vrep(poset, t).vertices)
 
 
 def transferred_subdivision_vertices(poset: MarkedPoset, t: Parameter):
     """phi_t images of the subdivision vertices for arbitrary t (a superset of
     the vertices of O_t)."""
-    return sorted(_transferred(poset, t, _base_data(poset)[0]))
+    return _sorted_points(_transferred(poset, t, _base_data(poset)))
 
 
 # -- ideal-chain subdivision ----------------------------------------------------
@@ -330,6 +381,7 @@ def ideal_chain_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     block and weakly increasing along the block order."""
     base, _ = _base_data(poset)
     arr = arrangement(poset)
+    forms = _covector_forms(poset, arr, base.coords)
     index = {e: i for i, e in enumerate(base.coords)}
     cells = []
     for chain in compatible_ideal_chains(poset):
@@ -344,7 +396,7 @@ def ideal_chain_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
         except EmptyPolyhedron:
             continue
         label = ("ideal-chain",) + tuple("|".join(b) for b in blocks)
-        cells.append(_polytope_cell(poset, base, arr, v.vertices, label))
+        cells.append(_polytope_cell(base, forms, v, label))
     return cells
 
 
@@ -358,21 +410,22 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
     if len(poset.unmarked) > 10:
         raise TooLarge(f"conjecture sweep capped at 10 unmarked elements, "
                        f"got {len(poset.unmarked)}")
-    base, base_v = _base_data(poset)
-    verts = generic_vertices(poset, t, base)
+    base_data = _base_data(poset)
+    generic = _generic_vrep(poset, t, base_data)
     targets = []
     for u in hypercube_vertices(poset):
         if any(u.values.values()):
             vu = vertices(hrep_general(poset, u, projected=True))
         else:
-            vu = base_v  # the corner u = 0 is the base polytope itself
-        targets.append((u, transfer_theta_homogeneous(poset, t, u), frozenset(vu.vertices)))
+            vu = base_data[1]  # the corner u = 0 is the base polytope itself
+        targets.append((u, transfer_theta_homogeneous(poset, t, u),
+                        {_primitive(r) for r in vu.rows}))
     items = []
     all_witnessed = True
-    for p, hom in zip(verts, homogenized(verts)):
+    for p, hom in zip(generic.vertices, generic.rows):
         witnesses = []
         for u, theta, vset in targets:
-            if _image(theta, hom) in vset:
+            if _primitive(theta(hom)) in vset:
                 witnesses.append({k: u[k] for k in sorted(u.values)})
         if not witnesses:
             all_witnessed = False

@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from mpp.degeneration import FaceMap, face_map_via
+from mpp.geometry import Constraint, HRep, face_lattice, make_hrep, vertices
+from mpp.linalg import homogenized
 from mpp.poset import MarkedPoset, remove_redundant_covers, validate
 
 
@@ -252,3 +255,63 @@ def sevenths_and_fifths(rnd: random.Random, names, interior=True) -> dict:
             d = rnd.choice((5, 7))
             vals[p] = Fraction(rnd.randint(1, d - 1), d)
     return vals
+
+
+# -- oracle helpers for geometry objects --------------------------------------------
+
+def dilate(h: HRep, k) -> HRep:
+    """The H-rep of k * h: every right-hand side times k."""
+    k = Fraction(k)
+    return HRep(h.coords,
+                tuple(Constraint(c.coeffs, k * c.rhs, c.origin) for c in h.equations),
+                tuple(Constraint(c.coeffs, k * c.rhs, c.origin) for c in h.inequalities))
+
+
+def faces_by_vertex_ids(lat) -> dict:
+    """The faces of a FaceLattice keyed by their vertex-id sets."""
+    return {f.vertex_ids: f for f in lat.faces}
+
+
+def barycenter(points) -> tuple[Fraction, ...]:
+    """The average of a nonempty list of rational points."""
+    return tuple(sum(col, Fraction(0)) / len(points) for col in zip(*points))
+
+
+# -- the pentagon-to-rectangle regression fixture -----------------------------------
+
+def contdeg_hrep(t) -> HRep:
+    """The toy deformation: 0 <= x1 <= 2, 0 <= x2, x2 <= (1-t)x1 + 1,
+    x2 <= (1-t)(2-x1) + 1.  Pentagon at t=0, rectangle at t=1."""
+    t = Fraction(t)
+    one, zero = Fraction(1), Fraction(0)
+    return make_hrep(
+        ("x1", "x2"),
+        [],
+        [((Fraction(-1), zero), zero, ("x1-low",)),
+         ((one, zero), Fraction(2), ("x1-high",)),
+         ((zero, Fraction(-1)), zero, ("x2-low",)),
+         ((-(one - t), one), one, ("roof-left",)),
+         (((one - t), one), one + 2 * (one - t), ("roof-right",))],
+    )
+
+
+def contdeg_rho(t, point):
+    """The deformation map of the fixture (piecewise-rational, exact)."""
+    t = Fraction(t)
+    x1, x2 = Fraction(point[0]), Fraction(point[1])
+    if x1 <= 1:
+        return (x1, x2 * ((1 - t) * x1 + 1) / (x1 + 1))
+    return (x1, x2 * ((1 - t) * (2 - x1) + 1) / ((2 - x1) + 1))
+
+
+def contdeg_face_map() -> FaceMap:
+    """Face map of the pentagon -> rectangle degeneration via rho_1."""
+    h0 = contdeg_hrep(0)
+    h1 = contdeg_hrep(1)
+    lat0, lat1 = face_lattice(h0, vertices(h0)), face_lattice(h1, vertices(h1))
+
+    def rho(hom):
+        point = contdeg_rho(1, [Fraction(x, hom[0]) for x in hom[1:]])
+        return homogenized([point])[0]
+
+    return face_map_via(lat0, h1, lat1, rho)

@@ -11,12 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (make_double_star, make_ex52, random_marked_poset,
-                      random_parameter, random_point,
+from conftest import (contdeg_face_map, dilate, make_double_star, make_ex52,
+                      random_marked_poset, random_parameter, random_point,
                       random_ranked_regular_poset)
 from mpp.degeneration import (DegenerationPair, check_fvector_domination,
-                              composition_law, contdeg_face_map,
-                              degeneration_map)
+                              composition_law, degeneration_map)
 from mpp.family import (Parameter, Partition, facet_count, facet_count_delta,
                         hrep_chain_order, hrep_general, hypercube_vertices,
                         is_tame, partition_of_parameter, transfer_phi,
@@ -98,7 +97,7 @@ def test_criterion_4_ehrhart_equivalence():
         for t in hypercube_vertices(poset):
             part = partition_of_parameter(poset, t)
             h = hrep_chain_order(poset, part)
-            these = tuple(len(lattice_points(h.dilate(k))) for k in range(1, 5))
+            these = tuple(len(lattice_points(dilate(h, k))) for k in range(1, 5))
             if counts is None:
                 counts = these
             else:

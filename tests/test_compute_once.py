@@ -7,14 +7,17 @@ from __future__ import annotations
 
 import functools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from mpp import cli, tropical
+from mpp import cli, geometry, tropical
+from mpp.family import Parameter, hrep_general
 from mpp.jsonio import poset_to_json
 from mpp.poset import MarkedPoset, validate
 
-from conftest import make_double_star, make_ex52
+from conftest import make_double_star, make_ex52, make_ex52_rational, make_grid
 
 
 @pytest.fixture
@@ -152,12 +155,11 @@ def test_ehrhart_runs_dd_once_per_polytope_and_never_dilates(ex52_file, monkeypa
     runs = [_count(monkeypatch, module, "vertices")
             for name, module in sorted(sys.modules.items())
             if name.startswith("mpp.") and hasattr(module, "vertices")]
-    dilated = _count(monkeypatch, HRep, "dilate")
+    assert not hasattr(HRep, "dilate")  # dilating an H-rep is a test oracle only
     assert cli.main([a.format(ex52_file) for a in argv]) == 0
     data = json.loads(capsys.readouterr().out)
     polytopes = len(data.get("polynomials", [None]))  # the sweep: 8 corners
     assert sum(map(len, runs)) == polytopes
-    assert dilated == []
 
 
 def test_fvector_domination_check_builds_no_face_lattice(monkeypatch):
@@ -173,3 +175,93 @@ def test_fvector_domination_check_builds_no_face_lattice(monkeypatch):
     rep = check_fvector_domination(poset, pair)
     assert rep["pass"] and len(counted) == 2
     assert rep["source_f_vector"] == [14, 22, 10]
+
+
+def test_subdivision_runs_no_dd_on_the_base_polytope_twice(ex52_file, monkeypatch, capsys):
+    # ex52's covector search probes 7 partial covectors below the root; the
+    # root is the base polytope, whose V-rep _base_data has already built
+    runs = _count(monkeypatch, tropical, "vertices")
+    assert cli.main(["subdivision", ex52_file]) == 0
+    assert json.loads(capsys.readouterr().out)["cells"]
+    assert len(runs) == 8
+
+
+def _count_fractions(monkeypatch) -> list:
+    """Count every Fraction built from here on: by the constructor, and by
+    the arithmetic shortcut that newer Pythons take around it."""
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if "_from_coprime_ints" in vars(Fraction):
+        shortcut = Fraction._from_coprime_ints.__func__
+
+        def counted_shortcut(cls, *args):
+            built.append(1)
+            return shortcut(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_shortcut))
+    return built
+
+
+def _fraction_vertices(h):
+    """The vertices as the kernel once returned them: the Fraction points of
+    the DD rays with x0 > 0, deduplicated and sorted by Fraction comparison."""
+    _, rays = geometry._dd_generators(h)
+    points = {tuple(Fraction(x, r[0]) for x in r[1:]) for r, _ in rays if r[0] > 0}
+    return tuple(sorted(points))
+
+
+def _random_rational_hrep(rnd: random.Random):
+    """A box around the origin, possibly shifted to negative coordinates, cut
+    by rows with mixed denominators."""
+    d = rnd.randint(1, 4)
+    coords = tuple(f"x{i}" for i in range(d))
+    shift = [Fraction(rnd.randint(-9, 3), rnd.choice((1, 2, 3, 5))) for _ in range(d)]
+    ineqs = []
+    for i, s in enumerate(shift):
+        unit = tuple(Fraction(int(j == i)) for j in range(d))
+        ineqs.append((unit, s + rnd.randint(1, 4), ("hi",)))
+        ineqs.append((tuple(-x for x in unit), -s + rnd.randint(0, 4), ("lo",)))
+    for _ in range(rnd.randint(0, 3)):
+        coeffs = tuple(Fraction(rnd.randint(-6, 6), rnd.choice((1, 2, 3, 4, 7)))
+                       for _ in range(d))
+        if any(coeffs):
+            slack = Fraction(rnd.randint(1, 9), rnd.choice((2, 3, 5)))
+            rhs = sum(c * s for c, s in zip(coeffs, shift)) + slack
+            ineqs.append((coeffs, rhs, ("cut",)))
+    return geometry.make_hrep(coords, [], ineqs)
+
+
+def _grid3x4_interior():
+    poset = make_grid(3, 4)
+    dens = (2, 3, 5, 7, 4, 6)
+    t = {p: Fraction(1 + i % (dens[i % 6] - 1), dens[i % 6])
+         for i, p in enumerate(sorted(poset.unmarked))}
+    return hrep_general(poset, Parameter(t), projected=True)
+
+
+def test_vertices_builds_no_fraction(monkeypatch):
+    # the V-rep holds integer rows; Fractions appear only when a caller reads
+    # VRep.vertices, and then equal the Fraction points of the old kernel
+    ex52q = make_ex52_rational()
+    hreps = [_grid3x4_interior(),
+             hrep_general(ex52q, Parameter({"p": Fraction(2, 7), "q": Fraction(3, 5),
+                                            "r": Fraction(4, 7)}), projected=True)]
+    rnd = random.Random(12)
+    hreps += [_random_rational_hrep(rnd) for _ in range(50)]
+    dens = set()
+    for h in hreps:
+        with monkeypatch.context() as m:
+            built = _count_fractions(m)
+            v = geometry.vertices(h)
+            assert built == []
+            assert v.vertices and built  # the first read builds them
+        assert v.vertices == _fraction_vertices(h)
+        assert v.rows == tuple(sorted(geometry.homogenized(v.vertices)))
+        dens.add(v.rows[0][0])
+    assert len(dens) > 3  # not vacuous: many common denominators besides 1

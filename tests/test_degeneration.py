@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (fraction_theta_projected, make_double_star, make_ex52,
+from conftest import (barycenter, contdeg_face_map, contdeg_hrep, contdeg_rho,
+                      fraction_theta_projected, make_double_star, make_ex52,
                       make_ex52_rational, make_grid, random_marked_poset,
                       random_parameter, sevenths_and_fifths)
 from mpp import degeneration
 from mpp.degeneration import (DegenerationPair, FaceMap, canonical_incidence,
                               check_fvector_domination,
                               combinatorial_type_sweep, composition_law,
-                              contdeg_face_map, contdeg_hrep, contdeg_rho,
                               degeneration_map, fvector_domination,
                               hibi_li_check,
                               incidence_matrix, lattices_isomorphic,
@@ -18,7 +18,6 @@ from mpp.degeneration import (DegenerationPair, FaceMap, canonical_incidence,
 from mpp.family import (Parameter, Partition, generic_parameter, hrep_general,
                         hypercube_vertices)
 from mpp.geometry import HRep, face_lattice, vertices
-from mpp.linalg import barycenter
 
 
 def F(n, d=1):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_chain_poset, make_double_star, make_ex52
+from conftest import (barycenter, dilate, faces_by_vertex_ids, make_chain_poset,
+                      make_double_star, make_ex52)
 from mpp.family import Parameter, hrep_general, hypercube_vertices, zero_parameter
 from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, Unbounded,
                           UnsupportedLineality, UnsupportedUnbounded,
@@ -418,7 +419,7 @@ def test_incidences_cover_rays():
                                    ((F(1), F(0)), F(2), ("cap",))])
     v = vertices(h)
     assert v.vertices == ((F(0), F(0)), (F(2), F(0))) and v.rays == ((F(0), F(1)),)
-    assert incidences(h, v.vertices, v.rays) == [0b101, 0b011, 0b110]
+    assert incidences(h, v) == [0b101, 0b011, 0b110]
 
 
 def test_maximal_masks():
@@ -458,7 +459,7 @@ def test_meet_of_faces_is_face():
     lat = face_lattice(h, vertices(h))
     ids = [f.vertex_ids for f in lat.faces]
     for a, b in itertools.combinations(ids, 2):
-        assert a & b in lat.by_vertex_ids
+        assert a & b in faces_by_vertex_ids(lat)
 
 
 def test_minimal_face_containing():
@@ -604,7 +605,7 @@ def test_barycenter_lies_in_its_own_face():
         for f in lat.faces:
             if f.dim >= 0:
                 pts = [v.vertices[i] for i in sorted(f.vertex_ids)]
-                assert lat.minimal_face_containing(h, linalg.barycenter(pts)) == f
+                assert lat.minimal_face_containing(h, barycenter(pts)) == f
         far = (v.vertices[0][0] + 100,) + v.vertices[0][1:]
         with pytest.raises(GeometryError):
             lat.minimal_face_containing(h, far)
@@ -659,7 +660,7 @@ def test_translation_preserves_lattice_count():
     out = apply_affine(amap, h)
     assert amap.is_unimodular
     for k in (1, 2, 3):
-        assert len(lattice_points(out.dilate(k))) == len(lattice_points(h.dilate(k)))
+        assert len(lattice_points(dilate(out, k))) == len(lattice_points(dilate(h, k)))
 
 
 def test_unimodular_shear():

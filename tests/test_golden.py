@@ -44,7 +44,8 @@ def make_point() -> MarkedPoset:
 POSETS = {"ex52": make_ex52, "dstar": make_double_star, "grid2x3": lambda: make_grid(2, 3),
           "nontame": make_constant_interval, "grid2x4": lambda: make_grid(2, 4),
           "ex52q": make_ex52_rational, "point": make_point,
-          "interior": make_marked_interior}
+          "interior": make_marked_interior, "grid3x3": lambda: make_grid(3, 3),
+          "grid3x4": lambda: make_grid(3, 4)}
 
 # per poset: interior t, a face point of it (the degeneration target), and two
 # partitions with C of the first inside C of the second
@@ -70,6 +71,12 @@ INPUTS = {
               "face": {"p": "2/7", "q": "1", "r": "0"}},
     "point": {"t": {"p": "1/2"}},
     "interior": {},
+    "grid3x3": {},
+    # vertex denominators differ, so the common denominator of the vertices
+    # is not the first entry of every DD ray
+    "grid3x4": {"t": {"x01": "1/2", "x02": "1/3", "x03": "2/5", "x10": "3/7",
+                      "x11": "1/4", "x12": "2/3", "x13": "4/5", "x20": "5/7",
+                      "x21": "3/4", "x22": "1/6"}},
 }
 
 # mode -> argv after the poset path; {t}, {face}, {part_a}, {part_b}, {off}
@@ -342,6 +349,16 @@ GOLDEN = {
         ('5ee11448e6dca4d4492bf3b5c33952ba5bd68f74eb860a619209cf616fab3ef1', 0, None),
     ('interior', 'vertices-tropical'):
         ('222cb19d00837d6c8bd183ab74b4b540c05296454fffae9635557e46346400d2', 0, None),
+    # recorded before the V-representation moved to integer rows over one
+    # common denominator: vertex order, cell order and the subdivision's
+    # cell keys all change representation (grid2x4 'degenerate' above covers
+    # the face maps)
+    ('grid3x3', 'subdivision'):
+        ('c0fa2d423923d1021ebe15ea79578eef2c3790ef9257b751d877dc51339aad0c', 0, None),
+    ('grid3x3', 'vertices-tropical'):
+        ('e9f291d71458185405e212355f4653d21ae22486a7a7118c37f54ddcc7962e50', 0, None),
+    ('grid3x4', 'vertices-dd'):
+        ('519daf9046481fce361074341310d966e59d4c4b104967b8788c18902e467588', 0, None),
 }
 
 

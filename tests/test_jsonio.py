@@ -8,7 +8,8 @@ from mpp.family import hrep_general, zero_parameter
 from mpp.geometry import vertices
 from mpp.jsonio import (SchemaError, encode, hrep_to_json, jsonable, parameter_from_json,
                         parameter_to_json, partition_from_json, partition_to_json,
-                        poset_from_json, poset_to_json, vrep_to_json)
+                        poset_from_json, poset_to_json, row_strs, vrep_to_json)
+from mpp.rationals import rat_str
 
 
 def ex52_json():
@@ -110,6 +111,22 @@ def test_hrep_vrep_emission(ex52):
     # bit-exact round trip of serialized rationals
     text = json.dumps(data)
     assert json.loads(text) == data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 6), st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=6))
+def test_row_strs_equal_rat_str_of_the_fractions(den, xs):
+    assert row_strs((den, *xs)) == [rat_str(Fraction(x, den)) for x in xs]
+
+
+def test_vrep_emission_formats_the_rows_as_the_fractions(ex52):
+    # interior t with mixed denominators: the rows share one denominator,
+    # reduced per coordinate on output
+    from mpp.family import Parameter
+    t = Parameter({"p": Fraction(1, 3), "q": Fraction(2, 7), "r": Fraction(3, 5)})
+    v = vertices(hrep_general(ex52, t, projected=True))
+    assert v.rows[0][0] > 1
+    assert vrep_to_json(v)["vertices"] == [[rat_str(x) for x in p] for p in v.vertices]
 
 
 def test_jsonable_converts_fractions():

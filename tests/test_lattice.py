@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_chain_poset, make_ex52, make_grid
+from conftest import dilate, make_chain_poset, make_ex52, make_grid
 from mpp.family import (Partition, hrep_chain_order, hrep_general,
                         hypercube_vertices, one_parameter, zero_parameter)
 from mpp import lattice
@@ -217,7 +217,7 @@ def test_enumerator_matches_box_scan(seed):
         assert lattice_points(h) == box_scan(h, *lattice._box(lattice._extremes(homogenized(verts))))
         for k in (1, 2, 3):
             box = lattice._box(lattice._extremes(homogenized(verts)), k)
-            expected = box_scan(h.dilate(k), *box)
+            expected = box_scan(dilate(h, k), *box)
             assert lattice._scan(h, *box, k=k) == expected
             assert lattice._scan(h, *box, k=k, count=True) == len(expected)
     # a box not fitted to the polytope, wider on some sides, cut on others
@@ -252,7 +252,7 @@ def test_enumerator_folds_pinned_coordinates(pinned, k):
     lows, highs = [-1] * 4, [5 * k] * 4
     for j in pinned:
         lows[j] = highs[j] = 1
-    expected = box_scan(h.dilate(k), lows, highs)
+    expected = box_scan(dilate(h, k), lows, highs)
     # (1, 1, 1, 1) is the one point of the all-pinned box at k = 1 only
     assert expected or (len(pinned) == 4 and k == 2)
     assert lattice._scan(h, lows, highs, k=k) == expected

@@ -151,12 +151,13 @@ def test_polytope_vertices_are_subdivision_vertices(ex52):
 @pytest.mark.parametrize("cells_of", [tropical_subdivision, tropical_cells,
                                       ideal_chain_cells])
 def test_cell_dim_and_tight_rows_match_evaluation(cells_of):
-    # dimension by affine rank and tight base rows by exact evaluation at
-    # every vertex of the cell
-    from conftest import make_double_star, make_ex52
+    # dimension by affine rank, tight base rows by exact evaluation at every
+    # vertex of the cell, and the covector of its Fraction barycenter
+    from conftest import barycenter, make_double_star, make_ex52, make_ex52_rational
     from mpp.tropical import _base_data
-    for poset in (make_ex52(), make_double_star()):
+    for poset in (make_ex52(), make_double_star(), make_ex52_rational()):
         base, _ = _base_data(poset)
+        arr = arrangement(poset)
         cells = cells_of(poset)
         assert cells
         for cell in cells:
@@ -164,6 +165,9 @@ def test_cell_dim_and_tight_rows_match_evaluation(cells_of):
             assert cell.tight == frozenset(
                 i for i, c in enumerate(base.inequalities)
                 if all(c.evaluate(p) == c.rhs for p in cell.vertices))
+            full = iota(poset, dict(zip(base.coords, barycenter(cell.vertices))))
+            assert cell.covector == tuple((r, tuple(sorted(m)))
+                                          for r, m in sorted(covector(arr, full).items()))
 
 
 def test_subdivision_cells_partition_volume(ex52):
@@ -233,7 +237,7 @@ def test_subdivision_equals_literal_pair_enumeration(ex52):
     lat = face_lattice(base, base_v)
 
     literal = set()
-    for tau, _, _ in _covector_cells(ex52, arr, base):
+    for tau, _, _ in _covector_cells(ex52, arr, base, base_v):
         cov_eqs, cov_ineqs = _covector_cell_rows(ex52, index, tau)
         for face in lat.faces:
             if face.dim < 0:
@@ -251,7 +255,7 @@ def test_subdivision_equals_literal_pair_enumeration(ex52):
                 continue
             literal.add(frozenset(v.vertices))
 
-    implemented = {c.vertex_set() for c in tropical_subdivision(ex52)}
+    implemented = {frozenset(c.vertices) for c in tropical_subdivision(ex52)}
     assert implemented == literal
 
 
@@ -342,9 +346,9 @@ def test_dd_pruned_covectors_equal_lp_pruned():
                for _ in range(30)]
     probes = []
     for poset in posets:
-        base, _ = _base_data(poset)
+        base, base_v = _base_data(poset)
         arr = arrangement(poset)
-        dd = [tau for tau, _, _ in _covector_cells(poset, arr, base)]
+        dd = [tau for tau, _, _ in _covector_cells(poset, arr, base, base_v)]
         assert dd == _lp_pruned_covectors(poset, arr, base, probes)
     assert probes.count(False) >= 18  # not vacuous: empty cells were pruned
 
