@@ -67,7 +67,8 @@ def _resolve_parameter(args, poset) -> tuple[family.Parameter, dict]:
 
 def _emit(payload: dict, summary: str) -> int:
     """Write payload as indented JSON (jsonio.encode) in one piece."""
-    sys.stdout.write(jsonio.encode(payload) + "\n")
+    sys.stdout.write(jsonio.encode(payload))
+    sys.stdout.write("\n")  # not joined to the text, which would copy it
     sys.stdout.flush()  # a closed pipe shows up here, inside main
     print(summary, file=sys.stderr)
     return 0
@@ -86,23 +87,23 @@ def cmd_hrep(args) -> int:
     if args.irredundant:
         h = family.eliminate_redundancy(h)
     payload = {"command": "hrep", **header, "hrep": jsonio.hrep_to_json(h)}
-    return _emit(payload, f"hrep: {len(h.equations)} equations, "
-                          f"{len(h.inequalities)} inequalities")
+    return _emit(payload, f"hrep: {len(h.int_equations)} equations, "
+                          f"{len(h.int_inequalities)} inequalities")
 
 
 def cmd_vertices(args) -> int:
     poset = _load_poset(args.poset)
     t, header = _resolve_parameter(args, poset)
+    if args.method == "tropical":  # builds the H-rep at t itself, for its check
+        pts = tropical.generic_vertices(poset, t)
+        payload = {"command": "vertices", **header, "method": "tropical",
+                   "coords": list(poset.unmarked),
+                   "vertices": [[rat_str(x) for x in p] for p in pts], "rays": []}
+        return _emit(payload, f"vertices: {len(pts)} (tropical path)")
     h = family.hrep_general(poset, t, projected=True)
     if args.method == "bruteforce":
         from .geometry import vertices_bruteforce
         v = vertices_bruteforce(h)
-    elif args.method == "tropical":
-        pts = tropical.generic_vertices(poset, t)
-        payload = {"command": "vertices", **header, "method": "tropical",
-                   "coords": list(h.coords),
-                   "vertices": [[rat_str(x) for x in p] for p in pts], "rays": []}
-        return _emit(payload, f"vertices: {len(pts)} (tropical path)")
     else:
         v = vertices(h)
     payload = {"command": "vertices", **header, "method": args.method,

@@ -3,10 +3,11 @@ parameter in the hypercube, the piecewise-linear transfer maps between family
 members, tightness predicates, redundancy elimination, and tameness.
 
 Both inequality descriptions are written in one pass by one row builder
-(`_hrep`): each row goes straight into its final coordinates, a marked term
-into the right-hand side when projected, and make_hrep runs once.  Chain
-weights are suffix products of t along the chain; the chains come from the
-tails cached on the poset.
+(`_hrep`) as integer rows: each row goes straight into its final
+coordinates, a marked term into the right-hand side when projected, over
+one common denominator of t and one of the marking.  Chain weights are
+suffix products of the numerators of t along the chain; the chains come
+from the tails cached on the poset.
 
 Redundancy and tameness are read off the double description, with no LP:
 each inequality's tight vertices and recession rays form a bitmask, and the
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, VRep, facet_masks,
-                       make_hrep, vertices)
+                       vertices)
 from .poset import (MarkedPoset, PosetError, SaturatedChain, chain_counts,
                     chains_through, require_valid, saturated_chains_to)
 from .rationals import rat
@@ -129,44 +130,57 @@ def check_parameter(poset: MarkedPoset, t: Parameter) -> Parameter:
     return t
 
 
-def _row(poset: MarkedPoset, index: dict[str, int], terms):
-    """(coeffs, rhs) of sum(c * x_e for e, c in terms) <= 0 over the
-    coordinates in index; the term of a marked element outside index moves
-    into rhs at its marking value."""
-    row = [ZERO] * len(index)
-    rhs = ZERO
-    for e, c in terms:
-        if e in index:
-            row[index[e]] += c
-        else:
-            rhs -= c * poset.marking[e]
-    return tuple(row), rhs
+def _row_writer(poset: MarkedPoset, coords):
+    """write(terms, scale, origin): the (row, S, origin) of sum(c * x_e for
+    e, c in terms) <= 0 over coords, each c an int, scale times the true
+    coefficient.  A marked term outside coords moves into the right-hand
+    side at its marking value; S = scale * M, M the marking's denominator."""
+    index = {e: 1 + i for i, e in enumerate(coords)}
+    den = math.lcm(*(v.denominator for v in poset.marking.values()))
+    marks = {a: v.numerator * (den // v.denominator) for a, v in poset.marking.items()}
+    width = len(coords) + 1
+
+    def write(terms, scale, origin):
+        row = [0] * width
+        for e, c in terms:
+            j = index.get(e)
+            if j is None:
+                row[0] += c * marks[e]
+            else:
+                row[j] += c * den
+        return tuple(row), scale * den, origin
+
+    return write
 
 
 def _hrep(poset: MarkedPoset, rows, projected: bool) -> HRep:
-    """H-rep with one inequality sum(c * x_e) <= 0 per (terms, origin) in rows.
-    The marked coordinates are fixed by marking equations in the full space
-    R^P, or eliminated when projected.  Each row is written once, in the final
-    coordinates, and make_hrep runs once."""
+    """H-rep with one inequality sum(c * x_e) <= 0 per (terms, scale, origin)
+    in rows, written by _row_writer.  The marked coordinates are fixed by
+    marking equations in the full space R^P, or eliminated when projected.
+    Each row is written once, as integers in the final coordinates."""
     coords = poset.unmarked if projected else poset.elements
-    index = {e: i for i, e in enumerate(coords)}
-    eqs = [] if projected else [(tuple(ONE if e == a else ZERO for e in coords),
-                                 poset.marking[a], ("marking", a))
-                                for a in sorted(poset.marking)]
-    ineqs = [_row(poset, index, terms) + (origin,) for terms, origin in rows]
-    return make_hrep(coords, eqs, ineqs)
+    write = _row_writer(poset, coords)
+    eqs = [] if projected else [
+        ((-v.numerator,) + tuple(v.denominator if e == a else 0 for e in coords),
+         v.denominator, ("marking", a)) for a, v in sorted(poset.marking.items())]
+    return HRep(coords).with_rows(eqs, [write(*row) for row in rows])
 
 
 def hrep_general(poset: MarkedPoset, t: Parameter, projected: bool = True) -> HRep:
     """H-description of O_t(P, lambda), one inequality per saturated chain:
     (1 - t_p) * (t_{p_1}...t_{p_r} x_{p_0} + ... + x_{p_r}) <= x_p.
 
+    With t_e = T_e / D over one common denominator D, a chain of k = r + 1
+    elements below p is scaled by D^k, so x_{p_i} weighs the integer
+    (D - T_p) * T_{p_{i+1}}...T_{p_r} * D^i (D for D - T_p if p is marked).
     No on-the-fly simplification: redundancy removal is a separate step so
     that every constraint keeps its generating chain as origin tag.
     """
     require_valid(poset)
     check_parameter(poset, t)
-    tv = t.values
+    den = math.lcm(*(v.denominator for v in t.values.values()))
+    num = {p: v.numerator * (den // v.denominator) for p, v in t.values.items()}
+    powers = [den ** i for i in range(len(poset.elements) + 1)]
 
     def rows():
         for p in poset.elements:
@@ -175,13 +189,14 @@ def hrep_general(poset: MarkedPoset, t: Parameter, projected: bool = True) -> HR
                 below = chain.below
                 if marked and len(below) == 1:
                     continue  # r = 0 into a marked target follows from the marking
-                terms = [(p, -ONE)]
-                w = ONE if marked else ONE - tv[p]  # weights as suffix products
-                for i in range(len(below) - 1, 0, -1):
-                    terms.append((below[i], w))
-                    w *= tv[below[i]]
+                k = len(below)
+                terms = [(p, -powers[k])]
+                w = den if marked else den - num[p]  # suffix products of T
+                for i in range(k - 1, 0, -1):
+                    terms.append((below[i], w * powers[i]))
+                    w *= num[below[i]]
                 terms.append((below[0], w))
-                yield terms, ("chain",) + below + (p,)
+                yield terms, powers[k], ("chain",) + below + (p,)
 
     return _hrep(poset, rows(), projected)
 
@@ -190,11 +205,11 @@ def hrep_chain_order(poset: MarkedPoset, part: Partition, projected: bool = True
     """Direct description of the marked chain-order polyhedron O_{C,O}."""
     require_valid(poset)
     check_partition(poset, part)
-    rows = [([(p, -ONE)], ("nonneg", p)) for p in sorted(part.C)]
+    rows = [([(p, -1)], 1, ("nonneg", p)) for p in sorted(part.C)]
     for a, mids, b in chains_through(poset, part.C, poset.marked | part.O):
         if a in poset.marked and b in poset.marked and not mids:
             continue
-        rows.append(([(e, ONE) for e in (a,) + mids] + [(b, -ONE)],
+        rows.append(([(e, 1) for e in (a,) + mids] + [(b, -1)], 1,
                      ("cochain", a) + mids + (b,)))
     return _hrep(poset, rows, projected)
 
@@ -418,22 +433,23 @@ def eliminate_redundancy(h: HRep) -> HRep:
         masks, facets, full = facet_masks(h, vertices(h))
     except EmptyPolyhedron:
         raise EmptyPolyhedron("cannot eliminate redundancy of an empty polyhedron") from None
+    implicit = [j for j, m in enumerate(masks) if m == full]
     seen_eq = set()
     uniq_eqs = []
-    for c in h.equations + tuple(c for c, m in zip(h.inequalities, masks) if m == full):
-        coeffs, rhs = c.normalized()
-        if next(x for x in coeffs if x != 0) < 0:  # equations are sign-free
-            coeffs, rhs = tuple(-x for x in coeffs), -rhs
-        if (coeffs, rhs) not in seen_eq:
-            seen_eq.add((coeffs, rhs))
+    for c, row in zip(h.scaled_equations + tuple(h.scaled_inequalities[j] for j in implicit),
+                      h.int_equations + tuple(h.int_inequalities[j] for j in implicit)):
+        if next(x for x in row[1:] if x) < 0:  # equations are sign-free
+            row = tuple(-x for x in row)
+        if row not in seen_eq:
+            seen_eq.add(row)
             uniq_eqs.append(c)
     last = {m: i for i, m in enumerate(masks) if m in facets}
-    kept = tuple(h.inequalities[i] for i in sorted(last.values()))
-    return HRep(h.coords, tuple(uniq_eqs), kept)
+    kept = [h.scaled_inequalities[i] for i in sorted(last.values())]
+    return HRep(h.coords).with_rows(uniq_eqs, kept)
 
 
 def facet_count(h: HRep) -> int:
-    return len(eliminate_redundancy(h).inequalities)
+    return len(eliminate_redundancy(h).int_inequalities)
 
 
 def chain_order_polytope(poset: MarkedPoset, part: Partition) -> tuple[HRep, VRep]:

@@ -1,18 +1,19 @@
 """Exact rational polyhedron kernel.
 
-H-representations hold equations and inequalities with Fraction coefficients
-and an origin tag per constraint.  Vertex enumeration is the classical double
-description method on the homogenization cone, in integers throughout: rows
-are scaled to integers, rays stay primitive int tuples with bitmask zero
-sets, and the returned VRep holds each vertex as an integer row over one
-common denominator.  Fraction vertices are built only when a caller reads
-VRep.vertices.  A brute-force constraint-subset oracle is kept alongside for
-cross-checking.  Face lattices are restricted to bounded polyhedra.  Faces
-are vertex bitmasks, enumerated level by level from the facets' incidence
-masks, so a face's dimension is its level in the lattice; the face holding a
-point in its relative interior is looked up by the point's set of tight
-inequalities.  f-vectors come from the same walk, counted, with one level
-held at a time.
+H-representations hold each constraint as an integer row with a positive
+scale, an origin tag and its primitive form; Fraction constraints are built
+only when a caller reads HRep.equations or HRep.inequalities.  Vertex
+enumeration is the classical double description method on the
+homogenization cone, in integers throughout: it reads the primitive rows,
+rays stay primitive int tuples with bitmask zero sets, and the returned VRep
+holds each vertex as an integer row over one common denominator.  Fraction
+vertices are built only when a caller reads VRep.vertices.  A brute-force
+constraint-subset oracle is kept alongside for cross-checking.  Face
+lattices are restricted to bounded polyhedra.  Faces are vertex bitmasks,
+enumerated level by level from the facets' incidence masks, so a face's
+dimension is its level in the lattice; the face holding a point in its
+relative interior is looked up by the point's set of tight inequalities.
+f-vectors come from the same walk, counted, with one level held at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .linalg import (ZERO, ONE, common_denominator, dehomogenized, dot, homogenized,
-                     primitive)
+from .linalg import ZERO, ONE, common_denominator, dehomogenized, dot, homogenized
 
 
 class GeometryError(Exception):
@@ -66,7 +66,7 @@ PLUMBING = ("plumbing",)
 
 @dataclass(frozen=True)
 class Constraint:
-    """A row a . x = rhs (equation) or a . x <= rhs (inequality)."""
+    """A row a . x = rhs (equation) or a . x <= rhs (inequality), in Fractions."""
 
     coeffs: tuple[Fraction, ...]
     rhs: Fraction
@@ -75,72 +75,109 @@ class Constraint:
     def evaluate(self, point) -> Fraction:
         return dot(self.coeffs, point)
 
-    def normalized(self) -> tuple[tuple[Fraction, ...], Fraction]:
-        """Positive-scale canonical form for comparisons (primitive coeffs)."""
-        p = primitive(self.coeffs)
-        nz = next(x for x in self.coeffs if x != 0)
-        scale = next(x for x in p if x != 0) / nz
-        return p, self.rhs * scale
 
-
-@dataclass(frozen=True)
 class HRep:
-    coords: tuple[str, ...]
-    equations: tuple[Constraint, ...]
-    inequalities: tuple[Constraint, ...]
+    """Equations a . x = rhs and inequalities a . x <= rhs over coords.
 
-    def __post_init__(self):
-        for c in self.equations + self.inequalities:
-            if len(c.coeffs) != len(self.coords):
-                raise GeometryError("constraint arity does not match ambient coordinates")
-            if all(x == 0 for x in c.coeffs):
+    Each constraint is held as (row, S, origin) in scaled_equations and
+    scaled_inequalities: an integer row = S * (-rhs, a) with a positive
+    integer scale S, so each value is an entry of row over S.  Their
+    primitive forms, which DD, incidences and lattice counting read, are
+    int_equations and int_inequalities: x satisfies an inequality iff
+    row . (1, x) <= 0.  The Constraint tuples equations and inequalities
+    are built on first read.  HRep(coords, equations, inequalities) takes
+    Constraints; with_rows appends integer rows.
+    """
+
+    def __init__(self, coords, equations=(), inequalities=()):
+        self.coords = tuple(coords)
+        self.scaled_equations = self.scaled_inequalities = ()
+        self.int_equations = self.int_inequalities = ()
+        if equations or inequalities:
+            self.equations, self.inequalities = tuple(equations), tuple(inequalities)
+            if not all(any(c.coeffs) for c in self.equations + self.inequalities):
                 raise GeometryError("zero-row constraint (filter constants out first)")
+            vars(self).update(vars(self.with_rows(
+                *([_scaled(c.coeffs, c.rhs, c.origin) for c in group]
+                  for group in (self.equations, self.inequalities)))))
+
+    def with_rows(self, equations=(), inequalities=()) -> HRep:
+        """This H-rep with constraints (row, S, origin) appended.  A constant
+        row (a = 0) is dropped when it holds and raises EmptyPolyhedron when
+        it fails (e.g. 0 <= -1)."""
+        n = len(self.coords) + 1
+        eqs, int_eqs = _nonconstant(equations, n, "equation", (0).__ne__)
+        ineqs, int_ineqs = _nonconstant(inequalities, n, "inequality", (0).__lt__)
+        out = HRep(self.coords)
+        out.scaled_equations = self.scaled_equations + eqs
+        out.int_equations = self.int_equations + int_eqs
+        out.scaled_inequalities = self.scaled_inequalities + ineqs
+        out.int_inequalities = self.int_inequalities + int_ineqs
+        return out
+
+    @cached_property
+    def equations(self) -> tuple[Constraint, ...]:
+        return _constraints(self.scaled_equations)
+
+    @cached_property
+    def inequalities(self) -> tuple[Constraint, ...]:
+        return _constraints(self.scaled_inequalities)
 
     @property
     def dim_ambient(self) -> int:
         return len(self.coords)
 
-    @cached_property
-    def int_inequalities(self) -> tuple[tuple[int, ...], ...]:
-        """Each inequality as the primitive integer row (-rhs, coeffs) scaled
-        by a positive factor: the point x satisfies it iff row . (1, x) <= 0."""
-        return tuple(map(_int_row, self.inequalities))
-
-    @cached_property
-    def int_equations(self) -> tuple[tuple[int, ...], ...]:
-        """Each equation as an integer row, like int_inequalities: x satisfies
-        it iff row . (1, x) == 0."""
-        return tuple(map(_int_row, self.equations))
-
     def contains(self, point) -> bool:
         return (all(c.evaluate(point) == c.rhs for c in self.equations)
                 and all(c.evaluate(point) <= c.rhs for c in self.inequalities))
 
+    def _key(self):
+        return self.coords, self.equations, self.inequalities
 
-def _fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, HRep) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"HRep(coords={self.coords!r}, equations={self.equations!r}, "
+                f"inequalities={self.inequalities!r})")
+
+
+def _scaled(coeffs, rhs, origin):
+    """(row, S, origin) of a . x (= or <=) rhs, the values rationals or
+    converted to Fraction: S is their least common denominator."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (rhs, *coeffs)]
+    values[0] = -values[0]
+    scale = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values), scale, tuple(origin)
+
+
+def _constraints(rows) -> tuple[Constraint, ...]:
+    return tuple(Constraint(tuple(Fraction(x, s) for x in row[1:]), Fraction(-row[0], s), origin)
+                 for row, s, origin in rows)
+
+
+def _nonconstant(rows, n, kind, violated):
+    """(the rows (row, S, origin) of width n whose a is not zero, their
+    primitive forms); a constant row with violated(row[0]) raises."""
+    kept, prims = [], []
+    for r in rows:
+        if len(r[0]) != n:
+            raise GeometryError("constraint arity does not match ambient coordinates")
+        if any(r[0][1:]):
+            kept.append(r)
+            prims.append(_primitive(r[0]))
+        elif violated(r[0][0]):
+            raise EmptyPolyhedron(f"constant {kind} violated (origin {r[2]})")
+    return tuple(kept), tuple(prims)
 
 
 def make_hrep(coords, equations, inequalities) -> HRep:
-    """Build an HRep from (coeffs, rhs, origin) triples, dropping constant rows.
-
-    A constant row that fails (e.g. 0 <= -1) raises EmptyPolyhedron since the
-    representation invariant forbids storing zero rows.  Values that are not
-    Fractions yet are converted.
-    """
-    def rows(triples, kind, violated):
-        out = []
-        for coeffs, rhs, origin in triples:
-            coeffs, rhs = tuple(map(_fraction, coeffs)), _fraction(rhs)
-            if not any(coeffs):
-                if violated(rhs):
-                    raise EmptyPolyhedron(f"constant {kind} violated (origin {origin})")
-                continue
-            out.append(Constraint(coeffs, rhs, tuple(origin)))
-        return tuple(out)
-
-    return HRep(tuple(coords), rows(equations, "equation", lambda rhs: rhs != 0),
-                rows(inequalities, "inequality", lambda rhs: rhs < 0))
+    """An HRep from (coeffs, rhs, origin) triples, constant rows as in with_rows."""
+    return HRep(coords).with_rows([_scaled(*c) for c in equations],
+                                  [_scaled(*c) for c in inequalities])
 
 
 @dataclass(frozen=True)
@@ -169,16 +206,6 @@ class VRep:
 def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     g = math.gcd(*v)
     return v if g <= 1 else tuple(x // g for x in v)
-
-
-def _int_row(c: Constraint) -> tuple[int, ...]:
-    """The row (-rhs, coeffs) of c scaled by a positive factor to a primitive
-    integer row, without building a Fraction."""
-    row = (c.rhs,) + c.coeffs
-    m = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (m // x.denominator) for x in row]
-    ints[0] = -ints[0]
-    return _primitive(tuple(ints))
 
 
 def _idot(a, b) -> int:
@@ -556,11 +583,6 @@ class AffineMap:
         return cls(coords,
                    tuple(tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)),
                    tuple([ZERO] * n))
-
-    @cached_property
-    def is_unimodular(self) -> bool:
-        ints = all(x.denominator == 1 for row in self.matrix for x in row)
-        return ints and abs(linalg.det(self.matrix)) == 1
 
 
 def apply_affine(amap: AffineMap, h: HRep) -> HRep:

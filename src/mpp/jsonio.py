@@ -105,27 +105,29 @@ def partition_to_json(part: Partition) -> dict:
     return {"C": sorted(part.C), "O": sorted(part.O)}
 
 
+def ratio_str(x: int, den: int) -> str:
+    """rat_str of x / den for den > 0, reduced by the gcd, without building
+    the Fraction."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def hrep_to_json(h: HRep) -> dict:
-    def row(c):
-        coeffs = {h.coords[i]: rat_str(x) for i, x in enumerate(c.coeffs) if x != 0}
-        return {"coeffs": coeffs, "rhs": rat_str(c.rhs), "origin": list(c.origin)}
+    def row(r, scale, origin):
+        coeffs = {name: ratio_str(x, scale) for name, x in zip(h.coords, r[1:]) if x}
+        return {"coeffs": coeffs, "rhs": ratio_str(-r[0], scale), "origin": list(origin)}
 
     return {"coords": list(h.coords),
-            "equations": [row(c) for c in h.equations],
-            "inequalities": [row(c) for c in h.inequalities]}
+            "equations": [row(*c) for c in h.scaled_equations],
+            "inequalities": [row(*c) for c in h.scaled_inequalities]}
 
 
 def row_strs(row) -> list[str]:
-    """The rational strings of the point of an integer row (D, D * x), each
-    x_i / D reduced by its gcd: rat_str of the Fraction, without building it."""
+    """The rational strings x_i / D of the point of an integer row (D, D * x)."""
     den = row[0]
     if den == 1:
         return list(map(str, row[1:]))
-    out = []
-    for x in row[1:]:
-        g = math.gcd(x, den)
-        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
-    return out
+    return [ratio_str(x, den) for x in row[1:]]
 
 
 def vrep_to_json(v: VRep) -> dict:

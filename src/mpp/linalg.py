@@ -29,21 +29,6 @@ def is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
-def primitive(a) -> Vector:
-    """Scale a rational vector by a positive factor to a primitive integer vector."""
-    if is_zero(a):
-        return tuple(ZERO for _ in a)
-    lcm = 1
-    for x in a:
-        d = x.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(x * lcm) for x in a]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    return tuple(Fraction(n // g) for n in ints)
-
-
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form (in place on a copy); returns (rref, pivot columns)."""
     m = [list(r) for r in rows]
@@ -150,27 +135,6 @@ def inverse(a_rows) -> Matrix | None:
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in m)
-
-
-def det(a_rows) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(a_rows)
-    m = [list(r) for r in a_rows]
-    result = ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return ZERO
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
 
 
 def homogenized(points) -> list[tuple[int, ...]]:

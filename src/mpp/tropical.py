@@ -22,16 +22,15 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from . import linalg
-from .family import (Parameter, _row, hrep_general, hypercube_vertices,
+from .family import (Parameter, _row_writer, hrep_general, hypercube_vertices,
                      transfer_theta_homogeneous, zero_parameter)
 from .geometry import (EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded, VRep,
                        _bits, _face_levels, _primitive, facet_masks, incidences,
-                       make_hrep, vertices)
+                       vertices)
 from .linalg import common_denominator, dehomogenized
 from .poset import MarkedPoset, require_valid
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class NonInteriorParameter(ValueError):
@@ -102,30 +101,23 @@ class SubdivisionCell:
     origin: tuple[str, ...]
 
 
-def _difference(poset: MarkedPoset, index: dict[str, int], a: str, b: str, origin):
-    """(coeffs, rhs, origin) of x_a - x_b (= or <=) 0 over the projected
-    coordinates, a marked term moved into rhs."""
-    return _row(poset, index, ((a, ONE), (b, -ONE))) + (origin,)
+def _difference(write, a: str, b: str, origin):
+    """The integer row of x_a - x_b (= or <=) 0 by write, a _row_writer of
+    the projected coordinates: a marked term moves into the right-hand side."""
+    return write(((a, 1), (b, -1)), 1, origin)
 
 
-def _covector_cell_rows(poset: MarkedPoset, index, tau: dict[str, frozenset[str]]):
+def _covector_cell_rows(poset: MarkedPoset, write, tau: dict[str, frozenset[str]]):
     """Equations/inequalities pinning the closed arrangement cell F_tau."""
     eqs, ineqs = [], []
     for r, members in sorted(tau.items()):
         m0, *rest = sorted(members)
         for m in rest:
-            eqs.append(_difference(poset, index, m, m0, ("covector-eq", r, m0, m)))
+            eqs.append(_difference(write, m, m0, ("covector-eq", r, m0, m)))
         for other in poset.lower_covers(r):
             if other not in members:
-                ineqs.append(_difference(poset, index, other, m0,
-                                         ("covector-le", r, other, m0)))
+                ineqs.append(_difference(write, other, m0, ("covector-le", r, other, m0)))
     return eqs, ineqs
-
-
-def _combined_hrep(base: HRep, extra_eqs, extra_ineqs) -> HRep:
-    eqs = [(c.coeffs, c.rhs, c.origin) for c in base.equations] + extra_eqs
-    ineqs = [(c.coeffs, c.rhs, c.origin) for c in base.inequalities] + extra_ineqs
-    return make_hrep(base.coords, eqs, ineqs)
 
 
 def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
@@ -134,9 +126,11 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
     over the covectors tau whose closed cell meets it.  tau is extended one
     hyperplane at a time, and a partial covector is dropped as soon as its
     cell is empty, by the same double description that gives a full
-    covector's cell its vertices.  The base rows come first in each H-rep.
-    The root is the polytope itself: base with base_v = vertices(base)."""
-    index = {e: i for i, e in enumerate(base.coords)}
+    covector's cell its vertices.  Each H-rep is base with the covector's
+    integer rows appended, so the base rows come first and are not built
+    again.  The root is the polytope itself: base with base_v =
+    vertices(base)."""
+    write = _row_writer(poset, base.coords)
     names = arr.names()
 
     def rec(i, partial):
@@ -144,7 +138,7 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
             h, v = base, base_v
         else:
             try:
-                h = _combined_hrep(base, *_covector_cell_rows(poset, index, partial))
+                h = base.with_rows(*_covector_cell_rows(poset, write, partial))
                 v = vertices(h)
             except EmptyPolyhedron:
                 return
@@ -230,7 +224,7 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     """
     base, base_v = _base_data(poset)
     arr = arrangement(poset)
-    nb = len(base.inequalities)
+    nb = len(base.int_inequalities)
     index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> global id
     found: dict[int, tuple] = {}  # global vertex mask -> (dim, global ids, tight)
     for _, h, v in _covector_cells(poset, arr, base, base_v):
@@ -382,16 +376,16 @@ def ideal_chain_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     base, _ = _base_data(poset)
     arr = arrangement(poset)
     forms = _covector_forms(poset, arr, base.coords)
-    index = {e: i for i, e in enumerate(base.coords)}
+    write = _row_writer(poset, base.coords)
     cells = []
     for chain in compatible_ideal_chains(poset):
         blocks = [sorted(chain[k] - chain[k - 1]) for k in range(1, len(chain))]
-        eqs = [_difference(poset, index, e, blk[0], ("block-eq", blk[0], e))
+        eqs = [_difference(write, e, blk[0], ("block-eq", blk[0], e))
                for blk in blocks for e in blk[1:]]
-        ineqs = [_difference(poset, index, lo[0], hi[0], ("block-le", lo[0], hi[0]))
+        ineqs = [_difference(write, lo[0], hi[0], ("block-le", lo[0], hi[0]))
                  for lo, hi in zip(blocks, blocks[1:])]
         try:
-            h = _combined_hrep(base, eqs, ineqs)
+            h = base.with_rows(eqs, ineqs)
             v = vertices(h)
         except EmptyPolyhedron:
             continue

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from mpp.degeneration import FaceMap, face_map_via
-from mpp.geometry import Constraint, HRep, face_lattice, make_hrep, vertices
+from mpp.geometry import (Constraint, EmptyPolyhedron, HRep, face_lattice, make_hrep,
+                          vertices)
 from mpp.linalg import homogenized
-from mpp.poset import MarkedPoset, remove_redundant_covers, validate
+from mpp.rationals import rat_str
+from mpp.poset import (MarkedPoset, chains_through, remove_redundant_covers,
+                       saturated_chains_to, validate)
 
 
 def make_ex52() -> MarkedPoset:
@@ -315,3 +319,147 @@ def contdeg_face_map() -> FaceMap:
         return homogenized([point])[0]
 
     return face_map_via(lat0, h1, lat1, rho)
+
+
+# -- Fraction H-rep builders: the row builders the integer ones replaced, kept
+# -- as oracles for them ------------------------------------------------------------
+
+def fraction_make_hrep(coords, equations, inequalities):
+    """(coords, equations, inequalities) as Constraint tuples from
+    (coeffs, rhs, origin) triples, in Fractions: a constant row is dropped
+    when it holds and raises EmptyPolyhedron when it fails."""
+    def rows(triples, kind, violated):
+        out = []
+        for coeffs, rhs, origin in triples:
+            coeffs, rhs = tuple(map(Fraction, coeffs)), Fraction(rhs)
+            if not any(coeffs):
+                if violated(rhs):
+                    raise EmptyPolyhedron(f"constant {kind} violated (origin {origin})")
+                continue
+            out.append(Constraint(coeffs, rhs, tuple(origin)))
+        return tuple(out)
+
+    return (tuple(coords), rows(equations, "equation", lambda rhs: rhs != 0),
+            rows(inequalities, "inequality", lambda rhs: rhs < 0))
+
+
+def fraction_row(poset: MarkedPoset, index, terms):
+    """(coeffs, rhs) of sum(c * x_e for e, c in terms) <= 0 over the
+    coordinates in index; a marked term outside index moves into rhs."""
+    row = [Fraction(0)] * len(index)
+    rhs = Fraction(0)
+    for e, c in terms:
+        if e in index:
+            row[index[e]] += c
+        else:
+            rhs -= c * poset.marking[e]
+    return tuple(row), rhs
+
+
+def _fraction_hrep(poset: MarkedPoset, rows, projected: bool):
+    coords = poset.unmarked if projected else poset.elements
+    index = {e: i for i, e in enumerate(coords)}
+    eqs = [] if projected else [(tuple(Fraction(e == a) for e in coords),
+                                 poset.marking[a], ("marking", a))
+                                for a in sorted(poset.marking)]
+    ineqs = [fraction_row(poset, index, terms) + (origin,) for terms, origin in rows]
+    return fraction_make_hrep(coords, eqs, ineqs)
+
+
+def fraction_hrep_general(poset: MarkedPoset, t, projected: bool = True):
+    """hrep_general's (coords, equations, inequalities) with every weight a
+    Fraction suffix product of t."""
+    one = Fraction(1)
+    rows = []
+    for p in poset.elements:
+        marked = p in poset.marked
+        for chain in saturated_chains_to(poset, p):
+            below = chain.below
+            if marked and len(below) == 1:
+                continue
+            terms = [(p, -one)]
+            w = one if marked else one - t[p]
+            for i in range(len(below) - 1, 0, -1):
+                terms.append((below[i], w))
+                w *= t[below[i]]
+            terms.append((below[0], w))
+            rows.append((terms, ("chain",) + below + (p,)))
+    return _fraction_hrep(poset, rows, projected)
+
+
+def fraction_hrep_chain_order(poset: MarkedPoset, part, projected: bool = True):
+    """hrep_chain_order's (coords, equations, inequalities) in Fractions."""
+    one = Fraction(1)
+    rows = [([(p, -one)], ("nonneg", p)) for p in sorted(part.C)]
+    for a, mids, b in chains_through(poset, part.C, poset.marked | part.O):
+        if a in poset.marked and b in poset.marked and not mids:
+            continue
+        rows.append(([(e, one) for e in (a,) + mids] + [(b, -one)],
+                     ("cochain", a) + mids + (b,)))
+    return _fraction_hrep(poset, rows, projected)
+
+
+def fraction_int_row(c: Constraint) -> tuple[int, ...]:
+    """The row (-rhs, coeffs) of c as a primitive integer row, scaled from
+    its Fractions."""
+    row = (-c.rhs,) + c.coeffs
+    m = math.lcm(*(x.denominator for x in row))
+    ints = [int(x * m) for x in row]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def fraction_hrep_json(coords, equations, inequalities) -> dict:
+    """hrep_to_json from Constraint tuples, each value by rat_str."""
+    def row(c):
+        return {"coeffs": {coords[i]: rat_str(x) for i, x in enumerate(c.coeffs) if x != 0},
+                "rhs": rat_str(c.rhs), "origin": list(c.origin)}
+
+    return {"coords": list(coords), "equations": [row(c) for c in equations],
+            "inequalities": [row(c) for c in inequalities]}
+
+
+def primitive(a) -> tuple[Fraction, ...]:
+    """Scale a rational vector by a positive factor to a primitive integer
+    vector (of Fractions)."""
+    if not any(a):
+        return tuple(Fraction(0) for _ in a)
+    m = math.lcm(*(x.denominator for x in a))
+    ints = [int(x * m) for x in a]
+    g = math.gcd(*ints)
+    return tuple(Fraction(n // g) for n in ints)
+
+
+def normalized(c: Constraint):
+    """Positive-scale canonical form of a constraint: (primitive coeffs,
+    rhs scaled alike)."""
+    p = primitive(c.coeffs)
+    nz = next(x for x in c.coeffs if x != 0)
+    scale = next(x for x in p if x != 0) / nz
+    return p, c.rhs * scale
+
+
+def det(a_rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    n = len(a_rows)
+    m = [[Fraction(x) for x in r] for r in a_rows]
+    result = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            result = -result
+        result *= m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return result
+
+
+def is_unimodular(amap) -> bool:
+    """An affine map with an integer matrix of determinant +-1."""
+    ints = all(x.denominator == 1 for row in amap.matrix for x in row)
+    return ints and abs(det(amap.matrix)) == 1

@@ -17,7 +17,8 @@ from mpp.family import Parameter, hrep_general
 from mpp.jsonio import poset_to_json
 from mpp.poset import MarkedPoset, validate
 
-from conftest import make_double_star, make_ex52, make_ex52_rational, make_grid
+from conftest import (fraction_hrep_general, make_double_star, make_ex52, make_ex52_rational,
+                      make_grid, make_marked_interior)
 
 
 @pytest.fixture
@@ -237,12 +238,15 @@ def _random_rational_hrep(rnd: random.Random):
     return geometry.make_hrep(coords, [], ineqs)
 
 
+def _grid3x4_interior_t(poset) -> Parameter:
+    dens = (2, 3, 5, 7, 4, 6)
+    return Parameter({p: Fraction(1 + i % (dens[i % 6] - 1), dens[i % 6])
+                      for i, p in enumerate(sorted(poset.unmarked))})
+
+
 def _grid3x4_interior():
     poset = make_grid(3, 4)
-    dens = (2, 3, 5, 7, 4, 6)
-    t = {p: Fraction(1 + i % (dens[i % 6] - 1), dens[i % 6])
-         for i, p in enumerate(sorted(poset.unmarked))}
-    return hrep_general(poset, Parameter(t), projected=True)
+    return hrep_general(poset, _grid3x4_interior_t(poset), projected=True)
 
 
 def test_vertices_builds_no_fraction(monkeypatch):
@@ -265,3 +269,47 @@ def test_vertices_builds_no_fraction(monkeypatch):
         assert v.rows == tuple(sorted(geometry.homogenized(v.vertices)))
         dens.add(v.rows[0][0])
     assert len(dens) > 3  # not vacuous: many common denominators besides 1
+
+
+def test_hrep_builds_no_fraction(monkeypatch):
+    # H-rep rows are integer rows from the start: building them, enumerating
+    # their vertices and running the covector search build no Fraction
+    from mpp.family import hrep_chain_order, partition_of_parameter
+
+    ex52q = make_ex52_rational()
+    t = Parameter({"p": Fraction(2, 7), "q": Fraction(3, 5), "r": Fraction(4, 7)})
+    part = partition_of_parameter(ex52q, Parameter({"p": Fraction(1), "q": Fraction(0),
+                                                    "r": Fraction(1)}))
+    grid = make_grid(3, 4)
+    grid_t = _grid3x4_interior_t(grid)
+    interior = make_marked_interior()
+    with monkeypatch.context() as m:
+        built = _count_fractions(m)
+        for poset, par in ((grid, grid_t), (ex52q, t)):
+            for projected in (True, False):
+                geometry.vertices(hrep_general(poset, par, projected))
+        for projected in (True, False):
+            geometry.vertices(hrep_chain_order(ex52q, part, projected))
+        cells = [list(tropical._covector_cells(poset, tropical.arrangement(poset),
+                                               *tropical._base_data(poset)))
+                 for poset in (ex52q, interior)]
+        assert built == []
+    assert all(cells)
+    # read through the API, the rows are the Fraction builder's
+    h = hrep_general(ex52q, t)
+    assert (h.coords, h.equations, h.inequalities) == fraction_hrep_general(ex52q, t)
+
+
+def test_tropical_vertices_build_the_hrep_at_t_once(ex52_file, monkeypatch, capsys):
+    hrep_at = []
+    for module in (cli.family, tropical):
+        def counted(poset, t, projected=True, inner=module.hrep_general):
+            hrep_at.append(tuple(sorted(t.values.items())))
+            return inner(poset, t, projected)
+
+        monkeypatch.setattr(module, "hrep_general", counted)
+    assert cli.main(["vertices", ex52_file, "--t", "generic", "--method", "tropical"]) == 0
+    assert json.loads(capsys.readouterr().out)["vertices"]
+    # the base polytope at t = 0, then the generic t for the kernel check
+    zero = [t for t in hrep_at if not any(v for _, v in t)]
+    assert (len(zero), len(hrep_at)) == (1, 2)

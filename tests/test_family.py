@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (fraction_phi, fraction_psi, fraction_theta_projected,
-                      make_chain_poset, make_double_star, make_ex52,
-                      make_ex52_rational, make_grid, random_marked_poset,
-                      random_parameter, random_point, sevenths_and_fifths)
+from conftest import (fraction_hrep_chain_order, fraction_hrep_general, fraction_hrep_json,
+                      fraction_int_row, fraction_make_hrep, fraction_phi, fraction_psi,
+                      fraction_row, fraction_theta_projected, is_unimodular,
+                      make_chain_poset, make_double_star, make_ex52, make_ex52_rational,
+                      make_grid, normalized, random_marked_poset, random_parameter,
+                      random_point, sevenths_and_fifths)
 from mpp.family import (Parameter, Partition, chain_tight, eliminate_redundancy,
                         facet_count, facet_count_delta, generic_parameter,
                         hrep_chain_order, hrep_general, hypercube_vertices,
@@ -19,7 +22,7 @@ from mpp.family import (Parameter, Partition, chain_tight, eliminate_redundancy,
                         transfer_theta, transfer_theta_homogeneous,
                         transfer_theta_projected, unimodular_move, zero_parameter,
                         iota)
-from mpp.geometry import EmptyPolyhedron, apply_affine, face_lattice, vertices
+from mpp.geometry import EmptyPolyhedron, HRep, apply_affine, face_lattice, vertices
 from mpp.lattice import lattice_points
 from mpp.poset import MarkedPoset, PosetError, saturated_chains_to
 
@@ -523,7 +526,7 @@ def lp_eliminate_redundancy(h):
     seen_eq = set()
     uniq_eqs = []
     for c in equations:
-        coeffs, rhs = c.normalized()
+        coeffs, rhs = normalized(c)
         if next(x for x in coeffs if x != 0) < 0:
             coeffs, rhs = tuple(-x for x in coeffs), -rhs
         if (coeffs, rhs) not in seen_eq:
@@ -554,7 +557,7 @@ def lp_is_tame(poset):
     for bits in itertools.product((False, True), repeat=len(unmarked)):
         C = frozenset(p for p, b in zip(unmarked, bits) if b)
         h = hrep_chain_order(poset, Partition(C, frozenset(unmarked) - C))
-        keys = [c.normalized() for c in h.inequalities]
+        keys = [normalized(c) for c in h.inequalities]
         if len(set(keys)) != len(keys):
             return False
         n = h.dim_ambient
@@ -679,7 +682,7 @@ def test_unimodular_move_non_star(ex52):
     # r has a single upward chain (r < 4), so moving it is unimodular
     part = Partition(frozenset({"p", "q"}), frozenset({"r"}))
     amap = unimodular_move(ex52, part, "r")
-    assert amap is not None and amap.is_unimodular
+    assert amap is not None and is_unimodular(amap)
     h = hrep_chain_order(ex52, part)
     image = apply_affine(amap, h)
     part2 = Partition(frozenset({"p", "q", "r"}), frozenset())
@@ -705,8 +708,120 @@ def test_unimodular_move_unmarked_chain_endpoint():
                         {"a": 0, "z": 3})
     part = Partition(frozenset({"c"}), frozenset({"s", "q"}))
     amap = unimodular_move(poset, part, "q")
-    assert amap is not None and amap.is_unimodular
+    assert amap is not None and is_unimodular(amap)
     assert all(x == 0 for x in amap.offset)
     image = apply_affine(amap, hrep_chain_order(poset, part))
     target = hrep_chain_order(poset, Partition(frozenset({"c", "q"}), frozenset({"s"})))
     assert set(vertices(image).vertices) == set(vertices(target).vertices)
+
+
+# -- integer H-rep rows against the Fraction row builders -----------------------------
+
+def _rational_marking(rnd: random.Random, poset: MarkedPoset) -> MarkedPoset:
+    """The poset with each marking value (its height) raised by a fraction
+    in [0, 1) over 2, 3, 5 or 7: still strictly order-preserving."""
+    def bump():
+        d = rnd.choice((2, 3, 5, 7))
+        return F(rnd.randint(0, d - 1), d)
+
+    return MarkedPoset(poset.elements, poset.covers,
+                       {a: v + bump() for a, v in poset.marking.items()})
+
+
+def _interior_t(rnd: random.Random, poset: MarkedPoset) -> Parameter:
+    return Parameter({p: F(rnd.randint(1, d - 1), d)
+                      for p in poset.unmarked for d in [rnd.choice((2, 3, 5, 7))]})
+
+
+def _corner(rnd: random.Random, poset: MarkedPoset) -> Parameter:
+    return Parameter({p: F(rnd.randint(0, 1)) for p in poset.unmarked})
+
+
+def _hrep_cases():
+    """(poset, t, partition) triples: the golden posets at t = 0, t = 1, the
+    generic t and an interior t, and 50 seeded random posets with rational
+    markings at an interior t."""
+    from test_golden import POSETS
+
+    rnd = random.Random(2024)
+    for make in POSETS.values():
+        poset = make()
+        for t in (zero_parameter(poset), one_parameter(poset), generic_parameter(poset),
+                  _interior_t(rnd, poset)):
+            yield poset, t, partition_of_parameter(poset, _corner(rnd, poset))
+    for _ in range(50):
+        poset = _rational_marking(rnd, random_marked_poset(rnd, rnd.randint(3, 7)))
+        yield poset, _interior_t(rnd, poset), partition_of_parameter(poset, _corner(rnd, poset))
+
+
+def _assert_rows_match(h, oracle):
+    from mpp.jsonio import hrep_to_json
+
+    coords, eqs, ineqs = oracle
+    assert h.coords == coords
+    assert h.equations == eqs and h.inequalities == ineqs
+    assert h.int_equations == tuple(map(fraction_int_row, eqs))
+    assert h.int_inequalities == tuple(map(fraction_int_row, ineqs))
+    assert hrep_to_json(h) == fraction_hrep_json(coords, eqs, ineqs)
+    assert h == HRep(coords, eqs, ineqs)
+
+
+def test_integer_hrep_rows_equal_fraction_builders():
+    denominators = set()
+    cases = list(_hrep_cases())
+    assert len(cases) == 4 * 10 + 50
+    for poset, t, part in cases:
+        for projected in (True, False):
+            h = hrep_general(poset, t, projected)
+            _assert_rows_match(h, fraction_hrep_general(poset, t, projected))
+            _assert_rows_match(hrep_chain_order(poset, part, projected),
+                               fraction_hrep_chain_order(poset, part, projected))
+            denominators.update(c.rhs.denominator for c in h.inequalities)
+    assert {2, 3, 5, 7} <= denominators  # not vacuous: rational right-hand sides
+
+
+@pytest.mark.parametrize("rows", [
+    [((F(0), F(0)), F(1), ("holds",)), ((F(1), F(-1)), F(1, 2), ("cut",))],
+    [((F(1), F(2)), F(3), ("cut",)), ((F(0), F(0)), F(0), ("tight",))],
+    [((F(1), F(0)), F(1), ("cut",)), ((F(0), F(0)), F(-1, 3), ("fails",))],
+])
+@pytest.mark.parametrize("as_equations", [False, True])
+def test_constant_rows_dropped_or_empty_as_fraction_builder(rows, as_equations):
+    from mpp.geometry import make_hrep
+
+    args = (rows, []) if as_equations else ([], rows)
+    try:
+        oracle = fraction_make_hrep(("x", "y"), *args)
+    except EmptyPolyhedron:
+        with pytest.raises(EmptyPolyhedron):
+            make_hrep(("x", "y"), *args)
+        return
+    h = make_hrep(("x", "y"), *args)
+    assert (h.coords, h.equations, h.inequalities) == oracle
+
+
+def test_constant_covector_rows_dropped_or_empty():
+    # x_a - x_b between two marked elements is a constant row in the projected
+    # coordinates: kept out when it holds, EmptyPolyhedron when it fails
+    from mpp.family import _row_writer
+    from mpp.tropical import _difference
+
+    poset = make_ex52_rational()
+    h = hrep_general(poset, zero_parameter(poset))
+    write = _row_writer(poset, h.coords)
+    marks = sorted(poset.marking, key=poset.marking.__getitem__)
+    for a, b in itertools.permutations(marks, 2):
+        row = _difference(write, a, b, ("test", a, b))
+        coeffs, rhs = fraction_row(poset, {e: i for i, e in enumerate(h.coords)},
+                                   ((a, F(1)), (b, F(-1))))
+        for as_equation in (False, True):
+            args = ([row], []) if as_equation else ([], [row])
+            fargs = ([(coeffs, rhs, ("test", a, b))], [])
+            fargs = fargs if as_equation else fargs[::-1]
+            try:
+                fraction_make_hrep(h.coords, *fargs)
+            except EmptyPolyhedron:
+                with pytest.raises(EmptyPolyhedron):
+                    h.with_rows(*args)
+                continue
+            assert h.with_rows(*args) == h

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (barycenter, dilate, faces_by_vertex_ids, make_chain_poset,
-                      make_double_star, make_ex52)
+from conftest import (barycenter, dilate, faces_by_vertex_ids, is_unimodular,
+                      make_chain_poset, make_double_star, make_ex52)
 from mpp.family import Parameter, hrep_general, hypercube_vertices, zero_parameter
 from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, Unbounded,
                           UnsupportedLineality, UnsupportedUnbounded,
@@ -658,7 +658,7 @@ def test_translation_preserves_lattice_count():
     amap = AffineMap(("x", "y"),
                      ((F(1), F(0)), (F(0), F(1))), (F(3), F(-2)))
     out = apply_affine(amap, h)
-    assert amap.is_unimodular
+    assert is_unimodular(amap)
     for k in (1, 2, 3):
         assert len(lattice_points(dilate(out, k))) == len(lattice_points(dilate(h, k)))
 
@@ -666,7 +666,7 @@ def test_translation_preserves_lattice_count():
 def test_unimodular_shear():
     h = box(("x", "y"), [(0, 1), (0, 1)])
     amap = AffineMap(("x", "y"), ((F(1), F(1)), (F(0), F(1))), (F(0), F(0)))
-    assert amap.is_unimodular
+    assert is_unimodular(amap)
     out = apply_affine(amap, h)
     v = vertices(out)
     assert set(v.vertices) == {(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(2), F(1))}

@@ -83,6 +83,7 @@ INPUTS = {
 # stand for files written per poset
 MODES = {
     "hrep": ["hrep"],
+    "hrep-t": ["hrep", "--t", "{t}"],
     "hrep-t-projected": ["hrep", "--t", "{t}", "--projected"],
     "hrep-partition": ["hrep", "--partition", "{part_a}"],
     "hrep-partition-projected": ["hrep", "--partition", "{part_b}", "--projected"],
@@ -359,6 +360,21 @@ GOLDEN = {
         ('e9f291d71458185405e212355f4653d21ae22486a7a7118c37f54ddcc7962e50', 0, None),
     ('grid3x4', 'vertices-dd'):
         ('519daf9046481fce361074341310d966e59d4c4b104967b8788c18902e467588', 0, None),
+    # recorded before the H-rep rows were built as integer rows: a rational
+    # marking (ex52q) in the full space, at interior t and irredundant, and
+    # grid3x4 at a t with denominators 2 to 7
+    ('ex52q', 'hrep'):
+        ('06480f4d1c1959f0b51018f4dc6d2a75c8972e6ea06b737f0b062fa30afeb6ab', 0, None),
+    ('ex52q', 'hrep-t'):
+        ('1e6a316a59ab596a62923780d98bf08c13cdb1063afe14c1c226847699dfb362', 0, None),
+    ('ex52q', 'hrep-t-projected'):
+        ('1e2a6838035cf6b2846f9a1bb5eab5a3a8430bc2bc687e038d0642af53924fe0', 0, None),
+    ('ex52q', 'hrep-irredundant'):
+        ('aed70970954920429fc358b1900830ffe25645ccd0288496e772eecf602621e9', 0, None),
+    ('grid3x4', 'hrep-t'):
+        ('5eb630dd124addcfa7fa7fd94af4d2453f90ae0dd652d9f030ea330be972da61', 0, None),
+    ('grid3x4', 'hrep-t-projected'):
+        ('ec012bd2024b36513c0e9e5c95f7420f2afbb9858a2092bb0da78a2ae6e7acf2', 0, None),
 }
 
 

