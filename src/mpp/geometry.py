@@ -201,7 +201,8 @@ class VRep:
 
 
 # -- double description ------------------------------------------------------
-# Integer kernel: zero sets are bitmasks over the inequality insertion order.
+# Integer kernel: zero sets are bitmasks over the inequality insertion order
+# (x0 >= 0, then the widest rows first; see _dd_generators).
 
 def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     g = math.gcd(*v)
@@ -281,12 +282,23 @@ def _adjacent(zc: int, zs: list[int]) -> bool:
     return True
 
 
+# the insertion order of _dd_generators as two stable sorts on C-level keys:
+# by the reversed row, then by the zero count (rows share one width, so the
+# fewest zeros are the most nonzero coefficients)
+_reversed = operator.itemgetter(slice(None, None, -1))
+_zero_count = operator.methodcaller("count", 0)
+
+
 def _dd_generators(h: HRep):
     """Run DD on the homogenization cone; returns (lines, rays) in (x0, x).
 
     Rows are (-rhs, coeffs) scaled to integers, so the cone is row . x <= 0.
-    x0 >= 0 is inserted first, then the inequalities in lexicographic order of
-    their integer rows.
+    x0 >= 0 is inserted first, then the distinct inequalities, those with the
+    most nonzero coefficients first (ties by the reversed row).  For the
+    chain rows of hrep_general that is the longest saturated chains first,
+    which keeps the intermediate cone near the size of the answer at
+    interior t; the order is a function of the row alone, and the result
+    does not depend on it.
     """
     d = h.dim_ambient
     lines = [tuple(1 if j == i else 0 for j in range(d + 1)) for i in range(d + 1)]
@@ -294,7 +306,7 @@ def _dd_generators(h: HRep):
         lines = _eliminate(row, lines)[2]
     span_dim = len(lines)
     rows = [(-1,) + (0,) * d]  # x0 >= 0
-    rows += sorted(set(h.int_inequalities))
+    rows += sorted(sorted(set(h.int_inequalities), key=_reversed), key=_zero_count)
     rays: list[tuple[tuple[int, ...], int]] = []
     for idx, row in enumerate(rows):
         lines, rays = _dd_process_inequality(idx, row, lines, rays, span_dim)

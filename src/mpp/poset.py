@@ -91,7 +91,7 @@ class MarkedPoset:
 
     @cached_property
     def is_acyclic(self) -> bool:
-        return len(self._kahn()) == len(self.elements)
+        return len(self._kahn) == len(self.elements)
 
     @cached_property
     def _below(self) -> dict[str, frozenset[str]]:
@@ -114,11 +114,13 @@ class MarkedPoset:
     def _linear_extension(self) -> tuple[str, ...]:
         if not self.is_acyclic:
             raise PosetError("cover relation has a cycle")
-        return self._kahn()
+        return self._kahn
 
+    @cached_property
     def _kahn(self) -> tuple[str, ...]:
-        """Kahn's algorithm with lexicographic tie-break: a linear extension,
-        or fewer elements than the poset has when the covers hold a cycle."""
+        """Kahn's algorithm with lexicographic tie-break, run once per
+        instance: a linear extension, or fewer elements than the poset has
+        when the covers hold a cycle."""
         indeg = {e: len(self._lower[e]) for e in self.elements}
         heap = [e for e in self.elements if indeg[e] == 0]
         heapq.heapify(heap)

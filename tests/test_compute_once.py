@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from mpp import cli, geometry, tropical
-from mpp.family import Parameter, hrep_general
+from mpp.family import Parameter, generic_parameter, hrep_general
 from mpp.jsonio import poset_to_json
 from mpp.poset import MarkedPoset, validate
 
@@ -40,17 +40,23 @@ def _count(monkeypatch, module, name) -> list:
     return calls
 
 
-def test_vertices_query_validates_once(ex52_file, monkeypatch, capsys):
-    prop = MarkedPoset.__dict__["problems"]
+def _count_property(monkeypatch, name) -> list:
+    """Count the runs of the MarkedPoset cached property name."""
+    func = MarkedPoset.__dict__[name].func
     calls = []
 
-    def problems(self):
+    def counted(self):
         calls.append(1)
-        return prop.func(self)
+        return func(self)
 
-    counted = functools.cached_property(problems)
-    counted.__set_name__(MarkedPoset, "problems")
-    monkeypatch.setattr(MarkedPoset, "problems", counted)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(MarkedPoset, name)
+    monkeypatch.setattr(MarkedPoset, name, prop)
+    return calls
+
+
+def test_vertices_query_validates_once(ex52_file, monkeypatch, capsys):
+    calls = _count_property(monkeypatch, "problems")
     assert cli.main(["vertices", ex52_file, "--t", "generic"]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["vertices"]
@@ -110,22 +116,26 @@ def test_hibi_li_sweep_builds_each_lattice_once(tmp_path, monkeypatch, capsys):
 
 def test_degenerate_query_computes_the_linear_extension_once(ex52_file, tmp_path,
                                                               monkeypatch, capsys):
-    prop = MarkedPoset.__dict__["_linear_extension"]
-    calls = []
-
-    def linear_extension(self):
-        calls.append(1)
-        return prop.func(self)
-
-    counted = functools.cached_property(linear_extension)
-    counted.__set_name__(MarkedPoset, "_linear_extension")
-    monkeypatch.setattr(MarkedPoset, "_linear_extension", counted)
+    calls = _count_property(monkeypatch, "_linear_extension")
     src, dst = tmp_path / "t.json", tmp_path / "u.json"
     src.write_text(json.dumps({"t": {"p": "1/3", "q": "1/2", "r": "2/3"}}))
     dst.write_text(json.dumps({"t": {"p": "1", "q": "1/2", "r": "0"}}))
     argv = ["degenerate", ex52_file, "--from-t", str(src), "--to-t", str(dst)]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["order_preserving"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [make_ex52, make_double_star, lambda: make_grid(3, 4)],
+                         ids=["ex52", "dstar", "grid3x4"])
+def test_kahn_runs_once_per_poset(make, monkeypatch):
+    # acyclicity, validation, the linear extension and the chain rows all
+    # read one run of Kahn's algorithm
+    calls = _count_property(monkeypatch, "_kahn")
+    poset = make()
+    assert validate(poset) == []
+    assert len(poset.linear_extension()) == len(poset.elements)
+    hrep_general(poset, generic_parameter(poset))
     assert len(calls) == 1
 
 

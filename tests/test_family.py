@@ -767,9 +767,11 @@ def _assert_rows_match(h, oracle):
 
 
 def test_integer_hrep_rows_equal_fraction_builders():
+    from test_golden import POSETS
+
     denominators = set()
     cases = list(_hrep_cases())
-    assert len(cases) == 4 * 10 + 50
+    assert len(cases) == 4 * len(POSETS) + 50
     for poset, t, part in cases:
         for projected in (True, False):
             h = hrep_general(poset, t, projected)

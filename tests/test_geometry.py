@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (barycenter, dilate, faces_by_vertex_ids, is_unimodular,
-                      make_chain_poset, make_double_star, make_ex52)
-from mpp.family import Parameter, hrep_general, hypercube_vertices, zero_parameter
+                      make_chain_poset, make_double_star, make_ex52, make_grid)
+from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_vertices,
+                        zero_parameter)
 from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, Unbounded,
                           UnsupportedLineality, UnsupportedUnbounded,
                           TooLarge, apply_affine, face_counts, face_lattice, facet_masks,
@@ -16,7 +17,7 @@ from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, Unbounded,
                           vertices_bruteforce)
 from mpp.poset import MarkedPoset
 from mpp.lattice import lattice_points
-from mpp import linalg
+from mpp import geometry, linalg
 
 
 def F(n, d=1):
@@ -578,7 +579,6 @@ def test_face_counts_match_face_lattice():
 def test_face_budget_counts_faces_enumerated(monkeypatch):
     # the cube: the empty face, the cube, 6 facets and 12 edges are 20 faces
     # through dimension 1; both paths enumerate them and raise alike
-    from mpp import geometry
     h = box(("x", "y", "z"), [(0, 1)] * 3)
     v = vertices(h)
     monkeypatch.setattr(geometry, "FACE_GATE", 28)
@@ -704,3 +704,23 @@ def test_size_gates():
     wide = box(("x", "y", "z"), [(0, 500), (0, 500), (0, 500)])
     with pytest.raises(TooLarge):
         lattice_points(wide)
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (3, 5), (4, 4)])
+def test_dd_cone_stays_near_the_answer_at_generic_t(m, n, monkeypatch):
+    # the insertion order keeps every intermediate cone within twice the
+    # vertex count (in lexicographic row order grid4x4 peaks at 518 rays
+    # for 68 vertices)
+    sizes = []
+    step = geometry._dd_process_inequality
+
+    def counted(*args):
+        lines, rays = step(*args)
+        sizes.append(len(rays))
+        return lines, rays
+
+    monkeypatch.setattr(geometry, "_dd_process_inequality", counted)
+    poset = make_grid(m, n)
+    v = vertices(hrep_general(poset, generic_parameter(poset)))
+    assert sizes[-1] == len(v.rows) and v.rays == ()
+    assert max(sizes) <= 2 * len(v.rows)

@@ -1,7 +1,7 @@
 """Golden CLI output: the sha256 of stdout and the exit code of `mpp` queries
-on ex52 (also with a rational marking), the double star, grid2x3, grid2x4, a
-non-tame chain, a chain whose every O_t is a point and a poset whose covector
-search meets empty partial cells, pinned so that a
+on ex52 (also with a rational marking), the double star, grids from 2x3 to
+4x5, a non-tame chain, a chain whose every O_t is a point and a poset whose
+covector search meets empty partial cells, pinned so that a
 refactor of how the family's objects are derived cannot change an answer
 unnoticed.
 
@@ -45,7 +45,8 @@ POSETS = {"ex52": make_ex52, "dstar": make_double_star, "grid2x3": lambda: make_
           "nontame": make_constant_interval, "grid2x4": lambda: make_grid(2, 4),
           "ex52q": make_ex52_rational, "point": make_point,
           "interior": make_marked_interior, "grid3x3": lambda: make_grid(3, 3),
-          "grid3x4": lambda: make_grid(3, 4)}
+          "grid3x4": lambda: make_grid(3, 4), "grid3x5": lambda: make_grid(3, 5),
+          "grid4x4": lambda: make_grid(4, 4), "grid4x5": lambda: make_grid(4, 5)}
 
 # per poset: interior t, a face point of it (the degeneration target), and two
 # partitions with C of the first inside C of the second
@@ -77,6 +78,16 @@ INPUTS = {
     "grid3x4": {"t": {"x01": "1/2", "x02": "1/3", "x03": "2/5", "x10": "3/7",
                       "x11": "1/4", "x12": "2/3", "x13": "4/5", "x20": "5/7",
                       "x21": "3/4", "x22": "1/6"}},
+    "grid3x5": {"t": {"x01": "1/2", "x02": "1/3", "x03": "2/5", "x04": "5/8",
+                      "x10": "3/7", "x11": "1/4", "x12": "2/3", "x13": "4/5",
+                      "x14": "1/9", "x20": "5/7", "x21": "3/4", "x22": "1/6",
+                      "x23": "7/8"}},
+    "grid4x4": {},
+    "grid4x5": {"t": {"x01": "1/2", "x02": "1/3", "x03": "2/5", "x04": "5/8",
+                      "x10": "3/7", "x11": "1/4", "x12": "2/3", "x13": "4/5",
+                      "x14": "1/9", "x20": "5/7", "x21": "3/4", "x22": "1/6",
+                      "x23": "7/8", "x24": "2/9", "x30": "3/5", "x31": "6/7",
+                      "x32": "1/8", "x33": "4/9"}},
 }
 
 # mode -> argv after the poset path; {t}, {face}, {part_a}, {part_b}, {off}
@@ -93,6 +104,7 @@ MODES = {
     "hrep-irredundant-projected": ["hrep", "--t", "{t}", "--projected", "--irredundant"],
     "vertices-dd": ["vertices", "--t", "{t}"],
     "vertices-dd-partition": ["vertices", "--partition", "{part_a}"],
+    "vertices-generic": ["vertices", "--t", "generic"],
     "vertices-tropical": ["vertices", "--t", "generic", "--method", "tropical"],
     "fvector": ["fvector", "--t", "generic"],
     "fvector-t0": ["fvector"],
@@ -375,6 +387,18 @@ GOLDEN = {
         ('5eb630dd124addcfa7fa7fd94af4d2453f90ae0dd652d9f030ea330be972da61', 0, None),
     ('grid3x4', 'hrep-t-projected'):
         ('ec012bd2024b36513c0e9e5c95f7420f2afbb9858a2092bb0da78a2ae6e7acf2', 0, None),
+    # recorded before double description inserted the widest rows first:
+    # vertices at generic t on grid4x4 and at interior t on grid3x5 and
+    # grid4x5.  In lexicographic order DD on grid4x5 had not finished after
+    # 15 minutes, so its hash was recorded with the vertex set taken from
+    # the transferred tropical-subdivision vertices (tropical._transferred),
+    # which reproduce the grid3x4 and grid3x5 hashes
+    ('grid4x4', 'vertices-generic'):
+        ('055f9b25071e860934d4bee1f81c26711b50dfe6855323aef4c4c6fec4c54fc0', 0, None),
+    ('grid3x5', 'vertices-dd'):
+        ('b37bb4a0968dccfd5f3cc07a13ea7e2c1b29a1f6dee199dcfc0de9ce29436410', 0, None),
+    ('grid4x5', 'vertices-dd'):
+        ('c6556ad84a98163b9c7ce932ac2b291453fde6689c645c20de13c321f258a588', 0, None),
 }
 
 
