@@ -95,17 +95,12 @@ def cmd_vertices(args) -> int:
     poset = _load_poset(args.poset)
     t, header = _resolve_parameter(args, poset)
     if args.method == "tropical":  # builds the H-rep at t itself, for its check
-        pts = tropical.generic_vertices(poset, t)
-        payload = {"command": "vertices", **header, "method": "tropical",
-                   "coords": list(poset.unmarked),
-                   "vertices": [[rat_str(x) for x in p] for p in pts], "rays": []}
-        return _emit(payload, f"vertices: {len(pts)} (tropical path)")
-    h = family.hrep_general(poset, t, projected=True)
-    if args.method == "bruteforce":
+        v = tropical.generic_vrep(poset, t)
+    elif args.method == "bruteforce":
         from .geometry import vertices_bruteforce
-        v = vertices_bruteforce(h)
+        v = vertices_bruteforce(family.hrep_general(poset, t, projected=True))
     else:
-        v = vertices(h)
+        v = vertices(family.hrep_general(poset, t, projected=True))
     payload = {"command": "vertices", **header, "method": args.method,
                **jsonio.vrep_to_json(v)}
     return _emit(payload, f"vertices: {len(v.rows)}, rays: {len(v.rays)}")
@@ -166,9 +161,10 @@ def cmd_subdivision(args) -> int:
                           "tight": sorted(c.tight),
                           "origin": list(c.origin)} for c in cells],
                "vertices": [[rat_str(x) for x in p] for p in sub_vertices]}
-    if args.off:
+    if args.off:  # the text first, so that a refused export leaves the file alone
+        off = tropical.export_off(poset, None if args.ideal_chains else cells)
         with open(args.off, "w", encoding="utf-8") as fh:
-            fh.write(tropical.export_off(poset, None if args.ideal_chains else cells))
+            fh.write(off)
     return _emit(payload, f"{kind} subdivision: {len(cells)} cells, "
                           f"{len(sub_vertices)} vertices")
 

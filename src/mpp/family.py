@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, VRep, facet_masks,
                        vertices)
-from .poset import (MarkedPoset, PosetError, SaturatedChain, chain_counts,
+from .poset import (MarkedPoset, PosetError, SaturatedChain, chain_counts, chain_walker,
                     chains_through, require_valid, saturated_chains_to)
 from .rationals import rat
 
@@ -486,23 +486,6 @@ def facet_count_delta(poset: MarkedPoset, part: Partition, q: str) -> int:
     return (down[q] - 1) * (up[q] - 1)
 
 
-def _chains_ending_at(poset: MarkedPoset, C, stops, q: str, upward: bool):
-    """Saturated chains from `stops` through C into q (upward=False) or from q
-    up through C into `stops` (upward=True), as (stop, interior...)."""
-    step = poset.upper_covers if upward else poset.lower_covers
-    out = []
-
-    def walk(e, mids):
-        for c in step(e):
-            if c in stops:
-                out.append((c, tuple(mids)))
-            elif c in C:
-                walk(c, mids + [c])
-
-    walk(q, [])
-    return sorted(out)
-
-
 def unimodular_move(poset: MarkedPoset, part: Partition, q: str) -> AffineMap | None:
     """Unimodular map carrying O_{C,O} onto O_{C+q,O-q} when q is not a
     chain-order star element; None when no such single-chain map applies.
@@ -512,15 +495,15 @@ def unimodular_move(poset: MarkedPoset, part: Partition, q: str) -> AffineMap | 
     """
     check_partition(poset, part)
     stops = poset.marked | part.O
-    down = _chains_ending_at(poset, part.C, stops, q, upward=False)
-    up = _chains_ending_at(poset, part.C, stops, q, upward=True)
+    down = chain_walker(poset, part.C, stops)(q)
+    up = chain_walker(poset, part.C, stops, upward=True)(q)
     coords = tuple(poset.unmarked)
     index = {e: i for i, e in enumerate(coords)}
     n = len(coords)
     row = [ZERO] * n
     offset = [ZERO] * n
     if len(down) == 1:
-        s, mids = down[0]
+        s, *mids = down[0]
         row[index[q]] = ONE
         for m in mids:
             row[index[m]] -= ONE
@@ -529,7 +512,7 @@ def unimodular_move(poset: MarkedPoset, part: Partition, q: str) -> AffineMap | 
         else:
             row[index[s]] -= ONE
     elif len(up) == 1:
-        s, mids = up[0]
+        *mids, s = up[0]
         row[index[q]] = -ONE
         for m in mids:
             row[index[m]] -= ONE

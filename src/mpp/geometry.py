@@ -85,21 +85,14 @@ class HRep:
     primitive forms, which DD, incidences and lattice counting read, are
     int_equations and int_inequalities: x satisfies an inequality iff
     row . (1, x) <= 0.  The Constraint tuples equations and inequalities
-    are built on first read.  HRep(coords, equations, inequalities) takes
-    Constraints; with_rows appends integer rows.
+    are built on first read.  HRep(coords) is the whole space; with_rows
+    appends integer rows, and make_hrep builds an HRep from rational triples.
     """
 
-    def __init__(self, coords, equations=(), inequalities=()):
+    def __init__(self, coords):
         self.coords = tuple(coords)
         self.scaled_equations = self.scaled_inequalities = ()
         self.int_equations = self.int_inequalities = ()
-        if equations or inequalities:
-            self.equations, self.inequalities = tuple(equations), tuple(inequalities)
-            if not all(any(c.coeffs) for c in self.equations + self.inequalities):
-                raise GeometryError("zero-row constraint (filter constants out first)")
-            vars(self).update(vars(self.with_rows(
-                *([_scaled(c.coeffs, c.rhs, c.origin) for c in group]
-                  for group in (self.equations, self.inequalities)))))
 
     def with_rows(self, equations=(), inequalities=()) -> HRep:
         """This H-rep with constraints (row, S, origin) appended.  A constant
@@ -597,30 +590,35 @@ class AffineMap:
                    tuple([ZERO] * n))
 
 
+def _pulled_back(h: HRep, coords, xs) -> HRep:
+    """h in new coordinates y (named coords), each old coordinate x_i given
+    as the rational row xs[i] with x_i = xs[i] . (1, y): each scaled integer
+    row R on (1, x) becomes R T on (1, y), T = [(1, 0, ..., 0)] + xs over its
+    common denominator.  Constant rows are checked."""
+    hom = [(ONE,) + (ZERO,) * len(coords)] + list(xs)
+    den = math.lcm(*(x.denominator for r in hom for x in r))
+    cols = tuple(zip(*([x.numerator * (den // x.denominator) for x in r] for r in hom)))
+
+    def pulled(rows):
+        return [(tuple(_idot(row, c) for c in cols), scale * den, origin)
+                for row, scale, origin in rows]
+
+    return HRep(coords).with_rows(pulled(h.scaled_equations), pulled(h.scaled_inequalities))
+
+
 def apply_affine(amap: AffineMap, h: HRep) -> HRep:
-    """Exact image of the polyhedron under an invertible affine map."""
+    """Exact image of the polyhedron under an invertible affine map y = M x + b,
+    pulled back through x = M^-1 y - M^-1 b."""
     inv = linalg.inverse(amap.matrix)
     if inv is None:
         raise SingularMap("affine map is not invertible")
-    inv_cols = tuple(zip(*inv))
-
-    def transform(c: Constraint) -> Constraint:
-        new_coeffs = tuple(dot(c.coeffs, col) for col in inv_cols)
-        shift = dot(new_coeffs, amap.offset)
-        return Constraint(new_coeffs, c.rhs + shift, c.origin)
-
-    return HRep(h.coords,
-                tuple(transform(c) for c in h.equations),
-                tuple(transform(c) for c in h.inequalities))
+    return _pulled_back(h, h.coords, [(-dot(r, amap.offset),) + tuple(r) for r in inv])
 
 
 def substitute(h: HRep, fixed: dict[str, Fraction]) -> HRep:
     """Eliminate coordinates pinned to constants; constant rows are checked."""
-    keep = [i for i, c in enumerate(h.coords) if c not in fixed]
-    eqs, ineqs = [], []
-    for group, sink in ((h.equations, eqs), (h.inequalities, ineqs)):
-        for c in group:
-            shift = sum((c.coeffs[i] * Fraction(fixed[h.coords[i]])
-                         for i in range(len(h.coords)) if h.coords[i] in fixed), ZERO)
-            sink.append((tuple(c.coeffs[i] for i in keep), c.rhs - shift, c.origin))
-    return make_hrep(tuple(h.coords[i] for i in keep), eqs, ineqs)
+    keep = tuple(c for c in h.coords if c not in fixed)
+    zeros = (ZERO,) * len(keep)
+    return _pulled_back(h, keep, [
+        (Fraction(fixed[c]),) + zeros if c in fixed
+        else (ZERO,) + tuple(ONE if k == c else ZERO for k in keep) for c in h.coords])

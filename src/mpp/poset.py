@@ -3,12 +3,14 @@ regularizing transformations (contraction of constant intervals, removal of
 redundant covering relations), plus rank functions and star elements.
 
 Element identifiers are opaque strings; marking values are exact rationals.
-All set-valued results come back in lexicographic element order.  Instances
-are immutable, so the validation report, the linear extension and the chain
-tails are derived once per instance and cached on it.  |P| itself is not
-capped: the steps that grow super-polynomially with it (faces, lattice points,
-ideal chains, sweeps) each run under their own budget and raise TooLarge when
-it is exhausted.
+All set-valued results come back in lexicographic element order.  Every
+saturated-chain family (the chains indexing the inequalities of O_t, the
+chain-order chains through C, their counts) is listed by one memoized walker,
+`chain_walker`.  Instances are immutable, so the validation report, the
+linear extension and the walker of the chain tails are derived once per
+instance and cached on it.  |P| itself is not capped: the steps that grow
+super-polynomially with it (faces, lattice points, ideal chains, sweeps)
+each run under their own budget and raise TooLarge when it is exhausted.
 """
 
 from __future__ import annotations
@@ -176,24 +178,19 @@ class MarkedPoset:
         return tuple(report)
 
     @cached_property
+    def _tail_walk(self):
+        """The walker of the chains that index the inequalities: down
+        through unmarked elements to the first marked one."""
+        return chain_walker(self, self.unmarked, self.marked)
+
+    @cached_property
     def chain_tails(self) -> dict[str, tuple[tuple[str, ...], ...]]:
         """For each element e, the saturated chains p_0 < ... < p_r = e with
         p_0 marked and all interior elements unmarked, in lexicographic order
         (a marked e gets the trivial chain)."""
-        memo: dict[str, tuple[tuple[str, ...], ...]] = {}
-
-        def tails(e: str) -> tuple[tuple[str, ...], ...]:
-            if e not in memo:
-                if e in self.marked:
-                    memo[e] = ((e,),)
-                else:
-                    memo[e] = tuple(sorted(t + (e,) for c in self.lower_covers(e)
-                                           for t in tails(c)))
-            return memo[e]
-
-        for e in self.elements:
-            tails(e)
-        return memo
+        walk = self._tail_walk
+        return {e: ((e,),) if e in self.marked else tuple(w + (e,) for w in walk(e))
+                for e in self.elements}
 
 
 def validate(poset: MarkedPoset) -> list[str]:
@@ -208,43 +205,46 @@ def require_valid(poset: MarkedPoset) -> MarkedPoset:
 
 
 # -- saturated chains ------------------------------------------------------
+# One memoized walk serves every chain family below: the inequalities of
+# O_t (chains down through unmarked elements to a marked one) and of O_{C,O}
+# (chains through C between elements of P* and O).
+
+def chain_walker(poset: MarkedPoset, via, stops, upward: bool = False):
+    """walk(e): the saturated chains that leave e by a cover relation, down
+    (or up, if upward) through elements of `via`, and end at the first
+    element of `stops` they meet.  Each chain is listed from bottom to top
+    without e, as (s, c_1, ..., c_k) below e or (c_1, ..., c_k, s) above
+    it, in lexicographic order.  Results are memoized per element."""
+    via, stops = frozenset(via), frozenset(stops)
+    step = poset.upper_covers if upward else poset.lower_covers
+    memo: dict[str, tuple[tuple[str, ...], ...]] = {}
+
+    def walk(e: str) -> tuple[tuple[str, ...], ...]:
+        if e not in memo:
+            out = []
+            for c in step(e):
+                if c in stops:
+                    out.append((c,))
+                elif c in via:
+                    out.extend((c,) + w if upward else w + (c,) for w in walk(c))
+            memo[e] = tuple(sorted(out))
+        return memo[e]
+
+    return walk
+
 
 def saturated_chains_to(poset: MarkedPoset, p: str) -> list[SaturatedChain]:
     """All chains p_0 < p_1 < ... < p_r < p with p_0 marked and interior
     unmarked, in lexicographic order.  These index the defining inequalities."""
-    tails = poset.chain_tails
-    return [SaturatedChain(below=t, target=p)
-            for t in sorted(t for q in poset.lower_covers(p) for t in tails[q])]
+    return [SaturatedChain(below=w, target=p) for w in poset._tail_walk(p)]
 
 
 def chains_through(poset: MarkedPoset, via: frozenset[str] | set[str],
                    stops: frozenset[str] | set[str]) -> list[tuple[str, tuple[str, ...], str]]:
     """Saturated chains a < c_1 < ... < c_k < b (k >= 0) with a, b in `stops`
     and all interior c_i in `via`.  Used for the chain-order description."""
-    via = frozenset(via)
-    stops = frozenset(stops)
-    memo: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-
-    def down(e: str) -> list[tuple[str, tuple[str, ...]]]:
-        # chains a < c_1 < ... < c_k covering into e, interior in via, a in stops
-        if e in memo:
-            return memo[e]
-        acc = []
-        for c in poset.lower_covers(e):
-            if c in stops:
-                acc.append((c, ()))
-            elif c in via:
-                for a, mids in down(c):
-                    acc.append((a, mids + (c,)))
-        memo[e] = acc
-        return acc
-
-    out = []
-    for b in sorted(stops):
-        for a, mids in down(b):
-            out.append((a, mids, b))
-    out.sort()
-    return out
+    walk = chain_walker(poset, via, stops)
+    return sorted((w[0], w[1:], b) for b in frozenset(stops) for w in walk(b))
 
 
 # -- star elements ---------------------------------------------------------
@@ -252,10 +252,8 @@ def chains_through(poset: MarkedPoset, via: frozenset[str] | set[str],
 def star_elements(poset: MarkedPoset, C, O) -> tuple[str, ...]:
     """Chain-order star elements of O: q with >= 2 saturated chains through C
     reaching q from P* or O both from below and from above."""
-    C = frozenset(C)
-    O = frozenset(O)
-    unmarked = frozenset(poset.unmarked)
-    if C | O != unmarked or C & O:
+    C, O = frozenset(C), frozenset(O)
+    if C | O != frozenset(poset.unmarked) or C & O:
         raise PosetError("C, O must partition the unmarked elements")
     down, up = chain_counts(poset, C, O)
     return tuple(sorted(q for q in O if down[q] >= 2 and up[q] >= 2))
@@ -264,29 +262,9 @@ def star_elements(poset: MarkedPoset, C, O) -> tuple[str, ...]:
 def chain_counts(poset: MarkedPoset, C, O) -> tuple[dict[str, int], dict[str, int]]:
     """For each q in O: number of saturated chains s < c_1 < ... < c_k < q
     (downward) and q < c_1 < ... < c_k < s (upward), interior in C, s in P*|O."""
-    C = frozenset(C)
     stops = poset.marked | frozenset(O)
-    down: dict[str, int] = {}
-    up: dict[str, int] = {}
-
-    def count(e: str, covers, memo) -> int:
-        if e in memo:
-            return memo[e]
-        n = 0
-        for c in covers(e):
-            if c in stops:
-                n += 1
-            elif c in C:
-                n += count(c, covers, memo)
-        memo[e] = n
-        return n
-
-    dmemo: dict[str, int] = {}
-    umemo: dict[str, int] = {}
-    for q in O:
-        down[q] = count(q, poset.lower_covers, dmemo)
-        up[q] = count(q, poset.upper_covers, umemo)
-    return down, up
+    down, up = (chain_walker(poset, C, stops, upward) for upward in (False, True))
+    return {q: len(down(q)) for q in O}, {q: len(up(q)) for q in O}
 
 
 # -- constant intervals and contraction ------------------------------------

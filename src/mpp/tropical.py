@@ -131,7 +131,7 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
     again.  The root is the polytope itself: base with base_v =
     vertices(base)."""
     write = _row_writer(poset, base.coords)
-    names = arr.names()
+    supports = [(r, sorted(form.support)) for r, form in arr.hyperplanes]
 
     def rec(i, partial):
         if not partial:
@@ -142,11 +142,10 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
                 v = vertices(h)
             except EmptyPolyhedron:
                 return
-        if i == len(names):
+        if i == len(supports):
             yield dict(partial), h, v
             return
-        r = names[i]
-        support = sorted(arr.form(r).support)
+        r, support = supports[i]
         for size in range(1, len(support) + 1):
             for members in itertools.combinations(support, size):
                 partial[r] = frozenset(members)
@@ -281,9 +280,10 @@ def _transferred(poset: MarkedPoset, t: Parameter, base_data) -> set[tuple[int, 
     return {_primitive(phi(r)) for r in _subdivision_rows(poset, base_data)}
 
 
-def _generic_vrep(poset: MarkedPoset, t: Parameter, base_data=None) -> VRep:
+def generic_vrep(poset: MarkedPoset, t: Parameter, base_data=None) -> VRep:
     """The V-rep of O_t for interior t, cross-checked against the transferred
-    subdivision vertices; base_data, if given, is _base_data(poset)."""
+    subdivision vertices: the two always agree, so a mismatch is a kernel
+    bug and raises.  base_data, if given, is _base_data(poset)."""
     if not t.is_interior:
         raise NonInteriorParameter("generic vertices need t in the open hypercube")
     images = _transferred(poset, t, base_data or _base_data(poset))
@@ -296,13 +296,9 @@ def _generic_vrep(poset: MarkedPoset, t: Parameter, base_data=None) -> VRep:
 
 
 def generic_vertices(poset: MarkedPoset, t: Parameter) -> list[tuple[Fraction, ...]]:
-    """Vertices of O_t for interior t, via the tropical subdivision.
-
-    Transfers the subdivision vertices and cross-checks against the kernel's
-    double-description enumeration; for interior parameters the two always
-    agree, so a mismatch means a kernel bug and raises.
-    """
-    return list(_generic_vrep(poset, t).vertices)
+    """Vertices of O_t for interior t, via the tropical subdivision: the
+    Fraction view of generic_vrep."""
+    return list(generic_vrep(poset, t).vertices)
 
 
 def transferred_subdivision_vertices(poset: MarkedPoset, t: Parameter):
@@ -405,7 +401,7 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
         raise TooLarge(f"conjecture sweep capped at 10 unmarked elements, "
                        f"got {len(poset.unmarked)}")
     base_data = _base_data(poset)
-    generic = _generic_vrep(poset, t, base_data)
+    generic = generic_vrep(poset, t, base_data)
     targets = []
     for u in hypercube_vertices(poset):
         if any(u.values.values()):

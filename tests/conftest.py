@@ -11,6 +11,7 @@ import pytest
 from mpp.degeneration import FaceMap, face_map_via
 from mpp.geometry import (Constraint, EmptyPolyhedron, HRep, face_lattice, make_hrep,
                           vertices)
+from mpp import linalg
 from mpp.linalg import homogenized
 from mpp.rationals import rat_str
 from mpp.poset import (MarkedPoset, chains_through, remove_redundant_covers,
@@ -263,12 +264,16 @@ def sevenths_and_fifths(rnd: random.Random, names, interior=True) -> dict:
 
 # -- oracle helpers for geometry objects --------------------------------------------
 
+def triples(constraints) -> list:
+    """Constraints as the (coeffs, rhs, origin) triples make_hrep reads."""
+    return [(c.coeffs, c.rhs, c.origin) for c in constraints]
+
+
 def dilate(h: HRep, k) -> HRep:
     """The H-rep of k * h: every right-hand side times k."""
     k = Fraction(k)
-    return HRep(h.coords,
-                tuple(Constraint(c.coeffs, k * c.rhs, c.origin) for c in h.equations),
-                tuple(Constraint(c.coeffs, k * c.rhs, c.origin) for c in h.inequalities))
+    return make_hrep(h.coords, [(c.coeffs, k * c.rhs, c.origin) for c in h.equations],
+                     [(c.coeffs, k * c.rhs, c.origin) for c in h.inequalities])
 
 
 def faces_by_vertex_ids(lat) -> dict:
@@ -341,6 +346,33 @@ def fraction_make_hrep(coords, equations, inequalities):
 
     return (tuple(coords), rows(equations, "equation", lambda rhs: rhs != 0),
             rows(inequalities, "inequality", lambda rhs: rhs < 0))
+
+
+def fraction_apply_affine(amap, h: HRep):
+    """apply_affine's (coords, equations, inequalities) in Fractions: each
+    a . x (= or <=) rhs becomes a' . y (= or <=) rhs + a' . b, a' = a M^-1."""
+    inv_cols = tuple(zip(*linalg.inverse(amap.matrix)))
+
+    def transform(c: Constraint) -> Constraint:
+        new_coeffs = tuple(linalg.dot(c.coeffs, col) for col in inv_cols)
+        shift = linalg.dot(new_coeffs, amap.offset)
+        return Constraint(new_coeffs, c.rhs + shift, c.origin)
+
+    return (h.coords, tuple(transform(c) for c in h.equations),
+            tuple(transform(c) for c in h.inequalities))
+
+
+def fraction_substitute(h: HRep, fixed):
+    """substitute's (coords, equations, inequalities) in Fractions, constant
+    rows checked as in fraction_make_hrep."""
+    keep = [i for i, c in enumerate(h.coords) if c not in fixed]
+    eqs, ineqs = [], []
+    for group, sink in ((h.equations, eqs), (h.inequalities, ineqs)):
+        for c in group:
+            shift = sum((c.coeffs[i] * Fraction(fixed[h.coords[i]])
+                         for i in range(len(h.coords)) if h.coords[i] in fixed), Fraction(0))
+            sink.append((tuple(c.coeffs[i] for i in keep), c.rhs - shift, c.origin))
+    return fraction_make_hrep(tuple(h.coords[i] for i in keep), eqs, ineqs)
 
 
 def fraction_row(poset: MarkedPoset, index, terms):

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_grid
-from mpp.cli import _emit
+from conftest import make_double_star, make_grid
+from mpp.cli import _emit, main
 from mpp.jsonio import jsonable, poset_to_json
 
 EX52 = {"elements": ["0", "2", "3", "4", "p", "q", "r"],
@@ -143,6 +143,19 @@ def test_subdivision_with_off(ex52_file, tmp_path):
     data = json.loads(proc.stdout)
     assert len(data["vertices"]) == 14
     assert off.read_text().startswith("OFF")
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+def test_refused_off_export_keeps_the_existing_file(tmp_path, capsys, ideal):
+    # the double star has 5 unmarked elements, beyond what OFF can draw
+    poset = tmp_path / "dstar.json"
+    poset.write_text(json.dumps(poset_to_json(make_double_star())))
+    off = tmp_path / "old.off"
+    off.write_text("OFF\n0 0 0\n")
+    argv = ["subdivision", str(poset), "--off", str(off)] + ["--ideal-chains"] * ideal
+    assert main(argv) == 2
+    assert off.read_text() == "OFF\n0 0 0\n"
+    assert json.loads(capsys.readouterr().out)["kind"] == "input"
 
 
 def test_degenerate(ex52_file, tmp_path):

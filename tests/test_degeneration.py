@@ -6,7 +6,7 @@ import pytest
 from conftest import (barycenter, contdeg_face_map, contdeg_hrep, contdeg_rho,
                       fraction_theta_projected, make_double_star, make_ex52,
                       make_ex52_rational, make_grid, random_marked_poset,
-                      random_parameter, sevenths_and_fifths)
+                      random_parameter, sevenths_and_fifths, triples)
 from mpp import degeneration
 from mpp.degeneration import (DegenerationPair, FaceMap, canonical_incidence,
                               check_fvector_domination,
@@ -17,7 +17,7 @@ from mpp.degeneration import (DegenerationPair, FaceMap, canonical_incidence,
                               polytope_data, sample_face_parameters)
 from mpp.family import (Parameter, Partition, generic_parameter, hrep_general,
                         hypercube_vertices)
-from mpp.geometry import HRep, face_lattice, vertices
+from mpp.geometry import face_lattice, make_hrep, vertices
 
 
 def F(n, d=1):
@@ -370,7 +370,7 @@ def test_type_witness_fails_but_forms_agree(monkeypatch):
     # the pentagon with its rows permuted: the vertex tight sets differ, so
     # the canonical forms decide, once per lattice
     h = contdeg_hrep(0)
-    permuted = HRep(h.coords, h.equations, h.inequalities[::-1])
+    permuted = make_hrep(h.coords, triples(h.equations), triples(h.inequalities[::-1]))
     samples = [degeneration._type_sample(g, vertices(g)) for g in (h, permuted, permuted)]
     forms = []
     canonical = degeneration.canonical_incidence

@@ -11,7 +11,7 @@ from conftest import (fraction_hrep_chain_order, fraction_hrep_general, fraction
                       fraction_row, fraction_theta_projected, is_unimodular,
                       make_chain_poset, make_double_star, make_ex52, make_ex52_rational,
                       make_grid, normalized, random_marked_poset, random_parameter,
-                      random_point, sevenths_and_fifths)
+                      random_point, sevenths_and_fifths, triples)
 from mpp.family import (Parameter, Partition, chain_tight, eliminate_redundancy,
                         facet_count, facet_count_delta, generic_parameter,
                         hrep_chain_order, hrep_general, hypercube_vertices,
@@ -22,7 +22,7 @@ from mpp.family import (Parameter, Partition, chain_tight, eliminate_redundancy,
                         transfer_theta, transfer_theta_homogeneous,
                         transfer_theta_projected, unimodular_move, zero_parameter,
                         iota)
-from mpp.geometry import EmptyPolyhedron, HRep, apply_affine, face_lattice, vertices
+from mpp.geometry import EmptyPolyhedron, apply_affine, face_lattice, make_hrep, vertices
 from mpp.lattice import lattice_points
 from mpp.poset import MarkedPoset, PosetError, saturated_chains_to
 
@@ -508,7 +508,6 @@ def _lp_rows(h):
 def lp_eliminate_redundancy(h):
     """Implicit equalities by minimizing each row, then each remaining row
     dropped while the others imply it."""
-    from mpp.geometry import HRep
     from mpp.lp import LPStatus, lp_solve
 
     n = h.dim_ambient
@@ -543,7 +542,7 @@ def lp_eliminate_redundancy(h):
             kept.pop(i)
         else:
             i += 1
-    return HRep(h.coords, tuple(uniq_eqs), tuple(kept))
+    return make_hrep(h.coords, triples(uniq_eqs), triples(kept))
 
 
 def lp_is_tame(poset):
@@ -763,7 +762,7 @@ def _assert_rows_match(h, oracle):
     assert h.int_equations == tuple(map(fraction_int_row, eqs))
     assert h.int_inequalities == tuple(map(fraction_int_row, ineqs))
     assert hrep_to_json(h) == fraction_hrep_json(coords, eqs, ineqs)
-    assert h == HRep(coords, eqs, ineqs)
+    assert h == make_hrep(coords, triples(eqs), triples(ineqs))
 
 
 def test_integer_hrep_rows_equal_fraction_builders():

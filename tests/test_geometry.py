@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (barycenter, dilate, faces_by_vertex_ids, is_unimodular,
+from conftest import (barycenter, dilate, faces_by_vertex_ids, fraction_apply_affine,
+                      fraction_int_row, fraction_substitute, is_unimodular,
                       make_chain_poset, make_double_star, make_ex52, make_grid)
 from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_vertices,
                         zero_parameter)
@@ -693,6 +694,42 @@ def test_substitute_detects_violation():
     h = box(("x", "y"), [(0, 2), (0, 1)])
     with pytest.raises(EmptyPolyhedron):
         substitute(h, {"y": F(7)})
+
+
+def test_affine_maps_and_pins_match_fraction_oracles():
+    rnd = random.Random(606)
+    seen = {"non-unimodular": 0, "rational offset": 0, "empty": 0, "pinned": 0}
+    for _ in range(80):
+        d = rnd.randint(1, 4)
+        h = random_face_hrep(rnd, d)
+        while True:
+            matrix = tuple(tuple(F(rnd.randint(-2, 2), rnd.choice((1, 1, 2, 3)))
+                                 for _ in range(d)) for _ in range(d))
+            if linalg.inverse(matrix) is not None:
+                break
+        offset = tuple(F(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(d))
+        amap = AffineMap(h.coords, matrix, offset)
+        image = apply_affine(amap, h)
+        assert (image.coords, image.equations, image.inequalities) == \
+            fraction_apply_affine(amap, h)
+        assert image.int_inequalities == tuple(map(fraction_int_row, image.inequalities))
+        seen["non-unimodular"] += not is_unimodular(amap)
+        seen["rational offset"] += any(x.denominator > 1 for x in offset)
+
+        fixed = {c: F(rnd.randint(-8, 8), rnd.randint(1, 3))
+                 for c in rnd.sample(h.coords, rnd.randint(1, d))}
+        try:
+            oracle = fraction_substitute(h, fixed)
+        except EmptyPolyhedron:
+            with pytest.raises(EmptyPolyhedron):
+                substitute(h, fixed)
+            seen["empty"] += 1
+            continue
+        out = substitute(h, fixed)
+        assert (out.coords, out.equations, out.inequalities) == oracle
+        assert out.int_equations == tuple(map(fraction_int_row, out.equations))
+        seen["pinned"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_size_gates():

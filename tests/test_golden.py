@@ -209,9 +209,9 @@ GOLDEN = {
     ('dstar', 'subdivision-ideal-chains'):
         ('ce2b5d26e826e961e9e789c54504247e3b187e617fcc9113e343254d9f45e280', 0, None),
     ('dstar', 'subdivision-off'):
-        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, None),
     ('dstar', 'subdivision-ideal-chains-off'):
-        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, None),
     ('dstar', 'degenerate'):
         ('39adb9ded1eb228d0e59d55e1991773dcb9097a233c98c22e7f707e79122d7f2', 0, None),
     ('dstar', 'sweep-types'):
@@ -255,9 +255,9 @@ GOLDEN = {
     ('grid2x3', 'subdivision-ideal-chains'):
         ('ac61ce8964073672aa75438b0052bc40e9dcd17b62f572adb7175c867f51205c', 0, None),
     ('grid2x3', 'subdivision-off'):
-        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, None),
     ('grid2x3', 'subdivision-ideal-chains-off'):
-        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, None),
     ('grid2x3', 'degenerate'):
         ('6ff6b6990e208b43709ae439767db495a75fb0d3988bccb65930ce924e239909', 0, None),
     ('grid2x3', 'sweep-ehrhart'):
