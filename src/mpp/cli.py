@@ -66,10 +66,10 @@ def _resolve_parameter(args, poset) -> tuple[family.Parameter, dict]:
 
 
 def _emit(payload: dict, summary: str) -> int:
-    """Write payload as indented JSON (jsonio.encode) in one piece."""
-    sys.stdout.write(jsonio.encode(payload))
-    sys.stdout.write("\n")  # not joined to the text, which would copy it
-    sys.stdout.flush()  # a closed pipe shows up here, inside main
+    """Write payload as indented JSON, streamed by jsonio.dump, and a newline."""
+    jsonio.dump(payload, sys.stdout.write)
+    sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed pipe shows up here or in a write, inside main
     print(summary, file=sys.stderr)
     return 0
 

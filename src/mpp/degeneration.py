@@ -269,7 +269,8 @@ def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction],
                                     samples)
     if not params or not params[0].values:
         params = [Parameter({})]
-    samples = [_type_sample(*_bounded_polytope(poset, t)) for t in params]
+    walked = {}  # one face walk per distinct vertex tight sets
+    samples = [_type_sample(*_bounded_polytope(poset, t), walked) for t in params]
     return {"check": "combinatorial-type",
             "face": {k: rat_str(Fraction(v)) for k, v in sorted(fixed.items())},
             "samples": [{k: rat_str(v) for k, v in sorted(t.values.items())} for t in params],
@@ -277,15 +278,20 @@ def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction],
             "pass": _all_isomorphic(samples)}
 
 
-def _type_sample(h: HRep, v: VRep):
+def _type_sample(h: HRep, v: VRep, walked: dict | None = None):
     """(f-vector, vertex tight sets, vertex-facet incidences) of a polytope,
-    read off the incidence and facet masks; no face is stored."""
+    read off the incidence and facet masks; no face is stored.  walked, if
+    given, maps the tight sets already walked to their f-vectors, which
+    equal tight sets share (see _all_isomorphic)."""
     masks, facets, _ = facet_masks(h, v)
     n = len(v.rows)
     tight = frozenset(frozenset(j for j, m in enumerate(masks) if m >> i & 1)
                       for i in range(n))
     pairs = frozenset((i, fi) for fi, f in enumerate(facets) for i in range(n) if f >> i & 1)
-    return face_counts(h, v, facets), tight, (n, len(facets), pairs)
+    walked = {} if walked is None else walked
+    if tight not in walked:
+        walked[tight] = face_counts(h, v, facets)
+    return walked[tight], tight, (n, len(facets), pairs)
 
 
 def _all_isomorphic(samples) -> bool:

@@ -608,7 +608,10 @@ def _pulled_back(h: HRep, coords, xs) -> HRep:
 
 def apply_affine(amap: AffineMap, h: HRep) -> HRep:
     """Exact image of the polyhedron under an invertible affine map y = M x + b,
-    pulled back through x = M^-1 y - M^-1 b."""
+    pulled back through x = M^-1 y - M^-1 b.  The map must be declared on
+    h's coordinates, in h's order."""
+    if tuple(amap.coords) != h.coords:
+        raise ValueError(f"affine map on {amap.coords} applied to an H-rep on {h.coords}")
     inv = linalg.inverse(amap.matrix)
     if inv is None:
         raise SingularMap("affine map is not invertible")

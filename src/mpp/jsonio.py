@@ -2,11 +2,13 @@
 
 Rationals travel as strings ("3", "-1/2") and round-trip bit-exactly; on
 input a JSON integer is accepted too.  Unknown keys are rejected so that
-typos fail loudly.  `encode` writes the CLI's indented output.
+typos fail loudly.  `dump` streams the CLI's indented output; `encode`
+joins it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -153,19 +155,32 @@ _string = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INT = {int}
 _STR = {str}
+_PIECES = 1024  # pieces held before they go to write
+_BLOCK = 256  # rows of a row block per %-format
 
 
 def encode(obj) -> str:
     """json.dumps(jsonable(obj), indent=2, sort_keys=True), byte for byte,
     without the pure-Python encoder that json.dumps falls back to when it
     indents.  Floats and objects jsonable leaves alone raise TypeError."""
+    chunks = []
+    dump(obj, chunks.append)
+    return "".join(chunks)
+
+
+def dump(obj, write) -> None:
+    """Write encode(obj) through write in chunks, one per row block or
+    _PIECES pieces, never the whole text; a TypeError may follow some."""
     out = []
-    _write(obj, out, "\n")
-    return "".join(out)
+    _write(obj, out, "\n", write)
+    write("".join(out))
 
 
-def _write(obj, out: list, nl: str) -> None:
+def _write(obj, out: list, nl: str, write) -> None:
     """Append obj's text to out; nl is a newline and the current indent."""
+    if len(out) >= _PIECES:
+        write("".join(out))
+        out.clear()
     if isinstance(obj, str):
         out.append(_string(obj))
     elif obj is None or obj is True or obj is False:
@@ -173,18 +188,18 @@ def _write(obj, out: list, nl: str) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, (list, tuple)):
-        _write_list(obj, out, nl)
+        _write_list(obj, out, nl, write)
     elif isinstance(obj, dict):
-        _write_dict(obj, out, nl)
+        _write_dict(obj, out, nl, write)
     elif isinstance(obj, Fraction):
         out.append(_string(rat_str(obj)))
     elif isinstance(obj, frozenset):
-        _write_list(jsonable(obj), out, nl)
+        _write_list(jsonable(obj), out, nl, write)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_list(items, out: list, nl: str) -> None:
+def _write_list(items, out: list, nl: str, write) -> None:
     if not items:
         out.append("[]")
         return
@@ -194,15 +209,39 @@ def _write_list(items, out: list, nl: str) -> None:
         text = map(repr if kinds == _INT else _string, items)
         out.append("[" + inner + ("," + inner).join(text) + nl + "]")
         return
+    if kinds <= {list, tuple} and _write_rows(items, out, nl, write):
+        return
     sep = "[" + inner
     for x in items:
         out.append(sep)
-        _write(x, out, inner)
+        _write(x, out, inner, write)
         sep = "," + inner
     out.append(nl + "]")
 
 
-def _write_dict(mapping, out: list, nl: str) -> None:
+def _write_rows(rows, out: list, nl: str, write) -> bool:
+    """Write rows whose leaves are all exact ints or all exact strs with one
+    %-format per _BLOCK rows; other rows return False, nothing written."""
+    leaves = set(map(type, itertools.chain.from_iterable(rows)))
+    if not (leaves <= _INT or leaves == _STR):  # no leaves: every row is empty
+        return False
+    spec, inner, leaf = "%d" if leaves <= _INT else "%s", nl + "  ", nl + "    "
+    row = {w: "[" + leaf + ("," + leaf).join([spec] * w) + inner + "]" if w else "[]"
+           for w in set(map(len, rows))}
+    sep, join = "[" + inner, ("," + inner).join
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i:i + _BLOCK]
+        values = itertools.chain.from_iterable(block)
+        out.append((sep + join(map(row.__getitem__, map(len, block))))
+                   % tuple(values if spec == "%d" else map(_string, values)))
+        write("".join(out))
+        out.clear()
+        sep = "," + inner
+    out.append(nl + "]")
+    return True
+
+
+def _write_dict(mapping, out: list, nl: str, write) -> None:
     if not all(type(k) is str for k in mapping):
         mapping = {str(k): v for k, v in mapping.items()}
     if not mapping:
@@ -212,6 +251,6 @@ def _write_dict(mapping, out: list, nl: str) -> None:
     sep = "{" + inner
     for key in sorted(mapping):
         out.append(sep + _string(key) + ": ")
-        _write(mapping[key], out, inner)
+        _write(mapping[key], out, inner, write)
         sep = "," + inner
     out.append(nl + "}")

@@ -9,7 +9,9 @@ import pytest
 
 from conftest import make_double_star, make_grid
 from mpp.cli import _emit, main
-from mpp.jsonio import jsonable, poset_to_json
+from mpp.family import hrep_general, zero_parameter
+from mpp.jsonio import encode, jsonable, poset_to_json
+from mpp.lattice import lattice_points
 
 EX52 = {"elements": ["0", "2", "3", "4", "p", "q", "r"],
         "covers": [["0", "p"], ["0", "q"], ["p", "r"], ["q", "r"],
@@ -320,6 +322,54 @@ def test_closed_stdout_exits_quietly(ex52_file):
     err = proc.stderr.read()
     assert proc.wait() == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.fixture
+def grid2x4_file(tmp_path):
+    path = tmp_path / "grid2x4.json"
+    path.write_text(json.dumps(poset_to_json(make_grid(2, 4))))
+    return str(path)
+
+
+def test_reader_closing_mid_stream_exits_quietly(grid2x4_file):
+    # grid2x4's 5,040 lattice points are about 424 KB of JSON, more than a pipe
+    # holds: the reader takes the first bytes and goes away while the CLI is
+    # still writing
+    proc = subprocess.Popen([sys.executable, "-m", "mpp.cli", "lattice-points",
+                             grid2x4_file],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.read(100).startswith("{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+class RecordingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_emit_streams_the_text_in_chunks(monkeypatch):
+    poset = make_grid(2, 4)
+    h = hrep_general(poset, zero_parameter(poset), projected=False)
+    payload = {"command": "lattice-points", "coords": list(h.coords),
+               "points": lattice_points(h)}
+    text = encode(payload)
+    assert len(text) > 400_000
+    out = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert _emit(payload, "summary") == 0
+    assert "".join(out.writes) == text + "\n"
+    assert len(out.writes) > 1
+    assert max(map(len, out.writes)) < len(text)
 
 
 def _expect_input_error(proc):

@@ -114,6 +114,31 @@ def test_hibi_li_sweep_builds_each_lattice_once(tmp_path, monkeypatch, capsys):
     assert len(built) == 32
 
 
+@pytest.mark.parametrize("make, faces", [(make_ex52, 7), (lambda: make_grid(2, 3), 9)],
+                         ids=["ex52", "grid2x3"])
+def test_types_sweep_walks_once_per_tight_set_family(tmp_path, monkeypatch, capsys,
+                                                     make, faces):
+    # three samples per hypercube face, all with the same vertex tight sets:
+    # one face walk per face, and every sample reports the walked f-vector
+    from mpp import degeneration
+
+    poset = make()
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset_to_json(poset)))
+    walks = _count(monkeypatch, degeneration, "face_counts")
+    assert cli.main(["sweep", str(path), "--check", "types"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["pass"] and len(data["faces"]) == faces
+    assert [len(r["f_vectors"]) for r in data["faces"]] == [3] * faces
+    assert len(walks) == faces
+    for report in data["faces"]:
+        fixed = {k: Fraction(v) for k, v in report["face"].items()}
+        params = degeneration.sample_face_parameters(poset, fixed, 3)
+        assert report["f_vectors"] == [
+            list(geometry.face_counts(*degeneration._bounded_polytope(poset, t)))
+            for t in params]
+
+
 def test_degenerate_query_computes_the_linear_extension_once(ex52_file, tmp_path,
                                                               monkeypatch, capsys):
     calls = _count_property(monkeypatch, "_linear_extension")

@@ -674,6 +674,30 @@ def test_unimodular_shear():
     assert len(lattice_points(out)) == len(lattice_points(h))
 
 
+@pytest.mark.parametrize("coords", [("a", "b"), ("y", "x"), ("x",)])
+def test_map_on_other_coordinates_rejected(coords):
+    # a map declared on other names, or on the same names in another order,
+    # would relabel the coordinates in silence
+    h = box(("x", "y"), [(0, 1), (0, 1)])
+    with pytest.raises(ValueError) as exc:
+        apply_affine(AffineMap.identity(coords), h)
+    assert repr(coords) in str(exc.value) and repr(("x", "y")) in str(exc.value)
+
+
+@pytest.mark.parametrize("matrix", [((1, 0), (0, 1)), ((1, 1), (0, 1))],
+                         ids=["identity", "shear"])
+def test_map_on_the_hrep_coordinates_applies(matrix):
+    # the names are compared as a tuple, so a map built on a list of them
+    # applies as one built on h.coords
+    h = box(("x", "y"), [(0, 1), (0, 1)])
+    matrix = tuple(tuple(map(F, r)) for r in matrix)
+    on_list = apply_affine(AffineMap(["x", "y"], matrix, (F(0), F(0))), h)
+    assert on_list == apply_affine(AffineMap(h.coords, matrix, (F(0), F(0))), h)
+    assert set(vertices(on_list).vertices) == {
+        tuple(sum(a * x for a, x in zip(r, p)) for r in matrix)
+        for p in vertices(h).vertices}
+
+
 def test_singular_map_rejected():
     from mpp.geometry import SingularMap
     h = box(("x", "y"), [(0, 1), (0, 1)])

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpp import jsonio
 from mpp.family import hrep_general, zero_parameter
 from mpp.geometry import vertices
-from mpp.jsonio import (SchemaError, encode, hrep_to_json, jsonable, parameter_from_json,
+from mpp.jsonio import (SchemaError, dump, encode, hrep_to_json, jsonable, parameter_from_json,
                         parameter_to_json, partition_from_json, partition_to_json,
                         poset_from_json, poset_to_json, row_strs, vrep_to_json)
 from mpp.rationals import rat_str
@@ -190,3 +191,70 @@ def test_encode_matches_json_dumps_on_random_trees(payload):
             encode(payload)
     else:
         assert encode(payload) == expected
+
+
+# -- row blocks: lists of rows of exact ints or of exact strs -----------------
+
+BLOCK = jsonio._BLOCK
+ints = st.integers() | st.sampled_from([2 ** 200, -(2 ** 200), 0, -1])
+strs = st.text(st.characters() | st.sampled_from('%"\\\u00e9\u4e2d\U0001f600'), max_size=6)
+
+
+def rows_of(leaves):
+    return st.lists(leaves, max_size=4) | st.lists(leaves, max_size=4).map(tuple)
+
+
+@st.composite
+def row_matrices(draw):
+    """A list or tuple of rows, ragged and sometimes empty, with a row count
+    on either side of the block size: a few drawn rows, repeated."""
+    rows = draw(st.lists(rows_of(draw(st.sampled_from([ints, strs]))),
+                         min_size=1, max_size=5))
+    n = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+             | st.integers(0, 3 * BLOCK))
+    matrix = [rows[i % len(rows)] for i in range(n)]
+    return draw(st.sampled_from([list, tuple]))(matrix)
+
+
+def chunks_of(obj) -> list[str]:
+    chunks = []
+    dump(obj, chunks.append)
+    return chunks
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_matrices())
+def test_row_blocks_match_json_dumps(matrix):
+    for payload in (matrix, {"cells": [{"vertices": matrix, "dim": 1}]}):
+        text = encode(payload)
+        assert text == reference(payload)
+        assert "".join(chunks_of(payload)) == text
+
+
+@pytest.mark.parametrize("matrix", [
+    [[i, -i, 2 ** 200] for i in range(2 * BLOCK + 3)],
+    [("a%d" % i, '"%s"', "\u00e9") for i in range(2 * BLOCK + 3)],
+], ids=["ints", "strs"])
+@pytest.mark.parametrize("planted", [True, 1.5, Fraction(1, 3), "s", 7, None, [1]],
+                         ids=["bool", "float", "fraction", "str", "int", "none", "list"])
+def test_a_leaf_past_the_first_block_sends_the_matrix_down_the_item_path(matrix, planted):
+    # the leaf types are read over the whole matrix before any of it is
+    # written, so a bool still prints as true, a Fraction as a string, and
+    # a float, which has no exact text, raises TypeError
+    matrix = list(matrix)
+    matrix[BLOCK + 3] = [*matrix[BLOCK + 3][:1], planted, *matrix[BLOCK + 3][2:]]
+    if isinstance(planted, float):
+        with pytest.raises(TypeError):
+            encode(matrix)
+    else:
+        assert encode(matrix) == reference(matrix)
+        assert "".join(chunks_of(matrix)) == reference(matrix)
+
+
+def test_dump_streams_a_large_payload_in_chunks():
+    payload = {"points": [[i, i + 1] for i in range(10 * BLOCK)],
+               "cells": [{"tight": [i], "origin": ["chain", str(i)]}
+                         for i in range(4 * jsonio._PIECES)]}
+    chunks = chunks_of(payload)
+    assert "".join(chunks) == reference(payload)
+    assert len(chunks) > 10 and max(map(len, chunks)) < len(reference(payload)) // 4
