@@ -6,14 +6,16 @@ only when a caller reads HRep.equations or HRep.inequalities.  Vertex
 enumeration is the classical double description method on the
 homogenization cone, in integers throughout: it reads the primitive rows,
 rays stay primitive int tuples with bitmask zero sets, and the returned VRep
-holds each vertex as an integer row over one common denominator.  Fraction
-vertices are built only when a caller reads VRep.vertices.  A brute-force
-constraint-subset oracle is kept alongside for cross-checking.  Face
-lattices are restricted to bounded polyhedra.  Faces are vertex bitmasks,
-enumerated level by level from the facets' incidence masks, so a face's
-dimension is its level in the lattice; the face holding a point in its
-relative interior is looked up by the point's set of tight inequalities.
-f-vectors come from the same walk, counted, with one level held at a time.
+holds each vertex as an integer row over one common denominator.  The cone
+that DD leaves (Cone) can be cut by further rows, which continues the same
+DD instead of starting it again.  Fraction vertices are built only when a
+caller reads VRep.vertices.  A brute-force constraint-subset oracle is kept
+alongside for cross-checking.  Face lattices are restricted to bounded
+polyhedra.  Faces are vertex bitmasks, enumerated level by level from the
+facets' incidence masks, so a face's dimension is its level in the lattice;
+the face holding a point in its relative interior is looked up by the
+point's set of tight inequalities.  f-vectors come from the same walk,
+counted, with one level held at a time.
 """
 
 from __future__ import annotations
@@ -195,7 +197,8 @@ class VRep:
 
 # -- double description ------------------------------------------------------
 # Integer kernel: zero sets are bitmasks over the inequality insertion order
-# (x0 >= 0, then the widest rows first; see _dd_generators).
+# (x0 >= 0, then the widest rows first; see homogenization_cone), and rows
+# that Cone.cut adds later take the next bits.
 
 def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     g = math.gcd(*v)
@@ -275,15 +278,60 @@ def _adjacent(zc: int, zs: list[int]) -> bool:
     return True
 
 
-# the insertion order of _dd_generators as two stable sorts on C-level keys:
-# by the reversed row, then by the zero count (rows share one width, so the
-# fewest zeros are the most nonzero coefficients)
+# the insertion order of homogenization_cone as two stable sorts on C-level
+# keys: by the reversed row, then by the zero count (rows share one width, so
+# the fewest zeros are the most nonzero coefficients)
 _reversed = operator.itemgetter(slice(None, None, -1))
 _zero_count = operator.methodcaller("count", 0)
 
 
-def _dd_generators(h: HRep):
-    """Run DD on the homogenization cone; returns (lines, rays) in (x0, x).
+@dataclass(frozen=True)
+class Cone:
+    """The homogenization cone {x0 >= 0, row . x <= 0} of an H-rep as double
+    description leaves it: lines, and rays as (primitive int ray, zero-set
+    bitmask over the insertion order).  span_dim is the dimension of the
+    linear space left by the equations; inserted counts the inequality rows
+    inserted so far, so the next row takes bit inserted."""
+
+    coords: tuple[str, ...]
+    lines: list
+    rays: list
+    span_dim: int
+    inserted: int
+
+    def cut(self, rows) -> Cone:
+        """This cone cut by the further inequalities row . x <= 0, a sequence
+        of primitive integer rows (-rhs, a): double description continued,
+        each row at the next free bit (Fukuda & Prodon 1996).  This is the
+        one DD loop.  A row may repeat one already inserted, and the cone
+        described does not depend on the order of the rows."""
+        lines, rays = self.lines, self.rays
+        for idx, row in enumerate(rows, self.inserted):
+            lines, rays = _dd_process_inequality(idx, row, lines, rays, self.span_dim)
+        return Cone(self.coords, lines, rays, self.span_dim, self.inserted + len(rows))
+
+    @property
+    def empty(self) -> bool:
+        """Whether the polyhedron is empty: lines lie in x0 = 0, so without a
+        ray of x0 > 0 there is no point at all."""
+        return all(r[0] == 0 for r, _ in self.rays)
+
+    def vrep(self) -> VRep:
+        """The V-rep of the polyhedron.  Raises EmptyPolyhedron when it is
+        empty and UnsupportedLineality when it contains a line."""
+        points = [r for r, _ in self.rays if r[0] > 0]
+        if not points:  # see empty
+            raise EmptyPolyhedron("no feasible point")
+        if self.lines:
+            raise UnsupportedLineality("polyhedron contains a line")
+        # a ray with r[0] == 0 is primitive, so its tail r[1:] is primitive too
+        recession = {tuple(Fraction(x) for x in r[1:]) for r, _ in self.rays if r[0] == 0}
+        return VRep(self.coords, tuple(sorted(set(common_denominator(points)))),
+                    tuple(sorted(recession)))
+
+
+def homogenization_cone(h: HRep) -> Cone:
+    """Run DD on the homogenization cone of h.
 
     Rows are (-rhs, coeffs) scaled to integers, so the cone is row . x <= 0.
     x0 >= 0 is inserted first, then the distinct inequalities, those with the
@@ -297,13 +345,15 @@ def _dd_generators(h: HRep):
     lines = [tuple(1 if j == i else 0 for j in range(d + 1)) for i in range(d + 1)]
     for row in h.int_equations:  # before any ray exists, equations only cut lines
         lines = _eliminate(row, lines)[2]
-    span_dim = len(lines)
     rows = [(-1,) + (0,) * d]  # x0 >= 0
     rows += sorted(sorted(set(h.int_inequalities), key=_reversed), key=_zero_count)
-    rays: list[tuple[tuple[int, ...], int]] = []
-    for idx, row in enumerate(rows):
-        lines, rays = _dd_process_inequality(idx, row, lines, rays, span_dim)
-    return lines, rays
+    return Cone(h.coords, lines, [], len(lines), 0).cut(rows)
+
+
+def _dd_generators(h: HRep):
+    """The (lines, rays) of homogenization_cone(h), in (x0, x)."""
+    cone = homogenization_cone(h)
+    return cone.lines, cone.rays
 
 
 def vertices(h: HRep) -> VRep:
@@ -312,19 +362,7 @@ def vertices(h: HRep) -> VRep:
     Raises EmptyPolyhedron when infeasible and UnsupportedLineality when the
     polyhedron contains a line (marked poset polyhedra never do).
     """
-    if h.dim_ambient == 0:
-        return VRep((), ((1,),), ())
-    lines, rays = _dd_generators(h)
-    # lines lie in x0 = 0, so without a ray of x0 > 0 there is no point at all
-    points = [r for r, _ in rays if r[0] > 0]
-    if not points:
-        raise EmptyPolyhedron("no feasible point")
-    if lines:
-        raise UnsupportedLineality("polyhedron contains a line")
-    # a ray with r[0] == 0 is primitive, so its tail r[1:] is primitive too
-    recession = {tuple(Fraction(x) for x in r[1:]) for r, _ in rays if r[0] == 0}
-    return VRep(h.coords, tuple(sorted(set(common_denominator(points)))),
-                tuple(sorted(recession)))
+    return homogenization_cone(h).vrep()
 
 
 # -- brute-force oracle -------------------------------------------------------

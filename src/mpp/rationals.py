@@ -31,7 +31,8 @@ def rat(value) -> Fraction:
 
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as "n" or "n/d" (bit-exact round-trip with rat)."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -3,11 +3,13 @@ subdivision of the marked order polyhedron, and vertex enumeration of generic
 family members by transferring subdivision vertices.
 
 Every cell is cut from the one base polytope O_0(P, lambda) in the projected
-coordinates.  A public call builds it once (`_base_data`) and passes it down,
-and one generator (`_covector_cells`) runs the covector search and yields
-each nonempty cell with its vertices.  The search decides whether a partial
-cell is empty by double description, the same enumeration that gives each
-cell its vertices; no linear program is solved.  Vertices stay integer rows
+coordinates.  A public call builds it once (`_base_data`), with the one DD
+run on it, and passes both down.  One generator (`_covector_cells`) runs the
+covector search over the maximal cells only, one closed single-argmax sector
+per hyperplane: every other cell is a face of one of them, so the subdivision
+vertices and the subdivision's faces are theirs.  A search node continues
+its parent's DD with its own sector rows, and an empty partial cell is
+dropped at once; no linear program is solved.  Vertices stay integer rows
 (VRep.rows) throughout: subdivision cells are keyed by vertex bitmasks,
 covectors are read off integer witnesses, and Fractions are built once per
 subdivision vertex, for the returned cells.
@@ -15,7 +17,6 @@ subdivision vertex, for the returned cells.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +25,10 @@ from functools import cmp_to_key
 from . import linalg
 from .family import (Parameter, _row_writer, hrep_general, hypercube_vertices,
                      transfer_theta_homogeneous, zero_parameter)
-from .geometry import (EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded, VRep,
-                       _bits, _face_levels, _primitive, facet_masks, incidences,
-                       vertices)
+from . import geometry
+from .geometry import (Cone, EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded, VRep,
+                       _bits, _face_levels, _primitive, facet_masks,
+                       homogenization_cone, incidences, vertices)
 from .linalg import common_denominator, dehomogenized
 from .poset import MarkedPoset, require_valid
 
@@ -107,60 +109,58 @@ def _difference(write, a: str, b: str, origin):
     return write(((a, 1), (b, -1)), 1, origin)
 
 
-def _covector_cell_rows(poset: MarkedPoset, write, tau: dict[str, frozenset[str]]):
-    """Equations/inequalities pinning the closed arrangement cell F_tau."""
-    eqs, ineqs = [], []
-    for r, members in sorted(tau.items()):
-        m0, *rest = sorted(members)
-        for m in rest:
-            eqs.append(_difference(write, m, m0, ("covector-eq", r, m0, m)))
-        for other in poset.lower_covers(r):
-            if other not in members:
-                ineqs.append(_difference(write, other, m0, ("covector-le", r, other, m0)))
-    return eqs, ineqs
-
-
 def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
-                    base_v: VRep):
-    """(tau, H-rep, V-rep) of each nonempty cell: the polytope cut with F_tau,
-    over the covectors tau whose closed cell meets it.  tau is extended one
-    hyperplane at a time, and a partial covector is dropped as soon as its
-    cell is empty, by the same double description that gives a full
-    covector's cell its vertices.  Each H-rep is base with the covector's
-    integer rows appended, so the base rows come first and are not built
-    again.  The root is the polytope itself: base with base_v =
-    vertices(base)."""
+                    root: Cone):
+    """(tau, H-rep, V-rep) of each nonempty maximal cell: the polytope P cut
+    with the closed cell F_tau of a covector tau whose every type is a
+    single element, tau(r) = {m}.  F_tau is then x_q <= x_m for the other
+    lower covers q of each r, one closed sector per hyperplane.
+
+    No other covector is needed.  The closed single-argmax sectors of a
+    hyperplane cover the space.  Take any covector tau, pick m0 in each
+    tau(r) and let sigma(r) = {m0}.  F_tau is F_sigma cut by the equalities
+    x_m = x_m0 for the other m in each tau(r), and each of them supports
+    F_sigma, on which x_m <= x_m0.  So the cell P & F_tau is a face of the
+    maximal cell P & F_sigma (Develin & Sturmfels, "Tropical convexity",
+    2004, on types and sectors), and the union of the cells' vertices, and
+    the set of their faces deduplicated by vertex set, are those of the
+    search over every covector.
+
+    tau is extended one hyperplane at a time, and a partial covector is
+    dropped as soon as its cell is empty.  A node's cone is its parent's,
+    cut by its own sector rows only (Cone.cut), so DD runs once on the base
+    polytope: root is homogenization_cone(base).  Each H-rep is base with
+    the covector's integer rows appended, so the base rows come first."""
     write = _row_writer(poset, base.coords)
-    supports = [(r, sorted(form.support)) for r, form in arr.hyperplanes]
+    sectors = [[(r, m, [_difference(write, q, m, ("covector-le", r, q, m))
+                        for q in form.support if q != m])
+                for m in sorted(form.support)]
+               for r, form in arr.hyperplanes]
 
-    def rec(i, partial):
-        if not partial:
-            h, v = base, base_v
-        else:
-            try:
-                h = base.with_rows(*_covector_cell_rows(poset, write, partial))
-                v = vertices(h)
-            except EmptyPolyhedron:
-                return
-        if i == len(supports):
-            yield dict(partial), h, v
+    def rec(i, path, h, cone):
+        if i == len(sectors):
+            yield {r: frozenset((m,)) for r, m in path}, h, cone.vrep()
             return
-        r, support = supports[i]
-        for size in range(1, len(support) + 1):
-            for members in itertools.combinations(support, size):
-                partial[r] = frozenset(members)
-                yield from rec(i + 1, partial)
-                del partial[r]
+        for r, m, rows in sectors[i]:
+            try:
+                child = h.with_rows((), rows)
+            except EmptyPolyhedron:  # q and m both marked, lambda(q) > lambda(m)
+                continue
+            sub = cone.cut(child.int_inequalities[len(h.int_inequalities):])
+            if not sub.empty:
+                yield from rec(i + 1, path + ((r, m),), child, sub)
 
-    yield from rec(0, {})
+    yield from rec(0, (), base, root)
 
 
-def _base_data(poset: MarkedPoset) -> tuple[HRep, VRep]:
+def _base_data(poset: MarkedPoset) -> tuple[HRep, Cone]:
+    """The base polytope O_0 in the projected coordinates and its cone, the
+    one DD run on it."""
     base = hrep_general(poset, zero_parameter(poset), projected=True)
-    v = vertices(base)
-    if v.rays:
+    cone = homogenization_cone(base)
+    if cone.vrep().rays:
         raise UnsupportedUnbounded("tropical subdivision implemented for polytopes only")
-    return base, v
+    return base, cone
 
 
 def _covector_forms(poset: MarkedPoset, arr: TropicalArrangement, coords):
@@ -190,13 +190,15 @@ def _covector_at(forms, rows) -> tuple[tuple[str, tuple[str, ...]], ...]:
 
 
 def tropical_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
-    """The cells polytope cut with F_tau over all feasible covectors tau (no faces)."""
+    """The maximal cells: the polytope cut with the closed cell F_tau of each
+    covector tau with single-element types that meets it (no faces; every
+    other cell of the subdivision is a face of one of these)."""
     require_valid(poset)
-    base, base_v = _base_data(poset)
+    base, root = _base_data(poset)
     arr = arrangement(poset)
     forms = _covector_forms(poset, arr, base.coords)
     return [_polytope_cell(base, forms, v, ("covector",))
-            for _, _, v in _covector_cells(poset, arr, base, base_v)]
+            for _, _, v in _covector_cells(poset, arr, base, root)]
 
 
 def _polytope_cell(base: HRep, forms, v: VRep, origin) -> SubdivisionCell:
@@ -212,21 +214,23 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     """The full tropical subdivision of the marked order polytope.
 
     Its cells are the nonempty intersections of polytope faces with cells of
-    the arrangement; computed here as the faces of the covector cells, which
-    is the same collection.  A face of a covector cell's level walk is keyed
-    by its vertex mask over one global index of the subdivision vertices
-    (their primitive integer rows), so a face shared by covector cells is
-    kept once.  Its dimension is its level, and its tight base rows come
-    from the incidence masks: the base inequalities are the first rows of
-    each cell's H-rep.  Cells sort by (dim, vertices) through the ranks of
-    the vertices, whose Fractions are built once.
+    the arrangement; computed here as the faces of the maximal covector
+    cells, which is the same collection (see _covector_cells).  A face of a
+    maximal cell's level walk is keyed by its vertex mask over one global
+    index of the subdivision vertices (their primitive integer rows), so a
+    face shared by maximal cells is kept once.  Its dimension is its level,
+    and its tight base rows come from the incidence masks: the base
+    inequalities are the first rows of each cell's H-rep.  Cells sort by
+    (dim, vertices) through the ranks of the vertices, whose Fractions are
+    built once.  Raises TooLarge once more than FACE_GATE distinct cells
+    are found.
     """
-    base, base_v = _base_data(poset)
+    base, root = _base_data(poset)
     arr = arrangement(poset)
     nb = len(base.int_inequalities)
     index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> global id
     found: dict[int, tuple] = {}  # global vertex mask -> (dim, global ids, tight)
-    for _, h, v in _covector_cells(poset, arr, base, base_v):
+    for _, h, v in _covector_cells(poset, arr, base, root):
         ids = [index.setdefault(_primitive(r), len(index)) for r in v.rows]
         bits = [1 << i for i in ids]
         masks, facets, _ = facet_masks(h, v)
@@ -236,6 +240,9 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
                 local = _bits(f)
                 key = sum(bits[i] for i in local)
                 if key not in found:
+                    if len(found) == geometry.FACE_GATE:
+                        raise TooLarge(f"tropical subdivision holds more than "
+                                       f"{geometry.FACE_GATE} cells")
                     found[key] = (k, [ids[i] for i in local],
                                   frozenset(j for j, m in enumerate(masks) if f & m == f))
     rows = common_denominator(list(index))
@@ -407,16 +414,17 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
         if any(u.values.values()):
             vu = vertices(hrep_general(poset, u, projected=True))
         else:
-            vu = base_data[1]  # the corner u = 0 is the base polytope itself
-        targets.append((u, transfer_theta_homogeneous(poset, t, u),
+            vu = base_data[1].vrep()  # the corner u = 0 is the base polytope itself
+        targets.append(({k: u[k] for k in sorted(u.values)},
+                        transfer_theta_homogeneous(poset, t, u),
                         {_primitive(r) for r in vu.rows}))
     items = []
     all_witnessed = True
     for p, hom in zip(generic.vertices, generic.rows):
         witnesses = []
-        for u, theta, vset in targets:
+        for witness, theta, vset in targets:
             if _primitive(theta(hom)) in vset:
-                witnesses.append({k: u[k] for k in sorted(u.values)})
+                witnesses.append(witness)
         if not witnesses:
             all_witnessed = False
         items.append({"vertex": p, "witnesses": witnesses})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from mpp.degeneration import FaceMap, face_map_via
+from mpp.family import _row_writer
 from mpp.geometry import (Constraint, EmptyPolyhedron, HRep, face_lattice, make_hrep,
                           vertices)
 from mpp import linalg
@@ -16,6 +18,7 @@ from mpp.linalg import homogenized
 from mpp.rationals import rat_str
 from mpp.poset import (MarkedPoset, chains_through, remove_redundant_covers,
                        saturated_chains_to, validate)
+from mpp.tropical import _difference
 
 
 def make_ex52() -> MarkedPoset:
@@ -495,3 +498,50 @@ def is_unimodular(amap) -> bool:
     """An affine map with an integer matrix of determinant +-1."""
     ints = all(x.denominator == 1 for row in amap.matrix for x in row)
     return ints and abs(det(amap.matrix)) == 1
+
+
+# -- the full covector search -----------------------------------------------------------
+
+def covector_cell_rows(poset: MarkedPoset, write, tau: dict) -> tuple[list, list]:
+    """The integer rows (equations, inequalities) pinning the closed
+    arrangement cell F_tau of a covector tau with any types; write is
+    family._row_writer of the projected coordinates."""
+    eqs, ineqs = [], []
+    for r, members in sorted(tau.items()):
+        m0, *rest = sorted(members)
+        for m in rest:
+            eqs.append(_difference(write, m, m0, ("covector-eq", r, m0, m)))
+        for other in poset.lower_covers(r):
+            if other not in members:
+                ineqs.append(_difference(write, other, m0, ("covector-le", r, other, m0)))
+    return eqs, ineqs
+
+
+def full_covector_cells(poset: MarkedPoset, arr, base: HRep):
+    """Oracle of tropical._covector_cells: (tau, H-rep, V-rep) of every
+    covector tau whose closed cell meets the base polytope, each type tau(r)
+    any nonempty subset of the hyperplane's support, in lexicographic order
+    by size.  A partial covector is dropped once its cell is empty, and DD
+    runs from scratch at every node."""
+    write = _row_writer(poset, base.coords)
+    supports = [(r, sorted(form.support)) for r, form in arr.hyperplanes]
+    found = []
+
+    def rec(i, partial):
+        try:
+            h = base.with_rows(*covector_cell_rows(poset, write, partial))
+            v = vertices(h)
+        except EmptyPolyhedron:
+            return
+        if i == len(supports):
+            found.append((dict(partial), h, v))
+            return
+        r, support = supports[i]
+        for size in range(1, len(support) + 1):
+            for members in itertools.combinations(support, size):
+                partial[r] = frozenset(members)
+                rec(i + 1, partial)
+                del partial[r]
+
+    rec(0, {})
+    return found

@@ -406,9 +406,9 @@ def test_conjecture_cap_is_a_budget_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "chain11.json"
     path.write_text(json.dumps(poset))
     dd_runs = []
-    real = geometry._dd_generators
-    monkeypatch.setattr(geometry, "_dd_generators",
-                        lambda h: dd_runs.append(h) or real(h))
+    real = geometry.Cone.cut  # every DD run, from scratch or continued
+    monkeypatch.setattr(geometry.Cone, "cut",
+                        lambda cone, rows: dd_runs.append(rows) or real(cone, rows))
     assert main(["sweep", str(path), "--check", "conjecture5"]) == 3
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "computation" and "10 unmarked" in out["error"]
@@ -490,9 +490,9 @@ def test_sweep_cap_is_a_budget(tmp_path, monkeypatch, capsys, check):
     from mpp.cli import main
 
     runs = []
-    dd = mpp.geometry._dd_generators
-    monkeypatch.setattr(mpp.geometry, "_dd_generators",
-                        lambda h: runs.append(1) or dd(h))
+    dd = mpp.geometry.Cone.cut  # every DD run, from scratch or continued
+    monkeypatch.setattr(mpp.geometry.Cone, "cut",
+                        lambda cone, rows: runs.append(1) or dd(cone, rows))
     names = ["bot"] + [f"u{i:02d}" for i in range(13)] + ["top"]
     poset = {"elements": names, "covers": [list(c) for c in zip(names, names[1:])],
              "marking": {"bot": "0", "top": "14"}}

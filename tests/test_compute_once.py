@@ -214,12 +214,15 @@ def test_fvector_domination_check_builds_no_face_lattice(monkeypatch):
 
 
 def test_subdivision_runs_no_dd_on_the_base_polytope_twice(ex52_file, monkeypatch, capsys):
-    # ex52's covector search probes 7 partial covectors below the root; the
-    # root is the base polytope, whose V-rep _base_data has already built
-    runs = _count(monkeypatch, tropical, "vertices")
+    # DD runs once, on the base polytope in _base_data, and inserts the base
+    # rows by one cut; each of the three sectors of ex52's one hyperplane,
+    # a search node, continues that cone by a cut of its own rows
+    runs = _count(monkeypatch, tropical, "homogenization_cone")
+    kernel = _count(monkeypatch, tropical, "vertices")
+    cuts = _count(monkeypatch, geometry.Cone, "cut")
     assert cli.main(["subdivision", ex52_file]) == 0
     assert json.loads(capsys.readouterr().out)["cells"]
-    assert len(runs) == 8
+    assert (len(runs), len(kernel), len(cuts)) == (1, 0, 1 + 3)
 
 
 def _count_fractions(monkeypatch) -> list:

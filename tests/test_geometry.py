@@ -136,6 +136,47 @@ def test_dd_equals_bruteforce_with_equations():
         assert set(v.vertices) == set(vb.vertices)
 
 
+def _vrep_or_error(run):
+    try:
+        return run()
+    except (EmptyPolyhedron, UnsupportedLineality) as exc:
+        return type(exc)
+
+
+def test_cut_continues_dd_to_the_vertices_of_the_whole_hrep():
+    # DD on a prefix of the inequalities, continued by Cone.cut with the rest
+    # in two steps (a row of the prefix repeated among them), gives the
+    # vertices of the whole H-rep, or the same error
+    rnd = random.Random(44)
+    seen = set()
+    for _ in range(200):
+        d = rnd.randint(1, 4)
+        coords = tuple(f"x{i}" for i in range(d))
+        rows = [tuple(F(rnd.randint(-3, 3)) for _ in range(d))
+                for _ in range(rnd.randint(1, 8))]
+        ineqs = [(a, F(rnd.randint(-3, 4), rnd.choice((1, 2))), ("cut",))
+                 for a in rows if any(a)]
+        normal = tuple(F(rnd.randint(-1, 1)) for _ in range(d))
+        eqs = [(normal, F(1), ("eq",))] if d > 1 and any(normal) and rnd.random() < 0.2 else []
+        whole = make_hrep(coords, eqs, ineqs)
+        j = rnd.randint(0, len(ineqs))
+        prefix = make_hrep(coords, eqs, ineqs[:j])
+        suffix = list(whole.int_inequalities[len(prefix.int_inequalities):])
+        if prefix.int_inequalities and rnd.random() < 0.5:
+            suffix.insert(rnd.randint(0, len(suffix)), rnd.choice(prefix.int_inequalities))
+        k = rnd.randint(0, len(suffix))
+
+        def continued():
+            cone = geometry.homogenization_cone(prefix)
+            return cone.cut(suffix[:k]).cut(suffix[k:]).vrep()
+
+        expected = _vrep_or_error(lambda: vertices(whole))
+        assert _vrep_or_error(continued) == expected
+        seen.add(expected if isinstance(expected, type) else bool(expected.rays))
+    # not vacuous: polytopes, unbounded polyhedra, lines and empty ones
+    assert seen == {False, True, EmptyPolyhedron, UnsupportedLineality}
+
+
 def all_fractions(v):
     return all(type(x) is Fraction for p in v.vertices + v.rays for x in p)
 

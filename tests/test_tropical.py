@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (det, make_double_star, make_ex52, make_grid, make_marked_interior,
+from conftest import (covector_cell_rows, det, full_covector_cells, make_double_star,
+                      make_ex52, make_ex52_rational, make_grid, make_marked_interior,
                       random_marked_poset, random_parameter)
 from mpp import linalg
 from mpp.family import (Parameter, generic_parameter, hrep_general, iota,
@@ -134,6 +135,17 @@ def test_ex52_subdivision_vertices(ex52):
     assert extra == {(F(2), F(0), F(4)), (F(2), F(2), F(4)), (F(0), F(2), F(4))}
 
 
+def test_subdivision_cells_are_a_face_budget(ex52, monkeypatch):
+    # ex52's subdivision has 57 cells; one more than FACE_GATE is refused
+    from mpp import geometry
+    from mpp.geometry import TooLarge
+    monkeypatch.setattr(geometry, "FACE_GATE", 57)
+    assert len(tropical_subdivision(ex52)) == 57
+    monkeypatch.setattr(geometry, "FACE_GATE", 56)
+    with pytest.raises(TooLarge, match="more than 56 cells"):
+        tropical_subdivision(ex52)
+
+
 def test_chain_poset_trivial_subdivision(chain_poset):
     cells = tropical_cells(chain_poset)
     assert len(cells) == 1
@@ -186,12 +198,12 @@ def hrep_from_vertices_bounding(cell, poset):
     # rebuild the cell H-rep: base constraints + tight covector data is enough
     # for volume tests; reconstruct from the cell's defining system instead
     from mpp.family import _row_writer
-    from mpp.tropical import _base_data, _covector_cell_rows
+    from mpp.tropical import _base_data
     base, _ = _base_data(poset)
     tau = {r: frozenset(m) for r, m in cell.covector}
     # keep only forced equalities (|members| >= 2)
     tau = {r: m for r, m in tau.items() if len(m) >= 1}
-    eqs, ineqs = _covector_cell_rows(poset, _row_writer(poset, base.coords), tau)
+    eqs, ineqs = covector_cell_rows(poset, _row_writer(poset, base.coords), tau)
     return base.with_rows(eqs, ineqs)
 
 
@@ -235,17 +247,17 @@ def test_subdivision_equals_literal_pair_enumeration(ex52):
     defining collection {face of polytope intersected with arrangement cell}."""
     from mpp.geometry import EmptyPolyhedron, face_lattice, make_hrep, vertices as vfun
     from mpp.family import _row_writer
-    from mpp.tropical import _base_data, _covector_cell_rows, _covector_cells
+    from mpp.tropical import _base_data
     from mpp.tropical import arrangement as arr_f
 
-    base, base_v = _base_data(ex52)
+    base, _ = _base_data(ex52)
     arr = arr_f(ex52)
     write = _row_writer(ex52, base.coords)
-    lat = face_lattice(base, base_v)
+    lat = face_lattice(base, vfun(base))
 
     literal = set()
-    for tau, _, _ in _covector_cells(ex52, arr, base, base_v):
-        cov_eqs, cov_ineqs = map(_fraction_triples, _covector_cell_rows(ex52, write, tau))
+    for tau, _, _ in full_covector_cells(ex52, arr, base):
+        cov_eqs, cov_ineqs = map(_fraction_triples, covector_cell_rows(ex52, write, tau))
         for face in lat.faces:
             if face.dim < 0:
                 continue
@@ -308,7 +320,6 @@ def _lp_pruned_covectors(poset, arr, base, probes):
     covector tested by an exact LP; probes collects each test's outcome."""
     from mpp.lp import LPStatus, lp_solve
     from mpp.family import _row_writer
-    from mpp.tropical import _covector_cell_rows
 
     write = _row_writer(poset, base.coords)
     names = arr.names()
@@ -316,7 +327,7 @@ def _lp_pruned_covectors(poset, arr, base, probes):
     found = []
 
     def feasible(partial) -> bool:
-        eqs, ineqs = map(_fraction_triples, _covector_cell_rows(poset, write, partial))
+        eqs, ineqs = map(_fraction_triples, covector_cell_rows(poset, write, partial))
         all_eqs = [(c.coeffs, c.rhs) for c in base.equations] + [(r, b) for r, b, _ in eqs]
         all_ineqs = ([(c.coeffs, c.rhs) for c in base.inequalities]
                      + [(r, b) for r, b, _ in ineqs])
@@ -342,10 +353,11 @@ def _lp_pruned_covectors(poset, arr, base, probes):
 
 
 def test_dd_pruned_covectors_equal_lp_pruned():
-    """The covector search prunes a partial covector when double description
-    finds its cell empty; an exact LP per partial covector must keep the same
-    covectors, in the same order, on posets where some probes are empty."""
-    from mpp.tropical import _base_data, _covector_cells
+    """The full covector search prunes a partial covector when double
+    description finds its cell empty; an exact LP per partial covector must
+    keep the same covectors, in the same order, on posets where some probes
+    are empty."""
+    from mpp.tropical import _base_data
 
     rnd = random.Random(7)
     posets = [make_ex52(), make_double_star(), make_grid(2, 3), make_grid(3, 3),
@@ -354,11 +366,58 @@ def test_dd_pruned_covectors_equal_lp_pruned():
                for _ in range(30)]
     probes = []
     for poset in posets:
-        base, base_v = _base_data(poset)
+        base, _ = _base_data(poset)
         arr = arrangement(poset)
-        dd = [tau for tau, _, _ in _covector_cells(poset, arr, base, base_v)]
+        dd = [tau for tau, _, _ in full_covector_cells(poset, arr, base)]
         assert dd == _lp_pruned_covectors(poset, arr, base, probes)
     assert probes.count(False) >= 18  # not vacuous: empty cells were pruned
+
+
+def _cell_faces(cells) -> tuple[set, set]:
+    """(vertices, faces) of (tau, H-rep, V-rep) cells: the union of their
+    vertices, and every nonempty face of every cell as its vertex set."""
+    from mpp.geometry import _bits, _face_levels, facet_masks
+    points, faces = set(), set()
+    for _, h, v in cells:
+        points.update(v.vertices)
+        for _, level in _face_levels(v, facet_masks(h, v)[1]):
+            faces.update(frozenset(v.vertices[i] for i in _bits(f)) for f in level)
+    return points, faces
+
+
+def _rational_marking(rnd, poset) -> MarkedPoset:
+    """poset with each mark moved up by less than 1 over denominators 3, 5
+    and 7: the integral marks of random_marked_poset differ by at least 1
+    along the order, so the marking stays strictly order-preserving."""
+    return MarkedPoset(poset.elements, poset.covers,
+                       {e: x + F(rnd.randint(0, 2), rnd.choice((3, 5, 7)))
+                        for e, x in poset.marking.items()})
+
+
+def test_maximal_cells_give_the_faces_of_every_covector_cell():
+    """The search over single-element types only keeps the subdivision: the
+    same vertices and the same faces as the cells of every covector."""
+    from mpp.tropical import _base_data, _covector_cells
+
+    rnd = random.Random(17)
+    posets = [make_ex52(), make_ex52_rational(), make_double_star(), make_grid(2, 3),
+              make_grid(3, 3), make_marked_interior()]
+    for k in range(60):
+        poset = random_marked_poset(rnd, rnd.randint(7, 10), scale=rnd.randint(1, 2),
+                                    mark_extra=(0.0, 0.3)[k % 2])
+        posets.append(_rational_marking(rnd, poset) if k % 3 == 0 else poset)
+    arranged = 0
+    for poset in posets:
+        base, root = _base_data(poset)
+        arr = arrangement(poset)
+        arranged += bool(arr.hyperplanes)
+        maximal = list(_covector_cells(poset, arr, base, root))
+        assert all(len(m) == 1 for tau, _, _ in maximal for m in tau.values())
+        points, faces = _cell_faces(full_covector_cells(poset, arr, base))
+        assert _cell_faces(maximal) == (points, faces)
+        assert set(subdivision_vertices(poset)) == points
+        assert {frozenset(c.vertices) for c in tropical_subdivision(poset)} == faces
+    assert arranged >= 40  # not vacuous: most posets have a hyperplane
 
 
 # -- generic vertices ------------------------------------------------------------------
@@ -398,6 +457,20 @@ def test_generic_matches_kernel_random():
         assert len(gv) >= 1
         done += 1
 
+
+
+@pytest.mark.parametrize("m,n", [(4, 4), (4, 5)])
+def test_generic_vrep_at_scale(m, n):
+    # the transferred subdivision vertices are the kernel's vertices (or
+    # generic_vrep raises), at the generic t and at a seeded interior t; the
+    # full covector search gave no answer on grid4x5 within 300 s
+    from mpp.tropical import _base_data, generic_vrep
+    poset = make_grid(m, n)
+    base_data = _base_data(poset)
+    rnd = random.Random(m * 10 + n)
+    for t in (generic_parameter(poset), random_parameter(rnd, poset, interior=True)):
+        kernel = vertices(hrep_general(poset, t, projected=True))
+        assert generic_vrep(poset, t, base_data) == kernel
 
 # -- ideal chains ------------------------------------------------------------------------
 
