@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, VRep, facet_masks,
                        vertices)
@@ -36,13 +38,17 @@ ONE = Fraction(1)
 class Parameter:
     """A point t of the parametrizing hypercube [0,1]^unmarked."""
 
-    values: dict[str, Fraction]
+    values: Mapping[str, Fraction]  # stored read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "values", {k: rat(v) for k, v in self.values.items()})
+        object.__setattr__(self, "values",
+                           MappingProxyType({k: rat(v) for k, v in self.values.items()}))
         for p, v in self.values.items():
             if not (0 <= v <= 1):
                 raise ValueError(f"t_{p} = {v} outside [0, 1]")
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.values.items())))
 
     def __getitem__(self, p: str) -> Fraction:
         return self.values[p]

@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .linalg import ZERO, ONE, common_denominator, dehomogenized, dot, homogenized
+from .linalg import (ZERO, ONE, _eliminate, _idot, _primitive, common_denominator,
+                     dehomogenized, dot, homogenized)
 
 
 class GeometryError(Exception):
@@ -200,28 +201,6 @@ class VRep:
 # (x0 >= 0, then the widest rows first; see homogenization_cone), and rows
 # that Cone.cut adds later take the next bits.
 
-def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
-    g = math.gcd(*v)
-    return v if g <= 1 else tuple(x // g for x in v)
-
-
-def _idot(a, b) -> int:
-    return sum(map(operator.mul, a, b))
-
-
-def _eliminate(row, lines):
-    """(l0, v0, others): a line with l0 . row = v0 != 0 (None if there is
-    none) and the other lines made orthogonal to row as v0 * l - v * l0."""
-    vals = [_idot(row, l) for l in lines]
-    j0 = next((j for j, v in enumerate(vals) if v != 0), None)
-    if j0 is None:
-        return None, 0, lines
-    l0, v0 = lines[j0], vals[j0]
-    others = [l if v == 0 else _primitive(tuple(v0 * x - v * y for x, y in zip(l, l0)))
-              for j, (l, v) in enumerate(zip(lines, vals)) if j != j0]
-    return l0, v0, others
-
-
 def _dd_process_inequality(idx, row, lines, rays, span_dim):
     """Add row . x <= 0 (bit idx) to the cone generated by lines and rays.
 
@@ -342,18 +321,10 @@ def homogenization_cone(h: HRep) -> Cone:
     does not depend on it.
     """
     d = h.dim_ambient
-    lines = [tuple(1 if j == i else 0 for j in range(d + 1)) for i in range(d + 1)]
-    for row in h.int_equations:  # before any ray exists, equations only cut lines
-        lines = _eliminate(row, lines)[2]
+    lines = linalg.kernel(h.int_equations, d + 1)  # no ray yet: equations only cut lines
     rows = [(-1,) + (0,) * d]  # x0 >= 0
     rows += sorted(sorted(set(h.int_inequalities), key=_reversed), key=_zero_count)
     return Cone(h.coords, lines, [], len(lines), 0).cut(rows)
-
-
-def _dd_generators(h: HRep):
-    """The (lines, rays) of homogenization_cone(h), in (x0, x)."""
-    cone = homogenization_cone(h)
-    return cone.lines, cone.rays
 
 
 def vertices(h: HRep) -> VRep:

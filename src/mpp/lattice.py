@@ -15,6 +15,7 @@ enumeration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -226,25 +227,18 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
 
 
 def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:
-    """Check that every lattice point of kQ is a sum of k lattice points of Q."""
+    """Check that every lattice point of kQ is a sum of k lattice points of Q,
+    for each k in dilations (k = 0 and k = 1 hold for every polytope)."""
+    dilations = sorted(set(dilations))
+    if dilations and dilations[0] < 0:
+        raise ValueError(f"dilations must be nonnegative, got {dilations[0]}")
     extremes = _extremes(_lattice_polytope(h, "integral closure"))
     base = _scan(h, *_box(extremes))
-    base_set = set(base)
-    sums = {1: base_set}
-    for k in sorted(dilations):
-        prev = sums.get(k - 1)
-        if prev is None:
-            prev = _ksums(base, base_set, k - 1)
-        cur = {tuple(a + b for a, b in zip(p, q)) for p in prev for q in base}
-        sums[k] = cur
-        for z in _scan(h, *_box(extremes, k), k=k):
-            if z not in cur:
-                return False
+    sums, done = {(0,) * len(extremes[1])}, 0  # the done-fold sums of base
+    for k in dilations:
+        for _ in range(k - done):
+            sums = {tuple(map(operator.add, p, q)) for p in sums for q in base}
+        done = k
+        if not sums.issuperset(_scan(h, *_box(extremes, k), k=k)):
+            return False
     return True
-
-
-def _ksums(base, base_set, k):
-    cur = set(base_set)
-    for _ in range(k - 1):
-        cur = {tuple(a + b for a, b in zip(p, q)) for p in cur for q in base}
-    return cur

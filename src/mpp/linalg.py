@@ -1,12 +1,15 @@
-"""Dense exact linear algebra over Fraction, sized for desk-scale polyhedra.
+"""Exact linear algebra by one fraction-free integer elimination.
 
-Vectors are tuples of Fractions, matrices are tuples of row tuples.  No
-floating point anywhere; everything here is used by the polyhedral kernel
-where a single rounding error would corrupt combinatorial conclusions.
+`_eliminate` makes a list of primitive integer lines orthogonal to one more
+row (Bareiss 1968, each new line divided by its gcd).  `kernel` runs it from
+the unit vectors over every row; ranks, nullspaces, solves and inverses read
+its result, and double description runs it on its equations and lines.
+Fraction rows are scaled to integers first, and no floating point is used.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,112 +32,92 @@ def is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in place on a copy); returns (rref, pivot columns)."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+# -- the integer elimination ---------------------------------------------------
+
+def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
+    g = gcd(*v)
+    return v if g <= 1 else tuple(x // g for x in v)
+
+
+def _idot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _eliminate(row, lines):
+    """(l0, v0, others): a line with l0 . row = v0 != 0 (None if there is
+    none) and the other lines made orthogonal to row as v0 * l - v * l0."""
+    vals = [_idot(row, l) for l in lines]
+    j0 = next((j for j, v in enumerate(vals) if v != 0), None)
+    if j0 is None:
+        return None, 0, lines
+    l0, v0 = lines[j0], vals[j0]
+    others = [l if v == 0 else _primitive(tuple(v0 * x - v * y for x, y in zip(l, l0)))
+              for j, (l, v) in enumerate(zip(lines, vals)) if j != j0]
+    return l0, v0, others
+
+
+def kernel(rows, n: int) -> list[tuple[int, ...]]:
+    """A basis of {x : row . x = 0 for every row} in R^n, as primitive
+    integer vectors: the n unit vectors with each row eliminated in turn.
+    An int row is used as it is, a Fraction row over its least common
+    denominator."""
+    lines = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    for row in rows:
+        if not lines:
             break
-    return m, pivots
+        if not all(type(x) is int for x in row):
+            den = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+        lines = _eliminate(row, lines)[2]
+    return lines
 
 
 def rank(rows) -> int:
-    """Rank by fraction-free elimination on the rows scaled to integers."""
-    m = []
-    for r in rows:
-        if not is_zero(r):
-            d = lcm(*(x.denominator for x in r))
-            m.append([x.numerator * (d // x.denominator) for x in r])
-    done = 0
-    for c in range(len(m[0]) if m else 0):
-        pr = next((i for i in range(done, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[done], m[pr] = m[pr], m[done]
-        piv = m[done]
-        for i in range(done + 1, len(m)):
-            a = m[i][c]
-            if a:
-                row = [piv[c] * x - a * y for x, y in zip(m[i], piv)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        done += 1
-    return done
-
-
-def solve(a_rows, b) -> Vector | None:
-    """One solution of A x = b, or None if inconsistent (ignores non-uniqueness)."""
-    aug = [list(r) + [Fraction(bv)] for r, bv in zip(a_rows, b)]
-    if not aug:
-        return ()
-    n = len(a_rows[0])
-    m, pivots = rref(aug)
-    for row in m:
-        if is_zero(row[:-1]) and row[-1] != 0:
-            return None
-    x = [ZERO] * n
-    for i, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = m[i][-1]
-    return tuple(x)
-
-
-def solve_unique(a_rows, b) -> Vector | None:
-    """Unique solution of A x = b, or None if inconsistent or underdetermined."""
-    if not a_rows:
-        return None
-    n = len(a_rows[0])
-    x = solve(a_rows, b)
-    if x is None:
-        return None
-    if rank(a_rows) < n:
-        return None
-    return x
+    """The rank of the rows: their width minus the dimension of their kernel."""
+    n = len(rows[0]) if rows else 0
+    return n - len(kernel(rows, n))
 
 
 def nullspace(a_rows, n: int | None = None) -> list[Vector]:
     """Basis of {x : A x = 0}."""
-    rows = [list(r) for r in a_rows]
     if n is None:
-        n = len(rows[0]) if rows else 0
-    if not rows:
-        return [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
-    m, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * n
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(tuple(v))
-    return basis
+        n = len(a_rows[0]) if a_rows else 0
+    return [tuple(map(Fraction, v)) for v in kernel(a_rows, n)]
+
+
+def _solutions(a_rows, b) -> tuple[int, list[tuple[int, ...]]]:
+    """(n, the kernel of [A | -b]): the solutions x of A x = b are the
+    points v[:n] / v[n] of its vectors with v[n] != 0."""
+    n = len(a_rows[0])
+    return n, kernel([tuple(r) + (-bv,) for r, bv in zip(a_rows, b)], n + 1)
+
+
+def solve(a_rows, b) -> Vector | None:
+    """One solution of A x = b, or None if inconsistent (ignores non-uniqueness)."""
+    if not a_rows:
+        return ()
+    n, ker = _solutions(a_rows, b)
+    v = next((v for v in ker if v[n]), None)
+    return None if v is None else tuple(Fraction(x, v[n]) for x in v[:n])
+
+
+def solve_unique(a_rows, b) -> Vector | None:
+    """Unique solution of A x = b, or None if inconsistent or underdetermined:
+    the solution is unique exactly when the kernel of [A | -b] is one vector
+    whose last entry is nonzero."""
+    if not a_rows:
+        return None
+    n, ker = _solutions(a_rows, b)
+    if len(ker) != 1 or not ker[0][n]:
+        return None
+    return tuple(Fraction(x, ker[0][n]) for x in ker[0][:n])
 
 
 def inverse(a_rows) -> Matrix | None:
     """Inverse of a square matrix, or None if singular."""
     n = len(a_rows)
-    aug = [list(r) + [ONE if j == i else ZERO for j in range(n)] for i, r in enumerate(a_rows)]
-    m, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in m)
+    cols = [solve_unique(a_rows, [int(i == j) for i in range(n)]) for j in range(n)]
+    return None if None in cols else tuple(zip(*cols))
 
 
 def homogenized(points) -> list[tuple[int, ...]]:

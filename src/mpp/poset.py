@@ -6,19 +6,22 @@ Element identifiers are opaque strings; marking values are exact rationals.
 All set-valued results come back in lexicographic element order.  Every
 saturated-chain family (the chains indexing the inequalities of O_t, the
 chain-order chains through C, their counts) is listed by one memoized walker,
-`chain_walker`.  Instances are immutable, so the validation report, the
-linear extension and the walker of the chain tails are derived once per
-instance and cached on it.  |P| itself is not capped: the steps that grow
-super-polynomially with it (faces, lattice points, ideal chains, sweeps)
-each run under their own budget and raise TooLarge when it is exhausted.
+`chain_walker`.  Instances are immutable and hashable (the marking is a
+read-only mapping), so the validation report, the linear extension and the
+walker of the chain tails are derived once per instance and cached on it.
+|P| itself is not capped: the steps that grow super-polynomially with it
+(faces, lattice points, ideal chains, sweeps) each run under their own
+budget and raise TooLarge when it is exhausted.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .rationals import rat
 
@@ -43,12 +46,13 @@ class SaturatedChain:
 class MarkedPoset:
     elements: tuple[str, ...]
     covers: frozenset[tuple[str, str]]
-    marking: dict[str, Fraction]
+    marking: Mapping[str, Fraction]  # stored read-only
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "covers", frozenset(tuple(c) for c in self.covers))
-        object.__setattr__(self, "marking", {k: rat(v) for k, v in self.marking.items()})
+        object.__setattr__(self, "marking",
+                           MappingProxyType({k: rat(v) for k, v in self.marking.items()}))
         known = set(self.elements)
         if len(known) != len(self.elements):
             raise PosetError("duplicate element identifiers")
@@ -60,6 +64,9 @@ class MarkedPoset:
         for a in self.marking:
             if a not in known:
                 raise PosetError(f"marking on unknown element {a}")
+
+    def __hash__(self):
+        return hash((self.elements, self.covers, tuple(sorted(self.marking.items()))))
 
     # -- basic structure ---------------------------------------------------
 

@@ -27,9 +27,9 @@ from .family import (Parameter, _row_writer, hrep_general, hypercube_vertices,
                      transfer_theta_homogeneous, zero_parameter)
 from . import geometry
 from .geometry import (Cone, EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded, VRep,
-                       _bits, _face_levels, _primitive, facet_masks,
-                       homogenization_cone, incidences, vertices)
-from .linalg import common_denominator, dehomogenized
+                       _bits, _face_levels, facet_masks, homogenization_cone, incidences,
+                       vertices)
+from .linalg import _primitive, common_denominator, dehomogenized
 from .poset import MarkedPoset, require_valid
 
 ZERO = Fraction(0)
@@ -111,7 +111,7 @@ def _difference(write, a: str, b: str, origin):
 
 def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
                     root: Cone):
-    """(tau, H-rep, V-rep) of each nonempty maximal cell: the polytope P cut
+    """(tau, H-rep, cone) of each nonempty maximal cell: the polytope P cut
     with the closed cell F_tau of a covector tau whose every type is a
     single element, tau(r) = {m}.  F_tau is then x_q <= x_m for the other
     lower covers q of each r, one closed sector per hyperplane.
@@ -130,7 +130,9 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
     dropped as soon as its cell is empty.  A node's cone is its parent's,
     cut by its own sector rows only (Cone.cut), so DD runs once on the base
     polytope: root is homogenization_cone(base).  Each H-rep is base with
-    the covector's integer rows appended, so the base rows come first."""
+    the covector's integer rows appended, so the base rows come first; the
+    cell's vertices are the cone's rays with x0 > 0, primitive rows, and
+    cone.vrep() is its V-rep."""
     write = _row_writer(poset, base.coords)
     sectors = [[(r, m, [_difference(write, q, m, ("covector-le", r, q, m))
                         for q in form.support if q != m])
@@ -139,7 +141,7 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
 
     def rec(i, path, h, cone):
         if i == len(sectors):
-            yield {r: frozenset((m,)) for r, m in path}, h, cone.vrep()
+            yield {r: frozenset((m,)) for r, m in path}, h, cone
             return
         for r, m, rows in sectors[i]:
             try:
@@ -197,8 +199,8 @@ def tropical_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     base, root = _base_data(poset)
     arr = arrangement(poset)
     forms = _covector_forms(poset, arr, base.coords)
-    return [_polytope_cell(base, forms, v, ("covector",))
-            for _, _, v in _covector_cells(poset, arr, base, root)]
+    return [_polytope_cell(base, forms, cone.vrep(), ("covector",))
+            for _, _, cone in _covector_cells(poset, arr, base, root)]
 
 
 def _polytope_cell(base: HRep, forms, v: VRep, origin) -> SubdivisionCell:
@@ -230,7 +232,8 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     nb = len(base.int_inequalities)
     index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> global id
     found: dict[int, tuple] = {}  # global vertex mask -> (dim, global ids, tight)
-    for _, h, v in _covector_cells(poset, arr, base, root):
+    for _, h, cone in _covector_cells(poset, arr, base, root):
+        v = cone.vrep()
         ids = [index.setdefault(_primitive(r), len(index)) for r in v.rows]
         bits = [1 << i for i in ids]
         masks, facets, _ = facet_masks(h, v)
@@ -266,8 +269,8 @@ def _subdivision_rows(poset: MarkedPoset, base_data) -> set[tuple[int, ...]]:
     """The primitive integer rows of the subdivision vertices (the 0-cells);
     base_data is _base_data(poset)."""
     arr = arrangement(poset)
-    return {_primitive(r) for _, _, v in _covector_cells(poset, arr, *base_data)
-            for r in v.rows}
+    return {r for _, _, cone in _covector_cells(poset, arr, *base_data)
+            for r, _ in cone.rays if r[0] > 0}
 
 
 def _sorted_points(rows) -> list[tuple[Fraction, ...]]:

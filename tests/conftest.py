@@ -494,6 +494,31 @@ def det(a_rows) -> Fraction:
     return result
 
 
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Oracle of mpp.linalg: the reduced row echelon form of the rows by
+    Gauss-Jordan over Fractions, and its pivot columns."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots: list[int] = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
 def is_unimodular(amap) -> bool:
     """An affine map with an integer matrix of determinant +-1."""
     ints = all(x.denominator == 1 for row in amap.matrix for x in row)

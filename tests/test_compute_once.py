@@ -250,7 +250,7 @@ def _count_fractions(monkeypatch) -> list:
 def _fraction_vertices(h):
     """The vertices as the kernel once returned them: the Fraction points of
     the DD rays with x0 > 0, deduplicated and sorted by Fraction comparison."""
-    _, rays = geometry._dd_generators(h)
+    rays = geometry.homogenization_cone(h).rays
     points = {tuple(Fraction(x, r[0]) for x in r[1:]) for r, _ in rays if r[0] > 0}
     return tuple(sorted(points))
 

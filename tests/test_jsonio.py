@@ -62,6 +62,23 @@ def test_parameter_round_trip(ex52):
     assert parameter_to_json(t) == {"t": {"p": "1/2", "q": "0", "r": "1"}}
 
 
+def test_round_trips_keep_read_only_hashable_values(ex52):
+    back = poset_from_json(poset_to_json(ex52))
+    assert back == ex52 and hash(back) == hash(ex52)
+    assert poset_to_json(back) == poset_to_json(ex52)
+    assert poset_to_json(back)["marking"] == ex52_json()["marking"]
+    data = {"t": {"p": "1/2", "q": "0", "r": "1"}}
+    t = parameter_from_json(data, ex52)
+    again = parameter_from_json(parameter_to_json(t), ex52)
+    assert again == t and hash(again) == hash(t)
+    assert parameter_to_json(again) == data
+    with pytest.raises(TypeError):
+        t.values["p"] = Fraction(7)  # would bypass the [0, 1] check
+    with pytest.raises(TypeError):
+        back.marking["p"] = Fraction(1)
+    assert t["p"] == Fraction(1, 2) and "p" not in back.marking
+
+
 def test_json_integers_are_rationals(ex52):
     # inputs may give an integer as a JSON number; output always writes strings
     data = ex52_json()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dilate, make_chain_poset, make_ex52, make_grid
+from conftest import det, dilate, make_chain_poset, make_ex52, make_grid
 from mpp.family import (Partition, hrep_chain_order, hrep_general,
                         hypercube_vertices, one_parameter, zero_parameter)
 from mpp import lattice
@@ -83,13 +83,16 @@ def test_ehrhart_rejects_non_lattice():
         ehrhart(h, 2)
 
 
-def test_unit_cube_integrally_closed():
-    cube = make_hrep(
+def unit_cube():
+    return make_hrep(
         ("x", "y", "z"), [],
         [((F(1), F(0), F(0)), F(1), ()), ((F(-1), F(0), F(0)), F(0), ()),
          ((F(0), F(1), F(0)), F(1), ()), ((F(0), F(-1), F(0)), F(0), ()),
          ((F(0), F(0), F(1)), F(1), ()), ((F(0), F(0), F(-1)), F(0), ())])
-    assert is_integrally_closed(cube)
+
+
+def test_unit_cube_integrally_closed():
+    assert is_integrally_closed(unit_cube())
 
 
 def non_idp_simplex():
@@ -109,6 +112,57 @@ def test_non_idp_simplex_fixture():
     assert set(v.vertices) == {(F(0), F(0), F(0)), (F(1), F(0), F(0)),
                                (F(0), F(1), F(0)), (F(1), F(1), F(3))}
     assert not is_integrally_closed(h, dilations=(2,))
+
+
+def test_integral_closure_holds_at_dilations_0_and_1():
+    poset = make_ex52()
+    for h in (hrep_general(poset, zero_parameter(poset)), unit_cube(), non_idp_simplex()):
+        for dilations in ((0,), (1,), (0, 1), (1, 1)):
+            assert is_integrally_closed(h, dilations)
+    assert is_integrally_closed(hrep_general(poset, zero_parameter(poset)), (1, 2))
+    assert is_integrally_closed(unit_cube(), (1, 2))
+    assert not is_integrally_closed(non_idp_simplex(), (1, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        is_integrally_closed(unit_cube(), (2, -1))
+
+
+def lattice_tetrahedron(vs):
+    """The H-rep of conv(vs), four affinely independent integer points in
+    R^3: per vertex, the plane through the other three, oriented away."""
+    ineqs = []
+    for i, v in enumerate(vs):
+        a, b, c = [w for j, w in enumerate(vs) if j != i]
+        u, w = [x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)]
+        n = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        sign = 1 if sum(x * y for x, y in zip(n, v)) < sum(x * y for x, y in zip(n, a)) else -1
+        ineqs.append((tuple(F(sign * x) for x in n), F(sign * sum(x * y for x, y in zip(n, a))),
+                      ()))
+    return make_hrep(("x", "y", "z"), [], ineqs)
+
+
+def closed_by_k_fold_sums(h, k) -> bool:
+    """Reference: every lattice point of k * h is a sum of k lattice points
+    of h, by listing every multiset of k of them."""
+    sums = {tuple(map(sum, zip(*combo)))
+            for combo in itertools.combinations_with_replacement(lattice_points(h), k)}
+    return sums.issuperset(lattice_points(dilate(h, k)))
+
+
+def test_integral_closure_matches_k_fold_sums():
+    rnd = random.Random(53)
+    outcomes = set()
+    tried = 0
+    while tried < 12:
+        vs = [tuple(rnd.randint(0, 3) for _ in range(3)) for _ in range(4)]
+        if det([[F(x - y) for x, y in zip(v, vs[0])] for v in vs[1:]]) == 0:
+            continue
+        h = lattice_tetrahedron(vs)
+        closed = {k: closed_by_k_fold_sums(h, k) for k in (2, 3)}
+        assert is_integrally_closed(h, (2, 3)) == (closed[2] and closed[3])
+        assert is_integrally_closed(h, (3,)) == closed[3]
+        outcomes.add((closed[2], closed[3]))
+        tried += 1
+    assert len(outcomes) >= 2  # not vacuous: some tetrahedra are not closed
 
 
 def test_ex52_chain_order_polytopes_integrally_closed():

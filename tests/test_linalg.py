@@ -3,11 +3,50 @@ from fractions import Fraction
 
 from mpp import linalg
 
-from conftest import det, primitive
+from conftest import det, primitive, rref
 
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+# -- seeded rows and systems, checked against the Fraction rref --------------
+
+def random_rows(rnd, k, n):
+    """k rational rows of width n, sparse or dense, some of them plain ints,
+    with zero, repeated and combined rows mixed in."""
+    zeros = rnd.random() < 0.3
+    rows = [[F(rnd.randint(-4, 4), rnd.randint(1, 4)) if not zeros or rnd.random() < 0.4
+             else F(0) for _ in range(n)] for _ in range(k)]
+    if k and rnd.random() < 0.3:
+        rows[rnd.randrange(k)] = [F(0)] * n
+    if k and rnd.random() < 0.3:
+        rows.append(list(rnd.choice(rows)))
+    if k >= 2 and rnd.random() < 0.4:
+        a, b = rnd.sample(rows, 2)
+        s = F(rnd.randint(-3, 3), rnd.randint(1, 3))
+        rows.append([x + s * y for x, y in zip(a, b)])
+    rnd.shuffle(rows)
+    if rnd.random() < 0.3:
+        rows = [[int(x * 12) for x in r] for r in rows]
+    return rows
+
+
+def random_rhs(rnd, rows, n):
+    """b = A x0 for a random x0 (a consistent system), or a random b."""
+    if rnd.random() < 0.5:
+        x0 = [F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(n)]
+        return [linalg.dot(r, x0) for r in rows]
+    return [F(rnd.randint(-3, 3), rnd.randint(1, 2)) for _ in rows]
+
+
+def oracle_rank(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def consistent(rows, b, n) -> bool:
+    """A x = b has a solution: no pivot of rref [A | b] in the last column."""
+    return n not in rref([list(r) + [bv] for r, bv in zip(rows, b)])[1]
 
 
 def test_solve_unique():
@@ -36,17 +75,23 @@ def test_rank_and_nullspace():
 
 
 def test_inverse_round_trip():
+    # against det and the rref pivot count, on square rows as random_rows
+    # gives them, 0 x 0 included
     rnd = random.Random(7)
-    for _ in range(20):
-        n = rnd.randint(1, 4)
-        a = [[F(rnd.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+    singular = 0
+    for _ in range(300):
+        n = rnd.randint(0, 5)
+        a = random_rows(rnd, n, n)[:n]
         inv = linalg.inverse(a)
+        assert (inv is None) == (det(a) == 0) == (oracle_rank(a) < n)
         if inv is None:
-            assert det(a) == 0
+            singular += 1
             continue
-        prod = [[linalg.dot(a[i], [inv[k][j] for k in range(n)]) for j in range(n)]
-                for i in range(n)]
-        assert prod == [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+        identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        assert [[linalg.dot(r, c) for c in zip(*inv)] for r in a] == identity
+        assert [[linalg.dot(r, c) for c in zip(*a)] for r in inv] == identity
+    assert singular >= 50  # not vacuous: singular matrices occur
+    assert linalg.inverse([]) == ()
 
 
 def test_det_matches_permutation_expansion():
@@ -96,21 +141,40 @@ def test_affine_rank_matches_difference_rank():
 
 
 def test_rank_matches_rref_pivots():
-    # fraction-free rank against the pivot count of the Fraction rref, on
-    # rational rows with zero, repeated and combined rows
+    # integer rank and nullspace against the pivot count of the Fraction
+    # rref, on rows as random_rows gives them, 0 x n and k x 0 included
     rnd = random.Random(23)
-    for _ in range(200):
-        n, k = rnd.randint(1, 5), rnd.randint(1, 6)
-        rows = [[F(rnd.randint(-4, 4), rnd.randint(1, 4)) for _ in range(n)]
-                for _ in range(k)]
-        if rnd.random() < 0.5:
-            a, b = rnd.sample(rows, 2) if k > 1 else (rows[0], rows[0])
-            s = F(rnd.randint(-3, 3), rnd.randint(1, 3))
-            rows.append([x + s * y for x, y in zip(a, b)])
-        if rnd.random() < 0.3:
-            rows.append([F(0)] * n)
-        rnd.shuffle(rows)
-        expected = len(linalg.rref(rows)[1]) if any(map(any, rows)) else 0
-        assert linalg.rank(rows) == expected
+    for _ in range(400):
+        k, n = rnd.randint(0, 6), rnd.randint(0, 5)
+        rows = random_rows(rnd, k, n)
+        r = oracle_rank(rows)
+        assert linalg.rank(rows) == r
+        ns = linalg.nullspace(rows, n)
+        assert len(ns) == n - r
+        assert all(linalg.dot(row, v) == 0 for row in rows for v in ns)
+        assert oracle_rank(ns) == len(ns)  # a basis: independent vectors
     assert linalg.rank([]) == 0
     assert linalg.rank([[F(0), F(0)]]) == 0
+
+
+def test_solve_and_solve_unique_match_rref():
+    rnd = random.Random(43)
+    seen = {"inconsistent": 0, "unique": 0, "underdetermined": 0}
+    for _ in range(600):
+        k, n = rnd.randint(1, 6), rnd.randint(0, 5)
+        rows = random_rows(rnd, k, n)
+        b = random_rhs(rnd, rows, n)
+        ok = consistent(rows, b, n)
+        full = oracle_rank(rows) == n
+        x = linalg.solve(rows, b)
+        assert (x is not None) == ok
+        if ok:
+            assert [linalg.dot(r, x) for r in rows] == b
+        xu = linalg.solve_unique(rows, b)
+        assert (xu is not None) == (ok and full)
+        if xu is not None:
+            assert xu == x
+        seen["inconsistent" if not ok else "unique" if full else "underdetermined"] += 1
+    assert min(seen.values()) >= 50  # not vacuous: every case occurs
+    assert linalg.solve([], []) == ()
+    assert linalg.solve_unique([], []) is None

@@ -16,6 +16,25 @@ def mp(elements, covers, marking):
     return MarkedPoset(tuple(elements), frozenset(covers), marking)
 
 
+# -- immutability ----------------------------------------------------------------
+
+def test_marking_is_read_only_and_poset_hashable():
+    p = mp("abc", [("a", "b"), ("b", "c")], {"a": 0, "c": 2})
+    assert p.unmarked == ("b",)
+    with pytest.raises(TypeError):
+        p.marking["b"] = 5
+    with pytest.raises(TypeError):
+        del p.marking["a"]
+    assert p.unmarked == ("b",) and validate(p) == []
+    q = mp("abc", [("b", "c"), ("a", "b")], {"c": Fraction(2), "a": "0"})
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, mp("abc", [("a", "b"), ("b", "c")], {"a": 0, "c": 3})}) == 2
+    source = {"a": 0, "c": 2}
+    r = mp("abc", [("a", "b"), ("b", "c")], source)
+    source["b"] = 1  # the poset keeps its own copy
+    assert r == p and r.unmarked == ("b",)
+
+
 # -- validation ----------------------------------------------------------------
 
 def test_validate_smallest_legal_instance():
