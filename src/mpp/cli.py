@@ -15,8 +15,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import degeneration as dg
-from . import family, jsonio, lattice, tropical
+# the modules every command reads; tropical, lattice and degeneration are
+# imported by the commands that run them, so no other command compiles them
+from . import family, jsonio
 from .geometry import GeometryError, TooLarge, face_counts, vertices
 from .poset import MarkedPoset, PosetError, regularize, validate
 from .rationals import rat_str
@@ -95,6 +96,7 @@ def cmd_vertices(args) -> int:
     poset = _load_poset(args.poset)
     t, header = _resolve_parameter(args, poset)
     if args.method == "tropical":  # builds the H-rep at t itself, for its check
+        from . import tropical
         v = tropical.generic_vrep(poset, t)
     elif args.method == "bruteforce":
         from .geometry import vertices_bruteforce
@@ -119,6 +121,7 @@ def cmd_fvector(args) -> int:
 
 
 def cmd_ehrhart(args) -> int:
+    from . import lattice
     poset = _load_poset(args.poset)
     t, header = _resolve_parameter(args, poset)
     # full space: marked coordinates participate in lattice-point counts
@@ -132,6 +135,7 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_lattice_points(args) -> int:
+    from . import lattice
     poset = _load_poset(args.poset)
     t, header = _resolve_parameter(args, poset)
     h = family.hrep_general(poset, t, projected=False)
@@ -142,6 +146,7 @@ def cmd_lattice_points(args) -> int:
 
 
 def cmd_subdivision(args) -> int:
+    from . import tropical
     poset = _load_poset(args.poset)
     if args.ideal_chains:
         cells = tropical.ideal_chain_cells(poset)
@@ -170,6 +175,7 @@ def cmd_subdivision(args) -> int:
 
 
 def cmd_degenerate(args) -> int:
+    from . import degeneration as dg
     poset = _load_poset(args.poset)
     u = jsonio.parameter_from_json(_load_json(args.from_t), poset)
     u2 = jsonio.parameter_from_json(_load_json(args.to_t), poset)
@@ -205,6 +211,7 @@ def _sweep(fn, items, label) -> tuple[list, list]:
 # Each sweep returns (report, errors); cmd_sweep fails a report with errors.
 
 def _sweep_ehrhart(poset):
+    from . import lattice
     parts = [family.partition_of_parameter(poset, t)
              for t in family.hypercube_vertices(poset)]
 
@@ -219,6 +226,7 @@ def _sweep_ehrhart(poset):
 
 
 def _sweep_types(poset):
+    from . import degeneration as dg
     faces = [{}]
     for p in sorted(poset.unmarked):
         faces.append({p: Fraction(0)})
@@ -231,6 +239,7 @@ def _sweep_types(poset):
 
 
 def _sweep_domination(poset):
+    from . import degeneration as dg
     t = family.generic_parameter(poset)
     # built on first use and shared by every target; a failure is not cached,
     # so each target reports it
@@ -252,6 +261,7 @@ def _sweep_domination(poset):
 
 
 def _sweep_hibi_li(poset):
+    from . import degeneration as dg
     unmarked = sorted(poset.unmarked)
     # each partition's polytope (H-rep and DD) is built once and shared by the
     # tameness sweep and the f-vectors; each f-vector is counted on first use
@@ -286,6 +296,7 @@ def _sweep_hibi_li(poset):
 
 
 def _sweep_conjecture5(poset):
+    from . import tropical
     t = family.generic_parameter(poset)
     return tropical.check_vertex_degeneration_conjecture(poset, t), []
 
@@ -332,6 +343,7 @@ def cmd_tame(args) -> int:
 
 
 def cmd_hibi_li(args) -> int:
+    from . import degeneration as dg
     poset = _load_poset(args.poset)
     part_a = jsonio.partition_from_json(_load_json(args.part_a), poset)
     part_b = jsonio.partition_from_json(_load_json(args.part_b), poset)

@@ -228,7 +228,10 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
 
 def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:
     """Check that every lattice point of kQ is a sum of k lattice points of Q,
-    for each k in dilations (k = 0 and k = 1 hold for every polytope)."""
+    for each k in dilations (k = 0 and k = 1 hold for every polytope).
+
+    Each fold adds every point of Q to every sum so far; a fold of more than
+    BOX_GATE such pairs raises TooLarge before it starts."""
     dilations = sorted(set(dilations))
     if dilations and dilations[0] < 0:
         raise ValueError(f"dilations must be nonnegative, got {dilations[0]}")
@@ -236,7 +239,11 @@ def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:
     base = _scan(h, *_box(extremes))
     sums, done = {(0,) * len(extremes[1])}, 0  # the done-fold sums of base
     for k in dilations:
-        for _ in range(k - done):
+        for fold in range(done + 1, k + 1):
+            pairs = len(sums) * len(base)
+            if pairs > BOX_GATE:
+                raise TooLarge(f"the {fold}-fold sumset takes {pairs} pairs "
+                               f"(gate {BOX_GATE})")
             sums = {tuple(map(operator.add, p, q)) for p in sums for q in base}
         done = k
         if not sums.issuperset(_scan(h, *_box(extremes, k), k=k)):

@@ -13,7 +13,6 @@ from mpp.degeneration import FaceMap, face_map_via
 from mpp.family import _row_writer
 from mpp.geometry import (Constraint, EmptyPolyhedron, HRep, face_lattice, make_hrep,
                           vertices)
-from mpp import linalg
 from mpp.linalg import homogenized
 from mpp.rationals import rat_str
 from mpp.poset import (MarkedPoset, chains_through, remove_redundant_covers,
@@ -353,12 +352,20 @@ def fraction_make_hrep(coords, equations, inequalities):
 
 def fraction_apply_affine(amap, h: HRep):
     """apply_affine's (coords, equations, inequalities) in Fractions: each
-    a . x (= or <=) rhs becomes a' . y (= or <=) rhs + a' . b, a' = a M^-1."""
-    inv_cols = tuple(zip(*linalg.inverse(amap.matrix)))
+    a . x (= or <=) rhs becomes a' . y (= or <=) rhs + a' . b, a' = a M^-1.
+    M^-1 is read off the rref of [M | I], not from mpp.linalg's solver."""
+    n = len(amap.matrix)
+    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(amap.matrix)])
+    assert pivots == list(range(n)), "the map is not invertible"
+    inv_cols = tuple(zip(*(row[n:] for row in reduced)))
+
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
     def transform(c: Constraint) -> Constraint:
-        new_coeffs = tuple(linalg.dot(c.coeffs, col) for col in inv_cols)
-        shift = linalg.dot(new_coeffs, amap.offset)
+        new_coeffs = tuple(dot(c.coeffs, col) for col in inv_cols)
+        shift = dot(new_coeffs, amap.offset)
         return Constraint(new_coeffs, c.rhs + shift, c.origin)
 
     return (h.coords, tuple(transform(c) for c in h.equations),

@@ -1,8 +1,10 @@
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -462,6 +464,18 @@ def test_internal_fault_is_a_computation_error_under_O(ex52_file):
     assert data["kind"] == "computation" and "disagree" in data["error"]
 
 
+def _run_fresh(code: str, *args):
+    """The JSON that code prints last, run in a fresh interpreter, where
+    mpp_modules() lists the mpp modules loaded so far."""
+    prelude = ("import contextlib, io, json, sys\n"
+               "def mpp_modules():\n"
+               "    return sorted(m for m in sys.modules if m.startswith('mpp'))\n")
+    proc = subprocess.run([sys.executable, "-c", prelude + code, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_no_query_loads_the_simplex(ex52_file):
     # redundancy, tameness, the covector search and the brute-force oracle
     # run without a linear program: mpp.lp is a test-side oracle only
@@ -469,16 +483,62 @@ def test_no_query_loads_the_simplex(ex52_file):
                ["tame"], ["subdivision"],
                ["vertices", "--t", "generic", "--method", "tropical"],
                ["vertices", "--method", "bruteforce"]]
-    code = ("import contextlib, io, json, sys\n"
-            "from mpp import cli\n"
+    code = ("from mpp import cli\n"
             "codes = []\n"
             "for argv in json.loads(sys.argv[2]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        codes.append(cli.main([argv[0], sys.argv[1]] + argv[1:]))\n"
-            "print(json.dumps({'codes': codes, 'lp': 'mpp.lp' in sys.modules}))\n")
-    proc = subprocess.run([sys.executable, "-c", code, ex52_file, json.dumps(queries)],
-                          capture_output=True, text=True)
-    assert json.loads(proc.stdout) == {"codes": [0] * len(queries), "lp": False}
+            "print(json.dumps([codes, mpp_modules()]))\n")
+    codes, loaded = _run_fresh(code, ex52_file, json.dumps(queries))
+    assert codes == [0] * len(queries)
+    assert "mpp.lp" not in loaded
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["vertices"], []),
+    (["vertices", "--method", "bruteforce"], []),
+    (["hrep", "--irredundant"], []),
+    (["fvector"], []),
+    (["tame"], []),
+    (["regularize"], []),
+    (["lattice-points"], ["mpp.lattice"]),
+    (["ehrhart"], ["mpp.lattice"]),
+    (["subdivision"], ["mpp.tropical"]),
+])
+def test_each_query_loads_only_the_modules_it_runs(ex52_file, argv, extra):
+    # `import mpp.cli` loads what every command reads; a query adds only
+    # the modules its subcommand runs, and none of the others (mpp.lp is
+    # loaded by no query at all)
+    code = ("from mpp import cli\n"
+            "before = mpp_modules()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main([sys.argv[1], sys.argv[2]] + sys.argv[3:])\n"
+            "print(json.dumps([status, before, mpp_modules()]))\n")
+    status, before, after = _run_fresh(code, argv[0], ex52_file, *argv[1:])
+    assert status == 0
+    assert before == ["mpp", "mpp.cli", "mpp.family", "mpp.geometry", "mpp.jsonio",
+                      "mpp.linalg", "mpp.poset", "mpp.rationals"]
+    assert sorted(set(after) - set(before)) == extra
+
+
+def test_bare_import_loads_no_submodule():
+    assert _run_fresh("import mpp\nprint(json.dumps(mpp_modules()))") == ["mpp"]
+
+
+def test_public_names_are_their_submodules_objects():
+    import mpp
+    namespace = {}
+    exec("from mpp import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == mpp.__all__
+    for name in mpp.__all__:
+        obj = getattr(mpp, name)
+        assert namespace[name] is obj
+        if isinstance(obj, types.ModuleType):
+            assert obj.__name__ == f"mpp.{name}"
+        else:
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert set(mpp.__all__) <= set(dir(mpp))
+    assert not hasattr(mpp, "no_such_name")
 
 
 @pytest.mark.parametrize("check", ["ehrhart", "types", "domination", "tame",

@@ -174,6 +174,24 @@ def test_ex52_chain_order_polytopes_integrally_closed():
         assert is_integrally_closed(h)
 
 
+def test_integral_closure_gates_each_fold_of_the_sumset(monkeypatch):
+    # a fold adds each of Q's points to each sum so far: on the grid2x4
+    # order polytope 5040 x 5040 pairs at fold 2, refused before the fold;
+    # grid2x3 takes at most 3641 x 371 = 1,350,811 pairs, at fold 3
+    def order_polytope(grid):
+        return hrep_general(grid, zero_parameter(grid), projected=False)
+
+    with pytest.raises(TooLarge, match="2-fold sumset takes 25401600 pairs"):
+        is_integrally_closed(order_polytope(make_grid(2, 4)), (2, 3))
+    assert is_integrally_closed(order_polytope(make_grid(2, 3)), (2, 3))
+    # the unit cube's folds take 8, 64 and 27 x 8 = 216 pairs
+    monkeypatch.setattr(lattice, "BOX_GATE", 216)
+    assert is_integrally_closed(unit_cube(), (2, 3))
+    monkeypatch.setattr(lattice, "BOX_GATE", 215)
+    with pytest.raises(TooLarge, match=r"3-fold sumset takes 216 pairs \(gate 215\)"):
+        is_integrally_closed(unit_cube(), (2, 3))
+
+
 def test_ehrhart_gates_largest_dilation_before_any_scan(monkeypatch):
     # a 2x3 grid, all unmarked, with a bottom marked 0 and a top marked 5:
     # dilation 1 holds 6^6 box candidates but dilation 6 holds 31^6
