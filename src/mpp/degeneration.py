@@ -14,12 +14,16 @@ table need f-vectors and facets only, so they count faces instead of storing
 a lattice.  Samples of one hypercube face share their H-rep rows, so equal
 vertex tight sets already prove two of them isomorphic; canonical forms of
 the vertex-facet incidences are compared only when that fails.
+
+DegenerationPair and FaceMap are immutable records (see mpp.records): named
+tuples, so each also iterates, sorts and equals the plain tuple of its
+fields.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .family import (Parameter, Partition, chain_order_polytope, check_partition,
@@ -30,23 +34,24 @@ from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, VRep, face
 from .poset import MarkedPoset, require_valid, star_elements
 from .rationals import rat_str
 
-@dataclass(frozen=True)
-class DegenerationPair:
+class DegenerationPair(namedtuple("DegenerationPair", "source target")):
     """Parameters (u, u2) with u2 a degeneration of u: they agree on every
     coordinate u pins to 0 or 1."""
 
+    __slots__ = ()
     source: Parameter
     target: Parameter
 
-    def __post_init__(self):
-        if not self.target.is_degeneration_of(self.source):
+    def __new__(cls, source, target):
+        if not target.is_degeneration_of(source):
             raise ValueError("target parameter is not a degeneration of the source")
+        return super().__new__(cls, source, target)
 
 
-@dataclass(frozen=True)
-class FaceMap:
+class FaceMap(namedtuple("FaceMap", "source target mapping")):
     """Order-preserving surjection between face lattices of two polytopes."""
 
+    __slots__ = ()
     source: FaceLattice
     target: FaceLattice
     mapping: dict[Face, Face]

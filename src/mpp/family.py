@@ -12,14 +12,18 @@ from the tails cached on the poset.
 Redundancy and tameness are read off the double description, with no LP:
 each inequality's tight vertices and recession rays form a bitmask, and the
 facets are the inclusion-maximal masks that hold a vertex and are not full.
+
+Parameter and Partition are immutable records (see mpp.records): named
+tuples, so each also iterates, sorts and equals the plain tuple of its
+fields; t[p] on a Parameter is its coordinate p, not a field.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -29,23 +33,24 @@ from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, VRep, facet_m
 from .poset import (MarkedPoset, PosetError, SaturatedChain, chain_counts, chain_walker,
                     chains_through, require_valid, saturated_chains_to)
 from .rationals import rat
+from .records import Frozen
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Parameter:
-    """A point t of the parametrizing hypercube [0,1]^unmarked."""
+class Parameter(Frozen, namedtuple("Parameter", "values")):
+    """A point t of the parametrizing hypercube [0,1]^unmarked; t[p] is
+    its coordinate p."""
 
     values: Mapping[str, Fraction]  # stored read-only
 
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           MappingProxyType({k: rat(v) for k, v in self.values.items()}))
+    def __new__(cls, values):
+        self = super().__new__(cls, MappingProxyType({k: rat(v) for k, v in values.items()}))
         for p, v in self.values.items():
             if not (0 <= v <= 1):
                 raise ValueError(f"t_{p} = {v} outside [0, 1]")
+        return self
 
     def __hash__(self):
         return hash(tuple(sorted(self.values.items())))
@@ -66,18 +71,18 @@ class Parameter:
         return all(self.values[p] == v for p, v in other.values.items() if v in (0, 1))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "C O")):
     """A partition of the unmarked elements into chain part C and order part O."""
 
+    __slots__ = ()
     C: frozenset[str]
     O: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "C", frozenset(self.C))
-        object.__setattr__(self, "O", frozenset(self.O))
+    def __new__(cls, C, O):
+        self = super().__new__(cls, frozenset(C), frozenset(O))
         if self.C & self.O:
             raise ValueError("C and O overlap")
+        return self
 
 
 def check_partition(poset: MarkedPoset, part: Partition) -> Partition:

@@ -16,6 +16,10 @@ facets' incidence masks, so a face's dimension is its level in the lattice;
 the face holding a point in its relative interior is looked up by the
 point's set of tight inequalities.  f-vectors come from the same walk,
 counted, with one level held at a time.
+
+Constraint, VRep, Cone, Face, FaceLattice and AffineMap are immutable
+records (see mpp.records): named tuples, so each also iterates, sorts and
+equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
 from .linalg import (ZERO, ONE, _eliminate, _idot, _primitive, common_denominator,
                      dehomogenized, dot, homogenized)
+from .records import Frozen
 
 
 class GeometryError(Exception):
@@ -67,13 +72,13 @@ class TooLarge(GeometryError):
 PLUMBING = ("plumbing",)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(namedtuple("Constraint", "coeffs rhs origin", defaults=(PLUMBING,))):
     """A row a . x = rhs (equation) or a . x <= rhs (inequality), in Fractions."""
 
+    __slots__ = ()
     coeffs: tuple[Fraction, ...]
     rhs: Fraction
-    origin: tuple[str, ...] = PLUMBING
+    origin: tuple[str, ...]
 
     def evaluate(self, point) -> Fraction:
         return dot(self.coeffs, point)
@@ -176,8 +181,7 @@ def make_hrep(coords, equations, inequalities) -> HRep:
                                   [_scaled(*c) for c in inequalities])
 
 
-@dataclass(frozen=True)
-class VRep:
+class VRep(Frozen, namedtuple("VRep", "coords rows rays")):
     """Vertices and recession rays of a polyhedron.
 
     rows holds each vertex x as the integer row (D, D * x) over one common
@@ -264,14 +268,14 @@ _reversed = operator.itemgetter(slice(None, None, -1))
 _zero_count = operator.methodcaller("count", 0)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(namedtuple("Cone", "coords lines rays span_dim inserted")):
     """The homogenization cone {x0 >= 0, row . x <= 0} of an H-rep as double
     description leaves it: lines, and rays as (primitive int ray, zero-set
     bitmask over the insertion order).  span_dim is the dimension of the
     linear space left by the equations; inserted counts the inequality rows
     inserted so far, so the next row takes bit inserted."""
 
+    __slots__ = ()
     coords: tuple[str, ...]
     lines: list
     rays: list
@@ -400,15 +404,14 @@ def vertices_bruteforce(h: HRep) -> VRep:
 
 # -- face lattice -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "vertex_ids tight dim")):
+    __slots__ = ()
     vertex_ids: frozenset[int]
     tight: frozenset[int]
     dim: int
 
 
-@dataclass(frozen=True)
-class FaceLattice:
+class FaceLattice(Frozen, namedtuple("FaceLattice", "rows faces")):
     """All faces of a polytope ordered by vertex-set inclusion.
 
     Includes the empty face (dim -1) and the polytope itself.  ``tight`` holds
@@ -582,10 +585,10 @@ def face_lattice(h: HRep, v: VRep) -> FaceLattice:
 
 # -- affine maps ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(namedtuple("AffineMap", "coords matrix offset")):
     """y = matrix . x + offset on a fixed coordinate list."""
 
+    __slots__ = ()
     coords: tuple[str, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
     offset: tuple[Fraction, ...]

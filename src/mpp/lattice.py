@@ -10,13 +10,16 @@ coordinates only.  Ehrhart counts add up the width of the last free
 coordinate's range instead of listing points.  The documented complexity
 gate is still a box of at most 10^7 candidate points, checked before any
 enumeration.
+
+EhrhartData is an immutable record (see mpp.records): a named tuple, so it
+also iterates, sorts and equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
@@ -160,8 +163,8 @@ def lattice_points(h: HRep) -> list[tuple[int, ...]]:
     return _scan(h, *_box(_extremes(v.rows)))
 
 
-@dataclass(frozen=True)
-class EhrhartData:
+class EhrhartData(namedtuple("EhrhartData", "counts coefficients")):
+    __slots__ = ()
     counts: tuple[tuple[int, int], ...]        # (dilation k, #lattice points of kQ)
     coefficients: tuple[Fraction, ...]         # polynomial, lowest degree first
 
@@ -207,7 +210,9 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     if max_dilation is None:
         max_dilation = max(dim, 1)
     if max_dilation < dim:
-        raise ValueError("need at least dim+1 interpolation points")
+        raise ValueError(f"dilations up to {max_dilation} are too few for a polytope of "
+                         f"dimension {dim}: the interpolation needs dilations 0..{dim}, "
+                         f"so the least value accepted is {dim}")
     # the vertices of kQ are k * V(Q); boxes grow with k, so gate the largest
     # one before scanning any
     extremes = _extremes(rows)

@@ -12,29 +12,34 @@ walker of the chain tails are derived once per instance and cached on it.
 |P| itself is not capped: the steps that grow super-polynomially with it
 (faces, lattice points, ideal chains, sweeps) each run under their own
 budget and raise TooLarge when it is exhausted.
+
+SaturatedChain and MarkedPoset are immutable records (see mpp.records):
+named tuples, so each also iterates, sorts and equals the plain tuple of
+its fields.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
 from .rationals import rat
+from .records import Frozen
 
 
 class PosetError(ValueError):
     """Raised when an operation's precondition on the marked poset fails."""
 
 
-@dataclass(frozen=True)
-class SaturatedChain:
+class SaturatedChain(namedtuple("SaturatedChain", "below target")):
     """A saturated chain p_0 < p_1 < ... < p_r < target with p_0 marked and
     the p_i (i >= 1) unmarked; ``below`` is (p_0, ..., p_r)."""
 
+    __slots__ = ()
     below: tuple[str, ...]
     target: str
 
@@ -42,17 +47,14 @@ class SaturatedChain:
         return "<".join(self.below + (self.target,))
 
 
-@dataclass(frozen=True)
-class MarkedPoset:
+class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
     elements: tuple[str, ...]
     covers: frozenset[tuple[str, str]]
     marking: Mapping[str, Fraction]  # stored read-only
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "covers", frozenset(tuple(c) for c in self.covers))
-        object.__setattr__(self, "marking",
-                           MappingProxyType({k: rat(v) for k, v in self.marking.items()}))
+    def __new__(cls, elements, covers, marking):
+        self = super().__new__(cls, tuple(elements), frozenset(tuple(c) for c in covers),
+                               MappingProxyType({k: rat(v) for k, v in marking.items()}))
         known = set(self.elements)
         if len(known) != len(self.elements):
             raise PosetError("duplicate element identifiers")
@@ -64,6 +66,7 @@ class MarkedPoset:
         for a in self.marking:
             if a not in known:
                 raise PosetError(f"marking on unknown element {a}")
+        return self
 
     def __hash__(self):
         return hash((self.elements, self.covers, tuple(sorted(self.marking.items()))))

@@ -1,0 +1,34 @@
+"""Immutable records.
+
+Every record type of the package (MarkedPoset, Face, Parameter, ...) is a
+subclass of a `collections.namedtuple` of its fields, which needs no module
+beyond what every interpreter loads.  A record is built by position or by
+keyword, compares and hashes over its fields, prints as
+``Name(field=value, ...)`` and refuses every assignment with AttributeError.
+A record that normalises or checks its fields does so in ``__new__``.
+
+A record is also a tuple: it iterates over its fields, has a length, sorts,
+and equals the plain tuple of its fields (so two record types with equal
+fields compare equal).  The namedtuple helpers ``_make`` and ``_replace``
+build a record without its ``__new__``, skipping its normalisation; the
+package does not use them.
+
+Records without cached values have ``__slots__ = ()``.  Those that cache
+derived values with `functools.cached_property` keep an instance
+``__dict__`` for them and take `Frozen` first among their bases.
+"""
+
+
+class Frozen:
+    """Mixin of a namedtuple record with an instance ``__dict__``: no
+    attribute can be set or deleted, as for a record with ``__slots__ = ()``.
+    `functools.cached_property` writes to the ``__dict__`` directly, so it
+    still caches."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -13,12 +13,16 @@ dropped at once; no linear program is solved.  Vertices stay integer rows
 (VRep.rows) throughout: subdivision cells are keyed by vertex bitmasks,
 covectors are read off integer witnesses, and Fractions are built once per
 subdivision vertex, for the returned cells.
+
+TropicalForm, TropicalArrangement and SubdivisionCell are immutable records
+(see mpp.records): named tuples, so each also iterates, sorts and equals
+the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -39,10 +43,10 @@ class NonInteriorParameter(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TropicalForm:
+class TropicalForm(namedtuple("TropicalForm", "coeffs")):
     """max_i (x_i + c_i) over the support; omitted coordinates mean -infinity."""
 
+    __slots__ = ()
     coeffs: tuple[tuple[str, Fraction], ...]
 
     @property
@@ -57,11 +61,11 @@ class TropicalForm:
         return frozenset(name for name, c in self.coeffs if Fraction(x[name]) + c == best)
 
 
-@dataclass(frozen=True)
-class TropicalArrangement:
+class TropicalArrangement(namedtuple("TropicalArrangement", "hyperplanes")):
     """Named tropical hyperplanes; for posets the names are the elements of R
     (unmarked elements covering at least two others)."""
 
+    __slots__ = ()
     hyperplanes: tuple[tuple[str, TropicalForm], ...]
 
     def names(self) -> tuple[str, ...]:
@@ -87,8 +91,7 @@ def covector(arr: TropicalArrangement, x) -> dict[str, frozenset[str]]:
     return {name: form.signature(x) for name, form in arr.hyperplanes}
 
 
-@dataclass(frozen=True)
-class SubdivisionCell:
+class SubdivisionCell(namedtuple("SubdivisionCell", "vertices dim covector tight origin")):
     """A cell of a polyhedral subdivision of the (bounded) marked order polytope.
 
     ``tight`` indexes the inequalities of the generating projected H-rep that
@@ -96,6 +99,7 @@ class SubdivisionCell:
     cell's relative interior.
     """
 
+    __slots__ = ()
     vertices: tuple[tuple[Fraction, ...], ...]
     dim: int
     covector: tuple[tuple[str, tuple[str, ...]], ...]

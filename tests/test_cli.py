@@ -106,6 +106,17 @@ def test_ehrhart_chain_poset(chain_file):
     assert data["counts"] == [[0, 1], [1, 6], [2, 15], [3, 28], [4, 45]]
 
 
+@pytest.mark.parametrize("dilations", ["2", "-1"])
+def test_ehrhart_dilations_below_the_dimension(ex52_file, capsys, dilations):
+    # ex52 is 3-dimensional: its polynomial needs the counts at dilations 0..3
+    from mpp.cli import main
+    assert main(["ehrhart", ex52_file, "--dilations", dilations]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "input"
+    assert "dimension 3" in out["error"] and "least value accepted is 3" in out["error"]
+    assert f"up to {dilations} " in out["error"]
+
+
 def test_lattice_points(chain_file):
     proc = run_cli("lattice-points", chain_file)
     data = json.loads(proc.stdout)
@@ -504,21 +515,32 @@ def test_no_query_loads_the_simplex(ex52_file):
     (["lattice-points"], ["mpp.lattice"]),
     (["ehrhart"], ["mpp.lattice"]),
     (["subdivision"], ["mpp.tropical"]),
+    (["degenerate", "--from-t", "t1", "--to-t", "t2"], ["mpp.degeneration"]),
+    (["sweep", "--check", "types"], ["mpp.degeneration"]),
 ])
-def test_each_query_loads_only_the_modules_it_runs(ex52_file, argv, extra):
+def test_each_query_loads_only_the_modules_it_runs(ex52_file, tmp_path, argv, extra):
     # `import mpp.cli` loads what every command reads; a query adds only
     # the modules its subcommand runs, and none of the others (mpp.lp is
-    # loaded by no query at all)
-    code = ("from mpp import cli\n"
-            "before = mpp_modules()\n"
+    # loaded by no query at all).  Nor does anything load dataclasses or
+    # inspect, which cost about as much to import as the whole CLI.
+    ts = {"t1": {"p": "1/2", "q": "1/2", "r": "1/2"}, "t2": {"p": "0", "q": "1", "r": "0"}}
+    for name, t in ts.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"t": t}))
+    argv = [str(tmp_path / f"{a}.json") if a in ts else a for a in argv]
+    code = ("def heavy():\n"
+            "    return [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+            "from mpp import cli\n"
+            "before, heavy_before = mpp_modules(), heavy()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    status = cli.main([sys.argv[1], sys.argv[2]] + sys.argv[3:])\n"
-            "print(json.dumps([status, before, mpp_modules()]))\n")
-    status, before, after = _run_fresh(code, argv[0], ex52_file, *argv[1:])
+            "print(json.dumps([status, before, mpp_modules(), heavy_before, heavy()]))\n")
+    status, before, after, heavy_before, heavy_after = _run_fresh(
+        code, argv[0], ex52_file, *argv[1:])
     assert status == 0
     assert before == ["mpp", "mpp.cli", "mpp.family", "mpp.geometry", "mpp.jsonio",
-                      "mpp.linalg", "mpp.poset", "mpp.rationals"]
+                      "mpp.linalg", "mpp.poset", "mpp.rationals", "mpp.records"]
     assert sorted(set(after) - set(before)) == extra
+    assert heavy_before == heavy_after == []
 
 
 def test_bare_import_loads_no_submodule():

@@ -1,0 +1,127 @@
+"""The package's immutable records: construction by position and by keyword,
+normalisation, equality and hashing over the fields, the repr, and
+refusal of every assignment."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from mpp.degeneration import DegenerationPair, FaceMap
+from mpp.family import Parameter, Partition
+from mpp.geometry import AffineMap, Cone, Constraint, Face, FaceLattice, VRep
+from mpp.lattice import EhrhartData
+from mpp.poset import MarkedPoset, PosetError, SaturatedChain
+from mpp.tropical import SubdivisionCell, TropicalArrangement, TropicalForm
+
+ZERO, ONE, HALF = Fraction(0), Fraction(1), Fraction(1, 2)
+EMPTY = Face(frozenset(), frozenset({0, 1}), -1)
+POINT = Face(frozenset({0}), frozenset({0}), 0)
+SEGMENT = Face(frozenset({0, 1}), frozenset(), 1)
+LATTICE = FaceLattice(((1, 0), (1, 1)), (EMPTY, POINT, SEGMENT))
+FORM = TropicalForm((("p", ZERO), ("q", ZERO)))
+
+# each record type with the fields of one instance, in order
+CASES = [
+    (Constraint, {"coeffs": (ONE, -HALF), "rhs": Fraction(3), "origin": ("chain", "p")}),
+    (VRep, {"coords": ("x", "y"), "rows": ((1, 0, 0), (2, 1, 0)), "rays": ()}),
+    (Cone, {"coords": ("x",), "lines": [], "rays": [((1, 0), 1)], "span_dim": 2,
+            "inserted": 1}),
+    (Face, {"vertex_ids": frozenset({0, 1}), "tight": frozenset({2}), "dim": 1}),
+    (FaceLattice, {"rows": ((1, 0), (1, 1)), "faces": (EMPTY, POINT, SEGMENT)}),
+    (AffineMap, {"coords": ("x",), "matrix": ((ONE,),), "offset": (ZERO,)}),
+    (SaturatedChain, {"below": ("0", "p"), "target": "r"}),
+    (MarkedPoset, {"elements": ("a", "b"), "covers": frozenset({("a", "b")}),
+                   "marking": {"a": 0, "b": "3/2"}}),
+    (Parameter, {"values": {"p": HALF, "q": 0}}),
+    (Partition, {"C": frozenset({"p"}), "O": frozenset({"q"})}),
+    (TropicalForm, {"coeffs": (("p", ZERO), ("q", ZERO))}),
+    (TropicalArrangement, {"hyperplanes": (("r", FORM),)}),
+    (SubdivisionCell, {"vertices": ((ONE, ZERO),), "dim": 0, "covector": (("r", ("p",)),),
+                       "tight": frozenset({0}), "origin": ("tropical",)}),
+    (DegenerationPair, {"source": Parameter({"p": HALF, "q": 0}),
+                        "target": Parameter({"p": 1, "q": 0})}),
+    (FaceMap, {"source": LATTICE, "target": LATTICE,
+               "mapping": {f: f for f in LATTICE.faces}}),
+    (EhrhartData, {"counts": ((0, 1), (1, 2)), "coefficients": (ONE, ONE)}),
+]
+# records holding a list or a dict are not hashable, as their fields are not
+UNHASHABLE = {Cone, FaceMap}
+
+
+@pytest.mark.parametrize("cls, fields", CASES, ids=[cls.__name__ for cls, _ in CASES])
+def test_record_semantics(cls, fields):
+    by_keyword = cls(**fields)
+    by_position = cls(*fields.values())
+    assert by_keyword == by_position
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(by_keyword)
+    else:
+        assert hash(by_keyword) == hash(by_position)
+        assert len({by_keyword, by_position}) == 1
+    stored = {name: getattr(by_keyword, name) for name in fields}
+    assert repr(by_keyword) == (f"{cls.__name__}("
+                                + ", ".join(f"{k}={v!r}" for k, v in stored.items()) + ")")
+    for name in [*fields, "no_such_field"]:
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, None)
+        with pytest.raises(AttributeError):
+            delattr(by_keyword, name)
+    assert {name: getattr(by_keyword, name) for name in fields} == stored
+
+
+def test_constraint_origin_defaults_to_plumbing():
+    assert Constraint((ONE,), ZERO).origin == ("plumbing",)
+    assert Constraint((ONE,), ZERO) == Constraint(coeffs=(ONE,), rhs=ZERO, origin=("plumbing",))
+
+
+def test_cached_values_are_read_only():
+    poset = MarkedPoset(("a", "p", "b"), [("a", "p"), ("p", "b")], {"a": 0, "b": 1})
+    assert poset.unmarked is poset.unmarked == ("p",)
+    assert LATTICE.by_tight is LATTICE.by_tight
+    for record, name in [(poset, "unmarked"), (LATTICE, "by_tight"),
+                         (Parameter({"p": HALF}), "is_interior"),
+                         (VRep(("x",), ((1, 0),), ()), "vertices")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+def test_marked_poset_and_parameter_normalise_and_hash_sorted_items():
+    poset = MarkedPoset(elements=["a", "b"], covers=[["a", "b"]], marking={"b": "3/2", "a": 0})
+    assert poset.elements == ("a", "b") and poset.covers == frozenset({("a", "b")})
+    assert dict(poset.marking) == {"a": ZERO, "b": Fraction(3, 2)}
+    with pytest.raises(TypeError):
+        poset.marking["a"] = ONE
+    assert poset == MarkedPoset(("a", "b"), {("a", "b")}, {"a": ZERO, "b": Fraction(3, 2)})
+    assert hash(poset) == hash((("a", "b"), frozenset({("a", "b")}),
+                                (("a", ZERO), ("b", Fraction(3, 2)))))
+    with pytest.raises(PosetError):
+        MarkedPoset(("a", "a"), [], {})
+    t = Parameter({"q": 0, "p": "1/2"})
+    assert t["p"] == HALF and t.values["q"] == ZERO
+    assert hash(t) == hash((("p", HALF), ("q", ZERO)))
+    with pytest.raises(TypeError):
+        t.values["p"] = ONE
+    with pytest.raises(ValueError):
+        Parameter({"p": 2})
+
+
+def test_partition_normalises_and_rejects_overlap():
+    part = Partition(C=["p"], O={"q", "r"})
+    assert part == Partition(frozenset({"p"}), frozenset({"q", "r"}))
+    assert type(part.C) is frozenset and type(part.O) is frozenset
+    with pytest.raises(ValueError):
+        Partition({"p"}, {"p", "q"})
+
+
+def test_degeneration_pair_rejects_a_non_degeneration():
+    u = Parameter({"p": 0, "q": HALF})
+    DegenerationPair(u, Parameter({"p": 0, "q": 1}))
+    with pytest.raises(ValueError):
+        DegenerationPair(u, Parameter({"p": 1, "q": 1}))
+    with pytest.raises(ValueError):
+        DegenerationPair(source=u, target=Parameter({"p": HALF, "q": HALF}))
