@@ -139,9 +139,11 @@ def cmd_lattice_points(args) -> int:
     poset = _load_poset(args.poset)
     t, header = _resolve_parameter(args, poset)
     h = family.hrep_general(poset, t, projected=False)
-    pts = lattice.lattice_points(h)
+    # each point comes out of the search as its JSON row; "points" is a
+    # value of the top-level object, so its rows sit at depth 1
+    pts = lattice.lattice_points(h, jsonio.row_pieces(1, len(h.coords)))
     payload = {"command": "lattice-points", **header, "coords": list(h.coords),
-               "points": pts}
+               "points": jsonio.TextRows(1, pts)}
     return _emit(payload, f"lattice points: {len(pts)}")
 
 

@@ -3,7 +3,8 @@
 Rationals travel as strings ("3", "-1/2") and round-trip bit-exactly; on
 input a JSON integer is accepted too.  Unknown keys are rejected so that
 typos fail loudly.  `dump` streams the CLI's indented output; `encode`
-joins it.
+joins it.  A list whose rows a caller has already rendered from
+`row_pieces` travels as `TextRows` and is written as it is.
 """
 
 from __future__ import annotations
@@ -151,6 +152,26 @@ def jsonable(obj):
     return obj
 
 
+def row_pieces(depth: int, width: int) -> tuple[str, str, str]:
+    """(open, separator, close) of a row of width leaves in a list at depth
+    (0 for the top-level value, 1 for a value of its object, ...): the row
+    whose leaves have the JSON texts ts is open + separator.join(ts) + close."""
+    if not width:
+        return "[]", "", ""
+    leaf = "\n" + "  " * (depth + 2)
+    return "[" + leaf, "," + leaf, "\n" + "  " * (depth + 1) + "]"
+
+
+class TextRows:
+    """A list at depth whose rows are finished text, built from
+    row_pieces(depth, width); dump writes them as they are and raises
+    AssertionError if the list sits at another depth."""
+    __slots__ = ("depth", "rows")
+
+    def __init__(self, depth: int, rows: list[str]):
+        self.depth, self.rows = depth, rows
+
+
 _string = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INT = {int}
@@ -195,6 +216,11 @@ def _write(obj, out: list, nl: str, write) -> None:
         out.append(_string(rat_str(obj)))
     elif isinstance(obj, frozenset):
         _write_list(jsonable(obj), out, nl, write)
+    elif type(obj) is TextRows:
+        if len(nl) // 2 != obj.depth:  # nl is a newline and two spaces a level
+            raise AssertionError(f"rows rendered for depth {obj.depth} written at "
+                                 f"depth {len(nl) // 2}")
+        _write_text_rows(obj.rows, out, nl, write)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -225,20 +251,43 @@ def _write_rows(rows, out: list, nl: str, write) -> bool:
     leaves = set(map(type, itertools.chain.from_iterable(rows)))
     if not (leaves <= _INT or leaves == _STR):  # no leaves: every row is empty
         return False
-    spec, inner, leaf = "%d" if leaves <= _INT else "%s", nl + "  ", nl + "    "
-    row = {w: "[" + leaf + ("," + leaf).join([spec] * w) + inner + "]" if w else "[]"
-           for w in set(map(len, rows))}
-    sep, join = "[" + inner, ("," + inner).join
-    for i in range(0, len(rows), _BLOCK):
-        block = rows[i:i + _BLOCK]
-        values = itertools.chain.from_iterable(block)
-        out.append((sep + join(map(row.__getitem__, map(len, block))))
+    spec = "%d" if leaves <= _INT else "%s"
+    row = {}
+    for w in set(map(len, rows)):
+        start, sep, close = row_pieces(len(nl) // 2, w)
+        row[w] = start + sep.join([spec] * w) + close
+    join = ("," + nl + "  ").join
+
+    def blocks():
+        for i in range(0, len(rows), _BLOCK):
+            block = rows[i:i + _BLOCK]
+            values = itertools.chain.from_iterable(block)
+            yield (join(map(row.__getitem__, map(len, block)))
                    % tuple(values if spec == "%d" else map(_string, values)))
+
+    _write_blocks(blocks(), out, nl, write)
+    return True
+
+
+def _write_text_rows(rows: list[str], out: list, nl: str, write) -> None:
+    if not rows:
+        out.append("[]")
+        return
+    join = ("," + nl + "  ").join
+    _write_blocks((join(rows[i:i + _BLOCK]) for i in range(0, len(rows), _BLOCK)),
+                  out, nl, write)
+
+
+def _write_blocks(blocks, out: list, nl: str, write) -> None:
+    """Write a nonempty list at nl whose rows come as text blocks, each
+    written together with what out holds."""
+    sep = "[" + nl + "  "
+    for text in blocks:
+        out.append(sep + text)
         write("".join(out))
         out.clear()
-        sep = "," + inner
+        sep = "," + nl + "  "
     out.append(nl + "]")
-    return True
 
 
 def _write_dict(mapping, out: list, nl: str, write) -> None:

@@ -7,9 +7,20 @@ The rows are the H-rep's cached primitive integer rows, a dilation k scales
 their right-hand sides, and coordinates the box pins to one value are folded
 into the right-hand sides, so the search is in Python ints over the free
 coordinates only.  Ehrhart counts add up the width of the last free
-coordinate's range instead of listing points.  The documented complexity
-gate is still a box of at most 10^7 candidate points, checked before any
-enumeration.
+coordinate's range instead of listing points.
+
+A point is built as the search goes: each level extends its parent's prefix
+by one step, and the last level's range is emitted in one pass.  The steps
+are tuples of ints, or, when the caller passes a row's text pieces (open,
+separator, close), strings, so that a point comes out as its finished text
+row and each prefix's digits are formatted once per search node, not once
+per point.
+
+The vertex bounding box bounds the search but does not gate a listing:
+`lattice_points` may list at most POINT_BUDGET points and visit at most
+NODE_BUDGET search nodes per free coordinate, and raises TooLarge, naming
+what it counted, when either runs out.  `ehrhart` and `is_integrally_closed`
+gate their boxes at BOX_GATE candidates before they search.
 
 EhrhartData is an immutable record (see mpp.records): a named tuple, so it
 also iterates, sorts and equals the plain tuple of its fields.
@@ -26,7 +37,9 @@ from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
                        UnsupportedUnbounded, vertices)
 from .linalg import rank
 
-BOX_GATE = 10 ** 7
+BOX_GATE = 10 ** 7      # box candidates of an Ehrhart count or a closure check
+POINT_BUDGET = 10 ** 7  # points a listing returns
+NODE_BUDGET = 10 ** 7   # search nodes a listing visits, per free coordinate
 
 
 def _extremes(rows) -> tuple[int, list[int], list[int]]:
@@ -36,22 +49,24 @@ def _extremes(rows) -> tuple[int, list[int], list[int]]:
     return rows[0][0], [min(c) for c in cols], [max(c) for c in cols]
 
 
-def _box(extremes, k=1):
-    """Integer bounding box of k * conv(verts), from _extremes, gated at
-    BOX_GATE candidates."""
+def _box(extremes, k=1, gated=True):
+    """Integer bounding box of k * conv(verts), from _extremes; if gated,
+    refused past BOX_GATE candidates."""
     den, least, most = extremes
     lows = [-(-k * a // den) for a in least]
     highs = [k * b // den for b in most]
     size = math.prod(max(0, hi - lo + 1) for lo, hi in zip(lows, highs))
-    if size > BOX_GATE:
+    if gated and size > BOX_GATE:
         raise TooLarge(f"bounding box of dilation {k} holds {size} candidates "
                        f"(gate {BOX_GATE})")
     return lows, highs
 
 
-def _scan(h: HRep, lows, highs, k=1, count=False):
+def _scan(h: HRep, lows, highs, k=1, count=False, text=None):
     """Integer points of k * h in the box [lows, highs], in itertools.product
-    order; with count=True only their number.
+    order; with count=True only their number.  A point is a tuple, or with
+    text=(open, separator, close) the string open + separator.join(map(str,
+    point)) + close.
 
     The rows are h.int_inequalities and h.int_equations (an equation is two
     opposite rows) with their right-hand sides times k.  A coordinate whose
@@ -66,6 +81,9 @@ def _scan(h: HRep, lows, highs, k=1, count=False):
     box.  Bounds that cannot cut inside the box are dropped.  At the last
     free coordinate the points are the whole range left, so counting adds
     its width.
+
+    The search raises TooLarge when it has listed more than POINT_BUDGET
+    points or visited more than NODE_BUDGET nodes per free coordinate.
     """
     empty = 0 if count else []
     if any(lo > hi for lo, hi in zip(lows, highs)):
@@ -82,7 +100,10 @@ def _scan(h: HRep, lows, highs, k=1, count=False):
         elif rhs < 0:
             return empty
     if not free:
-        return 1 if count else [tuple(lows)]
+        if count:
+            return 1
+        return [tuple(lows) if text is None else
+                text[0] + text[1].join(map(str, lows)) + text[2]]
     lows_f = [lows[j] for j in free]
     highs_f = [highs[j] for j in free]
     n = len(free)
@@ -102,16 +123,33 @@ def _scan(h: HRep, lows, highs, k=1, count=False):
                 later = True
             top -= most[j]
             rest += least[j]
+    # each level's steps cover its whole box range, built before the search
+    wide = max(free, key=lambda j: highs[j] - lows[j])
+    if highs[wide] - lows[wide] >= NODE_BUDGET:
+        raise TooLarge(f"coordinate {h.coords[wide]} takes {highs[wide] - lows[wide] + 1} "
+                       f"values in the box (budget {NODE_BUDGET} search nodes)")
     # steps[i][x - lows_f[i]]: x, then the pinned values up to the next free
     # coordinate; a point is the pinned head followed by one step per level
+    last = n - 1
     ends = free[1:] + [len(lows)]
-    steps = [[(x,) + tuple(lows[j + 1:end]) for x in range(lows[j], highs[j] + 1)]
-             for j, end in zip(free, ends)]
+    tails = [lows[j + 1:end] for j, end in zip(free, ends)]
+    if text is None:
+        head = tuple(lows[:free[0]])
+        steps = [[(x, *tail) for x in range(lows[j], highs[j] + 1)]
+                 for j, tail in zip(free, tails)]
+    else:  # every value but the point's last is followed by the separator
+        start, sep, close = text
+        head = start + "".join(f"{v}{sep}" for v in lows[:free[0]])
+        tails = ["".join(f"{sep}{v}" for v in tail) + (close if i == last else sep)
+                 for i, tail in enumerate(tails)]
+        steps = [[f"{x}{tail}" for x in range(lows[j], highs[j] + 1)]
+                 for j, tail in zip(free, tails)]
     sums = [0] * len(rows)  # a . x over the free coordinates fixed so far
     out = None if count else []
-    last = n - 1
+    nodes, node_budget = 1, NODE_BUDGET * n
 
     def visit(i, prefix):
+        nonlocal nodes
         lo, hi = lows_f[i], highs_f[i]
         for r, a, b in bounds[i]:
             if a > 0:
@@ -123,8 +161,16 @@ def _scan(h: HRep, lows, highs, k=1, count=False):
         step, base = steps[i], lows_f[i]
         if i == last:
             if out is not None:
+                listed = len(out) + hi - lo + 1
+                if listed > POINT_BUDGET:
+                    raise TooLarge(f"the lattice-point search listed {listed} points "
+                                   f"before it ended (budget {POINT_BUDGET})")
                 out.extend(map(prefix.__add__, step[lo - base:hi - base + 1]))
             return hi - lo + 1
+        nodes += hi - lo + 1
+        if nodes > node_budget:
+            raise TooLarge(f"the lattice-point search visited {nodes} nodes over {n} "
+                           f"free coordinates (budget {NODE_BUDGET} per coordinate)")
         feed = feeds[i]
         saved = [sums[r] for r, _ in feed]
         found = 0
@@ -136,7 +182,7 @@ def _scan(h: HRep, lows, highs, k=1, count=False):
             sums[r] = s
         return found
 
-    found = visit(0, tuple(lows[:free[0]]))
+    found = visit(0, head)
     return found if count else out
 
 
@@ -152,15 +198,21 @@ def _lattice_polytope(h: HRep, what: str):
     return v.rows
 
 
-def lattice_points(h: HRep) -> list[tuple[int, ...]]:
-    """All integer points of a bounded polyhedron, sorted lexicographically."""
+def lattice_points(h: HRep, text=None) -> list:
+    """All integer points of a bounded polyhedron, sorted lexicographically:
+    tuples of ints, or with text=(open, separator, close) each point as the
+    string open + separator.join(map(str, point)) + close.
+
+    The vertex bounding box bounds the search without gating it; the search
+    raises TooLarge past POINT_BUDGET points or NODE_BUDGET nodes per free
+    coordinate."""
     try:
         v = vertices(h)
     except EmptyPolyhedron:
         return []
     if v.rays:
         raise UnsupportedUnbounded("lattice-point scan needs a bounded polyhedron")
-    return _scan(h, *_box(_extremes(v.rows)))
+    return _scan(h, *_box(_extremes(v.rows), gated=False), text=text)
 
 
 class EhrhartData(namedtuple("EhrhartData", "counts coefficients")):

@@ -191,6 +191,43 @@ def random_ranked_regular_poset(rnd: random.Random, levels: int = 3,
             return result
 
 
+def random_rat(rnd, lo, hi, den=4):
+    return Fraction(rnd.randint(lo * den, hi * den), rnd.randint(1, den))
+
+
+def random_hrep(rnd, n):
+    """A bounded H-rep in n coordinates with rational data around a rational
+    point p: a box, random cuts that keep p, a rescaled and an implied copy of
+    the last cut, and sometimes an equation through p (lower-dimensional), an
+    equation that may miss p, or a cut that empties the box."""
+    coords = tuple(f"x{i}" for i in range(n))
+    p = [random_rat(rnd, 0, 1) for _ in range(n)]
+    unit = [tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n)]
+    ineqs = []
+    for e, x in zip(unit, p):
+        ineqs.append((e, x + random_rat(rnd, 0, 2), ()))
+        ineqs.append((tuple(-a for a in e), -x + random_rat(rnd, 0, 1), ()))
+    for _ in range(rnd.randint(1, 4)):
+        coeffs = tuple(random_rat(rnd, -3, 3) for _ in range(n))
+        if any(coeffs):
+            at_p = sum(a * x for a, x in zip(coeffs, p))
+            ineqs.append((coeffs, at_p + random_rat(rnd, 0, 2), ()))
+    cut, rhs, _ = ineqs[-1]
+    scale = Fraction(rnd.randint(1, 5), rnd.randint(1, 5))
+    ineqs.append((tuple(scale * a for a in cut), scale * rhs, ()))  # rescaled
+    ineqs.append((cut, rhs + random_rat(rnd, 0, 2), ()))             # implied
+    eqs = []
+    shape = rnd.random()
+    if shape < 0.3:
+        coeffs = tuple(Fraction(rnd.randint(-2, 2)) for _ in range(n))
+        if any(coeffs):
+            at_p = sum(a * x for a, x in zip(coeffs, p))
+            eqs.append((coeffs, at_p if shape < 0.2 else random_rat(rnd, -1, 2, den=2), ()))
+    elif shape < 0.4:
+        ineqs.append((unit[0], p[0] - 3, ()))
+    return make_hrep(coords, eqs, ineqs)
+
+
 def random_point(rnd: random.Random, keys, lo=-12, hi=12, den=6):
     return {k: Fraction(rnd.randint(lo, hi), rnd.randint(1, den)) for k in keys}
 

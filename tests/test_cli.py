@@ -2,6 +2,7 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_double_star, make_grid
+from conftest import make_double_star, make_grid, random_hrep
+from mpp import family, lattice
 from mpp.cli import _emit, main
 from mpp.family import hrep_general, zero_parameter
 from mpp.jsonio import encode, jsonable, poset_to_json
@@ -383,6 +385,97 @@ def test_emit_streams_the_text_in_chunks(monkeypatch):
     assert "".join(out.writes) == text + "\n"
     assert len(out.writes) > 1
     assert max(map(len, out.writes)) < len(text)
+
+
+def test_lattice_points_streams_its_rows(grid2x4_file, monkeypatch):
+    out = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["lattice-points", grid2x4_file]) == 0
+    text = "".join(out.writes)
+    assert len(text) > 400_000 and len(json.loads(text)["points"]) == 5040
+    assert len(out.writes) > 1
+    assert max(map(len, out.writes)) < len(text)
+
+
+# -- lattice-points: rows rendered by the search, byte for byte the tuple rows -
+
+def _assert_rows_match_tuple_rows(argv, capsys, monkeypatch, h=None):
+    """Run lattice-points on argv, building the H-rep as the CLI does unless
+    h is given, and compare its stdout with the text of the tuple payload."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(hrep_general(*args, **kwargs) if h is None else h)
+        return built[-1]
+
+    monkeypatch.setattr(family, "hrep_general", build)
+    assert main(["lattice-points", *argv]) == 0
+    out = capsys.readouterr().out
+    [hrep] = built
+    header = {k: v for k, v in json.loads(out).items() if k in ("t", "partition")}
+    payload = {"command": "lattice-points", **header, "coords": list(hrep.coords),
+               "points": lattice_points(hrep)}
+    # encode, and the json module as a reference independent of jsonio's row
+    # templates
+    assert out == encode(payload) + "\n"
+    assert out == json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return json.loads(out)["points"]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_lattice_points_rows_on_random_polytopes(seed, chain_file, capsys, monkeypatch):
+    rnd = random.Random(seed)
+    h = random_hrep(rnd, rnd.randint(1, 4))
+    _assert_rows_match_tuple_rows([chain_file], capsys, monkeypatch, h)
+
+
+@pytest.mark.parametrize("poset,points", [
+    ({"elements": [], "covers": [], "marking": {}}, [[]]),
+    ({"elements": ["a", "p", "b"], "covers": [["a", "p"], ["p", "b"]],
+      "marking": {"a": "1/3", "b": "2/3"}}, []),
+    ({"elements": ["a"], "covers": [], "marking": {"a": "2"}}, [[2]]),
+    ({"elements": ["a", "p", "b"], "covers": [["a", "p"], ["p", "b"]],
+      "marking": {"a": "1", "b": "1"}}, [[1, 1, 1]]),
+    (CHAIN, [[0, p, q, 2] for p in range(3) for q in range(p, 3)]),
+], ids=["empty-poset", "no-lattice-point", "single-point", "all-pinned",
+        "pins-at-both-ends"])
+def test_lattice_points_rows_on_edge_cases(tmp_path, capsys, monkeypatch, poset, points):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset))
+    assert _assert_rows_match_tuple_rows([str(path)], capsys, monkeypatch) == points
+
+
+def test_lattice_points_rows_under_t_and_partition_headers(ex52_file, tmp_path, capsys,
+                                                           monkeypatch):
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps({"t": {"p": "1", "q": "0", "r": "1/2"}}))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"C": ["p", "r"], "O": ["q"]}))
+    for flags in (["--t", str(t)], ["--partition", str(part)], ["--t", "generic"]):
+        assert _assert_rows_match_tuple_rows([ex52_file, *flags], capsys, monkeypatch)
+
+
+def test_lattice_points_grid2x5_answers(tmp_path, capsys):
+    # its bounding box of 8^8 candidates was refused before the search ran
+    path = tmp_path / "grid2x5.json"
+    path.write_text(json.dumps(poset_to_json(make_grid(2, 5))))
+    assert main(["lattice-points", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 67320
+
+
+@pytest.mark.parametrize("budget,value,counted", [
+    ("POINT_BUDGET", 5000, "listed"), ("NODE_BUDGET", 400, "visited")])
+def test_lattice_points_budget_writes_only_the_error(grid2x4_file, monkeypatch, budget,
+                                                    value, counted):
+    out = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(lattice, budget, value)
+    assert main(["lattice-points", grid2x4_file]) == 3
+    text = "".join(out.writes)
+    assert text.count("\n") == 1
+    error = json.loads(text)
+    assert error["kind"] == "computation" and set(error) == {"error", "kind"}
+    assert counted in error["error"] and f"budget {value}" in error["error"]
 
 
 def _expect_input_error(proc):

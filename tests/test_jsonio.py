@@ -275,3 +275,33 @@ def test_dump_streams_a_large_payload_in_chunks():
     chunks = chunks_of(payload)
     assert "".join(chunks) == reference(payload)
     assert len(chunks) > 10 and max(map(len, chunks)) < len(reference(payload)) // 4
+
+
+def text_rows(depth, rows):
+    start, sep, close = jsonio.row_pieces(depth, len(rows[0]) if rows else 0)
+    return jsonio.TextRows(depth, [start + sep.join(map(str, r)) + close for r in rows])
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[]], [[7]], [[i, -i, 2 ** 70] for i in range(2 * BLOCK + 3)]],
+    ids=["none", "empty-row", "one-leaf", "blocks"])
+def test_text_rows_write_as_the_int_rows(rows):
+    # at depth 0, as the value of a top-level key, and one object further in
+    for wrap, depth in ((lambda x: x, 0), (lambda x: {"points": x}, 1),
+                        (lambda x: {"a": [{"points": x}]}, 3)):
+        text = encode(wrap(text_rows(depth, rows)))
+        assert text == reference(wrap(rows))
+        assert "".join(chunks_of(wrap(text_rows(depth, rows)))) == text
+
+
+def test_text_rows_are_written_in_blocks():
+    rows = [[i, i + 1] for i in range(10 * BLOCK)]
+    chunks = chunks_of({"points": text_rows(1, rows)})
+    assert "".join(chunks) == reference({"points": rows})
+    assert len(chunks) >= 10 and max(map(len, chunks)) < len("".join(chunks)) // 4
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_text_rows_at_another_depth_are_refused(depth):
+    with pytest.raises(AssertionError, match=f"depth {depth} written at depth 1"):
+        encode({"points": text_rows(depth, [[1, 2]])})

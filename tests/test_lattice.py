@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import det, dilate, make_chain_poset, make_ex52, make_grid
+from conftest import (det, dilate, make_chain_poset, make_ex52, make_grid,
+                      random_hrep, random_rat)
 from mpp.family import (Partition, hrep_chain_order, hrep_general,
                         hypercube_vertices, one_parameter, zero_parameter)
 from mpp import lattice
@@ -240,43 +241,6 @@ def box_scan(h, lows, highs):
     return out
 
 
-def random_rat(rnd, lo, hi, den=4):
-    return Fraction(rnd.randint(lo * den, hi * den), rnd.randint(1, den))
-
-
-def random_hrep(rnd, n):
-    """A bounded H-rep in n coordinates with rational data around a rational
-    point p: a box, random cuts that keep p, a rescaled and an implied copy of
-    the last cut, and sometimes an equation through p (lower-dimensional), an
-    equation that may miss p, or a cut that empties the box."""
-    coords = tuple(f"x{i}" for i in range(n))
-    p = [random_rat(rnd, 0, 1) for _ in range(n)]
-    unit = [tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n)]
-    ineqs = []
-    for e, x in zip(unit, p):
-        ineqs.append((e, x + random_rat(rnd, 0, 2), ()))
-        ineqs.append((tuple(-a for a in e), -x + random_rat(rnd, 0, 1), ()))
-    for _ in range(rnd.randint(1, 4)):
-        coeffs = tuple(random_rat(rnd, -3, 3) for _ in range(n))
-        if any(coeffs):
-            at_p = sum(a * x for a, x in zip(coeffs, p))
-            ineqs.append((coeffs, at_p + random_rat(rnd, 0, 2), ()))
-    cut, rhs, _ = ineqs[-1]
-    scale = Fraction(rnd.randint(1, 5), rnd.randint(1, 5))
-    ineqs.append((tuple(scale * a for a in cut), scale * rhs, ()))  # rescaled
-    ineqs.append((cut, rhs + random_rat(rnd, 0, 2), ()))             # implied
-    eqs = []
-    shape = rnd.random()
-    if shape < 0.3:
-        coeffs = tuple(Fraction(rnd.randint(-2, 2)) for _ in range(n))
-        if any(coeffs):
-            at_p = sum(a * x for a, x in zip(coeffs, p))
-            eqs.append((coeffs, at_p if shape < 0.2 else random_rat(rnd, -1, 2, den=2), ()))
-    elif shape < 0.4:
-        ineqs.append((unit[0], p[0] - 3, ()))
-    return make_hrep(coords, eqs, ineqs)
-
-
 @pytest.mark.parametrize("seed", range(50))
 def test_enumerator_matches_box_scan(seed):
     rnd = random.Random(seed)
@@ -305,6 +269,70 @@ def test_grid3x3_order_polytope_count():
     box = lattice._box(lattice._extremes(homogenized(vertices(h).vertices)))
     assert math.prod(hi - lo + 1 for lo, hi in zip(*box)) == 7 ** 7
     assert len(lattice_points(h)) == 17472
+
+
+# -- a listing is budgeted by its search, not by its box ------------------------
+
+def grid_hrep(m, n):
+    poset = make_grid(m, n)
+    return hrep_general(poset, zero_parameter(poset), projected=False)
+
+
+def test_grid2x5_lists_past_the_box_gate():
+    # its bounding box holds 8^8 = 16,777,216 candidates, more than BOX_GATE,
+    # but the search lists Stanley's 67,320 points
+    h = grid_hrep(2, 5)
+    extremes = lattice._extremes(homogenized(vertices(h).vertices))
+    with pytest.raises(TooLarge, match="16777216 candidates"):
+        lattice._box(extremes)
+    assert math.prod(hi - lo + 1 for lo, hi in zip(*lattice._box(extremes, gated=False))) \
+        == 8 ** 8
+    assert len(lattice_points(h)) == 67320
+
+
+def test_listing_stops_at_its_point_budget(monkeypatch):
+    h = grid_hrep(2, 4)  # 5,040 points
+    monkeypatch.setattr(lattice, "POINT_BUDGET", 5040)
+    assert len(lattice_points(h)) == 5040
+    monkeypatch.setattr(lattice, "POINT_BUDGET", 5039)
+    with pytest.raises(TooLarge, match=r"listed \d+ points before it ended \(budget 5039\)"):
+        lattice_points(h)
+
+
+def test_listing_stops_at_its_node_budget(monkeypatch):
+    # 4 free coordinates, each taking the values 0..5: the search visits at
+    # most 4 * 39 nodes, against 6^4 = 1,296 box candidates
+    h = grid_hrep(2, 3)
+    monkeypatch.setattr(lattice, "NODE_BUDGET", 39)
+    assert len(lattice_points(h)) == 371
+    monkeypatch.setattr(lattice, "NODE_BUDGET", 38)
+    with pytest.raises(TooLarge, match=r"visited \d+ nodes over 4 free coordinates "
+                                       r"\(budget 38 per coordinate\)"):
+        lattice_points(h)
+
+
+def test_listing_refuses_a_coordinate_wider_than_the_node_budget(monkeypatch):
+    # a < p < b with marks 0 and 10: p takes the 11 values 0..10
+    poset = MarkedPoset(("a", "p", "b"), frozenset({("a", "p"), ("p", "b")}),
+                        {"a": 0, "b": 10})
+    h = hrep_general(poset, zero_parameter(poset), projected=False)
+    monkeypatch.setattr(lattice, "NODE_BUDGET", 11)
+    assert len(lattice_points(h)) == 11
+    monkeypatch.setattr(lattice, "NODE_BUDGET", 10)
+    with pytest.raises(TooLarge, match="coordinate p takes 11 values"):
+        lattice_points(h)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_text_points_are_the_tuple_points_joined(seed):
+    rnd = random.Random(seed)
+    h = random_hrep(rnd, rnd.randint(1, 4))
+    text = ("<", "|", ">")
+    expected = ["<" + "|".join(map(str, p)) + ">" for p in lattice_points(h)]
+    assert lattice_points(h, text) == expected
+    box = ([rnd.randint(-3, 1) for _ in h.coords], [rnd.randint(0, 4) for _ in h.coords])
+    assert lattice._scan(h, *box, text=text) == [
+        "<" + "|".join(map(str, p)) + ">" for p in lattice._scan(h, *box)]
 
 
 # -- pinned coordinates: a box of one value is folded into the right-hand sides
