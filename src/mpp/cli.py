@@ -394,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("subdivision", cmd_subdivision, help="tropical subdivision of O(P,lambda)")
     p.add_argument("--ideal-chains", action="store_true",
                    help="ideal-chain cells instead of the tropical subdivision")
-    p.add_argument("--off", help="also write an OFF 2-skeleton to this path")
+    p.add_argument("--off", help="also write the OFF 2-skeleton of the tropical "
+                                 "subdivision to this path (also with --ideal-chains)")
 
     p = add("degenerate", cmd_degenerate, help="degeneration face map")
     p.add_argument("--from-t", required=True, dest="from_t")

@@ -56,9 +56,6 @@ class FaceMap(namedtuple("FaceMap", "source target mapping")):
     target: FaceLattice
     mapping: dict[Face, Face]
 
-    def image(self, face: Face) -> Face:
-        return self.mapping[face]
-
     def is_surjective(self) -> bool:
         return set(self.mapping.values()) == set(self.target.faces)
 

@@ -186,14 +186,14 @@ class VRep(Frozen, namedtuple("VRep", "coords rows rays")):
 
     rows holds each vertex x as the integer row (D, D * x) over one common
     denominator D, the least one, sorted: the order of the vertices
-    themselves.  rays are primitive integer directions as Fraction tuples,
+    themselves.  rays are primitive integer directions as int tuples,
     sorted.  vertices, the Fraction tuples of the vertices, is built on
     first read; equality compares rows, which are canonical.
     """
 
     coords: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
-    rays: tuple[tuple[Fraction, ...], ...]
+    rays: tuple[tuple[int, ...], ...]
 
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -308,7 +308,7 @@ class Cone(namedtuple("Cone", "coords lines rays span_dim inserted")):
         if self.lines:
             raise UnsupportedLineality("polyhedron contains a line")
         # a ray with r[0] == 0 is primitive, so its tail r[1:] is primitive too
-        recession = {tuple(Fraction(x) for x in r[1:]) for r, _ in self.rays if r[0] == 0}
+        recession = {r[1:] for r, _ in self.rays if r[0] == 0}
         return VRep(self.coords, tuple(sorted(set(common_denominator(points)))),
                     tuple(sorted(recession)))
 
@@ -493,7 +493,7 @@ def incidences(h: HRep, v: VRep) -> list[int]:
     """For each inequality of h, the bitmask of the generators of v on which
     it is tight, decided in integers: bit i for the vertex v.rows[i], then
     bit len(v.rows) + j for the recession ray v.rays[j]."""
-    homs = v.rows + tuple((0,) + r[1:] for r in homogenized(v.rays))
+    homs = v.rows + tuple((0,) + r for r in v.rays)
     return [sum(1 << i for i, p in enumerate(homs) if _idot(r, p) == 0)
             for r in h.int_inequalities]
 

@@ -136,7 +136,7 @@ def row_strs(row) -> list[str]:
 def vrep_to_json(v: VRep) -> dict:
     return {"coords": list(v.coords),
             "vertices": [row_strs(r) for r in v.rows],
-            "rays": [[rat_str(x) for x in r] for r in v.rays]}
+            "rays": [list(map(str, r)) for r in v.rays]}
 
 
 def jsonable(obj):

@@ -36,6 +36,7 @@ from fractions import Fraction
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
                        UnsupportedUnbounded, vertices)
 from .linalg import rank
+from .rationals import rat_str
 
 BOX_GATE = 10 ** 7      # box candidates of an Ehrhart count or a closure check
 POINT_BUDGET = 10 ** 7  # points a listing returns
@@ -194,7 +195,7 @@ def _lattice_polytope(h: HRep, what: str):
         raise UnsupportedUnbounded(f"{what} needs a polytope")
     if v.rows[0][0] != 1:
         p = next(p for p in v.vertices if any(x.denominator != 1 for x in p))
-        raise NonLatticeVertices(f"non-integral vertex {p}")
+        raise NonLatticeVertices(f"non-integral vertex ({', '.join(map(rat_str, p))})")
     return v.rows
 
 

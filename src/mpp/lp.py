@@ -174,8 +174,3 @@ def lp_solve(n, objective, equations, inequalities, maximize=False):
         elif b < 2 * n:
             x[b - n] -= Fraction(row[-1], row[b])
     return LPStatus.OPTIMAL, value, tuple(x)
-
-
-def feasible_point(n, equations, inequalities):
-    status, _, x = lp_solve(n, [0] * n, equations, inequalities)
-    return x if status is LPStatus.OPTIMAL else None

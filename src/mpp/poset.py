@@ -282,78 +282,41 @@ def chain_counts(poset: MarkedPoset, C, O) -> tuple[dict[str, int], dict[str, in
 def constant_intervals(poset: MarkedPoset) -> list[tuple[str, ...]]:
     """Maximal unions of non-trivial constant intervals, as sorted blocks."""
     require_valid(poset)
-    parent = {e: e for e in poset.elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for a in poset.marking:
-        for b in poset.marking:
-            if a != b and poset.lt(a, b) and poset.marking[a] == poset.marking[b]:
-                for p in poset.elements:
-                    if poset.leq(a, p) and poset.leq(p, b):
-                        union(a, p)
-    blocks: dict[str, set[str]] = {}
-    for e in poset.elements:
-        blocks.setdefault(find(e), set()).add(e)
-    out = [tuple(sorted(b)) for b in blocks.values() if len(b) >= 2]
-    out.sort()
-    return out
+    below, marking = poset._below, poset.marking
+    block: dict[str, set[str]] = {}  # element -> the block it lies in so far
+    for b in marking:
+        for a in below[b]:
+            if a in marking and marking[a] == marking[b]:
+                interval = {a, b}.union(p for p in below[b] if a in below[p])
+                merged = interval.union(*(block.get(p, ()) for p in interval))
+                for p in merged:
+                    block[p] = merged
+    return sorted({tuple(sorted(m)) for m in block.values()})
 
 
 def contract_constant_intervals(poset: MarkedPoset) -> tuple[MarkedPoset, dict[str, str]]:
     """Quotient by constant intervals; returns the strictly marked quotient and
     the element map.  Block names are the lexicographically smallest member."""
-    blocks = constant_intervals(poset)
     elem_map = {e: e for e in poset.elements}
-    block_value: dict[str, Fraction] = {}
-    for b in blocks:
-        name = b[0]
-        marked_members = [e for e in b if e in poset.marking]
-        block_value[name] = poset.marking[marked_members[0]]
+    for b in constant_intervals(poset):
         for e in b:
-            elem_map[e] = name
+            elem_map[e] = b[0]
+    new_elements = tuple(dict.fromkeys(elem_map.values()))
+    # the marked members of a block share one value (lambda is order-preserving)
+    value = {elem_map[a]: v for a, v in poset.marking.items()}
 
-    new_elements = []
-    for e in poset.elements:
-        img = elem_map[e]
-        if img not in new_elements:
-            new_elements.append(img)
-
-    # quotient order: B <= B' iff some p in B, q in B' with p <= q
-    members: dict[str, list[str]] = {}
-    for e in poset.elements:
-        members.setdefault(elem_map[e], []).append(e)
+    # quotient order: B < B' iff some p in B, q in B' with p < q
     lt: dict[str, set[str]] = {n: set() for n in new_elements}
-    for x in new_elements:
-        for y in new_elements:
-            if x != y and any(poset.lt(p, q)
-                              for p in members[x] for q in members[y]):
-                lt[x].add(y)
-    for x in new_elements:
-        for y in lt[x]:
-            if x in lt[y]:
-                raise PosetError("contraction produced a non-antisymmetric quotient")
-    new_covers = set()
-    for x in new_elements:
-        for y in lt[x]:
-            if not any(y in lt[w] for w in lt[x] if w != y):
-                new_covers.add((x, y))
-
-    new_marking: dict[str, Fraction] = {}
-    for n in new_elements:
-        if n in block_value:
-            new_marking[n] = block_value[n]
-        elif n in poset.marking:
-            new_marking[n] = poset.marking[n]
-    result = MarkedPoset(tuple(new_elements), frozenset(new_covers), new_marking)
-    return result, elem_map
+    for q, below in poset._below.items():
+        for p in below:
+            if elem_map[p] != elem_map[q]:
+                lt[elem_map[p]].add(elem_map[q])
+    if any(x in lt[y] for x in new_elements for y in lt[x]):
+        raise PosetError("contraction produced a non-antisymmetric quotient")
+    new_covers = {(x, y) for x in new_elements for y in lt[x]
+                  if not any(y in lt[w] for w in lt[x] if w != y)}
+    return (MarkedPoset(new_elements, new_covers,
+                        {n: value[n] for n in new_elements if n in value}), elem_map)
 
 
 # -- redundant covering relations ------------------------------------------
@@ -429,35 +392,22 @@ def rank_function(poset: MarkedPoset) -> dict[str, int] | None:
     """
     require_valid(poset)
     rk: dict[str, int] = {}
-    comp: dict[str, int] = {}
-    neighbors: dict[str, list[tuple[str, int]]] = {e: [] for e in poset.elements}
-    for p, q in poset.covers:
-        neighbors[p].append((q, +1))
-        neighbors[q].append((p, -1))
-    cid = 0
     for start in poset.elements:
         if start in rk:
             continue
-        rk[start] = 0
-        comp[start] = cid
-        stack = [start]
+        comp, stack = {start: 0}, [start]
         while stack:
             e = stack.pop()
-            for other, step in neighbors[e]:
-                want = rk[e] + step
-                if other in rk:
-                    if rk[other] != want:
+            for others, want in ((poset.upper_covers(e), comp[e] + 1),
+                                 (poset.lower_covers(e), comp[e] - 1)):
+                for other in others:
+                    if other not in comp:
+                        comp[other] = want
+                        stack.append(other)
+                    elif comp[other] != want:
                         return None
-                else:
-                    rk[other] = want
-                    comp[other] = cid
-                    stack.append(other)
-        cid += 1
-    mins: dict[int, int] = {}
-    for e, r in rk.items():
-        c = comp[e]
-        mins[c] = min(mins.get(c, r), r)
-    rk = {e: r - mins[comp[e]] for e, r in rk.items()}
+        low = min(comp.values())
+        rk.update((e, r - low) for e, r in comp.items())
     for a in poset.marking:
         for b in poset.marking:
             if rk[a] < rk[b] and not poset.marking[a] < poset.marking[b]:

@@ -327,8 +327,7 @@ def order_ideals(poset: MarkedPoset) -> list[frozenset[str]]:
     """All order ideals (downward-closed subsets), smallest first."""
     ideals = {frozenset()}
     for e in poset.linear_extension():
-        below = frozenset(q for q in poset.elements if poset.lt(q, e))
-        ideals |= {i | {e} for i in ideals if below <= i}
+        ideals |= {i | {e} for i in ideals if poset._below[e] <= i}
     return sorted(ideals, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -339,45 +338,40 @@ def compatible_ideal_chains(poset: MarkedPoset):
     """Chains of order ideals empty = I_0 < ... < I_r = P compatible with the
     marking: i(I,a) < i(I,b) iff lambda(a) < lambda(b) for marked a, b.
 
-    The number of chains grows super-exponentially on antichain-rich posets;
-    enumeration aborts beyond CHAIN_GATE candidates.
+    A chain grows depth-first, each next ideal taken in the order of
+    order_ideals, and a prefix is extended only while its blocks fit: the
+    marked elements of the new block I_k - I_{k-1} share one value v, and
+    every marked element of value <= v lies in I_k.  The number of
+    compatible prefixes grows super-exponentially on antichain-rich posets;
+    enumeration aborts beyond CHAIN_GATE of them.
     """
     require_valid(poset)
     ideals = order_ideals(poset)
     full = frozenset(poset.elements)
-    bigger: dict[frozenset, list[frozenset]] = {
-        i: [j for j in ideals if i < j] for i in ideals}
+    marking = poset.marking
+    upto = {v: frozenset(a for a, w in marking.items() if w <= v) for v in marking.values()}
     chains = []
-    visited = [0]
+    prefixes = 0
 
     def rec(chain):
-        visited[0] += 1
-        if visited[0] > CHAIN_GATE:
-            raise TooLarge(f"more than {CHAIN_GATE} ideal chains")
+        nonlocal prefixes
+        prefixes += 1
+        if prefixes > CHAIN_GATE:
+            raise TooLarge(f"more than {CHAIN_GATE} compatible ideal-chain prefixes")
         cur = chain[-1]
         if cur == full:
-            if _chain_compatible(poset, chain):
-                chains.append(tuple(chain))
+            chains.append(tuple(chain))
             return
-        for nxt in bigger[cur]:
-            chain.append(nxt)
-            rec(chain)
-            chain.pop()
+        for nxt in ideals:
+            if cur < nxt:
+                values = {marking[e] for e in nxt - cur if e in marking}
+                if len(values) < 2 and all(upto[v] <= nxt for v in values):
+                    chain.append(nxt)
+                    rec(chain)
+                    chain.pop()
 
     rec([frozenset()])
     return chains
-
-
-def _chain_compatible(poset, chain) -> bool:
-    first_index: dict[str, int] = {}
-    for k in range(1, len(chain)):
-        for e in chain[k] - chain[k - 1]:
-            first_index[e] = k
-    for a in poset.marking:
-        for b in poset.marking:
-            if (first_index[a] < first_index[b]) != (poset.marking[a] < poset.marking[b]):
-                return False
-    return True
 
 
 def ideal_chain_cells(poset: MarkedPoset) -> list[SubdivisionCell]:

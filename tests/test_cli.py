@@ -119,6 +119,18 @@ def test_ehrhart_dilations_below_the_dimension(ex52_file, capsys, dilations):
     assert f"up to {dilations} " in out["error"]
 
 
+def test_ehrhart_names_a_non_integral_vertex_in_rationals(tmp_path, capsys):
+    # a < p < b marked 0 and 1/2: O_0 is the segment from (0, 0, 0) to (0, 0, 1/2)
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"elements": ["a", "p", "b"], "covers": [["a", "p"], ["p", "b"]],
+                                "marking": {"a": "0", "b": "1/2"}}))
+    assert main(["ehrhart", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": "non-integral vertex (0, 0, 1/2)",
+                                        "kind": "computation"}
+    assert "non-integral vertex (0, 0, 1/2)" in captured.err
+
+
 def test_lattice_points(chain_file):
     proc = run_cli("lattice-points", chain_file)
     data = json.loads(proc.stdout)

@@ -178,7 +178,7 @@ def test_cut_continues_dd_to_the_vertices_of_the_whole_hrep():
 
 
 def all_fractions(v):
-    return all(type(x) is Fraction for p in v.vertices + v.rays for x in p)
+    return all(type(x) is Fraction for p in v.vertices for x in p)
 
 
 def test_dd_rational_rows_match_bruteforce():
@@ -250,8 +250,29 @@ def test_unbounded_rays_are_primitive_fractions():
     assert v.vertices == ((F(0), F(0)), (F(3, 4), F(0)))
     assert v.rays == ((F(0), F(1)), (F(3), F(2)))
     assert all_fractions(v)
+    assert all(type(x) is int for r in v.rays for x in r)
     for r in v.rays:
-        assert math.gcd(*(int(x) for x in r)) == 1
+        assert math.gcd(*r) == 1
+
+
+def test_unbounded_vertices_build_no_fraction(monkeypatch):
+    # the quadrant x, y >= 0 cut by x - y <= 1: vertices (0,0), (1,0), rays
+    # (0,1) and (1,1); DD and its V-rep stay in integers
+    h = make_hrep(("x", "y"), [],
+                  [((F(-1), F(0)), F(0), ()), ((F(0), F(-1)), F(0), ()),
+                   ((F(1), F(-1)), F(1), ())])
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    v = vertices(h)
+    monkeypatch.undo()
+    assert v.rows == ((1, 0, 0), (1, 1, 0)) and v.rays == ((0, 1), (1, 1))
+    assert made == []
 
 
 def test_lineality_and_empty_paths():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpp.lp import LPStatus, feasible_point, lp_solve
+from mpp.lp import LPStatus, lp_solve
 
 
 def F(n, d=1):
@@ -74,14 +74,6 @@ def test_degenerate_cycling_guard():
     status, value, _ = lp_solve(4, obj, [], ineqs, maximize=True)
     assert status is LPStatus.OPTIMAL
     assert value == F(5, 4)
-
-
-def test_feasible_point():
-    eqs, ineqs = square_rows()
-    x = feasible_point(2, eqs, ineqs)
-    assert x is not None
-    assert all(0 <= c <= 1 for c in x)
-    assert feasible_point(1, [], [((F(1),), F(-1)), ((F(-1),), F(0))]) is None
 
 
 def test_zero_dimensional():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_marked_poset
+from mpp.family import hrep_general, zero_parameter
+from mpp.geometry import vertices
 from mpp.poset import (MarkedPoset, PosetError, constant_intervals,
                        contract_constant_intervals, is_regular,
                        non_redundant_covers, rank_function,
@@ -120,6 +122,27 @@ def test_contract_idempotent():
     assert constant_intervals(once) == []
     twice, emap = contract_constant_intervals(once)
     assert twice.covers == once.covers and twice.marking == once.marking
+
+
+def test_contraction_keeps_the_marked_order_polyhedron():
+    # O_0(P) and O_0(P/~) have the same vertices and rays, the quotient's
+    # read back through the element map: each block's coordinates are equal
+    rnd = random.Random(22)
+    checked = 0
+    while checked < 40:
+        p = random_marked_poset(rnd, rnd.randint(3, 8), bounded=rnd.random() < 0.7)
+        # halved heights: comparable marked elements may share a value
+        p = mp(p.elements, p.covers, {a: v // 2 for a, v in p.marking.items()})
+        if not constant_intervals(p):
+            continue
+        checked += 1
+        q, elem_map = contract_constant_intervals(p)
+        assert constant_intervals(q) == [] and validate(q) == []
+        at = [q.elements.index(elem_map[e]) for e in p.elements]
+        v = vertices(hrep_general(p, zero_parameter(p), projected=False))
+        w = vertices(hrep_general(q, zero_parameter(q), projected=False))
+        assert v.vertices == tuple(sorted(tuple(x[i] for i in at) for x in w.vertices))
+        assert v.rays == tuple(sorted(tuple(r[i] for i in at) for r in w.rays))
 
 
 # -- redundant covers -------------------------------------------------------------

@@ -497,6 +497,58 @@ def test_compatibility_filters_marking_order():
         assert fa < fb
 
 
+def all_compatible_ideal_chains(poset):
+    """Oracle: every chain of order ideals from the empty one to P, taken
+    depth-first with each next ideal in the order of order_ideals, and kept
+    when the whole chain is compatible with the marking; no budget."""
+    ideals = order_ideals(poset)
+    full = frozenset(poset.elements)
+    out = []
+
+    def rec(chain):
+        if chain[-1] == full:
+            block = {e: k for k in range(1, len(chain)) for e in chain[k] - chain[k - 1]}
+            if all((block[a] < block[b]) == (poset.marking[a] < poset.marking[b])
+                   for a in poset.marking for b in poset.marking):
+                out.append(tuple(chain))
+            return
+        for nxt in ideals:
+            if chain[-1] < nxt:
+                rec(chain + [nxt])
+
+    rec([frozenset()])
+    return out
+
+
+def test_compatible_ideal_chains_equal_the_filtered_enumeration():
+    rnd = random.Random(2201)
+    chains = 0
+    for _ in range(80):
+        poset = random_marked_poset(rnd, rnd.randint(2, 7), p_edge=0.3, mark_extra=0.1)
+        if rnd.random() < 0.5:  # comparable marked elements may share a value
+            poset = MarkedPoset(poset.elements, poset.covers,
+                                {a: v // 2 for a, v in poset.marking.items()})
+        expected = all_compatible_ideal_chains(poset)
+        assert compatible_ideal_chains(poset) == expected
+        chains += len(expected)
+    assert chains > 200  # not vacuous
+
+
+def make_fan() -> MarkedPoset:
+    """a < m1, ..., m4, u1, u2, u3 < z with a = 0, m_i = i and z = 5: an
+    antichain of seven, four of them marked apart."""
+    middle = ("m1", "m2", "m3", "m4", "u1", "u2", "u3")
+    return MarkedPoset(("a",) + middle + ("z",),
+                       frozenset([("a", m) for m in middle] + [(m, "z") for m in middle]),
+                       {"a": 0, "m1": 1, "m2": 2, "m3": 3, "m4": 4, "z": 5})
+
+
+def test_fan_ideal_chains_stay_within_the_budget():
+    # 1,691 compatible chains among more than 20,000 chains of ideals: the
+    # budget counts compatible prefixes only
+    assert len(compatible_ideal_chains(make_fan())) == 1691
+
+
 def test_ideal_chain_cells_chain_poset(chain_poset):
     cells = ideal_chain_cells(chain_poset)
     maximal = [c for c in cells if c.dim == 2]
