@@ -150,6 +150,8 @@ def cmd_lattice_points(args) -> int:
 def cmd_subdivision(args) -> int:
     from . import tropical
     poset = _load_poset(args.poset)
+    if args.off:
+        tropical.off_dimension(poset)  # refuses before any cell is computed
     if args.ideal_chains:
         cells = tropical.ideal_chain_cells(poset)
         kind = "ideal-chain"
@@ -311,8 +313,8 @@ SWEEPS = {"ehrhart": _sweep_ehrhart, "types": _sweep_types,
 
 def cmd_sweep(args) -> int:
     poset = _load_poset(args.poset)
-    if len(poset.unmarked) > 12:
-        raise TooLarge(f"sweeps are capped at 12 unmarked elements, "
+    if len(poset.unmarked) > family.SWEEP_CAP:
+        raise TooLarge(f"sweeps are capped at {family.SWEEP_CAP} unmarked elements, "
                        f"got {len(poset.unmarked)}")
     report, errors = SWEEPS[args.check](poset)
     if errors:

@@ -246,12 +246,14 @@ def lattices_isomorphic(a: FaceLattice, b: FaceLattice) -> bool:
     return canonical_incidence(incidence_matrix(a)) == canonical_incidence(incidence_matrix(b))
 
 
-def sample_face_parameters(poset: MarkedPoset, fixed: dict[str, Fraction],
-                           samples: int = 3) -> list[Parameter]:
-    """Deterministic interior samples of a hypercube face (fixed coords 0/1)."""
+SAMPLES = 3  # interior parameters per hypercube face in a type sweep
+
+
+def sample_face_parameters(poset: MarkedPoset, fixed: dict[str, Fraction]) -> list[Parameter]:
+    """SAMPLES deterministic interior samples of a hypercube face (fixed 0/1)."""
     free = sorted(p for p in poset.unmarked if p not in fixed)
     out = []
-    for j in range(1, samples + 1):
+    for j in range(1, SAMPLES + 1):
         values = dict(fixed)
         n = len(free)
         for i, p in enumerate(free):
@@ -260,16 +262,14 @@ def sample_face_parameters(poset: MarkedPoset, fixed: dict[str, Fraction],
     return out
 
 
-def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction],
-                             samples: int = 3) -> dict:
+def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction]) -> dict:
     """Sample interior parameters of a hypercube face and assert the polytopes
     are pairwise combinatorially isomorphic."""
     for p, v in fixed.items():
         if Fraction(v) not in (0, 1):
             raise ValueError("hypercube faces are described by fixing coordinates to 0/1")
-    params = sample_face_parameters(poset, {p: Fraction(v) for p, v in fixed.items()},
-                                    samples)
-    if not params or not params[0].values:
+    params = sample_face_parameters(poset, {p: Fraction(v) for p, v in fixed.items()})
+    if not params[0].values:
         params = [Parameter({})]
     walked = {}  # one face walk per distinct vertex tight sets
     samples = [_type_sample(*_bounded_polytope(poset, t), walked) for t in params]

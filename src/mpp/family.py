@@ -37,6 +37,7 @@ from .records import Frozen
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+SWEEP_CAP = 12  # the most unmarked elements that a tameness or CLI sweep accepts
 
 
 class Parameter(Frozen, namedtuple("Parameter", "values")):
@@ -476,8 +477,8 @@ def is_tame(poset: MarkedPoset, polytope_of=None) -> bool:
     if given, returns chain_order_polytope(poset, part), shared with the caller."""
     require_valid(poset)
     unmarked = sorted(poset.unmarked)
-    if len(unmarked) > 12:
-        raise TooLarge("tameness sweep capped at 12 unmarked elements")
+    if len(unmarked) > SWEEP_CAP:
+        raise TooLarge(f"tameness sweep capped at {SWEEP_CAP} unmarked elements")
     polytope_of = polytope_of or (lambda part: chain_order_polytope(poset, part))
     for bits in itertools.product((False, True), repeat=len(unmarked)):
         C = frozenset(p for p, b in zip(unmarked, bits) if b)

@@ -1,8 +1,9 @@
 """Exact rational polyhedron kernel.
 
 H-representations hold each constraint as an integer row with a positive
-scale, an origin tag and its primitive form; Fraction constraints are built
-only when a caller reads HRep.equations or HRep.inequalities.  Vertex
+scale that shares no factor with it, an origin tag and its primitive form;
+Fraction constraints are built only when a caller reads HRep.equations or
+HRep.inequalities, and neither equality nor hashing reads them.  Vertex
 enumeration is the classical double description method on the
 homogenization cone, in integers throughout: it reads the primitive rows,
 rays stay primitive int tuples with bitmask zero sets, and the returned VRep
@@ -17,7 +18,7 @@ the face holding a point in its relative interior is looked up by the
 point's set of tight inequalities.  f-vectors come from the same walk,
 counted, with one level held at a time.
 
-Constraint, VRep, Cone, Face, FaceLattice and AffineMap are immutable
+Constraint, HRep, VRep, Cone, Face, FaceLattice and AffineMap are immutable
 records (see mpp.records): named tuples, so each also iterates, sorts and
 equals the plain tuple of its fields.
 """
@@ -84,23 +85,27 @@ class Constraint(namedtuple("Constraint", "coeffs rhs origin", defaults=(PLUMBIN
         return dot(self.coeffs, point)
 
 
-class HRep:
+class HRep(Frozen, namedtuple("HRep", "coords scaled_equations scaled_inequalities "
+                                       "int_equations int_inequalities",
+                                defaults=((), (), (), ()))):
     """Equations a . x = rhs and inequalities a . x <= rhs over coords.
 
     Each constraint is held as (row, S, origin) in scaled_equations and
     scaled_inequalities: an integer row = S * (-rhs, a) with a positive
-    integer scale S, so each value is an entry of row over S.  Their
-    primitive forms, which DD, incidences and lattice counting read, are
-    int_equations and int_inequalities: x satisfies an inequality iff
-    row . (1, x) <= 0.  The Constraint tuples equations and inequalities
-    are built on first read.  HRep(coords) is the whole space; with_rows
-    appends integer rows, and make_hrep builds an HRep from rational triples.
+    integer scale S that shares no factor with row, so the record's equality
+    and hash compare exactly the rational constraints and their origins.
+    Their primitive forms, which DD, incidences and lattice counting read,
+    are int_equations and int_inequalities: x satisfies an inequality iff
+    row . (1, x) <= 0.  The Constraint tuples equations and inequalities are
+    built on first read.  HRep(coords) is the whole space; with_rows appends
+    integer rows, and make_hrep builds an HRep from rational triples.
     """
 
-    def __init__(self, coords):
-        self.coords = tuple(coords)
-        self.scaled_equations = self.scaled_inequalities = ()
-        self.int_equations = self.int_inequalities = ()
+    coords: tuple[str, ...]
+    scaled_equations: tuple[tuple[tuple[int, ...], int, tuple[str, ...]], ...]
+    scaled_inequalities: tuple[tuple[tuple[int, ...], int, tuple[str, ...]], ...]
+    int_equations: tuple[tuple[int, ...], ...]
+    int_inequalities: tuple[tuple[int, ...], ...]
 
     def with_rows(self, equations=(), inequalities=()) -> HRep:
         """This H-rep with constraints (row, S, origin) appended.  A constant
@@ -109,12 +114,8 @@ class HRep:
         n = len(self.coords) + 1
         eqs, int_eqs = _nonconstant(equations, n, "equation", (0).__ne__)
         ineqs, int_ineqs = _nonconstant(inequalities, n, "inequality", (0).__lt__)
-        out = HRep(self.coords)
-        out.scaled_equations = self.scaled_equations + eqs
-        out.int_equations = self.int_equations + int_eqs
-        out.scaled_inequalities = self.scaled_inequalities + ineqs
-        out.int_inequalities = self.int_inequalities + int_ineqs
-        return out
+        return HRep(self.coords, self.scaled_equations + eqs, self.scaled_inequalities + ineqs,
+                    self.int_equations + int_eqs, self.int_inequalities + int_ineqs)
 
     @cached_property
     def equations(self) -> tuple[Constraint, ...]:
@@ -132,19 +133,6 @@ class HRep:
         return (all(c.evaluate(point) == c.rhs for c in self.equations)
                 and all(c.evaluate(point) <= c.rhs for c in self.inequalities))
 
-    def _key(self):
-        return self.coords, self.equations, self.inequalities
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, HRep) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"HRep(coords={self.coords!r}, equations={self.equations!r}, "
-                f"inequalities={self.inequalities!r})")
-
 
 def _scaled(coeffs, rhs, origin):
     """(row, S, origin) of a . x (= or <=) rhs, the values rationals or
@@ -161,24 +149,32 @@ def _constraints(rows) -> tuple[Constraint, ...]:
 
 
 def _nonconstant(rows, n, kind, violated):
-    """(the rows (row, S, origin) of width n whose a is not zero, their
-    primitive forms); a constant row with violated(row[0]) raises."""
+    """(the rows (row, S, origin) of width n whose a is not zero, each
+    reduced by the common factor of row and S, their primitive forms); a
+    constant row with violated(row[0]) raises."""
     kept, prims = [], []
-    for r in rows:
-        if len(r[0]) != n:
+    for row, scale, origin in rows:
+        if len(row) != n:
             raise GeometryError("constraint arity does not match ambient coordinates")
-        if any(r[0][1:]):
-            kept.append(r)
-            prims.append(_primitive(r[0]))
-        elif violated(r[0][0]):
-            raise EmptyPolyhedron(f"constant {kind} violated (origin {r[2]})")
+        if any(row[1:]):
+            g = math.gcd(*row)
+            prim = row if g == 1 else tuple(x // g for x in row)
+            s = math.gcd(g, scale)  # the factor that row and scale share
+            if s == g:
+                row = prim
+            elif s > 1:
+                row = tuple(x // s for x in row)
+            kept.append((row, scale // s, origin))
+            prims.append(prim)
+        elif violated(row[0]):
+            raise EmptyPolyhedron(f"constant {kind} violated (origin {origin})")
     return tuple(kept), tuple(prims)
 
 
 def make_hrep(coords, equations, inequalities) -> HRep:
     """An HRep from (coeffs, rhs, origin) triples, constant rows as in with_rows."""
-    return HRep(coords).with_rows([_scaled(*c) for c in equations],
-                                  [_scaled(*c) for c in inequalities])
+    return HRep(tuple(coords)).with_rows([_scaled(*c) for c in equations],
+                                         [_scaled(*c) for c in inequalities])
 
 
 class VRep(Frozen, namedtuple("VRep", "coords rows rays")):

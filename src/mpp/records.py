@@ -1,11 +1,12 @@
 """Immutable records.
 
-Every record type of the package (MarkedPoset, Face, Parameter, ...) is a
-subclass of a `collections.namedtuple` of its fields, which needs no module
-beyond what every interpreter loads.  A record is built by position or by
-keyword, compares and hashes over its fields, prints as
+Every record type of the package (MarkedPoset, HRep, Face, Parameter and 13
+more) is a subclass of a `collections.namedtuple` of its fields, which needs
+no module beyond what every interpreter loads.  A record is built by
+position or by keyword, compares and hashes over its fields, prints as
 ``Name(field=value, ...)`` and refuses every assignment with AttributeError.
-A record that normalises or checks its fields does so in ``__new__``.
+A record that normalises or checks its fields does so in ``__new__``; an
+HRep gets its rows, normalised, only through HRep(coords).with_rows.
 
 A record is also a tuple: it iterates over its fields, has a length, sorts,
 and equals the plain tuple of its fields (so two record types with equal

@@ -12,7 +12,10 @@ its parent's DD with its own sector rows, and an empty partial cell is
 dropped at once; no linear program is solved.  Vertices stay integer rows
 (VRep.rows) throughout: subdivision cells are keyed by vertex bitmasks,
 covectors are read off integer witnesses, and Fractions are built once per
-subdivision vertex, for the returned cells.
+subdivision vertex, for the returned cells.  The ideal-chain cells, the
+marked analogue of Stanley's subdivision of the order polytope by chains of
+order ideals (1986), refine these; each is the same base cone cut by its
+chain's block rows, and each chain grows from the ideals above its last one.
 
 TropicalForm, TropicalArrangement and SubdivisionCell are immutable records
 (see mpp.records): named tuples, so each also iterates, sorts and equals
@@ -323,14 +326,6 @@ def transferred_subdivision_vertices(poset: MarkedPoset, t: Parameter):
 
 # -- ideal-chain subdivision ----------------------------------------------------
 
-def order_ideals(poset: MarkedPoset) -> list[frozenset[str]]:
-    """All order ideals (downward-closed subsets), smallest first."""
-    ideals = {frozenset()}
-    for e in poset.linear_extension():
-        ideals |= {i | {e} for i in ideals if poset._below[e] <= i}
-    return sorted(ideals, key=lambda s: (len(s), tuple(sorted(s))))
-
-
 CHAIN_GATE = 20_000
 
 
@@ -338,17 +333,16 @@ def compatible_ideal_chains(poset: MarkedPoset):
     """Chains of order ideals empty = I_0 < ... < I_r = P compatible with the
     marking: i(I,a) < i(I,b) iff lambda(a) < lambda(b) for marked a, b.
 
-    A chain grows depth-first, each next ideal taken in the order of
-    order_ideals, and a prefix is extended only while its blocks fit: the
-    marked elements of the new block I_k - I_{k-1} share one value v, and
-    every marked element of value <= v lies in I_k.  The number of
-    compatible prefixes grows super-exponentially on antichain-rich posets;
-    enumeration aborts beyond CHAIN_GATE of them.
+    A chain grows depth-first to the ideals above its last one I, swept
+    along a linear extension from I and taken smallest first (ties by their
+    sorted elements), while its blocks fit: the marked elements of the new
+    block I_k - I_{k-1} share one value v, and every marked element of value
+    <= v lies in I_k.  The compatible prefixes grow super-exponentially on
+    antichain-rich posets; enumeration aborts beyond CHAIN_GATE of them.
     """
     require_valid(poset)
-    ideals = order_ideals(poset)
     full = frozenset(poset.elements)
-    marking = poset.marking
+    marking, below, order = poset.marking, poset._below, poset.linear_extension()
     upto = {v: frozenset(a for a, w in marking.items() if w <= v) for v in marking.values()}
     chains = []
     prefixes = 0
@@ -362,13 +356,16 @@ def compatible_ideal_chains(poset: MarkedPoset):
         if cur == full:
             chains.append(tuple(chain))
             return
-        for nxt in ideals:
-            if cur < nxt:
-                values = {marking[e] for e in nxt - cur if e in marking}
-                if len(values) < 2 and all(upto[v] <= nxt for v in values):
-                    chain.append(nxt)
-                    rec(chain)
-                    chain.pop()
+        above = {cur}
+        for e in order:
+            if e not in cur:
+                above |= {i | {e} for i in above if below[e] <= i}
+        for nxt in sorted(above, key=lambda s: (len(s), sorted(s)))[1:]:  # cur first
+            values = {marking[e] for e in nxt - cur if e in marking}
+            if len(values) < 2 and all(upto[v] <= nxt for v in values):
+                chain.append(nxt)
+                rec(chain)
+                chain.pop()
 
     rec([frozenset()])
     return chains
@@ -376,25 +373,21 @@ def compatible_ideal_chains(poset: MarkedPoset):
 
 def ideal_chain_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     """One cell per compatible chain of order ideals: points constant on each
-    block and weakly increasing along the block order."""
-    base, _ = _base_data(poset)
+    block and weakly increasing along the block order: the base cone (the one
+    DD run) cut by the block rows, an equation as two opposite rows."""
+    base, root = _base_data(poset)
     arr = arrangement(poset)
     forms = _covector_forms(poset, arr, base.coords)
     write = _row_writer(poset, base.coords)
     cells = []
     for chain in compatible_ideal_chains(poset):
         blocks = [sorted(chain[k] - chain[k - 1]) for k in range(1, len(chain))]
-        eqs = [_difference(write, e, blk[0], ("block-eq", blk[0], e))
-               for blk in blocks for e in blk[1:]]
-        ineqs = [_difference(write, lo[0], hi[0], ("block-le", lo[0], hi[0]))
-                 for lo, hi in zip(blocks, blocks[1:])]
-        try:
-            h = base.with_rows(eqs, ineqs)
-            v = vertices(h)
-        except EmptyPolyhedron:
-            continue
-        label = ("ideal-chain",) + tuple("|".join(b) for b in blocks)
-        cells.append(_polytope_cell(base, forms, v, label))
+        le = [(e, blk[0]) for blk in blocks for e in blk[1:]]  # (a, b): x_a <= x_b
+        le += [(b, a) for a, b in le] + [(lo[0], hi[0]) for lo, hi in zip(blocks, blocks[1:])]
+        cone = root.cut([_primitive(_difference(write, a, b, ())[0]) for a, b in le])
+        if not cone.empty:
+            label = ("ideal-chain",) + tuple("|".join(b) for b in blocks)
+            cells.append(_polytope_cell(base, forms, cone.vrep(), label))
     return cells
 
 
@@ -436,15 +429,21 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
 
 # -- OFF export -------------------------------------------------------------------
 
+def off_dimension(poset: MarkedPoset) -> int:
+    """The OFF export's ambient dimension; raises ValueError above 3."""
+    d = len(poset.unmarked)
+    if d > 3:
+        raise ValueError("OFF export supports ambient dimension <= 3")
+    return d
+
+
 def export_off(poset: MarkedPoset, cells: list[SubdivisionCell] | None = None) -> str:
     """OFF-format 2-skeleton of the tropical subdivision (ambient dim <= 3).
 
     Viewer export only: coordinates are rendered as floats.  cells, if
     given, is tropical_subdivision(poset), already built.
     """
-    d = len(poset.unmarked)  # the projected coordinates
-    if d > 3:
-        raise ValueError("OFF export supports ambient dimension <= 3")
+    d = off_dimension(poset)
     if cells is None:
         cells = tropical_subdivision(poset)
     verts = sorted({p for c in cells for p in c.vertices})

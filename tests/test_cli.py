@@ -1,5 +1,6 @@
 import importlib
 import io
+import itertools
 import json
 import os
 import random
@@ -10,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_double_star, make_grid, random_hrep
-from mpp import family, lattice
+from conftest import make_double_star, make_ex52_rational, make_grid, random_hrep
+from mpp import family, lattice, tropical
 from mpp.cli import _emit, main
 from mpp.family import hrep_general, zero_parameter
-from mpp.jsonio import encode, jsonable, poset_to_json
+from mpp.jsonio import encode, jsonable, poset_from_json, poset_to_json
 from mpp.lattice import lattice_points
+from mpp.poset import is_regular
 
 EX52 = {"elements": ["0", "2", "3", "4", "p", "q", "r"],
         "covers": [["0", "p"], ["0", "q"], ["p", "r"], ["q", "r"],
@@ -175,8 +177,13 @@ def test_subdivision_with_off(ex52_file, tmp_path):
 
 
 @pytest.mark.parametrize("ideal", [False, True])
-def test_refused_off_export_keeps_the_existing_file(tmp_path, capsys, ideal):
-    # the double star has 5 unmarked elements, beyond what OFF can draw
+def test_refused_off_export_keeps_the_existing_file(tmp_path, monkeypatch, capsys, ideal):
+    # the double star has 5 unmarked elements, beyond what OFF can draw: the
+    # refusal comes before the base polytope, or any cell, is computed
+    base_runs = []
+    base_data = tropical._base_data
+    monkeypatch.setattr(tropical, "_base_data",
+                        lambda poset: base_runs.append(1) or base_data(poset))
     poset = tmp_path / "dstar.json"
     poset.write_text(json.dumps(poset_to_json(make_double_star())))
     off = tmp_path / "old.off"
@@ -184,7 +191,9 @@ def test_refused_off_export_keeps_the_existing_file(tmp_path, capsys, ideal):
     argv = ["subdivision", str(poset), "--off", str(off)] + ["--ideal-chains"] * ideal
     assert main(argv) == 2
     assert off.read_text() == "OFF\n0 0 0\n"
-    assert json.loads(capsys.readouterr().out)["kind"] == "input"
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "OFF export supports ambient dimension <= 3", "kind": "input"}
+    assert base_runs == []
 
 
 def test_degenerate(ex52_file, tmp_path):
@@ -265,6 +274,44 @@ def test_regularize_idempotent_and_valid(tmp_path):
     # output must be consumable by other subcommands
     proc3 = run_cli("vertices", str(out_path))
     assert proc3.returncode == 0
+
+
+def test_regularize_contracts_and_drops_redundant_covers(tmp_path, capsys):
+    # the constant interval b < c (both marked 1) contracts to b; then p < q
+    # (witnessed by a <= q, p <= b, lambda(a) >= lambda(b)) and b < t are
+    # redundant and go
+    poset = {"elements": ["z", "p", "b", "c", "a", "q", "t"],
+             "covers": [["z", "p"], ["p", "b"], ["b", "c"], ["c", "t"], ["p", "q"],
+                        ["a", "q"], ["q", "t"]],
+             "marking": {"z": "0", "b": "1", "c": "1", "a": "1", "t": "2"}}
+    path = tmp_path / "redundant.json"
+    path.write_text(json.dumps(poset))
+    assert main(["regularize", str(path)]) == 0
+    out, err = capsys.readouterr()
+    data = json.loads(out)
+    assert data["element_map"] == {"a": "a", "b": "b", "c": "b", "p": "p", "q": "q",
+                                   "t": "t", "z": "z"}
+    assert data["poset"] == {"elements": ["z", "p", "b", "a", "q", "t"],
+                             "covers": [["a", "q"], ["p", "b"], ["q", "t"], ["z", "p"]],
+                             "marking": {"a": "1", "b": "1", "t": "2", "z": "0"}}
+    assert err == "regularized: 6 elements, 4 covers\n"
+    assert is_regular(poset_from_json(data["poset"]))
+
+
+def test_sweep_with_failed_items_reports_them_and_exits_3(tmp_path, capsys):
+    # ex52 with a rational marking: no corner polytope has lattice vertices,
+    # so each of the 8 Ehrhart items fails, and the partial report says so
+    path = tmp_path / "ex52q.json"
+    path.write_text(json.dumps(poset_to_json(make_ex52_rational())))
+    assert main(["sweep", str(path), "--check", "ehrhart"]) == 3
+    out, err = capsys.readouterr()
+    data = json.loads(out)
+    assert data["pass"] is False and data["polynomials"] == []
+    assert len(data["errors"]) == 8
+    assert all(e["error"].startswith("NonLatticeVertices: ") for e in data["errors"])
+    assert sorted(map(tuple, (e["C"] for e in data["errors"]))) == sorted(
+        tuple(sorted(c)) for k in range(4) for c in itertools.combinations("pqr", k))
+    assert err == "sweep ehrhart: FAIL (8 items failed to compute)\n"
 
 
 def test_tame_command(ex52_file):
@@ -688,4 +735,10 @@ def test_sweep_cap_is_a_budget(tmp_path, monkeypatch, capsys, check):
     assert main(["sweep", str(path), "--check", check]) == 3
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "computation" and "got 13" in out["error"]
+    assert runs == []
+    # the tame command reads the same cap, from the tameness sweep itself
+    assert family.SWEEP_CAP == 12
+    assert main(["tame", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "tameness sweep capped at 12 unmarked elements", "kind": "computation"}
     assert runs == []

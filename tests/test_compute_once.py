@@ -133,7 +133,7 @@ def test_types_sweep_walks_once_per_tight_set_family(tmp_path, monkeypatch, caps
     assert len(walks) == faces
     for report in data["faces"]:
         fixed = {k: Fraction(v) for k, v in report["face"].items()}
-        params = degeneration.sample_face_parameters(poset, fixed, 3)
+        params = degeneration.sample_face_parameters(poset, fixed)
         assert report["f_vectors"] == [
             list(geometry.face_counts(*degeneration._bounded_polytope(poset, t)))
             for t in params]
@@ -225,6 +225,18 @@ def test_subdivision_runs_no_dd_on_the_base_polytope_twice(ex52_file, monkeypatc
     assert (len(runs), len(kernel), len(cuts)) == (1, 0, 1 + 3)
 
 
+def test_ideal_chain_subdivision_cuts_the_one_base_cone(ex52_file, monkeypatch, capsys):
+    # DD runs once, on the base polytope in _base_data; each compatible chain
+    # cuts that cone with its block rows, and no cell runs DD of its own
+    runs = _count(monkeypatch, tropical, "homogenization_cone")
+    kernel = _count(monkeypatch, tropical, "vertices")
+    cuts = _count(monkeypatch, geometry.Cone, "cut")
+    chains = len(tropical.compatible_ideal_chains(make_ex52()))
+    assert cli.main(["subdivision", ex52_file, "--ideal-chains"]) == 0
+    assert json.loads(capsys.readouterr().out)["cells"]
+    assert (len(runs), len(kernel), len(cuts)) == (1, 0, 1 + chains)
+
+
 def _count_fractions(monkeypatch) -> list:
     """Count every Fraction built from here on: by the constructor, and by
     the arithmetic shortcut that newer Pythons take around it."""
@@ -310,8 +322,9 @@ def test_vertices_builds_no_fraction(monkeypatch):
 
 
 def test_hrep_builds_no_fraction(monkeypatch):
-    # H-rep rows are integer rows from the start: building them, enumerating
-    # their vertices and running the covector search build no Fraction
+    # H-rep rows are integer rows from the start: building them, comparing
+    # and hashing them, enumerating their vertices and running the covector
+    # search build no Fraction
     from mpp.family import hrep_chain_order, partition_of_parameter
 
     ex52q = make_ex52_rational()
@@ -331,10 +344,11 @@ def test_hrep_builds_no_fraction(monkeypatch):
         cells = [list(tropical._covector_cells(poset, tropical.arrangement(poset),
                                                *tropical._base_data(poset)))
                  for poset in (ex52q, interior)]
+        h, copy = hrep_general(ex52q, t), hrep_general(ex52q, t)
+        assert hash(h) == hash(copy) and h == copy and {h, copy} == {h}
         assert built == []
     assert all(cells)
     # read through the API, the rows are the Fraction builder's
-    h = hrep_general(ex52q, t)
     assert (h.coords, h.equations, h.inequalities) == fraction_hrep_general(ex52q, t)
 
 

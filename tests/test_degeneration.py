@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -318,7 +319,7 @@ def test_irrelevant_coordinate_constant_type(ex52):
 
 def test_sample_face_parameters_interior():
     poset = make_ex52()
-    for t in sample_face_parameters(poset, {"p": F(1)}, 3):
+    for t in sample_face_parameters(poset, {"p": F(1)}):
         assert t["p"] == 1
         assert all(0 < t[c] < 1 for c in ("q", "r"))
 
@@ -364,6 +365,34 @@ def test_square_symmetry_canonicalization():
                          ((F(0), F(1)), F(3), ()), ((F(0), F(-1)), F(0), ())])
     lat2 = face_lattice(sheared, vertices(sheared))
     assert lattices_isomorphic(lat1, lat2)
+
+
+def test_canonical_incidence_splits_vertices_of_the_octahedron():
+    # the octahedron has 6 vertices and 8 facets, so the search individualises
+    # vertices first; the cube (8 vertices, 6 facets) splits on facets.  The
+    # two are dual: the cube's incidences read facets-first are the
+    # octahedron's, and its own are not
+    octahedron = make_hrep(("x", "y", "z"), [], [
+        (signs, F(1), ()) for signs in itertools.product((F(1), F(-1)), repeat=3)])
+    cube = make_hrep(("x", "y", "z"), [], [
+        (tuple(F(s) if j == i else F(0) for j in range(3)), F(max(s, 0)), ())
+        for i in range(3) for s in (1, -1)])
+    nv, nf, inc = incidence_matrix(face_lattice(octahedron, vertices(octahedron)))
+    assert (nv, nf) == (6, 8)
+    form = canonical_incidence((nv, nf, inc))
+    rnd = random.Random(8)
+    for _ in range(5):
+        rperm, cperm = rnd.sample(range(nv), nv), rnd.sample(range(nf), nf)
+        assert canonical_incidence((nv, nf, frozenset((rperm[r], cperm[c])
+                                                      for r, c in inc))) == form
+    cv, cf, cinc = incidence_matrix(face_lattice(cube, vertices(cube)))
+    assert (cv, cf) == (8, 6)
+    assert canonical_incidence((cv, cf, cinc)) != form
+    assert canonical_incidence((cf, cv, frozenset((c, r) for r, c in cinc))) == form
+    # one incidence moved is another graph
+    r, c = min(inc)
+    moved = (inc - {(r, c)}) | {next((r, k) for k in range(nf) if (r, k) not in inc)}
+    assert canonical_incidence((nv, nf, moved)) != form
 
 
 def test_type_witness_fails_but_forms_agree(monkeypatch):

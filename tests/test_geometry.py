@@ -8,10 +8,11 @@ import pytest
 
 from conftest import (barycenter, dilate, faces_by_vertex_ids, fraction_apply_affine,
                       fraction_int_row, fraction_substitute, is_unimodular,
-                      make_chain_poset, make_double_star, make_ex52, make_grid)
+                      make_chain_poset, make_double_star, make_ex52, make_ex52_rational,
+                      make_grid, triples)
 from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_vertices,
                         zero_parameter)
-from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, Unbounded,
+from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, HRep, Unbounded,
                           UnsupportedLineality, UnsupportedUnbounded,
                           TooLarge, apply_affine, face_counts, face_lattice, facet_masks,
                           incidences, make_hrep, maximal_masks, substitute, vertices,
@@ -816,6 +817,35 @@ def test_affine_maps_and_pins_match_fraction_oracles():
         assert out.int_equations == tuple(map(fraction_int_row, out.equations))
         seen["pinned"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_hreps_with_equal_constraints_are_equal_whichever_writer_built_them():
+    # each scaled row is stored reduced (row and S share no factor), so the
+    # record's own equality and hash compare the rational constraints and
+    # their origins, and the four writers agree wherever those are equal
+    poset = make_ex52_rational()
+    t = Parameter({"p": F(2, 7), "q": F(3, 5), "r": F(4, 7)})
+    for h in (hrep_general(poset, t), hrep_general(poset, t, projected=False),
+              hrep_general(poset, generic_parameter(poset))):
+        assert all(math.gcd(*row, s) == 1
+                   for row, s, _ in h.scaled_equations + h.scaled_inequalities)
+        n = len(h.coords)
+        diagonal = [tuple(F(0) if i != j else F(2) for j in range(n)) for i in range(n)]
+        double = AffineMap(h.coords, tuple(diagonal), (F(1, 3),) * n)
+        halve = AffineMap(h.coords, tuple(tuple(x / 4 for x in r) for r in diagonal),
+                          (F(-1, 6),) * n)
+        for g in (make_hrep(h.coords, triples(h.equations), triples(h.inequalities)),
+                  apply_affine(AffineMap.identity(h.coords), h),
+                  apply_affine(halve, apply_affine(double, h)), substitute(h, {})):
+            assert g == h and hash(g) == hash(h)
+    # pinning the marked coordinates of the full-space H-rep gives the projected one
+    full = hrep_general(poset, t, projected=False)
+    assert substitute(full, dict(poset.marking)) == hrep_general(poset, t)
+    # another origin or another value is another H-rep
+    h = hrep_general(poset, t)
+    (row, s, origin), *rest = h.scaled_inequalities
+    for changed in [(row, s, ("other",)), (row, s + 1, origin)]:
+        assert HRep(h.coords).with_rows(h.scaled_equations, [changed] + rest) != h
 
 
 def test_size_gates():

@@ -10,7 +10,7 @@ import pytest
 
 from mpp.degeneration import DegenerationPair, FaceMap
 from mpp.family import Parameter, Partition
-from mpp.geometry import AffineMap, Cone, Constraint, Face, FaceLattice, VRep
+from mpp.geometry import AffineMap, Cone, Constraint, Face, FaceLattice, HRep, VRep
 from mpp.lattice import EhrhartData
 from mpp.poset import MarkedPoset, PosetError, SaturatedChain
 from mpp.tropical import SubdivisionCell, TropicalArrangement, TropicalForm
@@ -25,6 +25,9 @@ FORM = TropicalForm((("p", ZERO), ("q", ZERO)))
 # each record type with the fields of one instance, in order
 CASES = [
     (Constraint, {"coeffs": (ONE, -HALF), "rhs": Fraction(3), "origin": ("chain", "p")}),
+    (HRep, {"coords": ("x", "y"), "scaled_equations": (((-1, 2, 0), 2, ("x",)),),
+            "scaled_inequalities": (((0, 1, -1), 1, ("chain", "x", "y")),),
+            "int_equations": ((-1, 2, 0),), "int_inequalities": ((0, 1, -1),)}),
     (VRep, {"coords": ("x", "y"), "rows": ((1, 0, 0), (2, 1, 0)), "rays": ()}),
     (Cone, {"coords": ("x",), "lines": [], "rays": [((1, 0), 1)], "span_dim": 2,
             "inserted": 1}),
@@ -83,7 +86,8 @@ def test_cached_values_are_read_only():
     assert LATTICE.by_tight is LATTICE.by_tight
     for record, name in [(poset, "unmarked"), (LATTICE, "by_tight"),
                          (Parameter({"p": HALF}), "is_interior"),
-                         (VRep(("x",), ((1, 0),), ()), "vertices")]:
+                         (VRep(("x",), ((1, 0),), ()), "vertices"),
+                         (HRep(("x",)), "equations"), (HRep(("x",)), "inequalities")]:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):

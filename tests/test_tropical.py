@@ -10,14 +10,15 @@ from conftest import (covector_cell_rows, det, full_covector_cells, make_double_
 from mpp import linalg
 from mpp.family import (Parameter, generic_parameter, hrep_general, iota,
                         transfer_phi_projected, zero_parameter, one_parameter)
-from mpp.geometry import vertices
+from mpp.geometry import TooLarge, vertices
+from mpp.linalg import homogenized
 from mpp.lattice import ehrhart, lattice_points
 from mpp.poset import MarkedPoset
 from mpp.tropical import (NonInteriorParameter, TropicalArrangement,
                           TropicalForm, arrangement, covector,
                           check_vertex_degeneration_conjecture,
                           compatible_ideal_chains, export_off,
-                          generic_vertices, ideal_chain_cells, order_ideals,
+                          generic_vertices, ideal_chain_cells,
                           subdivision_vertices, transferred_subdivision_vertices,
                           tropical_cells, tropical_subdivision)
 
@@ -497,6 +498,16 @@ def test_compatibility_filters_marking_order():
         assert fa < fb
 
 
+def order_ideals(poset):
+    """All order ideals (downward-closed subsets), smallest first, ties by
+    their sorted elements: each element of a linear extension joins every
+    ideal that holds the elements below it."""
+    ideals = {frozenset()}
+    for e in poset.linear_extension():
+        ideals |= {i | {e} for i in ideals if poset._below[e] <= i}
+    return sorted(ideals, key=lambda s: (len(s), tuple(sorted(s))))
+
+
 def all_compatible_ideal_chains(poset):
     """Oracle: every chain of order ideals from the empty one to P, taken
     depth-first with each next ideal in the order of order_ideals, and kept
@@ -549,6 +560,17 @@ def test_fan_ideal_chains_stay_within_the_budget():
     assert len(compatible_ideal_chains(make_fan())) == 1691
 
 
+def test_ideal_chains_are_refused_at_the_chain_gate():
+    # a < m1, ..., m8 < z with only a and z marked: the compatible prefixes
+    # outgrow the budget
+    middle = tuple(f"m{i}" for i in range(1, 9))
+    poset = MarkedPoset(("a",) + middle + ("z",),
+                        frozenset([("a", m) for m in middle] + [(m, "z") for m in middle]),
+                        {"a": 0, "z": 1})
+    with pytest.raises(TooLarge, match="more than 20000 compatible ideal-chain prefixes"):
+        compatible_ideal_chains(poset)
+
+
 def test_ideal_chain_cells_chain_poset(chain_poset):
     cells = ideal_chain_cells(chain_poset)
     maximal = [c for c in cells if c.dim == 2]
@@ -595,11 +617,26 @@ def test_ideal_cells_have_lattice_vertices(ex52):
             assert all(x.denominator == 1 for x in v)
 
 
-def test_ideal_cells_refine_tropical_cells(ex52):
-    trop = [c for c in tropical_cells(ex52)]
-    hulls = [(c, hrep_from_vertices_bounding(c, ex52)) for c in trop]
-    for cell in ideal_chain_cells(ex52):
-        assert any(all(h.contains(v) for v in cell.vertices) for _, h in hulls)
+@pytest.mark.parametrize("make", [make_ex52, make_ex52_rational, make_double_star,
+                                  lambda: make_grid(2, 3), make_marked_interior,
+                                  lambda: make_grid(3, 3)],
+                         ids=["ex52", "ex52q", "dstar", "grid2x3", "interior", "grid3x3"])
+def test_ideal_cells_refine_tropical_cells(make):
+    # the ideal-chain complex refines the tropical one: every ideal-chain
+    # cell, each maximal one included, lies in one maximal tropical cell
+    poset = make()
+    hulls = [hrep_from_vertices_bounding(c, poset) for c in tropical_cells(poset)]
+    cells = ideal_chain_cells(poset)
+    maximal = [c for c in cells if c.dim == len(poset.unmarked)]
+    assert len(maximal) >= len(hulls) > 1
+
+    def holds(h, rows):
+        return (all(linalg._idot(a, p) == 0 for a in h.int_equations for p in rows)
+                and all(linalg._idot(a, p) <= 0 for a in h.int_inequalities for p in rows))
+
+    for cell in cells:
+        rows = homogenized(cell.vertices)
+        assert any(holds(h, rows) for h in hulls)
 
 
 # -- piecewise unimodularity on ideal-chain cells -------------------------------------------
