@@ -49,7 +49,7 @@ class Parameter(Frozen, namedtuple("Parameter", "values")):
     def __new__(cls, values):
         self = super().__new__(cls, MappingProxyType({k: rat(v) for k, v in values.items()}))
         for p, v in self.values.items():
-            if not (0 <= v <= 1):
+            if not (0 <= v.numerator <= v.denominator):  # 0 <= v <= 1, compared in ints
                 raise ValueError(f"t_{p} = {v} outside [0, 1]")
         return self
 
@@ -476,14 +476,11 @@ def is_tame(poset: MarkedPoset, polytope_of=None) -> bool:
     (no duplicates, no implicit equalities, none redundant).  polytope_of(part),
     if given, returns chain_order_polytope(poset, part), shared with the caller."""
     require_valid(poset)
-    unmarked = sorted(poset.unmarked)
-    if len(unmarked) > SWEEP_CAP:
+    if len(poset.unmarked) > SWEEP_CAP:
         raise TooLarge(f"tameness sweep capped at {SWEEP_CAP} unmarked elements")
     polytope_of = polytope_of or (lambda part: chain_order_polytope(poset, part))
-    for bits in itertools.product((False, True), repeat=len(unmarked)):
-        C = frozenset(p for p, b in zip(unmarked, bits) if b)
-        part = Partition(C, frozenset(unmarked) - C)
-        masks, facets, _ = facet_masks(*polytope_of(part))
+    for t in hypercube_vertices(poset):
+        masks, facets, _ = facet_masks(*polytope_of(partition_of_parameter(poset, t)))
         if len(set(masks)) != len(masks) or not facets.issuperset(masks):
             return False
     return True

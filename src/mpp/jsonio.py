@@ -4,7 +4,9 @@ Rationals travel as strings ("3", "-1/2") and round-trip bit-exactly; on
 input a JSON integer is accepted too.  Unknown keys are rejected so that
 typos fail loudly.  `dump` streams the CLI's indented output; `encode`
 joins it.  A list whose rows a caller has already rendered from
-`row_pieces` travels as `TextRows` and is written as it is.
+`row_pieces` travels as `TextRows` and is written as it is; a list of rows
+of exact ints or exact strs is rendered the same way, one block of rows at
+a time, and written by the same loop.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INT = {int}
 _STR = {str}
 _PIECES = 1024  # pieces held before they go to write
-_BLOCK = 256  # rows of a row block per %-format
+_BLOCK = 256  # rows rendered and written together
 
 
 def encode(obj) -> str:
@@ -235,8 +237,18 @@ def _write_list(items, out: list, nl: str, write) -> None:
         text = map(repr if kinds == _INT else _string, items)
         out.append("[" + inner + ("," + inner).join(text) + nl + "]")
         return
-    if kinds <= {list, tuple} and _write_rows(items, out, nl, write):
-        return
+    if kinds <= {list, tuple}:
+        leaves = set(map(type, itertools.chain.from_iterable(items)))
+        if leaves <= _INT or leaves == _STR:  # no leaves: every row is empty
+            leaf = int.__repr__ if leaves <= _INT else _string
+            pieces = {w: row_pieces(len(nl) // 2, w) for w in set(map(len, items))}
+
+            def render(row):
+                start, sep, close = pieces[len(row)]
+                return start + sep.join(map(leaf, row)) + close
+
+            _write_text_rows(items, out, nl, write, render)
+            return
     sep = "[" + inner
     for x in items:
         out.append(sep)
@@ -245,45 +257,17 @@ def _write_list(items, out: list, nl: str, write) -> None:
     out.append(nl + "]")
 
 
-def _write_rows(rows, out: list, nl: str, write) -> bool:
-    """Write rows whose leaves are all exact ints or all exact strs with one
-    %-format per _BLOCK rows; other rows return False, nothing written."""
-    leaves = set(map(type, itertools.chain.from_iterable(rows)))
-    if not (leaves <= _INT or leaves == _STR):  # no leaves: every row is empty
-        return False
-    spec = "%d" if leaves <= _INT else "%s"
-    row = {}
-    for w in set(map(len, rows)):
-        start, sep, close = row_pieces(len(nl) // 2, w)
-        row[w] = start + sep.join([spec] * w) + close
-    join = ("," + nl + "  ").join
-
-    def blocks():
-        for i in range(0, len(rows), _BLOCK):
-            block = rows[i:i + _BLOCK]
-            values = itertools.chain.from_iterable(block)
-            yield (join(map(row.__getitem__, map(len, block)))
-                   % tuple(values if spec == "%d" else map(_string, values)))
-
-    _write_blocks(blocks(), out, nl, write)
-    return True
-
-
-def _write_text_rows(rows: list[str], out: list, nl: str, write) -> None:
+def _write_text_rows(rows: list, out: list, nl: str, write, render=None) -> None:
+    """Write a list at nl whose rows are text, or become text by render one
+    _BLOCK at a time; each block is written together with what out holds."""
     if not rows:
         out.append("[]")
         return
     join = ("," + nl + "  ").join
-    _write_blocks((join(rows[i:i + _BLOCK]) for i in range(0, len(rows), _BLOCK)),
-                  out, nl, write)
-
-
-def _write_blocks(blocks, out: list, nl: str, write) -> None:
-    """Write a nonempty list at nl whose rows come as text blocks, each
-    written together with what out holds."""
     sep = "[" + nl + "  "
-    for text in blocks:
-        out.append(sep + text)
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i:i + _BLOCK]
+        out.append(sep + join(block if render is None else map(render, block)))
         write("".join(out))
         out.clear()
         sep = "," + nl + "  "

@@ -255,8 +255,9 @@ def _interpolate(values: list[int]) -> tuple[list[int], int]:
 def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     """Counts at dilations 0..max_dilation plus the interpolated polynomial.
 
-    Requires a bounded lattice polytope; max_dilation defaults to dim and the
-    interpolation is asserted to reproduce every recorded count exactly.
+    Requires a bounded lattice polytope; max_dilation defaults to dim.  The
+    polynomial interpolates the counts at 0..dim, and every further count is
+    asserted to agree with it exactly.
     """
     rows = _lattice_polytope(h, "Ehrhart counting")
     dim = rank(rows) - 1  # the affine rank of the vertices
@@ -273,12 +274,10 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     counts = [(0, 1)]
     for k in range(1, max_dilation + 1):
         counts.append((k, _scan(h, *_box(extremes, k), k=k, count=True)))
-    coeffs, den = _interpolate([c for _, c in counts])
+    coeffs, den = _interpolate([c for _, c in counts[:dim + 1]])
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    if len(coeffs) - 1 > dim:
-        raise AssertionError("Ehrhart interpolation exceeded polytope dimension")
-    for k, c in counts:
+    for k, c in counts[dim + 1:]:
         if sum(a * k ** i for i, a in enumerate(coeffs)) != c * den:
             raise AssertionError("Ehrhart interpolation failed to reproduce a count")
     return EhrhartData(tuple(counts), tuple(Fraction(a, den) for a in coeffs))

@@ -340,6 +340,9 @@ def test_byte_identical_reruns(ex52_file):
 def test_missing_file_exit_2():
     proc = run_cli("vertices", "/nonexistent/poset.json")
     assert proc.returncode == 2
+    out = json.loads(proc.stdout)
+    assert out["kind"] == "input"
+    assert out["error"].startswith("cannot read /nonexistent/poset.json: ")
 
 
 def test_t_and_partition_mutually_exclusive(ex52_file, tmp_path):
@@ -349,6 +352,8 @@ def test_t_and_partition_mutually_exclusive(ex52_file, tmp_path):
                    "--partition", str(co))
     assert proc.returncode == 2
     assert "mutually exclusive" in proc.stderr
+    assert json.loads(proc.stdout) == {"error": "--t and --partition are mutually exclusive",
+                                       "kind": "input"}
 
 
 def test_computation_error_exit_3(tmp_path):
@@ -414,9 +419,8 @@ def test_reader_closing_mid_stream_exits_quietly(grid2x4_file):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     assert proc.stdout.read(100).startswith("{")
     proc.stdout.close()
-    err = proc.stderr.read()
+    assert proc.stderr.read() == ""
     assert proc.wait() == 1
-    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class RecordingStdout:
@@ -742,3 +746,95 @@ def test_sweep_cap_is_a_budget(tmp_path, monkeypatch, capsys, check):
     assert json.loads(capsys.readouterr().out) == {
         "error": "tameness sweep capped at 12 unmarked elements", "kind": "computation"}
     assert runs == []
+
+
+# -- refusals: each names its cause in the JSON error on stdout ------------------
+
+def _refused(capsys, argv, code: int, kind: str) -> str:
+    assert main(argv) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == kind and set(out) == {"error", "kind"}
+    return out["error"]
+
+
+def _poset(**changes):
+    return dict({"elements": ["a", "p"], "covers": [["a", "p"]], "marking": {"a": "0"}},
+                **changes)
+
+
+@pytest.mark.parametrize("poset,message", [
+    ([1, 2], "poset must be a JSON object"),
+    (_poset(elements=["a", 1]), "elements must be a list of strings"),
+    (_poset(covers=[["a"]]), "covers must be a list of [lower, upper] pairs"),
+    (_poset(marking=["a"]), "marking must map elements to rational strings"),
+    (_poset(elements=["a", "a", "p"]), "duplicate element identifiers"),
+    (_poset(covers=[["a", "p"], ["p", "p"]]), "self-cover on p"),
+    (_poset(covers=[["a", "x"]]), "cover (a, x) references unknown element"),
+    (_poset(elements=["a", "p", "q"], covers=[["a", "p"], ["p", "q"], ["q", "p"]]),
+     "invalid poset: cycle in covering relations"),
+    (_poset(elements=["a", "p", "q"]), "invalid poset: unmarked minimal element q"),
+])
+def test_malformed_poset_is_an_input_error(tmp_path, capsys, poset, message):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset))
+    assert _refused(capsys, ["vertices", str(path)], 2, "input") == message
+
+
+def test_malformed_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "garbage.json"
+    path.write_text("{not json")
+    assert _refused(capsys, ["vertices", str(path)], 2, "input").startswith(
+        f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize("flag,data,message", [
+    ("--t", {"t": ["p"]}, "t must map unmarked elements to rational strings"),
+    ("--partition", {"C": "p", "O": []}, "C must be a list of element names"),
+])
+def test_malformed_parameter_is_an_input_error(chain_file, tmp_path, capsys, flag, data,
+                                               message):
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(data))
+    assert _refused(capsys, ["vertices", chain_file, flag, str(path)], 2, "input") == message
+
+
+@pytest.fixture
+def unbounded_file(tmp_path):
+    # a < p < q with only a marked: every O_t is unbounded above
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(_poset(elements=["a", "p", "q"],
+                                      covers=[["a", "p"], ["p", "q"]])))
+    (tmp_path / "t.json").write_text(json.dumps({"t": {"p": "0", "q": "0"}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fvector"], "face lattices are computed for polytopes only"),
+    (["lattice-points"], "lattice-point scan needs a bounded polyhedron"),
+    (["ehrhart"], "Ehrhart counting needs a polytope"),
+    (["subdivision"], "tropical subdivision implemented for polytopes only"),
+    (["degenerate", "--from-t", "{t}", "--to-t", "{t}"],
+     "degeneration maps are implemented for polytopes"),
+])
+def test_unbounded_polyhedron_is_a_computation_error(unbounded_file, tmp_path, capsys,
+                                                     argv, message):
+    command, *flags = [a.format(t=tmp_path / "t.json") for a in argv]
+    assert _refused(capsys, [command, unbounded_file, *flags], 3, "computation") == message
+
+
+def test_unbounded_vertices_lists_its_rays(unbounded_file, capsys):
+    assert main(["vertices", unbounded_file]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["vertices"] == [["0", "0"]] and out["rays"] == [["0", "1"], ["1", "1"]]
+
+
+def test_point_ehrhart_answers_many_dilations(tmp_path, capsys):
+    # a < p < b marked 2 and 2: every dilation holds one point
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"elements": ["a", "p", "b"],
+                                "covers": [["a", "p"], ["p", "b"]],
+                                "marking": {"a": "2", "b": "2"}}))
+    assert main(["ehrhart", str(path), "--dilations", "20000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["coefficients"] == ["1"]
+    assert out["counts"] == [[k, 1] for k in range(20001)]

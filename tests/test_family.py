@@ -86,6 +86,17 @@ def test_hrep_general_names_extra_coordinates(ex52):
         hrep_general(ex52, Parameter({"p": 0, "q": 0, "r": 0, "0": 0}))
 
 
+@pytest.mark.parametrize("value", [F(-1, 2), F(-1), F(3, 2), F(1001, 1000), "5/4", 2])
+def test_parameter_refuses_a_coordinate_outside_the_unit_interval(value):
+    with pytest.raises(ValueError, match=r"t_p = .* outside \[0, 1\]"):
+        Parameter({"p": value})
+
+
+def test_parameter_accepts_the_unit_interval():
+    t = Parameter({"a": 0, "b": F(1, 1000), "c": F(999, 1000), "d": "1"})
+    assert t["a"] == 0 and t["d"] == 1
+
+
 def test_hrep_chain_order_pure_order_case(ex52):
     part = Partition(frozenset(), frozenset(ex52.unmarked))
     h = hrep_chain_order(ex52, part)

@@ -420,3 +420,44 @@ def test_box_rounds_rational_extremes_inwards():
     extremes = lattice._extremes(homogenized([(F(1, 3), F(-1, 2)), (F(5, 2), F(7, 3))]))
     assert lattice._box(extremes) == ([1, 0], [2, 2])
     assert lattice._box(extremes, 2) == ([1, -1], [5, 4])
+
+
+# -- Ehrhart: dim + 1 counts fix the polynomial, the others check it -----------
+
+def test_ehrhart_interpolates_through_dim_plus_one_counts(monkeypatch):
+    poset = make_ex52()
+    h = hrep_general(poset, zero_parameter(poset))
+    default = ehrhart(h)
+    interpolate, seen = lattice._interpolate, []
+
+    def recorded(values):
+        seen.append(list(values))
+        return interpolate(values)
+
+    monkeypatch.setattr(lattice, "_interpolate", recorded)
+    data = ehrhart(h, 3 + 50)  # ex52 is 3-dimensional
+    assert seen == [[c for _, c in default.counts]] and len(seen[0]) == 4
+    assert data.coefficients == default.coefficients
+    assert [k for k, _ in data.counts] == list(range(54))
+
+
+def test_ehrhart_refuses_a_count_off_its_polynomial(monkeypatch):
+    poset = make_ex52()
+    h = hrep_general(poset, zero_parameter(poset))
+    scan = lattice._scan
+
+    def corrupted(*args, k, **kwargs):
+        return scan(*args, k=k, **kwargs) + (k == 5)
+
+    monkeypatch.setattr(lattice, "_scan", corrupted)
+    assert ehrhart(h, 4).coefficients == ehrhart(h).coefficients  # 5 is not counted
+    with pytest.raises(AssertionError, match="failed to reproduce a count"):
+        ehrhart(h, 5)
+
+
+@pytest.mark.parametrize("poset", [make_ex52(), make_grid(2, 3)], ids=["ex52", "grid2x3"])
+def test_ehrhart_polynomial_evaluates_to_every_count(poset):
+    data = ehrhart(hrep_general(poset, zero_parameter(poset)), 8)
+    assert len(data.counts) == 9
+    for k, count in data.counts:
+        assert data.evaluate(k) == count
