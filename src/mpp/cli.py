@@ -49,13 +49,13 @@ def _load_poset(path: str) -> MarkedPoset:
 def _resolve_parameter(args, poset) -> tuple[family.Parameter, dict]:
     """Parameter from --t/--partition flags; records the choice for the header."""
     header = {}
-    if getattr(args, "partition", None) and getattr(args, "t", None):
+    if args.partition and args.t:
         raise InputError("--t and --partition are mutually exclusive")
-    if getattr(args, "partition", None):
+    if args.partition:
         part = jsonio.partition_from_json(_load_json(args.partition), poset)
         t = family.parameter_of_partition(poset, part)
         header["partition"] = jsonio.partition_to_json(part)
-    elif getattr(args, "t", None):
+    elif args.t:
         if args.t == "generic":
             t = family.generic_parameter(poset)
         else:
@@ -77,8 +77,7 @@ def _emit(payload: dict, summary: str) -> int:
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_hrep(args) -> int:
-    poset = _load_poset(args.poset)
+def cmd_hrep(args, poset) -> int:
     t, header = _resolve_parameter(args, poset)
     if "partition" in header:
         part = family.partition_of_parameter(poset, t)
@@ -92,8 +91,7 @@ def cmd_hrep(args) -> int:
                           f"{len(h.int_inequalities)} inequalities")
 
 
-def cmd_vertices(args) -> int:
-    poset = _load_poset(args.poset)
+def cmd_vertices(args, poset) -> int:
     t, header = _resolve_parameter(args, poset)
     if args.method == "tropical":  # builds the H-rep at t itself, for its check
         from . import tropical
@@ -108,8 +106,7 @@ def cmd_vertices(args) -> int:
     return _emit(payload, f"vertices: {len(v.rows)}, rays: {len(v.rays)}")
 
 
-def cmd_fvector(args) -> int:
-    poset = _load_poset(args.poset)
+def cmd_fvector(args, poset) -> int:
     t, header = _resolve_parameter(args, poset)
     h = family.hrep_general(poset, t, projected=True)
     v = vertices(h)
@@ -120,9 +117,8 @@ def cmd_fvector(args) -> int:
     return _emit(payload, f"f-vector: {f}")
 
 
-def cmd_ehrhart(args) -> int:
+def cmd_ehrhart(args, poset) -> int:
     from . import lattice
-    poset = _load_poset(args.poset)
     t, header = _resolve_parameter(args, poset)
     # full space: marked coordinates participate in lattice-point counts
     h = family.hrep_general(poset, t, projected=False)
@@ -130,13 +126,12 @@ def cmd_ehrhart(args) -> int:
     payload = {"command": "ehrhart", **header,
                "counts": [list(c) for c in data.counts],
                "coefficients": [rat_str(c) for c in data.coefficients]}
-    return _emit(payload, "ehrhart: " + ", ".join(
-        f"{k}:{c}" for k, c in data.counts))
+    return _emit(payload, f"ehrhart: {len(data.counts)} counts (dilations "
+                          f"0..{data.counts[-1][0]}), degree {len(data.coefficients) - 1}")
 
 
-def cmd_lattice_points(args) -> int:
+def cmd_lattice_points(args, poset) -> int:
     from . import lattice
-    poset = _load_poset(args.poset)
     t, header = _resolve_parameter(args, poset)
     h = family.hrep_general(poset, t, projected=False)
     # each point comes out of the search as its JSON row; "points" is a
@@ -147,9 +142,8 @@ def cmd_lattice_points(args) -> int:
     return _emit(payload, f"lattice points: {len(pts)}")
 
 
-def cmd_subdivision(args) -> int:
+def cmd_subdivision(args, poset) -> int:
     from . import tropical
-    poset = _load_poset(args.poset)
     if args.off:
         tropical.off_dimension(poset)  # refuses before any cell is computed
     if args.ideal_chains:
@@ -178,9 +172,8 @@ def cmd_subdivision(args) -> int:
                           f"{len(sub_vertices)} vertices")
 
 
-def cmd_degenerate(args) -> int:
+def cmd_degenerate(args, poset) -> int:
     from . import degeneration as dg
-    poset = _load_poset(args.poset)
     u = jsonio.parameter_from_json(_load_json(args.from_t), poset)
     u2 = jsonio.parameter_from_json(_load_json(args.to_t), poset)
     pair = dg.DegenerationPair(u, u2)
@@ -311,8 +304,7 @@ SWEEPS = {"ehrhart": _sweep_ehrhart, "types": _sweep_types,
           "hibi-li": _sweep_hibi_li, "conjecture5": _sweep_conjecture5}
 
 
-def cmd_sweep(args) -> int:
-    poset = _load_poset(args.poset)
+def cmd_sweep(args, poset) -> int:
     if len(poset.unmarked) > family.SWEEP_CAP:
         raise TooLarge(f"sweeps are capped at {family.SWEEP_CAP} unmarked elements, "
                        f"got {len(poset.unmarked)}")
@@ -329,8 +321,7 @@ def cmd_sweep(args) -> int:
     return _emit(payload, f"sweep {args.check}: {status}")
 
 
-def cmd_regularize(args) -> int:
-    poset = _load_poset(args.poset)
+def cmd_regularize(args, poset) -> int:
     result, elem_map = regularize(poset)
     payload = {"command": "regularize",
                "poset": jsonio.poset_to_json(result),
@@ -339,16 +330,14 @@ def cmd_regularize(args) -> int:
                           f"{len(result.covers)} covers")
 
 
-def cmd_tame(args) -> int:
-    poset = _load_poset(args.poset)
+def cmd_tame(args, poset) -> int:
     result = family.is_tame(poset)
     payload = {"command": "tame", "pass": result}
     return _emit(payload, f"tame: {'PASS' if result else 'FAIL'}")
 
 
-def cmd_hibi_li(args) -> int:
+def cmd_hibi_li(args, poset) -> int:
     from . import degeneration as dg
-    poset = _load_poset(args.poset)
     part_a = jsonio.partition_from_json(_load_json(args.part_a), poset)
     part_b = jsonio.partition_from_json(_load_json(args.part_b), poset)
     report = dg.hibi_li_check(poset, part_a, part_b)
@@ -430,7 +419,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        return args.fn(args)
+        return args.fn(args, _load_poset(args.poset))
     except (InputError, jsonio.SchemaError, PosetError, ValueError) as exc:
         return _fail(exc, "input", EXIT_INPUT)
     except (GeometryError, AssertionError) as exc:

@@ -126,10 +126,6 @@ def hypercube_vertices(poset: MarkedPoset):
         yield Parameter(dict(zip(names, bits)))
 
 
-def _t_of(poset: MarkedPoset, t: Parameter, p: str) -> Fraction:
-    return ZERO if p in poset.marked else t[p]
-
-
 # -- inequality descriptions -------------------------------------------------
 
 def check_parameter(poset: MarkedPoset, t: Parameter) -> Parameter:
@@ -410,9 +406,8 @@ def chain_tight(poset: MarkedPoset, t: Parameter, x, chain: SaturatedChain) -> b
     """
     x = {e: Fraction(x[e]) for e in poset.elements}
     p = chain.target
-    tp = _t_of(poset, t, p)
     mx = max(x[q] for q in poset.lower_covers(p))
-    if tp == 1:
+    if p not in poset.marked and t[p] == 1:
         return x[p] == mx
     below = chain.below
     r = len(below) - 1
@@ -511,26 +506,20 @@ def unimodular_move(poset: MarkedPoset, part: Partition, q: str) -> AffineMap | 
     n = len(coords)
     row = [ZERO] * n
     offset = [ZERO] * n
+    # the single chain below q, or failing that above it, with the sign of q
     if len(down) == 1:
-        s, *mids = down[0]
-        row[index[q]] = ONE
-        for m in mids:
-            row[index[m]] -= ONE
-        if s in poset.marked:
-            offset[index[q]] = -poset.marking[s]
-        else:
-            row[index[s]] -= ONE
+        sign, (s, *mids) = ONE, down[0]
     elif len(up) == 1:
-        *mids, s = up[0]
-        row[index[q]] = -ONE
-        for m in mids:
-            row[index[m]] -= ONE
-        if s in poset.marked:
-            offset[index[q]] = poset.marking[s]
-        else:
-            row[index[s]] += ONE
+        sign, (*mids, s) = -ONE, up[0]
     else:
         return None
+    row[index[q]] = sign
+    for m in mids:
+        row[index[m]] -= ONE
+    if s in poset.marked:
+        offset[index[q]] = -sign * poset.marking[s]
+    else:
+        row[index[s]] -= sign
     matrix = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
     matrix[index[q]] = row
     return AffineMap(coords, tuple(tuple(r) for r in matrix), tuple(offset))

@@ -26,23 +26,22 @@ class SchemaError(ValueError):
     pass
 
 
-def _expect_keys(obj: dict, required: set[str], optional: set[str] = frozenset(),
-                 what: str = "object"):
+def _expect_keys(obj, required: set[str], what: str) -> dict:
+    """obj, or the object its JSON text encodes, with exactly the keys required."""
+    if isinstance(obj, (str, bytes)):
+        obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} must be a JSON object")
-    keys = set(obj)
-    missing = required - keys
-    unknown = keys - required - optional
+    missing, unknown = required - set(obj), set(obj) - required
     if missing:
         raise SchemaError(f"{what} misses keys {sorted(missing)}")
     if unknown:
         raise SchemaError(f"{what} has unknown keys {sorted(unknown)}")
+    return obj
 
 
 def poset_from_json(data) -> MarkedPoset:
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    _expect_keys(data, {"elements", "covers", "marking"}, what="poset")
+    data = _expect_keys(data, {"elements", "covers", "marking"}, "poset")
     elements = data["elements"]
     if (not isinstance(elements, list)
             or not all(isinstance(e, str) for e in elements)):
@@ -74,9 +73,7 @@ def poset_to_json(poset: MarkedPoset) -> dict:
 
 
 def parameter_from_json(data, poset: MarkedPoset) -> Parameter:
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    _expect_keys(data, {"t"}, what="parameter")
+    data = _expect_keys(data, {"t"}, "parameter")
     t = data["t"]
     if not isinstance(t, dict):
         raise SchemaError("t must map unmarked elements to rational strings")
@@ -94,9 +91,7 @@ def parameter_to_json(t: Parameter) -> dict:
 
 
 def partition_from_json(data, poset: MarkedPoset) -> Partition:
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    _expect_keys(data, {"C", "O"}, what="partition")
+    data = _expect_keys(data, {"C", "O"}, "partition")
     for key in ("C", "O"):
         if not isinstance(data[key], list) or not all(isinstance(e, str) for e in data[key]):
             raise SchemaError(f"{key} must be a list of element names")

@@ -255,9 +255,10 @@ def _interpolate(values: list[int]) -> tuple[list[int], int]:
 def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     """Counts at dilations 0..max_dilation plus the interpolated polynomial.
 
-    Requires a bounded lattice polytope; max_dilation defaults to dim.  The
-    polynomial interpolates the counts at 0..dim, and every further count is
-    asserted to agree with it exactly.
+    Requires a bounded lattice polytope; max_dilation defaults to dim (at
+    least 1).  The polynomial, of degree dim (its leading coefficient is the
+    relative volume), interpolates the counts at 0..dim; every further count
+    must agree with it.
     """
     rows = _lattice_polytope(h, "Ehrhart counting")
     dim = rank(rows) - 1  # the affine rank of the vertices
@@ -275,8 +276,6 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     for k in range(1, max_dilation + 1):
         counts.append((k, _scan(h, *_box(extremes, k), k=k, count=True)))
     coeffs, den = _interpolate([c for _, c in counts[:dim + 1]])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     for k, c in counts[dim + 1:]:
         if sum(a * k ** i for i, a in enumerate(coeffs)) != c * den:
             raise AssertionError("Ehrhart interpolation failed to reproduce a count")

@@ -7,8 +7,10 @@ All set-valued results come back in lexicographic element order.  Every
 saturated-chain family (the chains indexing the inequalities of O_t, the
 chain-order chains through C, their counts) is listed by one memoized walker,
 `chain_walker`.  Instances are immutable and hashable (the marking is a
-read-only mapping), so the validation report, the linear extension and the
-walker of the chain tails are derived once per instance and cached on it.
+read-only mapping), so its order is derived once and cached on it: the
+cover lists (one pass), Kahn's linear extension (one run, which also tells
+acyclicity), the down-sets `_below`, the validation report and the walker of
+the chain tails.  The transformations below read this cached order.
 |P| itself is not capped: the steps that grow super-polynomially with it
 (faces, lattice points, ideal chains, sweeps) each run under their own
 budget and raise TooLarge when it is exhausted.
@@ -82,24 +84,19 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         return tuple(e for e in self.elements if e not in self.marking)
 
     @cached_property
-    def _lower(self) -> dict[str, tuple[str, ...]]:
-        d: dict[str, list[str]] = {e: [] for e in self.elements}
+    def _cover_lists(self) -> tuple[dict[str, tuple[str, ...]], ...]:
+        """(lower covers, upper covers) of each element, sorted, in one pass."""
+        down, up = ({e: [] for e in self.elements} for _ in range(2))
         for p, q in self.covers:
-            d[q].append(p)
-        return {e: tuple(sorted(v)) for e, v in d.items()}
-
-    @cached_property
-    def _upper(self) -> dict[str, tuple[str, ...]]:
-        d: dict[str, list[str]] = {e: [] for e in self.elements}
-        for p, q in self.covers:
-            d[p].append(q)
-        return {e: tuple(sorted(v)) for e, v in d.items()}
+            down[q].append(p)
+            up[p].append(q)
+        return tuple({e: tuple(sorted(v)) for e, v in d.items()} for d in (down, up))
 
     def lower_covers(self, p: str) -> tuple[str, ...]:
-        return self._lower[p]
+        return self._cover_lists[0][p]
 
     def upper_covers(self, p: str) -> tuple[str, ...]:
-        return self._upper[p]
+        return self._cover_lists[1][p]
 
     @cached_property
     def is_acyclic(self) -> bool:
@@ -111,7 +108,7 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         below: dict[str, frozenset[str]] = {}
         for e in self.linear_extension():
             acc: set[str] = set()
-            for q in self._lower[e]:
+            for q in self.lower_covers(e):
                 acc.add(q)
                 acc |= below[q]
             below[e] = frozenset(acc)
@@ -120,10 +117,6 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
     def linear_extension(self) -> tuple[str, ...]:
         """Deterministic linear extension (Kahn's algorithm, lex tie-break),
         computed once per instance."""
-        return self._linear_extension
-
-    @cached_property
-    def _linear_extension(self) -> tuple[str, ...]:
         if not self.is_acyclic:
             raise PosetError("cover relation has a cycle")
         return self._kahn
@@ -133,14 +126,15 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         """Kahn's algorithm with lexicographic tie-break, run once per
         instance: a linear extension, or fewer elements than the poset has
         when the covers hold a cycle."""
-        indeg = {e: len(self._lower[e]) for e in self.elements}
+        lower, upper = self._cover_lists
+        indeg = {e: len(lower[e]) for e in self.elements}
         heap = [e for e in self.elements if indeg[e] == 0]
         heapq.heapify(heap)
         out = []
         while heap:
             e = heapq.heappop(heap)
             out.append(e)
-            for q in self._upper[e]:
+            for q in upper[e]:
                 indeg[q] -= 1
                 if indeg[q] == 0:
                     heapq.heappush(heap, q)
@@ -152,18 +146,12 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
     def leq(self, a: str, b: str) -> bool:
         return a == b or a in self._below[b]
 
-    def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e in self.elements if not self._lower[e]))
-
     @cached_property
     def strictly_marked(self) -> bool:
         """No two comparable marked elements share a marking value."""
-        ms = sorted(self.marking)
-        for a in ms:
-            for b in ms:
-                if a != b and self.lt(a, b) and self.marking[a] == self.marking[b]:
-                    return False
-        return True
+        marking = self.marking
+        return not any(a in marking and marking[a] == v
+                       for b, v in marking.items() for a in self._below[b])
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
@@ -182,8 +170,8 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
                 if a != b and self.lt(a, b) and self.marking[a] > self.marking[b]:
                     report.append(f"marking not order-preserving: {a} < {b} but "
                                   f"lambda({a}) > lambda({b})")
-        for e in self.minimal_elements():
-            if e not in self.marked:
+        for e in sorted(self.elements):
+            if not self.lower_covers(e) and e not in self.marked:
                 report.append(f"unmarked minimal element {e}")
         return tuple(report)
 
@@ -311,8 +299,9 @@ def contract_constant_intervals(poset: MarkedPoset) -> tuple[MarkedPoset, dict[s
         for p in below:
             if elem_map[p] != elem_map[q]:
                 lt[elem_map[p]].add(elem_map[q])
+    # unreachable: crossing blocks share a value, so a constant interval merges them
     if any(x in lt[y] for x in new_elements for y in lt[x]):
-        raise PosetError("contraction produced a non-antisymmetric quotient")
+        raise AssertionError("contraction produced a non-antisymmetric quotient")
     new_covers = {(x, y) for x in new_elements for y in lt[x]
                   if not any(y in lt[w] for w in lt[x] if w != y)}
     return (MarkedPoset(new_elements, new_covers,

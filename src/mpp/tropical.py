@@ -33,7 +33,7 @@ from . import linalg
 from .family import (Parameter, _row_writer, hrep_general, hypercube_vertices,
                      transfer_theta_homogeneous, zero_parameter)
 from . import geometry
-from .geometry import (Cone, EmptyPolyhedron, HRep, TooLarge, UnsupportedUnbounded, VRep,
+from .geometry import (Cone, HRep, TooLarge, UnsupportedUnbounded, VRep,
                        _bits, _face_levels, facet_masks, homogenization_cone, incidences,
                        vertices)
 from .linalg import _primitive, common_denominator, dehomogenized
@@ -136,30 +136,31 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
     tau is extended one hyperplane at a time, and a partial covector is
     dropped as soon as its cell is empty.  A node's cone is its parent's,
     cut by its own sector rows only (Cone.cut), so DD runs once on the base
-    polytope: root is homogenization_cone(base).  Each H-rep is base with
-    the covector's integer rows appended, so the base rows come first; the
+    polytope: root is homogenization_cone(base).  A leaf's H-rep is base
+    with the covector's rows appended, so the base rows come first; the
     cell's vertices are the cone's rays with x0 > 0, primitive rows, and
     cone.vrep() is its V-rep."""
     write = _row_writer(poset, base.coords)
-    sectors = [[(r, m, [_difference(write, q, m, ("covector-le", r, q, m))
-                        for q in form.support if q != m])
-                for m in sorted(form.support)]
-               for r, form in arr.hyperplanes]
+    sectors = []
+    for r, form in arr.hyperplanes:
+        sectors.append([])
+        for m in sorted(form.support):
+            rows = [_difference(write, q, m, ("covector-le", r, q, m))
+                    for q in form.support if q != m]
+            # drop 0 <= 0; any other constant row is x0 >= 0 or x0 <= 0 (empties the cone)
+            rows = [row for row in rows if any(row[0])]
+            sectors[-1].append((r, m, rows, [_primitive(row) for row, _, _ in rows]))
 
-    def rec(i, path, h, cone):
+    def rec(i, path, rows, cone):
         if i == len(sectors):
-            yield {r: frozenset((m,)) for r, m in path}, h, cone
+            yield {r: frozenset((m,)) for r, m in path}, base.with_rows((), rows), cone
             return
-        for r, m, rows in sectors[i]:
-            try:
-                child = h.with_rows((), rows)
-            except EmptyPolyhedron:  # q and m both marked, lambda(q) > lambda(m)
-                continue
-            sub = cone.cut(child.int_inequalities[len(h.int_inequalities):])
+        for r, m, new, prims in sectors[i]:
+            sub = cone.cut(prims)
             if not sub.empty:
-                yield from rec(i + 1, path + ((r, m),), child, sub)
+                yield from rec(i + 1, path + ((r, m),), rows + new, sub)
 
-    yield from rec(0, (), base, root)
+    yield from rec(0, (), [], root)
 
 
 def _base_data(poset: MarkedPoset) -> tuple[HRep, Cone]:
@@ -338,34 +339,38 @@ def compatible_ideal_chains(poset: MarkedPoset):
     sorted elements), while its blocks fit: the marked elements of the new
     block I_k - I_{k-1} share one value v, and every marked element of value
     <= v lies in I_k.  The compatible prefixes grow super-exponentially on
-    antichain-rich posets; enumeration aborts beyond CHAIN_GATE of them.
+    antichain-rich posets; enumeration aborts once more than CHAIN_GATE of
+    them are found, each counted as the sweep builds it.
     """
     require_valid(poset)
     full = frozenset(poset.elements)
     marking, below, order = poset.marking, poset._below, poset.linear_extension()
     upto = {v: frozenset(a for a, w in marking.items() if w <= v) for v in marking.values()}
     chains = []
-    prefixes = 0
+    prefixes = 1  # the compatible prefixes found so far, the empty chain first
 
     def rec(chain):
         nonlocal prefixes
-        prefixes += 1
-        if prefixes > CHAIN_GATE:
-            raise TooLarge(f"more than {CHAIN_GATE} compatible ideal-chain prefixes")
         cur = chain[-1]
         if cur == full:
             chains.append(tuple(chain))
             return
-        above = {cur}
+        above, fit = [cur], []
         for e in order:
             if e not in cur:
-                above |= {i | {e} for i in above if below[e] <= i}
-        for nxt in sorted(above, key=lambda s: (len(s), sorted(s)))[1:]:  # cur first
-            values = {marking[e] for e in nxt - cur if e in marking}
-            if len(values) < 2 and all(upto[v] <= nxt for v in values):
-                chain.append(nxt)
-                rec(chain)
-                chain.pop()
+                new = [i | {e} for i in above if below[e] <= i]
+                above += new
+                for nxt in new:
+                    values = {marking[x] for x in nxt - cur if x in marking}
+                    if len(values) < 2 and all(upto[v] <= nxt for v in values):
+                        fit.append(nxt)
+                if prefixes + len(fit) > CHAIN_GATE:
+                    raise TooLarge(f"more than {CHAIN_GATE} compatible ideal-chain prefixes")
+        prefixes += len(fit)
+        for nxt in sorted(fit, key=lambda s: (len(s), sorted(s))):
+            chain.append(nxt)
+            rec(chain)
+            chain.pop()
 
     rec([frozenset()])
     return chains

@@ -631,6 +631,24 @@ def test_internal_fault_is_a_computation_error_under_O(ex52_file):
     assert data["kind"] == "computation" and "disagree" in data["error"]
 
 
+def test_non_antisymmetric_contraction_is_a_computation_error_under_O(tmp_path):
+    # the quotient of a valid poset by its constant intervals is antisymmetric,
+    # so crossing blocks, patched in here, are an internal fault and not input
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"elements": ["a", "b", "c", "d"],
+                                "covers": [["a", "b"], ["b", "c"], ["c", "d"]],
+                                "marking": {"a": "0", "d": "1"}}))
+    code = ("import sys\n"
+            "from mpp import cli, poset\n"
+            "poset.constant_intervals = lambda p: [('a', 'c'), ('b', 'd')]\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, "regularize", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    data = json.loads(proc.stdout)
+    assert data["kind"] == "computation" and "non-antisymmetric" in data["error"]
+
+
 def _run_fresh(code: str, *args):
     """The JSON that code prints last, run in a fresh interpreter, where
     mpp_modules() lists the mpp modules loaded so far."""
@@ -835,6 +853,10 @@ def test_point_ehrhart_answers_many_dilations(tmp_path, capsys):
                                 "covers": [["a", "p"], ["p", "b"]],
                                 "marking": {"a": "2", "b": "2"}}))
     assert main(["ehrhart", str(path), "--dilations", "20000"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
     assert out["coefficients"] == ["1"]
     assert out["counts"] == [[k, 1] for k in range(20001)]
+    # the summary names the range, not every count
+    assert captured.err == "ehrhart: 20001 counts (dilations 0..20000), degree 0\n"
+    assert len(captured.err.encode()) < 120 and captured.err.count("\n") == 1

@@ -141,7 +141,7 @@ def test_types_sweep_walks_once_per_tight_set_family(tmp_path, monkeypatch, caps
 
 def test_degenerate_query_computes_the_linear_extension_once(ex52_file, tmp_path,
                                                               monkeypatch, capsys):
-    calls = _count_property(monkeypatch, "_linear_extension")
+    calls = _count_property(monkeypatch, "_kahn")
     src, dst = tmp_path / "t.json", tmp_path / "u.json"
     src.write_text(json.dumps({"t": {"p": "1/3", "q": "1/2", "r": "2/3"}}))
     dst.write_text(json.dumps({"t": {"p": "1", "q": "1/2", "r": "0"}}))

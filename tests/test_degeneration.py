@@ -19,6 +19,7 @@ from mpp.degeneration import (DegenerationPair, FaceMap, canonical_incidence,
 from mpp.family import (Parameter, Partition, generic_parameter, hrep_general,
                         hypercube_vertices)
 from mpp.geometry import face_lattice, make_hrep, vertices
+from mpp.poset import MarkedPoset
 
 
 def F(n, d=1):
@@ -463,3 +464,35 @@ def test_hibi_li_requires_containment(ex52):
     part_b = Partition(frozenset({"q"}), frozenset({"p", "r"}))
     with pytest.raises(ValueError):
         hibi_li_check(ex52, part_a, part_b)
+
+
+# -- paths the sweeps and golden posets do not take -------------------------------
+
+def test_composition_law_reports_a_broken_map(ex52, monkeypatch):
+    # a u -> u3 map that sends every face to the empty one breaks the law
+    t = generic_parameter(ex52)
+    u2 = Parameter({"p": F(1), "q": t["q"], "r": F(0)})
+    u3 = Parameter({"p": F(1), "q": F(0), "r": F(0)})
+    assert composition_law(ex52, t, u2, u3)
+    honest = degeneration.degeneration_map
+
+    def broken(poset, pair, source=None):
+        fmap = honest(poset, pair, source)
+        if pair != DegenerationPair(t, u3):
+            return fmap
+        empty = next(f for f in fmap.target.faces if f.dim < 0)
+        return FaceMap(fmap.source, fmap.target, dict.fromkeys(fmap.mapping, empty))
+
+    monkeypatch.setattr(degeneration, "degeneration_map", broken)
+    assert not composition_law(ex52, t, u2, u3)
+
+
+def test_canonical_incidence_without_rows():
+    assert canonical_incidence((0, 3, frozenset())) == (0, 3, ())
+
+
+def test_type_sweep_of_a_poset_without_unmarked_elements():
+    # the only member is the point of the marking, sampled once
+    poset = MarkedPoset(("a", "b"), frozenset([("a", "b")]), {"a": 0, "b": 1})
+    rep = combinatorial_type_sweep(poset, {})
+    assert rep["pass"] and rep["samples"] == [{}] and rep["f_vectors"] == [[1]]

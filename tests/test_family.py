@@ -837,3 +837,20 @@ def test_constant_covector_rows_dropped_or_empty():
                     h.with_rows(*args)
                 continue
             assert h.with_rows(*args) == h
+
+
+# -- refused arguments ---------------------------------------------------------------
+
+def test_partition_must_cover_the_unmarked_elements(ex52):
+    with pytest.raises(PosetError, match="does not cover"):
+        hrep_chain_order(ex52, Partition({"p"}, {"q"}))
+
+
+def test_only_hypercube_vertices_have_partitions(ex52):
+    with pytest.raises(ValueError, match="hypercube vertices"):
+        partition_of_parameter(ex52, generic_parameter(ex52))
+
+
+def test_facet_count_delta_needs_an_order_element(ex52):
+    with pytest.raises(PosetError, match="p is not an order element"):
+        facet_count_delta(ex52, Partition({"p"}, {"q", "r"}), "p")

@@ -877,3 +877,15 @@ def test_dd_cone_stays_near_the_answer_at_generic_t(m, n, monkeypatch):
     v = vertices(hrep_general(poset, generic_parameter(poset)))
     assert sizes[-1] == len(v.rows) and v.rays == ()
     assert max(sizes) <= 2 * len(v.rows)
+
+
+def test_with_rows_refuses_a_row_of_the_wrong_arity():
+    with pytest.raises(geometry.GeometryError, match="arity"):
+        HRep(("x",)).with_rows((), [((0, 1, 2), 1, ("wide",))])
+
+
+def test_bruteforce_vertices_in_dimension_zero():
+    # R^0 is one point, the empty tuple
+    v = vertices_bruteforce(HRep(()))
+    assert v.rows == ((1,),) and v.vertices == ((),) and v.rays == ()
+    assert v == vertices(HRep(()))

@@ -305,3 +305,8 @@ def test_text_rows_are_written_in_blocks():
 def test_text_rows_at_another_depth_are_refused(depth):
     with pytest.raises(AssertionError, match=f"depth {depth} written at depth 1"):
         encode({"points": text_rows(depth, [[1, 2]])})
+
+
+def test_partition_from_json_text(ex52):
+    part = partition_from_json('{"C": ["p"], "O": ["q", "r"]}', ex52)
+    assert (part.C, part.O) == ({"p"}, {"q", "r"})

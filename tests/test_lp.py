@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mpp import lp
 from mpp.lp import LPStatus, lp_solve
 
 
@@ -164,3 +165,31 @@ def test_all_rows_redundant():
     assert lp_solve(1, [F(0)], [((F(0),), F(0))], []) == (LPStatus.OPTIMAL, 0, (0,))
     status, _, _ = lp_solve(1, [F(1)], [((F(0),), F(0))], [], maximize=True)
     assert status is LPStatus.UNBOUNDED
+
+
+def test_combine_clears_the_column_against_a_negative_pivot():
+    # |p| row - sgn(p) row[col] prow with p = -2: the col entry is cleared and
+    # the positive factor 2 comes back
+    assert lp._combine([1, 2, 3], [-2, 4, 1], 0) == ([0, 8, 7], 2)
+
+
+def test_no_variables():
+    # n = 0: each row is a constant, feasible iff 0 = rhs and 0 <= rhs
+    assert lp_solve(0, [], [((), F(0))], [((), F(1))]) == (LPStatus.OPTIMAL, 0, ())
+    assert lp_solve(0, [], [((), F(1))], [])[0] is LPStatus.INFEASIBLE
+    assert lp_solve(0, [], [], [((), F(-1))])[0] is LPStatus.INFEASIBLE
+
+
+def test_no_rows():
+    # unconstrained: the optimum is 0 iff the objective is zero
+    assert lp_solve(2, [F(0), F(0)], [], []) == (LPStatus.OPTIMAL, 0, (0, 0))
+    assert lp_solve(2, [F(1), F(0)], [], [])[0] is LPStatus.UNBOUNDED
+
+
+def test_unbounded_phase_one_is_an_internal_fault(monkeypatch):
+    # the sum of the artificials is bounded below by 0, so an unbounded
+    # phase 1 can only come from a fault in the simplex itself
+    monkeypatch.setattr(lp, "_simplex", lambda *args: (LPStatus.UNBOUNDED, None, None))
+    eqs, ineqs = square_rows()
+    with pytest.raises(lp.SimplexError, match="phase 1"):
+        lp_solve(2, [F(1), F(1)], eqs, ineqs)

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_marked_poset
 from mpp.family import hrep_general, zero_parameter
 from mpp.geometry import vertices
-from mpp.poset import (MarkedPoset, PosetError, constant_intervals,
+from mpp.poset import (MarkedPoset, PosetError, SaturatedChain, constant_intervals,
                        contract_constant_intervals, is_regular,
                        non_redundant_covers, rank_function,
-                       remove_redundant_covers, saturated_chains_to,
+                       remove_redundant_covers, require_valid, saturated_chains_to,
                        star_elements, validate)
 
 
@@ -342,3 +342,27 @@ def test_random_posets_valid_and_covering(seed):
     ext = p.linear_extension()
     pos = {e: i for i, e in enumerate(ext)}
     assert all(pos[a] < pos[b] for a, b in p.covers)
+
+
+# -- error paths and small forms ------------------------------------------------------
+
+def test_saturated_chain_prints_bottom_to_top():
+    assert str(SaturatedChain(("a", "p"), "b")) == "a<p<b"
+
+
+def test_marking_on_an_unknown_element_is_refused():
+    with pytest.raises(PosetError, match="marking on unknown element z"):
+        mp(("a",), (), {"z": 0})
+
+
+def test_linear_extension_of_a_cyclic_poset_is_refused():
+    poset = mp(("a", "b"), {("a", "b"), ("b", "a")}, {"a": 0})
+    assert not poset.is_acyclic
+    with pytest.raises(PosetError, match="cycle"):
+        poset.linear_extension()
+
+
+def test_require_valid_raises_the_problems():
+    poset = mp(("a", "p"), {("a", "p")}, {"p": 0})  # a is minimal and unmarked
+    with pytest.raises(PosetError, match="unmarked minimal element a"):
+        require_valid(poset)

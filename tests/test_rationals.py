@@ -32,3 +32,7 @@ def test_rejects_booleans(bad):
     # bool is an int subclass, but JSON true/false are not rationals
     with pytest.raises(TypeError):
         rat(bad)
+
+
+def test_rat_str_of_an_int():
+    assert [rat_str(3), rat_str(-2), rat_str(0)] == ["3", "-2", "0"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import (covector_cell_rows, det, full_covector_cells, make_double_star,
                       make_ex52, make_ex52_rational, make_grid, make_marked_interior,
                       random_marked_poset, random_parameter)
-from mpp import linalg
+from mpp import linalg, tropical
 from mpp.family import (Parameter, generic_parameter, hrep_general, iota,
                         transfer_phi_projected, zero_parameter, one_parameter)
 from mpp.geometry import TooLarge, vertices
@@ -708,3 +709,30 @@ def test_off_export_planar(chain_poset):
     assert nv == 3 and nf == 1  # the triangle itself is the single 2-cell
     face_row = lines[2 + nv].split()
     assert face_row[0] == "3" and len(set(face_row[1:])) == 3
+
+
+def test_ideal_chain_refusal_stops_at_the_budget():
+    # a < m1, ..., m20 < z with only a and z marked: more than 2^20 ideals
+    # lie above the empty one, and the refusal comes once the ideals built
+    # so far hold more compatible prefixes than the budget
+    middle = tuple(f"m{i}" for i in range(1, 21))
+    poset = MarkedPoset(("a",) + middle + ("z",),
+                        frozenset([("a", m) for m in middle] + [(m, "z") for m in middle]),
+                        {"a": 0, "z": 1})
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="more than 20000 compatible ideal-chain prefixes"):
+        compatible_ideal_chains(poset)
+    assert time.perf_counter() - start < 5
+
+
+def test_conjecture_reports_a_vertex_without_witness(ex52, monkeypatch):
+    # with no hypercube vertex to degenerate to, no vertex has a witness
+    monkeypatch.setattr(tropical, "hypercube_vertices", lambda poset: iter(()))
+    rep = check_vertex_degeneration_conjecture(ex52, generic_parameter(ex52))
+    assert not rep["pass"] and rep["vertices"]
+    assert all(item["witnesses"] == [] for item in rep["vertices"])
+
+
+def test_polygon_cycle_keeps_collinear_points():
+    points = [(F(0), F(0)), (F(2), F(2)), (F(1), F(1))]
+    assert tropical._polygon_cycle(points) == points
