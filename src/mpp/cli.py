@@ -120,9 +120,12 @@ def cmd_fvector(args, poset) -> int:
 def cmd_ehrhart(args, poset) -> int:
     from . import lattice
     t, header = _resolve_parameter(args, poset)
-    # full space: marked coordinates participate in lattice-point counts
-    h = family.hrep_general(poset, t, projected=False)
-    data = lattice.ehrhart(h, args.dilations)
+    if lattice.counted_by_ideals(poset, t):
+        data = lattice.ideal_ehrhart(poset, args.dilations)
+    else:
+        # full space: marked coordinates participate in lattice-point counts
+        h = family.hrep_general(poset, t, projected=False)
+        data = lattice.ehrhart(h, args.dilations)
     payload = {"command": "ehrhart", **header,
                "counts": [list(c) for c in data.counts],
                "coefficients": [rat_str(c) for c in data.coefficients]}
@@ -209,15 +212,18 @@ def _sweep(fn, items, label) -> tuple[list, list]:
 
 def _sweep_ehrhart(poset):
     from . import lattice
-    parts = [family.partition_of_parameter(poset, t)
-             for t in family.hypercube_vertices(poset)]
+    corners = [(t, family.partition_of_parameter(poset, t))
+               for t in family.hypercube_vertices(poset)]
 
-    def one(part):
-        h = family.hrep_chain_order(poset, part, projected=False)
-        data = lattice.ehrhart(h)
+    def one(corner):
+        t, part = corner
+        if lattice.counted_by_ideals(poset, t):  # at C = {} only
+            data = lattice.ideal_ehrhart(poset)
+        else:
+            data = lattice.ehrhart(family.hrep_chain_order(poset, part, projected=False))
         return {"C": sorted(part.C), "coefficients": [rat_str(c) for c in data.coefficients]}
 
-    rows, errors = _sweep(one, parts, lambda part: {"C": sorted(part.C)})
+    rows, errors = _sweep(one, corners, lambda corner: {"C": sorted(corner[1].C)})
     polys = {tuple(r["coefficients"]) for r in rows}
     return {"check": "ehrhart", "pass": len(polys) == 1, "polynomials": rows}, errors
 

@@ -3,18 +3,19 @@
 Lattice points are enumerated depth-first over the coordinates inside the
 exact vertex bounding box, each coordinate bounded by the constraint rows
 given the coordinates fixed before it, so no box point is tested on its own.
-The rows are the H-rep's cached primitive integer rows, a dilation k scales
-their right-hand sides, and coordinates the box pins to one value are folded
-into the right-hand sides, so the search is in Python ints over the free
-coordinates only.  Ehrhart counts add up the width of the last free
-coordinate's range instead of listing points.
+The rows are the H-rep's cached primitive integer rows, each distinct row
+once, a dilation k scales their right-hand sides, and coordinates the box
+pins to one value are folded into the right-hand sides, so the search is in
+Python ints over the free coordinates only.  The last free coordinate's
+range is taken inline, in its parent's loop.  Ehrhart counts add up its
+width and build no point.
 
-A point is built as the search goes: each level extends its parent's prefix
-by one step, and the last level's range is emitted in one pass.  The steps
-are tuples of ints, or, when the caller passes a row's text pieces (open,
-separator, close), strings, so that a point comes out as its finished text
-row and each prefix's digits are formatted once per search node, not once
-per point.
+A listed point is built as the search goes: each level extends its parent's
+prefix by one step, and the last level's range is emitted in one pass.  The
+steps are tuples of ints, or, when the caller passes a row's text pieces
+(open, separator, close), strings, so that a point comes out as its
+finished text row and each prefix's digits are formatted once per search
+node, not once per point.
 
 The vertex bounding box bounds the search but does not gate a listing:
 `lattice_points` may list at most POINT_BUDGET points and visit at most
@@ -22,12 +23,19 @@ NODE_BUDGET search nodes per free coordinate, and raises TooLarge, naming
 what it counted, when either runs out.  `ehrhart` and `is_integrally_closed`
 gate their boxes at BOX_GATE candidates before they search.
 
+The Ehrhart counts of O_0(P, lambda) with an integral marking, bounded,
+need no polytope: `ideal_ehrhart` sums Stanley's chain-of-ideals count over
+the order ideals of P (see there), and `counted_by_ideals` says when it
+applies.  It refuses, while it builds the ideals, once the ideals times
+the unmarked elements + 1 times the dilations + 1 exceed IDEAL_BUDGET.
+
 EhrhartData is an immutable record (see mpp.records): a named tuple, so it
 also iterates, sorts and equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -36,11 +44,13 @@ from fractions import Fraction
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
                        UnsupportedUnbounded, vertices)
 from .linalg import rank
+from .poset import MarkedPoset, require_valid
 from .rationals import rat_str
 
 BOX_GATE = 10 ** 7      # box candidates of an Ehrhart count or a closure check
 POINT_BUDGET = 10 ** 7  # points a listing returns
 NODE_BUDGET = 10 ** 7   # search nodes a listing visits, per free coordinate
+IDEAL_BUDGET = 10 ** 7  # order ideals x (unmarked + 1) x (dilations + 1) at t = 0
 
 
 def _extremes(rows) -> tuple[int, list[int], list[int]]:
@@ -70,18 +80,19 @@ def _scan(h: HRep, lows, highs, k=1, count=False, text=None):
     point)) + close.
 
     The rows are h.int_inequalities and h.int_equations (an equation is two
-    opposite rows) with their right-hand sides times k.  A coordinate whose
-    box is one value is pinned: its term moves into the right-hand sides,
-    and points get its value back in place.  The search runs depth-first
-    over the free coordinates in order.  With s the sum of a_i * x_i over
-    the coordinates already fixed and m the least value the terms after x_j
-    take in the box, a row a . x <= b requires a_j * x_j <= b - s - m: a cap
-    on x_j if a_j > 0, a floor if a_j < 0.  At the row's last nonzero
-    coordinate m = 0 and this is the row itself, so every point is checked
-    exactly; before it, the bound cuts prefixes with no completion in the
-    box.  Bounds that cannot cut inside the box are dropped.  At the last
-    free coordinate the points are the whole range left, so counting adds
-    its width.
+    opposite rows) with their right-hand sides times k, each distinct row
+    once.  A coordinate whose box is one value is pinned: its term moves
+    into the right-hand sides, and points get its value back in place.  The
+    search runs depth-first over the free coordinates in order.  With s the
+    sum of a_i * x_i over the coordinates already fixed and m the least
+    value the terms after x_j take in the box, a row a . x <= b requires
+    a_j * x_j <= b - s - m: a cap on x_j if a_j > 0, a floor if a_j < 0.
+    At the row's last nonzero coordinate m = 0 and this is the row itself,
+    so every point is checked exactly; before it, the bound cuts prefixes
+    with no completion in the box.  Bounds that cannot cut inside the box
+    are dropped.  At the last free coordinate the points are the whole
+    range left, taken in the parent's loop, so counting adds its width and
+    builds no point.
 
     The search raises TooLarge when it has listed more than POINT_BUDGET
     points or visited more than NODE_BUDGET nodes per free coordinate.
@@ -92,12 +103,12 @@ def _scan(h: HRep, lows, highs, k=1, count=False, text=None):
     free = [j for j, (lo, hi) in enumerate(zip(lows, highs)) if lo < hi]
     pins = [(1 + j, lo) for j, (lo, hi) in enumerate(zip(lows, highs)) if lo == hi]
     eqs = h.int_equations
-    rows = []  # (coefficients on the free coordinates, right-hand side)
+    rows = {}  # the distinct (coefficients on the free coordinates, right-hand side)
     for row in h.int_inequalities + eqs + tuple(tuple(-a for a in r) for r in eqs):
-        coeffs = [row[1 + j] for j in free]
+        coeffs = tuple(row[1 + j] for j in free)
         rhs = -row[0] * k - sum(row[j] * v for j, v in pins)
         if any(coeffs):
-            rows.append((coeffs, rhs))
+            rows[coeffs, rhs] = None
         elif rhs < 0:
             return empty
     if not free:
@@ -124,67 +135,107 @@ def _scan(h: HRep, lows, highs, k=1, count=False, text=None):
                 later = True
             top -= most[j]
             rest += least[j]
-    # each level's steps cover its whole box range, built before the search
+    # a listing builds each level's steps over its whole box range first
     wide = max(free, key=lambda j: highs[j] - lows[j])
     if highs[wide] - lows[wide] >= NODE_BUDGET:
         raise TooLarge(f"coordinate {h.coords[wide]} takes {highs[wide] - lows[wide] + 1} "
                        f"values in the box (budget {NODE_BUDGET} search nodes)")
-    # steps[i][x - lows_f[i]]: x, then the pinned values up to the next free
-    # coordinate; a point is the pinned head followed by one step per level
     last = n - 1
-    ends = free[1:] + [len(lows)]
-    tails = [lows[j + 1:end] for j, end in zip(free, ends)]
-    if text is None:
-        head = tuple(lows[:free[0]])
-        steps = [[(x, *tail) for x in range(lows[j], highs[j] + 1)]
-                 for j, tail in zip(free, tails)]
-    else:  # every value but the point's last is followed by the separator
-        start, sep, close = text
-        head = start + "".join(f"{v}{sep}" for v in lows[:free[0]])
-        tails = ["".join(f"{sep}{v}" for v in tail) + (close if i == last else sep)
-                 for i, tail in enumerate(tails)]
-        steps = [[f"{x}{tail}" for x in range(lows[j], highs[j] + 1)]
-                 for j, tail in zip(free, tails)]
+    out = head = steps = None  # a count builds no point
+    if not count:
+        # steps[i][x - lows_f[i]]: x, then the pinned values up to the next
+        # free coordinate; a point is the pinned head followed by one step per
+        # level.  Each level's steps cover its whole box range.
+        out = []
+        ends = free[1:] + [len(lows)]
+        tails = [lows[j + 1:end] for j, end in zip(free, ends)]
+        if text is None:
+            head = tuple(lows[:free[0]])
+            steps = [[(x, *tail) for x in range(lows[j], highs[j] + 1)]
+                     for j, tail in zip(free, tails)]
+        else:  # every value but the point's last is followed by the separator
+            start, sep, close = text
+            head = start + "".join(f"{v}{sep}" for v in lows[:free[0]])
+            tails = ["".join(f"{sep}{v}" for v in tail) + (close if i == last else sep)
+                     for i, tail in enumerate(tails)]
+            steps = [[f"{x}{tail}" for x in range(lows[j], highs[j] + 1)]
+                     for j, tail in zip(free, tails)]
     sums = [0] * len(rows)  # a . x over the free coordinates fixed so far
-    out = None if count else []
     nodes, node_budget = 1, NODE_BUDGET * n
 
-    def visit(i, prefix):
-        nonlocal nodes
+    def span(i):
+        """The range of x_i that the coordinates fixed before it leave."""
         lo, hi = lows_f[i], highs_f[i]
         for r, a, b in bounds[i]:
             if a > 0:
                 hi = min(hi, (b - sums[r]) // a)
             else:
                 lo = max(lo, -((b - sums[r]) // -a))
+        return lo, hi
+
+    def emit(prefix, lo, hi):
+        """List the points prefix + each last-level step from lo to hi."""
+        listed = len(out) + hi - lo + 1
+        if listed > POINT_BUDGET:
+            raise TooLarge(f"the lattice-point search listed {listed} points "
+                           f"before it ended (budget {POINT_BUDGET})")
+        base = lows_f[last]
+        out.extend(map(prefix.__add__, steps[last][lo - base:hi - base + 1]))
+
+    def visit(i, prefix):
+        """The points below a prefix fixed up to x_{i-1}, for i < last."""
+        nonlocal nodes
+        lo, hi = span(i)
         if lo > hi:
             return 0
-        step, base = steps[i], lows_f[i]
-        if i == last:
-            if out is not None:
-                listed = len(out) + hi - lo + 1
-                if listed > POINT_BUDGET:
-                    raise TooLarge(f"the lattice-point search listed {listed} points "
-                                   f"before it ended (budget {POINT_BUDGET})")
-                out.extend(map(prefix.__add__, step[lo - base:hi - base + 1]))
-            return hi - lo + 1
         nodes += hi - lo + 1
         if nodes > node_budget:
             raise TooLarge(f"the lattice-point search visited {nodes} nodes over {n} "
                            f"free coordinates (budget {NODE_BUDGET} per coordinate)")
-        feed = feeds[i]
-        saved = [sums[r] for r, _ in feed]
-        found = 0
+        feed, found, base = feeds[i], 0, lows_f[i]
+        step = None if steps is None else steps[i]
+        if i + 1 < last:
+            saved = [sums[r] for r, _ in feed]
+            for x in range(lo, hi + 1):
+                for (r, a), s in zip(feed, saved):
+                    sums[r] = s + a * x
+                found += visit(i + 1, None if step is None else prefix + step[x - base])
+            for (r, _), s in zip(feed, saved):
+                sums[r] = s
+            return found
+        # the last level's range for each x, inline: a cap or a floor
+        # (c - d * x) // a per bound, d the row's coefficient on x
+        coef = dict(feed)
+        caps = [(a, b - sums[r], coef.get(r, 0)) for r, a, b in bounds[last] if a > 0]
+        floors = [(-a, b - sums[r], coef.get(r, 0)) for r, a, b in bounds[last] if a < 0]
+        low, high = lows_f[last], highs_f[last]
         for x in range(lo, hi + 1):
-            for (r, a), s in zip(feed, saved):
-                sums[r] = s + a * x
-            found += visit(i + 1, prefix + step[x - base])
-        for (r, _), s in zip(feed, saved):
-            sums[r] = s
+            top = high
+            for a, c, d in caps:
+                v = (c - d * x) // a
+                if v < top:
+                    top = v
+            bottom = low
+            for a, c, d in floors:
+                v = -((c - d * x) // a)
+                if v > bottom:
+                    bottom = v
+            if bottom <= top:
+                found += top - bottom + 1
+                if step is not None:
+                    emit(prefix + step[x - base], bottom, top)
         return found
 
-    found = visit(0, head)
-    return found if count else out
+    if n > 1:
+        found = visit(0, head)
+        return found if count else out
+    lo, hi = span(0)
+    if lo > hi:
+        return empty
+    if count:
+        return hi - lo + 1
+    emit(head, lo, hi)
+    return out
 
 
 def _lattice_polytope(h: HRep, what: str):
@@ -252,6 +303,32 @@ def _interpolate(values: list[int]) -> tuple[list[int], int]:
     return coeffs, den
 
 
+def _dilations(max_dilation: int | None, dim: int) -> int:
+    """The last dilation to report: max_dilation, by default max(dim, 1).
+    Raises ValueError if the counts at 0..max_dilation cannot fix a
+    polynomial of degree dim."""
+    if max_dilation is None:
+        return max(dim, 1)
+    if max_dilation < dim:
+        raise ValueError(f"dilations up to {max_dilation} are too few for a polytope of "
+                         f"dimension {dim}: the interpolation needs dilations 0..{dim}, "
+                         f"so the least value accepted is {dim}")
+    return max_dilation
+
+
+def _fit(counts: list[tuple[int, int]], through: int) -> EhrhartData:
+    """EhrhartData of the counts at dilations 0, 1, ...: the polynomial
+    through the counts at 0..through, with its zero leading coefficients
+    trimmed; every later count must agree with it."""
+    coeffs, den = _interpolate([c for _, c in counts[:through + 1]])
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    for k, c in counts[through + 1:]:
+        if sum(a * k ** i for i, a in enumerate(coeffs)) != c * den:
+            raise AssertionError("Ehrhart interpolation failed to reproduce a count")
+    return EhrhartData(tuple(counts), tuple(Fraction(a, den) for a in coeffs))
+
+
 def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     """Counts at dilations 0..max_dilation plus the interpolated polynomial.
 
@@ -262,12 +339,7 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     """
     rows = _lattice_polytope(h, "Ehrhart counting")
     dim = rank(rows) - 1  # the affine rank of the vertices
-    if max_dilation is None:
-        max_dilation = max(dim, 1)
-    if max_dilation < dim:
-        raise ValueError(f"dilations up to {max_dilation} are too few for a polytope of "
-                         f"dimension {dim}: the interpolation needs dilations 0..{dim}, "
-                         f"so the least value accepted is {dim}")
+    max_dilation = _dilations(max_dilation, dim)
     # the vertices of kQ are k * V(Q); boxes grow with k, so gate the largest
     # one before scanning any
     extremes = _extremes(rows)
@@ -275,11 +347,151 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     counts = [(0, 1)]
     for k in range(1, max_dilation + 1):
         counts.append((k, _scan(h, *_box(extremes, k), k=k, count=True)))
-    coeffs, den = _interpolate([c for _, c in counts[:dim + 1]])
-    for k, c in counts[dim + 1:]:
-        if sum(a * k ** i for i, a in enumerate(coeffs)) != c * den:
-            raise AssertionError("Ehrhart interpolation failed to reproduce a count")
-    return EhrhartData(tuple(counts), tuple(Fraction(a, den) for a in coeffs))
+    return _fit(counts, dim)
+
+
+# -- Ehrhart counts of O_0 over the order ideals -----------------------------
+
+def counted_by_ideals(poset: MarkedPoset, t) -> bool:
+    """Whether ideal_ehrhart counts O_t(P, lambda): t = 0, the marking is
+    integral, and every maximal element is marked.  O_0 is then a lattice
+    polytope; it is bounded exactly when every maximal element is marked."""
+    return (not any(t.values.values())
+            and all(v.denominator == 1 for v in poset.marking.values())
+            and all(e in poset.marking for e in poset.elements if not poset.upper_covers(e)))
+
+
+def _levels(poset: MarkedPoset, values: list[int], weight: int):
+    """Per level l = 0..len(values), (base, free, ideals) of the order
+    ideals of P whose marked elements are those of the l least values.
+    Each is base | S: base the down-set of those marked elements, and S an
+    order ideal of the free elements, the unmarked ones neither in base nor
+    above another marked element (so the lower covers of a free element are
+    free or in base).  free lists their bits along the linear extension,
+    and ideals the S as bitmasks, each after its subsets, grown by adding
+    each free element to every S so far that holds its free lower covers.
+    Raises TooLarge as soon as the ideals built, over all levels, times
+    weight exceed IDEAL_BUDGET."""
+    order = poset.linear_extension()
+    bit = {e: 1 << i for i, e in enumerate(order)}
+    below, marking = poset._below, poset.marking
+    by_value = {}  # the marked elements of each value
+    for a, v in marking.items():
+        by_value.setdefault(int(v), []).append(a)
+    base, mask, outside = set(), 0, set(marking)
+    levels, built = [], 0
+    for level in range(len(values) + 1):
+        if level:  # the marked elements of the next value join base
+            for a in by_value[values[level - 1]]:
+                outside.discard(a)
+                grown = below[a].union((a,)) - base
+                base |= grown
+                mask |= sum(bit[e] for e in grown)
+        free = [e for e in order
+                if e not in base and e not in marking and below[e].isdisjoint(outside)]
+        ideals = [0]
+        for e in free:
+            need = sum(bit[c] for c in poset.lower_covers(e) if c not in base)
+            ideals += [i | bit[e] for i in ideals if i & need == need]
+            if (built + len(ideals)) * weight > IDEAL_BUDGET:
+                break
+        built += len(ideals)
+        if built * weight > IDEAL_BUDGET:
+            raise TooLarge(f"the Ehrhart count at t = 0 built {built} order ideals before "
+                           f"it ended, and that times {weight} (unmarked elements + 1, "
+                           f"times dilations + 1) exceeds its budget of {IDEAL_BUDGET}")
+        levels.append((mask, [bit[e] for e in free], ideals))
+    return levels
+
+
+def _pack(values: list[int], size: int) -> int:
+    """One int holding values in slots of size bytes, the first lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
+def _unpack(value: int, size: int, count: int) -> list[int]:
+    """The count slots of size bytes of value, lowest first."""
+    data = value.to_bytes(size * count, "little")
+    return [int.from_bytes(data[k:k + size], "little") for k in range(0, size * count, size)]
+
+
+def ideal_ehrhart(poset: MarkedPoset, max_dilation: int | None = None) -> EhrhartData:
+    """ehrhart of O_0(P, lambda) in the full space, counted over the order
+    ideals of P without a polytope: counted_by_ideals(poset, 0) must hold.
+
+    A point x of k * O_0 has one chain of level sets, the order ideals
+    {x <= y}: blocks of equal values, with strictly increasing values from
+    block to block.  A block with marked elements takes their value k * w,
+    and must hold every marked element of value w not in an earlier block;
+    a run of j unmarked blocks between marked values k * v < k * w takes
+    any j values in between, C(k (w - v) - 1, j) ways (Stanley's count of
+    the order polynomial by chains of ideals, "Two poset polytopes", 1986,
+    with marked blocks).  So every ideal of the chain lies on a level (see
+    _levels), and the marked blocks step from one level to the next.  On a
+    level, R_j(I) counts the ways to reach I with j unmarked blocks since
+    the last marked one: R_{j+1}(I) is the sum of R_j over the ideals of the
+    level strictly inside I, from one zeta transform over the level's ideals
+    (one addition per cover), and an ideal I' of the next level starts with
+    the sum over j of that transform at the largest ideal of the level
+    inside I', its free part I' & free, times C(k (w - v) - 1, j).
+
+    The values are ints.  Up to level 1 they do not depend on k.  From
+    level 2 on, one int holds the values at every dilation, one slot of
+    whole bytes per dilation, so that a sum is one int addition.  On a level
+    with m free elements, every value at dilation k is at most the sum of
+    the level's starting values at k times (m + 1)^m, the strict chains of
+    ideals of length at most m from one ideal (each free element joins one
+    of their blocks or none), so slots as wide as the largest such bound
+    never carry.  The
+    count of k * O_0 is the value of P, the one ideal of the last level.
+
+    The polynomial interpolates the counts at 0..n, n the number of
+    unmarked elements and at least dim, so its trimmed degree is dim;
+    counts past n must agree with it.  The work is at most about the
+    number of ideals times n + 1 block counts times the dilations + 1, and
+    _levels refuses past IDEAL_BUDGET of it before any sum."""
+    require_valid(poset)
+    n = len(poset.unmarked)
+    last = max(n, 1, max_dilation or 0)  # the dilations counted: 1..last
+    values = sorted({int(v) for v in poset.marking.values()})
+    levels = _levels(poset, values, (n + 1) * (last + 1))
+    # R_0 on level 1 (on level 0 for the empty poset): the first block
+    # reaches each ideal there in one way
+    r, size = [1] * len(levels[min(1, len(values))][2]), 0
+    for level, ((_, free, ideals), (base, free_above, above)) in enumerate(
+            zip(levels[1:], levels[2:]), 1):
+        pos = {i: p for p, i in enumerate(ideals)}
+        # (I, I - e) over the covers of the level's ideals, e along the
+        # linear extension: the zeta transform's order
+        covers = [(p, pos[i ^ b]) for b in free for p, i in enumerate(ideals)
+                  if i & b and i ^ b in pos]
+        mask = sum(free)
+        inside = [pos[(base | i) & mask] for i in above]
+        starts = {p: [0] * last for p in inside}  # by inside, per dilation
+        for j in itertools.count():
+            z = list(r)  # its zeta transform: the sums over the ideals inside
+            for p, q in covers:
+                z[p] += z[q]
+            weight = [math.comb(k * (values[level] - values[level - 1]) - 1, j)
+                      for k in range(1, last + 1)]
+            for p, start in starts.items():
+                if z[p]:
+                    found = (_unpack(z[p], size, last) if level > 1
+                             else itertools.repeat(z[p]))
+                    starts[p] = list(map(operator.add, start,
+                                         map(operator.mul, weight, found)))
+            r = [zp - rp for zp, rp in zip(z, r)]
+            if not any(r):
+                break
+        # R_0 on the next level, one slot of whole bytes per dilation
+        entry = [starts[p] for p in inside]
+        bound = max(map(sum, zip(*entry))) * (len(free_above) + 1) ** len(free_above)
+        size = bound.bit_length() // 8 + 1
+        r = [_pack(e, size) for e in entry]
+    counts = _unpack(r[0], size, last) if len(levels) > 2 else [r[0]] * last
+    data = _fit([(0, 1)] + list(enumerate(counts, 1)), n)
+    return data._replace(counts=data.counts[:_dilations(max_dilation,
+                                                        len(data.coefficients) - 1) + 1])
 
 
 def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:

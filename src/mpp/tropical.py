@@ -118,7 +118,7 @@ def _difference(write, a: str, b: str, origin):
 
 def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
                     root: Cone):
-    """(tau, H-rep, cone) of each nonempty maximal cell: the polytope P cut
+    """(tau, rows, cone) of each nonempty maximal cell: the polytope P cut
     with the closed cell F_tau of a covector tau whose every type is a
     single element, tau(r) = {m}.  F_tau is then x_q <= x_m for the other
     lower covers q of each r, one closed sector per hyperplane.
@@ -136,10 +136,10 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
     tau is extended one hyperplane at a time, and a partial covector is
     dropped as soon as its cell is empty.  A node's cone is its parent's,
     cut by its own sector rows only (Cone.cut), so DD runs once on the base
-    polytope: root is homogenization_cone(base).  A leaf's H-rep is base
-    with the covector's rows appended, so the base rows come first; the
-    cell's vertices are the cone's rays with x0 > 0, primitive rows, and
-    cone.vrep() is its V-rep."""
+    polytope: root is homogenization_cone(base).  rows are the covector's
+    sector rows, as HRep.with_rows takes them, so the cell's H-rep is base
+    with them appended; the cell's vertices are the cone's rays with
+    x0 > 0, primitive rows, and cone.vrep() is its V-rep."""
     write = _row_writer(poset, base.coords)
     sectors = []
     for r, form in arr.hyperplanes:
@@ -153,7 +153,7 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
 
     def rec(i, path, rows, cone):
         if i == len(sectors):
-            yield {r: frozenset((m,)) for r, m in path}, base.with_rows((), rows), cone
+            yield {r: frozenset((m,)) for r, m in path}, rows, cone
             return
         for r, m, new, prims in sectors[i]:
             sub = cone.cut(prims)
@@ -240,8 +240,8 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     nb = len(base.int_inequalities)
     index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> global id
     found: dict[int, tuple] = {}  # global vertex mask -> (dim, global ids, tight)
-    for _, h, cone in _covector_cells(poset, arr, base, root):
-        v = cone.vrep()
+    for _, rows, cone in _covector_cells(poset, arr, base, root):
+        h, v = base.with_rows((), rows), cone.vrep()
         ids = [index.setdefault(_primitive(r), len(index)) for r in v.rows]
         bits = [1 << i for i in ids]
         masks, facets, _ = facet_masks(h, v)

@@ -121,6 +121,24 @@ def test_ehrhart_dilations_below_the_dimension(ex52_file, capsys, dilations):
     assert f"up to {dilations} " in out["error"]
 
 
+def test_ehrhart_at_t0_is_counted_over_ideals_however_t0_is_given(ex52_file, tmp_path,
+                                                                capsys, monkeypatch):
+    # t = 0 by default, by a --t file of zeros and by a partition with C
+    # empty: each is counted over the order ideals, with no double description
+    zeros = tmp_path / "zeros.json"
+    zeros.write_text(json.dumps({"t": {"p": "0", "q": "0", "r": "0"}}))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"C": [], "O": ["p", "q", "r"]}))
+    monkeypatch.setattr(lattice, "vertices", None)  # the enumeration would call it
+    answers = []
+    for flags in ([], ["--t", str(zeros)], ["--partition", str(empty)]):
+        assert main(["ehrhart", ex52_file, *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        answers.append((out["counts"], out["coefficients"]))
+    assert answers == [([[0, 1], [1, 41], [2, 208], [3, 594]],
+                        ["1", "43/6", "35/2", "46/3"])] * 3
+
+
 def test_ehrhart_names_a_non_integral_vertex_in_rationals(tmp_path, capsys):
     # a < p < b marked 0 and 1/2: O_0 is the segment from (0, 0, 0) to (0, 0, 1/2)
     path = tmp_path / "half.json"

@@ -358,6 +358,13 @@ GOLDEN = {
         ('b0dca235935f915c8f6d6934fae4afd6fc70ba5e736e5260a91739c0e7460f61', 0, None),
     ('ex52', 'ehrhart-dilations'):
         ('d07326ab226f49d48db440bff3164549b3693fe5c9602105f4a20de465abe7f1', 0, None),
+    # recorded when O_0 came to be counted over the order ideals, which
+    # answers where the box-gated enumeration refused; every count was
+    # checked against the multichain count of bench/oracles.py
+    ('grid3x3', 'ehrhart-t0'):
+        ('e6f3fd1a8aeb5342b35c07571185b93b98d764812afc7214ce00d595e3239cbe', 0, None),
+    ('grid4x4', 'ehrhart-t0'):
+        ('0fb2ee61f0ebb59b90f2373796dcfeb7762aad3f5e4e2be6f0c10ad05687f568', 0, None),
     # recorded before the covector search was pruned by double description
     # instead of the simplex; no other golden poset has an empty partial cell
     ('interior', 'subdivision'):

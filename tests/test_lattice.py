@@ -1,20 +1,25 @@
+import importlib.util
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import (det, dilate, make_chain_poset, make_ex52, make_grid,
-                      random_hrep, random_rat)
+from conftest import (det, dilate, make_chain_poset, make_double_star, make_ex52,
+                      make_grid, random_hrep, random_marked_poset, random_rat)
 from mpp.family import (Partition, hrep_chain_order, hrep_general,
                         hypercube_vertices, one_parameter, zero_parameter)
 from mpp import lattice
 from mpp.geometry import (EmptyPolyhedron, NonLatticeVertices, TooLarge,
                           make_hrep, vertices)
+from mpp.jsonio import poset_to_json
 from mpp.lattice import ehrhart, is_integrally_closed, lattice_points
 from mpp.linalg import homogenized
 from mpp.poset import MarkedPoset
+from mpp.tropical import compatible_ideal_chains
 
 
 def F(n, d=1):
@@ -461,3 +466,150 @@ def test_ehrhart_polynomial_evaluates_to_every_count(poset):
     assert len(data.counts) == 9
     for k, count in data.counts:
         assert data.evaluate(k) == count
+
+
+# -- Ehrhart counts of O_0 over the order ideals --------------------------------
+
+def _scan_counts(poset, dilations):
+    """The enumeration's counts of k * O_0, in boxes that no gate refuses."""
+    h = hrep_general(poset, zero_parameter(poset), projected=False)
+    extremes = lattice._extremes(lattice._lattice_polytope(h, "Ehrhart counting"))
+    return [lattice._scan(h, *lattice._box(extremes, k, gated=False), k=k, count=True)
+            for k in dilations]
+
+
+def _ideal_counts(poset, dilations):
+    data = lattice.ideal_ehrhart(poset, max(*dilations, len(poset.unmarked)))
+    return [data.counts[k][1] for k in dilations]
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_ideal_counts_match_the_enumeration(block):
+    # seeded draws with integral markings; every third one has its marks
+    # halved and rounded down, so comparable marked elements share values
+    for seed in range(30 * block, 30 * block + 30):
+        rnd = random.Random(seed)
+        poset = random_marked_poset(rnd, rnd.randint(2, 8), mark_extra=0.3,
+                                    scale=rnd.randint(1, 2))
+        if seed % 3 == 0:
+            poset = MarkedPoset(poset.elements, poset.covers,
+                                {e: v // 2 for e, v in poset.marking.items()})
+        assert lattice.counted_by_ideals(poset, zero_parameter(poset))
+        assert _ideal_counts(poset, (1, 2, 3)) == _scan_counts(poset, (1, 2, 3)), seed
+
+
+def _chain_sum(poset, k):
+    """Oracle: the sum over the compatible ideal chains of the product, over
+    each run of j unmarked blocks between marked values v < w, of
+    C(k (w - v) - 1, j)."""
+    total = 0
+    for chain in compatible_ideal_chains(poset):
+        term, v, j = 1, None, 0
+        for low, high in zip(chain, chain[1:]):
+            values = {int(poset.marking[x]) for x in high - low if x in poset.marking}
+            if not values:
+                j += 1
+                continue
+            (w,) = values
+            if v is not None:
+                term *= math.comb(k * (w - v) - 1, j)
+            v, j = w, 0
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("poset", [make_ex52(), make_double_star(), make_grid(2, 3)],
+                         ids=["ex52", "dstar", "grid2x3"])
+def test_ideal_counts_are_sums_over_ideal_chains(poset):
+    dilations = (1, 2, 3, 4)
+    assert _ideal_counts(poset, dilations) == [_chain_sum(poset, k) for k in dilations]
+
+
+ORACLES = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+
+
+def test_grid_counts_are_stanleys_multichain_counts():
+    # gridMxN marks its bottom 0 and its top M + N, so k * O_0 holds the
+    # order-preserving maps of the unmarked part into 0..k (M + N): multichains
+    # of k (M + N) order ideals
+    spec = importlib.util.spec_from_file_location("mpp_bench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    for (m, n), dilations in (((3, 3), (7,)), ((2, 6), (1, 2, 3))):
+        poset = make_grid(m, n)
+        P = oracles.Poset.from_json(poset_to_json(poset))
+        assert _ideal_counts(poset, dilations) == [
+            oracles.multichain_count(P, k * (m + n)) for k in dilations]
+    assert _ideal_counts(make_grid(3, 3), (7,)) == [2_660_647_704]
+
+
+def test_ideal_budget_refuses_while_the_ideals_are_built(monkeypatch):
+    # a < m_1..m_20 < z: 2^20 + 2 ideals, 21 block counts and 21 dilations
+    mids = [f"m{i:02d}" for i in range(20)]
+    antichain = MarkedPoset(("a", *mids, "z"), [("a", m) for m in mids] +
+                            [(m, "z") for m in mids], {"a": 0, "z": 1})
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"built 32769 order ideals before it ended, and "
+                       r"that times 441 \(unmarked elements \+ 1, times dilations \+ 1\) "
+                       r"exceeds its budget of 10000000") as refused:
+        lattice.ideal_ehrhart(antichain)
+    assert time.perf_counter() - start < 1
+    assert refused.traceback[-1].name == "_levels"  # before any sum
+    # grid2x2: 6 ideals (1, 4 and 1 on its levels) x 3 block counts x 3
+    # dilations
+    grid = make_grid(2, 2)
+    monkeypatch.setattr(lattice, "IDEAL_BUDGET", 54)
+    assert [c for _, c in lattice.ideal_ehrhart(grid).counts] == [1, 25, 81]
+    monkeypatch.setattr(lattice, "IDEAL_BUDGET", 53)
+    with pytest.raises(TooLarge, match="built 6 order ideals before it ended, and that "
+                       "times 9 "):
+        lattice.ideal_ehrhart(grid)
+
+
+def test_ideal_counts_need_t0_an_integral_marking_and_a_bounded_polytope():
+    poset = make_ex52()
+    assert lattice.counted_by_ideals(poset, zero_parameter(poset))
+    assert not lattice.counted_by_ideals(poset, one_parameter(poset))
+    half = MarkedPoset(poset.elements, poset.covers,
+                       {**poset.marking, "3": Fraction(5, 2)})
+    assert not lattice.counted_by_ideals(half, zero_parameter(half))
+    open_top = MarkedPoset(("a", "p"), [("a", "p")], {"a": 0})
+    assert not lattice.counted_by_ideals(open_top, zero_parameter(open_top))
+
+
+def test_ideal_count_walks_only_the_ideals_a_level_set_chain_can_pass():
+    # twenty minimal elements marked 0 below u below z marked 1: P has
+    # 2^20 + 2 order ideals, but a chain of level sets takes all twenty
+    # marked elements in one block, so the count walks 1, 2 and 1 ideals on
+    # its three levels
+    mins = [f"a{i:02d}" for i in range(20)]
+    poset = MarkedPoset((*mins, "u", "z"), [(m, "u") for m in mins] + [("u", "z")],
+                        {**{m: 0 for m in mins}, "z": 1})
+    assert [len(ideals) for _, _, ideals in lattice._levels(poset, [0, 1], 1)] == [1, 2, 1]
+    assert _ideal_counts(poset, (1, 2, 3)) == _scan_counts(poset, (1, 2, 3)) == [2, 3, 4]
+
+
+def _split(lows, highs, chains):
+    """a (0) < the lows < m (1) < the highs < z (2): the lows and the highs
+    each one chain, or each an antichain."""
+    covers = []
+    for below, names, above in (("a", lows, "m"), ("m", highs, "z")):
+        if chains:
+            covers += list(zip((below, *names), (*names, above)))
+        else:
+            covers += [(below, e) for e in names] + [(e, above) for e in names]
+    return MarkedPoset(("a", *lows, "m", *highs, "z"), covers, {"a": 0, "m": 1, "z": 2})
+
+
+@pytest.mark.parametrize("chains", [True, False], ids=["chains", "antichains"])
+def test_ideal_counts_past_a_marked_middle_are_products(chains):
+    # the values below m range over 0..k and those above it over k..2k,
+    # independently: C(k + a, a) C(k + b, b) points for two chains of a and
+    # b elements, (k + 1)^(a + b) for two antichains.  From level 2 on the
+    # values of all dilations share one int, and these counts are the
+    # largest the tests see there
+    a, b = (12, 9) if chains else (4, 5)
+    poset = _split([f"p{i:02d}" for i in range(a)], [f"q{i:02d}" for i in range(b)], chains)
+    for k, count in lattice.ideal_ehrhart(poset).counts:
+        assert count == (math.comb(k + a, a) * math.comb(k + b, b) if chains
+                         else (k + 1) ** (a + b))

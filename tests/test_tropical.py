@@ -416,7 +416,8 @@ def test_maximal_cells_give_the_faces_of_every_covector_cell():
         maximal = list(_covector_cells(poset, arr, base, root))
         assert all(len(m) == 1 for tau, _, _ in maximal for m in tau.values())
         points, faces = _cell_faces(full_covector_cells(poset, arr, base))
-        assert _cell_faces((tau, h, cone.vrep()) for tau, h, cone in maximal) == (points, faces)
+        assert _cell_faces((tau, base.with_rows((), rows), cone.vrep())
+                           for tau, rows, cone in maximal) == (points, faces)
         assert set(subdivision_vertices(poset)) == points
         assert {frozenset(c.vertices) for c in tropical_subdivision(poset)} == faces
     assert arranged >= 40  # not vacuous: most posets have a hyperplane
