@@ -149,12 +149,12 @@ def cmd_subdivision(args, poset) -> int:
     from . import tropical
     if args.off:
         tropical.off_dimension(poset)  # refuses before any cell is computed
+    # with --off, the base polytope's one DD run is shared with the export
+    base_data = tropical._base_data(poset) if args.off else None
     if args.ideal_chains:
-        cells = tropical.ideal_chain_cells(poset)
-        kind = "ideal-chain"
+        cells, kind = tropical.ideal_chain_cells(poset, base_data), "ideal-chain"
     else:
-        cells = tropical.tropical_subdivision(poset)
-        kind = "tropical"
+        cells, kind = tropical.tropical_subdivision(poset, base_data), "tropical"
     # cells share their vertex tuples (all of them, in a tropical subdivision),
     # so each distinct tuple object is deduplicated and written out once
     shared = {id(p): p for c in cells for p in c.vertices}
@@ -168,7 +168,8 @@ def cmd_subdivision(args, poset) -> int:
                           "origin": list(c.origin)} for c in cells],
                "vertices": [[rat_str(x) for x in p] for p in sub_vertices]}
     if args.off:  # the text first, so that a refused export leaves the file alone
-        off = tropical.export_off(poset, None if args.ideal_chains else cells)
+        off = tropical.export_off(poset, tropical.tropical_subdivision(poset, base_data)
+                                  if args.ideal_chains else cells)
         with open(args.off, "w", encoding="utf-8") as fh:
             fh.write(off)
     return _emit(payload, f"{kind} subdivision: {len(cells)} cells, "

@@ -161,10 +161,7 @@ def composition_law(poset: MarkedPoset, u: Parameter, u2: Parameter,
     m12 = degeneration_map(poset, DegenerationPair(u, u2))
     m23 = degeneration_map(poset, DegenerationPair(u2, u3))
     m13 = degeneration_map(poset, DegenerationPair(u, u3))
-    for f in m12.source.faces:
-        if m13.mapping[f] != m23.mapping[m12.mapping[f]]:
-            return False
-    return True
+    return all(m13.mapping[f] == m23.mapping[m12.mapping[f]] for f in m12.source.faces)
 
 
 # -- combinatorial-type sweeps ---------------------------------------------------
@@ -252,14 +249,9 @@ SAMPLES = 3  # interior parameters per hypercube face in a type sweep
 def sample_face_parameters(poset: MarkedPoset, fixed: dict[str, Fraction]) -> list[Parameter]:
     """SAMPLES deterministic interior samples of a hypercube face (fixed 0/1)."""
     free = sorted(p for p in poset.unmarked if p not in fixed)
-    out = []
-    for j in range(1, SAMPLES + 1):
-        values = dict(fixed)
-        n = len(free)
-        for i, p in enumerate(free):
-            values[p] = Fraction(i + 1, n + j + 1)
-        out.append(Parameter(values))
-    return out
+    return [Parameter({**fixed, **{p: Fraction(i + 1, len(free) + j + 1)
+                                   for i, p in enumerate(free)}})
+            for j in range(1, SAMPLES + 1)]
 
 
 def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction]) -> dict:

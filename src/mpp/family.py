@@ -144,8 +144,7 @@ def _row_writer(poset: MarkedPoset, coords):
     coefficient.  A marked term outside coords moves into the right-hand
     side at its marking value; S = scale * M, M the marking's denominator."""
     index = {e: 1 + i for i, e in enumerate(coords)}
-    den = math.lcm(*(v.denominator for v in poset.marking.values()))
-    marks = {a: v.numerator * (den // v.denominator) for a, v in poset.marking.items()}
+    den, marks = poset._integral_marking
     width = len(coords) + 1
 
     def write(terms, scale, origin):
@@ -331,9 +330,8 @@ def transfer_theta_homogeneous(poset: MarkedPoset, t: Parameter | None,
     As in the kernel, t None gives phi_{t'} and t2 None gives psi_t."""
     scale, run = _theta_kernel(poset, t, t2)
     index = {e: i for i, e in enumerate(poset.elements)}
-    den = math.lcm(*(v.denominator for v in poset.marking.values()))
-    marked = [(index[a], v.numerator * (den // v.denominator))
-              for a, v in poset.marking.items()]
+    den, marks = poset._integral_marking
+    marked = [(index[a], v) for a, v in marks.items()]
     free = [index[p] for p in poset.unmarked]
     n = len(poset.elements)
 
@@ -388,12 +386,9 @@ def maximizing_relation(poset: MarkedPoset, x) -> frozenset[tuple[str, str]]:
     pairs = set()
     for p in poset.elements:
         lows = poset.lower_covers(p)
-        if not lows:
-            continue
-        mx = max(Fraction(x[q]) for q in lows)
-        for q in lows:
-            if Fraction(x[q]) == mx:
-                pairs.add((q, p))
+        if lows:
+            mx = max(Fraction(x[q]) for q in lows)
+            pairs.update((q, p) for q in lows if Fraction(x[q]) == mx)
     return frozenset(pairs)
 
 

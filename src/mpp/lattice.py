@@ -25,9 +25,10 @@ gate their boxes at BOX_GATE candidates before they search.
 
 The Ehrhart counts of O_0(P, lambda) with an integral marking, bounded,
 need no polytope: `ideal_ehrhart` sums Stanley's chain-of-ideals count over
-the order ideals of P (see there), and `counted_by_ideals` says when it
-applies.  It refuses, while it builds the ideals, once the ideals times
-the unmarked elements + 1 times the dilations + 1 exceed IDEAL_BUDGET.
+the poset's levels of order ideals (see there), and `counted_by_ideals`
+says when it applies.  It refuses while it grows the ideals, once their
+number times the unmarked elements + 1 times the dilations + 1 exceeds
+IDEAL_BUDGET.
 
 EhrhartData is an immutable record (see mpp.records): a named tuple, so it
 also iterates, sorts and equals the plain tuple of its fields.
@@ -44,7 +45,7 @@ from fractions import Fraction
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
                        UnsupportedUnbounded, vertices)
 from .linalg import rank
-from .poset import MarkedPoset, require_valid
+from .poset import MarkedPoset, _grow_ideals, require_valid
 from .rationals import rat_str
 
 BOX_GATE = 10 ** 7      # box candidates of an Ehrhart count or a closure check
@@ -363,44 +364,20 @@ def counted_by_ideals(poset: MarkedPoset, t) -> bool:
 
 def _levels(poset: MarkedPoset, values: list[int], weight: int):
     """Per level l = 0..len(values), (base, free, ideals) of the order
-    ideals of P whose marked elements are those of the l least values.
-    Each is base | S: base the down-set of those marked elements, and S an
-    order ideal of the free elements, the unmarked ones neither in base nor
-    above another marked element (so the lower covers of a free element are
-    free or in base).  free lists their bits along the linear extension,
-    and ideals the S as bitmasks, each after its subsets, grown by adding
-    each free element to every S so far that holds its free lower covers.
+    ideals of P whose marked elements are those of the l least values: base
+    and the bits of free from MarkedPoset._ideal_levels (level 0 is the
+    empty ideal alone), and ideals those of the free elements, grown from 0.
     Raises TooLarge as soon as the ideals built, over all levels, times
     weight exceed IDEAL_BUDGET."""
-    order = poset.linear_extension()
-    bit = {e: 1 << i for i, e in enumerate(order)}
-    below, marking = poset._below, poset.marking
-    by_value = {}  # the marked elements of each value
-    for a, v in marking.items():
-        by_value.setdefault(int(v), []).append(a)
-    base, mask, outside = set(), 0, set(marking)
     levels, built = [], 0
-    for level in range(len(values) + 1):
-        if level:  # the marked elements of the next value join base
-            for a in by_value[values[level - 1]]:
-                outside.discard(a)
-                grown = below[a].union((a,)) - base
-                base |= grown
-                mask |= sum(bit[e] for e in grown)
-        free = [e for e in order
-                if e not in base and e not in marking and below[e].isdisjoint(outside)]
-        ideals = [0]
-        for e in free:
-            need = sum(bit[c] for c in poset.lower_covers(e) if c not in base)
-            ideals += [i | bit[e] for i in ideals if i & need == need]
-            if (built + len(ideals)) * weight > IDEAL_BUDGET:
-                break
+    for base, free in [(0, ())] + [poset._ideal_levels[v] for v in values]:
+        ideals = _grow_ideals(free, 0, IDEAL_BUDGET // weight - built)
         built += len(ideals)
         if built * weight > IDEAL_BUDGET:
             raise TooLarge(f"the Ehrhart count at t = 0 built {built} order ideals before "
                            f"it ended, and that times {weight} (unmarked elements + 1, "
                            f"times dilations + 1) exceeds its budget of {IDEAL_BUDGET}")
-        levels.append((mask, [bit[e] for e in free], ideals))
+        levels.append((base, [b for b, _ in free], ideals))
     return levels
 
 
@@ -442,8 +419,8 @@ def ideal_ehrhart(poset: MarkedPoset, max_dilation: int | None = None) -> Ehrhar
     the level's starting values at k times (m + 1)^m, the strict chains of
     ideals of length at most m from one ideal (each free element joins one
     of their blocks or none), so slots as wide as the largest such bound
-    never carry.  The
-    count of k * O_0 is the value of P, the one ideal of the last level.
+    never carry.  The count of k * O_0 is the value of P, the one ideal of
+    the last level.
 
     The polynomial interpolates the counts at 0..n, n the number of
     unmarked elements and at least dim, so its trimmed degree is dim;

@@ -1,28 +1,28 @@
-"""Finite marked posets: validation, saturated-chain enumeration, and the
-regularizing transformations (contraction of constant intervals, removal of
-redundant covering relations), plus rank functions and star elements.
+"""Finite marked posets: validation, saturated chains, the order ideals
+that chains of level sets pass, and the regularizing transformations
+(contraction of constant intervals, removal of redundant covering
+relations), plus rank functions and star elements.
 
 Element identifiers are opaque strings; marking values are exact rationals.
-All set-valued results come back in lexicographic element order.  Every
-saturated-chain family (the chains indexing the inequalities of O_t, the
-chain-order chains through C, their counts) is listed by one memoized walker,
-`chain_walker`.  Instances are immutable and hashable (the marking is a
-read-only mapping), so its order is derived once and cached on it: the
-cover lists (one pass), Kahn's linear extension (one run, which also tells
-acyclicity), the down-sets `_below`, the validation report and the walker of
-the chain tails.  The transformations below read this cached order.
-|P| itself is not capped: the steps that grow super-polynomially with it
-(faces, lattice points, ideal chains, sweeps) each run under their own
-budget and raise TooLarge when it is exhausted.
+All set-valued results come back in lexicographic element order.  Instances
+are immutable and hashable (the marking is a read-only mapping), so their
+order is derived once and cached on them: the cover lists, Kahn's linear
+extension (which also tells acyclicity), the down-sets `_below`, the
+validation report (linear in the order relation), the marking over one
+denominator, the chain tails and the levels of order ideals.  One memoized
+walker, `chain_walker`, lists every saturated-chain family; one loop,
+`_grow_ideals`, grows the order ideals of a level, for the Ehrhart counts
+at t = 0 and the ideal chains alike.  |P| itself is not capped: the steps
+that grow super-polynomially with it run under their own budgets.
 
 SaturatedChain and MarkedPoset are immutable records (see mpp.records):
 named tuples, so each also iterates, sorts and equals the plain tuple of
 its fields.
 """
-
 from __future__ import annotations
 
 import heapq
+import math
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
@@ -154,26 +154,67 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
                        for b, v in marking.items() for a in self._below[b])
 
     @cached_property
+    def _top_marking(self) -> dict[str, Fraction | None]:
+        """The largest marking value strictly below each element, or None."""
+        top: dict[str, Fraction | None] = {}
+        for e in self.linear_extension():
+            top[e] = max((v for c in self.lower_covers(e)
+                          for v in (top[c], self.marking.get(c)) if v is not None), default=None)
+        return top
+
+    @cached_property
     def problems(self) -> tuple[str, ...]:
         """Violations of the marked-poset invariants (empty = valid), found
-        once per instance; `validate` and `require_valid` read them."""
+        once per instance and read by `validate` and `require_valid`.  A
+        cover (p, q) fails iff p lies below another lower cover of q, the
+        marking iff a marked element lies above a larger value; offenders
+        are listed only then."""
         if not self.is_acyclic:
             return ("cycle in covering relations",)
         report: list[str] = []
-        # covers must have empty open intervals
+        below, marking, lt, top = self._below, self.marking, self.lt, self._top_marking
         for p, q in sorted(self.covers):
-            for w in self.elements:
-                if w != p and w != q and self.lt(p, w) and self.lt(w, q):
-                    report.append(f"non-covering pair ({p}, {q}): {w} lies strictly between")
-        for a in sorted(self.marking):
-            for b in sorted(self.marking):
-                if a != b and self.lt(a, b) and self.marking[a] > self.marking[b]:
-                    report.append(f"marking not order-preserving: {a} < {b} but "
-                                  f"lambda({a}) > lambda({b})")
-        for e in sorted(self.elements):
-            if not self.lower_covers(e) and e not in self.marked:
-                report.append(f"unmarked minimal element {e}")
+            if any(p in below[c] for c in self.lower_covers(q)):
+                report += [f"non-covering pair ({p}, {q}): {w} lies strictly between"
+                           for w in self.elements if w != p and w != q and lt(p, w) and lt(w, q)]
+        if any(top[b] is not None and top[b] > v for b, v in marking.items()):
+            report += [f"marking not order-preserving: {a} < {b} but lambda({a}) > lambda({b})"
+                       for a in sorted(marking) for b in sorted(marking)
+                       if lt(a, b) and marking[a] > marking[b]]
+        report += [f"unmarked minimal element {e}" for e in sorted(self.elements)
+                   if not self.lower_covers(e) and e not in self.marked]
         return tuple(report)
+
+    @cached_property
+    def _integral_marking(self) -> tuple[int, dict[str, int]]:
+        """(L, {a: L * lambda(a)}), L the marking's common denominator."""
+        den = math.lcm(*(v.denominator for v in self.marking.values()))
+        return den, {a: v.numerator * (den // v.denominator) for a, v in self.marking.items()}
+
+    @cached_property
+    def _ideal_levels(self) -> dict[Fraction, tuple[int, tuple[tuple[int, int], ...]]]:
+        """By marking value v, increasing: (base, free) of the level of order
+        ideals whose marked elements are those of value <= v, element i of
+        the linear extension bit i.  Each is base | S, base the down-set of
+        those marked elements and S an ideal of the free elements (unmarked,
+        outside base, above no larger value); free lists (bit, need), need
+        the free lower covers.  On a valid poset the level below the least
+        value is the empty ideal alone."""
+        order = self.linear_extension()
+        bit = {e: 1 << i for i, e in enumerate(order)}
+        marking, top = self.marking, self._top_marking
+        by_value: dict[Fraction, list[str]] = {}
+        for a, v in sorted(marking.items(), key=lambda item: item[1]):
+            by_value.setdefault(v, []).append(a)
+        levels, base, mask = {}, set(), 0
+        for v, joining in by_value.items():
+            grown = set().union(*(self._below[a] | {a} for a in joining)) - base
+            base |= grown
+            mask |= sum(map(bit.get, grown))
+            levels[v] = (mask, tuple(
+                (bit[e], sum(bit[c] for c in self.lower_covers(e) if c not in base))
+                for e in order if e not in base and e not in marking and top[e] <= v))
+        return levels
 
     @cached_property
     def _tail_walk(self):
@@ -189,6 +230,19 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         walk = self._tail_walk
         return {e: ((e,),) if e in self.marked else tuple(w + (e,) for w in walk(e))
                 for e in self.elements}
+
+
+def _grow_ideals(free, start: int, limit: int) -> list[int]:
+    """The ideals of a level (MarkedPoset._ideal_levels) that contain start,
+    start first and each after its subsets: each free (bit, need) not in
+    start joins every ideal so far that holds its need.  Stops past limit."""
+    ideals = [start]
+    for b, need in free:
+        if not start & b:
+            ideals += [i | b for i in ideals if i & need == need]
+            if len(ideals) > limit:
+                break
+    return ideals
 
 
 def validate(poset: MarkedPoset) -> list[str]:
@@ -397,11 +451,8 @@ def rank_function(poset: MarkedPoset) -> dict[str, int] | None:
                         return None
         low = min(comp.values())
         rk.update((e, r - low) for e, r in comp.items())
-    for a in poset.marking:
-        for b in poset.marking:
-            if rk[a] < rk[b] and not poset.marking[a] < poset.marking[b]:
-                return None
-    return rk
+    m = poset.marking
+    return None if any(rk[a] < rk[b] and not m[a] < m[b] for a in m for b in m) else rk
 
 
 def is_ranked(poset: MarkedPoset) -> bool:

@@ -15,7 +15,8 @@ covectors are read off integer witnesses, and Fractions are built once per
 subdivision vertex, for the returned cells.  The ideal-chain cells, the
 marked analogue of Stanley's subdivision of the order polytope by chains of
 order ideals (1986), refine these; each is the same base cone cut by its
-chain's block rows, and each chain grows from the ideals above its last one.
+chain's block rows, and the chains grow through the poset's levels of order
+ideals, by the loop that the Ehrhart counts at t = 0 use too.
 
 TropicalForm, TropicalArrangement and SubdivisionCell are immutable records
 (see mpp.records): named tuples, so each also iterates, sorts and equals
@@ -24,7 +25,6 @@ the plain tuple of its fields.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
@@ -37,7 +37,7 @@ from .geometry import (Cone, HRep, TooLarge, UnsupportedUnbounded, VRep,
                        _bits, _face_levels, facet_masks, homogenization_cone, incidences,
                        vertices)
 from .linalg import _primitive, common_denominator, dehomogenized
-from .poset import MarkedPoset, require_valid
+from .poset import MarkedPoset, _grow_ideals, require_valid
 
 ZERO = Fraction(0)
 
@@ -81,12 +81,9 @@ class TropicalArrangement(namedtuple("TropicalArrangement", "hyperplanes")):
 def arrangement(poset: MarkedPoset) -> TropicalArrangement:
     """One hyperplane max_{q < r} x_q per unmarked r covering >= 2 elements."""
     require_valid(poset)
-    hps = []
-    for r in sorted(poset.unmarked):
-        lows = poset.lower_covers(r)
-        if len(lows) >= 2:
-            hps.append((r, TropicalForm(tuple((q, ZERO) for q in lows))))
-    return TropicalArrangement(tuple(hps))
+    lows = poset.lower_covers
+    return TropicalArrangement(tuple((r, TropicalForm(tuple((q, ZERO) for q in lows(r))))
+                                     for r in sorted(poset.unmarked) if len(lows(r)) >= 2))
 
 
 def covector(arr: TropicalArrangement, x) -> dict[str, frozenset[str]]:
@@ -179,8 +176,8 @@ def _covector_forms(poset: MarkedPoset, arr: TropicalArrangement, coords):
     w = (w0, w0 x) of the projected coordinates x_q is a * w[j] / (L * w0),
     L the denominator of the marking (j = 0 for a marked q)."""
     index = {e: 1 + i for i, e in enumerate(coords)}
-    den = math.lcm(*(v.denominator for v in poset.marking.values()))
-    return [(r, [(q, index[q], den) if q in index else (q, 0, int(den * poset.marking[q]))
+    den, marks = poset._integral_marking
+    return [(r, [(q, index[q], den) if q in index else (q, 0, marks[q])
                  for q in form.support])
             for r, form in arr.hyperplanes]
 
@@ -220,7 +217,7 @@ def _polytope_cell(base: HRep, forms, v: VRep, origin) -> SubdivisionCell:
                            _covector_at(forms, v.rows), tight, tuple(origin))
 
 
-def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
+def tropical_subdivision(poset: MarkedPoset, base_data=None) -> list[SubdivisionCell]:
     """The full tropical subdivision of the marked order polytope.
 
     Its cells are the nonempty intersections of polytope faces with cells of
@@ -233,9 +230,9 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     inequalities are the first rows of each cell's H-rep.  Cells sort by
     (dim, vertices) through the ranks of the vertices, whose Fractions are
     built once.  Raises TooLarge once more than FACE_GATE distinct cells
-    are found.
+    are found.  base_data, if given, is _base_data(poset).
     """
-    base, root = _base_data(poset)
+    base, root = base_data or _base_data(poset)
     arr = arrangement(poset)
     nb = len(base.int_inequalities)
     index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> global id
@@ -334,58 +331,61 @@ def compatible_ideal_chains(poset: MarkedPoset):
     """Chains of order ideals empty = I_0 < ... < I_r = P compatible with the
     marking: i(I,a) < i(I,b) iff lambda(a) < lambda(b) for marked a, b.
 
-    A chain grows depth-first to the ideals above its last one I, swept
-    along a linear extension from I and taken smallest first (ties by their
-    sorted elements), while its blocks fit: the marked elements of the new
-    block I_k - I_{k-1} share one value v, and every marked element of value
-    <= v lies in I_k.  The compatible prefixes grow super-exponentially on
-    antichain-rich posets; enumeration aborts once more than CHAIN_GATE of
-    them are found, each counted as the sweep builds it.
+    Each ideal of such a chain lies on a level of MarkedPoset._ideal_levels,
+    so a chain grows depth-first from I on level l to the level-l ideals
+    above I (an unmarked block) and the level-(l + 1) ideals above I (a
+    marked block), smallest first, ties by their sorted elements.  The
+    compatible prefixes grow super-exponentially on antichain-rich posets;
+    enumeration aborts once more than CHAIN_GATE of them are grown.
     """
     require_valid(poset)
-    full = frozenset(poset.elements)
-    marking, below, order = poset.marking, poset._below, poset.linear_extension()
-    upto = {v: frozenset(a for a, w in marking.items() if w <= v) for v in marking.values()}
-    chains = []
-    prefixes = 1  # the compatible prefixes found so far, the empty chain first
+    levels = [(0, ())] + list(poset._ideal_levels.values())
+    order = poset.linear_extension()
+    named = {}  # ideal -> (its sort key, its elements), built once
 
-    def rec(chain):
+    def name(ideal):
+        if ideal not in named:
+            elements = sorted(e for k, e in enumerate(order) if ideal >> k & 1)
+            named[ideal] = (len(elements), elements), frozenset(elements)
+        return named[ideal]
+
+    chains, prefixes = [], 1  # the compatible prefixes so far, the empty chain first
+
+    def rec(chain, level):
         nonlocal prefixes
         cur = chain[-1]
-        if cur == full:
-            chains.append(tuple(chain))
+        if cur == (1 << len(order)) - 1:
+            chains.append(tuple(name(i)[1] for i in chain))
             return
-        above, fit = [cur], []
-        for e in order:
-            if e not in cur:
-                new = [i | {e} for i in above if below[e] <= i]
-                above += new
-                for nxt in new:
-                    values = {marking[x] for x in nxt - cur if x in marking}
-                    if len(values) < 2 and all(upto[v] <= nxt for v in values):
-                        fit.append(nxt)
-                if prefixes + len(fit) > CHAIN_GATE:
-                    raise TooLarge(f"more than {CHAIN_GATE} compatible ideal-chain prefixes")
-        prefixes += len(fit)
-        for nxt in sorted(fit, key=lambda s: (len(s), sorted(s))):
-            chain.append(nxt)
-            rec(chain)
-            chain.pop()
+        found = [(i, level) for i in
+                 _grow_ideals(levels[level][1], cur, CHAIN_GATE - prefixes + 1)[1:]]
+        if level + 1 < len(levels):
+            base, free = levels[level + 1]
+            found += [(i, level + 1) for i in
+                      _grow_ideals(free, cur | base, CHAIN_GATE - prefixes - len(found))]
+        prefixes += len(found)
+        if prefixes > CHAIN_GATE:
+            raise TooLarge(f"more than {CHAIN_GATE} compatible ideal-chain prefixes")
+        for nxt, up in sorted(found, key=lambda f: name(f[0])[0]):
+            rec(chain + [nxt], up)
 
-    rec([frozenset()])
+    rec([0], 0)
     return chains
 
 
-def ideal_chain_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
+def ideal_chain_cells(poset: MarkedPoset, base_data=None) -> list[SubdivisionCell]:
     """One cell per compatible chain of order ideals: points constant on each
     block and weakly increasing along the block order: the base cone (the one
-    DD run) cut by the block rows, an equation as two opposite rows."""
-    base, root = _base_data(poset)
+    DD run) cut by the block rows, an equation as two opposite rows.
+    The chains come first, so that their budget refuses before any DD.
+    base_data, if given, is _base_data(poset)."""
+    chains = compatible_ideal_chains(poset)
+    base, root = base_data or _base_data(poset)
     arr = arrangement(poset)
     forms = _covector_forms(poset, arr, base.coords)
     write = _row_writer(poset, base.coords)
     cells = []
-    for chain in compatible_ideal_chains(poset):
+    for chain in chains:
         blocks = [sorted(chain[k] - chain[k - 1]) for k in range(1, len(chain))]
         le = [(e, blk[0]) for blk in blocks for e in blk[1:]]  # (a, b): x_a <= x_b
         le += [(b, a) for a, b in le] + [(lo[0], hi[0]) for lo, hi in zip(blocks, blocks[1:])]
@@ -417,18 +417,11 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
         targets.append(({k: u[k] for k in sorted(u.values)},
                         transfer_theta_homogeneous(poset, t, u),
                         {_primitive(r) for r in vu.rows}))
-    items = []
-    all_witnessed = True
-    for p, hom in zip(generic.vertices, generic.rows):
-        witnesses = []
-        for witness, theta, vset in targets:
-            if _primitive(theta(hom)) in vset:
-                witnesses.append(witness)
-        if not witnesses:
-            all_witnessed = False
-        items.append({"vertex": p, "witnesses": witnesses})
+    items = [{"vertex": p, "witnesses": [witness for witness, theta, vset in targets
+                                         if _primitive(theta(hom)) in vset]}
+             for p, hom in zip(generic.vertices, generic.rows)]
     return {"check": "vertex-degeneration-conjecture",
-            "pass": all_witnessed,
+            "pass": all(item["witnesses"] for item in items),
             "vertices": items}
 
 
@@ -453,17 +446,10 @@ def export_off(poset: MarkedPoset, cells: list[SubdivisionCell] | None = None) -
         cells = tropical_subdivision(poset)
     verts = sorted({p for c in cells for p in c.vertices})
     vid = {p: i for i, p in enumerate(verts)}
-    polygons = []
-    for c in cells:
-        if c.dim != 2:
-            continue
-        polygons.append([vid[p] for p in _polygon_cycle(c.vertices)])
+    polygons = [[vid[p] for p in _polygon_cycle(c.vertices)] for c in cells if c.dim == 2]
     lines = ["OFF", f"{len(verts)} {len(polygons)} 0"]
-    for p in verts:
-        padded = tuple(p) + (ZERO,) * (3 - d)
-        lines.append(" ".join(repr(float(x)) for x in padded))
-    for poly in polygons:
-        lines.append(" ".join([str(len(poly))] + [str(i) for i in poly]))
+    lines += [" ".join(repr(float(x)) for x in tuple(p) + (ZERO,) * (3 - d)) for p in verts]
+    lines += [" ".join(map(str, [len(poly), *poly])) for poly in polygons]
     return "\n".join(lines) + "\n"
 
 
@@ -476,11 +462,8 @@ def _polygon_cycle(points):
     w = next((d for d in dirs if linalg.rank([u, d]) == 2), None)
     if w is None:
         return pts  # degenerate (segment)
-    coords2 = []
-    for p in pts:
-        v = linalg.vsub(p, base)
-        sol = linalg.solve([[u[i], w[i]] for i in range(len(u))], list(v))
-        coords2.append((sol[0], sol[1]))
+    plane = [[a, b] for a, b in zip(u, w)]
+    coords2 = [tuple(linalg.solve(plane, list(linalg.vsub(p, base)))) for p in pts]
     cx = sum((a for a, _ in coords2), ZERO) / len(coords2)
     cy = sum((b for _, b in coords2), ZERO) / len(coords2)
     rel = [(a - cx, b - cy) for a, b in coords2]

@@ -227,16 +227,23 @@ def test_subdivision_runs_no_dd_on_the_base_polytope_twice(ex52_file, monkeypatc
     assert (len(runs), len(kernel), len(cuts)) == (1, 0, 1 + 3)
 
 
-def test_ideal_chain_subdivision_cuts_the_one_base_cone(ex52_file, monkeypatch, capsys):
+def test_ideal_chain_subdivision_cuts_the_one_base_cone(ex52_file, monkeypatch, capsys,
+                                                        tmp_path):
     # DD runs once, on the base polytope in _base_data; each compatible chain
-    # cuts that cone with its block rows, and no cell runs DD of its own
+    # cuts that cone with its block rows, and no cell runs DD of its own.
+    # With --off, the export's tropical subdivision cuts the same cone, once
+    # per sector of ex52's one hyperplane.
     runs = _count(monkeypatch, tropical, "homogenization_cone")
     kernel = _count(monkeypatch, tropical, "vertices")
     cuts = _count(monkeypatch, geometry.Cone, "cut")
     chains = len(tropical.compatible_ideal_chains(make_ex52()))
-    assert cli.main(["subdivision", ex52_file, "--ideal-chains"]) == 0
-    assert json.loads(capsys.readouterr().out)["cells"]
-    assert (len(runs), len(kernel), len(cuts)) == (1, 0, 1 + chains)
+    argv = ["subdivision", ex52_file, "--ideal-chains"]
+    for off in (False, True):
+        for calls in (runs, kernel, cuts):
+            calls.clear()
+        assert cli.main(argv + ["--off", str(tmp_path / "ex52.off")] * off) == 0
+        assert json.loads(capsys.readouterr().out)["cells"]
+        assert (len(runs), len(kernel), len(cuts)) == (1, 0, 1 + chains + 3 * off)
 
 
 def _count_fractions(monkeypatch) -> list:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,15 @@ def test_validate_smallest_legal_instance():
 def test_validate_non_order_preserving():
     p = mp("apb", [("a", "p"), ("p", "b")], {"a": 2, "b": 1})
     assert any("order-preserving" in msg for msg in validate(p))
+    # every offending pair, in sorted order, after the cover messages
+    p = mp("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")],
+           {"a": 3, "b": 2, "c": 1, "d": 2})
+    assert validate(p) == [
+        "non-covering pair (a, c): b lies strictly between",
+        "marking not order-preserving: a < b but lambda(a) > lambda(b)",
+        "marking not order-preserving: a < c but lambda(a) > lambda(c)",
+        "marking not order-preserving: a < d but lambda(a) > lambda(d)",
+        "marking not order-preserving: b < c but lambda(b) > lambda(c)"]
 
 
 def test_validate_cycle():
@@ -57,6 +67,22 @@ def test_validate_cycle():
 def test_validate_non_covering_pair():
     p = mp("abc", [("a", "b"), ("b", "c"), ("a", "c")], {"a": 0, "c": 2})
     assert any("non-covering" in msg for msg in validate(p))
+    # each element strictly between, in element order
+    p = mp("adcb", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("b", "d")],
+           {"a": 0, "d": 2})
+    assert validate(p) == ["non-covering pair (a, d): c lies strictly between",
+                           "non-covering pair (a, d): b lies strictly between",
+                           "non-covering pair (b, d): c lies strictly between"]
+
+
+def test_a_long_marked_chain_validates_in_linear_time():
+    # 1,500 elements, all marked: the checks walk the covers, not every pair
+    # of elements
+    names = [f"c{i:04d}" for i in range(1500)]
+    p = mp(names, zip(names, names[1:]), {e: i for i, e in enumerate(names)})
+    start = time.perf_counter()
+    assert validate(p) == []
+    assert time.perf_counter() - start < 0.5
 
 
 def test_validate_unmarked_minimal():
