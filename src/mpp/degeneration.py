@@ -29,8 +29,8 @@ from fractions import Fraction
 from .family import (Parameter, Partition, chain_order_polytope, check_partition,
                      facet_count_delta, hrep_general, is_tame,
                      transfer_theta_homogeneous)
-from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, VRep, face_counts,
-                       face_lattice, facet_masks, vertices)
+from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, VRep, _bits,
+                       face_counts, face_lattice, facet_masks, vertices)
 from .poset import MarkedPoset, require_valid, star_elements
 from .rationals import rat_str
 
@@ -274,13 +274,20 @@ def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction]) -> 
 
 def _type_sample(h: HRep, v: VRep, walked: dict | None = None):
     """(f-vector, vertex tight sets, vertex-facet incidences) of a polytope,
-    read off the incidence and facet masks; no face is stored.  walked, if
-    given, maps the tight sets already walked to their f-vectors, which
-    equal tight sets share (see _all_isomorphic)."""
+    read off the incidence and facet masks; no face is stored.  A vertex's
+    tight set is the mask of h's inequalities tight on it, by their index
+    in h, which samples of one hypercube face share; the bits of its zero
+    set follow the order of insertion into double description, which
+    depends on the rows' values.  walked, if given, maps the tight sets
+    already walked to their f-vectors, which equal tight sets share (see
+    _all_isomorphic)."""
     masks, facets, _ = facet_masks(h, v)
     n = len(v.rows)
-    tight = frozenset(frozenset(j for j, m in enumerate(masks) if m >> i & 1)
-                      for i in range(n))
+    by_vertex = [0] * n
+    for j, m in enumerate(masks):
+        for i in _bits(m):
+            by_vertex[i] |= 1 << j
+    tight = frozenset(by_vertex)
     pairs = frozenset((i, fi) for fi, f in enumerate(facets) for i in range(n) if f >> i & 1)
     walked = {} if walked is None else walked
     if tight not in walked:

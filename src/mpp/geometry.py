@@ -9,14 +9,21 @@ homogenization cone, in integers throughout: it reads the primitive rows,
 rays stay primitive int tuples with bitmask zero sets, and the returned VRep
 holds each vertex as an integer row over one common denominator.  The cone
 that DD leaves (Cone) can be cut by further rows, which continues the same
-DD instead of starting it again.  Fraction vertices are built only when a
-caller reads VRep.vertices.  A brute-force constraint-subset oracle is kept
-alongside for cross-checking.  Face lattices are restricted to bounded
-polyhedra.  Faces are vertex bitmasks, enumerated level by level from the
-facets' incidence masks, so a face's dimension is its level in the lattice;
-the face holding a point in its relative interior is looked up by the
-point's set of tight inequalities.  f-vectors come from the same walk,
-counted, with one level held at a time.
+DD instead of starting it again; a run refuses past DD_BUDGET steps of
+adjacency testing.  Fraction vertices are built only when a caller reads
+VRep.vertices.  A brute-force constraint-subset oracle is kept alongside
+for cross-checking.
+
+The VRep that DD returns keeps its cone, and the face layer reads it: the
+incidences of the inequalities with the generators are the rays' zero sets
+read by each row's insertion bit, and a polyhedron's dimension is d minus
+the rank of the equations and of the rows in every zero set, its implicit
+equalities.  Face lattices are restricted to bounded polyhedra.  Faces are
+vertex bitmasks, enumerated level by level from the facets' incidence
+masks down to the edges, below which every vertex is a 0-face, so a face's
+dimension is its level in the lattice; the face holding a point in its
+relative interior is looked up by the point's set of tight inequalities.
+f-vectors come from the same walk, counted, with one level held at a time.
 
 Constraint, HRep, VRep, Cone, Face, FaceLattice and AffineMap are immutable
 records (see mpp.records): named tuples, so each also iterates, sorts and
@@ -184,7 +191,9 @@ class VRep(Frozen, namedtuple("VRep", "coords rows rays")):
     denominator D, the least one, sorted: the order of the vertices
     themselves.  rays are primitive integer directions as int tuples,
     sorted.  vertices, the Fraction tuples of the vertices, is built on
-    first read; equality compares rows, which are canonical.
+    first read; equality compares rows, which are canonical.  A VRep that
+    Cone.vrep returns also keeps that cone, out of its fields, for the
+    incidences (see _cone).
     """
 
     coords: tuple[str, ...]
@@ -197,15 +206,21 @@ class VRep(Frozen, namedtuple("VRep", "coords rows rays")):
 
 
 # -- double description ------------------------------------------------------
+
+DD_BUDGET = 10 ** 7  # steps of adjacency testing in one run (see _dd_process_inequality)
+
 # Integer kernel: zero sets are bitmasks over the inequality insertion order
 # (x0 >= 0, then the widest rows first; see homogenization_cone), and rows
 # that Cone.cut adds later take the next bits.
 
-def _dd_process_inequality(idx, row, lines, rays, span_dim):
+def _dd_process_inequality(idx, row, lines, rays, span_dim, work):
     """Add row . x <= 0 (bit idx) to the cone generated by lines and rays.
 
     rays is a list of (primitive int ray, zero-set bitmask); span_dim is the
-    dimension of the linear space left by the equations.
+    dimension of the linear space left by the equations.  work[0] counts
+    the steps of adjacency testing so far, |plus| * |minus| * |rays| for a
+    row, since each pair's test reads up to every ray; the row's pairs are
+    not tested, and TooLarge is raised, if they take it past DD_BUDGET.
     """
     bit = 1 << idx
     l0, v0, lines = _eliminate(row, lines)
@@ -232,6 +247,10 @@ def _dd_process_inequality(idx, row, lines, rays, span_dim):
         else:
             new_rays.append((r, z | bit))
     if plus and minus:
+        work[0] += len(plus) * len(minus) * len(rays)
+        if work[0] > DD_BUDGET:
+            raise TooLarge(f"double description reached {work[0]} steps of adjacency "
+                           f"testing, past its budget of {DD_BUDGET}")
         zs = [z for _, z in rays]
         # adjacent rays share at least span_dim - len(lines) - 2 tight rows
         need = span_dim - len(lines) - 2
@@ -264,30 +283,32 @@ _reversed = operator.itemgetter(slice(None, None, -1))
 _zero_count = operator.methodcaller("count", 0)
 
 
-class Cone(namedtuple("Cone", "coords lines rays span_dim inserted")):
+class Cone(namedtuple("Cone", "coords lines rays span_dim rows")):
     """The homogenization cone {x0 >= 0, row . x <= 0} of an H-rep as double
     description leaves it: lines, and rays as (primitive int ray, zero-set
     bitmask over the insertion order).  span_dim is the dimension of the
-    linear space left by the equations; inserted counts the inequality rows
-    inserted so far, so the next row takes bit inserted."""
+    linear space left by the equations; rows are the inequality rows
+    inserted so far, in insertion order, so row rows[b] has bit b and the
+    next row takes bit len(rows)."""
 
     __slots__ = ()
     coords: tuple[str, ...]
     lines: list
     rays: list
     span_dim: int
-    inserted: int
+    rows: tuple[tuple[int, ...], ...]
 
     def cut(self, rows) -> Cone:
         """This cone cut by the further inequalities row . x <= 0, a sequence
         of primitive integer rows (-rhs, a): double description continued,
         each row at the next free bit (Fukuda & Prodon 1996).  This is the
         one DD loop.  A row may repeat one already inserted, and the cone
-        described does not depend on the order of the rows."""
-        lines, rays = self.lines, self.rays
-        for idx, row in enumerate(rows, self.inserted):
-            lines, rays = _dd_process_inequality(idx, row, lines, rays, self.span_dim)
-        return Cone(self.coords, lines, rays, self.span_dim, self.inserted + len(rows))
+        described does not depend on the order of the rows.  Raises
+        TooLarge once the adjacency tests of this call pass DD_BUDGET."""
+        lines, rays, work = self.lines, self.rays, [0]
+        for idx, row in enumerate(rows, len(self.rows)):
+            lines, rays = _dd_process_inequality(idx, row, lines, rays, self.span_dim, work)
+        return Cone(self.coords, lines, rays, self.span_dim, self.rows + tuple(rows))
 
     @property
     def empty(self) -> bool:
@@ -296,8 +317,9 @@ class Cone(namedtuple("Cone", "coords lines rays span_dim inserted")):
         return all(r[0] == 0 for r, _ in self.rays)
 
     def vrep(self) -> VRep:
-        """The V-rep of the polyhedron.  Raises EmptyPolyhedron when it is
-        empty and UnsupportedLineality when it contains a line."""
+        """The V-rep of the polyhedron, which keeps this cone for incidences
+        (see _cone).  Raises EmptyPolyhedron when it is empty and
+        UnsupportedLineality when it contains a line."""
         points = [r for r, _ in self.rays if r[0] > 0]
         if not points:  # see empty
             raise EmptyPolyhedron("no feasible point")
@@ -305,8 +327,10 @@ class Cone(namedtuple("Cone", "coords lines rays span_dim inserted")):
             raise UnsupportedLineality("polyhedron contains a line")
         # a ray with r[0] == 0 is primitive, so its tail r[1:] is primitive too
         recession = {r[1:] for r, _ in self.rays if r[0] == 0}
-        return VRep(self.coords, tuple(sorted(set(common_denominator(points)))),
-                    tuple(sorted(recession)))
+        v = VRep(self.coords, tuple(sorted(set(common_denominator(points)))),
+                 tuple(sorted(recession)))
+        v.__dict__["_cone"] = self  # where cached_property keeps vertices
+        return v
 
 
 def homogenization_cone(h: HRep) -> Cone:
@@ -324,7 +348,7 @@ def homogenization_cone(h: HRep) -> Cone:
     lines = linalg.kernel(h.int_equations, d + 1)  # no ray yet: equations only cut lines
     rows = [(-1,) + (0,) * d]  # x0 >= 0
     rows += sorted(sorted(set(h.int_inequalities), key=_reversed), key=_zero_count)
-    return Cone(h.coords, lines, [], len(lines), 0).cut(rows)
+    return Cone(h.coords, lines, [], len(lines), ()).cut(rows)
 
 
 def vertices(h: HRep) -> VRep:
@@ -454,7 +478,7 @@ class FaceLattice(Frozen, namedtuple("FaceLattice", "rows faces")):
         by_mask = {m: f for f, m in mask.items()}
         facets = [mask[h] for h in self.facets()]
         return tuple((f, by_mask[g]) for f, m in mask.items()
-                     for g in maximal_masks(m & h for h in facets if m & h != m))
+                     for g in maximal_masks({m & h for h in facets if m & h != m}))
 
     @cached_property
     def by_tight(self) -> dict[frozenset[int], Face]:
@@ -485,19 +509,65 @@ class FaceLattice(Frozen, namedtuple("FaceLattice", "rows faces")):
 FACE_GATE = 10 ** 6
 
 
+def _cone(h: HRep, v: VRep) -> Cone:
+    """The cone that double description left v in (see Cone.vrep).  A V-rep
+    built otherwise must be vertices(h), and that run's cone is used."""
+    cone = v.__dict__.get("_cone")
+    if cone is None:
+        dd = vertices(h)
+        if dd != v:
+            raise GeometryError("the V-rep is not that of the H-rep")
+        cone = dd.__dict__["_cone"]
+    return cone
+
+
 def incidences(h: HRep, v: VRep) -> list[int]:
     """For each inequality of h, the bitmask of the generators of v on which
-    it is tight, decided in integers: bit i for the vertex v.rows[i], then
-    bit len(v.rows) + j for the recession ray v.rays[j]."""
-    homs = v.rows + tuple((0,) + r for r in v.rays)
-    return [sum(1 << i for i, p in enumerate(homs) if _idot(r, p) == 0)
-            for r in h.int_inequalities]
+    it is tight: bit i for the vertex v.rows[i], then bit len(v.rows) + j
+    for the recession ray v.rays[j].  These are the zero sets of the rays
+    of the cone that double description left v in, read by each row's
+    insertion bit and transposed; every inequality of h must have been
+    inserted there."""
+    cone = _cone(h, v)
+    points = [(r, z) for r, z in cone.rays if r[0] > 0]
+    zero_set = dict(zip(common_denominator([r for r, _ in points]), (z for _, z in points)))
+    at_ray = {r[1:]: z for r, z in cone.rays if r[0] == 0}
+    tight = [0] * len(cone.rows)  # per bit, the mask of its tight generators
+    for i, z in enumerate([zero_set[r] for r in v.rows] + [at_ray[r] for r in v.rays]):
+        for b in _bits(z):
+            tight[b] |= 1 << i
+    bit = {}
+    for b, row in enumerate(cone.rows):
+        bit.setdefault(row, b)
+    try:
+        return [tight[bit[row]] for row in h.int_inequalities]
+    except KeyError:
+        raise AssertionError("an inequality was never inserted into double description") \
+            from None
+
+
+def _dimension(h: HRep, v: VRep) -> int:
+    """The dimension of the polyhedron v, read off the cone that double
+    description left it in: d minus the rank of h's equations and of the
+    inserted rows tight on every generator, its implicit equalities.  There
+    are usually none, and then the rank of the equations is d + 1 minus the
+    cone's span_dim.  Only h's equations are read, so v may be a cell that
+    further rows cut from h (see Cone.cut)."""
+    cone = _cone(h, v)
+    common = -1
+    for _, z in cone.rays:
+        common &= z
+    if not common:
+        return cone.span_dim - 1
+    implicit = [cone.rows[b] for b in _bits(common)]
+    return len(linalg.kernel(list(h.int_equations) + implicit, h.dim_ambient + 1)) - 1
 
 
 def maximal_masks(masks) -> list[int]:
-    """The inclusion-maximal masks among the distinct given ones, largest first."""
+    """The inclusion-maximal masks among the given ones, each once, largest
+    first: a repeated mask fails the subset test against its first copy."""
     out: list[int] = []
-    for g in sorted(set(masks), key=int.bit_count, reverse=True):
+    for g in sorted(masks, key=int.bit_count, reverse=True):
         for c in out:
             if g & c == g:
                 break
@@ -514,7 +584,7 @@ def facet_masks(h: HRep, v: VRep) -> tuple[list[int], set[int], int]:
     masks = incidences(h, v)
     full = (1 << (len(v.rows) + len(v.rays))) - 1
     some_vertex = (1 << len(v.rows)) - 1
-    return masks, set(maximal_masks(m for m in masks if m & some_vertex and m != full)), full
+    return masks, set(maximal_masks({m for m in masks if m & some_vertex and m != full})), full
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -527,34 +597,37 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _face_levels(v: VRep, facets):
+def _face_levels(v: VRep, facets, dim: int):
     """Yield (k, vertex masks of the k-faces) from the polytope's dimension
-    down to 0, one level at a time (Kaibel & Pfetsch 2002).  Every ridge is
-    the meet of two facets, so the facets of a face F are the maximal F & G,
-    F left out, over the facets G of a face that F is a facet of; each face
-    carries those G (as in the face iterator of Kliem & Stump 2022).  Raises
-    TooLarge once more than FACE_GATE faces, the empty one included, are
-    enumerated."""
+    dim down to 0, one level at a time (Kaibel & Pfetsch 2002).  Every ridge
+    is the meet of two facets, so the facets of a face F are the maximal
+    F & G, F left out, over the facets G of a face that F is a facet of;
+    each face carries those G (as in the face iterator of Kliem & Stump
+    2022).  The walk stops at the edges: every vertex row is a 0-face, so
+    the last level is the singleton masks.  Raises TooLarge once more than
+    FACE_GATE faces, the empty one included, are enumerated."""
     if v.rays:
         raise UnsupportedUnbounded("face lattices are computed for polytopes only")
     n = len(v.rows)
-    level = {(1 << n) - 1: facets} if n else {}  # face -> facets of a parent
-    k = linalg.rank(v.rows) - 1  # the affine rank of the vertices
+    level = {(1 << n) - 1: facets}  # face -> facets of a parent
     total = 1  # the empty face
-    while level:
+    for k in range(dim, -1, -1):
+        if k == 0:
+            level = [1 << i for i in range(n)]
         total += len(level)
         if total > FACE_GATE:
             raise TooLarge(f"face lattice holds more than {FACE_GATE} faces "
                            f"({total} through dimension {k})")
         yield k, level
-        if k == 0:
-            return
-        below = {}
-        for f, parent_facets in level.items():
-            own = maximal_masks({f & g for g in parent_facets} - {f})
-            below.update(dict.fromkeys(own, own))
-        level = below
-        k -= 1
+        if k > 1:
+            below = {}
+            for f, parent_facets in level.items():
+                meets = {f & g for g in parent_facets}
+                meets.discard(f)
+                own = maximal_masks(meets)
+                for g in own:
+                    below[g] = own
+            level = below
 
 
 def face_counts(h: HRep, v: VRep, facets=None) -> tuple[int, ...]:
@@ -562,7 +635,7 @@ def face_counts(h: HRep, v: VRep, facets=None) -> tuple[int, ...]:
     on the level walk without storing a face.  facets, if given, is
     facet_masks(h, v)[1]."""
     facets = facet_masks(h, v)[1] if facets is None else facets
-    counts = [len(level) for _, level in _face_levels(v, facets)]
+    counts = [len(level) for _, level in _face_levels(v, facets, _dimension(h, v))]
     return (1,) if len(counts) == 1 else tuple(reversed(counts[1:]))
 
 
@@ -571,7 +644,7 @@ def face_lattice(h: HRep, v: VRep) -> FaceLattice:
     with its tight set read off the incidence masks of all inequalities."""
     masks, facets, _ = facet_masks(h, v)
     found = [(-1, (), frozenset(range(len(masks))))]  # (dim, vertex ids, tight)
-    for k, level in _face_levels(v, facets):
+    for k, level in _face_levels(v, facets, _dimension(h, v)):
         found += [(k, _bits(f), frozenset(j for j, m in enumerate(masks) if f & m == f))
                   for f in level]
     found.sort(key=lambda face: face[:2])

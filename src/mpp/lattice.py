@@ -43,8 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
-                       UnsupportedUnbounded, vertices)
-from .linalg import rank
+                       UnsupportedUnbounded, VRep, _dimension, vertices)
 from .poset import MarkedPoset, _grow_ideals, require_valid
 from .rationals import rat_str
 
@@ -239,16 +238,16 @@ def _scan(h: HRep, lows, highs, k=1, count=False, text=None):
     return out
 
 
-def _lattice_polytope(h: HRep, what: str):
-    """The vertex rows (1, v) of h, which must be a polytope with integral
-    vertices: their common denominator is 1."""
+def _lattice_polytope(h: HRep, what: str) -> VRep:
+    """The V-rep of h, which must be a polytope with integral vertices: its
+    rows are (1, v), over the common denominator 1."""
     v = vertices(h)
     if v.rays:
         raise UnsupportedUnbounded(f"{what} needs a polytope")
     if v.rows[0][0] != 1:
         p = next(p for p in v.vertices if any(x.denominator != 1 for x in p))
         raise NonLatticeVertices(f"non-integral vertex ({', '.join(map(rat_str, p))})")
-    return v.rows
+    return v
 
 
 def lattice_points(h: HRep, text=None) -> list:
@@ -338,8 +337,8 @@ def ehrhart(h: HRep, max_dilation: int | None = None) -> EhrhartData:
     relative volume), interpolates the counts at 0..dim; every further count
     must agree with it.
     """
-    rows = _lattice_polytope(h, "Ehrhart counting")
-    dim = rank(rows) - 1  # the affine rank of the vertices
+    v = _lattice_polytope(h, "Ehrhart counting")
+    rows, dim = v.rows, _dimension(h, v)
     max_dilation = _dilations(max_dilation, dim)
     # the vertices of kQ are k * V(Q); boxes grow with k, so gate the largest
     # one before scanning any
@@ -480,7 +479,7 @@ def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:
     dilations = sorted(set(dilations))
     if dilations and dilations[0] < 0:
         raise ValueError(f"dilations must be nonnegative, got {dilations[0]}")
-    extremes = _extremes(_lattice_polytope(h, "integral closure"))
+    extremes = _extremes(_lattice_polytope(h, "integral closure").rows)
     base = _scan(h, *_box(extremes))
     sums, done = {(0,) * len(extremes[1])}, 0  # the done-fold sums of base
     for k in dilations:

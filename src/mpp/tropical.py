@@ -34,8 +34,8 @@ from .family import (Parameter, _row_writer, hrep_general, hypercube_vertices,
                      transfer_theta_homogeneous, zero_parameter)
 from . import geometry
 from .geometry import (Cone, HRep, TooLarge, UnsupportedUnbounded, VRep,
-                       _bits, _face_levels, facet_masks, homogenization_cone, incidences,
-                       vertices)
+                       _bits, _dimension, _face_levels, facet_masks, homogenization_cone,
+                       incidences, vertices)
 from .linalg import _primitive, common_denominator, dehomogenized
 from .poset import MarkedPoset, _grow_ideals, require_valid
 
@@ -209,11 +209,12 @@ def tropical_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
 
 
 def _polytope_cell(base: HRep, forms, v: VRep, origin) -> SubdivisionCell:
-    """The cell spanned by all vertices of v: one rank, tight base rows by
-    incidence, the covector of the vertex barycenter."""
+    """The cell spanned by all vertices of v, a cut of base's cone: its
+    dimension and tight base rows from the cone's zero sets, the covector of
+    the vertex barycenter."""
     every = (1 << len(v.rows)) - 1
     tight = frozenset(j for j, m in enumerate(incidences(base, v)) if m == every)
-    return SubdivisionCell(v.vertices, linalg.rank(v.rows) - 1,
+    return SubdivisionCell(v.vertices, _dimension(base, v),
                            _covector_at(forms, v.rows), tight, tuple(origin))
 
 
@@ -243,7 +244,7 @@ def tropical_subdivision(poset: MarkedPoset, base_data=None) -> list[Subdivision
         bits = [1 << i for i in ids]
         masks, facets, _ = facet_masks(h, v)
         masks = masks[:nb]
-        for k, level in _face_levels(v, facets):
+        for k, level in _face_levels(v, facets, _dimension(h, v)):
             for f in level:
                 local = _bits(f)
                 key = sum(bits[i] for i in local)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -614,6 +615,23 @@ def test_face_budget_is_a_computation_error(ex52_file, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "computation"
     assert "more than 20 faces (27 through dimension 1)" in out["error"]
+
+
+def test_dd_budget_refuses_the_20_cube(tmp_path, capsys):
+    # a < m0..m19 < z with a = 0 and z = 1: O_0 is the 20-cube, whose 2^20
+    # vertices double description refuses, by its budget, within seconds
+    from mpp import geometry
+    middle = [f"m{i}" for i in range(20)]
+    path = tmp_path / "cube20.json"
+    path.write_text(json.dumps({"elements": ["a", "z"] + middle,
+                                "covers": [["a", m] for m in middle] + [[m, "z"] for m in middle],
+                                "marking": {"a": "0", "z": "1"}}))
+    start = time.perf_counter()
+    assert main(["vertices", str(path)]) == 3
+    assert time.perf_counter() - start < 5
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "computation"
+    assert f"budget of {geometry.DD_BUDGET}" in out["error"]
 
 
 def test_degenerate_builds_each_lattice_once(ex52_file, tmp_path, capsys, monkeypatch):

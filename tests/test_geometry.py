@@ -1,15 +1,18 @@
 import hashlib
+import importlib.util
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import (barycenter, dilate, faces_by_vertex_ids, fraction_apply_affine,
                       fraction_int_row, fraction_substitute, is_unimodular,
                       make_chain_poset, make_double_star, make_ex52, make_ex52_rational,
-                      make_grid, triples)
+                      make_grid, random_marked_poset, triples)
 from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_vertices,
                         zero_parameter)
 from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, HRep, Unbounded,
@@ -19,7 +22,8 @@ from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, HRep, Unbounded,
                           vertices_bruteforce)
 from mpp.poset import MarkedPoset
 from mpp.lattice import lattice_points
-from mpp import geometry, linalg
+from mpp.linalg import _idot
+from mpp import geometry, jsonio, linalg, tropical
 
 
 def F(n, d=1):
@@ -490,6 +494,179 @@ def test_incidences_cover_rays():
 def test_maximal_masks():
     assert maximal_masks([0b0011, 0b0001, 0b0110, 0b0011, 0]) == [0b0011, 0b0110]
     assert maximal_masks([0]) == [0] and maximal_masks([]) == []
+
+
+# -- the zero-set read against dot products ----------------------------------
+
+def dot_incidences(h, v):
+    """Oracle of incidences: each inequality's mask of the generators of v
+    on which it is tight, one integer dot product per pair (bit i for
+    v.rows[i], then bit len(v.rows) + j for v.rays[j])."""
+    homs = v.rows + tuple((0,) + r for r in v.rays)
+    return [sum(1 << i for i, p in enumerate(homs) if _idot(r, p) == 0)
+            for r in h.int_inequalities]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workload_posets(tmp_path_factory):
+    """The posets of each benchmark workload at seed 1, by workload."""
+    spec = importlib.util.spec_from_file_location("mpp_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = {}
+    for name in workloads.WORKLOADS:
+        path = tmp_path_factory.mktemp(name)
+        keys = workloads.generate(name, 1, str(path))["posets"]
+        out[name] = {key: jsonio.poset_from_json(json.loads((path / f"{key}.json").read_text()))
+                     for key in keys}
+    return out
+
+
+def _zero_sets_agree(h):
+    v = vertices(h)
+    assert incidences(h, v) == dot_incidences(h, v)
+    assert geometry._dimension(h, v) == linalg.affine_rank(v.vertices)
+
+
+def test_zero_sets_match_dot_products_on_the_workload_posets(workload_posets):
+    for posets in workload_posets.values():
+        for poset in posets.values():
+            for t in (zero_parameter(poset), generic_parameter(poset)):
+                for projected in (True, False):  # the full space pins marks by equations
+                    _zero_sets_agree(hrep_general(poset, t, projected=projected))
+
+
+@pytest.mark.parametrize("poset", [make_ex52(), make_double_star(), make_grid(2, 3)],
+                         ids=["ex52", "dstar", "grid2x3"])
+def test_zero_sets_match_dot_products_at_every_corner(poset):
+    for t in hypercube_vertices(poset):
+        _zero_sets_agree(hrep_general(poset, t, projected=True))
+
+
+def test_zero_sets_cover_recession_rays():
+    # the quadrant x, y >= 0 plus x <= 2: its ray (0, 1) takes bit 2
+    h = make_hrep(("x", "y"), [], [((F(-1), F(0)), F(0), ("x",)),
+                                   ((F(0), F(-1)), F(0), ("y",)),
+                                   ((F(1), F(0)), F(2), ("cap",))])
+    v = vertices(h)
+    assert incidences(h, v) == dot_incidences(h, v) == [0b101, 0b011, 0b110]
+    assert geometry._dimension(h, v) == 2
+
+
+def test_dimension_reads_implicit_equalities():
+    # x <= 0 and -x <= 0 make x = 0 without an equation: a segment, and with
+    # y pinned the same way, a point
+    segment = make_hrep(("x", "y"), [], [((F(1), F(0)), F(0), ()), ((F(-1), F(0)), F(0), ()),
+                                         ((F(0), F(1)), F(1), ()), ((F(0), F(-1)), F(0), ())])
+    point = segment.with_rows((), [((0, 0, 1), 1, ())])
+    for h, dim in ((segment, 1), (point, 0)):
+        v = vertices(h)
+        assert geometry._dimension(h, v) == linalg.affine_rank(v.vertices) == dim
+        assert incidences(h, v) == dot_incidences(h, v)
+    # and with an equation besides: x + y = 1 cuts the segment to a point
+    h = segment.with_rows([((-1, 1, 1), 1, ())])
+    assert geometry._dimension(h, vertices(h)) == 0
+
+
+def test_zero_sets_of_covector_cells():
+    # cells are cut cones: their zero sets also carry the sector rows, one of
+    # which may repeat a base row
+    rnds = [random.Random(seed) for seed in range(30)]
+    posets = [make_ex52(), make_double_star(), make_grid(2, 3)]
+    posets += [random_marked_poset(rnd, rnd.randint(4, 8), mark_extra=0.3) for rnd in rnds]
+    repeats = lower = 0
+    for poset in posets:
+        base, root = tropical._base_data(poset)
+        arr = tropical.arrangement(poset)
+        for _, rows, cone in tropical._covector_cells(poset, arr, base, root):
+            h, v = base.with_rows((), rows), cone.vrep()
+            assert incidences(h, v) == dot_incidences(h, v)
+            assert incidences(base, v) == dot_incidences(base, v)
+            dim = geometry._dimension(base, v)
+            assert dim == geometry._dimension(h, v) == linalg.affine_rank(v.vertices)
+            sector = h.int_inequalities[len(base.int_inequalities):]
+            repeats += any(row in base.int_inequalities for row in sector)
+            lower += dim < base.dim_ambient
+    assert repeats and lower  # not vacuous
+
+
+def test_incidences_need_every_row_inserted():
+    h = box(("x", "y"), [(0, 1), (0, 1)])
+    v = vertices(h)
+    with pytest.raises(AssertionError, match="never inserted"):
+        incidences(h.with_rows((), [((-1, 1, 1), 1, ())]), v)
+    # a V-rep that double description did not build is matched to vertices(h)
+    other = vertices_bruteforce(h)
+    assert incidences(h, other) == dot_incidences(h, other)
+    with pytest.raises(geometry.GeometryError, match="not that of the H-rep"):
+        incidences(h, geometry.VRep(h.coords, v.rows[:3], ()))
+
+
+# -- the level walk against every intersection of facets ---------------------
+
+def intersection_faces(h, v) -> dict[int, int]:
+    """Oracle of the level walk: each nonempty face as vertex mask -> dim.
+    The faces are the polytope and every nonempty intersection of facet
+    vertex masks, the facets being the maximal proper tight sets of the
+    dot-product incidences; dims are affine ranks of the vertices."""
+    n = len(v.rows)
+    full = (1 << n) - 1
+    tight = {m for m in dot_incidences(h, v) if m and m != full}
+    facets = [m for m in tight if not any(m != o and m & o == m for o in tight)]
+    found, new = {full}, set(facets)
+    while new:
+        found |= new
+        new = {a & f for a in new for f in facets} - found - {0}
+    return {mask: linalg.affine_rank([v.vertices[i] for i in range(n) if mask >> i & 1])
+            for mask in found}
+
+
+def _walk_agrees(h):
+    """Asserts that face_counts and face_lattice of h give the faces of
+    intersection_faces; returns the polytope's dimension."""
+    v = vertices(h)
+    faces = intersection_faces(h, v)
+    dim = max(faces.values())
+    counts = [0] * (dim + 1)
+    for k in faces.values():
+        counts[k] += 1
+    assert face_counts(h, v) == ((1,) if dim == 0 else tuple(counts[:-1]))
+    lat = face_lattice(h, v)
+    assert {sum(1 << i for i in f.vertex_ids): f.dim for f in lat.faces if f.dim >= 0} == faces
+    return dim
+
+
+def test_walk_matches_facet_intersections_on_random_polytopes():
+    rnd = random.Random(23)
+    cases = [
+        # points and a segment, where the walk starts at the vertex level
+        make_hrep(("x",), [((F(1),), F(3), ())], [((F(1),), F(5), ())]),
+        make_hrep(("x", "y"), [((F(1), F(0)), F(1, 2), ()), ((F(0), F(2)), F(1), ())], []),
+        make_hrep(("x", "y"), [((F(1), F(1)), F(1, 3), ())],
+                  [((F(-1), F(0)), F(0), ()), ((F(2), F(0)), F(1), ())]),
+    ]
+    cases += [random_face_hrep(rnd, rnd.randint(1, 4)) for _ in range(40)]
+    dims = set()
+    for h in cases:
+        try:
+            dims.add(_walk_agrees(h))
+        except EmptyPolyhedron:
+            continue
+    assert dims >= {0, 1, 2, 3, 4}
+
+
+def test_walk_matches_facet_intersections_on_the_faces_workload(workload_posets):
+    dims = set()
+    for key, poset in workload_posets["faces"].items():
+        params = [zero_parameter(poset), generic_parameter(poset)]
+        if len(poset.unmarked) <= 5:
+            params += list(hypercube_vertices(poset))
+        for t in params:
+            dims.add(_walk_agrees(hrep_general(poset, t, projected=True)))
+    assert len(dims) >= 4
 
 
 def test_face_lattice_rejects_unbounded():

@@ -473,7 +473,7 @@ def test_ehrhart_polynomial_evaluates_to_every_count(poset):
 def _scan_counts(poset, dilations):
     """The enumeration's counts of k * O_0, in boxes that no gate refuses."""
     h = hrep_general(poset, zero_parameter(poset), projected=False)
-    extremes = lattice._extremes(lattice._lattice_polytope(h, "Ehrhart counting"))
+    extremes = lattice._extremes(lattice._lattice_polytope(h, "Ehrhart counting").rows)
     return [lattice._scan(h, *lattice._box(extremes, k, gated=False), k=k, count=True)
             for k in dilations]
 

@@ -30,7 +30,7 @@ CASES = [
             "int_equations": ((-1, 2, 0),), "int_inequalities": ((0, 1, -1),)}),
     (VRep, {"coords": ("x", "y"), "rows": ((1, 0, 0), (2, 1, 0)), "rays": ()}),
     (Cone, {"coords": ("x",), "lines": [], "rays": [((1, 0), 1)], "span_dim": 2,
-            "inserted": 1}),
+            "rows": ((-1, 0),)}),
     (Face, {"vertex_ids": frozenset({0, 1}), "tight": frozenset({2}), "dim": 1}),
     (FaceLattice, {"rows": ((1, 0), (1, 1)), "faces": (EMPTY, POINT, SEGMENT)}),
     (AffineMap, {"coords": ("x",), "matrix": ((ONE,),), "offset": (ZERO,)}),
