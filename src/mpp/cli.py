@@ -196,16 +196,28 @@ def cmd_degenerate(args, poset) -> int:
     return _emit(payload, f"degeneration map: {'PASS' if ok else 'FAIL'}")
 
 
-def _sweep(fn, items, label) -> tuple[list, list]:
+def _sweep(fn, items, label, key=None) -> tuple[list, list]:
     """fn over every item: (results, errors).  A kernel error on one item
     becomes an error entry {**label(item), "error": ...} instead of ending the
-    sweep, so that it can emit a partial report."""
+    sweep, so that it can emit a partial report.  With key, the items of one
+    key(item) run one after another, groups in the order of their first
+    item, so that they can share what they build; the results and errors
+    keep the items' order."""
+    items = list(items)
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault(i if key is None else key(item), []).append(i)
+    outcome = {}
+    for group in groups.values():
+        for i in group:
+            try:
+                outcome[i] = True, fn(items[i])
+            except GeometryError as exc:
+                outcome[i] = False, {**label(items[i]), "error": f"{type(exc).__name__}: {exc}"}
     results, errors = [], []
-    for item in items:
-        try:
-            results.append(fn(item))
-        except GeometryError as exc:
-            errors.append({**label(item), "error": f"{type(exc).__name__}: {exc}"})
+    for i in range(len(items)):
+        ok, value = outcome[i]
+        (results if ok else errors).append(value)
     return results, errors
 
 
@@ -235,8 +247,9 @@ def _sweep_types(poset):
     for p in sorted(poset.unmarked):
         faces.append({p: Fraction(0)})
         faces.append({p: Fraction(1)})
+    polytopes = {}  # H-rep -> V-rep, shared by the samples of every face
     reports, errors = _sweep(
-        lambda f: dg.combinatorial_type_sweep(poset, f), faces,
+        lambda f: dg.combinatorial_type_sweep(poset, f, polytopes), faces,
         lambda f: {"face": {k: rat_str(v) for k, v in sorted(f.items())}})
     return {"check": "types", "pass": bool(reports) and all(r["pass"] for r in reports),
             "faces": reports}, errors
@@ -248,17 +261,24 @@ def _sweep_domination(poset):
     # built on first use and shared by every target; a failure is not cached,
     # so each target reports it
     source = functools.cache(lambda: dg.polytope_data(poset, t))
+    # the corners of one H-rep run together and share its polytope; one
+    # target is held at a time, and a failure is not cached either
+    corners = list(family.hypercube_vertices(poset))
+    hrep = {u: family.hrep_general(poset, u) for u in corners}
+    held = functools.lru_cache(maxsize=1)(dg._polytope)
 
     def one(u):
         pair = dg.DegenerationPair(t, u)
-        fmap = dg.degeneration_map(poset, pair, source())
+        data = source()
+        fmap = dg.degeneration_map(poset, pair, data,
+                                   data if hrep[u] == data[0] else held(hrep[u]))
         rep = dg.fvector_domination(pair, fmap.source, fmap.target)
         rep["map_ok"] = (fmap.is_surjective() and fmap.is_order_preserving()
                          and fmap.dims_nondecreasing())
         return rep
 
-    reports, errors = _sweep(one, family.hypercube_vertices(poset),
-                             lambda u: {"t": jsonio.parameter_to_json(u)["t"]})
+    reports, errors = _sweep(one, corners, lambda u: {"t": jsonio.parameter_to_json(u)["t"]},
+                             key=hrep.get)
     return {"check": "domination", "generic_t": jsonio.parameter_to_json(t)["t"],
             "pass": bool(reports) and all(r["pass"] and r["map_ok"] for r in reports),
             "targets": reports}, errors

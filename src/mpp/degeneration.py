@@ -7,13 +7,23 @@ interior contains the image of a relative-interior witness; this matches the
 topological construction exactly because the transfer maps are
 piecewise-linear homeomorphisms.  The witness is the sum of the face's
 homogenized integer vertex rows (the vertex barycenter as a homogeneous
-point), it is mapped by the integer transfer kernel, and the image face is
-looked up by its tight set, all in integers.  Order preservation is checked
-on the cover relations of the source lattice.  Type sweeps and the Hibi-Li
-table need f-vectors and facets only, so they count faces instead of storing
-a lattice.  Samples of one hypercube face share their H-rep rows, so equal
-vertex tight sets already prove two of them isomorphic; canonical forms of
-the vertex-facet incidences are compared only when that fails.
+point).  A map works column-wise, in integers: every face's witness goes
+through the transfer kernel in one batch, and the image faces are looked up
+by their tight sets, one pass per target inequality over the images'
+columns.  Order preservation is checked on the cover relations of the source
+lattice.  Type sweeps and the Hibi-Li table need f-vectors and facets only,
+so they count faces instead of storing a lattice.  Samples of one hypercube
+face share their H-rep rows, so equal vertex tight sets already prove two of
+them isomorphic; canonical forms of the vertex-facet incidences are compared
+only when that fails.
+
+Many parameters give one H-rep: t_p of an element whose lower covers are all
+marked 0 multiplies only zero terms.  Within one call, equal H-reps (records
+compared over their rows and origins) share one double description and what
+is derived from it: a map whose target H-rep is its source's reuses the
+source's lattice, composition_law builds each distinct polytope once, and a
+type sweep can share its samples' V-reps across hypercube faces.  Nothing is
+kept beyond the call that built it.
 
 DegenerationPair and FaceMap are immutable records (see mpp.records): named
 tuples, so each also iterates, sorts and equals the plain tuple of its
@@ -79,48 +89,56 @@ def face_map_via(source: FaceLattice, target_h: HRep, target: FaceLattice,
                  mapper) -> FaceMap:
     """Face map determined by mapping one relative-interior witness per face.
 
-    A face's witness is the sum of its vertices' homogenized integer rows,
-    (k D, D (v_1 + ... + v_k)): the vertex barycenter as a homogeneous point.
-    mapper takes it to the integer row of its image (first entry positive),
-    and the image face is looked up by the image's tight set."""
-    mapping: dict[Face, Face] = {}
-    empty_target = next(f for f in target.faces if f.dim < 0)
-    homs = source.rows
-    for f in source.faces:
-        if f.dim < 0:
-            mapping[f] = empty_target
-            continue
-        witness = tuple(map(sum, zip(*(homs[i] for i in f.vertex_ids))))
-        mapping[f] = target.minimal_face_at(target_h, mapper(witness))
+    The witnesses are FaceLattice._witnesses, each face's vertex barycenter
+    as a homogeneous integer row.  mapper takes the list of them to the
+    list of the integer rows of their images (first entries positive), in
+    one call, and the image faces are looked up by their tight sets in one
+    pass (FaceLattice.minimal_faces_at)."""
+    faces, witnesses = zip(*source._witnesses)
+    mapping = dict.fromkeys(source.faces, next(f for f in target.faces if f.dim < 0))
+    mapping.update(zip(faces, target.minimal_faces_at(target_h, mapper(list(witnesses)))))
     return FaceMap(source, target, mapping)
+
+
+def _bounded(h: HRep) -> VRep:
+    """The V-rep of h, which must be a polytope."""
+    v = vertices(h)
+    if v.rays:
+        raise UnsupportedUnbounded("degeneration maps are implemented for polytopes")
+    return v
 
 
 def _bounded_polytope(poset: MarkedPoset, t: Parameter) -> tuple[HRep, VRep]:
     """(H-rep, V-rep) of the projected polytope O_t, which must be bounded."""
     h = hrep_general(poset, t, projected=True)
-    v = vertices(h)
-    if v.rays:
-        raise UnsupportedUnbounded("degeneration maps are implemented for polytopes")
-    return h, v
+    return h, _bounded(h)
+
+
+def _polytope(h: HRep):
+    """(h, V-rep, face lattice) of the polytope h."""
+    v = _bounded(h)
+    return h, v, face_lattice(h, v)
 
 
 def polytope_data(poset: MarkedPoset, t: Parameter):
     """(H-rep, V-rep, face lattice) of the projected polytope O_t."""
-    h, v = _bounded_polytope(poset, t)
-    return h, v, face_lattice(h, v)
+    return _polytope(hrep_general(poset, t, projected=True))
 
 
 def degeneration_map(poset: MarkedPoset, pair: DegenerationPair,
-                     source=None) -> FaceMap:
+                     source=None, target=None) -> FaceMap:
     """The induced face-lattice map of the continuous degeneration u -> u2.
 
-    source, if given, is polytope_data(poset, pair.source), built once for
-    many maps out of the same u."""
+    source and target, if given, are polytope_data(poset, pair.source) and
+    polytope_data(poset, pair.target), built once for many maps.  A target
+    not given whose H-rep equals the source's is the source's polytope."""
     require_valid(poset)
-    _, _, lat_u = source or polytope_data(poset, pair.source)
-    h_t, _, lat_t = polytope_data(poset, pair.target)
+    source = source or polytope_data(poset, pair.source)
+    if target is None:
+        h = hrep_general(poset, pair.target, projected=True)
+        target = source if h == source[0] else _polytope(h)
     theta = transfer_theta_homogeneous(poset, pair.source, pair.target)
-    return face_map_via(lat_u, h_t, lat_t, theta)
+    return face_map_via(source[2], target[0], target[2], theta)
 
 
 def _dominated(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
@@ -157,10 +175,19 @@ def _domination_report(pair: DegenerationPair, fu: tuple[int, ...],
 
 def composition_law(poset: MarkedPoset, u: Parameter, u2: Parameter,
                     u3: Parameter) -> bool:
-    """dg_{u,u3} == dg_{u2,u3} after dg_{u,u2} as maps of faces."""
-    m12 = degeneration_map(poset, DegenerationPair(u, u2))
-    m23 = degeneration_map(poset, DegenerationPair(u2, u3))
-    m13 = degeneration_map(poset, DegenerationPair(u, u3))
+    """dg_{u,u3} == dg_{u2,u3} after dg_{u,u2} as maps of faces, with one
+    polytope per distinct H-rep among u, u2 and u3."""
+    polytopes = {}
+
+    def data(t):
+        h = hrep_general(poset, t, projected=True)
+        if h not in polytopes:
+            polytopes[h] = _polytope(h)
+        return polytopes[h]
+
+    m12 = degeneration_map(poset, DegenerationPair(u, u2), data(u), data(u2))
+    m23 = degeneration_map(poset, DegenerationPair(u2, u3), data(u2), data(u3))
+    m13 = degeneration_map(poset, DegenerationPair(u, u3), data(u), data(u3))
     return all(m13.mapping[f] == m23.mapping[m12.mapping[f]] for f in m12.source.faces)
 
 
@@ -254,17 +281,26 @@ def sample_face_parameters(poset: MarkedPoset, fixed: dict[str, Fraction]) -> li
             for j in range(1, SAMPLES + 1)]
 
 
-def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction]) -> dict:
+def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction],
+                             polytopes: dict | None = None) -> dict:
     """Sample interior parameters of a hypercube face and assert the polytopes
-    are pairwise combinatorially isomorphic."""
+    are pairwise combinatorially isomorphic.  polytopes, if given, maps the
+    H-reps already enumerated to their V-reps and is shared by the sweeps of
+    many hypercube faces; samples with equal H-reps run one DD."""
     for p, v in fixed.items():
         if Fraction(v) not in (0, 1):
             raise ValueError("hypercube faces are described by fixing coordinates to 0/1")
     params = sample_face_parameters(poset, {p: Fraction(v) for p, v in fixed.items()})
     if not params[0].values:
         params = [Parameter({})]
+    polytopes = {} if polytopes is None else polytopes
     walked = {}  # one face walk per distinct vertex tight sets
-    samples = [_type_sample(*_bounded_polytope(poset, t), walked) for t in params]
+    samples = []
+    for t in params:
+        h = hrep_general(poset, t, projected=True)
+        if h not in polytopes:
+            polytopes[h] = _bounded(h)
+        samples.append(_type_sample(h, polytopes[h], walked))
     return {"check": "combinatorial-type",
             "face": {k: rat_str(Fraction(v)) for k, v in sorted(fixed.items())},
             "samples": [{k: rat_str(v) for k, v in sorted(t.values.items())} for t in params],

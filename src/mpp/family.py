@@ -222,49 +222,62 @@ def hrep_chain_order(poset: MarkedPoset, part: Partition, projected: bool = True
 
 
 # -- transfer maps -------------------------------------------------------------
-# One integer kernel, theta_{t,t'} = phi_{t'} after psi_t; psi_t and phi_t are
-# theta with the other parameter left out.  The Fraction maps below are
-# wrappers that convert at the boundary.
+# One integer kernel, theta_{t,t'} = phi_{t'} after psi_t, column-wise: it
+# maps a batch of points at once, one list per coordinate.  An element's
+# psi and phi steps share one column, the entrywise max of its lower
+# covers' columns, and each step is one comprehension over it.  psi_t and
+# phi_t are theta with the other parameter left out.  The Fraction maps
+# below convert at the boundary and map a batch of one.
+
+def _column_max(cols: list[list[int]]) -> list[int]:
+    """The entrywise max of equally long columns."""
+    top = cols[0]
+    for col in cols[1:]:
+        top = [a if a > b else b for a, b in zip(top, col)]
+    return top
+
 
 def _theta_kernel(poset: MarkedPoset, t: Parameter | None, t2: Parameter | None):
-    """(scale, run) with run(x) = scale * theta_{t,t2}(x) for a point x of R^P
-    given as integers in poset.elements order; t None leaves psi out, t2 None
-    leaves phi out.  Marked coordinates pass through unchanged.
+    """(scale, run) with run(x) = theta_{t,t2}(x) for a batch of points of
+    R^P given column-wise, each coordinate an integer multiple of scale:
+    x[i] lists the coordinate poset.elements[i] of every point, and so does
+    the result.  t None leaves psi out, t2 None leaves phi out.  Marked
+    coordinates pass through unchanged.
 
     Both maps are max-plus with weights a / D over one common denominator D
-    of t and t2, so theta is positively homogeneous, and x is prescaled by
-    scale = D^K.  Let c(p) be the longest chain of elements with t_p != 0
-    ending at p; then psi's value at p is divisible by D^(K - c(p)), and K is
-    1 + the largest c of a lower cover of an element that takes a step, so
-    every division by D is exact.
+    of t and t2, so theta is positively homogeneous, and the caller
+    prescales x by scale = D^K.  Let c(p) be the longest chain of elements
+    with t_p != 0 ending at p; then psi's value at p is divisible by
+    D^(K - c(p)), and K is 1 + the largest c of a lower cover of an element
+    that takes a step, so every division by D is exact.
     """
     index = {e: i for i, e in enumerate(poset.elements)}
     pars = [par for par in (t, t2) if par is not None]
     den = math.lcm(*(par[p].denominator for par in pars for p in poset.unmarked))
     c = dict.fromkeys(poset.marked, 0)
     levels = 0
-    psi, phi = [], []
+    steps = []  # (i, psi weight a, phi weight b, lower covers) where a or b is nonzero
     for p in poset.linear_extension():
         if p in c:
             continue
         lows = poset.lower_covers(p)
         below = max((c[q] for q in lows), default=0)
-        a, b = (ZERO if par is None else par[p] for par in (t, t2))
-        for w, steps in ((a, psi), (b, phi)):
-            if w:
-                steps.append((index[p], w.numerator * (den // w.denominator),
-                              [index[q] for q in lows]))
-                levels = max(levels, below + 1)
+        a, b = (0 if par is None else par[p].numerator * (den // par[p].denominator)
+                for par in (t, t2))
+        if a or b:
+            steps.append((index[p], a, b, [index[q] for q in lows]))
+            levels = max(levels, below + 1)
         c[p] = below + 1 if a else 0
     scale = den ** levels
 
-    def run(x: list[int]) -> list[int]:
-        y = [v * scale for v in x]
-        for i, a, lows in psi:  # in linear-extension order: covers come first
-            y[i] += a * max([y[j] for j in lows]) // den
-        z = y[:]
-        for i, b, lows in phi:
-            z[i] -= b * max([y[j] for j in lows]) // den
+    def run(x: list[list[int]]) -> list[list[int]]:
+        # in linear-extension order: psi (y) is final on the lower covers
+        y, z = list(x), list(x)
+        for i, a, b, lows in steps:
+            top = _column_max([y[j] for j in lows])
+            if a:
+                y[i] = [v + a * m // den for v, m in zip(y[i], top)]
+            z[i] = [v - b * m // den for v, m in zip(y[i], top)] if b else y[i]
         return z
 
     return scale, run
@@ -275,9 +288,9 @@ def _transfer(poset: MarkedPoset, t, t2, x) -> dict[str, Fraction]:
     xs = [Fraction(x[e]) for e in poset.elements]
     den = math.lcm(*(v.denominator for v in xs))
     scale, run = _theta_kernel(poset, t, t2)
-    out = run([v.numerator * (den // v.denominator) for v in xs])
+    out = run([[v.numerator * (den // v.denominator) * scale] for v in xs])
     den *= scale
-    return {e: Fraction(v, den) for e, v in zip(poset.elements, out)}
+    return {e: Fraction(col[0], den) for e, col in zip(poset.elements, out)}
 
 
 def transfer_phi(poset: MarkedPoset, t: Parameter, x) -> dict[str, Fraction]:
@@ -324,26 +337,29 @@ def transfer_theta(poset: MarkedPoset, t: Parameter, t2: Parameter, y) -> dict[s
 def transfer_theta_homogeneous(poset: MarkedPoset, t: Parameter | None,
                                t2: Parameter | None):
     """theta_{t,t'} on the projected coordinates in homogeneous integers: a
-    function from an integer row (w0, w) with w0 > 0 and w in poset.unmarked
-    order, standing for the point w / w0, to the integer row of its image.
-    The marked coordinates are w0 times the marking, over its denominator.
-    As in the kernel, t None gives phi_{t'} and t2 None gives psi_t."""
+    function from a batch of integer rows (w0, w) with w0 > 0 and w in
+    poset.unmarked order, each standing for the point w / w0, to the list
+    of the integer rows of their images, in the same order, mapped in one
+    run of the kernel.  The marked coordinates are w0 times the marking,
+    over its denominator.  As in the kernel, t None gives phi_{t'} and t2
+    None gives psi_t."""
     scale, run = _theta_kernel(poset, t, t2)
     index = {e: i for i, e in enumerate(poset.elements)}
     den, marks = poset._integral_marking
-    marked = [(index[a], v) for a, v in marks.items()]
+    marked = [(index[a], v * scale) for a, v in marks.items()]
     free = [index[p] for p in poset.unmarked]
     n = len(poset.elements)
+    unit = den * scale  # a free coordinate w / w0 enters the kernel as w * unit
 
-    def theta(hom) -> tuple[int, ...]:
-        x = [0] * n
-        w0 = hom[0]
+    def theta(rows) -> list[tuple[int, ...]]:
+        cols = list(zip(*rows))
+        x: list = [None] * n
         for i, v in marked:
-            x[i] = w0 * v
-        for i, w in zip(free, hom[1:]):
-            x[i] = w * den
+            x[i] = [w0 * v for w0 in cols[0]]
+        for i, col in zip(free, cols[1:]):
+            x[i] = [w * unit for w in col]
         y = run(x)
-        return (w0 * den * scale,) + tuple(y[i] for i in free)
+        return list(zip([w0 * unit for w0 in cols[0]], *[y[i] for i in free]))
 
     return theta
 

@@ -22,7 +22,8 @@ equalities.  Face lattices are restricted to bounded polyhedra.  Faces are
 vertex bitmasks, enumerated level by level from the facets' incidence
 masks down to the edges, below which every vertex is a 0-face, so a face's
 dimension is its level in the lattice; the face holding a point in its
-relative interior is looked up by the point's set of tight inequalities.
+relative interior is looked up by the point's set of tight inequalities, for
+a batch of points at once, one pass per inequality over their columns.
 f-vectors come from the same walk, counted, with one level held at a time.
 
 Constraint, HRep, VRep, Cone, Face, FaceLattice and AffineMap are immutable
@@ -481,29 +482,49 @@ class FaceLattice(Frozen, namedtuple("FaceLattice", "rows faces")):
                      for g in maximal_masks({m & h for h in facets if m & h != m}))
 
     @cached_property
-    def by_tight(self) -> dict[frozenset[int], Face]:
-        # distinct nonempty faces have distinct equality sets; the empty face
-        # is left out, since on a point it shares the point's set
-        return {f.tight: f for f in self.faces if f.dim >= 0}
+    def by_tight(self) -> dict[int, Face]:
+        """The nonempty faces by the bitmask of their tight inequalities:
+        distinct nonempty faces have distinct equality sets; the empty face
+        is left out, since on a point it shares the point's set."""
+        return {sum(1 << j for j in f.tight): f for f in self.faces if f.dim >= 0}
+
+    @cached_property
+    def _witnesses(self) -> tuple[tuple[Face, tuple[int, ...]], ...]:
+        """Each nonempty face with a point of its relative interior, the sum
+        of its vertices' integer rows (k D, D (v_1 + ... + v_k)): the vertex
+        barycenter as a homogeneous point."""
+        return tuple((f, tuple(map(sum, zip(*[self.rows[i] for i in f.vertex_ids]))))
+                     for f in self.faces if f.dim >= 0)
 
     def minimal_face_containing(self, h: HRep, point) -> Face:
         """The unique face with the rational point in its relative interior."""
-        return self.minimal_face_at(h, homogenized([point])[0])
+        return self.minimal_faces_at(h, homogenized([point]))[0]
 
-    def minimal_face_at(self, h: HRep, hom) -> Face:
-        """The unique face with the point hom[1:] / hom[0] (an integer row,
-        hom[0] > 0) in its relative interior: the face whose equality set is
-        the set of inequalities tight at the point, decided in integers."""
-        if any(_idot(row, hom) for row in h.int_equations):
+    def minimal_faces_at(self, h: HRep, homs) -> list[Face]:
+        """For each point hom[1:] / hom[0] of a list of integer rows (hom[0]
+        > 0), the unique face with that point in its relative interior: the
+        face whose equality set is the set of inequalities tight at it.
+        Decided in integers, one pass per row of h over the points' columns
+        that reads the row's nonzero coefficients only."""
+        cols = list(zip(*homs))
+
+        def values(row):  # row . hom for every hom; a row is never 0
+            (a, col), *rest = [(a, col) for a, col in zip(row, cols) if a]
+            out = [a * x for x in col]
+            for a, col in rest:
+                out = [s + a * x for s, x in zip(out, col)]
+            return out
+
+        if any(any(values(row)) for row in h.int_equations):
             raise GeometryError("point lies outside the polytope")
-        tight = []
+        tight = [0] * len(homs)
         for j, row in enumerate(h.int_inequalities):
-            value = _idot(row, hom)
-            if value > 0:
+            at = values(row)
+            if max(at) > 0:
                 raise GeometryError("point lies outside the polytope")
-            if value == 0:
-                tight.append(j)
-        return self.by_tight[frozenset(tight)]
+            bit = 1 << j
+            tight = [m if v else m | bit for m, v in zip(tight, at)]
+        return [self.by_tight[m] for m in tight]
 
 
 FACE_GATE = 10 ** 6

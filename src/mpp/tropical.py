@@ -293,7 +293,7 @@ def _transferred(poset: MarkedPoset, t: Parameter, base_data) -> set[tuple[int, 
     """The primitive integer rows of the phi_t images of the subdivision
     vertices; base_data is _base_data(poset)."""
     phi = transfer_theta_homogeneous(poset, None, t)
-    return {_primitive(phi(r)) for r in _subdivision_rows(poset, base_data)}
+    return set(map(_primitive, phi(list(_subdivision_rows(poset, base_data)))))
 
 
 def generic_vrep(poset: MarkedPoset, t: Parameter, base_data=None) -> VRep:
@@ -408,19 +408,21 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
         raise TooLarge(f"conjecture sweep capped at 10 unmarked elements, "
                        f"got {len(poset.unmarked)}")
     base_data = _base_data(poset)
+    base = base_data[0]
     generic = generic_vrep(poset, t, base_data)
+    # one DD per distinct corner H-rep; the corner u = 0, and every corner
+    # whose H-rep is O_0's, reads the base polytope's run
+    vsets = {base: {_primitive(r) for r in base_data[1].vrep().rows}}
     targets = []
     for u in hypercube_vertices(poset):
-        if any(u.values.values()):
-            vu = vertices(hrep_general(poset, u, projected=True))
-        else:
-            vu = base_data[1].vrep()  # the corner u = 0 is the base polytope itself
+        h = hrep_general(poset, u, projected=True) if any(u.values.values()) else base
+        if h not in vsets:
+            vsets[h] = {_primitive(r) for r in vertices(h).rows}
+        images = transfer_theta_homogeneous(poset, t, u)(generic.rows)
         targets.append(({k: u[k] for k in sorted(u.values)},
-                        transfer_theta_homogeneous(poset, t, u),
-                        {_primitive(r) for r in vu.rows}))
-    items = [{"vertex": p, "witnesses": [witness for witness, theta, vset in targets
-                                         if _primitive(theta(hom)) in vset]}
-             for p, hom in zip(generic.vertices, generic.rows)]
+                         [_primitive(y) in vsets[h] for y in images]))
+    items = [{"vertex": p, "witnesses": [witness for witness, hits in targets if hits[k]]}
+             for k, p in enumerate(generic.vertices)]
     return {"check": "vertex-degeneration-conjecture",
             "pass": all(item["witnesses"] for item in items),
             "vertices": items}

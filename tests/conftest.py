@@ -358,9 +358,9 @@ def contdeg_face_map() -> FaceMap:
     h1 = contdeg_hrep(1)
     lat0, lat1 = face_lattice(h0, vertices(h0)), face_lattice(h1, vertices(h1))
 
-    def rho(hom):
-        point = contdeg_rho(1, [Fraction(x, hom[0]) for x in hom[1:]])
-        return homogenized([point])[0]
+    def rho(homs):
+        return [homogenized([contdeg_rho(1, [Fraction(x, hom[0]) for x in hom[1:]])])[0]
+                for hom in homs]
 
     return face_map_via(lat0, h1, lat1, rho)
 

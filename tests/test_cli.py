@@ -398,6 +398,37 @@ def test_sweep_partial_report_exit_3(tmp_path):
     assert data["polynomials"] == []
 
 
+def test_domination_sweep_reports_a_failed_target_for_each_corner_of_its_hrep(
+        ex52_file, monkeypatch, capsys):
+    # ex52's corners have two H-reps, by t_r; a DD failure on the one with
+    # r = 1 is an error entry for each of its four corners, in the corners'
+    # order, and the other four report as without the failure
+    from conftest import make_ex52
+    from mpp import degeneration
+    from mpp.geometry import TooLarge
+
+    assert main(["sweep", ex52_file, "--check", "domination"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    corner = family.Parameter({"p": Fraction(0), "q": Fraction(0), "r": Fraction(1)})
+    bad = hrep_general(make_ex52(), corner)
+    honest = degeneration._polytope
+    tried = []
+
+    def failing(h):
+        if h == bad:
+            tried.append(h)
+            raise TooLarge("double description refused")
+        return honest(h)
+
+    monkeypatch.setattr(degeneration, "_polytope", failing)
+    assert main(["sweep", ex52_file, "--check", "domination"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert not data["pass"] and len(tried) == 4
+    assert data["errors"] == [{"t": r["target_t"], "error": "TooLarge: double description refused"}
+                              for r in full["targets"] if r["target_t"]["r"] == "1"]
+    assert data["targets"] == [r for r in full["targets"] if r["target_t"]["r"] == "0"]
+
+
 def test_main_in_process_parses_each_call(ex52_file, capsys):
     # the parser is built once per process; each call must parse on its own
     from mpp.cli import main
@@ -641,6 +672,26 @@ def test_degenerate_builds_each_lattice_once(ex52_file, tmp_path, capsys, monkey
     t1.write_text(json.dumps({"t": {"p": "1/2", "q": "1/3", "r": "1/2"}}))
     t2 = tmp_path / "t2.json"
     t2.write_text(json.dumps({"t": {"p": "0", "q": "1", "r": "1/2"}}))
+    built = []
+    real = degeneration.face_lattice
+    monkeypatch.setattr(degeneration, "face_lattice",
+                        lambda h, v: built.append(h) or real(h, v))
+    assert main(["degenerate", ex52_file, "--from-t", str(t1), "--to-t", str(t2)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    # only t_r enters ex52's H-rep (p and q cover the marked 0), so the two
+    # parameters share one polytope
+    assert len(built) == 1
+    assert data["f_vector_domination"]["pass"] and data["dims_nondecreasing"]
+
+
+def test_degenerate_builds_two_lattices_when_r_differs(ex52_file, tmp_path, capsys,
+                                                       monkeypatch):
+    from mpp import degeneration
+    from mpp.cli import main
+    t1 = tmp_path / "t1.json"
+    t1.write_text(json.dumps({"t": {"p": "1/2", "q": "1/3", "r": "1/2"}}))
+    t2 = tmp_path / "t2.json"
+    t2.write_text(json.dumps({"t": {"p": "0", "q": "1", "r": "0"}}))
     built = []
     real = degeneration.face_lattice
     monkeypatch.setattr(degeneration, "face_lattice",

@@ -378,3 +378,51 @@ def test_tropical_vertices_build_the_hrep_at_t_once(ex52_file, monkeypatch, caps
     # the base polytope at t = 0, then the generic t for the kernel check
     zero = [t for t in hrep_at if not any(v for _, v in t)]
     assert (len(zero), len(hrep_at)) == (1, 2)
+
+
+def _count_dd(monkeypatch) -> list:
+    """Count the double description runs: homogenization_cone, which
+    geometry.vertices calls and tropical imports by name."""
+    runs = _count(monkeypatch, geometry, "homogenization_cone")
+    monkeypatch.setattr(tropical, "homogenization_cone", geometry.homogenization_cone)
+    return runs
+
+
+@pytest.mark.parametrize("make, check, runs", [
+    (make_ex52, "types", 7),
+    (lambda: make_grid(2, 2), "domination", 1),
+    (make_ex52, "conjecture5", 3),
+    (lambda: make_grid(2, 3), "conjecture5", 5),
+], ids=["types-ex52", "domination-grid2x2", "conjecture5-ex52", "conjecture5-grid2x3"])
+def test_sweeps_run_one_dd_per_distinct_hrep(tmp_path, monkeypatch, capsys, make, check,
+                                             runs):
+    # an element whose lower covers are all marked 0 multiplies only zero
+    # terms, so its coordinate leaves the H-rep alone: ex52's types sweep
+    # samples 7 distinct H-reps in 21 samples, grid2x2 has one H-rep for
+    # every t, and the conjecture sweep runs O_0 (the base), the generic t
+    # and each corner H-rep other than O_0's.  A second run of the same
+    # command in the same process counts the same: nothing outlives a command.
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset_to_json(make())))
+    dd = _count_dd(monkeypatch)
+    outputs = []
+    for _ in range(2):
+        dd.clear()
+        assert cli.main(["sweep", str(path), "--check", check]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert len(dd) == runs
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["pass"]
+
+
+def test_degenerate_runs_one_dd_when_the_hreps_agree(ex52_file, tmp_path, monkeypatch,
+                                                     capsys):
+    # only t_r enters ex52's H-rep: the target's polytope is the source's
+    src, dst = tmp_path / "t.json", tmp_path / "u.json"
+    src.write_text(json.dumps({"t": {"p": "1/2", "q": "1/3", "r": "1/2"}}))
+    dst.write_text(json.dumps({"t": {"p": "0", "q": "1", "r": "1/2"}}))
+    dd = _count_dd(monkeypatch)
+    for _ in range(2):
+        dd.clear()
+        assert cli.main(["degenerate", ex52_file, "--from-t", str(src), "--to-t", str(dst)]) == 0
+        assert json.loads(capsys.readouterr().out)["surjective"]
+        assert len(dd) == 1

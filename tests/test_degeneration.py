@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -12,13 +13,13 @@ from mpp import degeneration
 from mpp.degeneration import (DegenerationPair, FaceMap, canonical_incidence,
                               check_fvector_domination,
                               combinatorial_type_sweep, composition_law,
-                              degeneration_map, fvector_domination,
+                              degeneration_map, face_map_via, fvector_domination,
                               hibi_li_check,
                               incidence_matrix, lattices_isomorphic,
                               polytope_data, sample_face_parameters)
 from mpp.family import (Parameter, Partition, generic_parameter, hrep_general,
                         hypercube_vertices)
-from mpp.geometry import face_lattice, make_hrep, vertices
+from mpp.geometry import GeometryError, face_lattice, make_hrep, vertices
 from mpp.poset import MarkedPoset
 
 
@@ -246,6 +247,44 @@ def test_face_map_matches_fraction_oracle_generic_to_every_vertex():
             pair = DegenerationPair(t, u)
             assert (degeneration_map(poset, pair, source).as_index_pairs()
                     == fraction_face_map(poset, pair).as_index_pairs())
+
+
+@pytest.mark.parametrize("make", [lambda: make_grid(2, 2), make_ex52, make_double_star],
+                         ids=["grid2x2", "ex52", "dstar"])
+def test_domination_sweep_maps_match_fraction_oracle(make, tmp_path, monkeypatch, capsys):
+    # every face map of the sweep, with the targets of one H-rep sharing one
+    # polytope (and O_t's own H-rep reading the source's), against the oracle
+    from mpp import cli
+    from mpp.jsonio import poset_to_json
+    poset = make()
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset_to_json(poset)))
+    honest = degeneration.degeneration_map
+    maps = []
+
+    def recorded(poset, pair, source=None, target=None):
+        maps.append((pair, honest(poset, pair, source, target)))
+        return maps[-1][1]
+
+    monkeypatch.setattr(degeneration, "degeneration_map", recorded)
+    assert cli.main(["sweep", str(path), "--check", "domination"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+    # each corner once; the corners of one H-rep run together
+    corners = list(hypercube_vertices(poset))
+    assert len(maps) == len(corners) and {pair.target for pair, _ in maps} == set(corners)
+    for pair, fmap in maps:
+        assert fmap.as_index_pairs() == fraction_face_map(poset, pair).as_index_pairs()
+
+
+def test_face_map_refuses_an_image_outside_the_target(ex52):
+    h, _, lat = polytope_data(ex52, generic_parameter(ex52))
+
+    def mapper(rows):  # the identity, but the last face goes far outside
+        return list(rows[:-1]) + [(1,) + (10 ** 6,) * len(h.coords)]
+
+    assert face_map_via(lat, h, lat, lambda rows: rows).mapping == {f: f for f in lat.faces}
+    with pytest.raises(GeometryError, match="outside the polytope"):
+        face_map_via(lat, h, lat, mapper)
 
 
 def all_pairs_order_preserving(fm: FaceMap) -> bool:
@@ -476,8 +515,8 @@ def test_composition_law_reports_a_broken_map(ex52, monkeypatch):
     assert composition_law(ex52, t, u2, u3)
     honest = degeneration.degeneration_map
 
-    def broken(poset, pair, source=None):
-        fmap = honest(poset, pair, source)
+    def broken(poset, pair, source=None, target=None):
+        fmap = honest(poset, pair, source, target)
         if pair != DegenerationPair(t, u3):
             return fmap
         empty = next(f for f in fmap.target.faces if f.dim < 0)

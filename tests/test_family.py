@@ -228,18 +228,24 @@ def test_homogeneous_theta_matches_fraction_recursions():
         theta = transfer_theta_homogeneous(poset, t, t2)
         phi = transfer_theta_homogeneous(poset, None, t2)
         psi = transfer_theta_homogeneous(poset, t, None)
+        points, homs = [], []
         for _ in range(3):
             y = random_point(rnd, poset.unmarked, den=35)
             w0 = math.lcm(*(v.denominator for v in y.values())) * rnd.randint(1, 3)
-            hom = (w0,) + tuple(int(y[p] * w0) for p in poset.unmarked)
-            for fn, want in ((theta, fraction_theta_projected(poset, t, t2, y)),
-                             (phi, transfer_phi_projected(poset, t2, y)),
-                             (psi, transfer_psi_projected(poset, t, y))):
-                img = fn(hom)
-                assert img[0] > 0
-                assert {p: Fraction(v, img[0]) for p, v in zip(poset.unmarked, img[1:])} == want
+            points.append(y)
+            homs.append((w0,) + tuple(int(y[p] * w0) for p in poset.unmarked))
             assert transfer_theta_projected(poset, t, t2, y) == fraction_theta_projected(
                 poset, t, t2, y)
+        # the three rows in one batch, and each again as a batch of one
+        for fn, want in ((theta, lambda y: fraction_theta_projected(poset, t, t2, y)),
+                         (phi, lambda y: transfer_phi_projected(poset, t2, y)),
+                         (psi, lambda y: transfer_psi_projected(poset, t, y))):
+            batch = fn(homs)
+            assert len(batch) == len(homs)
+            for y, hom, img in zip(points, homs, batch):
+                assert fn([hom]) == [img]
+                assert img[0] > 0
+                assert {p: Fraction(v, img[0]) for p, v in zip(poset.unmarked, img[1:])} == want(y)
 
 
 def test_theta_identity_and_composition(ex52):

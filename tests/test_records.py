@@ -129,3 +129,22 @@ def test_degeneration_pair_rejects_a_non_degeneration():
         DegenerationPair(u, Parameter({"p": 1, "q": 1}))
     with pytest.raises(ValueError):
         DegenerationPair(source=u, target=Parameter({"p": HALF, "q": HALF}))
+
+
+def test_hreps_are_equal_exactly_when_coords_rows_and_origins_agree():
+    # the key under which a command shares one polytope between parameters
+    from conftest import make_ex52
+    from mpp.family import hrep_general
+    ex52 = make_ex52()
+    third = Fraction(1, 3)
+    a = hrep_general(ex52, Parameter({"p": HALF, "q": third, "r": HALF}))
+    b = hrep_general(ex52, Parameter({"p": ZERO, "q": ONE, "r": HALF}))
+    c = hrep_general(ex52, Parameter({"p": HALF, "q": third, "r": ZERO}))
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != c and a.coords == c.coords
+    # equal rows under other origins differ
+    renamed = HRep(a.coords).with_rows(
+        a.scaled_equations, [(row, s, ("other",) + origin)
+                             for row, s, origin in a.scaled_inequalities])
+    assert renamed.int_inequalities == a.int_inequalities
+    assert renamed != a and {a: 1}.get(renamed) is None
