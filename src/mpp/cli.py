@@ -149,12 +149,10 @@ def cmd_subdivision(args, poset) -> int:
     from . import tropical
     if args.off:
         tropical.off_dimension(poset)  # refuses before any cell is computed
-    # with --off, the base polytope's one DD run is shared with the export
-    base_data = tropical._base_data(poset) if args.off else None
     if args.ideal_chains:
-        cells, kind = tropical.ideal_chain_cells(poset, base_data), "ideal-chain"
+        cells, kind = tropical.ideal_chain_cells(poset), "ideal-chain"
     else:
-        cells, kind = tropical.tropical_subdivision(poset, base_data), "tropical"
+        cells, kind = tropical.tropical_subdivision(poset), "tropical"
     # cells share their vertex tuples (all of them, in a tropical subdivision),
     # so each distinct tuple object is deduplicated and written out once
     shared = {id(p): p for c in cells for p in c.vertices}
@@ -168,7 +166,8 @@ def cmd_subdivision(args, poset) -> int:
                           "origin": list(c.origin)} for c in cells],
                "vertices": [[rat_str(x) for x in p] for p in sub_vertices]}
     if args.off:  # the text first, so that a refused export leaves the file alone
-        off = tropical.export_off(poset, tropical.tropical_subdivision(poset, base_data)
+        # the base polytope's one DD run, kept on the poset, serves both
+        off = tropical.export_off(poset, tropical.tropical_subdivision(poset)
                                   if args.ideal_chains else cells)
         with open(args.off, "w", encoding="utf-8") as fh:
             fh.write(off)
@@ -269,10 +268,11 @@ def _sweep_domination(poset):
 
     def one(u):
         pair = dg.DegenerationPair(t, u)
-        data = source()
-        fmap = dg.degeneration_map(poset, pair, data,
-                                   data if hrep[u] == data[0] else held(hrep[u]))
-        rep = dg.fvector_domination(pair, fmap.source, fmap.target)
+        h, _, lattice = source()
+        target = lattice if hrep[u] == h else held(hrep[u])[2]
+        fmap = dg.face_map_via(lattice, hrep[u], target,
+                               family.transfer_theta_homogeneous(poset, t, u))
+        rep = dg.fvector_domination(pair, lattice, target)
         rep["map_ok"] = (fmap.is_surjective() and fmap.is_order_preserving()
                          and fmap.dims_nondecreasing())
         return rep

@@ -108,12 +108,6 @@ def _bounded(h: HRep) -> VRep:
     return v
 
 
-def _bounded_polytope(poset: MarkedPoset, t: Parameter) -> tuple[HRep, VRep]:
-    """(H-rep, V-rep) of the projected polytope O_t, which must be bounded."""
-    h = hrep_general(poset, t, projected=True)
-    return h, _bounded(h)
-
-
 def _polytope(h: HRep):
     """(h, V-rep, face lattice) of the polytope h."""
     v = _bounded(h)
@@ -125,20 +119,15 @@ def polytope_data(poset: MarkedPoset, t: Parameter):
     return _polytope(hrep_general(poset, t, projected=True))
 
 
-def degeneration_map(poset: MarkedPoset, pair: DegenerationPair,
-                     source=None, target=None) -> FaceMap:
+def degeneration_map(poset: MarkedPoset, pair: DegenerationPair) -> FaceMap:
     """The induced face-lattice map of the continuous degeneration u -> u2.
-
-    source and target, if given, are polytope_data(poset, pair.source) and
-    polytope_data(poset, pair.target), built once for many maps.  A target
-    not given whose H-rep equals the source's is the source's polytope."""
+    A target whose H-rep equals the source's is the source's polytope.
+    Callers that hold their polytopes call face_map_via directly."""
     require_valid(poset)
-    source = source or polytope_data(poset, pair.source)
-    if target is None:
-        h = hrep_general(poset, pair.target, projected=True)
-        target = source if h == source[0] else _polytope(h)
-    theta = transfer_theta_homogeneous(poset, pair.source, pair.target)
-    return face_map_via(source[2], target[0], target[2], theta)
+    h0, _, source = polytope_data(poset, pair.source)
+    h = hrep_general(poset, pair.target, projected=True)
+    target = source if h == h0 else _polytope(h)[2]
+    return face_map_via(source, h, target, transfer_theta_homogeneous(poset, *pair))
 
 
 def _dominated(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
@@ -158,8 +147,8 @@ def fvector_domination(pair: DegenerationPair, source: FaceLattice,
 def check_fvector_domination(poset: MarkedPoset, pair: DegenerationPair) -> dict:
     """Componentwise f-vector comparison f_i(target) <= f_i(source), on face
     counts without building either lattice."""
-    fu = face_counts(*_bounded_polytope(poset, pair.source))
-    ft = face_counts(*_bounded_polytope(poset, pair.target))
+    hu, ht = (hrep_general(poset, t, projected=True) for t in pair)
+    fu, ft = face_counts(hu, _bounded(hu)), face_counts(ht, _bounded(ht))
     return _domination_report(pair, fu, ft)
 
 
@@ -177,17 +166,14 @@ def composition_law(poset: MarkedPoset, u: Parameter, u2: Parameter,
                     u3: Parameter) -> bool:
     """dg_{u,u3} == dg_{u2,u3} after dg_{u,u2} as maps of faces, with one
     polytope per distinct H-rep among u, u2 and u3."""
-    polytopes = {}
+    polytope = functools.cache(_polytope)  # one per distinct H-rep
 
-    def data(t):
-        h = hrep_general(poset, t, projected=True)
-        if h not in polytopes:
-            polytopes[h] = _polytope(h)
-        return polytopes[h]
+    def face_map(a, b):
+        pair = DegenerationPair(a, b)  # b must be a degeneration of a
+        (_, _, source), (h, _, target) = (polytope(hrep_general(poset, t)) for t in pair)
+        return face_map_via(source, h, target, transfer_theta_homogeneous(poset, *pair))
 
-    m12 = degeneration_map(poset, DegenerationPair(u, u2), data(u), data(u2))
-    m23 = degeneration_map(poset, DegenerationPair(u2, u3), data(u2), data(u3))
-    m13 = degeneration_map(poset, DegenerationPair(u, u3), data(u), data(u3))
+    m12, m23, m13 = face_map(u, u2), face_map(u2, u3), face_map(u, u3)
     return all(m13.mapping[f] == m23.mapping[m12.mapping[f]] for f in m12.source.faces)
 
 

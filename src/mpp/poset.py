@@ -7,13 +7,14 @@ Element identifiers are opaque strings; marking values are exact rationals.
 All set-valued results come back in lexicographic element order.  Instances
 are immutable and hashable (the marking is a read-only mapping), so their
 order is derived once and cached on them: the cover lists, Kahn's linear
-extension (which also tells acyclicity), the down-sets `_below`, the
-validation report (linear in the order relation), the marking over one
-denominator, the chain tails and the levels of order ideals.  One memoized
-walker, `chain_walker`, lists every saturated-chain family; one loop,
-`_grow_ideals`, grows the order ideals of a level, for the Ehrhart counts
-at t = 0 and the ideal chains alike.  |P| itself is not capped: the steps
-that grow super-polynomially with it run under their own budgets.
+extension (which also tells acyclicity), the down-sets `_below` as bits
+along it (the one form of the order), the validation report (linear in the
+order relation), the marking over one denominator, the chain tails and the
+levels of order ideals.  One memoized walker, `chain_walker`, lists every
+saturated-chain family; one loop, `_grow_ideals`, grows the order ideals of
+a level, for the Ehrhart counts at t = 0 and the ideal chains alike.  |P|
+itself is not capped: the steps that grow super-polynomially with it run
+under their own budgets.
 
 SaturatedChain and MarkedPoset are immutable records (see mpp.records):
 named tuples, so each also iterates, sorts and equals the plain tuple of
@@ -103,16 +104,24 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         return len(self._kahn) == len(self.elements)
 
     @cached_property
-    def _below(self) -> dict[str, frozenset[str]]:
-        """below[p] = all q with q < p (strictly).  Requires acyclicity."""
-        below: dict[str, frozenset[str]] = {}
+    def _bit(self) -> dict[str, int]:
+        """bit[e] = 1 << i for e the i-th element of the linear extension."""
+        return {e: 1 << i for i, e in enumerate(self.linear_extension())}
+
+    @cached_property
+    def _below(self) -> dict[str, int]:
+        """below[p] = all q with q < p (strictly), as bits.  Requires acyclicity."""
+        below, bit = {}, self._bit
         for e in self.linear_extension():
-            acc: set[str] = set()
+            acc = 0
             for q in self.lower_covers(e):
-                acc.add(q)
-                acc |= below[q]
-            below[e] = frozenset(acc)
+                acc |= below[q] | bit[q]
+            below[e] = acc
         return below
+
+    def _members(self, mask: int) -> list[str]:
+        """The elements of the bits set in mask, in linear-extension order."""
+        return [e for e, c in zip(self.linear_extension(), bin(mask)[:1:-1]) if c == "1"]
 
     def linear_extension(self) -> tuple[str, ...]:
         """Deterministic linear extension (Kahn's algorithm, lex tie-break),
@@ -141,17 +150,24 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         return tuple(out)
 
     def lt(self, a: str, b: str) -> bool:
-        return a in self._below[b]
+        return self._below[b] & self._bit[a] != 0
 
     def leq(self, a: str, b: str) -> bool:
-        return a == b or a in self._below[b]
+        return a == b or self.lt(a, b)
+
+    @cached_property
+    def _value_masks(self) -> dict[Fraction, int]:
+        """The marked elements of each marking value, as bits (_bit)."""
+        masks: dict[Fraction, int] = {}
+        for a, v in self.marking.items():
+            masks[v] = masks.get(v, 0) | self._bit[a]
+        return masks
 
     @cached_property
     def strictly_marked(self) -> bool:
         """No two comparable marked elements share a marking value."""
-        marking = self.marking
-        return not any(a in marking and marking[a] == v
-                       for b, v in marking.items() for a in self._below[b])
+        below, same = self._below, self._value_masks
+        return not any(below[b] & same[v] for b, v in self.marking.items())
 
     @cached_property
     def _top_marking(self) -> dict[str, Fraction | None]:
@@ -174,7 +190,7 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         report: list[str] = []
         below, marking, lt, top = self._below, self.marking, self.lt, self._top_marking
         for p, q in sorted(self.covers):
-            if any(p in below[c] for c in self.lower_covers(q)):
+            if any(below[c] & self._bit[p] for c in self.lower_covers(q)):
                 report += [f"non-covering pair ({p}, {q}): {w} lies strictly between"
                            for w in self.elements if w != p and w != q and lt(p, w) and lt(w, q)]
         if any(top[b] is not None and top[b] > v for b, v in marking.items()):
@@ -194,26 +210,22 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
     @cached_property
     def _ideal_levels(self) -> dict[Fraction, tuple[int, tuple[tuple[int, int], ...]]]:
         """By marking value v, increasing: (base, free) of the level of order
-        ideals whose marked elements are those of value <= v, element i of
-        the linear extension bit i.  Each is base | S, base the down-set of
-        those marked elements and S an ideal of the free elements (unmarked,
-        outside base, above no larger value); free lists (bit, need), need
-        the free lower covers.  On a valid poset the level below the least
-        value is the empty ideal alone."""
-        order = self.linear_extension()
-        bit = {e: 1 << i for i, e in enumerate(order)}
-        marking, top = self.marking, self._top_marking
-        by_value: dict[Fraction, list[str]] = {}
+        ideals whose marked elements are those of value <= v, as bits
+        (_bit).  Each is base | S, base the down-set of those marked
+        elements and S an ideal of the free elements (unmarked, outside
+        base, above no larger value); free lists (bit, need), need the free
+        lower covers.  On a valid poset the level below the least value is
+        the empty ideal alone."""
+        below, bit, marking, top = self._below, self._bit, self.marking, self._top_marking
+        unmarked = [e for e in self.linear_extension() if e not in marking]
+        bases, grown = {}, 0  # by value: the down-set of the marked elements up to it
         for a, v in sorted(marking.items(), key=lambda item: item[1]):
-            by_value.setdefault(v, []).append(a)
-        levels, base, mask = {}, set(), 0
-        for v, joining in by_value.items():
-            grown = set().union(*(self._below[a] | {a} for a in joining)) - base
-            base |= grown
-            mask |= sum(map(bit.get, grown))
-            levels[v] = (mask, tuple(
-                (bit[e], sum(bit[c] for c in self.lower_covers(e) if c not in base))
-                for e in order if e not in base and e not in marking and top[e] <= v))
+            grown = bases[v] = grown | below[a] | bit[a]
+        levels = {}
+        for v, base in bases.items():
+            levels[v] = (base, tuple(
+                (bit[e], sum(bit[c] for c in self.lower_covers(e) if not base & bit[c]))
+                for e in unmarked if not base & bit[e] and top[e] <= v))
         return levels
 
     @cached_property
@@ -324,15 +336,14 @@ def chain_counts(poset: MarkedPoset, C, O) -> tuple[dict[str, int], dict[str, in
 def constant_intervals(poset: MarkedPoset) -> list[tuple[str, ...]]:
     """Maximal unions of non-trivial constant intervals, as sorted blocks."""
     require_valid(poset)
-    below, marking = poset._below, poset.marking
+    below, bit, same = poset._below, poset._bit, poset._value_masks
     block: dict[str, set[str]] = {}  # element -> the block it lies in so far
-    for b in marking:
-        for a in below[b]:
-            if a in marking and marking[a] == marking[b]:
-                interval = {a, b}.union(p for p in below[b] if a in below[p])
-                merged = interval.union(*(block.get(p, ()) for p in interval))
-                for p in merged:
-                    block[p] = merged
+    for b, v in poset.marking.items():
+        for a in poset._members(below[b] & same[v]):
+            interval = {a, b}.union(p for p in poset._members(below[b]) if below[p] & bit[a])
+            merged = interval.union(*(block.get(p, ()) for p in interval))
+            for p in merged:
+                block[p] = merged
     return sorted({tuple(sorted(m)) for m in block.values()})
 
 
@@ -350,7 +361,7 @@ def contract_constant_intervals(poset: MarkedPoset) -> tuple[MarkedPoset, dict[s
     # quotient order: B < B' iff some p in B, q in B' with p < q
     lt: dict[str, set[str]] = {n: set() for n in new_elements}
     for q, below in poset._below.items():
-        for p in below:
+        for p in poset._members(below):
             if elem_map[p] != elem_map[q]:
                 lt[elem_map[p]].add(elem_map[q])
     # unreachable: crossing blocks share a value, so a constant interval merges them

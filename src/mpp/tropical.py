@@ -3,18 +3,18 @@ subdivision of the marked order polyhedron, and vertex enumeration of generic
 family members by transferring subdivision vertices.
 
 Every cell is cut from the one base polytope O_0(P, lambda) in the projected
-coordinates.  A public call builds it once (`_base_data`), with the one DD
-run on it, and passes both down.  One generator (`_covector_cells`) runs the
-covector search over the maximal cells only, one closed single-argmax sector
-per hyperplane: every other cell is a face of one of them, so the subdivision
-vertices and the subdivision's faces are theirs.  A search node continues
-its parent's DD with its own sector rows, and an empty partial cell is
-dropped at once; no linear program is solved.  Vertices stay integer rows
-(VRep.rows) throughout: subdivision cells are keyed by vertex bitmasks,
-covectors are read off integer witnesses, and Fractions are built once per
-subdivision vertex, for the returned cells.  The ideal-chain cells, the
-marked analogue of Stanley's subdivision of the order polytope by chains of
-order ideals (1986), refine these; each is the same base cone cut by its
+coordinates.  It is built once per poset instance, with the one DD run on it,
+and kept on the instance (`_base_data`).  One generator (`_covector_cells`)
+runs the covector search over the maximal cells only, one closed
+single-argmax sector per hyperplane: every other cell is a face of one of
+them, so the subdivision vertices and the subdivision's faces are theirs.  A
+search node continues its parent's DD with its own sector rows, and an empty
+partial cell is dropped at once; no linear program is solved.  Vertices stay
+integer rows (VRep.rows) throughout: subdivision cells are keyed by vertex
+bitmasks, covectors are read off integer witnesses, and Fractions are built
+once per subdivision vertex, for the returned cells.  The ideal-chain cells,
+the marked analogue of Stanley's subdivision of the order polytope by chains
+of order ideals (1986), refine these; each is the same base cone cut by its
 chain's block rows, and the chains grow through the poset's levels of order
 ideals, by the loop that the Ehrhart counts at t = 0 use too.
 
@@ -162,12 +162,14 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
 
 def _base_data(poset: MarkedPoset) -> tuple[HRep, Cone]:
     """The base polytope O_0 in the projected coordinates and its cone, the
-    one DD run on it."""
-    base = hrep_general(poset, zero_parameter(poset), projected=True)
-    cone = homogenization_cone(base)
-    if cone.vrep().rays:
-        raise UnsupportedUnbounded("tropical subdivision implemented for polytopes only")
-    return base, cone
+    one DD run on it, kept in the poset's __dict__ with its cached values."""
+    if "_base_data" not in poset.__dict__:
+        base = hrep_general(poset, zero_parameter(poset), projected=True)
+        cone = homogenization_cone(base)
+        if cone.vrep().rays:
+            raise UnsupportedUnbounded("tropical subdivision implemented for polytopes only")
+        poset.__dict__["_base_data"] = base, cone
+    return poset.__dict__["_base_data"]
 
 
 def _covector_forms(poset: MarkedPoset, arr: TropicalArrangement, coords):
@@ -218,7 +220,7 @@ def _polytope_cell(base: HRep, forms, v: VRep, origin) -> SubdivisionCell:
                            _covector_at(forms, v.rows), tight, tuple(origin))
 
 
-def tropical_subdivision(poset: MarkedPoset, base_data=None) -> list[SubdivisionCell]:
+def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     """The full tropical subdivision of the marked order polytope.
 
     Its cells are the nonempty intersections of polytope faces with cells of
@@ -231,9 +233,9 @@ def tropical_subdivision(poset: MarkedPoset, base_data=None) -> list[Subdivision
     inequalities are the first rows of each cell's H-rep.  Cells sort by
     (dim, vertices) through the ranks of the vertices, whose Fractions are
     built once.  Raises TooLarge once more than FACE_GATE distinct cells
-    are found.  base_data, if given, is _base_data(poset).
+    are found.
     """
-    base, root = base_data or _base_data(poset)
+    base, root = _base_data(poset)
     arr = arrangement(poset)
     nb = len(base.int_inequalities)
     index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> global id
@@ -271,11 +273,10 @@ def tropical_subdivision(poset: MarkedPoset, base_data=None) -> list[Subdivision
     return [cell for _, cell in cells]
 
 
-def _subdivision_rows(poset: MarkedPoset, base_data) -> set[tuple[int, ...]]:
-    """The primitive integer rows of the subdivision vertices (the 0-cells);
-    base_data is _base_data(poset)."""
+def _subdivision_rows(poset: MarkedPoset) -> set[tuple[int, ...]]:
+    """The primitive integer rows of the subdivision vertices (the 0-cells)."""
     arr = arrangement(poset)
-    return {r for _, _, cone in _covector_cells(poset, arr, *base_data)
+    return {r for _, _, cone in _covector_cells(poset, arr, *_base_data(poset))
             for r, _ in cone.rays if r[0] > 0}
 
 
@@ -286,23 +287,23 @@ def _sorted_points(rows) -> list[tuple[Fraction, ...]]:
 
 def subdivision_vertices(poset: MarkedPoset) -> list[tuple[Fraction, ...]]:
     """Vertices of the tropical subdivision (0-cells of the complex)."""
-    return _sorted_points(_subdivision_rows(poset, _base_data(poset)))
+    return _sorted_points(_subdivision_rows(poset))
 
 
-def _transferred(poset: MarkedPoset, t: Parameter, base_data) -> set[tuple[int, ...]]:
+def _transferred(poset: MarkedPoset, t: Parameter) -> set[tuple[int, ...]]:
     """The primitive integer rows of the phi_t images of the subdivision
-    vertices; base_data is _base_data(poset)."""
+    vertices."""
     phi = transfer_theta_homogeneous(poset, None, t)
-    return set(map(_primitive, phi(list(_subdivision_rows(poset, base_data)))))
+    return set(map(_primitive, phi(list(_subdivision_rows(poset)))))
 
 
-def generic_vrep(poset: MarkedPoset, t: Parameter, base_data=None) -> VRep:
+def generic_vrep(poset: MarkedPoset, t: Parameter) -> VRep:
     """The V-rep of O_t for interior t, cross-checked against the transferred
     subdivision vertices: the two always agree, so a mismatch is a kernel
-    bug and raises.  base_data, if given, is _base_data(poset)."""
+    bug and raises."""
     if not t.is_interior:
         raise NonInteriorParameter("generic vertices need t in the open hypercube")
-    images = _transferred(poset, t, base_data or _base_data(poset))
+    images = _transferred(poset, t)
     v = vertices(hrep_general(poset, t, projected=True))
     if images != {_primitive(r) for r in v.rows}:
         raise AssertionError(
@@ -320,7 +321,7 @@ def generic_vertices(poset: MarkedPoset, t: Parameter) -> list[tuple[Fraction, .
 def transferred_subdivision_vertices(poset: MarkedPoset, t: Parameter):
     """phi_t images of the subdivision vertices for arbitrary t (a superset of
     the vertices of O_t)."""
-    return _sorted_points(_transferred(poset, t, _base_data(poset)))
+    return _sorted_points(_transferred(poset, t))
 
 
 # -- ideal-chain subdivision ----------------------------------------------------
@@ -341,12 +342,11 @@ def compatible_ideal_chains(poset: MarkedPoset):
     """
     require_valid(poset)
     levels = [(0, ())] + list(poset._ideal_levels.values())
-    order = poset.linear_extension()
     named = {}  # ideal -> (its sort key, its elements), built once
 
     def name(ideal):
         if ideal not in named:
-            elements = sorted(e for k, e in enumerate(order) if ideal >> k & 1)
+            elements = sorted(poset._members(ideal))
             named[ideal] = (len(elements), elements), frozenset(elements)
         return named[ideal]
 
@@ -355,7 +355,7 @@ def compatible_ideal_chains(poset: MarkedPoset):
     def rec(chain, level):
         nonlocal prefixes
         cur = chain[-1]
-        if cur == (1 << len(order)) - 1:
+        if cur == (1 << len(poset.elements)) - 1:
             chains.append(tuple(name(i)[1] for i in chain))
             return
         found = [(i, level) for i in
@@ -374,14 +374,13 @@ def compatible_ideal_chains(poset: MarkedPoset):
     return chains
 
 
-def ideal_chain_cells(poset: MarkedPoset, base_data=None) -> list[SubdivisionCell]:
+def ideal_chain_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     """One cell per compatible chain of order ideals: points constant on each
     block and weakly increasing along the block order: the base cone (the one
     DD run) cut by the block rows, an equation as two opposite rows.
-    The chains come first, so that their budget refuses before any DD.
-    base_data, if given, is _base_data(poset)."""
+    The chains come first, so that their budget refuses before any DD."""
     chains = compatible_ideal_chains(poset)
-    base, root = base_data or _base_data(poset)
+    base, root = _base_data(poset)
     arr = arrangement(poset)
     forms = _covector_forms(poset, arr, base.coords)
     write = _row_writer(poset, base.coords)
@@ -407,12 +406,11 @@ def check_vertex_degeneration_conjecture(poset: MarkedPoset, t: Parameter) -> di
     if len(poset.unmarked) > 10:
         raise TooLarge(f"conjecture sweep capped at 10 unmarked elements, "
                        f"got {len(poset.unmarked)}")
-    base_data = _base_data(poset)
-    base = base_data[0]
-    generic = generic_vrep(poset, t, base_data)
+    base, root = _base_data(poset)
+    generic = generic_vrep(poset, t)
     # one DD per distinct corner H-rep; the corner u = 0, and every corner
     # whose H-rep is O_0's, reads the base polytope's run
-    vsets = {base: {_primitive(r) for r in base_data[1].vrep().rows}}
+    vsets = {base: {_primitive(r) for r in root.vrep().rows}}
     targets = []
     for u in hypercube_vertices(poset):
         h = hrep_general(poset, u, projected=True) if any(u.values.values()) else base

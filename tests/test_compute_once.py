@@ -71,7 +71,7 @@ def test_validate_returns_a_fresh_list():
 
 
 def test_conjecture_sweep_builds_base_once(ex52_file, monkeypatch, capsys):
-    bases = _count(monkeypatch, tropical, "_base_data")
+    bases = _count(monkeypatch, tropical, "homogenization_cone")  # O_0's DD runs
     searches = _count(monkeypatch, tropical, "_covector_cells")
     hrep_at = []
     hrep_general = tropical.hrep_general
@@ -87,6 +87,22 @@ def test_conjecture_sweep_builds_base_once(ex52_file, monkeypatch, capsys):
     # O_0 once (the base), then the generic t and the seven other corners
     zero = [t for t in hrep_at if not any(v for _, v in t)]
     assert (len(zero), len(hrep_at)) == (1, 9)
+
+
+def test_base_polytope_is_built_once_per_poset_instance(monkeypatch):
+    # the base is kept on the instance that built it: each test builds its
+    # own instances, since a base kept on a shared one would hide runs
+    runs = _count(monkeypatch, tropical, "homogenization_cone")
+    poset = make_ex52()
+    t = generic_parameter(poset)
+    tropical.tropical_subdivision(poset)
+    tropical.generic_vrep(poset, t)
+    tropical.check_vertex_degeneration_conjecture(poset, t)
+    assert len(runs) == 1
+    twin = make_ex52()
+    tropical.tropical_subdivision(twin)
+    assert len(runs) == 2
+    assert twin == poset and hash(twin) == hash(poset) == hash(make_ex52())
 
 
 @pytest.mark.parametrize("ideal", [False, True])
@@ -133,10 +149,10 @@ def test_types_sweep_walks_once_per_tight_set_family(tmp_path, monkeypatch, caps
     assert len(walks) == faces
     for report in data["faces"]:
         fixed = {k: Fraction(v) for k, v in report["face"].items()}
-        params = degeneration.sample_face_parameters(poset, fixed)
+        hreps = [hrep_general(poset, t, projected=True)
+                 for t in degeneration.sample_face_parameters(poset, fixed)]
         assert report["f_vectors"] == [
-            list(geometry.face_counts(*degeneration._bounded_polytope(poset, t)))
-            for t in params]
+            list(geometry.face_counts(h, geometry.vertices(h))) for h in hreps]
 
 
 def test_degenerate_query_computes_the_linear_extension_once(ex52_file, tmp_path,

@@ -242,10 +242,9 @@ def test_face_map_matches_fraction_oracle_generic_to_every_vertex():
     _, posets = _oracle_posets()
     for poset in posets:
         t = generic_parameter(poset)
-        source = polytope_data(poset, t)
         for u in hypercube_vertices(poset):
             pair = DegenerationPair(t, u)
-            assert (degeneration_map(poset, pair, source).as_index_pairs()
+            assert (degeneration_map(poset, pair).as_index_pairs()
                     == fraction_face_map(poset, pair).as_index_pairs())
 
 
@@ -253,20 +252,26 @@ def test_face_map_matches_fraction_oracle_generic_to_every_vertex():
                          ids=["grid2x2", "ex52", "dstar"])
 def test_domination_sweep_maps_match_fraction_oracle(make, tmp_path, monkeypatch, capsys):
     # every face map of the sweep, with the targets of one H-rep sharing one
-    # polytope (and O_t's own H-rep reading the source's), against the oracle
-    from mpp import cli
+    # polytope (and O_t's own H-rep reading the source's), against the oracle;
+    # each map is recorded with the pair of the transfer map it was given
+    from mpp import cli, family
     from mpp.jsonio import poset_to_json
     poset = make()
     path = tmp_path / "poset.json"
     path.write_text(json.dumps(poset_to_json(poset)))
-    honest = degeneration.degeneration_map
-    maps = []
+    theta, honest = family.transfer_theta_homogeneous, degeneration.face_map_via
+    pairs, maps = [], []
 
-    def recorded(poset, pair, source=None, target=None):
-        maps.append((pair, honest(poset, pair, source, target)))
+    def recorded_theta(poset, u, u2):
+        pairs.append(DegenerationPair(u, u2))
+        return theta(poset, u, u2)
+
+    def recorded(source, target_h, target, mapper):
+        maps.append((pairs[-1], honest(source, target_h, target, mapper)))
         return maps[-1][1]
 
-    monkeypatch.setattr(degeneration, "degeneration_map", recorded)
+    monkeypatch.setattr(family, "transfer_theta_homogeneous", recorded_theta)
+    monkeypatch.setattr(degeneration, "face_map_via", recorded)
     assert cli.main(["sweep", str(path), "--check", "domination"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
     # each corner once; the corners of one H-rep run together
@@ -513,16 +518,22 @@ def test_composition_law_reports_a_broken_map(ex52, monkeypatch):
     u2 = Parameter({"p": F(1), "q": t["q"], "r": F(0)})
     u3 = Parameter({"p": F(1), "q": F(0), "r": F(0)})
     assert composition_law(ex52, t, u2, u3)
-    honest = degeneration.degeneration_map
+    theta, honest = degeneration.transfer_theta_homogeneous, degeneration.face_map_via
+    pairs = []  # the pair of each transfer map, as each face map is given one
 
-    def broken(poset, pair, source=None, target=None):
-        fmap = honest(poset, pair, source, target)
-        if pair != DegenerationPair(t, u3):
+    def recorded_theta(poset, u, u2):
+        pairs.append(DegenerationPair(u, u2))
+        return theta(poset, u, u2)
+
+    def broken(source, target_h, target, mapper):
+        fmap = honest(source, target_h, target, mapper)
+        if pairs[-1] != DegenerationPair(t, u3):
             return fmap
         empty = next(f for f in fmap.target.faces if f.dim < 0)
         return FaceMap(fmap.source, fmap.target, dict.fromkeys(fmap.mapping, empty))
 
-    monkeypatch.setattr(degeneration, "degeneration_map", broken)
+    monkeypatch.setattr(degeneration, "transfer_theta_homogeneous", recorded_theta)
+    monkeypatch.setattr(degeneration, "face_map_via", broken)
     assert not composition_law(ex52, t, u2, u3)
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -368,6 +369,75 @@ def test_random_posets_valid_and_covering(seed):
     ext = p.linear_extension()
     pos = {e: i for i, e in enumerate(ext)}
     assert all(pos[a] < pos[b] for a, b in p.covers)
+
+
+# -- the order as bits ---------------------------------------------------------------
+
+def reachable(poset) -> dict[str, frozenset[str]]:
+    """Oracle: above[a] = {b : a < b}, by a search up the covers."""
+    above = {}
+    for a in poset.elements:
+        seen, stack = set(), list(poset.upper_covers(a))
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(poset.upper_covers(b))
+        above[a] = frozenset(seen)
+    return above
+
+
+def blocks_of_constant_intervals(poset, above) -> list[tuple[str, ...]]:
+    """Oracle: the intervals [a, b] of marked a < b with equal values, as
+    name sets, merged while two of them share an element."""
+    m = poset.marking
+    blocks = [{a, b} | {p for p in above[a] if b in above[p]}
+              for a in m for b in above[a] if b in m and m[a] == m[b]]
+    merged = []
+    for block in blocks:
+        for other in [o for o in merged if o & block]:
+            merged.remove(other)
+            block |= other
+        merged.append(block)
+    return sorted(tuple(sorted(b)) for b in merged)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bit_order_matches_name_set_oracles(seed):
+    rnd = random.Random(seed)
+    p = random_marked_poset(rnd, rnd.randint(2, 9))
+    if seed % 2:  # halved heights: comparable marked elements may share a value
+        p = mp(p.elements, p.covers, {a: v // 2 for a, v in p.marking.items()})
+    above, m = reachable(p), p.marking
+    assert all(p.lt(a, b) == (b in above[a]) and p.leq(a, b) == (a == b or b in above[a])
+               for a in p.elements for b in p.elements)
+    assert p.strictly_marked == (not any(b in m and m[a] == m[b] for a in m for b in above[a]))
+    blocks = blocks_of_constant_intervals(p, above)
+    assert constant_intervals(p) == blocks
+    # the quotient: blocks named by their least member, B < B' iff some
+    # element of B lies below some element of B'
+    q, elem_map = contract_constant_intervals(p)
+    name = {e: b[0] for b in blocks for e in b}
+    assert elem_map == {e: name.get(e, e) for e in p.elements}
+    members = {x: {e for e in p.elements if elem_map[e] == x} for x in q.elements}
+    assert all(q.lt(x, y) == any(above[a] & members[y] for a in members[x])
+               for x in q.elements for y in q.elements if x != y)
+    assert q.marking == {elem_map[a]: v for a, v in m.items()}
+
+
+def test_a_long_marked_chain_keeps_its_down_sets_small():
+    # the down-sets of 1,500 elements as bits take about n^2 / 8 bytes; as
+    # sets of names they took about 50 MiB
+    names = [f"c{i:04d}" for i in range(1500)]
+    p = mp(names, zip(names, names[1:]), {e: i for i, e in enumerate(names)})
+    tracemalloc.start()
+    try:
+        below = p._below
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert below[names[-1]] == (1 << 1499) - 1 and p._members(below[names[2]]) == names[:2]
 
 
 # -- error paths and small forms ------------------------------------------------------

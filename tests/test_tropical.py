@@ -467,13 +467,12 @@ def test_generic_vrep_at_scale(m, n):
     # the transferred subdivision vertices are the kernel's vertices (or
     # generic_vrep raises), at the generic t and at a seeded interior t; the
     # full covector search gave no answer on grid4x5 within 300 s
-    from mpp.tropical import _base_data, generic_vrep
+    from mpp.tropical import generic_vrep
     poset = make_grid(m, n)
-    base_data = _base_data(poset)
     rnd = random.Random(m * 10 + n)
     for t in (generic_parameter(poset), random_parameter(rnd, poset, interior=True)):
         kernel = vertices(hrep_general(poset, t, projected=True))
-        assert generic_vrep(poset, t, base_data) == kernel
+        assert generic_vrep(poset, t) == kernel
 
 # -- ideal chains ------------------------------------------------------------------------
 
@@ -506,7 +505,8 @@ def order_ideals(poset):
     ideal that holds the elements below it."""
     ideals = {frozenset()}
     for e in poset.linear_extension():
-        ideals |= {i | {e} for i in ideals if poset._below[e] <= i}
+        below = set(poset._members(poset._below[e]))
+        ideals |= {i | {e} for i in ideals if below <= i}
     return sorted(ideals, key=lambda s: (len(s), tuple(sorted(s))))
 
 
