@@ -246,9 +246,9 @@ def _sweep_types(poset):
     for p in sorted(poset.unmarked):
         faces.append({p: Fraction(0)})
         faces.append({p: Fraction(1)})
-    polytopes = {}  # H-rep -> V-rep, shared by the samples of every face
+    samples = {}  # H-rep -> _type_sample, shared by the samples of every face
     reports, errors = _sweep(
-        lambda f: dg.combinatorial_type_sweep(poset, f, polytopes), faces,
+        lambda f: dg.combinatorial_type_sweep(poset, f, samples), faces,
         lambda f: {"face": {k: rat_str(v) for k, v in sorted(f.items())}})
     return {"check": "types", "pass": bool(reports) and all(r["pass"] for r in reports),
             "faces": reports}, errors

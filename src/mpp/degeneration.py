@@ -22,8 +22,9 @@ marked 0 multiplies only zero terms.  Within one call, equal H-reps (records
 compared over their rows and origins) share one double description and what
 is derived from it: a map whose target H-rep is its source's reuses the
 source's lattice, composition_law builds each distinct polytope once, and a
-type sweep can share its samples' V-reps across hypercube faces.  Nothing is
-kept beyond the call that built it.
+type sweep keeps one sample (f-vector, tight sets, incidences) per distinct
+H-rep for all its hypercube faces, walking the faces once per family of
+vertex tight sets.  Nothing is kept beyond the call that built it.
 
 DegenerationPair and FaceMap are immutable records (see mpp.records): named
 tuples, so each also iterates, sorts and equals the plain tuple of its
@@ -42,7 +43,7 @@ from .family import (Parameter, Partition, chain_order_polytope, check_partition
 from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, VRep, _bits,
                        face_counts, face_lattice, facet_masks, vertices)
 from .poset import MarkedPoset, require_valid, star_elements
-from .rationals import rat_str
+from .rationals import rat, rat_str
 
 class DegenerationPair(namedtuple("DegenerationPair", "source target")):
     """Parameters (u, u2) with u2 a degeneration of u: they agree on every
@@ -268,41 +269,39 @@ def sample_face_parameters(poset: MarkedPoset, fixed: dict[str, Fraction]) -> li
 
 
 def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction],
-                             polytopes: dict | None = None) -> dict:
+                             samples: dict | None = None) -> dict:
     """Sample interior parameters of a hypercube face and assert the polytopes
-    are pairwise combinatorially isomorphic.  polytopes, if given, maps the
-    H-reps already enumerated to their V-reps and is shared by the sweeps of
-    many hypercube faces; samples with equal H-reps run one DD."""
-    for p, v in fixed.items():
-        if Fraction(v) not in (0, 1):
-            raise ValueError("hypercube faces are described by fixing coordinates to 0/1")
-    params = sample_face_parameters(poset, {p: Fraction(v) for p, v in fixed.items()})
+    are pairwise combinatorially isomorphic.  samples, if given, maps the
+    H-reps already sampled to their _type_sample results and is shared by
+    the sweeps of many hypercube faces: a repeated H-rep runs no DD."""
+    fixed = {p: rat(v) for p, v in fixed.items()}
+    if any(v not in (0, 1) for v in fixed.values()):
+        raise ValueError("hypercube faces are described by fixing coordinates to 0/1")
+    params = sample_face_parameters(poset, fixed)
     if not params[0].values:
         params = [Parameter({})]
-    polytopes = {} if polytopes is None else polytopes
-    walked = {}  # one face walk per distinct vertex tight sets
-    samples = []
-    for t in params:
-        h = hrep_general(poset, t, projected=True)
-        if h not in polytopes:
-            polytopes[h] = _bounded(h)
-        samples.append(_type_sample(h, polytopes[h], walked))
+    hreps = [hrep_general(poset, t, projected=True) for t in params]
+    samples = {} if samples is None else samples
+    for h in hreps:
+        if h not in samples:
+            samples[h] = _type_sample(h, _bounded(h), samples.values())
+    found = [samples[h] for h in hreps]
     return {"check": "combinatorial-type",
-            "face": {k: rat_str(Fraction(v)) for k, v in sorted(fixed.items())},
+            "face": {k: rat_str(v) for k, v in sorted(fixed.items())},
             "samples": [{k: rat_str(v) for k, v in sorted(t.values.items())} for t in params],
-            "f_vectors": [list(sample[0]) for sample in samples],
-            "pass": _all_isomorphic(samples)}
+            "f_vectors": [list(sample[0]) for sample in found],
+            "pass": _all_isomorphic(found)}
 
 
-def _type_sample(h: HRep, v: VRep, walked: dict | None = None):
+def _type_sample(h: HRep, v: VRep, known=()):
     """(f-vector, vertex tight sets, vertex-facet incidences) of a polytope,
     read off the incidence and facet masks; no face is stored.  A vertex's
     tight set is the mask of h's inequalities tight on it, by their index
     in h, which samples of one hypercube face share; the bits of its zero
     set follow the order of insertion into double description, which
-    depends on the rows' values.  walked, if given, maps the tight sets
-    already walked to their f-vectors, which equal tight sets share (see
-    _all_isomorphic)."""
+    depends on the rows' values.  known holds earlier samples: the faces
+    are walked only if none of them has these vertex tight sets, which
+    determine the face lattice (see _all_isomorphic)."""
     masks, facets, _ = facet_masks(h, v)
     n = len(v.rows)
     by_vertex = [0] * n
@@ -311,10 +310,10 @@ def _type_sample(h: HRep, v: VRep, walked: dict | None = None):
             by_vertex[i] |= 1 << j
     tight = frozenset(by_vertex)
     pairs = frozenset((i, fi) for fi, f in enumerate(facets) for i in range(n) if f >> i & 1)
-    walked = {} if walked is None else walked
-    if tight not in walked:
-        walked[tight] = face_counts(h, v, facets)
-    return walked[tight], tight, (n, len(facets), pairs)
+    f_vector = next((s[0] for s in known if s[1] == tight), None)
+    if f_vector is None:
+        f_vector = face_counts(h, v, facets)
+    return f_vector, tight, (n, len(facets), pairs)
 
 
 def _all_isomorphic(samples) -> bool:

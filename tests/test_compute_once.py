@@ -15,6 +15,7 @@ import pytest
 from mpp import cli, geometry, tropical
 from mpp.family import Parameter, generic_parameter, hrep_general
 from mpp.jsonio import poset_to_json
+from mpp.linalg import _idot
 from mpp.poset import MarkedPoset, validate
 
 from conftest import (fraction_hrep_general, make_double_star, make_ex52, make_ex52_rational,
@@ -130,29 +131,43 @@ def test_hibi_li_sweep_builds_each_lattice_once(tmp_path, monkeypatch, capsys):
     assert len(built) == 32
 
 
-@pytest.mark.parametrize("make, faces", [(make_ex52, 7), (lambda: make_grid(2, 3), 9)],
+def _vertex_tight_sets(h) -> frozenset:
+    """Each vertex's mask of h's tight inequalities by their index in h, one
+    integer dot product per pair."""
+    return frozenset(sum(1 << i for i, r in enumerate(h.int_inequalities) if _idot(r, p) == 0)
+                     for p in geometry.vertices(h).rows)
+
+
+@pytest.mark.parametrize("make, faces, hreps, families",
+                         [(make_ex52, 7, 7, 3), (lambda: make_grid(2, 3), 9, 21, 3)],
                          ids=["ex52", "grid2x3"])
 def test_types_sweep_walks_once_per_tight_set_family(tmp_path, monkeypatch, capsys,
-                                                     make, faces):
-    # three samples per hypercube face, all with the same vertex tight sets:
-    # one face walk per face, and every sample reports the walked f-vector
+                                                     make, faces, hreps, families):
+    # three samples per hypercube face, one sample per distinct H-rep over
+    # the whole sweep, and one face walk per distinct family of vertex tight
+    # sets (which determines the face lattice), however many faces share it;
+    # every sample reports the f-vector of its own polytope
     from mpp import degeneration
 
     poset = make()
     path = tmp_path / "poset.json"
     path.write_text(json.dumps(poset_to_json(poset)))
     walks = _count(monkeypatch, degeneration, "face_counts")
+    sampled = _count(monkeypatch, degeneration, "_type_sample")
     assert cli.main(["sweep", str(path), "--check", "types"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] and len(data["faces"]) == faces
     assert [len(r["f_vectors"]) for r in data["faces"]] == [3] * faces
-    assert len(walks) == faces
+    seen = set()
     for report in data["faces"]:
         fixed = {k: Fraction(v) for k, v in report["face"].items()}
-        hreps = [hrep_general(poset, t, projected=True)
-                 for t in degeneration.sample_face_parameters(poset, fixed)]
+        face_hreps = [hrep_general(poset, t, projected=True)
+                      for t in degeneration.sample_face_parameters(poset, fixed)]
+        seen.update(face_hreps)
         assert report["f_vectors"] == [
-            list(geometry.face_counts(h, geometry.vertices(h))) for h in hreps]
+            list(geometry.face_counts(h, geometry.vertices(h))) for h in face_hreps]
+    assert len(sampled) == len(seen) == hreps
+    assert len(walks) == len({_vertex_tight_sets(h) for h in seen}) == families
 
 
 def test_degenerate_query_computes_the_linear_extension_once(ex52_file, tmp_path,

@@ -374,6 +374,13 @@ def test_face_requires_binary_values(ex52):
         combinatorial_type_sweep(ex52, {"p": F(1, 2)})
 
 
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+def test_face_rejects_inexact_values(ex52, value):
+    # read as Parameter reads its values: neither is the rational 1
+    with pytest.raises(TypeError):
+        combinatorial_type_sweep(ex52, {"p": value})
+
+
 # -- canonical incidence forms --------------------------------------------------------------
 
 def test_canonical_incidence_invariant_under_relabeling():

@@ -408,6 +408,11 @@ GOLDEN = {
         ('b37bb4a0968dccfd5f3cc07a13ea7e2c1b29a1f6dee199dcfc0de9ce29436410', 0, None),
     ('grid4x5', 'vertices-dd'):
         ('c6556ad84a98163b9c7ce932ac2b291453fde6689c645c20de13c321f258a588', 0, None),
+    # recorded before the types sweep kept one sample per distinct H-rep for
+    # all its hypercube faces; grid3x3 is the golden poset whose faces share
+    # the most samples
+    ('grid3x3', 'sweep-types'):
+        ('bc1daac773da49364be359165759fe5fa8c36f4064fe812f1ca9c1002f993001', 0, None),
 }
 
 
