@@ -10,6 +10,15 @@ Python ints over the free coordinates only.  The last free coordinate's
 range is taken inline, in its parent's loop.  Ehrhart counts add up its
 width and build no point.
 
+The search is memoized on its frontier.  Below a prefix, the points left
+depend only on the level and on the running sums of the live rows: those
+that a coordinate before the level feeds and a bound at or after it reads.
+Each level keeps a memo keyed by those sums, so each residual subproblem is
+searched once.  A count stores its subtree's count.  A listing stores the
+range of its output that the first visit wrote, with that visit's prefix
+length, and a repeat appends the same suffixes after its own prefix.  The
+memo holds no text of its own.
+
 A listed point is built as the search goes: each level extends its parent's
 prefix by one step, and the last level's range is emitted in one pass.  The
 steps are tuples of ints, or, when the caller passes a row's text pieces
@@ -18,9 +27,10 @@ finished text row and each prefix's digits are formatted once per search
 node, not once per point.
 
 The vertex bounding box bounds the search but does not gate a listing:
-`lattice_points` may list at most POINT_BUDGET points and visit at most
-NODE_BUDGET search nodes per free coordinate, and raises TooLarge, naming
-what it counted, when either runs out.  `ehrhart` and `is_integrally_closed`
+`lattice_points` may list at most POINT_BUDGET points, replayed ones
+included, and visit at most NODE_BUDGET search nodes per free coordinate,
+nodes below a memo hit not counted, and raises TooLarge, naming what it
+counted, when either runs out.  `ehrhart` and `is_integrally_closed`
 gate their boxes at BOX_GATE candidates before they search.
 
 The Ehrhart counts of O_0(P, lambda) with an integral marking, bounded,
@@ -94,8 +104,19 @@ def _scan(h: HRep, lows, highs, k=1, count=False, text=None):
     range left, taken in the parent's loop, so counting adds its width and
     builds no point.
 
+    The subtree below a prefix fixed up to x_{i-1} depends only on i and on
+    sums[r] for the live rows r of level i: rows with a bound at some x_j,
+    j >= i, and a nonzero coefficient before x_i.  Every other row's sum is
+    0 there or is never read below.  So memo[i] maps those sums to the
+    subtree's count, or for a listing to (start, end, cut): out[start:end]
+    are the points the first visit wrote, each its prefix of length cut
+    followed by a suffix.  A repeat appends prefix + p[cut:] for each p in
+    that range, in the same order, so the listing is the unmemoized one
+    point for point.
+
     The search raises TooLarge when it has listed more than POINT_BUDGET
-    points or visited more than NODE_BUDGET nodes per free coordinate.
+    points, a repeat's points included, or visited more than NODE_BUDGET
+    nodes per free coordinate; a memo hit visits no node below it.
     """
     empty = 0 if count else []
     if any(lo > hi for lo, hi in zip(lows, highs)):
@@ -121,20 +142,27 @@ def _scan(h: HRep, lows, highs, k=1, count=False, text=None):
     n = len(free)
     bounds = [[] for _ in range(n)]  # (row, a_j, c): a_j * x_j <= c - sums[row]
     feeds = [[] for _ in range(n)]   # (row, a_j) for rows bounding a later x_i
+    live = [[] for _ in range(n)]    # rows fed before x_i that bound an x_j, j >= i
     for r, (coeffs, rhs) in enumerate(rows):
-        least = [min(a * lo, a * hi) for a, lo, hi in zip(coeffs, lows_f, highs_f)]
-        most = [max(a * lo, a * hi) for a, lo, hi in zip(coeffs, lows_f, highs_f)]
-        # rest: least of the terms after x_j, top: most of the terms up to x_j
-        rest, top, later = 0, sum(most), False
-        for j in reversed(range(n)):
-            a = coeffs[j]
-            if a and later:
+        # the row's nonzero terms a * x_j, with the least and the most that
+        # each takes in the box
+        terms = [(j, a, a * lows_f[j], a * highs_f[j]) if a > 0 else
+                 (j, a, a * highs_f[j], a * lows_f[j]) for j, a in enumerate(coeffs) if a]
+        # rest: least of the terms after x_j, top: most of the terms up to x_j;
+        # reach - 1: the last level not yet recorded where a bound reads the
+        # row, so a coefficient on x_j makes it live at j + 1 .. reach - 1
+        rest, top, reach = 0, sum(t[3] for t in terms), 0
+        for j, a, least, most in reversed(terms):
+            if reach:
                 feeds[j].append((r, a))
-            if a and rhs - rest < top:  # the row can cut x_j inside the box
+                for i in range(j + 1, reach):
+                    live[i].append(r)
+                reach = j + 1
+            if rhs - rest < top:  # the row can cut x_j inside the box
                 bounds[j].append((r, a, rhs - rest))
-                later = True
-            top -= most[j]
-            rest += least[j]
+                reach = reach or j + 1
+            top -= most
+            rest += least
     # a listing builds each level's steps over its whole box range first
     wide = max(free, key=lambda j: highs[j] - lows[j])
     if highs[wide] - lows[wide] >= NODE_BUDGET:
@@ -173,17 +201,42 @@ def _scan(h: HRep, lows, highs, k=1, count=False, text=None):
                 lo = max(lo, -((b - sums[r]) // -a))
         return lo, hi
 
-    def emit(prefix, lo, hi):
-        """List the points prefix + each last-level step from lo to hi."""
-        listed = len(out) + hi - lo + 1
+    def room(more):
+        """Refuse a listing that more points would take past POINT_BUDGET."""
+        listed = len(out) + more
         if listed > POINT_BUDGET:
             raise TooLarge(f"the lattice-point search listed {listed} points "
                            f"before it ended (budget {POINT_BUDGET})")
+
+    def emit(prefix, lo, hi):
+        """List the points prefix + each last-level step from lo to hi."""
+        room(hi - lo + 1)
         base = lows_f[last]
         out.extend(map(prefix.__add__, steps[last][lo - base:hi - base + 1]))
 
+    # per level, the live rows' sums -> the subtree's count, or for a listing
+    # (start, end, cut): out[start:end] are its points, each after a prefix
+    # of length cut
+    memo = [{} for _ in range(n)]
+
     def visit(i, prefix):
-        """The points below a prefix fixed up to x_{i-1}, for i < last."""
+        """The points below a prefix fixed up to x_{i-1}, for i < last,
+        searched once per key and then taken from the memo."""
+        key = tuple(map(sums.__getitem__, live[i]))
+        seen = memo[i].get(key)
+        if seen is not None:
+            if count:
+                return seen
+            start, end, cut = seen
+            room(end - start)
+            out.extend([prefix + p[cut:] for p in out[start:end]])
+            return end - start
+        found = search(i, prefix)
+        memo[i][key] = found if count else (len(out) - found, len(out), len(prefix))
+        return found
+
+    def search(i, prefix):
+        """visit's search itself, when the subtree is not in the memo."""
         nonlocal nodes
         lo, hi = span(i)
         if lo > hi:
@@ -227,7 +280,12 @@ def _scan(h: HRep, lows, highs, k=1, count=False, text=None):
         return found
 
     if n > 1:
-        found = visit(0, head)
+        # visit and search refer to each other: the del breaks the cycle, so
+        # that the memo is freed now and not at the next full collection
+        try:
+            found = visit(0, head)
+        finally:
+            del visit, search
         return found if count else out
     lo, hi = span(0)
     if lo > hi:

@@ -577,7 +577,9 @@ def test_lattice_points_grid2x5_answers(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("budget,value,counted", [
-    ("POINT_BUDGET", 5000, "listed"), ("NODE_BUDGET", 400, "visited")])
+    ("POINT_BUDGET", 5000, "listed"), ("NODE_BUDGET", 162, "visited"),
+    # the 85th to 168th points are a replay from the search's memo
+    ("POINT_BUDGET", 167, "listed 168 points")])
 def test_lattice_points_budget_writes_only_the_error(grid2x4_file, monkeypatch, budget,
                                                     value, counted):
     out = RecordingStdout()

@@ -268,6 +268,24 @@ def test_enumerator_matches_box_scan(seed):
     assert lattice._scan(h, *box, count=True) == len(expected)
 
 
+@pytest.mark.parametrize("poset", [make_grid(2, 3), make_double_star()],
+                         ids=["grid2x3", "dstar"])
+def test_memoized_search_matches_box_scan_at_every_corner(poset):
+    # the chain-order polytopes at the hypercube's corners, where the search
+    # meets the same residual subproblem below many prefixes
+    text = ("[", ", ", "]")
+    for t in hypercube_vertices(poset):
+        h = hrep_general(poset, t)
+        extremes = lattice._extremes(lattice._lattice_polytope(h, "a listing").rows)
+        for k in (1, 2):
+            box = lattice._box(extremes, k)
+            expected = box_scan(dilate(h, k), *box)
+            assert lattice._scan(h, *box, k=k) == expected
+            assert lattice._scan(h, *box, k=k, text=text) == [
+                "[" + ", ".join(map(str, p)) + "]" for p in expected]
+            assert lattice._scan(h, *box, k=k, count=True) == len(expected)
+
+
 def test_grid3x3_order_polytope_count():
     poset = make_grid(3, 3)
     h = hrep_general(poset, zero_parameter(poset), projected=False)
@@ -305,14 +323,27 @@ def test_listing_stops_at_its_point_budget(monkeypatch):
 
 
 def test_listing_stops_at_its_node_budget(monkeypatch):
-    # 4 free coordinates, each taking the values 0..5: the search visits at
-    # most 4 * 39 nodes, against 6^4 = 1,296 box candidates
+    # 4 free coordinates, each taking the values 0..5: the memoized search
+    # visits at most 4 * 16 nodes, against 6^4 = 1,296 box candidates
     h = grid_hrep(2, 3)
-    monkeypatch.setattr(lattice, "NODE_BUDGET", 39)
+    monkeypatch.setattr(lattice, "NODE_BUDGET", 16)
     assert len(lattice_points(h)) == 371
-    monkeypatch.setattr(lattice, "NODE_BUDGET", 38)
+    monkeypatch.setattr(lattice, "NODE_BUDGET", 15)
     with pytest.raises(TooLarge, match=r"visited \d+ nodes over 4 free coordinates "
-                                       r"\(budget 38 per coordinate\)"):
+                                       r"\(budget 15 per coordinate\)"):
+        lattice_points(h)
+
+
+def test_point_budget_counts_a_memo_replay(monkeypatch):
+    # grid2x4 pins x00 = 0 and x13 = 6.  With x01 = x02 = 0, every x03 leaves
+    # the same 84 chains x10 <= x11 <= x12 in 0..6: the first are listed, the
+    # next 84 are a replay from the memo, refused as one block
+    h = grid_hrep(2, 4)
+    monkeypatch.setattr(lattice, "POINT_BUDGET", 167)
+    with pytest.raises(TooLarge, match=r"listed 168 points before it ended \(budget 167\)"):
+        lattice_points(h)
+    monkeypatch.setattr(lattice, "POINT_BUDGET", 168)
+    with pytest.raises(TooLarge, match=r"listed 252 points before it ended \(budget 168\)"):
         lattice_points(h)
 
 
@@ -526,6 +557,14 @@ def test_ideal_counts_are_sums_over_ideal_chains(poset):
 
 
 ORACLES = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 4)])
+def test_memoized_counts_are_the_ideal_counts_through_dilation_n(m, n):
+    # k = 1..n, the unmarked elements: the dilations that fix the polynomial
+    poset = make_grid(m, n)
+    dilations = range(1, len(poset.unmarked) + 1)
+    assert _scan_counts(poset, dilations) == _ideal_counts(poset, dilations)
 
 
 def test_grid_counts_are_stanleys_multichain_counts():
