@@ -257,28 +257,21 @@ def _sweep_types(poset):
 def _sweep_domination(poset):
     from . import degeneration as dg
     t = family.generic_parameter(poset)
-    # built on first use and shared by every target; a failure is not cached,
-    # so each target reports it
-    source = functools.cache(lambda: dg.polytope_data(poset, t))
-    # the corners of one H-rep run together and share its polytope; one
-    # target is held at a time, and a failure is not cached either
-    corners = list(family.hypercube_vertices(poset))
-    hrep = {u: family.hrep_general(poset, u) for u in corners}
-    held = functools.lru_cache(maxsize=1)(dg._polytope)
+    # the corners of one H-rep run together; the memo holds the source and the
+    # target being mapped, and a failure is not cached, so each corner reports it
+    polytope = functools.lru_cache(maxsize=2)(dg._polytope)
 
     def one(u):
         pair = dg.DegenerationPair(t, u)
-        h, _, lattice = source()
-        target = lattice if hrep[u] == h else held(hrep[u])[2]
-        fmap = dg.face_map_via(lattice, hrep[u], target,
-                               family.transfer_theta_homogeneous(poset, t, u))
-        rep = dg.fvector_domination(pair, lattice, target)
+        fmap = dg._face_map(poset, pair, polytope)
+        rep = dg.fvector_domination(pair, fmap.source, fmap.target)
         rep["map_ok"] = (fmap.is_surjective() and fmap.is_order_preserving()
                          and fmap.dims_nondecreasing())
         return rep
 
-    reports, errors = _sweep(one, corners, lambda u: {"t": jsonio.parameter_to_json(u)["t"]},
-                             key=hrep.get)
+    reports, errors = _sweep(one, family.hypercube_vertices(poset),
+                             lambda u: {"t": jsonio.parameter_to_json(u)["t"]},
+                             key=lambda u: family.hrep_general(poset, u))
     return {"check": "domination", "generic_t": jsonio.parameter_to_json(t)["t"],
             "pass": bool(reports) and all(r["pass"] and r["map_ok"] for r in reports),
             "targets": reports}, errors
@@ -420,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-t", required=True, dest="to_t")
 
     p = add("sweep", cmd_sweep, help="family-wide checks")
-    p.add_argument("--check", required=True,
-                   choices=("ehrhart", "types", "domination", "tame",
-                            "hibi-li", "conjecture5"))
+    p.add_argument("--check", required=True, choices=SWEEPS)
 
     add("regularize", cmd_regularize, help="contract + remove redundant covers")
     add("tame", cmd_tame, help="tameness sweep")

@@ -20,11 +20,14 @@ only when that fails.
 Many parameters give one H-rep: t_p of an element whose lower covers are all
 marked 0 multiplies only zero terms.  Within one call, equal H-reps (records
 compared over their rows and origins) share one double description and what
-is derived from it: a map whose target H-rep is its source's reuses the
-source's lattice, composition_law builds each distinct polytope once, and a
-type sweep keeps one sample (f-vector, tight sets, incidences) per distinct
-H-rep for all its hypercube faces, walking the faces once per family of
-vertex tight sets.  Nothing is kept beyond the call that built it.
+is derived from it.  Every face map goes through _face_map, which looks both
+polytopes up by H-rep in a memoized _polytope kept by its caller:
+degeneration_map and composition_law keep every polytope of the call, so a
+target whose H-rep is its source's reuses the source's lattice, and the
+domination sweep holds the source and the one target being mapped.  A type
+sweep keeps one sample (f-vector, tight sets, incidences) per distinct H-rep
+for all its hypercube faces, walking the faces once per family of vertex
+tight sets.  Nothing is kept beyond the call that built it.
 
 DegenerationPair and FaceMap are immutable records (see mpp.records): named
 tuples, so each also iterates, sorts and equals the plain tuple of its
@@ -42,7 +45,7 @@ from .family import (Parameter, Partition, chain_order_polytope, check_partition
                      transfer_theta_homogeneous)
 from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, VRep, _bits,
                        face_counts, face_lattice, facet_masks, vertices)
-from .poset import MarkedPoset, require_valid, star_elements
+from .poset import MarkedPoset, star_elements
 from .rationals import rat, rat_str
 
 class DegenerationPair(namedtuple("DegenerationPair", "source target")):
@@ -101,34 +104,33 @@ def face_map_via(source: FaceLattice, target_h: HRep, target: FaceLattice,
     return FaceMap(source, target, mapping)
 
 
-def _bounded(h: HRep) -> VRep:
-    """The V-rep of h, which must be a polytope."""
+def _bounded(h: HRep, what: str) -> VRep:
+    """The V-rep of h, which must be a polytope; what names the caller's
+    subject in the error."""
     v = vertices(h)
     if v.rays:
-        raise UnsupportedUnbounded("degeneration maps are implemented for polytopes")
+        raise UnsupportedUnbounded(f"{what} are implemented for polytopes")
     return v
 
 
 def _polytope(h: HRep):
     """(h, V-rep, face lattice) of the polytope h."""
-    v = _bounded(h)
+    v = _bounded(h, "degeneration maps")
     return h, v, face_lattice(h, v)
 
 
-def polytope_data(poset: MarkedPoset, t: Parameter):
-    """(H-rep, V-rep, face lattice) of the projected polytope O_t."""
-    return _polytope(hrep_general(poset, t, projected=True))
+def _face_map(poset: MarkedPoset, pair: DegenerationPair, polytope) -> FaceMap:
+    """The face map of pair, each polytope looked up by its H-rep through
+    polytope, a memoized _polytope that the caller keeps for as long as its
+    maps share polytopes."""
+    (_, _, source), (h, _, target) = (polytope(hrep_general(poset, t)) for t in pair)
+    return face_map_via(source, h, target, transfer_theta_homogeneous(poset, *pair))
 
 
 def degeneration_map(poset: MarkedPoset, pair: DegenerationPair) -> FaceMap:
     """The induced face-lattice map of the continuous degeneration u -> u2.
-    A target whose H-rep equals the source's is the source's polytope.
-    Callers that hold their polytopes call face_map_via directly."""
-    require_valid(poset)
-    h0, _, source = polytope_data(poset, pair.source)
-    h = hrep_general(poset, pair.target, projected=True)
-    target = source if h == h0 else _polytope(h)[2]
-    return face_map_via(source, h, target, transfer_theta_homogeneous(poset, *pair))
+    A target whose H-rep equals the source's is the source's polytope."""
+    return _face_map(poset, pair, functools.cache(_polytope))
 
 
 def _dominated(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
@@ -149,7 +151,7 @@ def check_fvector_domination(poset: MarkedPoset, pair: DegenerationPair) -> dict
     """Componentwise f-vector comparison f_i(target) <= f_i(source), on face
     counts without building either lattice."""
     hu, ht = (hrep_general(poset, t, projected=True) for t in pair)
-    fu, ft = face_counts(hu, _bounded(hu)), face_counts(ht, _bounded(ht))
+    fu, ft = (face_counts(h, _bounded(h, "degeneration maps")) for h in (hu, ht))
     return _domination_report(pair, fu, ft)
 
 
@@ -168,13 +170,8 @@ def composition_law(poset: MarkedPoset, u: Parameter, u2: Parameter,
     """dg_{u,u3} == dg_{u2,u3} after dg_{u,u2} as maps of faces, with one
     polytope per distinct H-rep among u, u2 and u3."""
     polytope = functools.cache(_polytope)  # one per distinct H-rep
-
-    def face_map(a, b):
-        pair = DegenerationPair(a, b)  # b must be a degeneration of a
-        (_, _, source), (h, _, target) = (polytope(hrep_general(poset, t)) for t in pair)
-        return face_map_via(source, h, target, transfer_theta_homogeneous(poset, *pair))
-
-    m12, m23, m13 = face_map(u, u2), face_map(u2, u3), face_map(u, u3)
+    m12, m23, m13 = (_face_map(poset, DegenerationPair(a, b), polytope)  # b degenerates a
+                     for a, b in ((u, u2), (u2, u3), (u, u3)))
     return all(m13.mapping[f] == m23.mapping[m12.mapping[f]] for f in m12.source.faces)
 
 
@@ -284,7 +281,7 @@ def combinatorial_type_sweep(poset: MarkedPoset, fixed: dict[str, Fraction],
     samples = {} if samples is None else samples
     for h in hreps:
         if h not in samples:
-            samples[h] = _type_sample(h, _bounded(h), samples.values())
+            samples[h] = _type_sample(h, _bounded(h, "combinatorial types"), samples.values())
     found = [samples[h] for h in hreps]
     return {"check": "combinatorial-type",
             "face": {k: rat_str(v) for k, v in sorted(fixed.items())},

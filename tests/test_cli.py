@@ -935,6 +935,15 @@ def test_unbounded_vertices_lists_its_rays(unbounded_file, capsys):
     assert out["vertices"] == [["0", "0"]] and out["rays"] == [["0", "1"], ["1", "1"]]
 
 
+def test_unbounded_types_sweep_names_combinatorial_types(unbounded_file, capsys):
+    # the types sweep maps no faces: each hypercube face's error names what it compares
+    assert main(["sweep", unbounded_file, "--check", "types"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert not out["pass"] and out["faces"] == [] and len(out["errors"]) == 5
+    assert {e["error"] for e in out["errors"]} == {
+        "UnsupportedUnbounded: combinatorial types are implemented for polytopes"}
+
+
 def test_point_ehrhart_answers_many_dilations(tmp_path, capsys):
     # a < p < b marked 2 and 2: every dilation holds one point
     path = tmp_path / "point.json"

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpp import cli, geometry, tropical
+from mpp import cli, degeneration, geometry, tropical
 from mpp.family import Parameter, generic_parameter, hrep_general
 from mpp.jsonio import poset_to_json
 from mpp.linalg import _idot
@@ -419,29 +419,39 @@ def _count_dd(monkeypatch) -> list:
     return runs
 
 
-@pytest.mark.parametrize("make, check, runs", [
-    (make_ex52, "types", 7),
-    (lambda: make_grid(2, 2), "domination", 1),
-    (make_ex52, "conjecture5", 3),
-    (lambda: make_grid(2, 3), "conjecture5", 5),
-], ids=["types-ex52", "domination-grid2x2", "conjecture5-ex52", "conjecture5-grid2x3"])
+@pytest.mark.parametrize("make, check, runs, lattices", [
+    (make_ex52, "types", 7, 0),
+    (lambda: make_grid(2, 2), "domination", 1, 1),
+    (make_ex52, "domination", 3, 3),
+    (lambda: make_grid(2, 3), "domination", 5, 5),
+    (make_double_star, "domination", 9, 9),
+    (make_ex52, "conjecture5", 3, 0),
+    (lambda: make_grid(2, 3), "conjecture5", 5, 0),
+], ids=["types-ex52", "domination-grid2x2", "domination-ex52", "domination-grid2x3",
+        "domination-dstar", "conjecture5-ex52", "conjecture5-grid2x3"])
 def test_sweeps_run_one_dd_per_distinct_hrep(tmp_path, monkeypatch, capsys, make, check,
-                                             runs):
+                                             runs, lattices):
     # an element whose lower covers are all marked 0 multiplies only zero
     # terms, so its coordinate leaves the H-rep alone: ex52's types sweep
     # samples 7 distinct H-reps in 21 samples, grid2x2 has one H-rep for
     # every t, and the conjecture sweep runs O_0 (the base), the generic t
-    # and each corner H-rep other than O_0's.  A second run of the same
-    # command in the same process counts the same: nothing outlives a command.
+    # and each corner H-rep other than O_0's.  The domination sweep builds
+    # one polytope (DD and face lattice) per distinct H-rep among the
+    # generic t and the corners: its source is kept across the corners'
+    # H-rep groups.  The other sweeps count faces without a lattice.  A
+    # second run of the same command in the same process counts the same:
+    # nothing outlives a command.
     path = tmp_path / "poset.json"
     path.write_text(json.dumps(poset_to_json(make())))
     dd = _count_dd(monkeypatch)
+    built = _count(monkeypatch, degeneration, "face_lattice")
     outputs = []
     for _ in range(2):
         dd.clear()
+        built.clear()
         assert cli.main(["sweep", str(path), "--check", check]) == 0
         outputs.append(capsys.readouterr().out)
-        assert len(dd) == runs
+        assert (len(dd), len(built)) == (runs, lattices)
     assert outputs[0] == outputs[1] and json.loads(outputs[0])["pass"]
 
 

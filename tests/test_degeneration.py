@@ -10,13 +10,13 @@ from conftest import (barycenter, contdeg_face_map, contdeg_hrep, contdeg_rho,
                       make_ex52_rational, make_grid, random_marked_poset,
                       random_parameter, sevenths_and_fifths, triples)
 from mpp import degeneration
-from mpp.degeneration import (DegenerationPair, FaceMap, canonical_incidence,
+from mpp.degeneration import (DegenerationPair, FaceMap, _polytope, canonical_incidence,
                               check_fvector_domination,
                               combinatorial_type_sweep, composition_law,
                               degeneration_map, face_map_via, fvector_domination,
                               hibi_li_check,
                               incidence_matrix, lattices_isomorphic,
-                              polytope_data, sample_face_parameters)
+                              sample_face_parameters)
 from mpp.family import (Parameter, Partition, generic_parameter, hrep_general,
                         hypercube_vertices)
 from mpp.geometry import GeometryError, face_lattice, make_hrep, vertices
@@ -202,8 +202,8 @@ def fraction_face_map(poset, pair) -> FaceMap:
     """Oracle: each face's vertex barycenter in Fractions, mapped by the
     Fraction recursions of phi and psi, its image face looked up by the
     rational point."""
-    h_u, _, lat_u = polytope_data(poset, pair.source)
-    h_t, _, lat_t = polytope_data(poset, pair.target)
+    h_u, _, lat_u = _polytope(hrep_general(poset, pair.source))
+    h_t, _, lat_t = _polytope(hrep_general(poset, pair.target))
     empty = next(f for f in lat_t.faces if f.dim < 0)
     mapping = {}
     for f in lat_u.faces:
@@ -254,12 +254,12 @@ def test_domination_sweep_maps_match_fraction_oracle(make, tmp_path, monkeypatch
     # every face map of the sweep, with the targets of one H-rep sharing one
     # polytope (and O_t's own H-rep reading the source's), against the oracle;
     # each map is recorded with the pair of the transfer map it was given
-    from mpp import cli, family
+    from mpp import cli
     from mpp.jsonio import poset_to_json
     poset = make()
     path = tmp_path / "poset.json"
     path.write_text(json.dumps(poset_to_json(poset)))
-    theta, honest = family.transfer_theta_homogeneous, degeneration.face_map_via
+    theta, honest = degeneration.transfer_theta_homogeneous, degeneration.face_map_via
     pairs, maps = [], []
 
     def recorded_theta(poset, u, u2):
@@ -270,7 +270,7 @@ def test_domination_sweep_maps_match_fraction_oracle(make, tmp_path, monkeypatch
         maps.append((pairs[-1], honest(source, target_h, target, mapper)))
         return maps[-1][1]
 
-    monkeypatch.setattr(family, "transfer_theta_homogeneous", recorded_theta)
+    monkeypatch.setattr(degeneration, "transfer_theta_homogeneous", recorded_theta)
     monkeypatch.setattr(degeneration, "face_map_via", recorded)
     assert cli.main(["sweep", str(path), "--check", "domination"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
@@ -282,7 +282,7 @@ def test_domination_sweep_maps_match_fraction_oracle(make, tmp_path, monkeypatch
 
 
 def test_face_map_refuses_an_image_outside_the_target(ex52):
-    h, _, lat = polytope_data(ex52, generic_parameter(ex52))
+    h, _, lat = _polytope(hrep_general(ex52, generic_parameter(ex52)))
 
     def mapper(rows):  # the identity, but the last face goes far outside
         return list(rows[:-1]) + [(1,) + (10 ** 6,) * len(h.coords)]
