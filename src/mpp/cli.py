@@ -257,21 +257,24 @@ def _sweep_types(poset):
 def _sweep_domination(poset):
     from . import degeneration as dg
     t = family.generic_parameter(poset)
+    source = family.hrep_general(poset, t)
     # the corners of one H-rep run together; the memo holds the source and the
     # target being mapped, and a failure is not cached, so each corner reports it
     polytope = functools.lru_cache(maxsize=2)(dg._polytope)
 
-    def one(u):
+    def one(corner):
+        u, h = corner
         pair = dg.DegenerationPair(t, u)
-        fmap = dg._face_map(poset, pair, polytope)
+        fmap = dg._face_map(poset, pair, polytope, (source, h))
         rep = dg.fvector_domination(pair, fmap.source, fmap.target)
         rep["map_ok"] = (fmap.is_surjective() and fmap.is_order_preserving()
                          and fmap.dims_nondecreasing())
         return rep
 
-    reports, errors = _sweep(one, family.hypercube_vertices(poset),
-                             lambda u: {"t": jsonio.parameter_to_json(u)["t"]},
-                             key=lambda u: family.hrep_general(poset, u))
+    corners = [(u, family.hrep_general(poset, u)) for u in family.hypercube_vertices(poset)]
+    reports, errors = _sweep(one, corners,
+                             lambda corner: {"t": jsonio.parameter_to_json(corner[0])["t"]},
+                             key=lambda corner: corner[1])
     return {"check": "domination", "generic_t": jsonio.parameter_to_json(t)["t"],
             "pass": bool(reports) and all(r["pass"] and r["map_ok"] for r in reports),
             "targets": reports}, errors

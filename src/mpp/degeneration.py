@@ -20,8 +20,9 @@ only when that fails.
 Many parameters give one H-rep: t_p of an element whose lower covers are all
 marked 0 multiplies only zero terms.  Within one call, equal H-reps (records
 compared over their rows and origins) share one double description and what
-is derived from it.  Every face map goes through _face_map, which looks both
-polytopes up by H-rep in a memoized _polytope kept by its caller:
+is derived from it.  Every face map goes through _face_map, which takes
+both H-reps from its caller, each built once per call or sweep, and looks
+the polytopes up in a memoized _polytope that the caller keeps:
 degeneration_map and composition_law keep every polytope of the call, so a
 target whose H-rep is its source's reuses the source's lattice, and the
 domination sweep holds the source and the one target being mapped.  A type
@@ -119,18 +120,20 @@ def _polytope(h: HRep):
     return h, v, face_lattice(h, v)
 
 
-def _face_map(poset: MarkedPoset, pair: DegenerationPair, polytope) -> FaceMap:
-    """The face map of pair, each polytope looked up by its H-rep through
-    polytope, a memoized _polytope that the caller keeps for as long as its
-    maps share polytopes."""
-    (_, _, source), (h, _, target) = (polytope(hrep_general(poset, t)) for t in pair)
+def _face_map(poset: MarkedPoset, pair: DegenerationPair, polytope, hreps) -> FaceMap:
+    """The face map of pair, each polytope looked up through polytope, a
+    memoized _polytope that the caller keeps for as long as its maps share
+    polytopes, by its H-rep in hreps (hrep_general of the pair's source and
+    target, built by the caller)."""
+    (_, _, source), (h, _, target) = map(polytope, hreps)
     return face_map_via(source, h, target, transfer_theta_homogeneous(poset, *pair))
 
 
 def degeneration_map(poset: MarkedPoset, pair: DegenerationPair) -> FaceMap:
     """The induced face-lattice map of the continuous degeneration u -> u2.
     A target whose H-rep equals the source's is the source's polytope."""
-    return _face_map(poset, pair, functools.cache(_polytope))
+    return _face_map(poset, pair, functools.cache(_polytope),
+                     [hrep_general(poset, t) for t in pair])
 
 
 def _dominated(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
@@ -170,8 +173,11 @@ def composition_law(poset: MarkedPoset, u: Parameter, u2: Parameter,
     """dg_{u,u3} == dg_{u2,u3} after dg_{u,u2} as maps of faces, with one
     polytope per distinct H-rep among u, u2 and u3."""
     polytope = functools.cache(_polytope)  # one per distinct H-rep
-    m12, m23, m13 = (_face_map(poset, DegenerationPair(a, b), polytope)  # b degenerates a
-                     for a, b in ((u, u2), (u2, u3), (u, u3)))
+    ts = (u, u2, u3)
+    hreps = [hrep_general(poset, t) for t in ts]
+    m12, m23, m13 = (_face_map(poset, DegenerationPair(ts[a], ts[b]), polytope,  # b degenerates a
+                               (hreps[a], hreps[b]))
+                     for a, b in ((0, 1), (1, 2), (0, 2)))
     return all(m13.mapping[f] == m23.mapping[m12.mapping[f]] for f in m12.source.faces)
 
 

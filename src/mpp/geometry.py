@@ -19,12 +19,11 @@ incidences of the inequalities with the generators are the rays' zero sets
 read by each row's insertion bit, and a polyhedron's dimension is d minus
 the rank of the equations and of the rows in every zero set, its implicit
 equalities.  Face lattices are restricted to bounded polyhedra.  Faces are
-vertex bitmasks, enumerated level by level from the facets' incidence
-masks down to the edges, below which every vertex is a 0-face, so a face's
-dimension is its level in the lattice; the face holding a point in its
-relative interior is looked up by the point's set of tight inequalities, for
-a batch of points at once, one pass per inequality over their columns.
-f-vectors come from the same walk, counted, with one level held at a time.
+vertex bitmasks, each built once by a depth-first walk from the facets'
+incidence masks in memory linear in the facets; f-vectors count them
+unstored.  The face holding a point in its relative interior is looked up
+by the point's tight inequalities, for a batch of points at once, one pass
+per inequality over their columns.
 
 Constraint, HRep, VRep, Cone, Face, FaceLattice and AffineMap are immutable
 records (see mpp.records): named tuples, so each also iterates, sorts and
@@ -403,22 +402,17 @@ def vertices_bruteforce(h: HRep) -> VRep:
         return VRep((), ((1,),), ())
     eq_rows = [list(c.coeffs) for c in h.equations]
     eq_rhs = [c.rhs for c in h.equations]
-    feasible_any = False
-    base_rank = linalg.rank(eq_rows) if eq_rows else 0
-    k = d - base_rank
+    k = d - linalg.rank(eq_rows)
     verts = set()
     for combo in itertools.combinations(range(len(h.inequalities)), k):
         rows = eq_rows + [list(h.inequalities[i].coeffs) for i in combo]
         rhs = eq_rhs + [h.inequalities[i].rhs for i in combo]
         x = linalg.solve_unique(rows, rhs)
-        if x is None:
-            continue
-        if h.contains(x):
-            feasible_any = True
+        if x is not None and h.contains(x):
             verts.add(x)
     if _recession_direction(h) is not None:
         raise Unbounded("polyhedron has a recession direction")
-    if not verts and not feasible_any:
+    if not verts:
         raise EmptyPolyhedron("no feasible point")
     return VRep(h.coords, tuple(sorted(homogenized(verts))), ())
 
@@ -584,16 +578,21 @@ def _dimension(h: HRep, v: VRep) -> int:
     return len(linalg.kernel(list(h.int_equations) + implicit, h.dim_ambient + 1)) - 1
 
 
-def maximal_masks(masks) -> list[int]:
+def maximal_masks(masks, inside=()) -> list[int]:
     """The inclusion-maximal masks among the given ones, each once, largest
-    first: a repeated mask fails the subset test against its first copy."""
+    first, less those inside a mask of inside: a repeated mask fails the
+    subset test against its first copy."""
     out: list[int] = []
     for g in sorted(masks, key=int.bit_count, reverse=True):
         for c in out:
             if g & c == g:
                 break
         else:
-            out.append(g)
+            for c in inside:
+                if g & c == g:
+                    break
+            else:
+                out.append(g)
     return out
 
 
@@ -618,56 +617,56 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _face_levels(v: VRep, facets, dim: int):
-    """Yield (k, vertex masks of the k-faces) from the polytope's dimension
-    dim down to 0, one level at a time (Kaibel & Pfetsch 2002).  Every ridge
-    is the meet of two facets, so the facets of a face F are the maximal
-    F & G, F left out, over the facets G of a face that F is a facet of;
-    each face carries those G (as in the face iterator of Kliem & Stump
-    2022).  The walk stops at the edges: every vertex row is a 0-face, so
-    the last level is the singleton masks.  Raises TooLarge once more than
-    FACE_GATE faces, the empty one included, are enumerated."""
+def iter_faces(v: VRep, facets, dim: int):
+    """Yield (k, vertex masks of k-faces) in batches, each nonempty face of the
+    dim-polytope v with these facet masks once: the polytope, a depth-first
+    walk from the facets (Kliem & Stump 2022), the vertices.  A face's facets
+    are its maximal meets with the faces after it in its batch, less those
+    inside a face walked before it, so memory is linear in the facets.
+    Raises TooLarge past FACE_GATE faces enumerated, the empty one included."""
     if v.rays:
         raise UnsupportedUnbounded("face lattices are computed for polytopes only")
-    n = len(v.rows)
-    level = {(1 << n) - 1: facets}  # face -> facets of a parent
-    total = 1  # the empty face
-    for k in range(dim, -1, -1):
-        if k == 0:
-            level = [1 << i for i in range(n)]
-        total += len(level)
+    n, visited = len(v.rows), []  # the faces walked, at every depth
+
+    def walk(masks, k):
+        yield k, masks
+        if k > 1:
+            depth = len(visited)
+            for i, f in enumerate(masks):
+                yield from walk(maximal_masks({f & m for m in masks[i + 1:]}, visited), k - 1)
+                visited.append(f)
+            del visited[depth:]
+
+    total = 1  # the empty face; a point is its vertex, a segment's facets are its vertices
+    polytope = [(dim, [(1 << n) - 1])] if dim else []
+    below = walk(sorted(facets), dim - 1) if dim > 1 else ()
+    for k, masks in itertools.chain(polytope, below, [(0, [1 << i for i in range(n)])]):
+        total += len(masks)
         if total > FACE_GATE:
             raise TooLarge(f"face lattice holds more than {FACE_GATE} faces "
                            f"({total} through dimension {k})")
-        yield k, level
-        if k > 1:
-            below = {}
-            for f, parent_facets in level.items():
-                meets = {f & g for g in parent_facets}
-                meets.discard(f)
-                own = maximal_masks(meets)
-                for g in own:
-                    below[g] = own
-            level = below
+        yield k, masks
 
 
 def face_counts(h: HRep, v: VRep, facets=None) -> tuple[int, ...]:
-    """FaceLattice.f_vector of a bounded polytope, (1,) for a point, counted
-    on the level walk without storing a face.  facets, if given, is
-    facet_masks(h, v)[1]."""
+    """FaceLattice.f_vector of a bounded polytope, (1,) for a point: the
+    faces of iter_faces counted per dimension, none stored.  facets, if
+    given, is facet_masks(h, v)[1]."""
     facets = facet_masks(h, v)[1] if facets is None else facets
-    counts = [len(level) for _, level in _face_levels(v, facets, _dimension(h, v))]
-    return (1,) if len(counts) == 1 else tuple(reversed(counts[1:]))
+    dim = _dimension(h, v)
+    counts = [0] * (dim + 1)
+    for k, masks in iter_faces(v, facets, dim):
+        counts[k] += len(masks)
+    return (1,) if dim == 0 else tuple(counts[:-1])
 
 
 def face_lattice(h: HRep, v: VRep) -> FaceLattice:
-    """Face lattice of a bounded polytope: the faces of the level walk, each
-    with its tight set read off the incidence masks of all inequalities."""
+    """Face lattice of a bounded polytope: the faces of iter_faces, each with
+    its tight set read off the incidence masks of all inequalities."""
     masks, facets, _ = facet_masks(h, v)
     found = [(-1, (), frozenset(range(len(masks))))]  # (dim, vertex ids, tight)
-    for k, level in _face_levels(v, facets, _dimension(h, v)):
-        found += [(k, _bits(f), frozenset(j for j, m in enumerate(masks) if f & m == f))
-                  for f in level]
+    found += [(k, _bits(f), frozenset(j for j, m in enumerate(masks) if f & m == f))
+              for k, batch in iter_faces(v, facets, _dimension(h, v)) for f in batch]
     found.sort(key=lambda face: face[:2])
     return FaceLattice(v.rows, tuple(Face(frozenset(ids), tight, dim)
                                      for dim, ids, tight in found))

@@ -34,8 +34,8 @@ from .family import (Parameter, _row_writer, hrep_general, hypercube_vertices,
                      transfer_theta_homogeneous, zero_parameter)
 from . import geometry
 from .geometry import (Cone, HRep, TooLarge, UnsupportedUnbounded, VRep,
-                       _bits, _dimension, _face_levels, facet_masks, homogenization_cone,
-                       incidences, vertices)
+                       _bits, _dimension, facet_masks, homogenization_cone, incidences,
+                       iter_faces, vertices)
 from .linalg import _primitive, common_denominator, dehomogenized
 from .poset import MarkedPoset, _grow_ideals, require_valid
 
@@ -226,14 +226,14 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     Its cells are the nonempty intersections of polytope faces with cells of
     the arrangement; computed here as the faces of the maximal covector
     cells, which is the same collection (see _covector_cells).  A face of a
-    maximal cell's level walk is keyed by its vertex mask over one global
-    index of the subdivision vertices (their primitive integer rows), so a
-    face shared by maximal cells is kept once.  Its dimension is its level,
-    and its tight base rows come from the incidence masks: the base
-    inequalities are the first rows of each cell's H-rep.  Cells sort by
-    (dim, vertices) through the ranks of the vertices, whose Fractions are
-    built once.  Raises TooLarge once more than FACE_GATE distinct cells
-    are found.
+    maximal cell's depth-first walk (iter_faces) is keyed by its vertex mask
+    over one global index of the subdivision vertices (their primitive
+    integer rows), so a face shared by maximal cells is kept once.  The walk
+    gives its dimension, and its tight base rows come from the incidence
+    masks: the base inequalities are the first rows of each cell's H-rep.
+    Cells sort by (dim, vertices) through the ranks of the vertices, whose
+    Fractions are built once.  Raises TooLarge once more than FACE_GATE
+    distinct cells are found.
     """
     base, root = _base_data(poset)
     arr = arrangement(poset)
@@ -246,8 +246,8 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
         bits = [1 << i for i in ids]
         masks, facets, _ = facet_masks(h, v)
         masks = masks[:nb]
-        for k, level in _face_levels(v, facets, _dimension(h, v)):
-            for f in level:
+        for k, batch in iter_faces(v, facets, _dimension(h, v)):
+            for f in batch:
                 local = _bits(f)
                 key = sum(bits[i] for i in local)
                 if key not in found:

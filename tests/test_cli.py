@@ -637,7 +637,9 @@ def test_conjecture_cap_is_a_budget_error(tmp_path, capsys, monkeypatch):
 
 
 def test_face_budget_is_a_computation_error(ex52_file, capsys, monkeypatch):
-    # ex52 at t=0 has 38 faces, the empty face and the polytope included
+    # ex52 at t=0 has 38 faces, the empty face and the polytope included; the
+    # depth-first walk passes 20 at the third facet's edges: the empty face,
+    # the polytope, 8 facets and 5 + 3 + 3 edges are 21
     from mpp import geometry
     from mpp.cli import main
     monkeypatch.setattr(geometry, "FACE_GATE", 38)
@@ -647,7 +649,7 @@ def test_face_budget_is_a_computation_error(ex52_file, capsys, monkeypatch):
     assert main(["fvector", ex52_file]) == 3
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "computation"
-    assert "more than 20 faces (27 through dimension 1)" in out["error"]
+    assert "more than 20 faces (21 through dimension 1)" in out["error"]
 
 
 def test_dd_budget_refuses_the_20_cube(tmp_path, capsys):

@@ -455,6 +455,33 @@ def test_sweeps_run_one_dd_per_distinct_hrep(tmp_path, monkeypatch, capsys, make
     assert outputs[0] == outputs[1] and json.loads(outputs[0])["pass"]
 
 
+@pytest.mark.parametrize("make, builds", [
+    (make_ex52, 1 + 8), (make_double_star, 1 + 32), (lambda: make_grid(2, 3), 1 + 16),
+], ids=["ex52", "dstar", "grid2x3"])
+def test_domination_sweep_builds_each_hrep_once(tmp_path, monkeypatch, capsys, make, builds):
+    # the generic source's H-rep is built once for the sweep and each corner's
+    # once, as its group key; the face maps take both from the sweep
+    from mpp import family
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset_to_json(make())))
+    built = _count(monkeypatch, family, "hrep_general")
+    monkeypatch.setattr(degeneration, "hrep_general", family.hrep_general)
+    assert cli.main(["sweep", str(path), "--check", "domination"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+    assert len(built) == builds
+
+
+def test_composition_law_builds_each_hrep_once(monkeypatch):
+    # one H-rep for each of u, u2 and u3, shared by the three face maps
+    ex52 = make_ex52()
+    t = generic_parameter(ex52)
+    u2 = Parameter({**t.values, "p": 0})
+    u3 = Parameter({**u2.values, "q": 1})
+    built = _count(monkeypatch, degeneration, "hrep_general")
+    assert degeneration.composition_law(ex52, t, u2, u3)
+    assert len(built) == 3
+
+
 def test_degenerate_runs_one_dd_when_the_hreps_agree(ex52_file, tmp_path, monkeypatch,
                                                      capsys):
     # only t_r enters ex52's H-rep: the target's polytope is the source's

@@ -18,8 +18,8 @@ from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_ve
 from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, HRep, Unbounded,
                           UnsupportedLineality, UnsupportedUnbounded,
                           TooLarge, apply_affine, face_counts, face_lattice, facet_masks,
-                          incidences, make_hrep, maximal_masks, substitute, vertices,
-                          vertices_bruteforce)
+                          incidences, iter_faces, make_hrep, maximal_masks, substitute,
+                          vertices, vertices_bruteforce)
 from mpp.poset import MarkedPoset
 from mpp.lattice import lattice_points
 from mpp.linalg import _idot
@@ -494,6 +494,9 @@ def test_incidences_cover_rays():
 def test_maximal_masks():
     assert maximal_masks([0b0011, 0b0001, 0b0110, 0b0011, 0]) == [0b0011, 0b0110]
     assert maximal_masks([0]) == [0] and maximal_masks([]) == []
+    # less the masks inside one of inside, whether or not they were maximal
+    assert maximal_masks([0b0011, 0b0001, 0b0110, 0b1000], [0b0111]) == [0b1000]
+    assert maximal_masks([0b0011, 0b0110], [0b0010]) == [0b0011, 0b0110]
 
 
 # -- the zero-set read against dot products ----------------------------------
@@ -605,10 +608,35 @@ def test_incidences_need_every_row_inserted():
         incidences(h, geometry.VRep(h.coords, v.rows[:3], ()))
 
 
-# -- the level walk against every intersection of facets ---------------------
+# -- the face iterator against the level walk and every facet intersection ---
+
+def level_faces(v, facets, dim: int) -> list[tuple[int, int]]:
+    """Oracle of iter_faces: (k, vertex mask) of each nonempty face, by the
+    level walk (Kaibel & Pfetsch 2002), from the polytope's dimension dim
+    down to the edges, then the vertices.  Every ridge is the meet of two
+    facets, so the facets of a face F are the maximal F & G, F left out,
+    over the facets G of a face that F is a facet of."""
+    n = len(v.rows)
+    level = {(1 << n) - 1: facets}  # face -> facets of a parent
+    found = []
+    for k in range(dim, -1, -1):
+        if k == 0:
+            level = [1 << i for i in range(n)]
+        found += [(k, f) for f in level]
+        if k > 1:
+            below = {}
+            for f, parent_facets in level.items():
+                meets = {f & g for g in parent_facets}
+                meets.discard(f)
+                own = maximal_masks(meets)
+                for g in own:
+                    below[g] = own
+            level = below
+    return found
+
 
 def intersection_faces(h, v) -> dict[int, int]:
-    """Oracle of the level walk: each nonempty face as vertex mask -> dim.
+    """Oracle of the face iterator: each nonempty face as vertex mask -> dim.
     The faces are the polytope and every nonempty intersection of facet
     vertex masks, the facets being the maximal proper tight sets of the
     dot-product incidences; dims are affine ranks of the vertices."""
@@ -625,11 +653,17 @@ def intersection_faces(h, v) -> dict[int, int]:
 
 
 def _walk_agrees(h):
-    """Asserts that face_counts and face_lattice of h give the faces of
-    intersection_faces; returns the polytope's dimension."""
+    """Asserts that iter_faces yields each (dim, mask) of h once, the faces
+    of level_faces, and that face_counts and face_lattice of h give the
+    faces of intersection_faces; returns the polytope's dimension."""
     v = vertices(h)
     faces = intersection_faces(h, v)
     dim = max(faces.values())
+    facets = facet_masks(h, v)[1]
+    walked = [(k, f) for k, batch in iter_faces(v, facets, dim) for f in batch]
+    assert len(set(walked)) == len(walked) == len(faces)
+    assert set(walked) == set(level_faces(v, facets, dim))
+    assert dict((f, k) for k, f in walked) == faces
     counts = [0] * (dim + 1)
     for k in faces.values():
         counts[k] += 1
@@ -659,6 +693,8 @@ def test_walk_matches_facet_intersections_on_random_polytopes():
 
 
 def test_walk_matches_facet_intersections_on_the_faces_workload(workload_posets):
+    # t=0 and generic t on each poset, and every hypercube corner of those
+    # with at most 5 unmarked elements: ex52, dstar, grid2x2 and grid2x3
     dims = set()
     for key, poset in workload_posets["faces"].items():
         params = [zero_parameter(poset), generic_parameter(poset)]
@@ -819,7 +855,8 @@ def test_face_counts_match_face_lattice():
 
 def test_face_budget_counts_faces_enumerated(monkeypatch):
     # the cube: the empty face, the cube, 6 facets and 12 edges are 20 faces
-    # through dimension 1; both paths enumerate them and raise alike
+    # through dimension 1, the last batch of edges the walk finds below the
+    # facets (4 + 3 + 2 + 2 + 1); both paths enumerate them and raise alike
     h = box(("x", "y", "z"), [(0, 1)] * 3)
     v = vertices(h)
     monkeypatch.setattr(geometry, "FACE_GATE", 28)
@@ -829,6 +866,24 @@ def test_face_budget_counts_faces_enumerated(monkeypatch):
         with pytest.raises(TooLarge) as err:
             build(h, v)
         assert str(err.value) == "face lattice holds more than 19 faces (20 through dimension 1)"
+
+
+def test_face_counts_hold_memory_linear_in_the_facets():
+    # grid3x4 at generic t has 25,234 faces; the walk holds one batch per
+    # depth and the faces walked above it, not two whole levels as the level
+    # walk did (a peak of about 3 MiB)
+    import tracemalloc
+    poset = make_grid(3, 4)
+    h = hrep_general(poset, generic_parameter(poset), projected=True)
+    v = vertices(h)
+    tracemalloc.start()
+    try:
+        fv = face_counts(h, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fv == (33, 333, 1569, 4119, 6560, 6564, 4122, 1567, 332, 33)
+    assert peak < 256 * 1024, peak
 
 
 def test_barycenter_lies_in_its_own_face():

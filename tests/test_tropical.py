@@ -378,12 +378,12 @@ def test_dd_pruned_covectors_equal_lp_pruned():
 def _cell_faces(cells) -> tuple[set, set]:
     """(vertices, faces) of (tau, H-rep, V-rep) cells: the union of their
     vertices, and every nonempty face of every cell as its vertex set."""
-    from mpp.geometry import _bits, _dimension, _face_levels, facet_masks
+    from mpp.geometry import _bits, _dimension, facet_masks, iter_faces
     points, faces = set(), set()
     for _, h, v in cells:
         points.update(v.vertices)
-        for _, level in _face_levels(v, facet_masks(h, v)[1], _dimension(h, v)):
-            faces.update(frozenset(v.vertices[i] for i in _bits(f)) for f in level)
+        for _, batch in iter_faces(v, facet_masks(h, v)[1], _dimension(h, v)):
+            faces.update(frozenset(v.vertices[i] for i in _bits(f)) for f in batch)
     return points, faces
 
 
