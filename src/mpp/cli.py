@@ -120,12 +120,7 @@ def cmd_fvector(args, poset) -> int:
 def cmd_ehrhart(args, poset) -> int:
     from . import lattice
     t, header = _resolve_parameter(args, poset)
-    if lattice.counted_by_ideals(poset, t):
-        data = lattice.ideal_ehrhart(poset, args.dilations)
-    else:
-        # full space: marked coordinates participate in lattice-point counts
-        h = family.hrep_general(poset, t, projected=False)
-        data = lattice.ehrhart(h, args.dilations)
+    data = lattice.ehrhart_at(poset, t, args.dilations)
     payload = {"command": "ehrhart", **header,
                "counts": [list(c) for c in data.counts],
                "coefficients": [rat_str(c) for c in data.coefficients]}
@@ -149,16 +144,13 @@ def cmd_subdivision(args, poset) -> int:
     from . import tropical
     if args.off:
         tropical.off_dimension(poset)  # refuses before any cell is computed
-    if args.ideal_chains:
-        cells, kind = tropical.ideal_chain_cells(poset), "ideal-chain"
-    else:
-        cells, kind = tropical.tropical_subdivision(poset), "tropical"
-    # cells share their vertex tuples (all of them, in a tropical subdivision),
-    # so each distinct tuple object is deduplicated and written out once
+    cells = tropical.tropical_subdivision(poset)
+    # cells share their vertex tuples, so each distinct tuple object is
+    # deduplicated and written out once
     shared = {id(p): p for c in cells for p in c.vertices}
     text = {key: [rat_str(x) for x in p] for key, p in shared.items()}
     sub_vertices = sorted(set(shared.values()))
-    payload = {"command": "subdivision", "kind": kind,
+    payload = {"command": "subdivision", "kind": "tropical",
                "cells": [{"vertices": [text[id(p)] for p in c.vertices],
                           "dim": c.dim,
                           "covector": {r: list(m) for r, m in c.covector},
@@ -166,12 +158,10 @@ def cmd_subdivision(args, poset) -> int:
                           "origin": list(c.origin)} for c in cells],
                "vertices": [[rat_str(x) for x in p] for p in sub_vertices]}
     if args.off:  # the text first, so that a refused export leaves the file alone
-        # the base polytope's one DD run, kept on the poset, serves both
-        off = tropical.export_off(poset, tropical.tropical_subdivision(poset)
-                                  if args.ideal_chains else cells)
+        off = tropical.export_off(poset, cells)
         with open(args.off, "w", encoding="utf-8") as fh:
             fh.write(off)
-    return _emit(payload, f"{kind} subdivision: {len(cells)} cells, "
+    return _emit(payload, f"tropical subdivision: {len(cells)} cells, "
                           f"{len(sub_vertices)} vertices")
 
 
@@ -229,10 +219,7 @@ def _sweep_ehrhart(poset):
 
     def one(corner):
         t, part = corner
-        if lattice.counted_by_ideals(poset, t):  # at C = {} only
-            data = lattice.ideal_ehrhart(poset)
-        else:
-            data = lattice.ehrhart(family.hrep_chain_order(poset, part, projected=False))
+        data = lattice.ehrhart_at(poset, t)
         return {"C": sorted(part.C), "coefficients": [rat_str(c) for c in data.coefficients]}
 
     rows, errors = _sweep(one, corners, lambda corner: {"C": sorted(corner[1].C)})
@@ -406,10 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_param_flags(p)
 
     p = add("subdivision", cmd_subdivision, help="tropical subdivision of O(P,lambda)")
-    p.add_argument("--ideal-chains", action="store_true",
-                   help="ideal-chain cells instead of the tropical subdivision")
     p.add_argument("--off", help="also write the OFF 2-skeleton of the tropical "
-                                 "subdivision to this path (also with --ideal-chains)")
+                                 "subdivision to this path")
 
     p = add("degenerate", cmd_degenerate, help="degeneration face map")
     p.add_argument("--from-t", required=True, dest="from_t")

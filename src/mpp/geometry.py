@@ -536,31 +536,6 @@ def _cone(h: HRep, v: VRep) -> Cone:
     return cone
 
 
-def incidences(h: HRep, v: VRep) -> list[int]:
-    """For each inequality of h, the bitmask of the generators of v on which
-    it is tight: bit i for the vertex v.rows[i], then bit len(v.rows) + j
-    for the recession ray v.rays[j].  These are the zero sets of the rays
-    of the cone that double description left v in, read by each row's
-    insertion bit and transposed; every inequality of h must have been
-    inserted there."""
-    cone = _cone(h, v)
-    points = [(r, z) for r, z in cone.rays if r[0] > 0]
-    zero_set = dict(zip(common_denominator([r for r, _ in points]), (z for _, z in points)))
-    at_ray = {r[1:]: z for r, z in cone.rays if r[0] == 0}
-    tight = [0] * len(cone.rows)  # per bit, the mask of its tight generators
-    for i, z in enumerate([zero_set[r] for r in v.rows] + [at_ray[r] for r in v.rays]):
-        for b in _bits(z):
-            tight[b] |= 1 << i
-    bit = {}
-    for b, row in enumerate(cone.rows):
-        bit.setdefault(row, b)
-    try:
-        return [tight[bit[row]] for row in h.int_inequalities]
-    except KeyError:
-        raise AssertionError("an inequality was never inserted into double description") \
-            from None
-
-
 def _dimension(h: HRep, v: VRep) -> int:
     """The dimension of the polyhedron v, read off the cone that double
     description left it in: d minus the rank of h's equations and of the
@@ -597,14 +572,36 @@ def maximal_masks(masks, inside=()) -> list[int]:
 
 
 def facet_masks(h: HRep, v: VRep) -> tuple[list[int], set[int], int]:
-    """(masks, facets, full): each inequality's mask of tight generators (the
-    vertices, then the recession rays of v = vertices(h)), the facets' masks
-    among them, and the mask of all generators.  A facet mask holds a vertex,
-    is not full, and is inclusion-maximal among such masks."""
-    masks = incidences(h, v)
+    """(masks, facets, full): for each inequality of h, the bitmask of the
+    generators of v on which it is tight (bit i for the vertex v.rows[i],
+    then bit len(v.rows) + j for the recession ray v.rays[j]), the facets'
+    masks, and the mask of all generators.  The masks are the zero sets of
+    the rays of the cone that double description left v in, read by each
+    row's insertion bit and transposed; every inequality of h must have
+    been inserted there.  The facets are read from every inserted row, so v
+    may be a cell that further rows cut from h (see Cone.cut); for v =
+    vertices(h) these are h's inequalities and x0 >= 0, which holds no
+    vertex.  A facet mask holds a vertex, is not full, and is
+    inclusion-maximal among such masks."""
+    cone = _cone(h, v)
+    points = [(r, z) for r, z in cone.rays if r[0] > 0]
+    zero_set = dict(zip(common_denominator([r for r, _ in points]), (z for _, z in points)))
+    at_ray = {r[1:]: z for r, z in cone.rays if r[0] == 0}
+    tight = [0] * len(cone.rows)  # per bit, the mask of its tight generators
+    for i, z in enumerate([zero_set[r] for r in v.rows] + [at_ray[r] for r in v.rays]):
+        for b in _bits(z):
+            tight[b] |= 1 << i
+    bit = {}
+    for b, row in enumerate(cone.rows):
+        bit.setdefault(row, b)
+    try:
+        masks = [tight[bit[row]] for row in h.int_inequalities]
+    except KeyError:
+        raise AssertionError("an inequality was never inserted into double description") \
+            from None
     full = (1 << (len(v.rows) + len(v.rays))) - 1
     some_vertex = (1 << len(v.rows)) - 1
-    return masks, set(maximal_masks({m for m in masks if m & some_vertex and m != full})), full
+    return masks, set(maximal_masks({m for m in tight if m & some_vertex and m != full})), full
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -644,7 +641,7 @@ def iter_faces(v: VRep, facets, dim: int):
         total += len(masks)
         if total > FACE_GATE:
             raise TooLarge(f"face lattice holds more than {FACE_GATE} faces "
-                           f"({total} through dimension {k})")
+                           f"({total} enumerated, the last batch at dimension {k})")
         yield k, masks
 
 

@@ -35,10 +35,10 @@ gate their boxes at BOX_GATE candidates before they search.
 
 The Ehrhart counts of O_0(P, lambda) with an integral marking, bounded,
 need no polytope: `ideal_ehrhart` sums Stanley's chain-of-ideals count over
-the poset's levels of order ideals (see there), and `counted_by_ideals`
-says when it applies.  It refuses while it grows the ideals, once their
-number times the unmarked elements + 1 times the dilations + 1 exceeds
-IDEAL_BUDGET.
+the poset's levels of order ideals (see there), `counted_by_ideals` says
+when it applies, and `ehrhart_at` takes it then.  The count refuses while it
+grows the ideals, once their number times the unmarked elements + 1 times
+the dilations + 1 exceeds IDEAL_BUDGET.
 
 EhrhartData is an immutable record (see mpp.records): a named tuple, so it
 also iterates, sorts and equals the plain tuple of its fields.
@@ -52,6 +52,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
+from .family import hrep_general
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
                        UnsupportedUnbounded, VRep, _dimension, vertices)
 from .poset import MarkedPoset, _grow_ideals, require_valid
@@ -524,8 +525,17 @@ def ideal_ehrhart(poset: MarkedPoset, max_dilation: int | None = None) -> Ehrhar
         r = [_pack(e, size) for e in entry]
     counts = _unpack(r[0], size, last) if len(levels) > 2 else [r[0]] * last
     data = _fit([(0, 1)] + list(enumerate(counts, 1)), n)
-    return data._replace(counts=data.counts[:_dilations(max_dilation,
-                                                        len(data.coefficients) - 1) + 1])
+    return EhrhartData(data.counts[:_dilations(max_dilation, len(data.coefficients) - 1) + 1],
+                       data.coefficients)
+
+
+def ehrhart_at(poset: MarkedPoset, t, max_dilation: int | None = None) -> EhrhartData:
+    """ehrhart of O_t(P, lambda) in the full space, where the marked
+    coordinates count too: ideal_ehrhart when counted_by_ideals holds, else
+    the lattice points of hrep_general(poset, t)."""
+    if counted_by_ideals(poset, t):
+        return ideal_ehrhart(poset, max_dilation)
+    return ehrhart(hrep_general(poset, t, projected=False), max_dilation)
 
 
 def is_integrally_closed(h: HRep, dilations=(2, 3)) -> bool:

@@ -9,14 +9,17 @@ runs the covector search over the maximal cells only, one closed
 single-argmax sector per hyperplane: every other cell is a face of one of
 them, so the subdivision vertices and the subdivision's faces are theirs.  A
 search node continues its parent's DD with its own sector rows, and an empty
-partial cell is dropped at once; no linear program is solved.  Vertices stay
-integer rows (VRep.rows) throughout: subdivision cells are keyed by vertex
-bitmasks, covectors are read off integer witnesses, and Fractions are built
-once per subdivision vertex, for the returned cells.  The ideal-chain cells,
-the marked analogue of Stanley's subdivision of the order polytope by chains
-of order ideals (1986), refine these; each is the same base cone cut by its
-chain's block rows, and the chains grow through the poset's levels of order
-ideals, by the loop that the Ehrhart counts at t = 0 use too.
+partial cell is dropped at once; no linear program is solved.  A cell is its
+cone alone: its facets, dimension and tight base rows are read off the
+cone's zero sets against the base H-rep.  Vertices stay integer rows
+(VRep.rows) throughout: subdivision cells are keyed by vertex bitmasks,
+covectors are read off integer witnesses, and Fractions are built once per
+subdivision vertex, for the returned cells.  The ideal-chain cells
+(ideal_chain_cells, a library function that no command prints), the marked
+analogue of Stanley's subdivision of the order polytope by chains of order
+ideals (1986), refine these; each is the same base cone cut by its chain's
+block rows, and the chains grow through the poset's levels of order ideals,
+by the loop that the Ehrhart counts at t = 0 use too.
 
 TropicalForm, TropicalArrangement and SubdivisionCell are immutable records
 (see mpp.records): named tuples, so each also iterates, sorts and equals
@@ -34,8 +37,8 @@ from .family import (Parameter, _row_writer, hrep_general, hypercube_vertices,
                      transfer_theta_homogeneous, zero_parameter)
 from . import geometry
 from .geometry import (Cone, HRep, TooLarge, UnsupportedUnbounded, VRep,
-                       _bits, _dimension, facet_masks, homogenization_cone, incidences,
-                       iter_faces, vertices)
+                       _bits, _dimension, facet_masks, homogenization_cone, iter_faces,
+                       vertices)
 from .linalg import _primitive, common_denominator, dehomogenized
 from .poset import MarkedPoset, _grow_ideals, require_valid
 
@@ -115,10 +118,10 @@ def _difference(write, a: str, b: str, origin):
 
 def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
                     root: Cone):
-    """(tau, rows, cone) of each nonempty maximal cell: the polytope P cut
-    with the closed cell F_tau of a covector tau whose every type is a
-    single element, tau(r) = {m}.  F_tau is then x_q <= x_m for the other
-    lower covers q of each r, one closed sector per hyperplane.
+    """The cone of each nonempty maximal cell: the polytope P cut with the
+    closed cell F_tau of a covector tau whose every type is a single
+    element, tau(r) = {m}.  F_tau is then x_q <= x_m for the other lower
+    covers q of each r, one closed sector per hyperplane.
 
     No other covector is needed.  The closed single-argmax sectors of a
     hyperplane cover the space.  Take any covector tau, pick m0 in each
@@ -133,31 +136,28 @@ def _covector_cells(poset: MarkedPoset, arr: TropicalArrangement, base: HRep,
     tau is extended one hyperplane at a time, and a partial covector is
     dropped as soon as its cell is empty.  A node's cone is its parent's,
     cut by its own sector rows only (Cone.cut), so DD runs once on the base
-    polytope: root is homogenization_cone(base).  rows are the covector's
-    sector rows, as HRep.with_rows takes them, so the cell's H-rep is base
-    with them appended; the cell's vertices are the cone's rays with
-    x0 > 0, primitive rows, and cone.vrep() is its V-rep."""
+    polytope: root is homogenization_cone(base).  The cell's sector rows are
+    the cone's rows after root's, its vertices the cone's rays with x0 > 0,
+    primitive rows, and cone.vrep() is its V-rep."""
     write = _row_writer(poset, base.coords)
     sectors = []
-    for r, form in arr.hyperplanes:
+    for _, form in arr.hyperplanes:
         sectors.append([])
         for m in sorted(form.support):
-            rows = [_difference(write, q, m, ("covector-le", r, q, m))
-                    for q in form.support if q != m]
+            rows = [_difference(write, q, m, ())[0] for q in form.support if q != m]
             # drop 0 <= 0; any other constant row is x0 >= 0 or x0 <= 0 (empties the cone)
-            rows = [row for row in rows if any(row[0])]
-            sectors[-1].append((r, m, rows, [_primitive(row) for row, _, _ in rows]))
+            sectors[-1].append([_primitive(row) for row in rows if any(row)])
 
-    def rec(i, path, rows, cone):
+    def rec(i, cone):
         if i == len(sectors):
-            yield {r: frozenset((m,)) for r, m in path}, rows, cone
+            yield cone
             return
-        for r, m, new, prims in sectors[i]:
-            sub = cone.cut(prims)
+        for rows in sectors[i]:
+            sub = cone.cut(rows)
             if not sub.empty:
-                yield from rec(i + 1, path + ((r, m),), rows + new, sub)
+                yield from rec(i + 1, sub)
 
-    yield from rec(0, (), [], root)
+    yield from rec(0, root)
 
 
 def _base_data(poset: MarkedPoset) -> tuple[HRep, Cone]:
@@ -207,15 +207,15 @@ def tropical_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
     arr = arrangement(poset)
     forms = _covector_forms(poset, arr, base.coords)
     return [_polytope_cell(base, forms, cone.vrep(), ("covector",))
-            for _, _, cone in _covector_cells(poset, arr, base, root)]
+            for cone in _covector_cells(poset, arr, base, root)]
 
 
 def _polytope_cell(base: HRep, forms, v: VRep, origin) -> SubdivisionCell:
     """The cell spanned by all vertices of v, a cut of base's cone: its
     dimension and tight base rows from the cone's zero sets, the covector of
     the vertex barycenter."""
-    every = (1 << len(v.rows)) - 1
-    tight = frozenset(j for j, m in enumerate(incidences(base, v)) if m == every)
+    masks, _, full = facet_masks(base, v)
+    tight = frozenset(j for j, m in enumerate(masks) if m == full)
     return SubdivisionCell(v.vertices, _dimension(base, v),
                            _covector_at(forms, v.rows), tight, tuple(origin))
 
@@ -229,24 +229,22 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     maximal cell's depth-first walk (iter_faces) is keyed by its vertex mask
     over one global index of the subdivision vertices (their primitive
     integer rows), so a face shared by maximal cells is kept once.  The walk
-    gives its dimension, and its tight base rows come from the incidence
-    masks: the base inequalities are the first rows of each cell's H-rep.
+    gives its dimension; its tight base rows and its facets come from
+    facet_masks(base, v), which reads the cell's sector rows off its cone.
     Cells sort by (dim, vertices) through the ranks of the vertices, whose
     Fractions are built once.  Raises TooLarge once more than FACE_GATE
     distinct cells are found.
     """
     base, root = _base_data(poset)
     arr = arrangement(poset)
-    nb = len(base.int_inequalities)
     index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> global id
     found: dict[int, tuple] = {}  # global vertex mask -> (dim, global ids, tight)
-    for _, rows, cone in _covector_cells(poset, arr, base, root):
-        h, v = base.with_rows((), rows), cone.vrep()
+    for cone in _covector_cells(poset, arr, base, root):
+        v = cone.vrep()
         ids = [index.setdefault(_primitive(r), len(index)) for r in v.rows]
         bits = [1 << i for i in ids]
-        masks, facets, _ = facet_masks(h, v)
-        masks = masks[:nb]
-        for k, batch in iter_faces(v, facets, _dimension(h, v)):
+        masks, facets, _ = facet_masks(base, v)
+        for k, batch in iter_faces(v, facets, _dimension(base, v)):
             for f in batch:
                 local = _bits(f)
                 key = sum(bits[i] for i in local)
@@ -276,7 +274,7 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
 def _subdivision_rows(poset: MarkedPoset) -> set[tuple[int, ...]]:
     """The primitive integer rows of the subdivision vertices (the 0-cells)."""
     arr = arrangement(poset)
-    return {r for _, _, cone in _covector_cells(poset, arr, *_base_data(poset))
+    return {r for cone in _covector_cells(poset, arr, *_base_data(poset))
             for r, _ in cone.rays if r[0] > 0}
 
 

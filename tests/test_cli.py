@@ -195,8 +195,15 @@ def test_subdivision_with_off(ex52_file, tmp_path):
     assert off.read_text().startswith("OFF")
 
 
-@pytest.mark.parametrize("ideal", [False, True])
-def test_refused_off_export_keeps_the_existing_file(tmp_path, monkeypatch, capsys, ideal):
+def test_subdivision_has_no_ideal_chain_option(ex52_file, capsys):
+    # the ideal-chain cells are the library's (mpp.ideal_chain_cells) only
+    with pytest.raises(SystemExit) as exit_:
+        main(["subdivision", ex52_file, "--ideal-chains"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --ideal-chains" in capsys.readouterr().err
+
+
+def test_refused_off_export_keeps_the_existing_file(tmp_path, monkeypatch, capsys):
     # the double star has 5 unmarked elements, beyond what OFF can draw: the
     # refusal comes before the base polytope, or any cell, is computed
     base_runs = []
@@ -207,8 +214,7 @@ def test_refused_off_export_keeps_the_existing_file(tmp_path, monkeypatch, capsy
     poset.write_text(json.dumps(poset_to_json(make_double_star())))
     off = tmp_path / "old.off"
     off.write_text("OFF\n0 0 0\n")
-    argv = ["subdivision", str(poset), "--off", str(off)] + ["--ideal-chains"] * ideal
-    assert main(argv) == 2
+    assert main(["subdivision", str(poset), "--off", str(off)]) == 2
     assert off.read_text() == "OFF\n0 0 0\n"
     assert json.loads(capsys.readouterr().out) == {
         "error": "OFF export supports ambient dimension <= 3", "kind": "input"}
@@ -649,7 +655,7 @@ def test_face_budget_is_a_computation_error(ex52_file, capsys, monkeypatch):
     assert main(["fvector", ex52_file]) == 3
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "computation"
-    assert "more than 20 faces (21 through dimension 1)" in out["error"]
+    assert "more than 20 faces (21 enumerated, the last batch at dimension 1)" in out["error"]
 
 
 def test_dd_budget_refuses_the_20_cube(tmp_path, capsys):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from mpp import cli, degeneration, geometry, tropical
-from mpp.family import Parameter, generic_parameter, hrep_general
+from mpp.family import Parameter, generic_parameter, hrep_general, zero_parameter
 from mpp.jsonio import poset_to_json
 from mpp.linalg import _idot
 from mpp.poset import MarkedPoset, validate
@@ -106,14 +106,11 @@ def test_base_polytope_is_built_once_per_poset_instance(monkeypatch):
     assert twin == poset and hash(twin) == hash(poset) == hash(make_ex52())
 
 
-@pytest.mark.parametrize("ideal", [False, True])
-def test_subdivision_off_builds_one_subdivision(ex52_file, tmp_path, monkeypatch,
-                                                capsys, ideal):
+def test_subdivision_off_builds_one_subdivision(ex52_file, tmp_path, monkeypatch, capsys):
     built = _count(monkeypatch, tropical, "tropical_subdivision")
     off = tmp_path / "out.off"
-    argv = ["subdivision", ex52_file, "--off", str(off)] + ["--ideal-chains"] * ideal
-    assert cli.main(argv) == 0
-    assert len(built) == 1  # the cells when tropical, else only the OFF export
+    assert cli.main(["subdivision", ex52_file, "--off", str(off)]) == 0
+    assert len(built) == 1  # the cells, which the OFF export reads too
     assert off.read_text().startswith("OFF\n")
     capsys.readouterr()
 
@@ -258,23 +255,29 @@ def test_subdivision_runs_no_dd_on_the_base_polytope_twice(ex52_file, monkeypatc
     assert (len(runs), len(kernel), len(cuts)) == (1, 0, 1 + 3)
 
 
-def test_ideal_chain_subdivision_cuts_the_one_base_cone(ex52_file, monkeypatch, capsys,
-                                                        tmp_path):
+def test_ideal_chain_subdivision_cuts_the_one_base_cone(monkeypatch):
     # DD runs once, on the base polytope in _base_data; each compatible chain
-    # cuts that cone with its block rows, and no cell runs DD of its own.
-    # With --off, the export's tropical subdivision cuts the same cone, once
-    # per sector of ex52's one hyperplane.
+    # cuts that cone with its block rows, and no cell runs DD of its own
     runs = _count(monkeypatch, tropical, "homogenization_cone")
     kernel = _count(monkeypatch, tropical, "vertices")
     cuts = _count(monkeypatch, geometry.Cone, "cut")
-    chains = len(tropical.compatible_ideal_chains(make_ex52()))
-    argv = ["subdivision", ex52_file, "--ideal-chains"]
-    for off in (False, True):
-        for calls in (runs, kernel, cuts):
-            calls.clear()
-        assert cli.main(argv + ["--off", str(tmp_path / "ex52.off")] * off) == 0
-        assert json.loads(capsys.readouterr().out)["cells"]
-        assert (len(runs), len(kernel), len(cuts)) == (1, 0, 1 + chains + 3 * off)
+    poset = make_ex52()
+    chains = len(tropical.compatible_ideal_chains(poset))
+    assert tropical.ideal_chain_cells(poset)
+    assert (len(runs), len(kernel), len(cuts)) == (1, 0, 1 + chains)
+
+
+def test_subdivision_builds_no_hrep_per_cell(ex52_file, monkeypatch, capsys):
+    # a maximal cell is its cone alone: its facets and dimension are read
+    # against the base H-rep, so the base is the one H-rep built
+    built = _count(monkeypatch, geometry.HRep, "with_rows")
+    poset = make_ex52()
+    hrep_general(poset, zero_parameter(poset), projected=True)
+    base = len(built)
+    built.clear()
+    assert cli.main(["subdivision", ex52_file]) == 0
+    assert json.loads(capsys.readouterr().out)["cells"]
+    assert base and len(built) == base
 
 
 def _count_fractions(monkeypatch) -> list:
@@ -384,10 +387,10 @@ def test_hrep_builds_no_fraction(monkeypatch):
         cells = []
         for poset in (ex52q, interior):
             base, root = tropical._base_data(poset)
-            # each maximal cell's H-rep, as tropical_subdivision builds it
-            cells.append([base.with_rows((), rows) for _, rows, _ in
-                          tropical._covector_cells(poset, tropical.arrangement(poset),
-                                                   base, root)])
+            # each maximal cell's H-rep: the base with its cone's sector rows
+            sectors = [cone.rows[len(root.rows):] for cone in tropical._covector_cells(
+                poset, tropical.arrangement(poset), base, root)]
+            cells.append([base.with_rows((), [(row, 1, ()) for row in rows]) for rows in sectors])
         h, copy = hrep_general(ex52q, t), hrep_general(ex52q, t)
         assert hash(h) == hash(copy) and h == copy and {h, copy} == {h}
         assert built == []

@@ -18,8 +18,8 @@ from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_ve
 from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, HRep, Unbounded,
                           UnsupportedLineality, UnsupportedUnbounded,
                           TooLarge, apply_affine, face_counts, face_lattice, facet_masks,
-                          incidences, iter_faces, make_hrep, maximal_masks, substitute,
-                          vertices, vertices_bruteforce)
+                          iter_faces, make_hrep, maximal_masks, substitute, vertices,
+                          vertices_bruteforce)
 from mpp.poset import MarkedPoset
 from mpp.lattice import lattice_points
 from mpp.linalg import _idot
@@ -501,6 +501,12 @@ def test_maximal_masks():
 
 # -- the zero-set read against dot products ----------------------------------
 
+def incidences(h, v):
+    """Each inequality's mask of tight generators, as facet_masks reads it
+    off the zero sets."""
+    return facet_masks(h, v)[0]
+
+
 def dot_incidences(h, v):
     """Oracle of incidences: each inequality's mask of the generators of v
     on which it is tight, one integer dot product per pair (bit i for
@@ -576,7 +582,7 @@ def test_dimension_reads_implicit_equalities():
 
 def test_zero_sets_of_covector_cells():
     # cells are cut cones: their zero sets also carry the sector rows, one of
-    # which may repeat a base row
+    # which may repeat a base row, so the base H-rep reads the cell's facets
     rnds = [random.Random(seed) for seed in range(30)]
     posets = [make_ex52(), make_double_star(), make_grid(2, 3)]
     posets += [random_marked_poset(rnd, rnd.randint(4, 8), mark_extra=0.3) for rnd in rnds]
@@ -584,13 +590,16 @@ def test_zero_sets_of_covector_cells():
     for poset in posets:
         base, root = tropical._base_data(poset)
         arr = tropical.arrangement(poset)
-        for _, rows, cone in tropical._covector_cells(poset, arr, base, root):
-            h, v = base.with_rows((), rows), cone.vrep()
+        for cone in tropical._covector_cells(poset, arr, base, root):
+            sector = cone.rows[len(root.rows):]
+            h, v = base.with_rows((), [(row, 1, ()) for row in sector]), cone.vrep()
             assert incidences(h, v) == dot_incidences(h, v)
             assert incidences(base, v) == dot_incidences(base, v)
+            full = (1 << len(v.rows)) - 1
+            assert facet_masks(base, v)[1] == set(maximal_masks(
+                {m for m in dot_incidences(h, v) if m and m != full}))
             dim = geometry._dimension(base, v)
             assert dim == geometry._dimension(h, v) == linalg.affine_rank(v.vertices)
-            sector = h.int_inequalities[len(base.int_inequalities):]
             repeats += any(row in base.int_inequalities for row in sector)
             lower += dim < base.dim_ambient
     assert repeats and lower  # not vacuous
@@ -865,7 +874,8 @@ def test_face_budget_counts_faces_enumerated(monkeypatch):
     for build in (face_lattice, face_counts):
         with pytest.raises(TooLarge) as err:
             build(h, v)
-        assert str(err.value) == "face lattice holds more than 19 faces (20 through dimension 1)"
+        assert str(err.value) == ("face lattice holds more than 19 faces "
+                                  "(20 enumerated, the last batch at dimension 1)")
 
 
 def test_face_counts_hold_memory_linear_in_the_facets():

@@ -116,9 +116,7 @@ MODES = {
     "ehrhart-t0": ["ehrhart"],
     "ehrhart-dilations": ["ehrhart", "--dilations", "5"],
     "subdivision": ["subdivision"],
-    "subdivision-ideal-chains": ["subdivision", "--ideal-chains"],
     "subdivision-off": ["subdivision", "--off", "{off}"],
-    "subdivision-ideal-chains-off": ["subdivision", "--ideal-chains", "--off", "{off}"],
     "degenerate": ["degenerate", "--from-t", "{t}", "--to-t", "{face}"],
     "sweep-ehrhart": ["sweep", "--check", "ehrhart"],
     "sweep-types": ["sweep", "--check", "types"],
@@ -158,12 +156,8 @@ GOLDEN = {
         ('3477743461a6e56c81e083a72fc4bd25e222f496cbd7c94e2e1489a0fb5f90aa', 0, None),
     ('ex52', 'subdivision'):
         ('7818e06a7a225e623ee83e0d64e1e164b5bc2046121d634d6027a321a13f0920', 0, None),
-    ('ex52', 'subdivision-ideal-chains'):
-        ('9a0735884a0ccd997ed0c82f1386b0457baff3334b890b35abb17769ff289e8b', 0, None),
     ('ex52', 'subdivision-off'):
         ('7818e06a7a225e623ee83e0d64e1e164b5bc2046121d634d6027a321a13f0920', 0, 'a401645d7c15cbb586537c8403e3f449d77a3eb9bf54dccefd69f72206499a90'),
-    ('ex52', 'subdivision-ideal-chains-off'):
-        ('9a0735884a0ccd997ed0c82f1386b0457baff3334b890b35abb17769ff289e8b', 0, 'a401645d7c15cbb586537c8403e3f449d77a3eb9bf54dccefd69f72206499a90'),
     ('ex52', 'degenerate'):
         ('53110c16ea213ae9d75425ab23a745bb16cb0fdd1defa1382fbbae5ac3b1529e', 0, None),
     ('ex52', 'sweep-ehrhart'):
@@ -206,11 +200,7 @@ GOLDEN = {
         ('5d7c51f577882fffb92daafb7eaeea49e86c9c1e9c5cf0bfada903fa1d21b058', 0, None),
     ('dstar', 'subdivision'):
         ('2d610779200b81a096783440bd0162ba3a0aa19b1a9b1d951c67bad85f228820', 0, None),
-    ('dstar', 'subdivision-ideal-chains'):
-        ('ce2b5d26e826e961e9e789c54504247e3b187e617fcc9113e343254d9f45e280', 0, None),
     ('dstar', 'subdivision-off'):
-        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, None),
-    ('dstar', 'subdivision-ideal-chains-off'):
         ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, None),
     ('dstar', 'degenerate'):
         ('39adb9ded1eb228d0e59d55e1991773dcb9097a233c98c22e7f707e79122d7f2', 0, None),
@@ -252,11 +242,7 @@ GOLDEN = {
         ('b31724388378c594d36fec995378751ef41d0483ddb9c6d96d7dd62fecdedebf', 0, None),
     ('grid2x3', 'subdivision'):
         ('8641e63038c01880ef9a7520808d74c9d1a6c56284ed06cca5400f9534c37a28', 0, None),
-    ('grid2x3', 'subdivision-ideal-chains'):
-        ('ac61ce8964073672aa75438b0052bc40e9dcd17b62f572adb7175c867f51205c', 0, None),
     ('grid2x3', 'subdivision-off'):
-        ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, None),
-    ('grid2x3', 'subdivision-ideal-chains-off'):
         ('6eb7ddedf4cc509437cf41a0e769f29ee95cb4404847d765d9224c8ced767589', 2, None),
     ('grid2x3', 'degenerate'):
         ('6ff6b6990e208b43709ae439767db495a75fb0d3988bccb65930ce924e239909', 0, None),

@@ -11,7 +11,8 @@ import pytest
 from conftest import (det, dilate, make_chain_poset, make_double_star, make_ex52,
                       make_grid, random_hrep, random_marked_poset, random_rat)
 from mpp.family import (Partition, hrep_chain_order, hrep_general,
-                        hypercube_vertices, one_parameter, zero_parameter)
+                        hypercube_vertices, one_parameter, partition_of_parameter,
+                        zero_parameter)
 from mpp import lattice
 from mpp.geometry import (EmptyPolyhedron, NonLatticeVertices, TooLarge,
                           make_hrep, vertices)
@@ -554,6 +555,17 @@ def _chain_sum(poset, k):
 def test_ideal_counts_are_sums_over_ideal_chains(poset):
     dilations = (1, 2, 3, 4)
     assert _ideal_counts(poset, dilations) == [_chain_sum(poset, k) for k in dilations]
+
+
+@pytest.mark.parametrize("poset", [make_ex52(), make_double_star(), make_grid(2, 3)],
+                         ids=["ex52", "dstar", "grid2x3"])
+def test_ehrhart_at_every_corner_is_the_chain_order_count(poset):
+    # over the order ideals at C = {}, on hrep_general elsewhere; the
+    # chain-order H-rep of the same corner is the reference
+    for t in hypercube_vertices(poset):
+        part = partition_of_parameter(poset, t)
+        expected = ehrhart(hrep_chain_order(poset, part, projected=False))
+        assert lattice.ehrhart_at(poset, t) == expected, t
 
 
 ORACLES = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -414,10 +415,16 @@ def test_maximal_cells_give_the_faces_of_every_covector_cell():
         arr = arrangement(poset)
         arranged += bool(arr.hyperplanes)
         maximal = list(_covector_cells(poset, arr, base, root))
-        assert all(len(m) == 1 for tau, _, _ in maximal for m in tau.values())
+        # at most one cell per choice of one sector in each hyperplane
+        assert len(maximal) <= math.prod(len(form.support) for _, form in arr.hyperplanes)
         points, faces = _cell_faces(full_covector_cells(poset, arr, base))
-        assert _cell_faces((tau, base.with_rows((), rows), cone.vrep())
-                           for tau, rows, cone in maximal) == (points, faces)
+        # each cell's facets are read off its cone against the base H-rep, as
+        # against the H-rep with the cell's sector rows appended
+        assert _cell_faces((None, base, cone.vrep()) for cone in maximal) == (points, faces)
+        hreps = [base.with_rows((), [(row, 1, ()) for row in cone.rows[len(root.rows):]])
+                 for cone in maximal]
+        assert _cell_faces((None, h, cone.vrep())
+                           for h, cone in zip(hreps, maximal)) == (points, faces)
         assert set(subdivision_vertices(poset)) == points
         assert {frozenset(c.vertices) for c in tropical_subdivision(poset)} == faces
     assert arranged >= 40  # not vacuous: most posets have a hyperplane
