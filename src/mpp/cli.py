@@ -141,21 +141,46 @@ def cmd_lattice_points(args, poset) -> int:
 
 
 def cmd_subdivision(args, poset) -> int:
+    """The tropical subdivision's cells, each rendered to its text row of
+    "cells" as its block is written, with the fields in sorted-key order,
+    and its vertices.  The text of each distinct vertex (cells share their
+    vertex tuples, deduplicated by id) and of each distinct covector is
+    built once."""
     from . import tropical
     if args.off:
         tropical.off_dimension(poset)  # refuses before any cell is computed
     cells = tropical.tropical_subdivision(poset)
-    # cells share their vertex tuples, so each distinct tuple object is
-    # deduplicated and written out once
+    string = jsonio._string
+
+    def row(depth, texts):
+        start, sep, close = jsonio.row_pieces(depth, len(texts))
+        return start + sep.join(texts) + close
+
+    # "cells" is a value of the top-level object, so a cell sits at depth 2,
+    # its fields' lists at depth 3 and their rows at depth 4
     shared = {id(p): p for c in cells for p in c.vertices}
-    text = {key: [rat_str(x) for x in p] for key, p in shared.items()}
+    vertex = {key: row(3, [string(rat_str(x)) for x in p]) for key, p in shared.items()}
+    origin = row(2, [string("tropical")])
+    covectors = {}
+
+    def covector(cov):
+        if not cov:
+            return "{}"
+        return "{\n        " + ",\n        ".join(
+            f"{string(r)}: {row(3, list(map(string, m)))}" for r, m in sorted(cov)) + "\n      }"
+
+    def render(c):
+        cov = covectors.get(c.covector)
+        if cov is None:
+            cov = covectors[c.covector] = covector(c.covector)
+        return (f'{{\n      "covector": {cov},\n      "dim": {c.dim},'
+                f'\n      "origin": {origin},'
+                f'\n      "tight": {row(2, list(map(str, sorted(c.tight))))},'
+                f'\n      "vertices": {row(2, [vertex[id(p)] for p in c.vertices])}\n    }}')
+
     sub_vertices = sorted(set(shared.values()))
     payload = {"command": "subdivision", "kind": "tropical",
-               "cells": [{"vertices": [text[id(p)] for p in c.vertices],
-                          "dim": c.dim,
-                          "covector": {r: list(m) for r, m in c.covector},
-                          "tight": sorted(c.tight),
-                          "origin": list(c.origin)} for c in cells],
+               "cells": jsonio.TextRows(1, cells, render),
                "vertices": [[rat_str(x) for x in p] for p in sub_vertices]}
     if args.off:  # the text first, so that a refused export leaves the file alone
         off = tropical.export_off(poset, cells)

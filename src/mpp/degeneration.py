@@ -44,8 +44,8 @@ from fractions import Fraction
 from .family import (Parameter, Partition, chain_order_polytope, check_partition,
                      facet_count_delta, hrep_general, is_tame,
                      transfer_theta_homogeneous)
-from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, VRep, _bits,
-                       face_counts, face_lattice, facet_masks, vertices)
+from .geometry import (Face, FaceLattice, HRep, UnsupportedUnbounded, VRep,
+                       face_counts, face_lattice, facet_masks, vertex_tight, vertices)
 from .poset import MarkedPoset, star_elements
 from .rationals import rat, rat_str
 
@@ -307,11 +307,7 @@ def _type_sample(h: HRep, v: VRep, known=()):
     determine the face lattice (see _all_isomorphic)."""
     masks, facets, _ = facet_masks(h, v)
     n = len(v.rows)
-    by_vertex = [0] * n
-    for j, m in enumerate(masks):
-        for i in _bits(m):
-            by_vertex[i] |= 1 << j
-    tight = frozenset(by_vertex)
+    tight = frozenset(vertex_tight(masks, n))
     pairs = frozenset((i, fi) for fi, f in enumerate(facets) for i in range(n) if f >> i & 1)
     f_vector = next((s[0] for s in known if s[1] == tight), None)
     if f_vector is None:

@@ -604,6 +604,17 @@ def facet_masks(h: HRep, v: VRep) -> tuple[list[int], set[int], int]:
     return masks, set(maximal_masks({m for m in tight if m & some_vertex and m != full})), full
 
 
+def vertex_tight(masks, n: int) -> list[int]:
+    """For each generator i < n, the mask of the inequalities tight on it
+    (bit j for masks[j]): facet_masks' masks transposed.  A face's tight
+    inequalities are the AND of its vertices' masks."""
+    out = [0] * n
+    for j, m in enumerate(masks):
+        for i in _bits(m):
+            out[i] |= 1 << j
+    return out
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """The indices of the set bits, ascending."""
     out = []
@@ -659,11 +670,17 @@ def face_counts(h: HRep, v: VRep, facets=None) -> tuple[int, ...]:
 
 def face_lattice(h: HRep, v: VRep) -> FaceLattice:
     """Face lattice of a bounded polytope: the faces of iter_faces, each with
-    its tight set read off the incidence masks of all inequalities."""
+    its tight set the AND of its vertices' (vertex_tight)."""
     masks, facets, _ = facet_masks(h, v)
+    at = vertex_tight(masks, len(v.rows) + len(v.rays))
     found = [(-1, (), frozenset(range(len(masks))))]  # (dim, vertex ids, tight)
-    found += [(k, _bits(f), frozenset(j for j, m in enumerate(masks) if f & m == f))
-              for k, batch in iter_faces(v, facets, _dimension(h, v)) for f in batch]
+    for k, batch in iter_faces(v, facets, _dimension(h, v)):
+        for f in batch:
+            ids = _bits(f)
+            tight = -1
+            for i in ids:
+                tight &= at[i]
+            found.append((k, ids, frozenset(_bits(tight))))
     found.sort(key=lambda face: face[:2])
     return FaceLattice(v.rows, tuple(Face(frozenset(ids), tight, dim)
                                      for dim, ids, tight in found))

@@ -3,10 +3,12 @@
 Rationals travel as strings ("3", "-1/2") and round-trip bit-exactly; on
 input a JSON integer is accepted too.  Unknown keys are rejected so that
 typos fail loudly.  `dump` streams the CLI's indented output; `encode`
-joins it.  A list whose rows a caller has already rendered from
-`row_pieces` travels as `TextRows` and is written as it is; a list of rows
-of exact ints or exact strs is rendered the same way, one block of rows at
-a time, and written by the same loop.
+joins it.  A list whose rows a caller renders itself, with `row_pieces`,
+travels as `TextRows`: rows that are finished text are written as they
+are, other rows go through the caller's render one block at a time, so
+the whole text is never held.  A list of rows of exact ints or exact strs
+is rendered the same way, one block of rows at a time, and written by the
+same loop.
 """
 
 from __future__ import annotations
@@ -160,13 +162,15 @@ def row_pieces(depth: int, width: int) -> tuple[str, str, str]:
 
 
 class TextRows:
-    """A list at depth whose rows are finished text, built from
-    row_pieces(depth, width); dump writes them as they are and raises
+    """A list at depth whose rows are text for that depth, built from
+    row_pieces(depth, width) or the like: finished strs, or, with render,
+    any objects that render turns into that text, called on one _BLOCK of
+    rows at a time just before the block is written.  dump raises
     AssertionError if the list sits at another depth."""
-    __slots__ = ("depth", "rows")
+    __slots__ = ("depth", "rows", "render")
 
-    def __init__(self, depth: int, rows: list[str]):
-        self.depth, self.rows = depth, rows
+    def __init__(self, depth: int, rows: list, render=None):
+        self.depth, self.rows, self.render = depth, rows, render
 
 
 _string = json.encoder.encode_basestring_ascii
@@ -217,7 +221,7 @@ def _write(obj, out: list, nl: str, write) -> None:
         if len(nl) // 2 != obj.depth:  # nl is a newline and two spaces a level
             raise AssertionError(f"rows rendered for depth {obj.depth} written at "
                                  f"depth {len(nl) // 2}")
-        _write_text_rows(obj.rows, out, nl, write)
+        _write_text_rows(obj.rows, out, nl, write, obj.render)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

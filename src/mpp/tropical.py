@@ -13,7 +13,8 @@ partial cell is dropped at once; no linear program is solved.  A cell is its
 cone alone: its facets, dimension and tight base rows are read off the
 cone's zero sets against the base H-rep.  Vertices stay integer rows
 (VRep.rows) throughout: subdivision cells are keyed by vertex bitmasks,
-covectors are read off integer witnesses, and Fractions are built once per
+their tight rows and covectors are ANDs of per-vertex masks, compared in
+integers once per subdivision vertex, and Fractions are built once per
 subdivision vertex, for the returned cells.  The ideal-chain cells
 (ideal_chain_cells, a library function that no command prints), the marked
 analogue of Stanley's subdivision of the order polytope by chains of order
@@ -38,7 +39,7 @@ from .family import (Parameter, _row_writer, hrep_general, hypercube_vertices,
 from . import geometry
 from .geometry import (Cone, HRep, TooLarge, UnsupportedUnbounded, VRep,
                        _bits, _dimension, facet_masks, homogenization_cone, iter_faces,
-                       vertices)
+                       vertex_tight, vertices)
 from .linalg import _primitive, common_denominator, dehomogenized
 from .poset import MarkedPoset, _grow_ideals, require_valid
 
@@ -174,28 +175,47 @@ def _base_data(poset: MarkedPoset) -> tuple[HRep, Cone]:
 
 def _covector_forms(poset: MarkedPoset, arr: TropicalArrangement, coords):
     """The hyperplanes of arr = arrangement(poset), by name, each with its
-    terms (q, j, a): max_q x_q has no constants, and at the homogeneous point
-    w = (w0, w0 x) of the projected coordinates x_q is a * w[j] / (L * w0),
-    L the denominator of the marking (j = 0 for a marked q)."""
+    terms (q, j, a) in sorted-name order: max_q x_q has no constants, and at
+    the homogeneous point w = (w0, w0 x) of the projected coordinates x_q is
+    a * w[j] / (L * w0), L the denominator of the marking (j = 0 for a
+    marked q)."""
     index = {e: 1 + i for i, e in enumerate(coords)}
     den, marks = poset._integral_marking
     return [(r, [(q, index[q], den) if q in index else (q, 0, marks[q])
-                 for q in form.support])
+                 for q in sorted(form.support)])
             for r, form in arr.hyperplanes]
 
 
-def _covector_at(forms, rows) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """The canonical covector (per hyperplane its sorted argmax terms) at the
-    barycenter of integer rows over one denominator, compared in integers:
-    their sum w is the barycenter as a homogeneous point."""
-    w = tuple(map(sum, zip(*rows)))
-    out = []
-    for r, terms in forms:
+def _argmax_mask(forms, w) -> int:
+    """The terms of forms that attain their hyperplane's max at the
+    homogeneous integer point w, w[0] > 0, compared in integers: one mask
+    over every term, hyperplane after hyperplane (bit o + k for the k-th
+    term of a hyperplane whose predecessors have o terms)."""
+    mask = o = 0
+    for _, terms in forms:
         values = [a * w[j] for _, j, a in terms]
         best = max(values)
-        out.append((r, tuple(sorted(q for (q, _, _), value in zip(terms, values)
-                                    if value == best))))
+        for k, value in enumerate(values):
+            if value == best:
+                mask |= 1 << o + k
+        o += len(terms)
+    return mask
+
+
+def _argmax_names(forms, mask) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The canonical covector (per hyperplane its sorted argmax terms) of a
+    mask of _argmax_mask."""
+    out = []
+    for r, terms in forms:
+        out.append((r, tuple(q for k, (q, _, _) in enumerate(terms) if mask >> k & 1)))
+        mask >>= len(terms)
     return tuple(out)
+
+
+def _covector_at(forms, rows) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The canonical covector at the barycenter of integer rows over one
+    denominator: their sum is the barycenter as a homogeneous point."""
+    return _argmax_names(forms, _argmax_mask(forms, tuple(map(sum, zip(*rows)))))
 
 
 def tropical_cells(poset: MarkedPoset) -> list[SubdivisionCell]:
@@ -229,21 +249,36 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
     maximal cell's depth-first walk (iter_faces) is keyed by its vertex mask
     over one global index of the subdivision vertices (their primitive
     integer rows), so a face shared by maximal cells is kept once.  The walk
-    gives its dimension; its tight base rows and its facets come from
-    facet_masks(base, v), which reads the cell's sector rows off its cone.
-    Cells sort by (dim, vertices) through the ranks of the vertices, whose
-    Fractions are built once.  Raises TooLarge once more than FACE_GATE
-    distinct cells are found.
+    gives its dimension.  Its tight base rows are the AND of its vertices'
+    masks (vertex_tight of the cell's facet_masks), and its covector is, per
+    hyperplane, the AND of its vertices' argmax masks (_argmax_mask, one
+    per subdivision vertex): the face lies in its maximal cell's closed
+    sector, whose m is a maximizer at every vertex, so by linearity a term
+    attains the max at the barycenter exactly when it does so at every
+    vertex.  Cells sort by (dim, vertices) through the ranks of the
+    vertices, whose Fractions are built once, and equal covectors are one
+    tuple.  Raises TooLarge once more than FACE_GATE distinct cells are
+    found.
     """
     base, root = _base_data(poset)
     arr = arrangement(poset)
+    forms = _covector_forms(poset, arr, base.coords)
     index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> global id
-    found: dict[int, tuple] = {}  # global vertex mask -> (dim, global ids, tight)
+    argmax: list[int] = []  # global id -> its _argmax_mask
+    found: dict[int, tuple] = {}  # global vertex mask -> (dim, tight, argmax)
     for cone in _covector_cells(poset, arr, base, root):
         v = cone.vrep()
-        ids = [index.setdefault(_primitive(r), len(index)) for r in v.rows]
+        ids = []
+        for r in v.rows:
+            r = _primitive(r)
+            if r not in index:
+                index[r] = len(argmax)
+                argmax.append(_argmax_mask(forms, r))
+            ids.append(index[r])
         bits = [1 << i for i in ids]
+        at = [argmax[i] for i in ids]
         masks, facets, _ = facet_masks(base, v)
+        tight_at = vertex_tight(masks, len(ids))
         for k, batch in iter_faces(v, facets, _dimension(base, v)):
             for f in batch:
                 local = _bits(f)
@@ -252,20 +287,24 @@ def tropical_subdivision(poset: MarkedPoset) -> list[SubdivisionCell]:
                     if len(found) == geometry.FACE_GATE:
                         raise TooLarge(f"tropical subdivision holds more than "
                                        f"{geometry.FACE_GATE} cells")
-                    found[key] = (k, [ids[i] for i in local],
-                                  frozenset(j for j, m in enumerate(masks) if f & m == f))
+                    tight = cov = -1
+                    for i in local:
+                        tight &= tight_at[i]
+                        cov &= at[i]
+                    found[key] = (k, tight, cov)
     rows = common_denominator(list(index))
     rank = [0] * len(rows)
     for pos, i in enumerate(sorted(range(len(rows)), key=rows.__getitem__)):
         rank[i] = pos
     points = dehomogenized(rows)
-    forms = _covector_forms(poset, arr, base.coords)
+    covectors: dict[int, tuple] = {}  # argmax mask -> covector
     cells = []
-    for dim, ids, tight in found.values():
-        ids.sort(key=rank.__getitem__)
-        cell = SubdivisionCell(tuple(points[i] for i in ids), dim,
-                               _covector_at(forms, [rows[i] for i in ids]),
-                               tight, ("tropical",))
+    for key, (dim, tight, cov) in found.items():
+        ids = sorted(_bits(key), key=rank.__getitem__)
+        if cov not in covectors:
+            covectors[cov] = _argmax_names(forms, cov)
+        cell = SubdivisionCell(tuple(points[i] for i in ids), dim, covectors[cov],
+                               frozenset(_bits(tight)), ("tropical",))
         cells.append(((dim, [rank[i] for i in ids]), cell))
     cells.sort(key=lambda item: item[0])
     return [cell for _, cell in cells]

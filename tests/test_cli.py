@@ -12,13 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_double_star, make_ex52_rational, make_grid, random_hrep
+from conftest import (make_chain_poset, make_double_star, make_ex52, make_ex52_rational,
+                      make_grid, random_hrep)
 from mpp import family, lattice, tropical
 from mpp.cli import _emit, main
 from mpp.family import hrep_general, zero_parameter
 from mpp.jsonio import encode, jsonable, poset_from_json, poset_to_json
 from mpp.lattice import lattice_points
-from mpp.poset import is_regular
+from mpp.poset import MarkedPoset, is_regular
+from mpp.rationals import rat_str
 
 EX52 = {"elements": ["0", "2", "3", "4", "p", "q", "r"],
         "covers": [["0", "p"], ["0", "q"], ["p", "r"], ["q", "r"],
@@ -193,6 +195,49 @@ def test_subdivision_with_off(ex52_file, tmp_path):
     data = json.loads(proc.stdout)
     assert len(data["vertices"]) == 14
     assert off.read_text().startswith("OFF")
+
+
+def dict_per_cell_payload(cells) -> dict:
+    """The subdivision payload with one dict per cell, for the generic
+    writer: the rendering oracle of cmd_subdivision's text rows."""
+    shared = {id(p): p for c in cells for p in c.vertices}
+    text = {key: [rat_str(x) for x in p] for key, p in shared.items()}
+    return {"command": "subdivision", "kind": "tropical",
+            "cells": [{"vertices": [text[id(p)] for p in c.vertices],
+                       "dim": c.dim,
+                       "covector": {r: list(m) for r, m in c.covector},
+                       "tight": sorted(c.tight),
+                       "origin": list(c.origin)} for c in cells],
+            "vertices": [[rat_str(x) for x in p] for p in sorted(set(shared.values()))]}
+
+
+def escaped_ex52() -> MarkedPoset:
+    """ex52 with element names that JSON escapes: a quote, a backslash, a
+    non-ASCII letter and a tab, in the hyperplane's name and its terms."""
+    names = {"p": 'p"', "q": "q\\", "r": "r\té", "2": "é2"}
+    poset = make_ex52()
+    return MarkedPoset(tuple(names.get(e, e) for e in poset.elements),
+                       frozenset((names.get(a, a), names.get(b, b)) for a, b in poset.covers),
+                       {names.get(e, e): x for e, x in poset.marking.items()})
+
+
+@pytest.mark.parametrize("make", [make_ex52, make_double_star, lambda: make_grid(2, 3),
+                                  lambda: make_grid(3, 3), make_ex52_rational,
+                                  make_chain_poset, escaped_ex52],
+                         ids=["ex52", "dstar", "grid2x3", "grid3x3", "ex52-rational",
+                              "chain", "escaped"])
+def test_subdivision_text_rows_equal_the_dict_per_cell_payload(make, tmp_path, capsys):
+    poset = make()
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset_to_json(poset)))
+    assert main(["subdivision", str(path)]) == 0
+    cells = tropical.tropical_subdivision(poset)
+    out = capsys.readouterr().out
+    assert out == encode(dict_per_cell_payload(cells)) + "\n"
+    if make is make_chain_poset:  # no hyperplane: one maximal cell, its faces
+        assert {c.covector for c in cells} == {()} and '"covector": {},' in out
+    if make is escaped_ex52:
+        assert '"r\\t\\u00e9": [' in out and '"p\\"",' in out
 
 
 def test_subdivision_has_no_ideal_chain_option(ex52_file, capsys):

@@ -301,6 +301,27 @@ def test_text_rows_are_written_in_blocks():
     assert len(chunks) >= 10 and max(map(len, chunks)) < len("".join(chunks)) // 4
 
 
+@pytest.mark.parametrize("n", [0, 1, 3 * BLOCK + 5], ids=["none", "one-row", "blocks"])
+def test_rendered_text_rows_write_as_the_generic_writer_one_block_at_a_time(n):
+    # the rows are ints, each rendered to the text of the row [i, -i, "i"]
+    # only when its block is written, never all of them before the first write
+    start, sep, close = jsonio.row_pieces(1, 3)
+    rendered, chunks = [], []
+
+    def render(i):
+        rendered.append(i)
+        return start + sep.join([str(i), str(-i), jsonio._string(str(i))]) + close
+
+    def write(chunk):
+        if not chunks:
+            assert len(rendered) <= BLOCK
+        chunks.append(chunk)
+
+    dump({"points": jsonio.TextRows(1, list(range(n)), render)}, write)
+    assert "".join(chunks) == reference({"points": [[i, -i, str(i)] for i in range(n)]})
+    assert rendered == list(range(n))
+
+
 @pytest.mark.parametrize("depth", [0, 2])
 def test_text_rows_at_another_depth_are_refused(depth):
     with pytest.raises(AssertionError, match=f"depth {depth} written at depth 1"):

@@ -185,6 +185,43 @@ def test_cell_dim_and_tight_rows_match_evaluation(cells_of):
                                           for r, m in sorted(covector(arr, full).items()))
 
 
+def _scanned_faces(poset) -> dict:
+    """vertex set -> tight base rows of each face of each maximal cell, by
+    the scan over every inequality that the vertex masks replace: the rows
+    whose facet mask holds the face's."""
+    from mpp.geometry import _bits, _dimension, facet_masks, iter_faces
+    from mpp.tropical import _base_data, _covector_cells
+    base, root = _base_data(poset)
+    tight = {}
+    for cone in _covector_cells(poset, arrangement(poset), base, root):
+        v = cone.vrep()
+        masks, facets, _ = facet_masks(base, v)
+        for _, batch in iter_faces(v, facets, _dimension(base, v)):
+            for f in batch:
+                tight.setdefault(frozenset(v.vertices[i] for i in _bits(f)),
+                                 frozenset(j for j, m in enumerate(masks) if f & m == f))
+    return tight
+
+
+@pytest.mark.parametrize("make", [make_ex52, make_double_star, lambda: make_grid(2, 3),
+                                  lambda: make_grid(3, 3), make_ex52_rational],
+                         ids=["ex52", "dstar", "grid2x3", "grid3x3", "ex52-rational"])
+def test_cell_masks_equal_the_barycenter_covector_and_the_inequality_scan(make):
+    # the covector ANDed over the vertices' argmax masks is the one read at
+    # the barycenter of the vertex rows; the tight rows ANDed over the
+    # vertices' masks are those of the scan
+    from mpp.tropical import _base_data, _covector_at, _covector_forms
+    poset = make()
+    base, _ = _base_data(poset)
+    forms = _covector_forms(poset, arrangement(poset), base.coords)
+    scanned = _scanned_faces(poset)
+    cells = tropical_subdivision(poset)
+    assert len(cells) == len(scanned)
+    for cell in cells:
+        assert cell.covector == _covector_at(forms, homogenized(cell.vertices))
+        assert cell.tight == scanned[frozenset(cell.vertices)]
+
+
 def test_subdivision_cells_partition_volume(ex52):
     # exact normalized volumes via Ehrhart leading coefficients
     base = hrep_general(ex52, zero_parameter(ex52))
