@@ -18,21 +18,19 @@ import importlib
 # submodule -> the public names it provides
 _EXPORTS = {
     "family": (
-        "Parameter", "Partition", "chain_tight", "eliminate_redundancy", "facet_count",
-        "facet_count_delta", "generic_parameter", "hrep_chain_order", "hrep_general",
-        "hypercube_vertices", "is_tame", "maximizing_relation", "parameter_of_partition",
-        "partition_of_parameter", "transfer_phi", "transfer_phi_projected", "transfer_psi",
-        "transfer_psi_closed", "transfer_psi_projected", "transfer_theta",
-        "transfer_theta_projected", "unimodular_move", "zero_parameter", "one_parameter"),
+        "Parameter", "Partition", "eliminate_redundancy", "facet_count", "facet_count_delta",
+        "generic_parameter", "hrep_chain_order", "hrep_general", "hypercube_vertices",
+        "is_tame", "parameter_of_partition", "partition_of_parameter", "transfer_phi",
+        "transfer_phi_projected", "transfer_psi", "transfer_psi_projected", "transfer_theta",
+        "transfer_theta_projected", "zero_parameter", "one_parameter"),
     "geometry": (
-        "AffineMap", "Constraint", "EmptyPolyhedron", "Face", "FaceLattice", "HRep", "VRep",
-        "apply_affine", "face_counts", "face_lattice", "make_hrep", "substitute", "vertices",
-        "vertices_bruteforce"),
+        "Constraint", "EmptyPolyhedron", "Face", "FaceLattice", "HRep", "VRep", "face_counts",
+        "face_lattice", "make_hrep", "vertices", "vertices_bruteforce"),
     "lattice": ("EhrhartData", "ehrhart", "is_integrally_closed", "lattice_points"),
     "poset": (
         "MarkedPoset", "SaturatedChain", "constant_intervals", "contract_constant_intervals",
-        "is_ranked", "is_regular", "rank_function", "regularize", "remove_redundant_covers",
-        "saturated_chains_to", "star_elements", "validate"),
+        "is_regular", "regularize", "remove_redundant_covers", "saturated_chains_to",
+        "star_elements", "validate"),
     "tropical": (
         "TropicalArrangement", "TropicalForm", "arrangement", "covector", "generic_vertices",
         "ideal_chain_cells", "subdivision_vertices", "tropical_subdivision"),

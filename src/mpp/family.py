@@ -1,13 +1,13 @@
 """The parametrized family O_t(P, lambda): inequality descriptions for any
 parameter in the hypercube, the piecewise-linear transfer maps between family
-members, tightness predicates, redundancy elimination, and tameness.
+members, redundancy elimination, and tameness.
 
 Both inequality descriptions are written in one pass by one row builder
 (`_hrep`) as integer rows: each row goes straight into its final
 coordinates, a marked term into the right-hand side when projected, over
 one common denominator of t and one of the marking.  Chain weights are
 suffix products of the numerators of t along the chain; the chains come
-from the tails cached on the poset.
+from the walker cached on the poset.
 
 Redundancy and tameness are read off the double description, with no LP:
 each inequality's tight vertices and recession rays form a bitmask, and the
@@ -28,10 +28,9 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .geometry import (AffineMap, EmptyPolyhedron, HRep, TooLarge, VRep, facet_masks,
-                       vertices)
-from .poset import (MarkedPoset, PosetError, SaturatedChain, chain_counts, chain_walker,
-                    chains_through, require_valid, saturated_chains_to)
+from .geometry import EmptyPolyhedron, HRep, TooLarge, VRep, facet_masks, vertices
+from .poset import (MarkedPoset, PosetError, chain_counts, chains_through, require_valid,
+                    saturated_chains_to)
 from .rationals import rat
 from .records import Frozen
 
@@ -285,7 +284,7 @@ def _theta_kernel(poset: MarkedPoset, t: Parameter | None, t2: Parameter | None)
 
 def _transfer(poset: MarkedPoset, t, t2, x) -> dict[str, Fraction]:
     """theta_{t,t2}(x) on the full space R^P through the integer kernel."""
-    xs = [Fraction(x[e]) for e in poset.elements]
+    xs = [rat(x[e]) for e in poset.elements]
     den = math.lcm(*(v.denominator for v in xs))
     scale, run = _theta_kernel(poset, t, t2)
     out = run([[v.numerator * (den // v.denominator) * scale] for v in xs])
@@ -303,30 +302,6 @@ def transfer_psi(poset: MarkedPoset, t: Parameter, y) -> dict[str, Fraction]:
     """Inverse of phi_t: psi_t(y)_p = y_p + t_p max_{q < p} psi_t(y)_q, along a
     linear extension."""
     return _transfer(poset, t, None, y)
-
-
-def transfer_psi_closed(poset: MarkedPoset, t: Parameter, y) -> dict[str, Fraction]:
-    """Closed form of psi_t: max over saturated chains ending at p of the
-    t-weighted partial sums.  Kept independent of the kernel as an oracle."""
-    tails = poset.chain_tails
-    out: dict[str, Fraction] = {}
-    for p in poset.elements:
-        if p in poset.marked:
-            out[p] = Fraction(y[p])
-            continue
-        best = None
-        for chain in tails[p]:
-            acc = ZERO
-            r = len(chain) - 1
-            for i, e in enumerate(chain):
-                w = Fraction(y[e])
-                for j in range(i + 1, r + 1):
-                    w *= t[chain[j]]
-                acc += w
-            if best is None or acc > best:
-                best = acc
-        out[p] = best
-    return out
 
 
 def transfer_theta(poset: MarkedPoset, t: Parameter, t2: Parameter, y) -> dict[str, Fraction]:
@@ -368,13 +343,13 @@ def iota(poset: MarkedPoset, x) -> dict[str, Fraction]:
     """Fill the marked coordinates with their marking values."""
     out = {a: poset.marking[a] for a in poset.marking}
     for p in poset.unmarked:
-        out[p] = Fraction(x[p])
+        out[p] = rat(x[p])
     return out
 
 
 def project(poset: MarkedPoset, x) -> dict[str, Fraction]:
     """Keep the unmarked coordinates."""
-    return {p: Fraction(x[p]) for p in poset.unmarked}
+    return {p: rat(x[p]) for p in poset.unmarked}
 
 
 # The projected maps act on R^unmarked: the marked coordinates come from the
@@ -393,47 +368,6 @@ def transfer_psi_projected(poset, t, y):
 def transfer_theta_projected(poset, t, t2, y):
     """theta_{t,t'} on the projected coordinates."""
     return project(poset, transfer_theta(poset, t, t2, iota(poset, y)))
-
-
-# -- maximizing relation and tightness ----------------------------------------
-
-def maximizing_relation(poset: MarkedPoset, x) -> frozenset[tuple[str, str]]:
-    """All pairs (q, p) with q < p a cover and x_q maximal among covers of p."""
-    pairs = set()
-    for p in poset.elements:
-        lows = poset.lower_covers(p)
-        if lows:
-            mx = max(Fraction(x[q]) for q in lows)
-            pairs.update((q, p) for q in lows if Fraction(x[q]) == mx)
-    return frozenset(pairs)
-
-
-def chain_tight(poset: MarkedPoset, t: Parameter, x, chain: SaturatedChain) -> bool:
-    """Whether the chain's inequality is tight at phi_t(x), for x in O(P, lambda).
-
-    Evaluates the pullback conditions: either t_p = 1 and x_p maximal among its
-    covers, or t_p < 1, x constant on the chain's last step, and the maximizing
-    relation holds from the first index after which all t_{p_i} are positive.
-    """
-    x = {e: Fraction(x[e]) for e in poset.elements}
-    p = chain.target
-    mx = max(x[q] for q in poset.lower_covers(p))
-    if p not in poset.marked and t[p] == 1:
-        return x[p] == mx
-    below = chain.below
-    r = len(below) - 1
-    if x[p] != x[below[r]]:
-        return False
-    k = r + 1
-    for i in range(r, 0, -1):
-        if t[below[i]] > 0:
-            k = i
-        else:
-            break
-    for i in range(k, r + 1):
-        if x[below[i - 1]] != max(x[q] for q in poset.lower_covers(below[i])):
-            return False
-    return True
 
 
 # -- redundancy elimination and tameness ---------------------------------------
@@ -499,38 +433,3 @@ def facet_count_delta(poset: MarkedPoset, part: Partition, q: str) -> int:
         raise PosetError(f"{q} is not an order element of the partition")
     down, up = chain_counts(poset, part.C, part.O)
     return (down[q] - 1) * (up[q] - 1)
-
-
-def unimodular_move(poset: MarkedPoset, part: Partition, q: str) -> AffineMap | None:
-    """Unimodular map carrying O_{C,O} onto O_{C+q,O-q} when q is not a
-    chain-order star element; None when no such single-chain map applies.
-
-    Works on the projected coordinates; marked chain endpoints contribute to
-    the translation part.
-    """
-    check_partition(poset, part)
-    stops = poset.marked | part.O
-    down = chain_walker(poset, part.C, stops)(q)
-    up = chain_walker(poset, part.C, stops, upward=True)(q)
-    coords = tuple(poset.unmarked)
-    index = {e: i for i, e in enumerate(coords)}
-    n = len(coords)
-    row = [ZERO] * n
-    offset = [ZERO] * n
-    # the single chain below q, or failing that above it, with the sign of q
-    if len(down) == 1:
-        sign, (s, *mids) = ONE, down[0]
-    elif len(up) == 1:
-        sign, (*mids, s) = -ONE, up[0]
-    else:
-        return None
-    row[index[q]] = sign
-    for m in mids:
-        row[index[m]] -= ONE
-    if s in poset.marked:
-        offset[index[q]] = -sign * poset.marking[s]
-    else:
-        row[index[s]] -= sign
-    matrix = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    matrix[index[q]] = row
-    return AffineMap(coords, tuple(tuple(r) for r in matrix), tuple(offset))

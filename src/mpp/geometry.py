@@ -25,9 +25,9 @@ unstored.  The face holding a point in its relative interior is looked up
 by the point's tight inequalities, for a batch of points at once, one pass
 per inequality over their columns.
 
-Constraint, HRep, VRep, Cone, Face, FaceLattice and AffineMap are immutable
-records (see mpp.records): named tuples, so each also iterates, sorts and
-equals the plain tuple of its fields.
+Constraint, HRep, VRep, Cone, Face and FaceLattice are immutable records
+(see mpp.records): named tuples, so each also iterates, sorts and equals
+the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .linalg import (ZERO, ONE, _eliminate, _idot, _primitive, common_denominator,
-                     dehomogenized, dot, homogenized)
+from .linalg import (_eliminate, _idot, _primitive, common_denominator, dehomogenized, dot,
+                     homogenized)
+from .rationals import rat
 from .records import Frozen
 
 
@@ -66,10 +67,6 @@ class UnsupportedLineality(GeometryError):
 
 
 class NonLatticeVertices(GeometryError):
-    pass
-
-
-class SingularMap(GeometryError):
     pass
 
 
@@ -142,9 +139,9 @@ class HRep(Frozen, namedtuple("HRep", "coords scaled_equations scaled_inequaliti
 
 
 def _scaled(coeffs, rhs, origin):
-    """(row, S, origin) of a . x (= or <=) rhs, the values rationals or
-    converted to Fraction: S is their least common denominator."""
-    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (rhs, *coeffs)]
+    """(row, S, origin) of a . x (= or <=) rhs, each value read by
+    rationals.rat: S is their least common denominator."""
+    values = [rat(x) for x in (rhs, *coeffs)]
     values[0] = -values[0]
     scale = math.lcm(*(x.denominator for x in values))
     return tuple(x.numerator * (scale // x.denominator) for x in values), scale, tuple(origin)
@@ -684,59 +681,3 @@ def face_lattice(h: HRep, v: VRep) -> FaceLattice:
     found.sort(key=lambda face: face[:2])
     return FaceLattice(v.rows, tuple(Face(frozenset(ids), tight, dim)
                                      for dim, ids, tight in found))
-
-
-# -- affine maps ---------------------------------------------------------------
-
-class AffineMap(namedtuple("AffineMap", "coords matrix offset")):
-    """y = matrix . x + offset on a fixed coordinate list."""
-
-    __slots__ = ()
-    coords: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    offset: tuple[Fraction, ...]
-
-    @classmethod
-    def identity(cls, coords) -> "AffineMap":
-        coords = tuple(coords)
-        n = len(coords)
-        return cls(coords,
-                   tuple(tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)),
-                   tuple([ZERO] * n))
-
-
-def _pulled_back(h: HRep, coords, xs) -> HRep:
-    """h in new coordinates y (named coords), each old coordinate x_i given
-    as the rational row xs[i] with x_i = xs[i] . (1, y): each scaled integer
-    row R on (1, x) becomes R T on (1, y), T = [(1, 0, ..., 0)] + xs over its
-    common denominator.  Constant rows are checked."""
-    hom = [(ONE,) + (ZERO,) * len(coords)] + list(xs)
-    den = math.lcm(*(x.denominator for r in hom for x in r))
-    cols = tuple(zip(*([x.numerator * (den // x.denominator) for x in r] for r in hom)))
-
-    def pulled(rows):
-        return [(tuple(_idot(row, c) for c in cols), scale * den, origin)
-                for row, scale, origin in rows]
-
-    return HRep(coords).with_rows(pulled(h.scaled_equations), pulled(h.scaled_inequalities))
-
-
-def apply_affine(amap: AffineMap, h: HRep) -> HRep:
-    """Exact image of the polyhedron under an invertible affine map y = M x + b,
-    pulled back through x = M^-1 y - M^-1 b.  The map must be declared on
-    h's coordinates, in h's order."""
-    if tuple(amap.coords) != h.coords:
-        raise ValueError(f"affine map on {amap.coords} applied to an H-rep on {h.coords}")
-    inv = linalg.inverse(amap.matrix)
-    if inv is None:
-        raise SingularMap("affine map is not invertible")
-    return _pulled_back(h, h.coords, [(-dot(r, amap.offset),) + tuple(r) for r in inv])
-
-
-def substitute(h: HRep, fixed: dict[str, Fraction]) -> HRep:
-    """Eliminate coordinates pinned to constants; constant rows are checked."""
-    keep = tuple(c for c in h.coords if c not in fixed)
-    zeros = (ZERO,) * len(keep)
-    return _pulled_back(h, keep, [
-        (Fraction(fixed[c]),) + zeros if c in fixed
-        else (ZERO,) + tuple(ONE if k == c else ZERO for k in keep) for c in h.coords])

@@ -2,8 +2,8 @@
 
 `_eliminate` makes a list of primitive integer lines orthogonal to one more
 row (Bareiss 1968, each new line divided by its gcd).  `kernel` runs it from
-the unit vectors over every row; ranks, nullspaces, solves and inverses read
-its result, and double description runs it on its equations and lines.
+the unit vectors over every row; ranks, nullspaces and solves read its
+result, and double description runs it on its equations and lines.
 Fraction rows are scaled to integers first, and no floating point is used.
 """
 
@@ -14,10 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
-Matrix = tuple[Vector, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def dot(a, b) -> Fraction:
@@ -111,13 +109,6 @@ def solve_unique(a_rows, b) -> Vector | None:
     if len(ker) != 1 or not ker[0][n]:
         return None
     return tuple(Fraction(x, ker[0][n]) for x in ker[0][:n])
-
-
-def inverse(a_rows) -> Matrix | None:
-    """Inverse of a square matrix, or None if singular."""
-    n = len(a_rows)
-    cols = [solve_unique(a_rows, [int(i == j) for i in range(n)]) for j in range(n)]
-    return None if None in cols else tuple(zip(*cols))
 
 
 def homogenized(points) -> list[tuple[int, ...]]:

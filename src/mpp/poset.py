@@ -1,7 +1,7 @@
 """Finite marked posets: validation, saturated chains, the order ideals
-that chains of level sets pass, and the regularizing transformations
+that chains of level sets pass, the regularizing transformations
 (contraction of constant intervals, removal of redundant covering
-relations), plus rank functions and star elements.
+relations) and star elements.
 
 Element identifiers are opaque strings; marking values are exact rationals.
 All set-valued results come back in lexicographic element order.  Instances
@@ -9,12 +9,12 @@ are immutable and hashable (the marking is a read-only mapping), so their
 order is derived once and cached on them: the cover lists, Kahn's linear
 extension (which also tells acyclicity), the down-sets `_below` as bits
 along it (the one form of the order), the validation report (linear in the
-order relation), the marking over one denominator, the chain tails and the
-levels of order ideals.  One memoized walker, `chain_walker`, lists every
-saturated-chain family; one loop, `_grow_ideals`, grows the order ideals of
-a level, for the Ehrhart counts at t = 0 and the ideal chains alike.  |P|
-itself is not capped: the steps that grow super-polynomially with it run
-under their own budgets.
+order relation), the marking over one denominator, the walker of the
+inequalities' chains and the levels of order ideals.  One memoized walker,
+`chain_walker`, lists every saturated-chain family; one loop,
+`_grow_ideals`, grows the order ideals of a level, for the Ehrhart counts
+at t = 0 and the ideal chains alike.  |P| itself is not capped: the steps
+that grow super-polynomially with it run under their own budgets.
 
 SaturatedChain and MarkedPoset are immutable records (see mpp.records):
 named tuples, so each also iterates, sorts and equals the plain tuple of
@@ -234,15 +234,6 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         through unmarked elements to the first marked one."""
         return chain_walker(self, self.unmarked, self.marked)
 
-    @cached_property
-    def chain_tails(self) -> dict[str, tuple[tuple[str, ...], ...]]:
-        """For each element e, the saturated chains p_0 < ... < p_r = e with
-        p_0 marked and all interior elements unmarked, in lexicographic order
-        (a marked e gets the trivial chain)."""
-        walk = self._tail_walk
-        return {e: ((e,),) if e in self.marked else tuple(w + (e,) for w in walk(e))
-                for e in self.elements}
-
 
 def _grow_ideals(free, start: int, limit: int) -> list[int]:
     """The ideals of a level (MarkedPoset._ideal_levels) that contain start,
@@ -434,37 +425,3 @@ def regularize(poset: MarkedPoset) -> tuple[MarkedPoset, dict[str, str]]:
     """Contract constant intervals, then drop redundant covers."""
     contracted, elem_map = contract_constant_intervals(poset)
     return remove_redundant_covers(contracted), elem_map
-
-
-# -- rank functions ----------------------------------------------------------
-
-def rank_function(poset: MarkedPoset) -> dict[str, int] | None:
-    """Rank function with min rank 0 per connected component, or None.
-
-    Requires rk(p) + 1 = rk(q) for covers and lambda strictly increasing
-    across ranks of marked elements.
-    """
-    require_valid(poset)
-    rk: dict[str, int] = {}
-    for start in poset.elements:
-        if start in rk:
-            continue
-        comp, stack = {start: 0}, [start]
-        while stack:
-            e = stack.pop()
-            for others, want in ((poset.upper_covers(e), comp[e] + 1),
-                                 (poset.lower_covers(e), comp[e] - 1)):
-                for other in others:
-                    if other not in comp:
-                        comp[other] = want
-                        stack.append(other)
-                    elif comp[other] != want:
-                        return None
-        low = min(comp.values())
-        rk.update((e, r - low) for e, r in comp.items())
-    m = poset.marking
-    return None if any(rk[a] < rk[b] and not m[a] < m[b] for a in m for b in m) else rk
-
-
-def is_ranked(poset: MarkedPoset) -> bool:
-    return rank_function(poset) is not None

@@ -1,6 +1,6 @@
 """Immutable records.
 
-Every record type of the package (MarkedPoset, HRep, Face, Parameter and 13
+Every record type of the package (MarkedPoset, HRep, Face, Parameter and 12
 more) is a subclass of a `collections.namedtuple` of its fields, which needs
 no module beyond what every interpreter loads.  A record is built by
 position or by keyword, compares and hashes over its fields, prints as

@@ -42,6 +42,7 @@ from .geometry import (Cone, HRep, TooLarge, UnsupportedUnbounded, VRep,
                        vertex_tight, vertices)
 from .linalg import _primitive, common_denominator, dehomogenized
 from .poset import MarkedPoset, _grow_ideals, require_valid
+from .rationals import rat
 
 ZERO = Fraction(0)
 
@@ -61,11 +62,11 @@ class TropicalForm(namedtuple("TropicalForm", "coeffs")):
         return tuple(name for name, _ in self.coeffs)
 
     def value(self, x) -> Fraction:
-        return max(Fraction(x[name]) + c for name, c in self.coeffs)
+        return max(rat(x[name]) + c for name, c in self.coeffs)
 
     def signature(self, x) -> frozenset[str]:
         best = self.value(x)
-        return frozenset(name for name, c in self.coeffs if Fraction(x[name]) + c == best)
+        return frozenset(name for name, c in self.coeffs if rat(x[name]) + c == best)
 
 
 class TropicalArrangement(namedtuple("TropicalArrangement", "hyperplanes")):

@@ -15,8 +15,8 @@ from mpp.geometry import (Constraint, EmptyPolyhedron, HRep, face_lattice, make_
                           vertices)
 from mpp.linalg import homogenized
 from mpp.rationals import rat_str
-from mpp.poset import (MarkedPoset, chains_through, remove_redundant_covers,
-                       saturated_chains_to, validate)
+from mpp.poset import (MarkedPoset, chain_walker, chains_through, remove_redundant_covers,
+                       require_valid, saturated_chains_to, validate)
 from mpp.tropical import _difference
 
 
@@ -160,8 +160,6 @@ def random_ranked_regular_poset(rnd: random.Random, levels: int = 3,
     destroy rankedness, so draws are retried until the result is still ranked."""
     import warnings
 
-    from mpp.poset import rank_function
-
     while True:
         layer_sizes = [rnd.randint(1, max_width) for _ in range(levels)]
         names, layers = [], []
@@ -187,8 +185,40 @@ def random_ranked_regular_poset(rnd: random.Random, levels: int = 3,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = remove_redundant_covers(poset)
-        if rank_function(result) is not None:
+        if is_ranked(result):
             return result
+
+
+def rank_function(poset: MarkedPoset) -> dict[str, int] | None:
+    """Rank function with min rank 0 per connected component, or None.
+
+    Requires rk(p) + 1 = rk(q) for covers and lambda strictly increasing
+    across ranks of marked elements.
+    """
+    require_valid(poset)
+    rk: dict[str, int] = {}
+    for start in poset.elements:
+        if start in rk:
+            continue
+        comp, stack = {start: 0}, [start]
+        while stack:
+            e = stack.pop()
+            for others, want in ((poset.upper_covers(e), comp[e] + 1),
+                                 (poset.lower_covers(e), comp[e] - 1)):
+                for other in others:
+                    if other not in comp:
+                        comp[other] = want
+                        stack.append(other)
+                    elif comp[other] != want:
+                        return None
+        low = min(comp.values())
+        rk.update((e, r - low) for e, r in comp.items())
+    m = poset.marking
+    return None if any(rk[a] < rk[b] and not m[a] < m[b] for a in m for b in m) else rk
+
+
+def is_ranked(poset: MarkedPoset) -> bool:
+    return rank_function(poset) is not None
 
 
 def random_rat(rnd, lo, hi, den=4):
@@ -278,6 +308,62 @@ def fraction_theta_projected(poset: MarkedPoset, t, t2, y) -> dict:
     full = {**poset.marking, **{p: Fraction(y[p]) for p in poset.unmarked}}
     out = fraction_phi(poset, t2, fraction_psi(poset, t, full))
     return {p: out[p] for p in poset.unmarked}
+
+
+def transfer_psi_closed(poset: MarkedPoset, t, y) -> dict:
+    """Closed form of psi_t: at an unmarked p, the max over the saturated
+    chains c = (p_0, ..., p_r, p) of sum_i y_{c_i} times the product of t
+    over the elements after c_i.  Independent of the kernel and of the
+    recursion along a linear extension."""
+    out = {}
+    for p in poset.elements:
+        if p in poset.marked:
+            out[p] = Fraction(y[p])
+            continue
+        chains = [chain.below + (p,) for chain in saturated_chains_to(poset, p)]
+        out[p] = max(sum(Fraction(y[e]) * math.prod(t[f] for f in c[i + 1:])
+                         for i, e in enumerate(c)) for c in chains)
+    return out
+
+
+# -- the maximizing relation and the tightness lemma ------------------------------------
+
+def maximizing_relation(poset: MarkedPoset, x) -> frozenset[tuple[str, str]]:
+    """All pairs (q, p) with q < p a cover and x_q maximal among covers of p."""
+    pairs = set()
+    for p in poset.elements:
+        lows = poset.lower_covers(p)
+        if lows:
+            mx = max(x[q] for q in lows)
+            pairs.update((q, p) for q in lows if x[q] == mx)
+    return frozenset(pairs)
+
+
+def chain_tight(poset: MarkedPoset, t, x, chain) -> bool:
+    """Whether the chain's inequality is tight at phi_t(x), for x in O(P, lambda).
+
+    Evaluates the pullback conditions: either t_p = 1 and x_p maximal among its
+    covers, or t_p < 1, x constant on the chain's last step, and the maximizing
+    relation holds from the first index after which all t_{p_i} are positive.
+    """
+    p = chain.target
+    mx = max(x[q] for q in poset.lower_covers(p))
+    if p not in poset.marked and t[p] == 1:
+        return x[p] == mx
+    below = chain.below
+    r = len(below) - 1
+    if x[p] != x[below[r]]:
+        return False
+    k = r + 1
+    for i in range(r, 0, -1):
+        if t[below[i]] > 0:
+            k = i
+        else:
+            break
+    for i in range(k, r + 1):
+        if x[below[i - 1]] != max(x[q] for q in poset.lower_covers(below[i])):
+            return False
+    return True
 
 
 def make_ex52_rational() -> MarkedPoset:
@@ -385,41 +471,6 @@ def fraction_make_hrep(coords, equations, inequalities):
 
     return (tuple(coords), rows(equations, "equation", lambda rhs: rhs != 0),
             rows(inequalities, "inequality", lambda rhs: rhs < 0))
-
-
-def fraction_apply_affine(amap, h: HRep):
-    """apply_affine's (coords, equations, inequalities) in Fractions: each
-    a . x (= or <=) rhs becomes a' . y (= or <=) rhs + a' . b, a' = a M^-1.
-    M^-1 is read off the rref of [M | I], not from mpp.linalg's solver."""
-    n = len(amap.matrix)
-    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(amap.matrix)])
-    assert pivots == list(range(n)), "the map is not invertible"
-    inv_cols = tuple(zip(*(row[n:] for row in reduced)))
-
-    def dot(a, b):
-        return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-    def transform(c: Constraint) -> Constraint:
-        new_coeffs = tuple(dot(c.coeffs, col) for col in inv_cols)
-        shift = dot(new_coeffs, amap.offset)
-        return Constraint(new_coeffs, c.rhs + shift, c.origin)
-
-    return (h.coords, tuple(transform(c) for c in h.equations),
-            tuple(transform(c) for c in h.inequalities))
-
-
-def fraction_substitute(h: HRep, fixed):
-    """substitute's (coords, equations, inequalities) in Fractions, constant
-    rows checked as in fraction_make_hrep."""
-    keep = [i for i, c in enumerate(h.coords) if c not in fixed]
-    eqs, ineqs = [], []
-    for group, sink in ((h.equations, eqs), (h.inequalities, ineqs)):
-        for c in group:
-            shift = sum((c.coeffs[i] * Fraction(fixed[h.coords[i]])
-                         for i in range(len(h.coords)) if h.coords[i] in fixed), Fraction(0))
-            sink.append((tuple(c.coeffs[i] for i in keep), c.rhs - shift, c.origin))
-    return fraction_make_hrep(tuple(h.coords[i] for i in keep), eqs, ineqs)
 
 
 def fraction_row(poset: MarkedPoset, index, terms):
@@ -563,10 +614,40 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
-def is_unimodular(amap) -> bool:
-    """An affine map with an integer matrix of determinant +-1."""
-    ints = all(x.denominator == 1 for row in amap.matrix for x in row)
-    return ints and abs(det(amap.matrix)) == 1
+def is_unimodular(matrix) -> bool:
+    """An integer matrix of determinant +-1."""
+    ints = all(x.denominator == 1 for row in matrix for x in row)
+    return ints and abs(det(matrix)) == 1
+
+
+def unimodular_move(poset: MarkedPoset, part, q: str):
+    """(M, b): the map x -> M x + b on poset.unmarked that carries O_{C,O}
+    onto O_{C+q,O-q} when q is not a chain-order star element, read off
+    the single saturated chain through C from P* | O below q (or, failing
+    that, above q); None when neither is single.  A marked end of the chain
+    enters the translation b."""
+    stops = poset.marked | part.O
+    down = chain_walker(poset, part.C, stops)(q)
+    up = chain_walker(poset, part.C, stops, upward=True)(q)
+    if len(down) == 1:
+        sign, (s, *mids) = 1, down[0]
+    elif len(up) == 1:
+        sign, (*mids, s) = -1, up[0]
+    else:
+        return None
+    index = {e: i for i, e in enumerate(poset.unmarked)}
+    n = len(index)
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    offset = [0] * n
+    row = matrix[index[q]]
+    row[index[q]] = sign
+    for m in mids:
+        row[index[m]] -= 1
+    if s in poset.marked:
+        offset[index[q]] = -sign * poset.marking[s]
+    else:
+        row[index[s]] -= sign
+    return tuple(map(tuple, matrix)), tuple(offset)
 
 
 # -- the full covector search -----------------------------------------------------------

@@ -11,18 +11,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (contdeg_face_map, dilate, make_double_star, make_ex52,
+from conftest import (contdeg_face_map, dilate, is_ranked, make_double_star, make_ex52,
                       random_marked_poset, random_parameter, random_point,
-                      random_ranked_regular_poset)
+                      random_ranked_regular_poset, transfer_psi_closed)
 from mpp.degeneration import (DegenerationPair, check_fvector_domination,
                               composition_law, degeneration_map)
 from mpp.family import (Parameter, Partition, facet_count, facet_count_delta,
                         hrep_chain_order, hrep_general, hypercube_vertices,
                         is_tame, partition_of_parameter, transfer_phi,
-                        transfer_psi, transfer_psi_closed, zero_parameter)
+                        transfer_psi, zero_parameter)
 from mpp.geometry import EmptyPolyhedron, make_hrep, vertices, vertices_bruteforce
 from mpp.lattice import is_integrally_closed, lattice_points
-from mpp.poset import is_ranked, is_regular
+from mpp.poset import is_regular
 from mpp.tropical import generic_vertices, subdivision_vertices
 
 

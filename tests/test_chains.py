@@ -4,9 +4,8 @@ memo, then filtered by where it starts, ends and passes through."""
 
 import random
 
-from conftest import random_marked_poset
-from mpp.family import Partition, hrep_chain_order, unimodular_move
-from mpp.geometry import AffineMap
+from conftest import random_marked_poset, unimodular_move
+from mpp.family import Partition, hrep_chain_order
 from mpp.poset import chain_counts, chains_through, saturated_chains_to, star_elements
 
 
@@ -32,8 +31,8 @@ def _through(paths, via, stops):
 
 
 def _expected_move(poset, C, O, q, paths):
-    """unimodular_move's map, from the single brute-force chain below q (or,
-    failing that, above q) through C to P* | O."""
+    """unimodular_move's (M, b), from the single brute-force chain below q
+    (or, failing that, above q) through C to P* | O."""
     stops = poset.marked | O
     down = [p for p in paths if p[-1] == q and p[0] in stops and set(p[1:-1]) <= C]
     up = [p for p in paths if p[0] == q and p[-1] in stops and set(p[1:-1]) <= C]
@@ -54,7 +53,7 @@ def _expected_move(poset, C, O, q, paths):
     else:
         row[s] -= sign
     matrix = tuple(tuple(row[f] if e == q else int(e == f) for f in coords) for e in coords)
-    return AffineMap(coords, matrix, tuple(offset[e] for e in coords))
+    return matrix, tuple(offset[e] for e in coords)
 
 
 def _cases():
@@ -75,14 +74,12 @@ def test_chain_families_match_brute_force_cover_paths():
         paths = cover_paths(poset)
         marked, unmarked = poset.marked, frozenset(poset.unmarked)
 
-        # the chains indexing the inequalities of O_t, and their tails
+        # the chains indexing the inequalities of O_t
         to = {e: sorted(p[:-1] for p in paths if p[-1] == e and p[0] in marked
                         and set(p[1:-1]) <= unmarked) for e in poset.elements}
         for e in poset.elements:
             chains = saturated_chains_to(poset, e)
             assert [c.below for c in chains] == to[e] and all(c.target == e for c in chains)
-            tails = ((e,),) if e in marked else tuple(sorted(t + (e,) for t in to[e]))
-            assert poset.chain_tails[e] == tails
 
         # the chain-order chains through C between elements of P* | O
         stops = marked | O

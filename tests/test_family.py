@@ -6,23 +6,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (fraction_hrep_chain_order, fraction_hrep_general, fraction_hrep_json,
-                      fraction_int_row, fraction_make_hrep, fraction_phi, fraction_psi,
-                      fraction_row, fraction_theta_projected, is_unimodular,
+from conftest import (chain_tight, fraction_hrep_chain_order, fraction_hrep_general,
+                      fraction_hrep_json, fraction_int_row, fraction_make_hrep, fraction_phi,
+                      fraction_psi, fraction_row, fraction_theta_projected, is_unimodular,
                       make_chain_poset, make_double_star, make_ex52, make_ex52_rational,
-                      make_grid, normalized, random_marked_poset, random_parameter,
-                      random_point, sevenths_and_fifths, triples)
-from mpp.family import (Parameter, Partition, chain_tight, eliminate_redundancy,
-                        facet_count, facet_count_delta, generic_parameter,
-                        hrep_chain_order, hrep_general, hypercube_vertices,
-                        is_tame, maximizing_relation, one_parameter,
-                        partition_of_parameter,
-                        transfer_phi, transfer_phi_projected, transfer_psi,
-                        transfer_psi_closed, transfer_psi_projected,
-                        transfer_theta, transfer_theta_homogeneous,
-                        transfer_theta_projected, unimodular_move, zero_parameter,
-                        iota)
-from mpp.geometry import EmptyPolyhedron, apply_affine, face_lattice, make_hrep, vertices
+                      make_grid, maximizing_relation, normalized, random_marked_poset,
+                      random_parameter, random_point, sevenths_and_fifths, transfer_psi_closed,
+                      triples, unimodular_move)
+from mpp.family import (Parameter, Partition, eliminate_redundancy, facet_count,
+                        facet_count_delta, generic_parameter, hrep_chain_order, hrep_general,
+                        hypercube_vertices, iota, is_tame, one_parameter,
+                        partition_of_parameter, transfer_phi, transfer_phi_projected,
+                        transfer_psi, transfer_psi_projected, transfer_theta,
+                        transfer_theta_homogeneous, transfer_theta_projected, zero_parameter)
+from mpp.geometry import EmptyPolyhedron, face_lattice, make_hrep, vertices
 from mpp.lattice import lattice_points
 from mpp.poset import MarkedPoset, PosetError, saturated_chains_to
 
@@ -694,20 +691,26 @@ def test_is_tame_matches_lp_on_random_posets():
 
 # -- unimodular moves ---------------------------------------------------------------
 
+def _moved_vertices(move, h):
+    """The images of h's vertices under the map x -> M x + b of move = (M, b)."""
+    matrix, offset = move
+    return {tuple(sum(a * x for a, x in zip(row, p)) + b for row, b in zip(matrix, offset))
+            for p in vertices(h).vertices}
+
+
 def test_unimodular_move_non_star(ex52):
     # r has a single upward chain (r < 4), so moving it is unimodular
     part = Partition(frozenset({"p", "q"}), frozenset({"r"}))
-    amap = unimodular_move(ex52, part, "r")
-    assert amap is not None and is_unimodular(amap)
+    move = unimodular_move(ex52, part, "r")
+    assert move is not None and is_unimodular(move[0])
     h = hrep_chain_order(ex52, part)
-    image = apply_affine(amap, h)
     part2 = Partition(frozenset({"p", "q", "r"}), frozenset())
     target = hrep_chain_order(ex52, part2)
-    assert set(vertices(image).vertices) == set(vertices(target).vertices)
+    assert _moved_vertices(move, h) == set(vertices(target).vertices)
     lat_a = face_lattice(h, vertices(h))
-    lat_b = face_lattice(image, vertices(image))
+    lat_b = face_lattice(target, vertices(target))
     assert lat_a.f_vector() == lat_b.f_vector()
-    assert len(lattice_points(h)) == len(lattice_points(image))
+    assert len(lattice_points(h)) == len(lattice_points(target))
 
 
 def test_unimodular_move_star_returns_none():
@@ -723,12 +726,12 @@ def test_unimodular_move_unmarked_chain_endpoint():
                         frozenset([("a", "s"), ("s", "c"), ("c", "q"), ("q", "z")]),
                         {"a": 0, "z": 3})
     part = Partition(frozenset({"c"}), frozenset({"s", "q"}))
-    amap = unimodular_move(poset, part, "q")
-    assert amap is not None and is_unimodular(amap)
-    assert all(x == 0 for x in amap.offset)
-    image = apply_affine(amap, hrep_chain_order(poset, part))
+    move = unimodular_move(poset, part, "q")
+    assert move is not None and is_unimodular(move[0])
+    assert all(x == 0 for x in move[1])
     target = hrep_chain_order(poset, Partition(frozenset({"c", "q"}), frozenset({"s"})))
-    assert set(vertices(image).vertices) == set(vertices(target).vertices)
+    assert (_moved_vertices(move, hrep_chain_order(poset, part))
+            == set(vertices(target).vertices))
 
 
 # -- integer H-rep rows against the Fraction row builders -----------------------------

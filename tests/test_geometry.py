@@ -9,19 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (barycenter, dilate, faces_by_vertex_ids, fraction_apply_affine,
-                      fraction_int_row, fraction_substitute, is_unimodular,
-                      make_chain_poset, make_double_star, make_ex52, make_ex52_rational,
-                      make_grid, random_marked_poset, triples)
+from conftest import (barycenter, faces_by_vertex_ids, make_chain_poset,
+                      make_double_star, make_ex52, make_ex52_rational, make_grid,
+                      random_marked_poset, triples)
 from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_vertices,
                         zero_parameter)
-from mpp.geometry import (AffineMap, EmptyPolyhedron, Face, HRep, Unbounded,
-                          UnsupportedLineality, UnsupportedUnbounded,
-                          TooLarge, apply_affine, face_counts, face_lattice, facet_masks,
-                          iter_faces, make_hrep, maximal_masks, substitute, vertices,
+from mpp.geometry import (EmptyPolyhedron, Face, HRep, Unbounded, UnsupportedLineality,
+                          UnsupportedUnbounded, TooLarge, face_counts, face_lattice,
+                          facet_masks, iter_faces, make_hrep, maximal_masks, vertices,
                           vertices_bruteforce)
 from mpp.poset import MarkedPoset
-from mpp.lattice import lattice_points
 from mpp.linalg import _idot
 from mpp import geometry, jsonio, linalg, tropical
 
@@ -951,138 +948,18 @@ def test_grid3x4_order_polytope_f_vector_pinned():
     assert face_counts(h, v) == pinned
 
 
-# -- affine maps ------------------------------------------------------------------
-
-def test_identity_map():
-    h = box(("x", "y"), [(0, 2), (0, 1)])
-    out = apply_affine(AffineMap.identity(("x", "y")), h)
-    assert out == h
-
-
-def test_translation_preserves_lattice_count():
-    h = box(("x", "y"), [(0, 2), (0, 1)])
-    amap = AffineMap(("x", "y"),
-                     ((F(1), F(0)), (F(0), F(1))), (F(3), F(-2)))
-    out = apply_affine(amap, h)
-    assert is_unimodular(amap)
-    for k in (1, 2, 3):
-        assert len(lattice_points(dilate(out, k))) == len(lattice_points(dilate(h, k)))
-
-
-def test_unimodular_shear():
-    h = box(("x", "y"), [(0, 1), (0, 1)])
-    amap = AffineMap(("x", "y"), ((F(1), F(1)), (F(0), F(1))), (F(0), F(0)))
-    assert is_unimodular(amap)
-    out = apply_affine(amap, h)
-    v = vertices(out)
-    assert set(v.vertices) == {(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(2), F(1))}
-    assert len(lattice_points(out)) == len(lattice_points(h))
-
-
-@pytest.mark.parametrize("coords", [("a", "b"), ("y", "x"), ("x",)])
-def test_map_on_other_coordinates_rejected(coords):
-    # a map declared on other names, or on the same names in another order,
-    # would relabel the coordinates in silence
-    h = box(("x", "y"), [(0, 1), (0, 1)])
-    with pytest.raises(ValueError) as exc:
-        apply_affine(AffineMap.identity(coords), h)
-    assert repr(coords) in str(exc.value) and repr(("x", "y")) in str(exc.value)
-
-
-@pytest.mark.parametrize("matrix", [((1, 0), (0, 1)), ((1, 1), (0, 1))],
-                         ids=["identity", "shear"])
-def test_map_on_the_hrep_coordinates_applies(matrix):
-    # the names are compared as a tuple, so a map built on a list of them
-    # applies as one built on h.coords
-    h = box(("x", "y"), [(0, 1), (0, 1)])
-    matrix = tuple(tuple(map(F, r)) for r in matrix)
-    on_list = apply_affine(AffineMap(["x", "y"], matrix, (F(0), F(0))), h)
-    assert on_list == apply_affine(AffineMap(h.coords, matrix, (F(0), F(0))), h)
-    assert set(vertices(on_list).vertices) == {
-        tuple(sum(a * x for a, x in zip(r, p)) for r in matrix)
-        for p in vertices(h).vertices}
-
-
-def test_singular_map_rejected():
-    from mpp.geometry import SingularMap
-    h = box(("x", "y"), [(0, 1), (0, 1)])
-    amap = AffineMap(("x", "y"), ((F(1), F(1)), (F(1), F(1))), (F(0), F(0)))
-    with pytest.raises(SingularMap):
-        apply_affine(amap, h)
-
-
-def test_substitute():
-    h = box(("x", "y"), [(0, 2), (0, 1)])
-    out = substitute(h, {"y": F(1, 2)})
-    assert out.coords == ("x",)
-    v = vertices(out)
-    assert set(v.vertices) == {(F(0),), (F(2),)}
-
-
-def test_substitute_detects_violation():
-    h = box(("x", "y"), [(0, 2), (0, 1)])
-    with pytest.raises(EmptyPolyhedron):
-        substitute(h, {"y": F(7)})
-
-
-def test_affine_maps_and_pins_match_fraction_oracles():
-    rnd = random.Random(606)
-    seen = {"non-unimodular": 0, "rational offset": 0, "empty": 0, "pinned": 0}
-    for _ in range(80):
-        d = rnd.randint(1, 4)
-        h = random_face_hrep(rnd, d)
-        while True:
-            matrix = tuple(tuple(F(rnd.randint(-2, 2), rnd.choice((1, 1, 2, 3)))
-                                 for _ in range(d)) for _ in range(d))
-            if linalg.inverse(matrix) is not None:
-                break
-        offset = tuple(F(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(d))
-        amap = AffineMap(h.coords, matrix, offset)
-        image = apply_affine(amap, h)
-        assert (image.coords, image.equations, image.inequalities) == \
-            fraction_apply_affine(amap, h)
-        assert image.int_inequalities == tuple(map(fraction_int_row, image.inequalities))
-        seen["non-unimodular"] += not is_unimodular(amap)
-        seen["rational offset"] += any(x.denominator > 1 for x in offset)
-
-        fixed = {c: F(rnd.randint(-8, 8), rnd.randint(1, 3))
-                 for c in rnd.sample(h.coords, rnd.randint(1, d))}
-        try:
-            oracle = fraction_substitute(h, fixed)
-        except EmptyPolyhedron:
-            with pytest.raises(EmptyPolyhedron):
-                substitute(h, fixed)
-            seen["empty"] += 1
-            continue
-        out = substitute(h, fixed)
-        assert (out.coords, out.equations, out.inequalities) == oracle
-        assert out.int_equations == tuple(map(fraction_int_row, out.equations))
-        seen["pinned"] += 1
-    assert min(seen.values()) >= 10, seen
-
-
 def test_hreps_with_equal_constraints_are_equal_whichever_writer_built_them():
     # each scaled row is stored reduced (row and S share no factor), so the
     # record's own equality and hash compare the rational constraints and
-    # their origins, and the four writers agree wherever those are equal
+    # their origins, and the two writers agree wherever those are equal
     poset = make_ex52_rational()
     t = Parameter({"p": F(2, 7), "q": F(3, 5), "r": F(4, 7)})
     for h in (hrep_general(poset, t), hrep_general(poset, t, projected=False),
               hrep_general(poset, generic_parameter(poset))):
         assert all(math.gcd(*row, s) == 1
                    for row, s, _ in h.scaled_equations + h.scaled_inequalities)
-        n = len(h.coords)
-        diagonal = [tuple(F(0) if i != j else F(2) for j in range(n)) for i in range(n)]
-        double = AffineMap(h.coords, tuple(diagonal), (F(1, 3),) * n)
-        halve = AffineMap(h.coords, tuple(tuple(x / 4 for x in r) for r in diagonal),
-                          (F(-1, 6),) * n)
-        for g in (make_hrep(h.coords, triples(h.equations), triples(h.inequalities)),
-                  apply_affine(AffineMap.identity(h.coords), h),
-                  apply_affine(halve, apply_affine(double, h)), substitute(h, {})):
-            assert g == h and hash(g) == hash(h)
-    # pinning the marked coordinates of the full-space H-rep gives the projected one
-    full = hrep_general(poset, t, projected=False)
-    assert substitute(full, dict(poset.marking)) == hrep_general(poset, t)
+        g = make_hrep(h.coords, triples(h.equations), triples(h.inequalities))
+        assert g == h and hash(g) == hash(h)
     # another origin or another value is another H-rep
     h = hrep_general(poset, t)
     (row, s, origin), *rest = h.scaled_inequalities

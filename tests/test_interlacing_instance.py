@@ -10,12 +10,13 @@ polyhedral kernel.
 import itertools
 from fractions import Fraction
 
+from conftest import is_ranked
 from mpp.family import (Partition, hrep_chain_order, hrep_general,
                         generic_parameter, hypercube_vertices,
                         partition_of_parameter, zero_parameter)
 from mpp.geometry import vertices
 from mpp.lattice import ehrhart, is_integrally_closed, lattice_points
-from mpp.poset import MarkedPoset, is_ranked, is_regular, validate
+from mpp.poset import MarkedPoset, is_regular, validate
 from mpp.family import is_tame
 from mpp.tropical import check_vertex_degeneration_conjecture, generic_vertices
 

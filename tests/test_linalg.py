@@ -74,26 +74,6 @@ def test_rank_and_nullspace():
         assert all(linalg.dot(row, v) == 0 for row in a)
 
 
-def test_inverse_round_trip():
-    # against det and the rref pivot count, on square rows as random_rows
-    # gives them, 0 x 0 included
-    rnd = random.Random(7)
-    singular = 0
-    for _ in range(300):
-        n = rnd.randint(0, 5)
-        a = random_rows(rnd, n, n)[:n]
-        inv = linalg.inverse(a)
-        assert (inv is None) == (det(a) == 0) == (oracle_rank(a) < n)
-        if inv is None:
-            singular += 1
-            continue
-        identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-        assert [[linalg.dot(r, c) for c in zip(*inv)] for r in a] == identity
-        assert [[linalg.dot(r, c) for c in zip(*a)] for r in inv] == identity
-    assert singular >= 50  # not vacuous: singular matrices occur
-    assert linalg.inverse([]) == ()
-
-
 def test_det_matches_permutation_expansion():
     a = [[F(2), F(1)], [F(5), F(3)]]
     assert det(a) == 1

@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_marked_poset
+from conftest import random_marked_poset, rank_function
 from mpp.family import hrep_general, zero_parameter
 from mpp.geometry import vertices
 from mpp.poset import (MarkedPoset, PosetError, SaturatedChain, constant_intervals,
-                       contract_constant_intervals, is_regular,
-                       non_redundant_covers, rank_function,
+                       contract_constant_intervals, is_regular, non_redundant_covers,
                        remove_redundant_covers, require_valid, saturated_chains_to,
                        star_elements, validate)
 

@@ -1,7 +1,11 @@
 import pytest
 from fractions import Fraction
 
+from conftest import make_ex52
+from mpp.family import generic_parameter, iota, project, transfer_phi
+from mpp.geometry import make_hrep
 from mpp.rationals import rat, rat_str
+from mpp.tropical import arrangement, covector
 
 
 def test_parse_forms():
@@ -36,3 +40,31 @@ def test_rejects_booleans(bad):
 
 def test_rat_str_of_an_int():
     assert [rat_str(3), rat_str(-2), rat_str(0)] == ["3", "-2", "0"]
+
+
+def _entry_points():
+    """Each library function that reads a caller's rational, called with one
+    value v in place of a rational."""
+    poset = make_ex52()
+    t = generic_parameter(poset)
+
+    def at(v):  # a point of R^P whose p-coordinate is v
+        return {**dict.fromkeys(poset.elements, Fraction(1)), "p": v}
+
+    return {
+        "make_hrep": lambda v: make_hrep(("x",), [], [((1,), 2, ()), ((-1,), v, ())]),
+        "transfer_phi": lambda v: transfer_phi(poset, t, at(v)),
+        "iota": lambda v: iota(poset, at(v)),
+        "project": lambda v: project(poset, at(v)),
+        "covector": lambda v: covector(arrangement(poset), at(v)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points()))
+@pytest.mark.parametrize("bad, error", [(True, TypeError), (0.1, TypeError),
+                                        ("0.5", ValueError)], ids=["bool", "float", "decimal"])
+def test_library_entry_points_read_rationals_through_rat(entry, bad, error):
+    # a bool or float would be read as the rational it happens to hold, and a
+    # decimal string is outside rat's grammar
+    with pytest.raises(error):
+        _entry_points()[entry](bad)

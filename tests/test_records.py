@@ -10,7 +10,7 @@ import pytest
 
 from mpp.degeneration import DegenerationPair, FaceMap
 from mpp.family import Parameter, Partition
-from mpp.geometry import AffineMap, Cone, Constraint, Face, FaceLattice, HRep, VRep
+from mpp.geometry import Cone, Constraint, Face, FaceLattice, HRep, VRep
 from mpp.lattice import EhrhartData
 from mpp.poset import MarkedPoset, PosetError, SaturatedChain
 from mpp.tropical import SubdivisionCell, TropicalArrangement, TropicalForm
@@ -33,7 +33,6 @@ CASES = [
             "rows": ((-1, 0),)}),
     (Face, {"vertex_ids": frozenset({0, 1}), "tight": frozenset({2}), "dim": 1}),
     (FaceLattice, {"rows": ((1, 0), (1, 1)), "faces": (EMPTY, POINT, SEGMENT)}),
-    (AffineMap, {"coords": ("x",), "matrix": ((ONE,),), "offset": (ZERO,)}),
     (SaturatedChain, {"below": ("0", "p"), "target": "r"}),
     (MarkedPoset, {"elements": ("a", "b"), "covers": frozenset({("a", "b")}),
                    "marking": {"a": 0, "b": "3/2"}}),

@@ -10,10 +10,11 @@ chain polytopes of the inner poset.  For the V-shaped inner poset (p, q < r):
 
 from fractions import Fraction
 
+from conftest import is_ranked
 from mpp.family import (hrep_general, is_tame, one_parameter, zero_parameter)
 from mpp.geometry import vertices
 from mpp.lattice import ehrhart, lattice_points
-from mpp.poset import MarkedPoset, is_ranked, is_regular, validate
+from mpp.poset import MarkedPoset, is_regular, validate
 
 
 def v_poset() -> MarkedPoset:

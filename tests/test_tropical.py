@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (covector_cell_rows, det, full_covector_cells, make_double_star,
                       make_ex52, make_ex52_rational, make_grid, make_marked_interior,
-                      random_marked_poset, random_parameter)
+                      maximizing_relation, random_marked_poset, random_parameter)
 from mpp import linalg, tropical
 from mpp.family import (Parameter, generic_parameter, hrep_general, iota,
                         transfer_phi_projected, zero_parameter, one_parameter)
@@ -117,7 +117,6 @@ def test_covector_translation_invariance(ex52):
 
 
 def test_covector_agrees_with_maximizing_relation(ex52):
-    from mpp.family import maximizing_relation
     arr = arrangement(ex52)
     rnd = random.Random(6)
     for _ in range(20):
