@@ -55,11 +55,10 @@ def _resolve_parameter(args, poset) -> tuple[family.Parameter, dict]:
         part = jsonio.partition_from_json(_load_json(args.partition), poset)
         t = family.parameter_of_partition(poset, part)
         header["partition"] = jsonio.partition_to_json(part)
+    elif args.t == "generic":
+        t = family.generic_parameter(poset)
     elif args.t:
-        if args.t == "generic":
-            t = family.generic_parameter(poset)
-        else:
-            t = jsonio.parameter_from_json(_load_json(args.t), poset)
+        t = jsonio.parameter_from_json(_load_json(args.t), poset)
     else:
         t = family.zero_parameter(poset)
     header.update(jsonio.parameter_to_json(t))
@@ -221,18 +220,13 @@ def _sweep(fn, items, label, key=None) -> tuple[list, list]:
     groups: dict = {}
     for i, item in enumerate(items):
         groups.setdefault(i if key is None else key(item), []).append(i)
-    outcome = {}
-    for group in groups.values():
-        for i in group:
-            try:
-                outcome[i] = True, fn(items[i])
-            except GeometryError as exc:
-                outcome[i] = False, {**label(items[i]), "error": f"{type(exc).__name__}: {exc}"}
-    results, errors = [], []
-    for i in range(len(items)):
-        ok, value = outcome[i]
-        (results if ok else errors).append(value)
-    return results, errors
+    outcome = [None] * len(items)
+    for i in itertools.chain.from_iterable(groups.values()):
+        try:
+            outcome[i] = True, fn(items[i])
+        except GeometryError as exc:
+            outcome[i] = False, {**label(items[i]), "error": f"{type(exc).__name__}: {exc}"}
+    return [v for ok, v in outcome if ok], [v for ok, v in outcome if not ok]
 
 
 # Each sweep returns (report, errors); cmd_sweep fails a report with errors.
@@ -254,10 +248,7 @@ def _sweep_ehrhart(poset):
 
 def _sweep_types(poset):
     from . import degeneration as dg
-    faces = [{}]
-    for p in sorted(poset.unmarked):
-        faces.append({p: Fraction(0)})
-        faces.append({p: Fraction(1)})
+    faces = [{}] + [{p: Fraction(v)} for p in sorted(poset.unmarked) for v in (0, 1)]
     samples = {}  # H-rep -> _type_sample, shared by the samples of every face
     reports, errors = _sweep(
         lambda f: dg.combinatorial_type_sweep(poset, f, samples), faces,

@@ -240,14 +240,10 @@ def canonical_incidence(data) -> tuple:
             return
         kind, _ = split
         for member in classes[split]:
-            if kind == "r":
-                nrcol = list(rcol)
-                nrcol[member] = max(rcol) + 1
-                rec(nrcol, list(ccol))
-            else:
-                nccol = list(ccol)
-                nccol[member] = max(ccol) + 1
-                rec(list(rcol), nccol)
+            cols = [list(rcol), list(ccol)]  # individualize member on its side
+            side = cols[kind == "c"]
+            side[member] = max(side) + 1
+            rec(*cols)
 
     rec([0] * nr, [0] * nc)
     return best[0]

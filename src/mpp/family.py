@@ -2,12 +2,12 @@
 parameter in the hypercube, the piecewise-linear transfer maps between family
 members, redundancy elimination, and tameness.
 
-Both inequality descriptions are written in one pass by one row builder
-(`_hrep`) as integer rows: each row goes straight into its final
-coordinates, a marked term into the right-hand side when projected, over
+Both inequality descriptions are written in one pass as integer rows
+through one table of slots (`_slots`): each term goes straight into its
+final column, a marked term into the right-hand side when projected, over
 one common denominator of t and one of the marking.  Chain weights are
-suffix products of the numerators of t along the chain; the chains come
-from the walker cached on the poset.
+suffix products of the numerators of t along the chain, written straight
+from the chains of the walker cached on the poset.
 
 Redundancy and tameness are read off the double description, with no LP:
 each inequality's tight vertices and recession rays form a bitmask, and the
@@ -25,14 +25,12 @@ import math
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 
 from .geometry import EmptyPolyhedron, HRep, TooLarge, VRep, facet_masks, vertices
-from .poset import (MarkedPoset, PosetError, chain_counts, chains_through, require_valid,
-                    saturated_chains_to)
+from .poset import MarkedPoset, PosetError, chain_counts, chains_through, require_valid
 from .rationals import rat
-from .records import Frozen
+from .records import Frozen, cached_property
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -137,39 +135,40 @@ def check_parameter(poset: MarkedPoset, t: Parameter) -> Parameter:
     return t
 
 
+def _slots(poset: MarkedPoset, coords) -> dict[str, tuple[int, int]]:
+    """A term c * x_e of an integer row over coords adds c * f to row[j],
+    (j, f) = slot[e]: e's column and M, M the marking's denominator, or,
+    for a marked e outside coords, the right-hand side and M * lambda(e)."""
+    den, marks = poset._integral_marking
+    slot = {a: (0, v) for a, v in marks.items()}
+    slot.update((e, (1 + i, den)) for i, e in enumerate(coords))
+    return slot
+
+
 def _row_writer(poset: MarkedPoset, coords):
     """write(terms, scale, origin): the (row, S, origin) of sum(c * x_e for
-    e, c in terms) <= 0 over coords, each c an int, scale times the true
-    coefficient.  A marked term outside coords moves into the right-hand
-    side at its marking value; S = scale * M, M the marking's denominator."""
-    index = {e: 1 + i for i, e in enumerate(coords)}
-    den, marks = poset._integral_marking
-    width = len(coords) + 1
+    e, c in terms) <= 0 over coords, written through _slots, each c an int,
+    scale times the true coefficient; S = scale * M."""
+    slot, den, width = _slots(poset, coords), poset._integral_marking[0], len(coords) + 1
 
     def write(terms, scale, origin):
         row = [0] * width
         for e, c in terms:
-            j = index.get(e)
-            if j is None:
-                row[0] += c * marks[e]
-            else:
-                row[j] += c * den
+            j, f = slot[e]
+            row[j] += c * f
         return tuple(row), scale * den, origin
 
     return write
 
 
-def _hrep(poset: MarkedPoset, rows, projected: bool) -> HRep:
-    """H-rep with one inequality sum(c * x_e) <= 0 per (terms, scale, origin)
-    in rows, written by _row_writer.  The marked coordinates are fixed by
-    marking equations in the full space R^P, or eliminated when projected.
-    Each row is written once, as integers in the final coordinates."""
-    coords = poset.unmarked if projected else poset.elements
-    write = _row_writer(poset, coords)
-    eqs = [] if projected else [
-        ((-v.numerator,) + tuple(v.denominator if e == a else 0 for e in coords),
-         v.denominator, ("marking", a)) for a, v in sorted(poset.marking.items())]
-    return HRep(coords).with_rows(eqs, [write(*row) for row in rows])
+def _hrep(poset: MarkedPoset, coords, rows) -> HRep:
+    """H-rep over coords with the inequalities (row, S, origin) in rows,
+    written through _slots.  A marking equation fixes each marked element
+    among coords: all of them in the full space R^P, none when projected."""
+    eqs = [((-v.numerator,) + tuple(v.denominator if e == a else 0 for e in coords),
+            v.denominator, ("marking", a)) for a, v in sorted(poset.marking.items())
+           if a in coords]
+    return HRep(coords).with_rows(eqs, rows)
 
 
 def hrep_general(poset: MarkedPoset, t: Parameter, projected: bool = True) -> HRep:
@@ -179,45 +178,47 @@ def hrep_general(poset: MarkedPoset, t: Parameter, projected: bool = True) -> HR
     With t_e = T_e / D over one common denominator D, a chain of k = r + 1
     elements below p is scaled by D^k, so x_{p_i} weighs the integer
     (D - T_p) * T_{p_{i+1}}...T_{p_r} * D^i (D for D - T_p if p is marked).
-    No on-the-fly simplification: redundancy removal is a separate step so
+    Each row is written straight from the chain walk through _slots.  No
+    on-the-fly simplification: redundancy removal is a separate step so
     that every constraint keeps its generating chain as origin tag.
     """
     require_valid(poset)
     check_parameter(poset, t)
     den = math.lcm(*(v.denominator for v in t.values.values()))
-    num = {p: v.numerator * (den // v.denominator) for p, v in t.values.items()}
+    num = dict.fromkeys(poset.marked, 0)  # T_p = 0 for a marked p: D - T_p = D
+    num.update((p, v.numerator * (den // v.denominator)) for p, v in t.values.items())
     powers = [den ** i for i in range(len(poset.elements) + 1)]
-
-    def rows():
-        for p in poset.elements:
-            marked = p in poset.marked
-            for chain in saturated_chains_to(poset, p):
-                below = chain.below
-                if marked and len(below) == 1:
-                    continue  # r = 0 into a marked target follows from the marking
-                k = len(below)
-                terms = [(p, -powers[k])]
-                w = den if marked else den - num[p]  # suffix products of T
-                for i in range(k - 1, 0, -1):
-                    terms.append((below[i], w * powers[i]))
-                    w *= num[below[i]]
-                terms.append((below[0], w))
-                yield terms, powers[k], ("chain",) + below + (p,)
-
-    return _hrep(poset, rows(), projected)
+    coords = poset.unmarked if projected else poset.elements
+    slot, mden, width = _slots(poset, coords), poset._integral_marking[0], len(coords) + 1
+    rows = []
+    for p in poset.elements:
+        jp, fp = slot[p]
+        for below in poset._tail_walk(p):
+            k = len(below)
+            if k == 1 and p in poset.marked:
+                continue  # r = 0 into a marked target follows from the marking
+            row = [0] * width
+            row[jp] = -powers[k] * fp
+            w = den - num[p]  # suffix products of T
+            for i in range(k - 1, -1, -1):
+                j, f = slot[below[i]]
+                row[j] += w * powers[i] * f
+                w *= num[below[i]]
+            rows.append((tuple(row), powers[k] * mden, ("chain",) + below + (p,)))
+    return _hrep(poset, coords, rows)
 
 
 def hrep_chain_order(poset: MarkedPoset, part: Partition, projected: bool = True) -> HRep:
     """Direct description of the marked chain-order polyhedron O_{C,O}."""
     require_valid(poset)
     check_partition(poset, part)
-    rows = [([(p, -1)], 1, ("nonneg", p)) for p in sorted(part.C)]
-    for a, mids, b in chains_through(poset, part.C, poset.marked | part.O):
-        if a in poset.marked and b in poset.marked and not mids:
-            continue
-        rows.append(([(e, 1) for e in (a,) + mids] + [(b, -1)], 1,
-                     ("cochain", a) + mids + (b,)))
-    return _hrep(poset, rows, projected)
+    coords = poset.unmarked if projected else poset.elements
+    write = _row_writer(poset, coords)
+    rows = [write([(p, -1)], 1, ("nonneg", p)) for p in sorted(part.C)]
+    rows += [write([(e, 1) for e in (a,) + mids] + [(b, -1)], 1, ("cochain", a) + mids + (b,))
+             for a, mids, b in chains_through(poset, part.C, poset.marked | part.O)
+             if mids or a not in poset.marked or b not in poset.marked]
+    return _hrep(poset, coords, rows)
 
 
 # -- transfer maps -------------------------------------------------------------
@@ -341,10 +342,7 @@ def transfer_theta_homogeneous(poset: MarkedPoset, t: Parameter | None,
 
 def iota(poset: MarkedPoset, x) -> dict[str, Fraction]:
     """Fill the marked coordinates with their marking values."""
-    out = {a: poset.marking[a] for a in poset.marking}
-    for p in poset.unmarked:
-        out[p] = rat(x[p])
-    return out
+    return {**poset.marking, **{p: rat(x[p]) for p in poset.unmarked}}
 
 
 def project(poset: MarkedPoset, x) -> dict[str, Fraction]:

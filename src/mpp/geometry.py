@@ -37,13 +37,12 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 from .linalg import (_eliminate, _idot, _primitive, common_denominator, dehomogenized, dot,
                      homogenized)
 from .rationals import rat
-from .records import Frozen
+from .records import Frozen, cached_property
 
 
 class GeometryError(Exception):
@@ -326,7 +325,7 @@ class Cone(namedtuple("Cone", "coords lines rays span_dim rows")):
         recession = {r[1:] for r, _ in self.rays if r[0] == 0}
         v = VRep(self.coords, tuple(sorted(set(common_denominator(points)))),
                  tuple(sorted(recession)))
-        v.__dict__["_cone"] = self  # where cached_property keeps vertices
+        v.__dict__["_cone"] = self  # the __dict__ that records.cached_property fills
         return v
 
 

@@ -6,9 +6,10 @@ typos fail loudly.  `dump` streams the CLI's indented output; `encode`
 joins it.  A list whose rows a caller renders itself, with `row_pieces`,
 travels as `TextRows`: rows that are finished text are written as they
 are, other rows go through the caller's render one block at a time, so
-the whole text is never held.  A list of rows of exact ints or exact strs
-is rendered the same way, one block of rows at a time, and written by the
-same loop.
+the whole text is never held.  A list of rows whose leaves share one
+scalar type is rendered the same way, one block of rows at a time, and
+written by the same loop; a list of scalars of one type, and an object of
+scalars, are written in one join.
 """
 
 from __future__ import annotations
@@ -175,8 +176,10 @@ class TextRows:
 
 _string = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-_INT = {int}
-_STR = {str}
+# the text of a leaf by its exact type; a bool is not written as an int
+_LEAF = {str: _string, int: int.__repr__, Fraction: lambda x: _string(rat_str(x)),
+         bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
+_LEAVES = frozenset(_LEAF)
 _PIECES = 1024  # pieces held before they go to write
 _BLOCK = 256  # rows rendered and written together
 
@@ -203,18 +206,15 @@ def _write(obj, out: list, nl: str, write) -> None:
     if len(out) >= _PIECES:
         write("".join(out))
         out.clear()
-    if isinstance(obj, str):
-        out.append(_string(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append(_CONSTANTS[obj])
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
     elif isinstance(obj, (list, tuple)):
         _write_list(obj, out, nl, write)
     elif isinstance(obj, dict):
         _write_dict(obj, out, nl, write)
-    elif isinstance(obj, Fraction):
-        out.append(_string(rat_str(obj)))
+    elif isinstance(obj, (str, int, Fraction)):  # a subclass: as the type it extends
+        out.append(_LEAF[next(t for t in (str, int, Fraction) if isinstance(obj, t))](obj))
     elif isinstance(obj, frozenset):
         _write_list(jsonable(obj), out, nl, write)
     elif type(obj) is TextRows:
@@ -232,14 +232,13 @@ def _write_list(items, out: list, nl: str, write) -> None:
         return
     inner = nl + "  "
     kinds = set(map(type, items))
-    if kinds == _INT or kinds == _STR:  # no bool: it would print as True
-        text = map(repr if kinds == _INT else _string, items)
-        out.append("[" + inner + ("," + inner).join(text) + nl + "]")
+    if len(kinds) == 1 and kinds <= _LEAVES:
+        out.append("[" + inner + ("," + inner).join(map(_LEAF[kinds.pop()], items)) + nl + "]")
         return
     if kinds <= {list, tuple}:
         leaves = set(map(type, itertools.chain.from_iterable(items)))
-        if leaves <= _INT or leaves == _STR:  # no leaves: every row is empty
-            leaf = int.__repr__ if leaves <= _INT else _string
+        if len(leaves) <= 1 and leaves <= _LEAVES:  # no leaves: every row is empty
+            leaf = _LEAF[leaves.pop()] if leaves else str
             pieces = {w: row_pieces(len(nl) // 2, w) for w in set(map(len, items))}
 
             def render(row):
@@ -279,9 +278,13 @@ def _write_dict(mapping, out: list, nl: str, write) -> None:
     if not mapping:
         out.append("{}")
         return
-    inner = nl + "  "
+    inner, keys = nl + "  ", sorted(mapping)
+    if _LEAVES.issuperset(map(type, mapping.values())):  # leaves alone: one join
+        out.append("{" + inner + ("," + inner).join(
+            [_string(k) + ": " + _LEAF[type(mapping[k])](mapping[k]) for k in keys]) + nl + "}")
+        return
     sep = "{" + inner
-    for key in sorted(mapping):
+    for key in keys:
         out.append(sep + _string(key) + ": ")
         _write(mapping[key], out, inner, write)
         sep = "," + inner

@@ -27,11 +27,10 @@ import math
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 
 from .rationals import rat
-from .records import Frozen
+from .records import Frozen, cached_property
 
 
 class PosetError(ValueError):
@@ -88,10 +87,10 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
     def _cover_lists(self) -> tuple[dict[str, tuple[str, ...]], ...]:
         """(lower covers, upper covers) of each element, sorted, in one pass."""
         down, up = ({e: [] for e in self.elements} for _ in range(2))
-        for p, q in self.covers:
+        for p, q in sorted(self.covers):
             down[q].append(p)
             up[p].append(q)
-        return tuple({e: tuple(sorted(v)) for e, v in d.items()} for d in (down, up))
+        return tuple({e: tuple(v) for e, v in d.items()} for d in (down, up))
 
     def lower_covers(self, p: str) -> tuple[str, ...]:
         return self._cover_lists[0][p]
@@ -170,35 +169,40 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         return not any(below[b] & same[v] for b, v in self.marking.items())
 
     @cached_property
-    def _top_marking(self) -> dict[str, Fraction | None]:
-        """The largest marking value strictly below each element, or None."""
-        top: dict[str, Fraction | None] = {}
-        for e in self.linear_extension():
-            top[e] = max((v for c in self.lower_covers(e)
-                          for v in (top[c], self.marking.get(c)) if v is not None), default=None)
-        return top
+    def _larger(self) -> dict[int, int]:
+        """By marking value, as an int over the marking's denominator
+        (_integral_marking): the marked elements of larger value, as bits."""
+        marks, larger, acc = self._integral_marking[1], {}, 0
+        for a, v in sorted(marks.items(), key=lambda item: -item[1]):
+            larger.setdefault(v, acc)
+            acc |= self._bit[a]
+        return larger
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
         """Violations of the marked-poset invariants (empty = valid), found
         once per instance and read by `validate` and `require_valid`.  A
-        cover (p, q) fails iff p lies below another lower cover of q, the
-        marking iff a marked element lies above a larger value; offenders
-        are listed only then."""
+        cover (p, q) fails iff p lies below another lower cover of q, in the
+        OR of their down-sets; the marking fails iff a marked element lies
+        above one of larger value.  Offenders are listed only then."""
         if not self.is_acyclic:
             return ("cycle in covering relations",)
         report: list[str] = []
-        below, marking, lt, top = self._below, self.marking, self.lt, self._top_marking
-        for p, q in sorted(self.covers):
-            if any(below[c] & self._bit[p] for c in self.lower_covers(q)):
-                report += [f"non-covering pair ({p}, {q}): {w} lies strictly between"
-                           for w in self.elements if w != p and w != q and lt(p, w) and lt(w, q)]
-        if any(top[b] is not None and top[b] > v for b, v in marking.items()):
+        below, bit, lower, lt = self._below, self._bit, self._cover_lists[0], self.lt
+        marks, larger = self._integral_marking[1], self._larger
+        reach = dict.fromkeys(self.elements, 0)  # q: the OR of its lower covers' down-sets
+        for p, q in self.covers:
+            reach[q] |= below[p]
+        if any(reach[q] & bit[p] for p, q in self.covers):
+            report += [f"non-covering pair ({p}, {q}): {w} lies strictly between"
+                       for p, q in sorted(self.covers) if reach[q] & bit[p]
+                       for w in self.elements if w != p and w != q and lt(p, w) and lt(w, q)]
+        if any(below[b] & larger[v] for b, v in marks.items()):
             report += [f"marking not order-preserving: {a} < {b} but lambda({a}) > lambda({b})"
-                       for a in sorted(marking) for b in sorted(marking)
-                       if lt(a, b) and marking[a] > marking[b]]
+                       for a in sorted(marks) for b in sorted(marks)
+                       if lt(a, b) and marks[a] > marks[b]]
         report += [f"unmarked minimal element {e}" for e in sorted(self.elements)
-                   if not self.lower_covers(e) and e not in self.marked]
+                   if not lower[e] and e not in marks]
         return tuple(report)
 
     @cached_property
@@ -208,24 +212,24 @@ class MarkedPoset(Frozen, namedtuple("MarkedPoset", "elements covers marking")):
         return den, {a: v.numerator * (den // v.denominator) for a, v in self.marking.items()}
 
     @cached_property
-    def _ideal_levels(self) -> dict[Fraction, tuple[int, tuple[tuple[int, int], ...]]]:
-        """By marking value v, increasing: (base, free) of the level of order
-        ideals whose marked elements are those of value <= v, as bits
-        (_bit).  Each is base | S, base the down-set of those marked
-        elements and S an ideal of the free elements (unmarked, outside
-        base, above no larger value); free lists (bit, need), need the free
-        lower covers.  On a valid poset the level below the least value is
-        the empty ideal alone."""
-        below, bit, marking, top = self._below, self._bit, self.marking, self._top_marking
-        unmarked = [e for e in self.linear_extension() if e not in marking]
+    def _ideal_levels(self) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
+        """By marking value v, increasing, as L * v (_integral_marking; v when
+        integral): (base, free) of the level of order ideals whose marked
+        elements are those of value <= v, as bits (_bit).  Each is base | S,
+        base the down-set of those marked elements and S an ideal of the free
+        elements (unmarked, outside base, above no larger value); free lists
+        (bit, need), need the free lower covers.  On a valid poset the level
+        below the least value is the empty ideal alone."""
+        below, bit, larger, marks = self._below, self._bit, self._larger, self._integral_marking[1]
+        unmarked = [e for e in self.linear_extension() if e not in marks]
         bases, grown = {}, 0  # by value: the down-set of the marked elements up to it
-        for a, v in sorted(marking.items(), key=lambda item: item[1]):
+        for a, v in sorted(marks.items(), key=lambda item: item[1]):
             grown = bases[v] = grown | below[a] | bit[a]
         levels = {}
         for v, base in bases.items():
             levels[v] = (base, tuple(
                 (bit[e], sum(bit[c] for c in self.lower_covers(e) if not base & bit[c]))
-                for e in unmarked if not base & bit[e] and top[e] <= v))
+                for e in unmarked if not base & bit[e] and not below[e] & larger[v]))
         return levels
 
     @cached_property
@@ -342,9 +346,7 @@ def contract_constant_intervals(poset: MarkedPoset) -> tuple[MarkedPoset, dict[s
     """Quotient by constant intervals; returns the strictly marked quotient and
     the element map.  Block names are the lexicographically smallest member."""
     elem_map = {e: e for e in poset.elements}
-    for b in constant_intervals(poset):
-        for e in b:
-            elem_map[e] = b[0]
+    elem_map.update((e, b[0]) for b in constant_intervals(poset) for e in b)
     new_elements = tuple(dict.fromkeys(elem_map.values()))
     # the marked members of a block share one value (lambda is order-preserving)
     value = {elem_map[a]: v for a, v in poset.marking.items()}
@@ -369,13 +371,9 @@ def contract_constant_intervals(poset: MarkedPoset) -> tuple[MarkedPoset, dict[s
 def _cover_redundant(poset: MarkedPoset, p: str, q: str) -> bool:
     """p < q is redundant iff marked a <= q and p <= b exist with a != b and
     lambda(a) >= lambda(b)."""
-    for a in poset.marking:
-        if not poset.leq(a, q):
-            continue
-        for b in poset.marking:
-            if a != b and poset.leq(p, b) and poset.marking[a] >= poset.marking[b]:
-                return True
-    return False
+    marks = poset._integral_marking[1]
+    return any(a != b and marks[a] >= marks[b] for a in marks if poset.leq(a, q)
+               for b in marks if poset.leq(p, b))
 
 
 def non_redundant_covers(poset: MarkedPoset) -> frozenset[tuple[str, str]]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # ASCII digits only
 
 
 def rat(value) -> Fraction:
@@ -22,10 +22,10 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        s = value.strip()
-        if not _RAT_RE.match(s):
+        m = _RAT_RE.fullmatch(value.strip())
+        if not m:
             raise ValueError(f"not a rational literal: {value!r}")
-        return Fraction(s)
+        return Fraction(int(m[1]), int(m[2] or 1))
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 

@@ -15,16 +15,31 @@ build a record without its ``__new__``, skipping its normalisation; the
 package does not use them.
 
 Records without cached values have ``__slots__ = ()``.  Those that cache
-derived values with `functools.cached_property` keep an instance
-``__dict__`` for them and take `Frozen` first among their bases.
+derived values with `cached_property` keep an instance ``__dict__`` for
+them and take `Frozen` first among their bases.
 """
+
+
+class cached_property:
+    """`functools.cached_property` without the lock it takes before Python
+    3.12: the method runs on an instance's first read, and its value goes
+    into the instance ``__dict__`` under its name, where later reads find it."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.func.__name__] = self.func(instance)
+        return value
 
 
 class Frozen:
     """Mixin of a namedtuple record with an instance ``__dict__``: no
     attribute can be set or deleted, as for a record with ``__slots__ = ()``.
-    `functools.cached_property` writes to the ``__dict__`` directly, so it
-    still caches."""
+    `cached_property` writes to the ``__dict__`` directly, so it still
+    caches."""
 
     __slots__ = ()
 

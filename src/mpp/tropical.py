@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from . import linalg
-from .family import (Parameter, _row_writer, hrep_general, hypercube_vertices,
+from .family import (Parameter, _row_writer, _slots, hrep_general, hypercube_vertices,
                      transfer_theta_homogeneous, zero_parameter)
 from . import geometry
 from .geometry import (Cone, HRep, TooLarge, UnsupportedUnbounded, VRep,
@@ -179,12 +179,9 @@ def _covector_forms(poset: MarkedPoset, arr: TropicalArrangement, coords):
     terms (q, j, a) in sorted-name order: max_q x_q has no constants, and at
     the homogeneous point w = (w0, w0 x) of the projected coordinates x_q is
     a * w[j] / (L * w0), L the denominator of the marking (j = 0 for a
-    marked q)."""
-    index = {e: 1 + i for i, e in enumerate(coords)}
-    den, marks = poset._integral_marking
-    return [(r, [(q, index[q], den) if q in index else (q, 0, marks[q])
-                 for q in sorted(form.support)])
-            for r, form in arr.hyperplanes]
+    marked q): (j, a) is q's slot of family._slots."""
+    slot = _slots(poset, coords)
+    return [(r, [(q, *slot[q]) for q in sorted(form.support)]) for r, form in arr.hyperplanes]
 
 
 def _argmax_mask(forms, w) -> int:

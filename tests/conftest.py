@@ -387,6 +387,54 @@ def sevenths_and_fifths(rnd: random.Random, names, interior=True) -> dict:
     return vals
 
 
+# -- the marking checks over Fractions -----------------------------------------------
+# MarkedPoset compares marking values as ints over their common denominator;
+# these compare the Fractions themselves, scanning every sorted cover.
+
+def fraction_top_marking(poset: MarkedPoset) -> dict:
+    """The largest marking value strictly below each element, or None, as a
+    max over the Fractions of the lower covers along a linear extension."""
+    top = {}
+    for e in poset.linear_extension():
+        top[e] = max((v for c in poset.lower_covers(e)
+                      for v in (top[c], poset.marking.get(c)) if v is not None), default=None)
+    return top
+
+
+def fraction_problems(poset: MarkedPoset) -> list[str]:
+    """validate(poset), each cover tested on its own and the marking through
+    fraction_top_marking."""
+    if not poset.is_acyclic:
+        return ["cycle in covering relations"]
+    report = []
+    lt, marking, top = poset.lt, poset.marking, fraction_top_marking(poset)
+    for p, q in sorted(poset.covers):
+        if any(lt(p, c) for c in poset.lower_covers(q)):
+            report += [f"non-covering pair ({p}, {q}): {w} lies strictly between"
+                       for w in poset.elements if w != p and w != q and lt(p, w) and lt(w, q)]
+    if any(top[b] is not None and top[b] > v for b, v in marking.items()):
+        report += [f"marking not order-preserving: {a} < {b} but lambda({a}) > lambda({b})"
+                   for a in sorted(marking) for b in sorted(marking)
+                   if lt(a, b) and marking[a] > marking[b]]
+    report += [f"unmarked minimal element {e}" for e in sorted(poset.elements)
+               if not poset.lower_covers(e) and e not in poset.marking]
+    return report
+
+
+def fraction_ideal_levels(poset: MarkedPoset) -> dict:
+    """MarkedPoset._ideal_levels keyed by the marking values themselves, a
+    free element being one whose fraction_top_marking is at most the value."""
+    below, bit, top = poset._below, poset._bit, fraction_top_marking(poset)
+    unmarked = [e for e in poset.linear_extension() if e not in poset.marking]
+    bases, grown = {}, 0
+    for a, v in sorted(poset.marking.items(), key=lambda item: item[1]):
+        grown = bases[v] = grown | below[a] | bit[a]
+    return {v: (base, tuple((bit[e], sum(bit[c] for c in poset.lower_covers(e)
+                                         if not base & bit[c]))
+                            for e in unmarked if not base & bit[e] and top[e] <= v))
+            for v, base in bases.items()}
+
+
 # -- oracle helpers for geometry objects --------------------------------------------
 
 def triples(constraints) -> list:

@@ -82,6 +82,18 @@ def test_invalid_marking_exit_2(tmp_path):
     assert "order-preserving" in proc.stderr
 
 
+@pytest.mark.parametrize("marking, message", [
+    ({"a": "1/2", "b": "1/3"}, "marking not order-preserving: a < b"),
+    ({"a": "\u0661", "b": "2"}, "not a rational literal"),  # an Arabic-Indic one
+], ids=["rational-not-order-preserving", "non-ascii-digit"])
+def test_bad_rational_marking_exit_2(tmp_path, capsys, marking, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]],
+                                "marking": marking}))
+    assert main(["vertices", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_vertices_methods_agree(ex52_file):
     results = {}
     for method in ("dd", "tropical"):

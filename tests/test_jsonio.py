@@ -1,3 +1,4 @@
+import enum
 import json
 from fractions import Fraction
 
@@ -177,6 +178,36 @@ def reference(obj) -> str:
         "big-ints", "empty-containers", "tuples", "none", "fractions",
         "sorted-keys", "non-str-keys", "bare-string", "bare-int"])
 def test_encode_matches_json_dumps(payload):
+    assert encode(payload) == reference(payload)
+
+
+class Str(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Ratio(Fraction):
+    pass
+
+
+# objects whose values are all leaves are written in one join; a leaf of a
+# subclass is written as the type it extends
+@pytest.mark.parametrize("payload", [
+    {"s": "x", "f": Fraction(-1, 3), "i": 7, "w": Fraction(4), "n": -(2 ** 70)},
+    {"t": True, "f": False, "n": None},
+    {"one": 1, "true": True, "zero": 0, "false": False},  # a bool is not an int here
+    {"a": [], "o": {}},
+    {'"': "quote", "\\": Fraction(1, 2), "\u00e9": 3, "\t": None},
+    {1: "int", Fraction(1, 2): "fraction", None: "none", False: "bool"},
+    {"outer": {"s": "x", "i": 1}, "rows": [{"f": Fraction(2, 5)}, {}]},
+    [{"b": "1", "a": 2}, {"z": True}],
+    {"s": Str("x"), "i": Level.HIGH, "f": Ratio(1, 3), "rows": [[Level.HIGH, 1]]},
+], ids=["str-fraction-int", "constants", "bool-beside-int", "empty-containers",
+        "escaped-keys", "non-str-keys", "nested", "in-a-list", "leaf-subclasses"])
+def test_flat_objects_match_json_dumps(payload):
     assert encode(payload) == reference(payload)
 
 

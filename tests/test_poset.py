@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_marked_poset, rank_function
+from conftest import (fraction_ideal_levels, fraction_problems, random_marked_poset,
+                      rank_function)
 from mpp.family import hrep_general, zero_parameter
 from mpp.geometry import vertices
 from mpp.poset import (MarkedPoset, PosetError, SaturatedChain, constant_intervals,
@@ -88,6 +89,81 @@ def test_a_long_marked_chain_validates_in_linear_time():
 def test_validate_unmarked_minimal():
     p = mp("ab", [("a", "b")], {"b": 1})
     assert any("minimal" in msg for msg in validate(p))
+
+
+# -- the integer marking checks against the Fraction oracle ---------------------
+
+DIAMOND = [("a", "p"), ("a", "q"), ("p", "b"), ("q", "b")]
+MARKING_CASES = {
+    "rational": ("apqb", DIAMOND, {"a": "1/3", "b": "5/7"}),
+    "negative": ("apqb", DIAMOND, {"a": "-3/2", "b": "-1/3"}),
+    "equal": ("apqb", DIAMOND, {"a": "2/3", "b": "2/3"}),
+    "equal-incomparable": ("abcde", [("a", "c"), ("b", "d"), ("c", "e"), ("d", "e")],
+                           {"a": "1/2", "b": "1/2", "c": "1/2", "e": "3/4"}),
+    "not-order-preserving": ("ab", [("a", "b")], {"a": "1/2", "b": "1/3"}),
+    "negative-not-order-preserving": ("abcd", [("a", "b"), ("b", "c"), ("c", "d")],
+                                      {"a": "-1/3", "b": "-2/3", "c": "-1", "d": "-2/3"}),
+    "non-covering": ("adcb", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("b", "d")],
+                     {"a": "-1/2", "d": "1/2"}),
+    "cycle": ("abc", [("a", "b"), ("b", "c"), ("c", "a")], {"a": "1/2"}),
+    "unmarked-minimal": ("abc", [("a", "c"), ("b", "c")], {"c": "-1/2"}),
+    "every-fault": ("abcdx", [("a", "b"), ("b", "c"), ("a", "c"), ("x", "d"), ("c", "d")],
+                    {"a": "3/4", "b": "1/4", "c": "-1/4", "d": "3/4"}),
+}
+
+
+def assert_marking_checks_agree(p):
+    """validate and _ideal_levels against the Fraction oracle; the levels
+    where the oracle is defined, on an acyclic poset whose minimal elements
+    are all marked."""
+    problems = validate(p)
+    assert problems == fraction_problems(p)
+    if p.is_acyclic and not any(m.startswith("unmarked minimal") for m in problems):
+        den = p._integral_marking[0]
+        levels = p._ideal_levels
+        assert all(type(v) is int for v in levels)
+        assert list(levels.items()) == [(v * den, level)
+                                        for v, level in fraction_ideal_levels(p).items()]
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(MARKING_CASES))
+def test_integer_marking_checks_agree_with_fractions(name):
+    assert_marking_checks_agree(mp(*MARKING_CASES[name]))
+
+
+def test_every_fault_is_reported_in_order():
+    assert validate(mp(*MARKING_CASES["every-fault"])) == [
+        "non-covering pair (a, c): b lies strictly between",
+        "marking not order-preserving: a < b but lambda(a) > lambda(b)",
+        "marking not order-preserving: a < c but lambda(a) > lambda(c)",
+        "marking not order-preserving: b < c but lambda(b) > lambda(c)",
+        "unmarked minimal element x"]
+
+
+FAULTS = ("cycle", "non-covering pair", "marking not order-preserving", "unmarked minimal")
+
+
+def test_integer_marking_checks_agree_with_fractions_on_random_posets():
+    # rational, negative and equal values on seeded posets, some with a
+    # shortcut cover, a reversed one or an unmarked minimal element
+    rnd = random.Random(38)
+    values = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+    kinds = set()
+    for _ in range(300):
+        p = random_marked_poset(rnd, rnd.randint(1, 8))
+        covers = set(p.covers)
+        pairs = [(a, b) for a in p.elements for b in p.elements if p.lt(a, b)]
+        if pairs and rnd.random() < 0.3:  # a shortcut: a non-covering pair
+            covers.add(rnd.choice(pairs))
+        if pairs and rnd.random() < 0.05:
+            covers.add(rnd.choice(pairs)[::-1])
+        marked = [e for e in p.elements
+                  if (e in p.marking and rnd.random() < 0.95) or rnd.random() < 0.2]
+        q = MarkedPoset(p.elements, covers, {e: rnd.choice(values) for e in marked})
+        problems = assert_marking_checks_agree(q)
+        kinds |= {k for m in problems for k in FAULTS if m.startswith(k)} or {"valid"}
+    assert kinds == {"valid", *FAULTS}
 
 
 # -- saturated chains -----------------------------------------------------------

@@ -15,7 +15,10 @@ def test_parse_forms():
     assert rat(Fraction(2, 4)) == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "1/-2", "", "0x3"])
+# "\u0661" and "\u0663/\u0664" are Arabic-Indic digits, which int() would
+# read; "1_0" is an int() literal with an underscore
+@pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "1/-2", "", "0x3",
+                                 "\u0661", "\u0663/\u0664", "1_0"])
 def test_rejects_garbage(bad):
     with pytest.raises(ValueError):
         rat(bad)

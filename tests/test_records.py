@@ -4,6 +4,7 @@ refusal of every assignment."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from mpp.family import Parameter, Partition
 from mpp.geometry import Cone, Constraint, Face, FaceLattice, HRep, VRep
 from mpp.lattice import EhrhartData
 from mpp.poset import MarkedPoset, PosetError, SaturatedChain
+from mpp.records import Frozen, cached_property
 from mpp.tropical import SubdivisionCell, TropicalArrangement, TropicalForm
 
 ZERO, ONE, HALF = Fraction(0), Fraction(1), Fraction(1, 2)
@@ -91,6 +93,54 @@ def test_cached_values_are_read_only():
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             delattr(record, name)
+
+
+class Counted(Frozen, namedtuple("Counted", "x")):
+    calls = []
+
+    @cached_property
+    def double(self):
+        """Twice x."""
+        self.calls.append(self.x)
+        return 2 * self.x
+
+
+def test_cached_property_runs_once_per_instance():
+    Counted.calls.clear()
+    a, b = Counted(1), Counted(2)
+    assert a.double == a.double == 2 and b.double == b.double == 4
+    assert Counted.calls == [1, 2]
+
+
+def test_cached_property_stores_in_the_instance_dict():
+    a = Counted(3)
+    assert a.__dict__ == {}
+    assert a.double == 6 and a.__dict__ == {"double": 6}
+    # the __dict__ that Cone.vrep fills with the cone, next to cached values
+    from conftest import make_ex52
+    from mpp.family import hrep_general, zero_parameter
+    from mpp.geometry import vertices
+    v = vertices(hrep_general(make_ex52(), zero_parameter(make_ex52())))
+    assert set(v.__dict__) == {"_cone"}
+    assert v.vertices is v.vertices and set(v.__dict__) == {"_cone", "vertices"}
+
+
+def test_cached_property_values_stay_frozen():
+    a = Counted(1)
+    for _ in range(2):  # before the first read and after it
+        with pytest.raises(AttributeError):
+            a.double = 0
+        with pytest.raises(AttributeError):
+            del a.double
+        assert a.double == 2
+
+
+def test_cached_property_on_the_class_is_the_descriptor():
+    prop = Counted.__dict__["double"]
+    assert Counted.double is prop and isinstance(prop, cached_property)
+    assert prop.func.__name__ == "double" and prop.__doc__ == "Twice x."
+    problems = MarkedPoset.problems  # what tests/test_compute_once.py wraps
+    assert problems.func.__name__ == "problems" and problems.__doc__ == problems.func.__doc__
 
 
 def test_marked_poset_and_parameter_normalise_and_hash_sorted_items():
