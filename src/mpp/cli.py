@@ -425,11 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("hibi-li", cmd_hibi_li, help="compare two chain-order polytopes")
     p.add_argument("--part-a", required=True, dest="part_a")
     p.add_argument("--part-b", required=True, dest="part_b")
+    ap.commands = sub.choices  # by name, the parsers that ap hands a command's arguments to
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = ap.commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else ap.parse_args(argv)
     try:
         return _run(args)
     except BrokenPipeError:

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter, methodcaller, mul
 
 from . import linalg
-from .linalg import (_eliminate, _idot, _primitive, common_denominator, dehomogenized, dot,
+from .linalg import (_eliminate, _primitive, common_denominator, dehomogenized, dot,
                      homogenized)
 from .rationals import rat
 from .records import Frozen, cached_property
@@ -159,14 +159,14 @@ def _nonconstant(rows, n, kind, violated):
     for row, scale, origin in rows:
         if len(row) != n:
             raise GeometryError("constraint arity does not match ambient coordinates")
-        if any(row[1:]):
-            g = math.gcd(*row)
-            prim = row if g == 1 else tuple(x // g for x in row)
+        if g := math.gcd(*row[1:]):  # 0 for a constant row
+            g = math.gcd(g, row[0])
+            prim = row if g == 1 else tuple([x // g for x in row])
             s = math.gcd(g, scale)  # the factor that row and scale share
             if s == g:
                 row = prim
             elif s > 1:
-                row = tuple(x // s for x in row)
+                row = tuple([x // s for x in row])
             kept.append((row, scale // s, origin))
             prims.append(prim)
         elif violated(row[0]):
@@ -221,27 +221,27 @@ def _dd_process_inequality(idx, row, lines, rays, span_dim, work):
     bit = 1 << idx
     l0, v0, lines = _eliminate(row, lines)
     if l0 is not None:
-        # a0 * r - sgn * s * l0 is a positive multiple of r plus a line and
-        # lies on the hyperplane; -sgn * l0 is the new ray strictly inside
+        # for s = sgn * row . r, a0 * r - s * l0 is a positive multiple of r plus
+        # a line, on the hyperplane; -sgn * l0 is the new ray strictly inside
         sgn, a0 = (1, v0) if v0 > 0 else (-1, -v0)
         new_rays = []
         for r, z in rays:
-            s = _idot(row, r)
-            if s != 0:
-                r = _primitive(tuple(a0 * x - sgn * s * y for x, y in zip(r, l0)))
+            s = sgn * sum(map(mul, row, r))
+            if s:
+                r = _primitive(tuple([a0 * x - s * y for x, y in zip(r, l0)]))
             new_rays.append((r, z | bit))
-        new_rays.append((tuple(-sgn * x for x in l0), bit - 1))
+        new_rays.append((tuple([-sgn * x for x in l0]), bit - 1))
         return lines, new_rays
     plus, minus, new_rays = [], [], []
-    for r, z in rays:
-        s = _idot(row, r)
+    for rz in rays:
+        s = sum(map(mul, row, rz[0]))
         if s > 0:
-            plus.append((r, z, s))
+            plus.append((rz, s))
         elif s < 0:
-            minus.append((r, z, s))
-            new_rays.append((r, z))
+            minus.append((rz, s))
+            new_rays.append(rz)
         else:
-            new_rays.append((r, z | bit))
+            new_rays.append((rz[0], rz[1] | bit))
     if plus and minus:
         work[0] += len(plus) * len(minus) * len(rays)
         if work[0] > DD_BUDGET:
@@ -250,12 +250,12 @@ def _dd_process_inequality(idx, row, lines, rays, span_dim, work):
         zs = [z for _, z in rays]
         # adjacent rays share at least span_dim - len(lines) - 2 tight rows
         need = span_dim - len(lines) - 2
-        for rp, zp, sp in plus:
-            for rm, zm, sm in minus:
+        for (rp, zp), sp in plus:
+            for (rm, zm), sm in minus:
                 zc = zp & zm
                 if zc.bit_count() >= need and _adjacent(zc, zs):
                     # each adjacent pair spans its own 2-face: no ray repeats
-                    w = _primitive(tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm)))
+                    w = _primitive(tuple([sp * xm - sm * xp for xp, xm in zip(rp, rm)]))
                     new_rays.append((w, zc | bit))
     return lines, new_rays
 
@@ -275,8 +275,8 @@ def _adjacent(zc: int, zs: list[int]) -> bool:
 # the insertion order of homogenization_cone as two stable sorts on C-level
 # keys: by the reversed row, then by the zero count (rows share one width, so
 # the fewest zeros are the most nonzero coefficients)
-_reversed = operator.itemgetter(slice(None, None, -1))
-_zero_count = operator.methodcaller("count", 0)
+_reversed = itemgetter(slice(None, None, -1))
+_zero_count = methodcaller("count", 0)
 
 
 class Cone(namedtuple("Cone", "coords lines rays span_dim rows")):

@@ -9,9 +9,9 @@ Fraction rows are scaled to integers first, and no floating point is used.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[Fraction, ...]
 
@@ -34,22 +34,18 @@ def is_zero(a) -> bool:
 
 def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     g = gcd(*v)
-    return v if g <= 1 else tuple(x // g for x in v)
-
-
-def _idot(a, b) -> int:
-    return sum(map(operator.mul, a, b))
+    return v if g <= 1 else tuple([x // g for x in v])
 
 
 def _eliminate(row, lines):
     """(l0, v0, others): a line with l0 . row = v0 != 0 (None if there is
     none) and the other lines made orthogonal to row as v0 * l - v * l0."""
-    vals = [_idot(row, l) for l in lines]
+    vals = [sum(map(mul, row, l)) for l in lines]
     j0 = next((j for j, v in enumerate(vals) if v != 0), None)
     if j0 is None:
         return None, 0, lines
     l0, v0 = lines[j0], vals[j0]
-    others = [l if v == 0 else _primitive(tuple(v0 * x - v * y for x, y in zip(l, l0)))
+    others = [l if v == 0 else _primitive(tuple([v0 * x - v * y for x, y in zip(l, l0)]))
               for j, (l, v) in enumerate(zip(lines, vals)) if j != j0]
     return l0, v0, others
 

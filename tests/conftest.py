@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -615,6 +616,11 @@ def normalized(c: Constraint):
     nz = next(x for x in c.coeffs if x != 0)
     scale = next(x for x in p if x != 0) / nz
     return p, c.rhs * scale
+
+
+def idot(a, b) -> int:
+    """The dot product of two integer rows."""
+    return sum(map(operator.mul, a, b))
 
 
 def det(a_rows) -> Fraction:

@@ -506,6 +506,62 @@ def test_main_in_process_parses_each_call(ex52_file, capsys):
     assert second["command"] == "hrep" and "method" not in second
 
 
+# a representative argv of every subcommand, with each of its options
+DISPATCH_ARGVS = [
+    ["hrep", "p.json", "--t", "generic", "--irredundant", "--projected"],
+    ["hrep", "p.json", "--partition", "c.json"],
+    ["vertices", "p.json"],
+    ["vertices", "p.json", "--t", "t.json", "--method", "tropical"],
+    ["fvector", "p.json", "--partition", "c.json"],
+    ["ehrhart", "p.json", "--t", "generic", "--dilations", "4"],
+    ["lattice-points", "p.json", "--t", "t.json"],
+    ["subdivision", "p.json", "--off", "out.off"],
+    ["degenerate", "p.json", "--from-t", "a.json", "--to-t", "b.json"],
+    ["sweep", "p.json", "--check", "hibi-li"],
+    ["regularize", "p.json"],
+    ["tame", "p.json"],
+    ["hibi-li", "p.json", "--part-a", "a.json", "--part-b", "b.json"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=[" ".join(a) for a in DISPATCH_ARGVS])
+def test_main_parses_with_the_command_parser(argv, monkeypatch):
+    # main hands argv[1:] to the command's own parser: the namespace is the
+    # top-level parser's less the command name
+    from mpp import cli
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(args) or 0)
+    assert cli.main(argv) == 0
+    expected = vars(cli.build_parser().parse_args(argv))
+    assert expected.pop("cmd") == argv[0]
+    assert vars(seen[0]) == expected
+
+
+def test_dispatch_argvs_cover_every_command():
+    from mpp.cli import build_parser
+    assert {argv[0] for argv in DISPATCH_ARGVS} == set(build_parser().commands)
+
+
+@pytest.mark.parametrize("argv,code,stream,text", [
+    (["vertices", "{poset}", "--bogus"], 2, "err",
+     "mpp vertices: error: unrecognized arguments: --bogus"),
+    (["nosuch", "{poset}"], 2, "err", "invalid choice: 'nosuch'"),
+    ([], 2, "err", "the following arguments are required: cmd"),
+    (["vertices"], 2, "err", "mpp vertices: error: the following arguments are required: poset"),
+    (["-h"], 0, "out", "usage: mpp [-h]"),
+    (["vertices", "-h"], 0, "out", "usage: mpp vertices [-h]"),
+])
+def test_argument_errors_and_help(argv, code, stream, text, ex52_file, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([a.format(poset=ex52_file) for a in argv])
+    assert exit_.value.code == code
+    captured = capsys.readouterr()
+    assert text in getattr(captured, stream)
+    if argv[:1] == ["vertices"] and code:
+        # the command's own usage line
+        assert captured.err.startswith("usage: mpp vertices [-h]")
+
+
 def test_closed_stdout_exits_quietly(ex52_file):
     # the reader goes away before anything is written, as `mpp ... | head` can
     proc = subprocess.Popen([sys.executable, "-m", "mpp.cli", "vertices", ex52_file],

@@ -15,10 +15,9 @@ import pytest
 from mpp import cli, degeneration, geometry, tropical
 from mpp.family import Parameter, generic_parameter, hrep_general, zero_parameter
 from mpp.jsonio import poset_to_json
-from mpp.linalg import _idot
 from mpp.poset import MarkedPoset, validate
 
-from conftest import (fraction_hrep_general, make_double_star, make_ex52, make_ex52_rational,
+from conftest import (fraction_hrep_general, idot, make_double_star, make_ex52, make_ex52_rational,
                       make_grid, make_marked_interior)
 
 
@@ -131,7 +130,7 @@ def test_hibi_li_sweep_builds_each_lattice_once(tmp_path, monkeypatch, capsys):
 def _vertex_tight_sets(h) -> frozenset:
     """Each vertex's mask of h's tight inequalities by their index in h, one
     integer dot product per pair."""
-    return frozenset(sum(1 << i for i, r in enumerate(h.int_inequalities) if _idot(r, p) == 0)
+    return frozenset(sum(1 << i for i, r in enumerate(h.int_inequalities) if idot(r, p) == 0)
                      for p in geometry.vertices(h).rows)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (barycenter, faces_by_vertex_ids, make_chain_poset,
+from conftest import (barycenter, faces_by_vertex_ids, idot, make_chain_poset,
                       make_double_star, make_ex52, make_ex52_rational, make_grid,
                       random_marked_poset, triples)
 from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_vertices,
@@ -19,7 +19,6 @@ from mpp.geometry import (EmptyPolyhedron, Face, HRep, Unbounded, UnsupportedLin
                           facet_masks, iter_faces, make_hrep, maximal_masks, vertices,
                           vertices_bruteforce)
 from mpp.poset import MarkedPoset
-from mpp.linalg import _idot
 from mpp import geometry, jsonio, linalg, tropical
 
 
@@ -509,7 +508,7 @@ def dot_incidences(h, v):
     on which it is tight, one integer dot product per pair (bit i for
     v.rows[i], then bit len(v.rows) + j for v.rays[j])."""
     homs = v.rows + tuple((0,) + r for r in v.rays)
-    return [sum(1 << i for i, p in enumerate(homs) if _idot(r, p) == 0)
+    return [sum(1 << i for i, p in enumerate(homs) if idot(r, p) == 0)
             for r in h.int_inequalities]
 
 
@@ -1008,3 +1007,221 @@ def test_bruteforce_vertices_in_dimension_zero():
     v = vertices_bruteforce(HRep(()))
     assert v.rows == ((1,),) and v.vertices == ((),) and v.rays == ()
     assert v == vertices(HRep(()))
+
+
+# -- reference DD step and constraint reduction ------------------------------
+# The DD step and _nonconstant as they were before their inner loops were
+# tightened (generator expressions, a dot-product helper per ray, three-field
+# plus/minus entries): the kernel must build the same lines, the same rays
+# and zero sets in the same order, and count the same adjacency steps.
+
+def reference_primitive(v):
+    g = math.gcd(*v)
+    return v if g <= 1 else tuple(x // g for x in v)
+
+
+def reference_eliminate(row, lines):
+    vals = [idot(row, l) for l in lines]
+    j0 = next((j for j, v in enumerate(vals) if v != 0), None)
+    if j0 is None:
+        return None, 0, lines
+    l0, v0 = lines[j0], vals[j0]
+    others = [l if v == 0 else reference_primitive(tuple(v0 * x - v * y for x, y in zip(l, l0)))
+              for j, (l, v) in enumerate(zip(lines, vals)) if j != j0]
+    return l0, v0, others
+
+
+def reference_dd_process_inequality(idx, row, lines, rays, span_dim, work):
+    bit = 1 << idx
+    l0, v0, lines = reference_eliminate(row, lines)
+    if l0 is not None:
+        sgn, a0 = (1, v0) if v0 > 0 else (-1, -v0)
+        new_rays = []
+        for r, z in rays:
+            s = idot(row, r)
+            if s != 0:
+                r = reference_primitive(tuple(a0 * x - sgn * s * y for x, y in zip(r, l0)))
+            new_rays.append((r, z | bit))
+        new_rays.append((tuple(-sgn * x for x in l0), bit - 1))
+        return lines, new_rays
+    plus, minus, new_rays = [], [], []
+    for r, z in rays:
+        s = idot(row, r)
+        if s > 0:
+            plus.append((r, z, s))
+        elif s < 0:
+            minus.append((r, z, s))
+            new_rays.append((r, z))
+        else:
+            new_rays.append((r, z | bit))
+    if plus and minus:
+        work[0] += len(plus) * len(minus) * len(rays)
+        if work[0] > geometry.DD_BUDGET:
+            raise TooLarge(f"double description reached {work[0]} steps of adjacency "
+                           f"testing, past its budget of {geometry.DD_BUDGET}")
+        zs = [z for _, z in rays]
+        need = span_dim - len(lines) - 2
+        for rp, zp, sp in plus:
+            for rm, zm, sm in minus:
+                zc = zp & zm
+                if zc.bit_count() >= need and geometry._adjacent(zc, zs):
+                    w = reference_primitive(tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm)))
+                    new_rays.append((w, zc | bit))
+    return lines, new_rays
+
+
+def reference_nonconstant(rows, n, kind, violated):
+    kept, prims = [], []
+    for row, scale, origin in rows:
+        if len(row) != n:
+            raise geometry.GeometryError("constraint arity does not match ambient coordinates")
+        if any(row[1:]):
+            g = math.gcd(*row)
+            prim = row if g == 1 else tuple(x // g for x in row)
+            s = math.gcd(g, scale)
+            if s == g:
+                row = prim
+            elif s > 1:
+                row = tuple(x // s for x in row)
+            kept.append((row, scale // s, origin))
+            prims.append(prim)
+        elif violated(row[0]):
+            raise EmptyPolyhedron(f"constant {kind} violated (origin {origin})")
+    return tuple(kept), tuple(prims)
+
+
+def dd_steps(monkeypatch, step, run):
+    """(idx, lines, rays, work[0]) after every DD step that run() takes with
+    step in place of the kernel's, then what run() returned."""
+    steps = []
+
+    def recorded(idx, row, lines, rays, span_dim, work):
+        lines, rays = step(idx, row, lines, rays, span_dim, work)
+        steps.append((idx, lines, rays, work[0]))
+        return lines, rays
+
+    monkeypatch.setattr(geometry, "_dd_process_inequality", recorded)
+    out = run()
+    monkeypatch.undo()
+    return steps, out
+
+
+def assert_same_dd(monkeypatch, run):
+    """run() takes the same DD steps with the kernel's step and the reference."""
+    expected, _ = dd_steps(monkeypatch, reference_dd_process_inequality, run)
+    got, _ = dd_steps(monkeypatch, geometry._dd_process_inequality, run)
+    assert got == expected and expected
+
+
+def golden_posets():
+    from test_golden import POSETS
+    return POSETS
+
+
+def dd_parameters(poset, seed):
+    """t = 0, t = 1, generic t and three seeded corners."""
+    rnd = random.Random(seed)
+    names = sorted(poset.unmarked)
+    corners = [Parameter({p: Fraction(rnd.randint(0, 1)) for p in names}) for _ in range(3)]
+    return [zero_parameter(poset), Parameter({p: Fraction(1) for p in names}),
+            generic_parameter(poset)] + corners
+
+
+@pytest.mark.parametrize("key", sorted(golden_posets()))
+def test_dd_kernel_matches_the_reference_step_on_golden_posets(key, monkeypatch):
+    poset = golden_posets()[key]()
+    for t in dd_parameters(poset, key):
+        for projected in (True, False):
+            h = hrep_general(poset, t, projected=projected)
+            assert_same_dd(monkeypatch, lambda: geometry.homogenization_cone(h))
+
+
+def random_unbounded_hrep(rnd: random.Random) -> HRep:
+    """Integer rows over (x0, .., x(n-1), w) through a point p: w is in no
+    row (a line), x1 has a coefficient <= 0 in every inequality and none in
+    the equation (a recession ray), and one random equation holds at p."""
+    n = rnd.randint(2, 4)
+    p = [rnd.randint(-3, 3) for _ in range(n)]
+
+    def row(a, slack):
+        return (slack - sum(x * y for x, y in zip(a, p)),) + tuple(a) + (0,)
+
+    eq = [rnd.randint(-2, 2) for _ in range(n)]
+    eq[1] = 0
+    ineqs = []
+    for _ in range(rnd.randint(n, n + 5)):
+        a = [rnd.randint(-3, 3) for _ in range(n)]
+        a[1] = -abs(a[1])
+        ineqs.append((row(a, -rnd.randint(0, 3)), 1, ("random",)))
+    coords = tuple(f"x{i}" for i in range(n)) + ("w",)
+    return HRep(coords).with_rows([(row(eq, 0), 1, ("random",))] if any(eq) else [], ineqs)
+
+
+def test_dd_kernel_matches_the_reference_step_on_random_hreps(monkeypatch):
+    rnd = random.Random(39)
+    unbounded = 0
+    for _ in range(50):
+        h = random_unbounded_hrep(rnd)
+        cone = geometry.homogenization_cone(h)
+        unbounded += bool(cone.lines) and any(r[0] == 0 for r, _ in cone.rays)
+        assert_same_dd(monkeypatch, lambda: geometry.homogenization_cone(h))
+    assert unbounded >= 25  # most keep both the line and the recession ray
+
+
+@pytest.mark.parametrize("make", [make_ex52, make_double_star, lambda: make_grid(2, 3)],
+                         ids=["ex52", "dstar", "grid2x3"])
+def test_dd_kernel_matches_the_reference_step_on_covector_cells(make, monkeypatch):
+    def run():
+        poset = make()  # a fresh poset, so that the base cone is built again
+        return list(tropical._covector_cells(poset, tropical.arrangement(poset),
+                                             *tropical._base_data(poset)))
+
+    assert_same_dd(monkeypatch, run)
+
+
+def test_nonconstant_matches_the_reference_on_golden_rows(monkeypatch):
+    from test_golden import INPUTS
+    calls = []
+    step = geometry._nonconstant
+
+    def recorded(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(geometry, "_nonconstant", recorded)
+    for key, make in golden_posets().items():
+        poset = make()
+        ts = [generic_parameter(poset)]
+        if "t" in INPUTS[key]:
+            ts.append(Parameter(INPUTS[key]["t"]))
+        for t in ts:
+            hrep_general(poset, t, projected=True)
+            hrep_general(poset, t, projected=False)
+    monkeypatch.undo()
+    assert len(calls) >= 4 * len(golden_posets())
+    for args in calls:
+        assert geometry._nonconstant(*args) == reference_nonconstant(*args)
+
+
+@pytest.mark.parametrize("rows,n,kind,violated,error", [
+    ([((0, 0, 0), 1, ("zero",)), ((3, 6, 0), 6, ("a",))], 3, "equation", (0).__ne__, None),
+    ([((-2, 0), 3, ("holds",)), ((4, 2), 4, ("b",))], 2, "inequality", (0).__lt__, None),
+    ([((5, 10), 5, ("c",)), ((1, 0), 1, ("fails",))], 2, "inequality", (0).__lt__,
+     EmptyPolyhedron),
+    ([((1, 0, 0), 1, ("fails",))], 3, "equation", (0).__ne__, EmptyPolyhedron),
+    ([((1, 2), 1, ("wide",)), ((1, 2, 3), 1, ("wide",))], 2, "inequality", (0).__lt__,
+     geometry.GeometryError),
+    ([((1,), 1, ("no coordinates",))], 1, "inequality", (0).__lt__, EmptyPolyhedron),
+    ([((0,), 1, ("no coordinates",))], 1, "equation", (0).__ne__, None),
+])
+def test_nonconstant_matches_the_reference_on_constant_rows_and_arity(rows, n, kind,
+                                                                     violated, error):
+    if error is None:
+        assert geometry._nonconstant(rows, n, kind, violated) == \
+            reference_nonconstant(rows, n, kind, violated)
+        return
+    with pytest.raises(error) as got:
+        geometry._nonconstant(rows, n, kind, violated)
+    with pytest.raises(error) as expected:
+        reference_nonconstant(rows, n, kind, violated)
+    assert str(got.value) == str(expected.value)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (covector_cell_rows, det, full_covector_cells, make_double_star,
+from conftest import (covector_cell_rows, det, full_covector_cells, idot, make_double_star,
                       make_ex52, make_ex52_rational, make_grid, make_marked_interior,
                       maximizing_relation, random_marked_poset, random_parameter)
 from mpp import linalg, tropical
@@ -676,8 +676,8 @@ def test_ideal_cells_refine_tropical_cells(make):
     assert len(maximal) >= len(hulls) > 1
 
     def holds(h, rows):
-        return (all(linalg._idot(a, p) == 0 for a in h.int_equations for p in rows)
-                and all(linalg._idot(a, p) <= 0 for a in h.int_inequalities for p in rows))
+        return (all(idot(a, p) == 0 for a in h.int_equations for p in rows)
+                and all(idot(a, p) <= 0 for a in h.int_inequalities for p in rows))
 
     for cell in cells:
         rows = homogenized(cell.vertices)
