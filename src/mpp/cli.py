@@ -34,7 +34,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -183,8 +183,11 @@ def cmd_subdivision(args, poset) -> int:
                "vertices": [[rat_str(x) for x in p] for p in sub_vertices]}
     if args.off:  # the text first, so that a refused export leaves the file alone
         off = tropical.export_off(poset, cells)
-        with open(args.off, "w", encoding="utf-8") as fh:
-            fh.write(off)
+        try:
+            with open(args.off, "w", encoding="utf-8") as fh:
+                fh.write(off)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.off}: {exc}") from exc
     return _emit(payload, f"tropical subdivision: {len(cells)} cells, "
                           f"{len(sub_vertices)} vertices")
 

@@ -11,8 +11,8 @@ holds each vertex as an integer row over one common denominator.  The cone
 that DD leaves (Cone) can be cut by further rows, which continues the same
 DD instead of starting it again; a run refuses past DD_BUDGET steps of
 adjacency testing.  Fraction vertices are built only when a caller reads
-VRep.vertices.  A brute-force constraint-subset oracle is kept alongside
-for cross-checking.
+VRep.vertices.  A brute-force constraint-subset oracle on the same integer
+rows is kept alongside for cross-checking.
 
 The VRep that DD returns keeps its cone, and the face layer reads it: the
 incidences of the inequalities with the generators are the rays' zero sets
@@ -359,28 +359,28 @@ def vertices(h: HRep) -> VRep:
 # -- brute-force oracle -------------------------------------------------------
 
 def _recession_direction(h: HRep):
-    """A nonzero recession direction of the polyhedron, or None.
+    """A nonzero recession direction, a primitive integer vector, or None.
 
-    Rows of rank below d leave a line.  Otherwise the recession cone
-    {y : E y = 0, A y <= 0} is pointed, so it is nonzero exactly when it has
-    an extreme ray: the one-dimensional kernel of the equations and
-    d - 1 - rank(E) inequalities, taken with the sign that satisfies every
-    inequality.
+    The rows' coefficient parts a are read: rows of rank below d leave a
+    line.  Otherwise the recession cone {y : E y = 0, A y <= 0} is pointed,
+    so it is nonzero exactly when it has an extreme ray: the one-dimensional
+    kernel of the equations and d - 1 - rank(E) inequalities, taken with the
+    sign that satisfies every inequality.
     """
     d = h.dim_ambient
-    eqs = [c.coeffs for c in h.equations]
-    ineqs = [c.coeffs for c in h.inequalities]
-    lines = linalg.nullspace(eqs + ineqs, d)
+    eqs = [r[1:] for r in h.int_equations]
+    ineqs = [r[1:] for r in h.int_inequalities]
+    lines = linalg.kernel(eqs + ineqs, d)
     if lines:
         return lines[0]
     k = d - 1 - linalg.rank(eqs)
     if k < 0:  # the equations alone pin the point
         return None
     for combo in itertools.combinations(ineqs, k):
-        kernel = linalg.nullspace(eqs + list(combo), d)
+        kernel = linalg.kernel(eqs + list(combo), d)
         if len(kernel) == 1:
-            for y in (kernel[0], tuple(-x for x in kernel[0])):
-                if all(dot(a, y) <= 0 for a in ineqs):
+            for y in (kernel[0], tuple([-x for x in kernel[0]])):
+                if all(sum(map(mul, a, y)) <= 0 for a in ineqs):
                     return y
     return None
 
@@ -388,29 +388,28 @@ def _recession_direction(h: HRep):
 def vertices_bruteforce(h: HRep) -> VRep:
     """Independent oracle: intersect all d-subsets of constraints.
 
-    Bounded polyhedra of ambient dimension <= 8 only; raises Unbounded when a
-    recession direction exists.
+    A subset of inequalities meets the equations in the point x / x0 when
+    the kernel of their integer rows is one vector (x0, x) with x0 != 0.
+    Bounded polyhedra of ambient dimension <= 8 only; raises Unbounded when
+    a recession direction exists.
     """
     d = h.dim_ambient
     if d > 8:
         raise TooLarge("brute-force vertex enumeration capped at dimension 8")
-    if d == 0:
-        return VRep((), ((1,),), ())
-    eq_rows = [list(c.coeffs) for c in h.equations]
-    eq_rhs = [c.rhs for c in h.equations]
-    k = d - linalg.rank(eq_rows)
-    verts = set()
-    for combo in itertools.combinations(range(len(h.inequalities)), k):
-        rows = eq_rows + [list(h.inequalities[i].coeffs) for i in combo]
-        rhs = eq_rhs + [h.inequalities[i].rhs for i in combo]
-        x = linalg.solve_unique(rows, rhs)
-        if x is not None and h.contains(x):
-            verts.add(x)
+    eqs, ineqs = h.int_equations, h.int_inequalities
+    k = d - linalg.rank([r[1:] for r in eqs])
+    points = set()
+    for combo in itertools.combinations(ineqs, k):
+        kernel = linalg.kernel(eqs + combo, d + 1)
+        if len(kernel) == 1 and kernel[0][0]:
+            p = kernel[0] if kernel[0][0] > 0 else tuple([-x for x in kernel[0]])
+            if all(sum(map(mul, row, p)) <= 0 for row in ineqs):
+                points.add(p)
     if _recession_direction(h) is not None:
         raise Unbounded("polyhedron has a recession direction")
-    if not verts:
+    if not points:
         raise EmptyPolyhedron("no feasible point")
-    return VRep(h.coords, tuple(sorted(homogenized(verts))), ())
+    return VRep(h.coords, tuple(sorted(common_denominator(points))), ())
 
 
 # -- face lattice -------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 `_eliminate` makes a list of primitive integer lines orthogonal to one more
 row (Bareiss 1968, each new line divided by its gcd).  `kernel` runs it from
-the unit vectors over every row; ranks, nullspaces and solves read its
-result, and double description runs it on its equations and lines.
-Fraction rows are scaled to integers first, and no floating point is used.
+the unit vectors over every row: ranks read its result, a system with one
+solution is a kernel of one vector on its homogeneous rows, and double
+description runs it on its equations and lines.  Fraction rows are scaled
+to integers first, and no floating point is used.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ ZERO = Fraction(0)
 
 def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
-
-
-def vsub(a, b) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def is_zero(a) -> bool:
-    return all(x == 0 for x in a)
 
 
 # -- the integer elimination ---------------------------------------------------
@@ -70,41 +63,6 @@ def rank(rows) -> int:
     """The rank of the rows: their width minus the dimension of their kernel."""
     n = len(rows[0]) if rows else 0
     return n - len(kernel(rows, n))
-
-
-def nullspace(a_rows, n: int | None = None) -> list[Vector]:
-    """Basis of {x : A x = 0}."""
-    if n is None:
-        n = len(a_rows[0]) if a_rows else 0
-    return [tuple(map(Fraction, v)) for v in kernel(a_rows, n)]
-
-
-def _solutions(a_rows, b) -> tuple[int, list[tuple[int, ...]]]:
-    """(n, the kernel of [A | -b]): the solutions x of A x = b are the
-    points v[:n] / v[n] of its vectors with v[n] != 0."""
-    n = len(a_rows[0])
-    return n, kernel([tuple(r) + (-bv,) for r, bv in zip(a_rows, b)], n + 1)
-
-
-def solve(a_rows, b) -> Vector | None:
-    """One solution of A x = b, or None if inconsistent (ignores non-uniqueness)."""
-    if not a_rows:
-        return ()
-    n, ker = _solutions(a_rows, b)
-    v = next((v for v in ker if v[n]), None)
-    return None if v is None else tuple(Fraction(x, v[n]) for x in v[:n])
-
-
-def solve_unique(a_rows, b) -> Vector | None:
-    """Unique solution of A x = b, or None if inconsistent or underdetermined:
-    the solution is unique exactly when the kernel of [A | -b] is one vector
-    whose last entry is nonzero."""
-    if not a_rows:
-        return None
-    n, ker = _solutions(a_rows, b)
-    if len(ker) != 1 or not ker[0][n]:
-        return None
-    return tuple(Fraction(x, ker[0][n]) for x in ker[0][:n])
 
 
 def homogenized(points) -> list[tuple[int, ...]]:

@@ -492,14 +492,15 @@ def export_off(poset: MarkedPoset, cells: list[SubdivisionCell] | None = None) -
 def _polygon_cycle(points):
     """Cyclic vertex order of a convex polygon given in any ambient dimension."""
     pts = list(points)
-    base = pts[0]
-    dirs = [linalg.vsub(p, base) for p in pts[1:]]
-    u = next(d for d in dirs if not linalg.is_zero(d))
+    rows = linalg.homogenized(pts)  # (D, D * p) over one D
+    dirs = [tuple([x - y for x, y in zip(r[1:], rows[0][1:])]) for r in rows]
+    u = next(d for d in dirs if any(d))
     w = next((d for d in dirs if linalg.rank([u, d]) == 2), None)
     if w is None:
         return pts  # degenerate (segment)
-    plane = [[a, b] for a, b in zip(u, w)]
-    coords2 = [tuple(linalg.solve(plane, list(linalg.vsub(p, base)))) for p in pts]
+    # d = (a / c) u + (b / c) w for (a, b, c) spanning the kernel of columns u, w, -d
+    kernels = [linalg.kernel(list(zip(u, w, [-x for x in d])), 3)[0] for d in dirs]
+    coords2 = [(Fraction(a, c), Fraction(b, c)) for a, b, c in kernels]
     cx = sum((a for a, _ in coords2), ZERO) / len(coords2)
     cy = sum((b for _, b in coords2), ZERO) / len(coords2)
     rel = [(a - cx, b - cy) for a, b in coords2]

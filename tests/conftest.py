@@ -7,14 +7,15 @@ import math
 import operator
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 from mpp.degeneration import FaceMap, face_map_via
 from mpp.family import _row_writer
-from mpp.geometry import (Constraint, EmptyPolyhedron, HRep, face_lattice, make_hrep,
-                          vertices)
-from mpp.linalg import homogenized
+from mpp.geometry import (Constraint, EmptyPolyhedron, HRep, TooLarge, Unbounded, VRep,
+                          face_lattice, make_hrep, vertices)
+from mpp.linalg import dot, homogenized
 from mpp.rationals import rat_str
 from mpp.poset import (MarkedPoset, chain_walker, chains_through, remove_redundant_covers,
                        require_valid, saturated_chains_to, validate)
@@ -666,6 +667,112 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(m):
             break
     return m, pivots
+
+
+def fraction_nullspace(rows, n: int) -> list[tuple[Fraction, ...]]:
+    """A basis of {x : A x = 0} in Q^n read off the rref of A: one vector
+    per free column."""
+    m, pivots = rref(rows)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_solve(rows, b, unique: bool = False) -> tuple[Fraction, ...] | None:
+    """A solution of A x = b read off the rref of [A | b], its free
+    variables 0; None when A x = b is inconsistent or, with unique, when the
+    solution is not unique."""
+    n = len(rows[0])
+    m, pivots = rref([list(r) + [bv] for r, bv in zip(rows, b)])
+    if n in pivots or (unique and len(pivots) < n):
+        return None
+    x = [Fraction(0)] * n
+    for r, p in enumerate(pivots):
+        x[p] = m[r][n]
+    return tuple(x)
+
+
+# -- the brute-force oracle and the OFF polygon order in Fractions: the code
+# -- that the integer kernel replaced, each solve and nullspace by the rref -----
+
+def fraction_recession_direction(h: HRep):
+    """Oracle of geometry._recession_direction on the Fraction constraints."""
+    d = h.dim_ambient
+    eqs = [c.coeffs for c in h.equations]
+    ineqs = [c.coeffs for c in h.inequalities]
+    lines = fraction_nullspace(eqs + ineqs, d)
+    if lines:
+        return lines[0]
+    k = d - 1 - len(rref(eqs)[1])
+    if k < 0:
+        return None
+    for combo in itertools.combinations(ineqs, k):
+        kernel = fraction_nullspace(eqs + list(combo), d)
+        if len(kernel) == 1:
+            for y in (kernel[0], tuple(-x for x in kernel[0])):
+                if all(dot(a, y) <= 0 for a in ineqs):
+                    return y
+    return None
+
+
+def fraction_vertices_bruteforce(h: HRep) -> VRep:
+    """Oracle of geometry.vertices_bruteforce: each d-subset's unique
+    Fraction solution, kept when HRep.contains it."""
+    d = h.dim_ambient
+    if d > 8:
+        raise TooLarge("brute-force vertex enumeration capped at dimension 8")
+    if d == 0:
+        return VRep((), ((1,),), ())
+    eq_rows = [list(c.coeffs) for c in h.equations]
+    eq_rhs = [c.rhs for c in h.equations]
+    k = d - len(rref(eq_rows)[1])
+    verts = set()
+    for combo in itertools.combinations(range(len(h.inequalities)), k):
+        rows = eq_rows + [list(h.inequalities[i].coeffs) for i in combo]
+        rhs = eq_rhs + [h.inequalities[i].rhs for i in combo]
+        x = fraction_solve(rows, rhs, unique=True)
+        if x is not None and h.contains(x):
+            verts.add(x)
+    if fraction_recession_direction(h) is not None:
+        raise Unbounded("polyhedron has a recession direction")
+    if not verts:
+        raise EmptyPolyhedron("no feasible point")
+    return VRep(h.coords, tuple(sorted(homogenized(verts))), ())
+
+
+def fraction_polygon_cycle(points):
+    """Oracle of tropical._polygon_cycle: plane coordinates on the first two
+    independent differences to the first point, solved in Fractions."""
+    pts = list(points)
+    base = pts[0]
+    dirs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
+    u = next(d for d in dirs if any(d))
+    w = next((d for d in dirs if len(rref([u, d])[1]) == 2), None)
+    if w is None:
+        return pts
+    plane = [[a, b] for a, b in zip(u, w)]
+    coords2 = [fraction_solve(plane, [x - y for x, y in zip(p, base)]) for p in pts]
+    zero = Fraction(0)
+    cx = sum((a for a, _ in coords2), zero) / len(coords2)
+    cy = sum((b for _, b in coords2), zero) / len(coords2)
+    rel = [(a - cx, b - cy) for a, b in coords2]
+
+    def half(v):
+        return 0 if (v[1], v[0]) > (zero, zero) else 1
+
+    def cmp(i, j):
+        hi, hj = half(rel[i]), half(rel[j])
+        if hi != hj:
+            return -1 if hi < hj else 1
+        cross = rel[i][0] * rel[j][1] - rel[i][1] * rel[j][0]
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+    return [pts[i] for i in sorted(range(len(pts)), key=cmp_to_key(cmp))]
 
 
 def is_unimodular(matrix) -> bool:

@@ -1015,6 +1015,24 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
         f"cannot read {path}: ")
 
 
+def test_non_utf8_input_is_an_input_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"elements": ["\xe9"], "covers": [], "marking": {}}')
+    message = _refused(capsys, ["vertices", str(path)], 2, "input")
+    assert message.startswith(f"cannot read {path}: ") and "utf-8" in message
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/out.off"])
+def test_unwritable_off_path_is_an_input_error(ex52_file, tmp_path, capsys, target):
+    # a directory, or a file under a missing directory: exit 2 with the JSON
+    # error naming the path, and nothing else on stdout
+    off = tmp_path / target
+    if target == "dir":
+        off.mkdir()
+    message = _refused(capsys, ["subdivision", ex52_file, "--off", str(off)], 2, "input")
+    assert message.startswith(f"cannot write {off}: ")
+
+
 @pytest.mark.parametrize("flag,data,message", [
     ("--t", {"t": ["p"]}, "t must map unmarked elements to rational strings"),
     ("--partition", {"C": "p", "O": []}, "C must be a list of element names"),

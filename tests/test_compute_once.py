@@ -363,6 +363,39 @@ def test_vertices_builds_no_fraction(monkeypatch):
     assert len(dens) > 3  # not vacuous: many common denominators besides 1
 
 
+def test_vertices_bruteforce_builds_no_fraction(monkeypatch):
+    # the brute-force oracle reads the integer rows as DD does: it builds no
+    # Fraction on polytopes, empty H-reps (an inconsistent equation) and
+    # unbounded ones, and gives DD's rows or refuses as DD does
+    ex52q = make_ex52_rational()
+    grid = make_grid(2, 3)
+    hreps = [hrep_general(grid, generic_parameter(grid), projected=True),
+             hrep_general(ex52q, Parameter({"p": Fraction(2, 7), "q": Fraction(3, 5),
+                                            "r": Fraction(4, 7)}), projected=True)]
+    rnd = random.Random(13)
+    hreps += [_random_rational_hrep(rnd) for _ in range(30)]
+    x, y, half = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), Fraction(1, 2))
+    band = [(y, half, ()), (tuple(-c for c in y), half, ())]  # -1/2 <= y <= 1/2
+    hreps.append(geometry.make_hrep(("x", "y"), [(x, half, ()), (x, 2 * half, ())], band))
+    hreps.append(geometry.make_hrep(("x", "y"), [], band + [(tuple(-c for c in x), 0, ())]))
+    seen = set()
+    for h in hreps:
+        with monkeypatch.context() as m:
+            built = _count_fractions(m)
+            try:
+                got = geometry.vertices_bruteforce(h)
+            except geometry.GeometryError as exc:
+                got = type(exc)
+            assert built == []
+        try:
+            v = geometry.vertices(h)
+            assert got == (geometry.Unbounded if v.rays else v)
+        except geometry.EmptyPolyhedron:
+            assert got is geometry.EmptyPolyhedron
+        seen.add(got if isinstance(got, type) else geometry.VRep)
+    assert seen == {geometry.VRep, geometry.EmptyPolyhedron, geometry.Unbounded}
+
+
 def test_hrep_builds_no_fraction(monkeypatch):
     # H-rep rows are integer rows from the start: building them, comparing
     # and hashing them, enumerating their vertices and running the covector

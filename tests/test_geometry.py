@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (barycenter, faces_by_vertex_ids, idot, make_chain_poset,
-                      make_double_star, make_ex52, make_ex52_rational, make_grid,
-                      random_marked_poset, triples)
+from conftest import (barycenter, faces_by_vertex_ids, fraction_recession_direction,
+                      fraction_vertices_bruteforce, idot, make_chain_poset,
+                      make_double_star, make_ex52, make_ex52_rational, make_grid, primitive,
+                      random_hrep, random_marked_poset, random_parameter, triples)
 from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_vertices,
-                        zero_parameter)
+                        one_parameter, zero_parameter)
 from mpp.geometry import (EmptyPolyhedron, Face, HRep, Unbounded, UnsupportedLineality,
                           UnsupportedUnbounded, TooLarge, face_counts, face_lattice,
                           facet_masks, iter_faces, make_hrep, maximal_masks, vertices,
@@ -1007,6 +1008,95 @@ def test_bruteforce_vertices_in_dimension_zero():
     v = vertices_bruteforce(HRep(()))
     assert v.rows == ((1,),) and v.vertices == ((),) and v.rays == ()
     assert v == vertices(HRep(()))
+
+
+# -- the brute-force oracle against its Fraction form -----------------------------
+
+def _outcome(run, h):
+    """The vertex rows run(h) returns, or the type of the GeometryError it raises."""
+    try:
+        return run(h).rows
+    except geometry.GeometryError as exc:
+        return type(exc)
+
+
+def random_oracle_hrep(rnd):
+    """An H-rep in 0 to 3 coordinates: half of them random_hrep's bounded
+    ones, the rest random rational rows, with or without equations (some
+    inconsistent: one equation again with another right-hand side) and with
+    inequalities too few or too weak to bound it, so that lines and rays
+    occur beside polytopes and empty polyhedra.  None when a constant row
+    fails."""
+    d = rnd.randint(0, 3)
+    if d and rnd.random() < 0.5:
+        return random_hrep(rnd, d)
+    vals = [F(-2), F(-1), F(-1, 2), F(0), F(0), F(1, 3), F(1), F(2)]
+
+    def row():
+        return tuple(rnd.choice(vals) for _ in range(d))
+
+    eqs = [(row(), F(rnd.randint(-2, 2), rnd.randint(1, 2)), ("eq",))
+           for _ in range(rnd.choice([0, 0, 1, 2]))]
+    if eqs and rnd.random() < 0.3:
+        eqs.append((eqs[0][0], eqs[0][1] + 1, ("eq",)))
+    ineqs = [(row(), F(rnd.randint(-2, 4), rnd.randint(1, 3)), ("le",))
+             for _ in range(rnd.randint(0, 2 * d + 3))]
+    try:
+        return make_hrep(tuple(f"x{i}" for i in range(d)), eqs, ineqs)
+    except EmptyPolyhedron:
+        return None
+
+
+def test_bruteforce_matches_the_fraction_oracle():
+    # the integer-kernel oracle returns the rows of its Fraction form, or
+    # raises the same error, and finds a recession direction exactly when
+    # the Fraction form does: the same one when the cone is pointed, a line
+    # when the rows leave one
+    from mpp.geometry import _recession_direction
+
+    rnd = random.Random(53)
+    seen = {}
+    for _ in range(300):
+        h = random_oracle_hrep(rnd)
+        if h is None:
+            continue
+        got = _outcome(vertices_bruteforce, h)
+        assert got == _outcome(fraction_vertices_bruteforce, h)
+        y, ref = _recession_direction(h), fraction_recession_direction(h)
+        assert (y is None) == (ref is None)
+        d = h.dim_ambient
+        line = linalg.rank([r[1:] for r in h.int_equations + h.int_inequalities]) < d
+        if y is not None:
+            assert any(y) and all(type(x) is int for x in y)
+            assert all(linalg.dot(c.coeffs, y) == 0 for c in h.equations)
+            tight = [linalg.dot(c.coeffs, y) for c in h.inequalities]
+            assert all(x == 0 for x in tight) if line else all(x <= 0 for x in tight)
+            if not line:
+                assert y == primitive(ref)
+        inconsistent = len(h.equations) >= 2 and h.equations[0].coeffs == h.equations[-1].coeffs
+        kind = ("d0" if d == 0 else "inconsistent" if inconsistent else "line" if line
+                else "ray" if y is not None else "equation" if h.equations else "polytope")
+        seen.setdefault(kind, set()).add(got if isinstance(got, type) else tuple)
+    # not vacuous: every kind of H-rep occurs, with vertices where it has any
+    assert seen == {"d0": {tuple}, "inconsistent": {EmptyPolyhedron, Unbounded},
+                    "line": {Unbounded}, "ray": {Unbounded},
+                    "equation": {tuple, EmptyPolyhedron}, "polytope": {tuple, EmptyPolyhedron}}
+
+
+def test_dd_equals_bruteforce_on_the_family():
+    # the oracle aimed at double description: the same rows in the same
+    # order at t = 0, t = 1, generic t and two seeded interior t
+    rnd = random.Random(61)
+    posets = [make_ex52(), make_double_star(), make_grid(2, 3), make_grid(2, 4)]
+    posets += [random_marked_poset(rnd, 8, max_unmarked=5) for _ in range(2)]
+    for poset in posets:
+        params = [zero_parameter(poset), one_parameter(poset), generic_parameter(poset),
+                  random_parameter(rnd, poset, interior=True),
+                  random_parameter(rnd, poset, interior=True)]
+        for t in params:
+            h = hrep_general(poset, t, projected=True)
+            v = vertices(h)
+            assert v.rays == () and v == vertices_bruteforce(h)
 
 
 # -- reference DD step and constraint reduction ------------------------------

@@ -106,6 +106,7 @@ MODES = {
     "vertices-dd-partition": ["vertices", "--partition", "{part_a}"],
     "vertices-generic": ["vertices", "--t", "generic"],
     "vertices-tropical": ["vertices", "--t", "generic", "--method", "tropical"],
+    "vertices-bruteforce": ["vertices", "--t", "generic", "--method", "bruteforce"],
     "fvector": ["fvector", "--t", "generic"],
     "fvector-t0": ["fvector"],
     "fvector-partition": ["fvector", "--partition", "{part_a}"],
@@ -399,6 +400,14 @@ GOLDEN = {
     # the most samples
     ('grid3x3', 'sweep-types'):
         ('bc1daac773da49364be359165759fe5fa8c36f4064fe812f1ca9c1002f993001', 0, None),
+    # recorded before the brute-force oracle took each point from the integer
+    # kernel of its rows, when it solved the Fraction constraints
+    ('ex52', 'vertices-bruteforce'):
+        ('3ae23c64997022ccab217977fa9c4dea64c840d0d0269512d2df3b08230e0c67', 0, None),
+    ('dstar', 'vertices-bruteforce'):
+        ('f61712f6007cb88e49f71fb2b51cb984f6fb26550671391b9c17659213fea66f', 0, None),
+    ('grid2x3', 'vertices-bruteforce'):
+        ('24075595ba5a78127448cd55e9ff44d5e21467158f068c6e8f81988d515f4ad4', 0, None),
 }
 
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (covector_cell_rows, det, full_covector_cells, idot, make_double_star,
-                      make_ex52, make_ex52_rational, make_grid, make_marked_interior,
-                      maximizing_relation, random_marked_poset, random_parameter)
+from conftest import (covector_cell_rows, det, fraction_polygon_cycle, fraction_solve,
+                      full_covector_cells, idot, make_double_star, make_ex52,
+                      make_ex52_rational, make_grid, make_marked_interior,
+                      maximizing_relation, random_marked_poset, random_parameter, rref)
 from mpp import linalg, tropical
 from mpp.family import (Parameter, generic_parameter, hrep_general, iota,
                         transfer_phi_projected, zero_parameter, one_parameter)
@@ -351,7 +352,7 @@ def test_lemma_reduction_pins_subdivision_vertices(ex52):
                         row[index[elem]] += sign
                 rows.append(row)
                 rhs.append(const)
-        assert linalg.solve_unique(rows, rhs) == v
+        assert fraction_solve(rows, rhs, unique=True) == v
 
 
 def _lp_pruned_covectors(poset, arr, base, probes):
@@ -780,3 +781,33 @@ def test_conjecture_reports_a_vertex_without_witness(ex52, monkeypatch):
 def test_polygon_cycle_keeps_collinear_points():
     points = [(F(0), F(0)), (F(2), F(2)), (F(1), F(1))]
     assert tropical._polygon_cycle(points) == points
+
+
+def test_polygon_cycle_matches_the_fraction_oracle():
+    # shuffled rational polygons in convex position (points on a parabola)
+    # and segments, in the plane and in 3-space: the integer kernel's plane
+    # coordinates give the cycle of the Fraction solve
+    rnd = random.Random(71)
+
+    def rational():
+        return F(rnd.randint(-9, 9), rnd.randint(1, 6))
+
+    seen = {"polygon": 0, "segment": 0}
+    for _ in range(500):
+        dim = rnd.choice((2, 3))
+        u, w = (tuple(rational() for _ in range(dim)) for _ in range(2))
+        if len(rref([u, w])[1]) < 2:
+            continue
+        base = tuple(rational() for _ in range(dim))
+        segment = rnd.random() < 0.2
+        params = list({rational() for _ in range(rnd.randint(2, 8))})
+        if len(params) < 2:
+            continue
+        pts = [tuple(b + s * x + (0 if segment else s * s) * y for b, x, y in zip(base, u, w))
+               for s in params]
+        rnd.shuffle(pts)
+        cycle = tropical._polygon_cycle(pts)
+        assert cycle == fraction_polygon_cycle(pts)
+        assert sorted(cycle) == sorted(pts)
+        seen["segment" if segment or len(pts) < 3 else "polygon"] += 1
+    assert min(seen.values()) >= 50, seen
