@@ -492,28 +492,39 @@ class FaceLattice(Frozen, namedtuple("FaceLattice", "rows faces")):
     def minimal_faces_at(self, h: HRep, homs) -> list[Face]:
         """For each point hom[1:] / hom[0] of a list of integer rows (hom[0]
         > 0), the unique face with that point in its relative interior: the
-        face whose equality set is the set of inequalities tight at it.
-        Decided in integers, one pass per row of h over the points' columns
-        that reads the row's nonzero coefficients only."""
-        cols = list(zip(*homs))
-
-        def values(row):  # row . hom for every hom; a row is never 0
-            (a, col), *rest = [(a, col) for a, col in zip(row, cols) if a]
-            out = [a * x for x in col]
-            for a, col in rest:
-                out = [s + a * x for s, x in zip(out, col)]
-            return out
-
-        if any(any(values(row)) for row in h.int_equations):
+        face whose equality set is the set of inequalities tight at it
+        (tight_masks)."""
+        tight = tight_masks(h, homs)
+        if tight is None:
             raise GeometryError("point lies outside the polytope")
-        tight = [0] * len(homs)
-        for j, row in enumerate(h.int_inequalities):
-            at = values(row)
-            if max(at) > 0:
-                raise GeometryError("point lies outside the polytope")
-            bit = 1 << j
-            tight = [m if v else m | bit for m, v in zip(tight, at)]
         return [self.by_tight[m] for m in tight]
+
+
+def tight_masks(h: HRep, homs) -> list[int] | None:
+    """For each point hom[1:] / hom[0] of a nonempty list of integer rows
+    (hom[0] > 0), the mask of the inequalities of h tight at it (bit j for
+    h.int_inequalities[j]), or None if some point lies outside h.  Decided
+    in integers, one pass per row of h over the points' columns that reads
+    the row's nonzero coefficients only."""
+    cols = list(zip(*homs))
+
+    def values(row):  # row . hom for every hom; a row is never 0
+        (a, col), *rest = [(a, col) for a, col in zip(row, cols) if a]
+        out = [a * x for x in col]
+        for a, col in rest:
+            out = [s + a * x for s, x in zip(out, col)]
+        return out
+
+    if any(any(values(row)) for row in h.int_equations):
+        return None
+    tight = [0] * len(homs)
+    for j, row in enumerate(h.int_inequalities):
+        at = values(row)
+        if max(at) > 0:
+            return None
+        bit = 1 << j
+        tight = [m if v else m | bit for m, v in zip(tight, at)]
+    return tight
 
 
 FACE_GATE = 10 ** 6

@@ -36,9 +36,13 @@ gate their boxes at BOX_GATE candidates before they search.
 The Ehrhart counts of O_0(P, lambda) with an integral marking, bounded,
 need no polytope: `ideal_ehrhart` sums Stanley's chain-of-ideals count over
 the poset's levels of order ideals (see there), `counted_by_ideals` says
-when it applies, and `ehrhart_at` takes it then.  The count refuses while it
-grows the ideals, once their number times the unmarked elements + 1 times
-the dilations + 1 exceeds IDEAL_BUDGET.
+when it applies, and `ehrhart_at` takes it then.  `ehrhart_at` takes it at
+the other hypercube vertices t of such a poset too, once
+`tropical.transfer_certifies` has checked that the transfer map phi_t
+maps O_0 onto O_t, a lattice bijection at every dilation there; the
+enumeration counts every other input and stays as the oracle.  The count
+refuses while it grows the ideals, once their number times the unmarked
+elements + 1 times the dilations + 1 exceeds IDEAL_BUDGET.
 
 EhrhartData is an immutable record (see mpp.records): a named tuple, so it
 also iterates, sorts and equals the plain tuple of its fields.
@@ -52,7 +56,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .family import hrep_general
+from .family import hrep_general, zero_parameter
 from .geometry import (EmptyPolyhedron, HRep, NonLatticeVertices, TooLarge,
                        UnsupportedUnbounded, VRep, _dimension, vertices)
 from .poset import MarkedPoset, _grow_ideals, require_valid
@@ -531,10 +535,26 @@ def ideal_ehrhart(poset: MarkedPoset, max_dilation: int | None = None) -> Ehrhar
 
 def ehrhart_at(poset: MarkedPoset, t, max_dilation: int | None = None) -> EhrhartData:
     """ehrhart of O_t(P, lambda) in the full space, where the marked
-    coordinates count too: ideal_ehrhart when counted_by_ideals holds, else
-    the lattice points of hrep_general(poset, t)."""
+    coordinates count too: ideal_ehrhart when counted_by_ideals holds, or
+    when t is a hypercube vertex, counted_by_ideals holds at t = 0 and
+    tropical.transfer_certifies(poset, t) checks that phi_t maps O_0 onto
+    O_t; else the lattice points of hrep_general(poset, t).
+
+    At such a t, O_t and O_0 have one Ehrhart polynomial.  k O_t(P, lambda)
+    is O_t(P, k lambda), since the rows of hrep_general are linear in x and
+    lambda together, and phi_t for the marking k lambda is k phi_t(x / k),
+    as a max-plus map with weights t; so it maps k O_0 onto k O_t.  With t
+    in {0, 1}^U and k lambda integral, phi_t(x)_p = x_p - t_p max_{q < p}
+    x_q and its inverse psi_t map integer points to integer points, so
+    phi_t is a bijection of the lattice points of k O_0 and k O_t for every
+    k.  A failed certificate raises AssertionError; it never falls back to
+    counting."""
     if counted_by_ideals(poset, t):
         return ideal_ehrhart(poset, max_dilation)
+    if t.is_hypercube_vertex and counted_by_ideals(poset, zero_parameter(poset)):
+        from . import tropical  # here, so that a listing does not load it
+        if tropical.transfer_certifies(poset, t):
+            return ideal_ehrhart(poset, max_dilation)
     return ehrhart(hrep_general(poset, t, projected=False), max_dilation)
 
 

@@ -22,6 +22,12 @@ ideals (1986), refine these; each is the same base cone cut by its chain's
 block rows, and the chains grow through the poset's levels of order ideals,
 by the loop that the Ehrhart counts at t = 0 use too.
 
+The transfer certificate (transfer_certifies) reads the same search: the
+vertices of the full-dimensional maximal cells and their facets in the
+boundary of O_0, built once per poset.  phi_t is linear on each cell, so
+at a corner t it checks in integers, once per distinct H-rep of O_t, that
+phi_t maps O_0 onto O_t, and lattice.ehrhart_at then counts O_t as O_0.
+
 TropicalForm, TropicalArrangement and SubdivisionCell are immutable records
 (see mpp.records): named tuples, so each also iterates, sorts and equals
 the plain tuple of its fields.
@@ -31,7 +37,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
+from operator import and_
 
 from . import linalg
 from .family import (Parameter, _row_writer, _slots, hrep_general, hypercube_vertices,
@@ -39,10 +46,10 @@ from .family import (Parameter, _row_writer, _slots, hrep_general, hypercube_ver
 from . import geometry
 from .geometry import (Cone, HRep, TooLarge, UnsupportedUnbounded, VRep,
                        _bits, _dimension, facet_masks, homogenization_cone, iter_faces,
-                       vertex_tight, vertices)
+                       tight_masks, vertex_tight, vertices)
 from .linalg import _primitive, common_denominator, dehomogenized
 from .poset import MarkedPoset, _grow_ideals, require_valid
-from .rationals import rat
+from .rationals import rat, rat_str
 
 ZERO = Fraction(0)
 
@@ -357,6 +364,81 @@ def transferred_subdivision_vertices(poset: MarkedPoset, t: Parameter):
     """phi_t images of the subdivision vertices for arbitrary t (a superset of
     the vertices of O_t)."""
     return _sorted_points(_transferred(poset, t))
+
+
+# -- transfer certificate ----------------------------------------------------------
+
+def _certificate_data(poset: MarkedPoset):
+    """(rows, boundary, certified) for transfer_certifies, built once and
+    kept in the poset's __dict__, or None when O_0 is not full-dimensional
+    in the projected coordinates.  rows are the primitive integer rows of
+    the vertices of the full-dimensional maximal cells (_covector_cells),
+    boundary lists, for each facet of such a cell that lies in a facet of
+    O_0 (its vertex mask inside the mask of some base row), the indices in
+    rows of its vertices, and certified is the set of the H-reps certified
+    so far, filled by transfer_certifies."""
+    if "_certificate_data" not in poset.__dict__:
+        base, root = _base_data(poset)
+        d, data = len(base.coords), None
+        if _dimension(base, root.vrep()) == d:
+            index: dict[tuple[int, ...], int] = {}  # primitive vertex row -> its index
+            boundary = set()
+            for cone in _covector_cells(poset, arrangement(poset), base, root):
+                v = cone.vrep()
+                if _dimension(base, v) < d:
+                    continue
+                ids = [index.setdefault(_primitive(r), len(index)) for r in v.rows]
+                masks, facets, _ = facet_masks(base, v)
+                boundary.update(tuple(sorted(ids[i] for i in _bits(f))) for f in facets
+                                if any(f & m == f for m in masks))
+            data = list(index), sorted(boundary), set()
+        poset.__dict__["_certificate_data"] = data
+    return poset.__dict__["_certificate_data"]
+
+
+def transfer_certifies(poset: MarkedPoset, t: Parameter) -> bool:
+    """Whether phi_t is checked to map O_0 onto O_t, both bounded: False,
+    checking nothing, when O_0 is not full-dimensional in the projected
+    coordinates; else True, and AssertionError if a check fails, since
+    phi_t(O_0) = O_t always holds (the transfer theorem).
+
+    Each full-dimensional maximal cell lies in one closed single-argmax
+    sector of every hyperplane, and phi_t(x)_p = x_p - t_p max_{q < p} x_q
+    takes its max over the lower covers q of p, which are a hyperplane's
+    support when there are two or more, so phi_t is linear on the cell and
+    maps it onto the hull of its vertices' images.  The checks are:
+    every image lies in O_t, so phi_t(O_0) is inside O_t, the cells
+    covering O_0; and the images of the vertices of each facet of a cell
+    in the boundary of O_0 are tight on one common row of O_t, so phi_t
+    maps that facet into the boundary of O_t.  These facets cover the
+    boundary of O_0: each facet F of O_0 is the union of the sets C & F
+    over the full-dimensional cells C, and those of dimension dim F are
+    dense in it.  phi_t is a homeomorphism of the projected space, with
+    inverse psi_t, so phi_t(int O_0) is open, hence inside int O_t, and
+    nonempty.  As phi_t(boundary of O_0) misses int O_t, phi_t(int O_0) is
+    phi_t(O_0) & int O_t, closed in int O_t.  int O_t is connected, so
+    phi_t(int O_0) = int O_t, and phi_t(O_0), compact, is its closure O_t.
+
+    The rows and facets are built once per poset (_certificate_data), and
+    each distinct H-rep of O_t is checked once: for t' with the H-rep of
+    an already certified t, O_t' = O_t."""
+    data = _certificate_data(poset)
+    if data is None:
+        return False
+    rows, boundary, certified = data
+    h = hrep_general(poset, t, projected=True)
+    if h in certified:
+        return True
+    tight = tight_masks(h, transfer_theta_homogeneous(poset, None, t)(rows))
+    if tight is None:
+        fault = "a vertex of the tropical subdivision of O_0 outside O_t"
+    elif not all(reduce(and_, map(tight.__getitem__, ids)) for ids in boundary):
+        fault = "a facet of the boundary of O_0 off the boundary of O_t"
+    else:
+        certified.add(h)
+        return True
+    at = ", ".join(f"{p} = {rat_str(v)}" for p, v in sorted(t.values.items()))
+    raise AssertionError(f"phi_t maps {fault} at t: {at}")
 
 
 # -- ideal-chain subdivision ----------------------------------------------------

@@ -69,6 +69,14 @@ def make_grid(m: int, n: int) -> MarkedPoset:
     return MarkedPoset(elements, frozenset(covers), {"x00": 0, f"x{m - 1}{n - 1}": m + n})
 
 
+def make_pinned_branch() -> MarkedPoset:
+    """a < p < b and a < q < z with lambda(a) = lambda(b) = 1, lambda(z) = 3:
+    x_p is pinned to 1, so O_0 is a segment, 1-dimensional in R^{p, q}."""
+    return MarkedPoset(("a", "p", "b", "q", "z"),
+                       frozenset([("a", "p"), ("p", "b"), ("a", "q"), ("q", "z")]),
+                       {"a": 1, "b": 1, "z": 3})
+
+
 def make_marked_interior() -> MarkedPoset:
     """Nine elements with e3 and e4 marked inside: the marking pins enough that
     18 of the 24 partial covectors of its covector search have an empty cell."""

@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (make_chain_poset, make_double_star, make_ex52, make_ex52_rational,
-                      make_grid, random_hrep)
+                      make_grid, make_pinned_branch, random_hrep)
 from mpp import family, lattice, tropical
 from mpp.cli import _emit, main
-from mpp.family import hrep_general, zero_parameter
+from mpp.family import Parameter, hrep_general, zero_parameter
 from mpp.jsonio import encode, jsonable, poset_from_json, poset_to_json
 from mpp.lattice import lattice_points
 from mpp.poset import MarkedPoset, is_regular
@@ -303,11 +303,54 @@ def test_sweep_tame(ex52_file):
     assert json.loads(proc.stdout)["pass"]
 
 
-def test_sweep_parallel_deterministic(ex52_file):
-    a = run_cli("sweep", ex52_file, "--check", "ehrhart")
-    b = run_cli("sweep", ex52_file, "--check", "ehrhart",
-                env_extra={"MPP_THREADS": "4"})
-    assert a.stdout == b.stdout
+def test_sweep_is_deterministic(ex52_file, tmp_path):
+    # the transfer certificate keeps its vertices and facets in dicts and
+    # sets; no answer may follow the string hash seed
+    dstar = tmp_path / "dstar.json"
+    dstar.write_text(json.dumps(poset_to_json(make_double_star())))
+    for path in (ex52_file, str(dstar)):
+        a, b = (run_cli("sweep", path, "--check", "ehrhart",
+                        env_extra={"PYTHONHASHSEED": seed}) for seed in ("0", "1"))
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout and json.loads(a.stdout)["pass"]
+
+
+def test_sweep_with_the_opposite_corners_map_exits_3(ex52_file, monkeypatch, capsys):
+    # a certificate that fails is a computation error of the whole sweep,
+    # never a corner counted instead
+    transfer = tropical.transfer_theta_homogeneous
+    monkeypatch.setattr(tropical, "transfer_theta_homogeneous", lambda poset, t, t2: transfer(
+        poset, t, Parameter({p: 1 - v for p, v in t2.values.items()})))
+    monkeypatch.setattr(lattice, "ehrhart", None)  # any call fails
+    assert main(["sweep", ex52_file, "--check", "ehrhart"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "phi_t maps a vertex of the tropical subdivision of O_0 outside "
+                            "O_t at t: p = 0, q = 0, r = 1", "kind": "computation"}
+
+
+def test_sweep_of_a_lower_dimensional_o_0_counts_its_corners(tmp_path, capsys):
+    # x_p is pinned to 1: O_0 is a segment in R^{p, q} and has no
+    # certificate, so the corners are enumerated, as they were before it
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(poset_to_json(make_pinned_branch())))
+    assert main(["sweep", str(path), "--check", "ehrhart"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["pass"] and data["polynomials"] == [
+        {"C": C, "coefficients": ["1", "2"]} for C in ([], ["q"], ["p"], ["p", "q"])]
+
+
+def test_ehrhart_at_a_certified_corner_passes_the_box_gate(tmp_path, capsys):
+    # grid3x3 at C = {x01, x11}: its box at dilation 7 is past BOX_GATE, and
+    # the certified corner is counted over the order ideals
+    grid = make_grid(3, 3)
+    path, part = tmp_path / "grid3x3.json", tmp_path / "part.json"
+    path.write_text(json.dumps(poset_to_json(grid)))
+    part.write_text(json.dumps({"C": ["x01", "x11"],
+                                "O": ["x02", "x10", "x12", "x20", "x21"]}))
+    assert main(["ehrhart", str(path), "--partition", str(part)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["counts"] == [list(c) for c in lattice.ideal_ehrhart(grid).counts]
+    assert out["counts"][1] == [1, 17472]
 
 
 def test_sweep_conjecture5(ex52_file):

@@ -210,9 +210,11 @@ def test_hibi_li_sweep_runs_dd_once_per_partition(tmp_path, monkeypatch, capsys)
 def test_ehrhart_runs_dd_once_per_polytope_and_never_dilates(ex52_file, monkeypatch,
                                                              capsys, argv):
     # dilation k scales the right-hand sides of the integer rows inside the
-    # enumerator: no dilated H-rep, and one DD run per enumerated polytope for
-    # its box.  O_0 (the ehrhart query at t = 0 and the sweep's corner C = {})
-    # is counted over the order ideals, with no DD run
+    # enumerator: no dilated H-rep.  O_0 (the ehrhart query at t = 0 and the
+    # sweep's corner C = {}) is counted over the order ideals, and so is
+    # every other corner of the sweep once the transfer map is certified
+    # there, which reads the one DD run of the base polytope: no polytope
+    # is enumerated, so vertices runs no DD
     import sys
 
     from mpp.geometry import HRep
@@ -223,8 +225,27 @@ def test_ehrhart_runs_dd_once_per_polytope_and_never_dilates(ex52_file, monkeypa
     assert not hasattr(HRep, "dilate")  # dilating an H-rep is a test oracle only
     assert cli.main([a.format(ex52_file) for a in argv]) == 0
     data = json.loads(capsys.readouterr().out)
-    polytopes = len(data.get("polynomials", [None]))  # the sweep: 8 corners
-    assert sum(map(len, runs)) == polytopes - 1
+    assert len(data.get("polynomials", [None])) == (8 if argv[0] == "sweep" else 1)
+    assert sum(map(len, runs)) == 0
+
+
+@pytest.mark.parametrize("make,checked", [(make_ex52, 2), (make_double_star, 8)],
+                         ids=["ex52", "dstar"])
+def test_ehrhart_sweep_searches_the_covector_cells_once(make, checked, tmp_path,
+                                                       monkeypatch, capsys):
+    # the certificate's rows and facets come from one covector search on the
+    # one DD run of the base polytope, shared by every corner, and phi_t is
+    # checked once per distinct corner H-rep: ex52's 7 corners past C = {}
+    # have 2 H-reps (only t_r moves O_t), the double star's 31 have 8
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset_to_json(make())))
+    runs = _count(monkeypatch, tropical, "homogenization_cone")
+    searches = _count(monkeypatch, tropical, "_covector_cells")
+    transfers = _count(monkeypatch, tropical, "transfer_theta_homogeneous")
+    assert cli.main(["sweep", str(path), "--check", "ehrhart"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["pass"]
+    assert (len(runs), len(searches), len(transfers)) == (1, 1, checked)
 
 
 def test_fvector_domination_check_builds_no_face_lattice(monkeypatch):

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from conftest import (det, dilate, make_chain_poset, make_double_star, make_ex52,
-                      make_grid, random_hrep, random_marked_poset, random_rat)
-from mpp.family import (Partition, hrep_chain_order, hrep_general,
+                      make_grid, make_pinned_branch, random_hrep, random_marked_poset,
+                      random_rat)
+from mpp.family import (Parameter, Partition, hrep_chain_order, hrep_general,
                         hypercube_vertices, one_parameter, partition_of_parameter,
                         zero_parameter)
-from mpp import lattice
+from mpp import lattice, tropical
 from mpp.geometry import (EmptyPolyhedron, NonLatticeVertices, TooLarge,
                           make_hrep, vertices)
 from mpp.jsonio import poset_to_json
@@ -502,9 +503,10 @@ def test_ehrhart_polynomial_evaluates_to_every_count(poset):
 
 # -- Ehrhart counts of O_0 over the order ideals --------------------------------
 
-def _scan_counts(poset, dilations):
-    """The enumeration's counts of k * O_0, in boxes that no gate refuses."""
-    h = hrep_general(poset, zero_parameter(poset), projected=False)
+def _scan_counts(poset, dilations, t=None):
+    """The enumeration's counts of k * O_t, by default k * O_0, in boxes
+    that no gate refuses."""
+    h = hrep_general(poset, t or zero_parameter(poset), projected=False)
     extremes = lattice._extremes(lattice._lattice_polytope(h, "Ehrhart counting").rows)
     return [lattice._scan(h, *lattice._box(extremes, k, gated=False), k=k, count=True)
             for k in dilations]
@@ -566,6 +568,59 @@ def test_ehrhart_at_every_corner_is_the_chain_order_count(poset):
         part = partition_of_parameter(poset, t)
         expected = ehrhart(hrep_chain_order(poset, part, projected=False))
         assert lattice.ehrhart_at(poset, t) == expected, t
+
+
+def _certified_posets():
+    # 24 seeded draws with integral markings and a full-dimensional O_0,
+    # each with two or more unmarked elements
+    rnd = random.Random(17)
+    posets = []
+    while len(posets) < 24:
+        poset = random_marked_poset(rnd, rnd.randint(4, 8), mark_extra=0.2,
+                                    max_unmarked=5, scale=rnd.randint(1, 2))
+        if len(poset.unmarked) > 1:
+            posets.append(poset)
+    return [make_ex52(), make_double_star(), make_grid(2, 3)] + posets
+
+
+@pytest.mark.parametrize("poset", _certified_posets())
+def test_certified_corners_count_as_the_enumeration(poset, monkeypatch):
+    # every corner but t = 0 is certified through the transfer map and
+    # counted over the order ideals, with no enumeration; its counts at
+    # k = 1, 2 are those of the enumeration on hrep_general at t
+    assert tropical._certificate_data(poset) is not None
+    for t in hypercube_vertices(poset):
+        assert tropical.transfer_certifies(poset, t), t
+    enumerated = {t: _scan_counts(poset, (1, 2), t) for t in hypercube_vertices(poset)}
+    monkeypatch.setattr(lattice, "ehrhart", None)  # any call fails
+    for t, counts in enumerated.items():
+        data = lattice.ehrhart_at(poset, t)
+        assert [c for _, c in data.counts[1:3]] == counts, t
+
+
+def test_a_t_off_the_corners_is_enumerated(monkeypatch):
+    # phi_t maps O_0 onto O_t at every t, but it keeps the lattice at the
+    # corners only: at t_r = 1/2, O_t has half-integral vertices
+    poset = make_ex52()
+    monkeypatch.setattr(tropical, "transfer_theta_homogeneous", None)  # any call fails
+    with pytest.raises(NonLatticeVertices):
+        lattice.ehrhart_at(poset, Parameter({"p": 0, "q": 0, "r": F(1, 2)}))
+
+
+def test_uncertified_corners_are_counted_as_before(monkeypatch):
+    # O_0 is a segment in R^{p, q}: no certificate, so every corner but t = 0
+    # is enumerated on hrep_general, and the answers are the enumeration's
+    poset = make_pinned_branch()
+    monkeypatch.setattr(tropical, "transfer_theta_homogeneous", None)  # any call fails
+    enumerate_ = lattice.ehrhart
+    enumerated = []
+    monkeypatch.setattr(lattice, "ehrhart", lambda h, k=None: enumerated.append(h)
+                        or enumerate_(h, k))
+    for t in hypercube_vertices(poset):
+        expected = enumerate_(hrep_general(poset, t, projected=False))
+        assert lattice.ehrhart_at(poset, t) == expected
+        assert expected.coefficients == (1, 2)  # 2k + 1 points on a segment of length 2k
+    assert len(enumerated) == 3
 
 
 ORACLES = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"

@@ -9,10 +9,11 @@ import pytest
 from conftest import (covector_cell_rows, det, fraction_polygon_cycle, fraction_solve,
                       full_covector_cells, idot, make_double_star, make_ex52,
                       make_ex52_rational, make_grid, make_marked_interior,
-                      maximizing_relation, random_marked_poset, random_parameter, rref)
+                      make_pinned_branch, maximizing_relation, random_marked_poset,
+                      random_parameter, rref)
 from mpp import linalg, tropical
-from mpp.family import (Parameter, generic_parameter, hrep_general, iota,
-                        transfer_phi_projected, zero_parameter, one_parameter)
+from mpp.family import (Parameter, generic_parameter, hrep_general, hypercube_vertices,
+                        iota, transfer_phi_projected, zero_parameter, one_parameter)
 from mpp.geometry import TooLarge, vertices
 from mpp.linalg import homogenized
 from mpp.lattice import ehrhart, lattice_points
@@ -517,6 +518,108 @@ def test_generic_vrep_at_scale(m, n):
     for t in (generic_parameter(poset), random_parameter(rnd, poset, interior=True)):
         kernel = vertices(hrep_general(poset, t, projected=True))
         assert generic_vrep(poset, t) == kernel
+
+
+# -- the transfer certificate at the corners -----------------------------------------
+
+def _fresh(poset):
+    """A copy of poset with none of its cached data."""
+    return MarkedPoset(poset.elements, poset.covers, poset.marking)
+
+
+def _opposite(t):
+    return Parameter({p: 1 - v for p, v in t.values.items()})
+
+
+def test_transfer_certifies_every_corner_of_grid3x3():
+    # 128 corners, 32 distinct H-reps; the smaller posets' corners are
+    # checked against the enumeration in test_lattice.py
+    poset = make_grid(3, 3)
+    assert all(tropical.transfer_certifies(poset, t) for t in hypercube_vertices(poset))
+    assert len(tropical._certificate_data(poset)[2]) == 32
+
+
+def _moves_with_t(poset, t) -> bool:
+    """Whether O_t differs from the polytope of the opposite corner."""
+    return vertices(hrep_general(poset, t)) != vertices(hrep_general(poset, _opposite(t)))
+
+
+def _opposite_posets():
+    # 16 seeded draws, each with a corner whose polytope is not its
+    # opposite corner's, so that the opposite map is refused there
+    rnd = random.Random(41)
+    posets = [make_ex52(), make_double_star(), make_grid(2, 3)]
+    while len(posets) < 19:
+        poset = random_marked_poset(rnd, rnd.randint(4, 8), max_unmarked=5)
+        if poset.unmarked and _moves_with_t(poset, zero_parameter(poset)):
+            posets.append(poset)
+    return posets
+
+
+@pytest.mark.parametrize("poset", _opposite_posets())
+def test_opposite_corners_map_is_refused_where_the_polytopes_differ(poset, monkeypatch):
+    # the certificate with phi of the opposite corner in place of phi_t: it
+    # passes exactly where the opposite corner's polytope is O_t itself
+    transfer = tropical.transfer_theta_homogeneous
+    monkeypatch.setattr(tropical, "transfer_theta_homogeneous",
+                        lambda poset, t, t2: transfer(poset, t, _opposite(t2)))
+    for t in hypercube_vertices(poset):
+        if _moves_with_t(poset, t):
+            with pytest.raises(AssertionError, match=r"^phi_t maps .* at t: "):
+                tropical.transfer_certifies(_fresh(poset), t)
+        else:
+            assert tropical.transfer_certifies(_fresh(poset), t)
+
+
+def test_each_failed_check_names_what_left_o_t(monkeypatch):
+    # at t = 1 on ex52: images shifted off O_1 fail the row check, and
+    # images all inside O_1 (halfway to their barycenter) the facet check
+    poset = make_ex52()
+    t = one_parameter(poset)
+    transfer = tropical.transfer_theta_homogeneous
+
+    def shifted(poset, t, t2):  # every image moved by -1 in its first coordinate
+        return lambda rows: [(w[0], w[1] - w[0], *w[2:]) for w in transfer(poset, t, t2)(rows)]
+
+    monkeypatch.setattr(tropical, "transfer_theta_homogeneous", shifted)
+    with pytest.raises(AssertionError, match="a vertex of the tropical subdivision of O_0 "
+                                             "outside O_t at t: p = 1, q = 1, r = 1"):
+        tropical.transfer_certifies(_fresh(poset), t)
+
+    def shrunk(poset, t, t2):  # every image moved halfway to an interior point
+        def run(rows):
+            images = transfer(poset, t, t2)(rows)
+            centre = [sum(col) for col in zip(*images)]
+            n = len(images)
+            return [tuple(n * a + c for a, c in zip(w, centre)) for w in images]
+        return run
+
+    monkeypatch.setattr(tropical, "transfer_theta_homogeneous", shrunk)
+    with pytest.raises(AssertionError, match="a facet of the boundary of O_0 off the "
+                                             "boundary of O_t"):
+        tropical.transfer_certifies(_fresh(poset), t)
+
+
+def test_certificate_needs_a_full_dimensional_o_0(monkeypatch):
+    # x_p is pinned: no cell is full-dimensional, nothing is checked
+    poset = make_pinned_branch()
+    monkeypatch.setattr(tropical, "transfer_theta_homogeneous", None)  # any call fails
+    assert tropical._certificate_data(poset) is None
+    assert not tropical.transfer_certifies(poset, one_parameter(poset))
+
+
+def test_certificate_data_lists_the_boundary_facets_of_every_cell():
+    # ex52's three cells are 3-dimensional and cover O_0, whose vertices
+    # are among the rows; each listed facet spans a plane in a base row
+    poset = make_ex52()
+    rows, boundary, certified = tropical._certificate_data(poset)
+    base, root = tropical._base_data(poset)
+    assert set(root.vrep().rows) <= set(rows)  # integral vertices: rows (1, v)
+    assert len(set(rows)) == len(rows) == len(subdivision_vertices(poset))
+    assert certified == set()
+    for ids in boundary:
+        assert linalg.rank([rows[i] for i in ids]) == 3
+        assert any(all(idot(row, rows[i]) == 0 for i in ids) for row in base.int_inequalities)
 
 # -- ideal chains ------------------------------------------------------------------------
 
